@@ -12,7 +12,9 @@ plus JSON reports:
 
 Every reported check carries its tolerance and measured value.  Outputs are
 byte-identical across reruns of the same configuration: fixed summation
-orders, no randomness, no wall-clock fields.
+orders, no wall-clock fields, and the only random draws (the
+``verify-geometry`` check points) come from the fixed-seed PCG64 stream
+``_POINT_SEED``.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 configuration error,
 3 numerical abort.
@@ -34,7 +36,7 @@ import numpy as np
 from . import ige, jacobi, numgeo
 from .errors import DomainError, NumericalAbort
 from .fisher import QuadratureSpec, fisher_numeric_2d, fisher_numeric_3d
-from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, closed_form,
+from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, check_tol, closed_form,
                         integrate_geodesic, residual_check,
                         trajectory_to_csv)
 from .jacobi import (critically_damped, exponent_fit, integrate_jlc,
@@ -60,7 +62,7 @@ class ExperimentConfig:
     sigma0: float = 1.0
     sigma0_prime: float = 1.0
     lambda_plus_prime: float = 1.0
-    lambda_f: float = 1.0
+    lambda_f: float = None              # 1.0, or derived from tau_f + epsilon
     tau_f: float = None
     epsilon: float = None
     capital_sigma_sq: float = 1.0
@@ -79,9 +81,10 @@ class ExperimentConfig:
             return GeodesicSpec3D.from_final_spread(
                 self.mu0, self.sigma0, self.sigma0_prime,
                 self.lambda_plus_prime, self.tau_f, self.epsilon,
-                lambda_f=self.lambda_f if self.lambda_f is not None else None)
+                lambda_f=self.lambda_f)
         return GeodesicSpec3D(self.mu0, self.sigma0, self.sigma0_prime,
-                              self.lambda_plus_prime, self.lambda_f)
+                              self.lambda_plus_prime,
+                              1.0 if self.lambda_f is None else self.lambda_f)
 
     def spec_2d(self) -> GeodesicSpec2D:
         return GeodesicSpec2D.from_3d(self.spec_3d())
@@ -146,12 +149,15 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"format entries must be csv or json, got {cfg.formats}")
     if cfg.jobs < 1:
         raise ConfigError("jobs must be >= 1")
+    if not (math.isfinite(cfg.tau_max) and cfg.tau_max > 0.0):
+        raise ConfigError(f"tau_max must be a positive real, got {cfg.tau_max!r}")
     try:
-        cfg.spec_3d()
+        check_tol(cfg.tol)
+        spec = cfg.spec_3d()
         Model2DConfig(cfg.capital_sigma_sq)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
+    return replace(cfg, lambda_f=spec.lambda_f)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +236,12 @@ def _emit(cfg: ExperimentConfig, out_dir: Path, stem: str, report: RunReport,
             _write(out_dir, name, text)
 
 
+def _specs(cfg: ExperimentConfig) -> list:
+    """(label, spec) for each model the configuration selects."""
+    return [(spec.model.label, spec) for spec in (cfg.spec_3d(), cfg.spec_2d())
+            if cfg.model in (spec.model.label, "pair")]
+
+
 def _sample_points(n: int):
     rng = np.random.default_rng(_POINT_SEED)
     pts3 = [ParameterPoint3D(rng.uniform(-2, 2), rng.uniform(0.5, 2.0),
@@ -296,12 +308,7 @@ def run_verify(cfg: ExperimentConfig) -> RunReport:
 def run_geodesics(cfg: ExperimentConfig) -> RunReport:
     report = RunReport("geodesics", cfg.parameters())
     series = {}
-    specs = []
-    if cfg.model in ("3d", "pair"):
-        specs.append(("3d", cfg.spec_3d()))
-    if cfg.model in ("2d", "pair"):
-        specs.append(("2d", cfg.spec_2d()))
-    for label, spec in specs:
+    for label, spec in _specs(cfg):
         grid = np.linspace(0.0, cfg.tau_max, 501)
         traj = integrate_geodesic(spec, cfg.tau_max, cfg.tol, sample_taus=grid)
         if not traj.complete:
@@ -322,12 +329,7 @@ def run_geodesics(cfg: ExperimentConfig) -> RunReport:
 def run_ige(cfg: ExperimentConfig) -> RunReport:
     report = RunReport("ige", cfg.parameters())
     series = {}
-    specs = []
-    if cfg.model in ("3d", "pair"):
-        specs.append(("3d", cfg.spec_3d()))
-    if cfg.model in ("2d", "pair"):
-        specs.append(("2d", cfg.spec_2d()))
-    for label, spec in specs:
+    for label, spec in _specs(cfg):
         result = ige.ige_curve(spec, slope_window=cfg.slope_window)
         report.add(f"ige_{label}_slope_relative_error",
                    abs(result.fit.slope - spec.rate) / spec.rate, 0.02)
@@ -345,12 +347,7 @@ def run_ige(cfg: ExperimentConfig) -> RunReport:
 def run_jacobi(cfg: ExperimentConfig) -> RunReport:
     report = RunReport("jacobi", cfg.parameters())
     series = {}
-    specs = []
-    if cfg.model in ("3d", "pair"):
-        specs.append(("3d", cfg.spec_3d()))
-    if cfg.model in ("2d", "pair"):
-        specs.append(("2d", cfg.spec_2d()))
-    for label, spec in specs:
+    for label, spec in _specs(cfg):
         tau_max = cfg.exponent_window[1] / spec.rate
         samples = np.linspace(0.0, tau_max, 401)
         traj = integrate_jlc(spec, tau_max=tau_max, tol=cfg.tol,
@@ -363,15 +360,14 @@ def run_jacobi(cfg: ExperimentConfig) -> RunReport:
                    abs(fit.slope - spec.rate) / spec.rate, 0.02)
         report.add(f"jacobi_{label}_log_linearity", fit.r_squared, 0.999,
                    passed=fit.r_squared > 0.999)
-        if label == "3d":
-            # third component is exactly critically damped
-            lam = spec.lambda_f
-            j3 = integrate_jlc(spec, initial_J=(0.0, 0.0, 1.0),
-                               initial_J_dot=(0.0, 0.0, 0.0),
-                               tau_max=min(tau_max, 10.0 / lam), tol=cfg.tol)
-            ref = critically_damped(lam, 1.0, lam, j3.taus)
-            report.add("jacobi_3d_damped_component_error",
-                       float(np.abs(j3.J[:, 2] - ref).max()), 1e-8)
+        for j, (_, lam) in zip(spec.model.flat_coordinates, spec.flat_factors):
+            # a flat scale component is exactly critically damped
+            unit = np.eye(spec.model.dimension)[j]
+            run = integrate_jlc(spec, initial_J=unit, initial_J_dot=np.zeros_like(unit),
+                                tau_max=min(tau_max, 10.0 / lam), tol=cfg.tol)
+            ref = critically_damped(lam, 1.0, lam, run.taus)
+            report.add(f"jacobi_{label}_damped_component_error",
+                       float(np.abs(run.J[:, j] - ref).max()), 1e-8)
         series[f"jacobi_{label}.csv"] = jacobi_to_csv(traj)
     return report, series
 
@@ -453,8 +449,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="integrator tolerance")
     parser.add_argument("--tau-max", type=float, default=None,
                         help="geodesic integration horizon")
-    parser.add_argument("--seedless", action="store_true",
-                        help="reserved; no randomness is used anywhere")
     parser.add_argument("command",
                         choices=("verify-geometry", "geodesics", "ige",
                                  "jacobi", "softening", "all"))

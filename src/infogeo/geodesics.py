@@ -35,18 +35,17 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
 from .errors import DomainError
 from . import rk
-from .models import (ParameterPoint2D, ParameterPoint3D, christoffel_2d,
-                     christoffel_3d)
+from .models import MODEL_2D, MODEL_3D, DiagonalScaleModel, model_of
 
 SIGMA_FLOOR = 1e-300
-MU_SPAN_EXACT_3D = math.sqrt(2.0)
-MU_SPAN_EXACT_2D = 2.0
+MU_SPAN_EXACT_3D = MODEL_3D.mean_span
+MU_SPAN_EXACT_2D = MODEL_2D.mean_span
 MU_SPAN_WIDE = 2.0  # span assumed by the closed-form volume expressions
 
 
@@ -55,15 +54,26 @@ def _positive(name, v):
         raise DomainError(f"{name} must be a positive real, got {v!r}")
 
 
+def check_tol(tol):
+    """Integrator tolerances outside [1e-13, 1e-6] are rejected."""
+    if not 1e-13 <= tol <= 1e-6:
+        raise DomainError("tol must lie in [1e-13, 1e-6]")
+
+
 @dataclass(frozen=True)
 class GeodesicSpec3D:
-    """Initial data (mu0, sigma0, sigma0') and rates (lambda_plus', lambda_f)."""
+    """Initial data (mu0, sigma0, sigma0') and rates (lambda_plus', lambda_f).
+
+    ``lam`` is the lambda of the (mu, sigma_x) plane, ``flat_factors`` the
+    (initial value, decay rate) of each flat scale coordinate.
+    """
 
     mu0: float
     sigma0: float
     sigma0_prime: float
     lambda_plus_prime: float
     lambda_f: float
+    model: ClassVar[DiagonalScaleModel] = MODEL_3D
 
     def __post_init__(self):
         if not math.isfinite(self.mu0):
@@ -91,6 +101,14 @@ class GeodesicSpec3D:
         return GeodesicSpec3D(mu0, sigma0, sigma0_prime, lambda_plus_prime, lf)
 
     @property
+    def lam(self) -> float:
+        return self.lambda_plus_prime
+
+    @property
+    def flat_factors(self) -> tuple:
+        return ((self.sigma0_prime, self.lambda_f),)
+
+    @property
     def rate(self) -> float:
         """sigma0 * lambda_plus': decay rate of sigma_x, growth rate of volumes."""
         return self.sigma0 * self.lambda_plus_prime
@@ -101,6 +119,8 @@ class GeodesicSpec2D:
     mu0: float
     sigma0: float
     lambda_plus: float
+    model: ClassVar[DiagonalScaleModel] = MODEL_2D
+    flat_factors: ClassVar[tuple] = ()
 
     def __post_init__(self):
         if not math.isfinite(self.mu0):
@@ -113,6 +133,10 @@ class GeodesicSpec2D:
         """Coupled companion: lambda_plus = lambda_plus' / sqrt(2)."""
         return GeodesicSpec2D(spec.mu0, spec.sigma0,
                               spec.lambda_plus_prime / math.sqrt(2.0))
+
+    @property
+    def lam(self) -> float:
+        return self.lambda_plus
 
     @property
     def rate(self) -> float:
@@ -136,18 +160,13 @@ class DerivedConstants:
     c4: float
 
     @staticmethod
-    def for_3d(spec: GeodesicSpec3D) -> "DerivedConstants":
-        a = spec.lambda_plus_prime ** 2        # lambda_plus' = sqrt(a)
-        A1 = math.sqrt(2.0 * a)                # a = A1^2 / 2
+    def for_spec(spec) -> "DerivedConstants":
+        a = spec.lam ** 2                      # lambda = sqrt(a)
+        A1 = spec.model.mean_span * spec.lam   # a = A1^2 c_0 / c_1
         return DerivedConstants(a=a, A1=A1, c1=spec.sigma0, c2=a, c3=0.0,
                                 c4=spec.mu0 + A1 * spec.sigma0 / math.sqrt(a))
 
-    @staticmethod
-    def for_2d(spec: GeodesicSpec2D) -> "DerivedConstants":
-        a = spec.lambda_plus ** 2              # lambda_plus = sqrt(a)
-        A1 = 2.0 * math.sqrt(a)                # a = A1^2 / 4
-        return DerivedConstants(a=a, A1=A1, c1=spec.sigma0, c2=a, c3=0.0,
-                                c4=spec.mu0 + A1 * spec.sigma0 / math.sqrt(a))
+    for_3d = for_2d = for_spec
 
 
 def _sech(u):
@@ -159,6 +178,26 @@ def _sech(u):
 # closed-form paths
 # ---------------------------------------------------------------------------
 
+def _closed_form(spec, tau, mu_span: Optional[float], shift: float):
+    # the (mu, sigma) plane follows the sech/tanh path, every flat scale
+    # coordinate decays exponentially
+    tau = np.asarray(tau, dtype=float)
+    span = spec.model.mean_span if mu_span is None else mu_span
+    k = spec.rate
+    u = k * (tau + shift)
+    sech = _sech(u)
+    tanh = np.tanh(u)
+    s = spec.sigma0 * sech
+    coords = [spec.mu0 + span * spec.sigma0 * tanh, s]
+    rates = [span * spec.lam * s**2, -k * spec.sigma0 * sech * tanh]
+    for start, decay in spec.flat_factors:
+        coords.append(start * np.exp(-decay * (tau + shift)))
+        rates.append(-decay * coords[-1])
+    theta = np.stack(np.broadcast_arrays(*coords), axis=-1)
+    vel = np.stack(np.broadcast_arrays(*rates), axis=-1)
+    return theta, vel
+
+
 def closed_form_3d(spec: GeodesicSpec3D, tau, mu_span: float = MU_SPAN_EXACT_3D,
                    shift: float = 0.0):
     """Closed-form path and velocity at tau (arrays broadcast over tau).
@@ -169,87 +208,39 @@ def closed_form_3d(spec: GeodesicSpec3D, tau, mu_span: float = MU_SPAN_EXACT_3D,
     ``shift`` evaluates the same curve at tau + shift (geodesics are closed
     under time translation).
     """
-    tau = np.asarray(tau, dtype=float)
-    k = spec.rate
-    u = k * (tau + shift)
-    sech = _sech(u)
-    tanh = np.tanh(u)
-    sx = spec.sigma0 * sech
-    mu = spec.mu0 + mu_span * spec.sigma0 * tanh
-    sy = spec.sigma0_prime * np.exp(-spec.lambda_f * (tau + shift))
-    dmu = mu_span * spec.lambda_plus_prime * sx**2
-    dsx = -k * spec.sigma0 * sech * tanh
-    dsy = -spec.lambda_f * sy
-    theta = np.stack(np.broadcast_arrays(mu, sx, sy), axis=-1)
-    vel = np.stack(np.broadcast_arrays(dmu, dsx, dsy), axis=-1)
-    return theta, vel
+    return _closed_form(spec, tau, mu_span, shift)
 
 
 def closed_form_2d(spec: GeodesicSpec2D, tau, shift: float = 0.0):
     """Closed-form 2D path; the (mu, sigma) shape matches the 3D one with
     mean span 2 and rate sigma0 * lambda_plus."""
-    tau = np.asarray(tau, dtype=float)
-    k = spec.rate
-    u = k * (tau + shift)
-    sech = _sech(u)
-    tanh = np.tanh(u)
-    s = spec.sigma0 * sech
-    mu = spec.mu0 + MU_SPAN_EXACT_2D * spec.sigma0 * tanh
-    dmu = MU_SPAN_EXACT_2D * spec.lambda_plus * s**2
-    ds = -k * spec.sigma0 * sech * tanh
-    theta = np.stack(np.broadcast_arrays(mu, s), axis=-1)
-    vel = np.stack(np.broadcast_arrays(dmu, ds), axis=-1)
-    return theta, vel
+    return _closed_form(spec, tau, None, shift)
 
 
 def closed_form(spec, tau, shift: float = 0.0):
-    if isinstance(spec, GeodesicSpec3D):
-        return closed_form_3d(spec, tau, shift=shift)
-    return closed_form_2d(spec, tau, shift=shift)
+    """Closed-form path of either model with its exact mean span."""
+    return _closed_form(spec, tau, None, shift)
 
 
 # ---------------------------------------------------------------------------
 # geodesic equations
 # ---------------------------------------------------------------------------
 
-def _acceleration(theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # Explicit component form of -Gamma^k_lm v^l v^m.  Deliberately total in
-    # sigma != 0: embedded-pair trial stages may probe slightly past the
-    # domain and must produce a huge-but-finite value for the error
-    # controller to reject, not an exception.
-    if theta.shape[-1] == 3:
-        _, sx, sy = theta
-        return np.array([2.0 * v[0] * v[1] / sx,
-                         -0.5 * v[0] ** 2 / sx + v[1] ** 2 / sx,
-                         v[2] ** 2 / sy])
-    _, s = theta
-    return np.array([2.0 * v[0] * v[1] / s,
-                     -0.25 * v[0] ** 2 / s + v[1] ** 2 / s])
-
-
 def geodesic_acceleration(theta: np.ndarray, velocity: np.ndarray) -> np.ndarray:
     """theta'' = -Gamma^k_lm v^l v^m using the analytic symbols.
 
-    Dispatches on the dimension of theta (3 or 2); rejects sigma <= 0.
+    The model follows from the length of theta (3 or 2); rejects sigma <= 0.
     """
     theta = np.asarray(theta, dtype=float)
-    v = np.asarray(velocity, dtype=float)
-    if theta.shape[-1] == 3:
-        gam = christoffel_3d(ParameterPoint3D.from_array(theta)).components
-    else:
-        gam = christoffel_2d(ParameterPoint2D.from_array(theta)).components
-    return -np.einsum("kij,i,j->k", gam, v, v)
+    model = model_of(theta)
+    model.point.from_array(theta)
+    return model.acceleration(theta, np.asarray(velocity, dtype=float))
 
 
 def fisher_speed(theta: np.ndarray, velocity: np.ndarray) -> float:
     """g_lm v^l v^m, conserved along geodesics."""
     theta = np.asarray(theta, dtype=float)
-    v = np.asarray(velocity, dtype=float)
-    if theta.shape[-1] == 3:
-        mu, sx, sy = theta
-        return float(v[0] ** 2 / sx**2 + 2.0 * v[1] ** 2 / sx**2 + 2.0 * v[2] ** 2 / sy**2)
-    mu, s = theta
-    return float((v[0] ** 2 + 4.0 * v[1] ** 2) / s**2)
+    return model_of(theta).speed(theta, np.asarray(velocity, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -295,14 +286,14 @@ def integrate_geodesic(spec, tau_max: float, tol: float = 1e-10,
     Aborts (positivity floor, step underflow) return the partial trajectory
     flagged ``complete=False`` unless ``raise_on_abort``.
     """
-    if not 1e-13 <= tol <= 1e-6:
-        raise DomainError("tol must lie in [1e-13, 1e-6]")
+    check_tol(tol)
     theta0, vel0 = closed_form(spec, 0.0)
-    dim = theta0.shape[-1]
+    model = spec.model
+    dim = model.dimension
     y0 = np.concatenate([theta0, vel0])
 
     def rhs(t, y):
-        acc = _acceleration(y[:dim], y[dim:])
+        acc = model.acceleration(y[:dim], y[dim:])
         return np.concatenate([y[dim:], acc])
 
     sol = rk.integrate(rhs, (0.0, tau_max), y0, rtol=tol, atol=tol,
@@ -326,11 +317,7 @@ def residual_check(spec, tau_grid, mu_span: Optional[float] = None,
     solution is O(h^2) differentiation error.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
-    if isinstance(spec, GeodesicSpec3D):
-        span = MU_SPAN_EXACT_3D if mu_span is None else mu_span
-        form = lambda t: closed_form_3d(spec, t, mu_span=span)
-    else:
-        form = lambda t: closed_form_2d(spec, t)
+    form = lambda t: _closed_form(spec, t, mu_span, 0.0)
     worst = 0.0
     for tau in tau_grid:
         theta, vel = form(tau)
@@ -358,10 +345,8 @@ def sigma_equation_residual(spec: GeodesicSpec3D, tau_grid, h: float = 1e-5) -> 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV text: tau, state components, velocity components."""
-    if traj.dimension == 3:
-        cols = "tau,mu_x,sigma_x,sigma_y,dmu_x,dsigma_x,dsigma_y"
-    else:
-        cols = "tau,mu_x,sigma,dmu_x,dsigma"
+    names = model_of(traj.states[0]).coordinates
+    cols = ",".join(["tau", *names, *(f"d{name}" for name in names)])
     buf = io.StringIO()
     buf.write("# infogeo trajectory csv schema=1\n")
     buf.write(cols + "\n")

@@ -32,6 +32,7 @@ ratios are span-independent.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -41,8 +42,8 @@ import numpy as np
 from .errors import DomainError
 from .fitting import LineFit, fit_line
 from .geodesics import (MU_SPAN_WIDE, GeodesicSpec2D, GeodesicSpec3D,
-                        closed_form_2d, closed_form_3d)
-from .models import (ParameterPoint2D, ParameterPoint3D, metric_2d, metric_3d)
+                        _closed_form)
+from .models import MODEL_2D, MODEL_3D, ParameterPoint2D, ParameterPoint3D
 
 # default fit windows, in units of rate * tau (rate = sigma0 * lambda)
 VOLUME_WINDOW = (20.0, 50.0)   # closed-form volume cross-checks
@@ -53,12 +54,12 @@ LOG2 = math.log(2.0)
 
 def fisher_density_3d(theta: ParameterPoint3D) -> float:
     """sqrt(det g) = 2 / (sigma_x^2 sigma_y)."""
-    return 2.0 / (theta.sigma_x**2 * theta.sigma_y)
+    return MODEL_3D.volume_density(theta.as_array())
 
 
 def fisher_density_2d(theta: ParameterPoint2D) -> float:
     """sqrt(det g) = 2 / sigma^2."""
-    return 2.0 / theta.sigma**2
+    return MODEL_2D.volume_density(theta.as_array())
 
 
 def _log_tanh(u):
@@ -78,23 +79,22 @@ def log_box_volume(spec, tau_prime, mu_span: Optional[float] = None):
     3D: |dmu| * [2/sigma_x(tau') - 2/sigma0] * log(sigma0'/sigma_y(tau'))
     2D: |dmu| * [2/sigma(tau') - 2/sigma0]
 
-    with |dmu| = mu_span * sigma0 * tanh(rate * tau').
+    with |dmu| = mu_span * sigma0 * tanh(rate * tau'): the (mu, sigma)
+    plane gives the first two factors, each flat scale one logarithm.
     """
     tau_prime = np.asarray(tau_prime, dtype=float)
     if np.any(tau_prime < 0.0):
         raise DomainError("tau_prime must be nonnegative")
     u = spec.rate * tau_prime
     s0 = spec.sigma0
-    if isinstance(spec, GeodesicSpec3D):
-        span = MU_SPAN_WIDE if mu_span is None else mu_span
-        with np.errstate(divide="ignore"):
-            log_sy_factor = np.log(spec.lambda_f * tau_prime)
-    else:
-        span = MU_SPAN_WIDE
-        log_sy_factor = 0.0
+    span = MU_SPAN_WIDE if mu_span is None else mu_span
     log_dmu = math.log(span * s0) + _log_tanh(u)
-    log_sx_factor = math.log(2.0 / s0) + _log_cosh_minus_one(u)
-    return log_dmu + log_sx_factor + log_sy_factor
+    log_sx_factor = math.log(spec.model.volume_weight / s0) + _log_cosh_minus_one(u)
+    total = log_dmu + log_sx_factor
+    for _, decay in spec.flat_factors:
+        with np.errstate(divide="ignore"):
+            total = total + np.log(decay * tau_prime)
+    return total
 
 
 def box_volume(spec, tau_prime, mu_span: Optional[float] = None):
@@ -128,31 +128,20 @@ def box_volume_quadrature(spec, tau_prime: float, nodes=(8, 32, 32),
         x, w = np.polynomial.legendre.leggauss(n)
         return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
-    if isinstance(spec, GeodesicSpec3D):
-        span = MU_SPAN_WIDE if mu_span is None else mu_span
-        theta1, _ = closed_form_3d(spec, tau_prime, mu_span=span)
-        theta0, _ = closed_form_3d(spec, 0.0, mu_span=span)
-        los = np.minimum(theta0, theta1)
-        his = np.maximum(theta0, theta1)
-        mus, wmu = gl(los[0], his[0], nodes[0])
-        sxs, wsx = _panelled_gauss(los[1], his[1], nodes[1])
-        sys_, wsy = _panelled_gauss(los[2], his[2], nodes[2])
-        total = 0.0
-        for sx, ws in zip(sxs, wsx):
-            for sy, wy in zip(sys_, wsy):
-                dens = math.sqrt(metric_3d(ParameterPoint3D(0.0, sx, sy)).determinant)
-                total += ws * wy * dens
-        return float(total * wmu.sum())
-    theta1, _ = closed_form_2d(spec, tau_prime)
-    theta0, _ = closed_form_2d(spec, 0.0)
+    span = MU_SPAN_WIDE if mu_span is None else mu_span
+    theta1, _ = _closed_form(spec, tau_prime, span, 0.0)
+    theta0, _ = _closed_form(spec, 0.0, span, 0.0)
     los = np.minimum(theta0, theta1)
     his = np.maximum(theta0, theta1)
     mus, wmu = gl(los[0], his[0], nodes[0])
-    ss, wss = _panelled_gauss(los[1], his[1], nodes[1])
+    # the density does not depend on the mean: one node list per scale
+    axes = [list(zip(*_panelled_gauss(los[j], his[j], nodes[j])))
+            for j in range(1, spec.model.dimension)]
     total = 0.0
-    for s, ws in zip(ss, wss):
-        dens = math.sqrt(metric_2d(ParameterPoint2D(0.0, s)).determinant)
-        total += ws * dens
+    for node in itertools.product(*axes):
+        scales, weights = zip(*node)
+        dens = math.sqrt(spec.model.metric((0.0, *scales)).determinant)
+        total += math.prod(weights) * dens
     return float(total * wmu.sum())
 
 
@@ -243,10 +232,13 @@ def closed_form_volume_2d(spec: GeodesicSpec2D, tau):
     return np.exp(log_closed_form_volume_2d(spec, tau))
 
 
+# the closed-form volumes are the paper's per-model expressions
+_LOG_CLOSED_FORM_VOLUMES = {MODEL_3D: log_closed_form_volume_3d,
+                            MODEL_2D: log_closed_form_volume_2d}
+
+
 def log_closed_form_volume(spec, tau):
-    if isinstance(spec, GeodesicSpec3D):
-        return log_closed_form_volume_3d(spec, tau)
-    return log_closed_form_volume_2d(spec, tau)
+    return _LOG_CLOSED_FORM_VOLUMES[spec.model](spec, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +252,7 @@ class IGEResult:
     model: str                     # "3d" or "2d"
     taus: np.ndarray
     log_vol: np.ndarray            # instantaneous box volume, log
-    log_avg_vol: np.ndarray        # temporal average, log
-    entropy: np.ndarray            # S = log_avg_vol
+    log_avg_vol: np.ndarray        # temporal average, log: the entropy S
     entropy_closed_form: np.ndarray
     fit: LineFit
     rate: float                    # sigma0 * lambda of the model
@@ -284,18 +275,13 @@ def ige_curve(spec, slope_window: tuple = SLOPE_WINDOW, n_grid: int = 2049,
     lead = np.linspace(w0 / lead_points, w0, lead_points, endpoint=False)
     window = np.linspace(w0, w1, window_points)
     taus = np.concatenate([lead, window])
-    if isinstance(spec, GeodesicSpec3D):
-        model = "3d"
-        span = MU_SPAN_WIDE if mu_span is None else mu_span
-    else:
-        model = "2d"
-        span = MU_SPAN_WIDE
+    span = MU_SPAN_WIDE if mu_span is None else mu_span
     log_avg = np.array([log_averaged_volume(spec, t, n_grid, span) for t in taus])
     logv = log_box_volume(spec, taus, span)
     s_closed = log_closed_form_volume(spec, taus)
     fit = fit_line(window, log_avg[lead_points:])
-    return IGEResult(model=model, taus=taus, log_vol=logv, log_avg_vol=log_avg,
-                     entropy=log_avg, entropy_closed_form=s_closed, fit=fit,
+    return IGEResult(model=spec.model.label, taus=taus, log_vol=logv,
+                     log_avg_vol=log_avg, entropy_closed_form=s_closed, fit=fit,
                      rate=rate, mu_span=span)
 
 
@@ -345,19 +331,6 @@ def ige_to_csv(result: IGEResult) -> str:
         vol = np.exp(result.log_vol)
         avg = np.exp(result.log_avg_vol)
     for i, tau in enumerate(result.taus):
-        row = [tau, vol[i], avg[i], result.entropy[i], result.entropy_closed_form[i]]
+        row = [tau, vol[i], avg[i], result.log_avg_vol[i], result.entropy_closed_form[i]]
         buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
     return buf.getvalue()
-
-
-def softening_summary(result: IgeSoftening) -> dict:
-    return {
-        "slope_3d": result.slope_3d,
-        "slope_2d": result.slope_2d,
-        "ratio": result.ratio,
-        "expected_ratio": result.expected_ratio,
-        "r_squared_3d": result.result_3d.fit.r_squared,
-        "r_squared_2d": result.result_2d.fit.r_squared,
-        "fit_window_3d": list(result.result_3d.fit.window),
-        "fit_window_2d": list(result.result_2d.fit.window),
-    }

@@ -41,11 +41,8 @@ import numpy as np
 from .errors import DomainError
 from . import rk
 from .fitting import LineFit, fit_basis, fit_line
-from .geodesics import GeodesicSpec2D, GeodesicSpec3D, closed_form, _acceleration
-from .models import (_christoffel_array_2d, _christoffel_array_3d,
-                     _christoffel_derivative_array_2d,
-                     _christoffel_derivative_array_3d, _riemann_array_2d,
-                     _riemann_array_3d)
+from .geodesics import GeodesicSpec2D, GeodesicSpec3D, check_tol, closed_form
+from .models import model_of
 
 J_OVERFLOW = 1e300
 EXPONENT_WINDOW = (20.0, 50.0)  # in units of rate * tau
@@ -60,23 +57,17 @@ def jlc_coefficients(theta: np.ndarray, theta_dot: np.ndarray):
     """The matrices (B, C) of J'' = -(B J' + C J) at one geodesic state.
 
     Total in sigma != 0 (see the note on trial stages in
-    :func:`infogeo.geodesics._acceleration`); integration aborts on the
-    positivity floor are handled by the caller.
+    :meth:`infogeo.models.DiagonalScaleModel.acceleration`); integration
+    aborts on the positivity floor are handled by the caller.
     """
     theta = np.asarray(theta, dtype=float)
     td = np.asarray(theta_dot, dtype=float)
-    if theta.shape[-1] == 3:
-        gam = _christoffel_array_3d(theta[1], theta[2])
-        dgam = _christoffel_derivative_array_3d(theta[1], theta[2])
-        riem = _riemann_array_3d(theta[1])
-    else:
-        gam = _christoffel_array_2d(theta[1])
-        dgam = _christoffel_derivative_array_2d(theta[1])
-        riem = _riemann_array_2d(theta[1])
-    acc = _acceleration(theta, td)
+    model = model_of(theta)
+    gam, dgam, riem = model.tensors(theta)
+    acc = model.acceleration(theta, td)
     B = 2.0 * np.einsum("mab,b->ma", gam, td)
     C = (np.einsum("mab,b->ma", gam, acc)
-         + np.einsum("nmab,n,b->ma", dgam, td, td)
+         + np.einsum("mnab,n,b->ma", dgam, td, td)
          + np.einsum("mrb,ras,s,b->ma", gam, gam, td, td)
          + np.einsum("mnal,n,l->ma", riem, td, td))
     return B, C
@@ -91,13 +82,7 @@ def jlc_acceleration(theta, theta_dot, J, J_dot) -> np.ndarray:
 def intensity(theta: np.ndarray, J: np.ndarray) -> float:
     """Metric norm sqrt(g_lm J^l J^m); weights are the diagonal metric."""
     theta = np.asarray(theta, dtype=float)
-    J = np.asarray(J, dtype=float)
-    if theta.shape[-1] == 3:
-        _, sx, sy = theta
-        return math.sqrt(J[0] ** 2 / sx**2 + 2.0 * J[1] ** 2 / sx**2
-                         + 2.0 * J[2] ** 2 / sy**2)
-    _, s = theta
-    return math.sqrt((J[0] ** 2 + 4.0 * J[1] ** 2) / s**2)
+    return math.sqrt(model_of(theta).speed(theta, np.asarray(J, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -127,54 +112,26 @@ class JacobiTrajectory:
         return (self.taus >= lo - 1e-12) & (self.taus <= hi + 1e-12)
 
 
-_LOG_FLOOR = math.log(1e-300)
 # curvature coefficients carry 1/sigma^2, so the JLC system needs sigma
 # comfortably above sqrt(double minimum), tighter than the geodesic floor
 _JLC_LOG_FLOOR = math.log(1e-150)
 
 
-def _scaled_geodesic_state(theta0: np.ndarray, vel0: np.ndarray) -> np.ndarray:
+def _scaled_geodesic_state(model, theta0: np.ndarray, vel0: np.ndarray) -> np.ndarray:
     # (mu, log sigma..., scaled velocities): sigma decays exponentially on
     # useful horizons, so raw coordinates lose all relative accuracy once
     # sigma drops below the absolute tolerance; logs and the ratios
-    # u = mu'/sigma_x, v = sigma_x'/sigma_x, w = sigma_y'/sigma_y stay O(1).
-    dim = theta0.shape[-1]
-    logs = np.log(theta0[1:])
-    ratios = np.empty(dim)
-    ratios[0] = vel0[0] / theta0[1]
-    ratios[1] = vel0[1] / theta0[1]
-    if dim == 3:
-        ratios[2] = vel0[2] / theta0[2]
-    return np.concatenate([[theta0[0]], logs, ratios])
+    # rho_i = theta'_i / sigma_k(i) (u = mu'/sigma_x, v = sigma_x'/sigma_x,
+    # w = sigma_y'/sigma_y) stay O(1).
+    return np.concatenate([theta0[:1], np.log(theta0[1:]), vel0 / model.scales(theta0)])
 
 
-def _unscale(dim: int, geo: np.ndarray):
-    if dim == 3:
-        mu, lx, ly, u, v, w = geo
-        sx, sy = math.exp(lx), math.exp(ly)
-        theta = np.array([mu, sx, sy])
-        td = np.array([u * sx, v * sx, w * sy])
-    else:
-        mu, lx, u, v = geo
-        sx = math.exp(lx)
-        theta = np.array([mu, sx])
-        td = np.array([u * sx, v * sx])
-    return theta, td
-
-
-def _component_scales(theta: np.ndarray) -> np.ndarray:
-    # per-component normalization of J: the sigma scale its metric weight
-    # carries (1/sx^2, 2/sx^2, 2/sy^2 resp. 1/s^2, 4/s^2)
-    if theta.shape[-1] == 3:
-        return np.array([theta[1], theta[1], theta[2]])
-    return np.array([theta[1], theta[1]])
-
-
-def _scale_rates(dim: int, geo: np.ndarray) -> np.ndarray:
-    # d/dtau of log component scales
-    if dim == 3:
-        return np.array([geo[4], geo[4], geo[5]])
-    return np.array([geo[3], geo[3]])
+def _unscale(model, geo: np.ndarray):
+    # back to (theta, theta'), for one state or for each row
+    dim = model.dimension
+    theta = geo[..., :dim].copy()
+    theta[..., 1:] = np.exp(theta[..., 1:])
+    return theta, geo[..., dim:] * model.scales(theta)
 
 
 def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
@@ -193,9 +150,9 @@ def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
     ``raise_on_abort``) on the sigma positivity floor or a normalized
     component exceeding 1e300.
     """
-    dim = 3 if isinstance(spec, GeodesicSpec3D) else 2
-    if not 1e-13 <= tol <= 1e-6:
-        raise DomainError("tol must lie in [1e-13, 1e-6]")
+    model = spec.model
+    dim = model.dimension
+    check_tol(tol)
     if tau_max is None:
         tau_max = EXPONENT_WINDOW[1] / spec.rate
     J0, Jd0 = default_initial(dim)
@@ -209,36 +166,29 @@ def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
         raise DomainError("Jacobi initial data must be finite")
 
     theta0, vel0 = closed_form(spec, 0.0)
-    scales0 = _component_scales(theta0)
-    rates0 = _scale_rates(dim, _scaled_geodesic_state(theta0, vel0))
+    geo0 = _scaled_geodesic_state(model, theta0, vel0)
+    scales0 = model.scales(theta0)
+    rates0 = model.scales(geo0[dim:])     # d log sigma_k(i) / d tau = rho_k(i)
     K0 = J0 / scales0
     Kd0 = (Jd0 - rates0 * J0) / scales0
-    y0 = np.concatenate([_scaled_geodesic_state(theta0, vel0), K0, Kd0])
+    y0 = np.concatenate([geo0, K0, Kd0])
     n_geo = 2 * dim
 
     def rhs(t, y):
-        theta, td = _unscale(dim, y[:n_geo])
+        theta, td = _unscale(model, y[:n_geo])
         K, Kd = y[n_geo:n_geo + dim], y[n_geo + dim:]
-        if dim == 3:
-            u, v, w = y[3], y[4], y[5]
-            geo_dot = np.array([td[0], v, w, u * v, -0.5 * u * u, 0.0])
-            r = np.array([v, v, w])
-            r_dot = np.array([-0.5 * u * u, -0.5 * u * u, 0.0])
-        else:
-            u, v = y[2], y[3]
-            geo_dot = np.array([td[0], v, u * v, -0.25 * u * u])
-            r = np.array([v, v])
-            r_dot = np.array([-0.25 * u * u, -0.25 * u * u])
+        rho = y[dim:n_geo]
+        rho_dot = model.ratio_acceleration(rho)
+        geo_dot = np.concatenate([td[:1], rho[1:], rho_dot])
+        r, r_dot = model.scales(rho), model.scales(rho_dot)
         B, C = jlc_coefficients(theta, td)
-        # J = S K with S = diag(sigma scales), r = S'/S: the transformed
-        # system M1 = B + 2R, M0 = C + R' + R^2 + B R has O(1) entries at
-        # any horizon (B and C are block diagonal, so no sigma_x/sigma_y
-        # scale ratios appear).
-        M1 = B.copy()
-        M1[np.diag_indices(dim)] += 2.0 * r
-        M0 = C + B * r[None, :]
-        M0[np.diag_indices(dim)] += r_dot + r * r
-        return np.concatenate([geo_dot, Kd, -(M1 @ Kd + M0 @ K)])
+        # J = S K with S = diag(sigma scales), R = diag(r), r = S'/S: the
+        # transformed system K'' = -(M1 K' + M0 K), M1 = B + 2R,
+        # M0 = C + R' + R^2 + B R, has O(1) entries at any horizon (B and C
+        # are block diagonal, so no sigma_x/sigma_y scale ratios appear)
+        rK = r * K
+        Kdd = -(B @ (Kd + rK) + C @ K + r * (2.0 * Kd + rK) + r_dot * K)
+        return np.concatenate([geo_dot, Kd, Kdd])
 
     def floor(y):
         if np.any(y[1:dim] <= _JLC_LOG_FLOOR):
@@ -247,7 +197,7 @@ def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
         K = y[n_geo:n_geo + dim]
         if np.any(np.abs(K) > J_OVERFLOW):
             return f"normalized Jacobi component exceeded {J_OVERFLOW:g}"
-        scales = np.exp(y[1:dim])[np.array([0, 0, 1] if dim == 3 else [0, 0])]
+        scales = model.scales(_unscale(model, y[:n_geo])[0])
         if np.any(np.abs(K) * scales > J_OVERFLOW):
             return f"Jacobi component exceeded {J_OVERFLOW:g}"
         return None
@@ -259,17 +209,10 @@ def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
         ys = sol(taus)
     else:
         taus, ys = sol.t, sol.y
-    n = len(taus)
-    states = np.empty((n, dim))
-    velocities = np.empty((n, dim))
-    J = np.empty((n, dim))
-    J_dot = np.empty((n, dim))
-    for i in range(n):
-        states[i], velocities[i] = _unscale(dim, ys[i, :n_geo])
-        scales = _component_scales(states[i])
-        rates = _scale_rates(dim, ys[i, :n_geo])
-        J[i] = scales * ys[i, n_geo:n_geo + dim]
-        J_dot[i] = scales * (ys[i, n_geo + dim:] + rates * ys[i, n_geo:n_geo + dim])
+    states, velocities = _unscale(model, ys[:, :n_geo])
+    scales, rates = model.scales(states), model.scales(ys[:, dim:n_geo])
+    K, Kd = ys[:, n_geo:n_geo + dim], ys[:, n_geo + dim:]
+    J, J_dot = scales * K, scales * (Kd + rates * K)
     return JacobiTrajectory(taus=taus, states=states, velocities=velocities,
                             J=J, J_dot=J_dot,
                             rate=spec.rate, tolerance=tol, n_steps=sol.n_steps,
@@ -302,13 +245,10 @@ class JacobiConstants:
 def component_bases(constants: JacobiConstants):
     """Basis functions {f1, f2} of each component's asymptotic solution."""
     L = constants.lambda_decay
-    bases = [
-        (lambda t: np.ones_like(t), lambda t: np.exp(-2.0 * L * t)),
-        (lambda t: np.exp(-L * t), lambda t: t * np.exp(-L * t)),
-    ]
-    if constants.dimension == 3:
-        lf = constants.lambda_f
-        bases.append((lambda t: np.exp(-lf * t), lambda t: t * np.exp(-lf * t)))
+    bases = [(lambda t: np.ones_like(t), lambda t: np.exp(-2.0 * L * t))]
+    for lam in [L] + [constants.lambda_f] * (constants.dimension - 2):
+        bases.append((lambda t, lam=lam: np.exp(-lam * t),
+                      lambda t, lam=lam: t * np.exp(-lam * t)))
     return bases
 
 
@@ -337,7 +277,7 @@ def asymptotic_residual(constants: JacobiConstants, tau_grid) -> float:
     (pure rounding for any constants).
     """
     L = constants.lambda_decay
-    rates = [L] + ([constants.lambda_f] if constants.dimension == 3 else [])
+    rates = [L] + [constants.lambda_f] * (constants.dimension - 2)
     worst = 0.0
     for tau in np.asarray(tau_grid, dtype=float):
         c1, c2 = constants.C[0]
@@ -429,7 +369,6 @@ def softening_gap(spec3d: GeodesicSpec3D, initial_J=None, initial_J_dot=None,
     runs = []
     for spec in (spec3d, spec2d):
         tau_max = window[1] / spec.rate
-        n = 3 if isinstance(spec, GeodesicSpec3D) else 2
         samples = np.linspace(0.0, tau_max, 401)
         traj = integrate_jlc(spec, initial_J, initial_J_dot,
                              tau_max=tau_max, tol=tol, sample_taus=samples)
@@ -459,16 +398,3 @@ def jacobi_to_csv(traj: JacobiTrajectory) -> str:
         row = [tau, *traj.J[i], inten[i], log_inten[i]]
         buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
     return buf.getvalue()
-
-
-def softening_summary(result: JacobiSoftening) -> dict:
-    return {
-        "exponent_3d": result.exponent_3d,
-        "exponent_2d": result.exponent_2d,
-        "gap": result.gap,
-        "expected_gap": result.expected_gap,
-        "r_squared_3d": result.fit_3d.r_squared,
-        "r_squared_2d": result.fit_2d.r_squared,
-        "fit_window_3d": list(result.fit_3d.window),
-        "fit_window_2d": list(result.fit_2d.window),
-    }

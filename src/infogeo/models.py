@@ -12,6 +12,11 @@ becomes (1/sigma^2) diag(1, 4), independent of Sigma^2, and the scalar
 curvature is -1/2.  The constrained manifold is therefore less negatively
 curved than the unconstrained one.
 
+Both metrics have the diagonal-scale form g_ii = c_i / sigma_{k(i)}^2, so
+one :class:`DiagonalScaleModel` value per model (``MODEL_3D``, ``MODEL_2D``)
+holds the weights c and the scale map k, and the connection, curvature and
+geodesic equations of both models are derived from it.
+
 The dimensionality labels count macro-variables; the microspace is always
 two dimensional.  Everything here is a pure function of immutable values.
 """
@@ -19,7 +24,8 @@ two dimensional.  Everything here is a pure function of immutable values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -137,36 +143,209 @@ def pdf_2d(theta: ParameterPoint2D, cfg: Model2DConfig, sample: MicroSample) -> 
 
 
 # ---------------------------------------------------------------------------
-# metric, connection, curvature (closed forms)
+# the diagonal-scale model description
+# ---------------------------------------------------------------------------
+
+_ONE = np.ones(1)
+
+
+def _on_floats(fn, theta, x):
+    # fn(theta, x) on Python floats, several times faster than on numpy
+    # scalars; where floats raise (pow overflow, division by zero) it runs
+    # again on numpy scalars, which give inf/nan with a RuntimeWarning
+    theta, x = np.asarray(theta, dtype=float), np.asarray(x, dtype=float)
+    try:
+        return fn(theta.tolist(), x.tolist())
+    except ArithmeticError:
+        return fn(theta, x)
+
+
+def _quadratic(terms, theta, x):
+    """out_a = sum over the terms (a, q, b, c, k) of q x_b x_c / theta_k.
+
+    Squares are taken with ``**``: pow() can round differently from x * x,
+    and integrated trajectories are kept reproducible bit for bit.  Sums
+    start from -0.0, the exact additive identity.
+    """
+    out = [-0.0] * len(x)
+    for a, q, b, c, k in terms:
+        out[a] += (q * x[b] ** 2 if b == c else q * x[b] * x[c]) / theta[k]
+    return out
+
+
+def _quadratic_terms(tensor, divisor):
+    """The terms (a, q, b, c, divisor[a]) of x -> tensor[a] : x x, b <= c."""
+    n = tensor.shape[0]
+    sym = tensor + np.swapaxes(tensor, 1, 2) - tensor * np.eye(n)
+    return tuple((a, float(sym[a, b, c]), b, c, divisor[a]) for a in range(n)
+                 for b in range(n) for c in range(b, n) if sym[a, b, c] != 0.0)
+
+
+@dataclass(frozen=True)
+class DiagonalScaleModel:
+    """A Fisher-Rao metric g_ii = c_i / sigma_{k(i)}^2 and what follows from it.
+
+    Coordinate 0 is the mean; every other coordinate j is a scale with
+    k(j) = j, and k(0) names the scale the mean is measured in.  Then each
+    nonzero Gamma^a_bc, d Gamma^a_bc / d theta^n and R^a_bcd involves only
+    the scale of its upper index a: each is a constant unit tensor (its
+    value at unit scales, exact in binary for these weights) divided by
+    that scale (Gamma) or its square (d Gamma, R, Ricci).  Scales other
+    than k(0) are flat one-dimensional factors.
+    """
+
+    label: str          # "3d" or "2d"
+    weights: tuple      # c
+    scale_map: tuple    # k, as coordinate indices
+    point: type         # validated parameter point; its fields name the coordinates
+
+    def __post_init__(self):
+        n, k = len(self.weights), self.scale_map
+        if (len(k) != n or not 1 <= k[0] < n or min(self.weights) <= 0.0
+                or any(k[j] != j for j in range(1, n))):
+            raise ValueError(f"not a diagonal-scale model: c={self.weights}, k={k}")
+
+    @cached_property
+    def dimension(self) -> int:
+        return len(self.weights)
+
+    @cached_property
+    def coordinates(self) -> tuple:
+        return tuple(f.name for f in fields(self.point))
+
+    @cached_property
+    def flat_coordinates(self) -> tuple:
+        """Scale coordinates the mean does not use (sigma_y of the 3D model)."""
+        return tuple(j for j in range(1, self.dimension) if j != self.scale_map[0])
+
+    @cached_property
+    def mean_span(self) -> float:
+        """sqrt(c_1 / c_0): the mean span per sigma0 of the exact geodesics."""
+        return math.sqrt(self.weights[1] / self.weights[0])
+
+    @cached_property
+    def volume_weight(self) -> float:
+        """sqrt(prod c): sqrt(det g) times the product of the scales."""
+        return math.sqrt(math.prod(self.weights))
+
+    @cached_property
+    def _k(self) -> np.ndarray:
+        return np.array(self.scale_map)
+
+    @cached_property
+    def _unit_tensors(self) -> tuple:
+        # Gamma at unit scales, and d Gamma (upper index first) stacked with
+        # R: the latter two both scale with 1 / sigma_k(a)^2
+        n = self.dimension
+        eye, c = np.eye(n), np.array(self.weights)
+        K = eye[self._k]                        # K[a, j] = delta_j,k(a)
+        # Gamma^a_bc = (delta_bc delta_a,k(b) c_b / c_a - delta_ac delta_b,k(a)
+        #               - delta_ab delta_c,k(a)) / sigma_k(a)
+        gam = (np.einsum("bc,ba->abc", eye, K) * (c[None, :, None] / c[:, None, None])
+               - np.einsum("ac,ab->abc", eye, K) - np.einsum("ab,ac->abc", eye, K))
+        # d_n Gamma^a_bc = -U^a_bc delta_n,k(a) / sigma_k(a)^2, indexed [a, n, b, c]
+        dgam = np.einsum("an,abc->anbc", K, -gam) + 0.0
+        # R^a_mnr = d_n G^a_mr - d_r G^a_mn + G^a_bn G^b_mr - G^a_br G^b_mn
+        riem = (np.einsum("anmr->amnr", dgam) - np.einsum("armn->amnr", dgam)
+                + np.einsum("abn,bmr->amnr", gam, gam) - np.einsum("abr,bmn->amnr", gam, gam))
+        return gam, np.stack([dgam, riem])
+
+    @cached_property
+    def scalar_curvature(self) -> float:
+        """R = g^ii R_ii = sum_i Ricci_unit_ii / c_i, the same at every point."""
+        ricci = np.einsum("kmkr->mr", self._unit_tensors[1][1])
+        return float(sum(np.diag(ricci) / np.array(self.weights)))
+
+    @cached_property
+    def _acceleration_form(self):
+        return partial(_quadratic, _quadratic_terms(-self._unit_tensors[0], self.scale_map))
+
+    @cached_property
+    def _ratio_form(self):
+        # rho_a = theta'_a / sigma_k(a) obeys rho_a' = Q_a(rho) - rho_a rho_k(a),
+        # Q_a the acceleration form at unit scales
+        q = -self._unit_tensors[0]
+        for a, ka in enumerate(self.scale_map):
+            q[a, a, ka] -= 0.5
+            q[a, ka, a] -= 0.5
+        return partial(_quadratic, _quadratic_terms(q, [0] * self.dimension))
+
+    def scales(self, theta) -> np.ndarray:
+        """sigma_{k(i)} for every coordinate i, of one point or of each row."""
+        return np.asarray(theta, dtype=float).T[self._k].T
+
+    def metric(self, theta) -> MetricTensor:
+        return MetricTensor(np.diag([c / theta[k] ** 2
+                                     for c, k in zip(self.weights, self.scale_map)]))
+
+    def tensors(self, theta) -> tuple:
+        """Gamma^k_ij [k, i, j], d Gamma^k_ij / d theta^n [k, n, i, j] and
+        R^a_mnr [a, m, n, r] (first index raised) at one point."""
+        gam, second = self._unit_tensors
+        s = self.scales(theta)
+        second = second / (s * s)[:, None, None, None]
+        return gam / s[:, None, None], second[0], second[1]
+
+    def acceleration(self, theta, v) -> np.ndarray:
+        """-Gamma^k_lm v^l v^m, term by term.
+
+        Total in sigma != 0: embedded-pair trial stages may probe slightly
+        past the domain and must produce a huge-but-finite value for the
+        error controller to reject, not an exception.
+        """
+        return np.array(_on_floats(self._acceleration_form, theta, v))
+
+    def ratio_acceleration(self, rho) -> np.ndarray:
+        """d rho / d tau along a geodesic, rho_i = theta'_i / sigma_{k(i)}.
+
+        Free of sigma, so it stays O(1) however far the scales decay.
+        """
+        return np.array(_on_floats(self._ratio_form, _ONE, rho))
+
+    def speed(self, theta, v) -> float:
+        """g_lm v^l v^m = sum_i c_i v_i^2 / sigma_{k(i)}^2."""
+        return float(_on_floats(self._speed, theta, v))
+
+    def _speed(self, theta, v):
+        total = -0.0
+        for c, x, k in zip(self.weights, v, self.scale_map):
+            total += c * x**2 / theta[k] ** 2
+        return total
+
+    def volume_density(self, theta) -> float:
+        """sqrt(det g) = sqrt(prod c) / prod_i sigma_{k(i)}."""
+        return self.volume_weight / float(np.prod(self.scales(theta)))
+
+
+MODEL_3D = DiagonalScaleModel("3d", (1.0, 2.0, 2.0), (1, 1, 2), ParameterPoint3D)
+MODEL_2D = DiagonalScaleModel("2d", (1.0, 4.0), (1, 1), ParameterPoint2D)
+_MODELS = {m.dimension: m for m in (MODEL_3D, MODEL_2D)}
+
+
+def model_of(theta) -> DiagonalScaleModel:
+    """The model whose coordinates (or velocities) ``theta`` holds."""
+    model = _MODELS.get(len(theta))
+    if model is None:
+        raise DomainError(f"no model has {len(theta)} coordinates")
+    return model
+
+
+SCALAR_CURVATURE_3D = MODEL_3D.scalar_curvature
+SCALAR_CURVATURE_2D = MODEL_2D.scalar_curvature
+
+
+# ---------------------------------------------------------------------------
+# closed forms at a parameter point
 # ---------------------------------------------------------------------------
 
 def metric_3d(theta: ParameterPoint3D) -> MetricTensor:
     """diag(1/sx^2, 2/sx^2, 2/sy^2)."""
-    sx, sy = theta.sigma_x, theta.sigma_y
-    return MetricTensor(np.diag([1.0 / sx**2, 2.0 / sx**2, 2.0 / sy**2]))
+    return MODEL_3D.metric(theta.as_array())
 
 
 def metric_2d(theta: ParameterPoint2D) -> MetricTensor:
     """(1/sigma^2) diag(1, 4), independent of the constraint constant."""
-    s = theta.sigma
-    return MetricTensor(np.diag([1.0 / s**2, 4.0 / s**2]))
-
-
-def _christoffel_array_3d(sx: float, sy: float) -> np.ndarray:
-    g = np.zeros((3, 3, 3))
-    g[0, 0, 1] = g[0, 1, 0] = -1.0 / sx
-    g[1, 0, 0] = 0.5 / sx
-    g[1, 1, 1] = -1.0 / sx
-    g[2, 2, 2] = -1.0 / sy
-    return g
-
-
-def _christoffel_array_2d(s: float) -> np.ndarray:
-    g = np.zeros((2, 2, 2))
-    g[0, 0, 1] = g[0, 1, 0] = -1.0 / s
-    g[1, 0, 0] = 0.25 / s
-    g[1, 1, 1] = -1.0 / s
-    return g
+    return MODEL_2D.metric(theta.as_array())
 
 
 def christoffel_3d(theta: ParameterPoint3D) -> ChristoffelSymbols:
@@ -175,56 +354,12 @@ def christoffel_3d(theta: ParameterPoint3D) -> ChristoffelSymbols:
     Gamma^1_12 = Gamma^1_21 = -1/sx,  Gamma^2_11 = 1/(2 sx),
     Gamma^2_22 = -1/sx,               Gamma^3_33 = -1/sy.
     """
-    return ChristoffelSymbols(_christoffel_array_3d(theta.sigma_x, theta.sigma_y))
+    return ChristoffelSymbols(MODEL_3D.tensors(theta.as_array())[0])
 
 
 def christoffel_2d(theta: ParameterPoint2D) -> ChristoffelSymbols:
     """Gamma^1_12 = Gamma^1_21 = -1/s,  Gamma^2_11 = 1/(4 s),  Gamma^2_22 = -1/s."""
-    return ChristoffelSymbols(_christoffel_array_2d(theta.sigma))
-
-
-def _christoffel_derivative_array_3d(sx: float, sy: float) -> np.ndarray:
-    d = np.zeros((3, 3, 3, 3))
-    d[1, 0, 0, 1] = d[1, 0, 1, 0] = 1.0 / sx**2
-    d[1, 1, 0, 0] = -0.5 / sx**2
-    d[1, 1, 1, 1] = 1.0 / sx**2
-    d[2, 2, 2, 2] = 1.0 / sy**2
-    return d
-
-
-def _christoffel_derivative_array_2d(s: float) -> np.ndarray:
-    d = np.zeros((2, 2, 2, 2))
-    d[1, 0, 0, 1] = d[1, 0, 1, 0] = 1.0 / s**2
-    d[1, 1, 0, 0] = -0.25 / s**2
-    d[1, 1, 1, 1] = 1.0 / s**2
-    return d
-
-
-def christoffel_derivative_3d(theta: ParameterPoint3D) -> np.ndarray:
-    """Analytic d Gamma^k_ij / d theta^n, indexed [n, k, i, j]."""
-    return _christoffel_derivative_array_3d(theta.sigma_x, theta.sigma_y)
-
-
-def christoffel_derivative_2d(theta: ParameterPoint2D) -> np.ndarray:
-    return _christoffel_derivative_array_2d(theta.sigma)
-
-
-def _riemann_array_3d(sx: float) -> np.ndarray:
-    r = np.zeros((3, 3, 3, 3))
-    r[0, 1, 0, 1] = -1.0 / sx**2
-    r[0, 1, 1, 0] = +1.0 / sx**2
-    r[1, 0, 1, 0] = -0.5 / sx**2
-    r[1, 0, 0, 1] = +0.5 / sx**2
-    return r
-
-
-def _riemann_array_2d(s: float) -> np.ndarray:
-    r = np.zeros((2, 2, 2, 2))
-    r[0, 1, 0, 1] = -1.0 / s**2
-    r[0, 1, 1, 0] = +1.0 / s**2
-    r[1, 0, 1, 0] = -0.25 / s**2
-    r[1, 0, 0, 1] = +0.25 / s**2
-    return r
+    return ChristoffelSymbols(MODEL_2D.tensors(theta.as_array())[0])
 
 
 def riemann_3d(theta: ParameterPoint3D) -> RiemannTensor:
@@ -236,26 +371,22 @@ def riemann_3d(theta: ParameterPoint3D) -> RiemannTensor:
     from antisymmetry in the last two indices.  The sigma_y direction is
     flat (the manifold is a product with a 1D factor).
     """
-    return RiemannTensor(_riemann_array_3d(theta.sigma_x))
+    return RiemannTensor(MODEL_3D.tensors(theta.as_array())[2])
 
 
 def riemann_2d(theta: ParameterPoint2D) -> RiemannTensor:
     """R^1_212 = -1/s^2 and R^2_121 = -1/(4 s^2), plus antisymmetric partners."""
-    return RiemannTensor(_riemann_array_2d(theta.sigma))
+    return RiemannTensor(MODEL_2D.tensors(theta.as_array())[2])
 
 
 def ricci_3d(theta: ParameterPoint3D) -> RicciTensor:
-    sx = theta.sigma_x
-    return RicciTensor(np.diag([-0.5 / sx**2, -1.0 / sx**2, 0.0]))
+    """diag(-1/(2 sx^2), -1/sx^2, 0)."""
+    return riemann_3d(theta).ricci()
 
 
 def ricci_2d(theta: ParameterPoint2D) -> RicciTensor:
-    s = theta.sigma
-    return RicciTensor(np.diag([-0.25 / s**2, -1.0 / s**2]))
-
-
-SCALAR_CURVATURE_3D = -1.0
-SCALAR_CURVATURE_2D = -0.5
+    """diag(-1/(4 s^2), -1/s^2)."""
+    return riemann_2d(theta).ricci()
 
 
 @dataclass(frozen=True)

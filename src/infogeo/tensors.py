@@ -42,26 +42,10 @@ def leading_minors_positive(matrix: np.ndarray, tol: float = 0.0) -> bool:
 
 
 def invert_symmetric(matrix: np.ndarray) -> np.ndarray:
-    """Closed-form inverse for 2x2 / 3x3 symmetric matrices.
-
-    Falls back to ``np.linalg.inv`` for larger sizes.  Raises
-    :class:`DomainError` on a (numerically) singular input.
-    """
-    n = matrix.shape[0]
-    det = np.linalg.det(matrix)
-    if abs(det) < 1e-300:
+    """Inverse of a symmetric matrix; raises :class:`DomainError` on a
+    (numerically) singular input."""
+    if abs(np.linalg.det(matrix)) < 1e-300:
         raise DomainError("singular metric, cannot invert")
-    if n == 2:
-        a, b = matrix[0, 0], matrix[0, 1]
-        c = matrix[1, 1]
-        return np.array([[c, -b], [-b, a]]) / det
-    if n == 3:
-        cof = np.empty((3, 3))
-        for i in range(3):
-            for j in range(3):
-                minor = np.delete(np.delete(matrix, i, axis=0), j, axis=1)
-                cof[i, j] = (-1) ** (i + j) * np.linalg.det(minor)
-        return cof.T / det
     return np.linalg.inv(matrix)
 
 

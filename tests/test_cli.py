@@ -1,6 +1,7 @@
 """Command line interface: config handling, reports, exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -117,5 +118,30 @@ def test_tau_max_override(tmp_path):
     assert last_tau == pytest.approx(4.0)
 
 
-def test_seedless_flag_accepted(tmp_path):
-    assert run(["--out", str(tmp_path / "o"), "--seedless", "geodesics"]) == 0
+def test_final_spread_derives_lambda_f(tmp_path, capsys):
+    # lambda_f = log(sigma0' / epsilon) / tau_f when lambda_f is not given
+    derived = math.log(1.0 / 0.1) / 2.0
+    path = tmp_path / "spread.ini"
+    path.write_text("[model]\ntau_f = 2.0\nepsilon = 0.1\n")
+    out = tmp_path / "out"
+    assert run(["--config", str(path), "--out", str(out), "--format", "json",
+                "geodesics"]) == 0
+    report = json.loads((out / "geodesics_report.json").read_text())
+    assert report["parameters"]["lambda_f"] == pytest.approx(derived, rel=1e-15)
+    # an explicit lambda_f must agree with it
+    path.write_text(f"[model]\ntau_f = 2.0\nepsilon = 0.1\nlambda_f = {derived!r}\n")
+    assert cli._validate(cli.load_config(path)).lambda_f == derived
+    path.write_text("[model]\ntau_f = 2.0\nepsilon = 0.1\nlambda_f = 1.0\n")
+    assert run(["--config", str(path), "--out", str(out), "geodesics"]) == 2
+    assert "inconsistent lambda_f" in capsys.readouterr().err
+    # without tau_f the default stays 1.0
+    assert cli._validate(cli.ExperimentConfig()).lambda_f == 1.0
+
+
+@pytest.mark.parametrize("args", [["--tol", "1e-3"], ["--tau-max", "-1"],
+                                  ["--tau-max", "nan"], ["--tau-max", "0"]])
+def test_bad_solver_settings_are_exit_2(tmp_path, capsys, args):
+    assert run([*args, "--out", str(tmp_path / "o"), "geodesics"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -137,7 +137,7 @@ def test_entropy_increases_on_tail():
     for spec in (SPEC3, SPEC2):
         result = ig.ige_curve(spec)
         window = result.taus >= ig.SLOPE_WINDOW[0] / spec.rate
-        assert np.all(np.diff(result.entropy[window]) > 0.0)
+        assert np.all(np.diff(result.log_avg_vol[window]) > 0.0)
 
 
 def test_tail_slopes_match_rates():

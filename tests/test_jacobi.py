@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import infogeo as ig
 from infogeo.errors import DomainError
@@ -179,6 +180,28 @@ def test_linearity_of_the_flow():
     w = ig.integrate_jlc(SPEC3, initial_J=(2.0, -3.0, -3.0), tau_max=10.0,
                          tol=1e-11, sample_taus=grid)
     assert np.abs(2.0 * u.J - 3.0 * v.J - w.J).max() < 1e-8
+
+
+_coefficient = st.floats(-2.0, 2.0)
+_data = st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(alpha=_coefficient, beta=_coefficient, first=_data, second=_data,
+       three=st.booleans())
+def test_linearity_over_random_initial_data(alpha, beta, first, second, three):
+    # J(alpha J1 + beta J2) = alpha J(J1) + beta J(J2) up to the solver tolerance
+    spec = SPEC3 if three else SPEC2
+    n = 3 if three else 2
+    grid = np.linspace(0.0, 5.0, 26)
+
+    def run(data):
+        return ig.integrate_jlc(spec, initial_J=data[:n], initial_J_dot=data[3:3 + n],
+                                tau_max=5.0, tol=1e-11, sample_taus=grid).J
+    j1, j2 = run(np.array(first)), run(np.array(second))
+    combined = run(alpha * np.array(first) + beta * np.array(second))
+    scale = 1.0 + abs(alpha) * np.abs(j1).max() + abs(beta) * np.abs(j2).max()
+    assert np.abs(combined - (alpha * j1 + beta * j2)).max() <= 1e-9 * scale
 
 
 def test_initial_data_validation():

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import infogeo as ig
 from infogeo.errors import DomainError
+from infogeo.models import MODEL_2D, MODEL_3D, DiagonalScaleModel
 
 RNG = np.random.default_rng(101)
 
@@ -220,3 +222,57 @@ def test_riemann_symmetries_exact():
         assert r2.antisymmetry_defect() == 0.0
         assert r3.first_bianchi_defect() == 0.0
         assert r2.first_bianchi_defect() == 0.0
+
+
+def test_riemann_components_explicit():
+    # R^1_212 = -1/sx^2 and R^2_121 = -1/(2 sx^2) (3D) resp. -1/(4 s^2)
+    # (2D), their antisymmetric partners, and nothing else: every component
+    # with a sigma_y index vanishes (the sigma_y direction is flat)
+    for _ in range(10):
+        p3, p2 = random_point_3d(), random_point_2d()
+        for riemann, point, s, second in ((ig.riemann_3d, p3, p3.sigma_x, -0.5),
+                                          (ig.riemann_2d, p2, p2.sigma, -0.25)):
+            r = riemann(point).components
+            expected = np.zeros(r.shape)
+            expected[0, 1, 0, 1], expected[0, 1, 1, 0] = -1.0 / s**2, 1.0 / s**2
+            expected[1, 0, 1, 0], expected[1, 0, 0, 1] = second / s**2, -second / s**2
+            np.testing.assert_allclose(r, expected, rtol=1e-15, atol=0)
+
+
+def test_model_descriptions():
+    assert (MODEL_3D.weights, MODEL_3D.scale_map) == ((1.0, 2.0, 2.0), (1, 1, 2))
+    assert (MODEL_2D.weights, MODEL_2D.scale_map) == ((1.0, 4.0), (1, 1))
+    assert MODEL_3D.coordinates == ("mu_x", "sigma_x", "sigma_y")
+    assert MODEL_3D.flat_coordinates == (2,) and MODEL_2D.flat_coordinates == ()
+    assert MODEL_3D.mean_span == math.sqrt(2.0) and MODEL_2D.mean_span == 2.0
+    # the mean must be measured in a scale, and every scale in itself
+    for weights, scale_map in (((1.0, 2.0), (0, 1)), ((1.0, 2.0, 2.0), (1, 2, 2)),
+                               ((1.0, -2.0), (1, 1))):
+        with pytest.raises(ValueError):
+            DiagonalScaleModel("bad", weights, scale_map, ig.ParameterPoint2D)
+
+
+_finite = st.floats(-5.0, 5.0)
+_scale = st.floats(0.1, 10.0)
+
+
+def _geometry(model, theta):
+    gam, _, riem = model.tensors(theta)
+    return model.metric(theta).components, gam, riem
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(point=st.tuples(_finite, _scale, _scale), shift=_finite,
+       a=st.floats(0.1, 10.0), three=st.booleans())
+def test_translation_and_scaling_are_isometries(point, shift, a, three):
+    # mean translation leaves g, Gamma and R unchanged; (mu, sigma) ->
+    # (a mu, a sigma) scales them by a^-2, a^-1 and a^-2
+    model = MODEL_3D if three else MODEL_2D
+    theta = np.array(point[:model.dimension])
+    base = _geometry(model, theta)
+    moved = _geometry(model, theta + np.eye(model.dimension)[0] * shift)
+    for x, y in zip(base, moved):
+        np.testing.assert_array_equal(x, y)
+    scaled = _geometry(model, a * theta)
+    for x, y, power in zip(base, scaled, (2, 1, 2)):
+        np.testing.assert_allclose(y * a**power, x, rtol=1e-14, atol=0)
