@@ -9,12 +9,11 @@ unconstrained (3D) model.
 """
 
 from .errors import DomainError, NumericalAbort
-from .models import (MicroSample, Model2DConfig, ModelGeometry,
-                     ParameterPoint2D, ParameterPoint3D,
-                     SCALAR_CURVATURE_2D, SCALAR_CURVATURE_3D,
-                     christoffel_2d, christoffel_3d, curvature_2d,
-                     curvature_3d, metric_2d, metric_3d, pdf_2d, pdf_3d,
-                     ricci_2d, ricci_3d, riemann_2d, riemann_3d)
+from .models import (MicroSample, Model2DConfig, ParameterPoint2D,
+                     ParameterPoint3D, SCALAR_CURVATURE_2D,
+                     SCALAR_CURVATURE_3D, christoffel_2d, christoffel_3d,
+                     metric_2d, metric_3d, pdf_2d, pdf_3d, ricci_2d,
+                     ricci_3d, riemann_2d, riemann_3d)
 from .tensors import (ChristoffelSymbols, MetricTensor, RicciTensor,
                       RiemannTensor)
 from .numgeo import (MetricField, christoffel_numeric, euclidean_field,

@@ -255,7 +255,7 @@ def _sample_points(n: int):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def run_verify(cfg: ExperimentConfig) -> RunReport:
+def run_verify(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     """Closed-form geometry vs the finite-difference engine and quadrature."""
     report = RunReport("verify-geometry", cfg.parameters())
     pts3, pts2 = _sample_points(12)
@@ -302,10 +302,10 @@ def run_verify(cfg: ExperimentConfig) -> RunReport:
             ferr = max(ferr, float(np.abs(fisher_numeric_2d(p, Model2DConfig(s2), q)
                                           - metric_2d(p).components).max()))
     report.add("fisher_quadrature_error", ferr, 1e-8)
-    return report
+    return report, {}
 
 
-def run_geodesics(cfg: ExperimentConfig) -> RunReport:
+def run_geodesics(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     report = RunReport("geodesics", cfg.parameters())
     series = {}
     for label, spec in _specs(cfg):
@@ -326,7 +326,7 @@ def run_geodesics(cfg: ExperimentConfig) -> RunReport:
     return report, series
 
 
-def run_ige(cfg: ExperimentConfig) -> RunReport:
+def run_ige(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     report = RunReport("ige", cfg.parameters())
     series = {}
     for label, spec in _specs(cfg):
@@ -344,7 +344,7 @@ def run_ige(cfg: ExperimentConfig) -> RunReport:
     return report, series
 
 
-def run_jacobi(cfg: ExperimentConfig) -> RunReport:
+def run_jacobi(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     report = RunReport("jacobi", cfg.parameters())
     series = {}
     for label, spec in _specs(cfg):
@@ -372,13 +372,14 @@ def run_jacobi(cfg: ExperimentConfig) -> RunReport:
     return report, series
 
 
-def _softening_point(args) -> dict:
+def _softening_point(args) -> tuple:
+    """The table row, the IGE pair and the Jacobi pair at one sigma0."""
     cfg_params, sigma0 = args
     cfg = ExperimentConfig(**cfg_params)
     spec = replace(cfg.spec_3d(), sigma0=sigma0)
     s_ige = ige.softening_ratio_ige(spec, slope_window=cfg.slope_window)
     s_jac = softening_gap(spec, window=cfg.exponent_window, tol=cfg.tol)
-    return {
+    row = {
         "sigma0": sigma0,
         "ige_slope_3d": s_ige.slope_3d,
         "ige_slope_2d": s_ige.slope_2d,
@@ -388,19 +389,23 @@ def _softening_point(args) -> dict:
         "gap": s_jac.gap,
         "expected_gap": s_jac.expected_gap,
     }
+    return row, s_ige, s_jac
 
 
-def run_softening(cfg: ExperimentConfig) -> RunReport:
+def run_softening(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     """Headline table: entropy-slope ratio and Jacobi exponent gap per sigma0."""
     report = RunReport("softening", cfg.parameters())
     series = {}
-    tasks = [(cfg.parameters(), s0) for s0 in cfg.sweep_sigma0]
+    # each distinct sigma0 once: the sweep usually holds the base point too
+    values = sorted(set(cfg.sweep_sigma0) | {cfg.sigma0})
+    tasks = [(cfg.parameters(), s0) for s0 in values]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(_softening_point, tasks))
+            results = list(pool.map(_softening_point, tasks))
     else:
-        rows = [_softening_point(t) for t in tasks]
-    rows.sort(key=lambda r: r["sigma0"])
+        results = [_softening_point(t) for t in tasks]
+    runs = dict(zip(values, results))
+    rows = sorted((runs[s0][0] for s0 in cfg.sweep_sigma0), key=lambda r: r["sigma0"])
 
     expected_ratio = 1.0 / math.sqrt(2.0)
     for row in rows:
@@ -421,10 +426,9 @@ def run_softening(cfg: ExperimentConfig) -> RunReport:
     series["softening.csv"] = "\n".join(lines) + "\n"
 
     # series for the configured base point
-    pair = ige.softening_ratio_ige(cfg.spec_3d(), slope_window=cfg.slope_window)
+    _, pair, jac = runs[cfg.sigma0]
     series["ige_3d.csv"] = ige.ige_to_csv(pair.result_3d)
     series["ige_2d.csv"] = ige.ige_to_csv(pair.result_2d)
-    jac = softening_gap(cfg.spec_3d(), window=cfg.exponent_window, tol=cfg.tol)
     series["jacobi_3d.csv"] = jacobi_to_csv(jac.trajectory_3d)
     series["jacobi_2d.csv"] = jacobi_to_csv(jac.trajectory_2d)
     return report, series
@@ -474,7 +478,7 @@ def _resolve_config(args) -> ExperimentConfig:
 
 
 _COMMANDS = {
-    "verify-geometry": lambda cfg: (run_verify(cfg), {}),
+    "verify-geometry": run_verify,
     "geodesics": run_geodesics,
     "ige": run_ige,
     "jacobi": run_jacobi,
@@ -495,8 +499,7 @@ def main(argv=None) -> int:
     all_passed = True
     try:
         for name in names:
-            result = _COMMANDS[name](cfg)
-            report, series = result if isinstance(result, tuple) else (result, {})
+            report, series = _COMMANDS[name](cfg)
             _emit(cfg, out_dir, name.replace("-", "_"), report, series)
             status = "pass" if report.passed else "FAIL"
             print(f"{name}: {status} ({len(report.checks)} checks)")

@@ -56,21 +56,12 @@ def default_initial(dimension: int):
 def jlc_coefficients(theta: np.ndarray, theta_dot: np.ndarray):
     """The matrices (B, C) of J'' = -(B J' + C J) at one geodesic state.
 
-    Total in sigma != 0 (see the note on trial stages in
-    :meth:`infogeo.models.DiagonalScaleModel.acceleration`); integration
-    aborts on the positivity floor are handled by the caller.
+    They depend on the state only through the velocity ratios theta'_i /
+    sigma_k(i); see :meth:`infogeo.models.DiagonalScaleModel.jacobi_coefficients`.
     """
     theta = np.asarray(theta, dtype=float)
-    td = np.asarray(theta_dot, dtype=float)
     model = model_of(theta)
-    gam, dgam, riem = model.tensors(theta)
-    acc = model.acceleration(theta, td)
-    B = 2.0 * np.einsum("mab,b->ma", gam, td)
-    C = (np.einsum("mab,b->ma", gam, acc)
-         + np.einsum("mnab,n,b->ma", dgam, td, td)
-         + np.einsum("mrb,ras,s,b->ma", gam, gam, td, td)
-         + np.einsum("mnal,n,l->ma", riem, td, td))
-    return B, C
+    return model.jacobi_coefficients(np.asarray(theta_dot, dtype=float) / model.scales(theta))
 
 
 def jlc_acceleration(theta, theta_dot, J, J_dot) -> np.ndarray:
@@ -112,8 +103,8 @@ class JacobiTrajectory:
         return (self.taus >= lo - 1e-12) & (self.taus <= hi + 1e-12)
 
 
-# curvature coefficients carry 1/sigma^2, so the JLC system needs sigma
-# comfortably above sqrt(double minimum), tighter than the geodesic floor
+# the reported intensity g(J, J) carries 1/sigma^2, so the JLC run needs
+# sigma comfortably above sqrt(double minimum), tighter than the geodesic floor
 _JLC_LOG_FLOOR = math.log(1e-150)
 
 
@@ -124,14 +115,6 @@ def _scaled_geodesic_state(model, theta0: np.ndarray, vel0: np.ndarray) -> np.nd
     # rho_i = theta'_i / sigma_k(i) (u = mu'/sigma_x, v = sigma_x'/sigma_x,
     # w = sigma_y'/sigma_y) stay O(1).
     return np.concatenate([theta0[:1], np.log(theta0[1:]), vel0 / model.scales(theta0)])
-
-
-def _unscale(model, geo: np.ndarray):
-    # back to (theta, theta'), for one state or for each row
-    dim = model.dimension
-    theta = geo[..., :dim].copy()
-    theta[..., 1:] = np.exp(theta[..., 1:])
-    return theta, geo[..., dim:] * model.scales(theta)
 
 
 def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
@@ -175,30 +158,29 @@ def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
     n_geo = 2 * dim
 
     def rhs(t, y):
-        theta, td = _unscale(model, y[:n_geo])
-        K, Kd = y[n_geo:n_geo + dim], y[n_geo + dim:]
         rho = y[dim:n_geo]
+        K, Kd = y[n_geo:n_geo + dim], y[n_geo + dim:]
         rho_dot = model.ratio_acceleration(rho)
-        geo_dot = np.concatenate([td[:1], rho[1:], rho_dot])
         r, r_dot = model.scales(rho), model.scales(rho_dot)
-        B, C = jlc_coefficients(theta, td)
+        B, C = model.jacobi_coefficients(rho)
         # J = S K with S = diag(sigma scales), R = diag(r), r = S'/S: the
         # transformed system K'' = -(M1 K' + M0 K), M1 = B + 2R,
         # M0 = C + R' + R^2 + B R, has O(1) entries at any horizon (B and C
         # are block diagonal, so no sigma_x/sigma_y scale ratios appear)
         rK = r * K
         Kdd = -(B @ (Kd + rK) + C @ K + r * (2.0 * Kd + rK) + r_dot * K)
-        return np.concatenate([geo_dot, Kd, Kdd])
+        # mu' = rho_0 sigma_k(0); (log sigma_j)' = rho_j
+        mu_dot = rho[0] * math.exp(y[model.scale_map[0]])
+        return np.concatenate([(mu_dot,), rho[1:], rho_dot, Kd, Kdd])
 
     def floor(y):
         if np.any(y[1:dim] <= _JLC_LOG_FLOOR):
-            return ("sigma coordinate fell below 1e-150; curvature "
-                    "coefficients (1/sigma^2) would overflow")
+            return ("sigma coordinate fell below 1e-150; the reported "
+                    "intensity g(J, J) carries 1/sigma^2")
         K = y[n_geo:n_geo + dim]
         if np.any(np.abs(K) > J_OVERFLOW):
             return f"normalized Jacobi component exceeded {J_OVERFLOW:g}"
-        scales = model.scales(_unscale(model, y[:n_geo])[0])
-        if np.any(np.abs(K) * scales > J_OVERFLOW):
+        if np.any(np.abs(K) * np.exp(model.scales(y[:dim])) > J_OVERFLOW):
             return f"Jacobi component exceeded {J_OVERFLOW:g}"
         return None
 
@@ -209,8 +191,10 @@ def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
         ys = sol(taus)
     else:
         taus, ys = sol.t, sol.y
-    states, velocities = _unscale(model, ys[:, :n_geo])
+    states = ys[:, :dim].copy()
+    states[:, 1:] = np.exp(states[:, 1:])
     scales, rates = model.scales(states), model.scales(ys[:, dim:n_geo])
+    velocities = ys[:, dim:n_geo] * scales
     K, Kd = ys[:, n_geo:n_geo + dim], ys[:, n_geo + dim:]
     J, J_dot = scales * K, scales * (Kd + rates * K)
     return JacobiTrajectory(taus=taus, states=states, velocities=velocities,

@@ -152,12 +152,14 @@ _ONE = np.ones(1)
 def _on_floats(fn, theta, x):
     # fn(theta, x) on Python floats, several times faster than on numpy
     # scalars; where floats raise (pow overflow, division by zero) it runs
-    # again on numpy scalars, which give inf/nan with a RuntimeWarning
+    # again on numpy scalars, which give inf/nan without a warning: rk
+    # rejects such trial stages, and a nan speed fails its check
     theta, x = np.asarray(theta, dtype=float), np.asarray(x, dtype=float)
     try:
         return fn(theta.tolist(), x.tolist())
     except ArithmeticError:
-        return fn(theta, x)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return fn(theta, x)
 
 
 def _quadratic(terms, theta, x):
@@ -191,7 +193,9 @@ class DiagonalScaleModel:
     the scale of its upper index a: each is a constant unit tensor (its
     value at unit scales, exact in binary for these weights) divided by
     that scale (Gamma) or its square (d Gamma, R, Ricci).  Scales other
-    than k(0) are flat one-dimensional factors.
+    than k(0) are flat one-dimensional factors.  The same structure makes
+    the Jacobi coefficients constant tensors contracted with the velocity
+    ratios theta'_i / sigma_k(i).
     """
 
     label: str          # "3d" or "2d"
@@ -234,8 +238,7 @@ class DiagonalScaleModel:
 
     @cached_property
     def _unit_tensors(self) -> tuple:
-        # Gamma at unit scales, and d Gamma (upper index first) stacked with
-        # R: the latter two both scale with 1 / sigma_k(a)^2
+        # Gamma, d Gamma (upper index first) and R at unit scales
         n = self.dimension
         eye, c = np.eye(n), np.array(self.weights)
         K = eye[self._k]                        # K[a, j] = delta_j,k(a)
@@ -248,12 +251,24 @@ class DiagonalScaleModel:
         # R^a_mnr = d_n G^a_mr - d_r G^a_mn + G^a_bn G^b_mr - G^a_br G^b_mn
         riem = (np.einsum("anmr->amnr", dgam) - np.einsum("armn->amnr", dgam)
                 + np.einsum("abn,bmr->amnr", gam, gam) - np.einsum("abr,bmn->amnr", gam, gam))
-        return gam, np.stack([dgam, riem])
+        return gam, dgam, riem
+
+    @cached_property
+    def _jacobi_tensors(self) -> tuple:
+        # With theta'_b = sigma_k(b) rho_b and theta''_b = -sigma_k(b) U^b_cd
+        # rho_c rho_d, every sigma power in the Jacobi coefficients cancels,
+        # because each nonzero unit entry involves one scale only:
+        #   B^m_a = 2 U^m_ab rho_b,
+        #   C^m_a = (-U^m_ab U^b_cd + dU^m_cad + U^m_rd U^r_ac + R^m_cad) rho_c rho_d
+        gam, dgam, riem = self._unit_tensors
+        t_c = (np.einsum("mrd,rac->macd", gam, gam) - np.einsum("mab,bcd->macd", gam, gam)
+               + np.einsum("mcad->macd", dgam) + np.einsum("mcad->macd", riem))
+        return 2.0 * gam, 0.5 * (t_c + np.swapaxes(t_c, 2, 3))
 
     @cached_property
     def scalar_curvature(self) -> float:
         """R = g^ii R_ii = sum_i Ricci_unit_ii / c_i, the same at every point."""
-        ricci = np.einsum("kmkr->mr", self._unit_tensors[1][1])
+        ricci = np.einsum("kmkr->mr", self._unit_tensors[2])
         return float(sum(np.diag(ricci) / np.array(self.weights)))
 
     @cached_property
@@ -279,12 +294,21 @@ class DiagonalScaleModel:
                                      for c, k in zip(self.weights, self.scale_map)]))
 
     def tensors(self, theta) -> tuple:
-        """Gamma^k_ij [k, i, j], d Gamma^k_ij / d theta^n [k, n, i, j] and
-        R^a_mnr [a, m, n, r] (first index raised) at one point."""
-        gam, second = self._unit_tensors
+        """Gamma^k_ij [k, i, j] and R^a_mnr [a, m, n, r] (first index
+        raised) at one point."""
+        gam, _, riem = self._unit_tensors
         s = self.scales(theta)
-        second = second / (s * s)[:, None, None, None]
-        return gam / s[:, None, None], second[0], second[1]
+        return gam / s[:, None, None], riem / (s * s)[:, None, None, None]
+
+    def jacobi_coefficients(self, rho) -> tuple:
+        """The matrices (B, C) of J'' = -(B J' + C J) along a geodesic, from
+        the velocity ratios rho_i = theta'_i / sigma_{k(i)} alone.
+
+        They are the same for J and for the scaled field J / sigma_k, and
+        stay O(1) however far the scales decay.
+        """
+        t_b, t_c = self._jacobi_tensors
+        return t_b @ rho, t_c @ rho @ rho
 
     def acceleration(self, theta, v) -> np.ndarray:
         """-Gamma^k_lm v^l v^m, term by term.
@@ -371,12 +395,12 @@ def riemann_3d(theta: ParameterPoint3D) -> RiemannTensor:
     from antisymmetry in the last two indices.  The sigma_y direction is
     flat (the manifold is a product with a 1D factor).
     """
-    return RiemannTensor(MODEL_3D.tensors(theta.as_array())[2])
+    return RiemannTensor(MODEL_3D.tensors(theta.as_array())[1])
 
 
 def riemann_2d(theta: ParameterPoint2D) -> RiemannTensor:
     """R^1_212 = -1/s^2 and R^2_121 = -1/(4 s^2), plus antisymmetric partners."""
-    return RiemannTensor(MODEL_2D.tensors(theta.as_array())[2])
+    return RiemannTensor(MODEL_2D.tensors(theta.as_array())[1])
 
 
 def ricci_3d(theta: ParameterPoint3D) -> RicciTensor:
@@ -388,23 +412,3 @@ def ricci_2d(theta: ParameterPoint2D) -> RicciTensor:
     """diag(-1/(4 s^2), -1/s^2)."""
     return riemann_2d(theta).ricci()
 
-
-@dataclass(frozen=True)
-class ModelGeometry:
-    """All closed-form geometric quantities of one model at one point."""
-
-    metric: MetricTensor
-    christoffel: ChristoffelSymbols
-    riemann: RiemannTensor
-    ricci: RicciTensor
-    scalar: float
-
-
-def curvature_3d(theta: ParameterPoint3D) -> ModelGeometry:
-    return ModelGeometry(metric_3d(theta), christoffel_3d(theta),
-                         riemann_3d(theta), ricci_3d(theta), SCALAR_CURVATURE_3D)
-
-
-def curvature_2d(theta: ParameterPoint2D) -> ModelGeometry:
-    return ModelGeometry(metric_2d(theta), christoffel_2d(theta),
-                         riemann_2d(theta), ricci_2d(theta), SCALAR_CURVATURE_2D)

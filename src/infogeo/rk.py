@@ -153,13 +153,14 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
             break
 
         K[0] = f_curr
-        for s in range(1, 6):
-            ys_stage = y + h * (_A[s] @ K[:s])
-            K[s] = f(t + _C[s] * h, ys_stage)
-        y_new = y + h * (_B[:6] @ K[:6])
-        K[6] = f(t + h, y_new)
-        err = h * (_E @ K)
-        err_norm = _error_norm(err, y, y_new, rtol, atol)
+        # a trial stage past the domain gives inf/nan, rejected just below
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for s in range(1, 6):
+                ys_stage = y + h * (_A[s] @ K[:s])
+                K[s] = f(t + _C[s] * h, ys_stage)
+            y_new = y + h * (_B[:6] @ K[:6])
+            K[6] = f(t + h, y_new)
+            err_norm = _error_norm(h * (_E @ K), y, y_new, rtol, atol)
         if not np.isfinite(err_norm):
             # trial stage left the domain (e.g. sigma sign flip): retry smaller
             h *= _MIN_FACTOR

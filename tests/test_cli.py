@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -145,3 +146,33 @@ def test_bad_solver_settings_are_exit_2(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_softening_runs_each_sigma0_once(tmp_path, monkeypatch):
+    # the default sweep (0.5, 1, 2) holds the base point sigma0 = 1, whose
+    # run also gives the ige_* and jacobi_* series
+    calls = []
+    original = cli.softening_gap
+
+    def counted(spec, *args, **kwargs):
+        calls.append(spec.sigma0)
+        return original(spec, *args, **kwargs)
+    monkeypatch.setattr(cli, "softening_gap", counted)
+    out = tmp_path / "out"
+    assert run(["--out", str(out), "softening"]) == 0
+    assert sorted(calls) == [0.5, 1.0, 2.0]
+    assert {"jacobi_3d.csv", "jacobi_2d.csv", "ige_3d.csv", "ige_2d.csv",
+            "softening.csv"} <= {p.name for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("command,code", [("geodesics", 1), ("jacobi", 3)])
+def test_vanishing_sigma0_warns_nothing(tmp_path, command, code):
+    # at sigma0 = 1e-200 the Fisher speed is nan (drift check fails, exit 1)
+    # and the Jacobi run stops on the 1e-150 floor (exit 3); the inf/nan of
+    # the rejected trial stages stay silent
+    path = tmp_path / "tiny.ini"
+    path.write_text("[model]\nsigma0 = 1e-200\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["--config", str(path), "--out", str(tmp_path / "o"), command]) == code
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import infogeo as ig
 from infogeo.errors import DomainError
+from infogeo.models import MODEL_2D, MODEL_3D
 
 SPEC3 = ig.GeodesicSpec3D(0.0, 1.0, 1.0, 1.0, 1.0)
 SPEC2 = ig.GeodesicSpec2D.from_3d(SPEC3)
@@ -96,6 +97,39 @@ def test_2d_cross_coefficients():
     assert B[1, 0] * math.exp(L * tau) == pytest.approx(2.0 * L, rel=1e-4)
     assert B[1, 1] == pytest.approx(2.0 * L, abs=1e-5)
     assert C[1, 1] == pytest.approx(L**2, abs=1e-5)
+
+
+def _textbook_coefficients(model, theta, vel):
+    # the sigma-space assembly: unit Gamma divided by the scale of its upper
+    # index, unit d Gamma and R by its square, theta'' from the model
+    gam_u, dgam_u, riem_u = model._unit_tensors
+    s = model.scales(theta)
+    gam = gam_u / s[:, None, None]
+    dgam, riem = (t / (s * s)[:, None, None, None] for t in (dgam_u, riem_u))
+    acc = model.acceleration(theta, vel)
+    B = 2.0 * np.einsum("mab,b->ma", gam, vel)
+    C = (np.einsum("mab,b->ma", gam, acc)
+         + np.einsum("mnab,n,b->ma", dgam, vel, vel)
+         + np.einsum("mrb,ras,s,b->ma", gam, gam, vel, vel)
+         + np.einsum("mnal,n,l->ma", riem, vel, vel))
+    return B, C
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(mu=st.floats(-5.0, 5.0), log_scales=st.tuples(*[st.floats(-140.0, 2.0)] * 2),
+       rho=st.tuples(*[st.floats(-2.0, 2.0)] * 3), three=st.booleans())
+def test_coefficients_match_textbook_assembly(mu, log_scales, rho, three):
+    # the constant-tensor route equals the sigma-space assembly for any
+    # state with sigma in [1e-140, 1e2], and the Killing entry is exactly 0
+    model = MODEL_3D if three else MODEL_2D
+    n = model.dimension
+    theta = np.array([mu, *(10.0 ** np.array(log_scales))])[:n]
+    vel = np.array(rho[:n]) * model.scales(theta)
+    B, C = ig.jlc_coefficients(theta, vel)
+    B_ref, C_ref = _textbook_coefficients(model, theta, vel)
+    assert np.abs(B - B_ref).max() <= 1e-14 * np.abs(B_ref).max()
+    assert np.abs(C - C_ref).max() <= 1e-14 * np.abs(C_ref).max()
+    assert C[0, 0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +248,8 @@ def test_initial_data_validation():
 
 
 def test_sigma_floor_truncates_jlc_run():
-    # long horizons end when sigma leaves the range where the 1/sigma^2
-    # curvature coefficients are representable (rate*tau ~ 345); this always
+    # long horizons end when sigma leaves the range where the 1/sigma^2 of
+    # the reported intensity is representable (rate*tau ~ 345); this always
     # precedes the defensive |J| > 1e300 truncation for bounded initial data
     # (the normalized growing mode would reach 1e300 only at rate*tau ~ 691)
     traj = ig.integrate_jlc(SPEC3, tau_max=400.0, tol=1e-6)

@@ -257,7 +257,7 @@ _scale = st.floats(0.1, 10.0)
 
 
 def _geometry(model, theta):
-    gam, _, riem = model.tensors(theta)
+    gam, riem = model.tensors(theta)
     return model.metric(theta).components, gam, riem
 
 
