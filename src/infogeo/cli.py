@@ -314,7 +314,7 @@ def run_geodesics(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
         if not traj.complete:
             raise NumericalAbort(f"geodesic run {label}: {traj.abort_reason}",
                                  partial=traj)
-        ref = np.stack([closed_form(spec, t)[0] for t in grid])
+        ref, _ = closed_form(spec, grid)
         dev = float(np.abs(traj.states - ref).max())
         report.add(f"geodesic_{label}_closed_form_deviation", dev, 100.0 * cfg.tol)
         speeds = traj.speeds()

@@ -166,8 +166,6 @@ class DerivedConstants:
         return DerivedConstants(a=a, A1=A1, c1=spec.sigma0, c2=a, c3=0.0,
                                 c4=spec.mu0 + A1 * spec.sigma0 / math.sqrt(a))
 
-    for_3d = for_2d = for_spec
-
 
 def _sech(u):
     e = np.exp(-np.abs(u))
@@ -227,18 +225,20 @@ def closed_form(spec, tau, shift: float = 0.0):
 # ---------------------------------------------------------------------------
 
 def geodesic_acceleration(theta: np.ndarray, velocity: np.ndarray) -> np.ndarray:
-    """theta'' = -Gamma^k_lm v^l v^m using the analytic symbols.
+    """theta'' = -Gamma^k_lm v^l v^m using the analytic symbols, at one point or per row.
 
-    The model follows from the length of theta (3 or 2); rejects sigma <= 0.
+    The model follows from the last axis (3 or 2); rejects a non-finite
+    coordinate or a sigma <= 0 in any row.
     """
     theta = np.asarray(theta, dtype=float)
     model = model_of(theta)
-    model.point.from_array(theta)
+    if not (np.all(np.isfinite(theta)) and np.all(theta[..., 1:] > 0.0)):
+        raise DomainError(f"{model.label} coordinates must be finite with every sigma > 0")
     return model.acceleration(theta, np.asarray(velocity, dtype=float))
 
 
-def fisher_speed(theta: np.ndarray, velocity: np.ndarray) -> float:
-    """g_lm v^l v^m, conserved along geodesics."""
+def fisher_speed(theta: np.ndarray, velocity: np.ndarray):
+    """g_lm v^l v^m, conserved along geodesics; at one point or for each row."""
     theta = np.asarray(theta, dtype=float)
     return model_of(theta).speed(theta, np.asarray(velocity, dtype=float))
 
@@ -265,8 +265,7 @@ class Trajectory:
             raise DomainError("sample times must be strictly increasing")
 
     def speeds(self) -> np.ndarray:
-        return np.array([fisher_speed(th, v)
-                         for th, v in zip(self.states, self.velocities)])
+        return fisher_speed(self.states, self.velocities)
 
 
 def _sigma_floor(dim):
@@ -317,30 +316,24 @@ def residual_check(spec, tau_grid, mu_span: Optional[float] = None,
     solution is O(h^2) differentiation error.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
-    form = lambda t: _closed_form(spec, t, mu_span, 0.0)
-    worst = 0.0
-    for tau in tau_grid:
-        theta, vel = form(tau)
-        _, vel_p = form(tau + h)
-        _, vel_m = form(tau - h)
-        acc_fd = (vel_p - vel_m) / (2.0 * h)
-        resid = acc_fd - geodesic_acceleration(theta, vel)
-        worst = max(worst, float(np.abs(resid).max()))
-    return worst
+    theta, vel = _closed_form(spec, tau_grid, mu_span, 0.0)
+    _, vel_p = _closed_form(spec, tau_grid + h, mu_span, 0.0)
+    _, vel_m = _closed_form(spec, tau_grid - h, mu_span, 0.0)
+    resid = (vel_p - vel_m) / (2.0 * h) - geodesic_acceleration(theta, vel)
+    return float(np.abs(resid).max(initial=0.0))
 
 
 def sigma_equation_residual(spec: GeodesicSpec3D, tau_grid, h: float = 1e-5) -> float:
     """Residual of the decoupled sigma_y equation in its product form
     sigma_y sigma_y'' - sigma_y'^2 = 0 (exact for the exponential path)."""
-    worst = 0.0
-    for tau in np.asarray(tau_grid, dtype=float):
-        sy = spec.sigma0_prime * math.exp(-spec.lambda_f * tau)
-        dsy = -spec.lambda_f * sy
-        dsy_p = -spec.lambda_f * spec.sigma0_prime * math.exp(-spec.lambda_f * (tau + h))
-        dsy_m = -spec.lambda_f * spec.sigma0_prime * math.exp(-spec.lambda_f * (tau - h))
-        ddsy = (dsy_p - dsy_m) / (2.0 * h)
-        worst = max(worst, abs(sy * ddsy - dsy**2))
-    return worst
+    tau = np.asarray(tau_grid, dtype=float)
+    lf, s0 = spec.lambda_f, spec.sigma0_prime
+    sy = s0 * np.exp(-lf * tau)
+    dsy = -lf * sy
+    dsy_p = -lf * s0 * np.exp(-lf * (tau + h))
+    dsy_m = -lf * s0 * np.exp(-lf * (tau - h))
+    ddsy = (dsy_p - dsy_m) / (2.0 * h)
+    return float(np.abs(sy * ddsy - dsy**2).max(initial=0.0))
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

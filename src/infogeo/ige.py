@@ -32,9 +32,8 @@ ratios are span-independent.
 from __future__ import annotations
 
 import io
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -47,7 +46,9 @@ from .models import MODEL_2D, MODEL_3D, ParameterPoint2D, ParameterPoint3D
 
 # default fit windows, in units of rate * tau (rate = sigma0 * lambda)
 VOLUME_WINDOW = (20.0, 50.0)   # closed-form volume cross-checks
-SLOPE_WINDOW = (200.0, 400.0)  # tail-slope fits; see note in ``ige``
+SLOPE_WINDOW = (200.0, 400.0)  # tail-slope fits; see note in ``ige_curve``
+LEAD_POINTS = 24               # samples of the entropy curve before the slope window
+WINDOW_POINTS = 33             # samples inside it
 
 LOG2 = math.log(2.0)
 
@@ -121,28 +122,24 @@ def box_volume_quadrature(spec, tau_prime: float, nodes=(8, 32, 32),
                           mu_span: Optional[float] = None) -> float:
     """Product Gauss-Legendre quadrature of sqrt(det g) over the box.
 
-    Independent of the factorized closed form: the density is evaluated
-    pointwise through the model metric determinant.
+    Independent of the factorized closed form: at every node of the scale
+    mesh the density is the square root of the product of the metric
+    diagonal c_i / sigma_k(i)^2.
     """
-    def gl(a, b, n):
-        x, w = np.polynomial.legendre.leggauss(n)
-        return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
-
     span = MU_SPAN_WIDE if mu_span is None else mu_span
     theta1, _ = _closed_form(spec, tau_prime, span, 0.0)
     theta0, _ = _closed_form(spec, 0.0, span, 0.0)
     los = np.minimum(theta0, theta1)
     his = np.maximum(theta0, theta1)
-    mus, wmu = gl(los[0], his[0], nodes[0])
-    # the density does not depend on the mean: one node list per scale
-    axes = [list(zip(*_panelled_gauss(los[j], his[j], nodes[j])))
-            for j in range(1, spec.model.dimension)]
-    total = 0.0
-    for node in itertools.product(*axes):
-        scales, weights = zip(*node)
-        dens = math.sqrt(spec.model.metric((0.0, *scales)).determinant)
-        total += math.prod(weights) * dens
-    return float(total * wmu.sum())
+    # the density does not depend on the mean: only the mean weights enter
+    wmu = 0.5 * (his[0] - los[0]) * np.polynomial.legendre.leggauss(nodes[0])[1]
+    model = spec.model
+    axes = [_panelled_gauss(los[j], his[j], nodes[j]) for j in range(1, model.dimension)]
+    # coordinate j > 0 varies along mesh axis j - 1; the mean is never a scale
+    scales = [None, *np.meshgrid(*(x for x, _ in axes), indexing="ij", sparse=True)]
+    weights = np.meshgrid(*(w for _, w in axes), indexing="ij", sparse=True)
+    det = math.prod(c / scales[k] ** 2 for c, k in zip(model.weights, model.scale_map))
+    return float((math.prod(weights) * np.sqrt(det)).sum() * wmu.sum())
 
 
 def _logsumexp(values: np.ndarray) -> float:
@@ -212,7 +209,8 @@ def log_closed_form_volume_3d(spec: GeodesicSpec3D, tau):
                - (lf + lp * s0 * ls) * (2.0 * s0 + mu0)
                - (s0 * lp * ls - lf) * (2.0 * s0 - mu0) * e2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (k * tau - np.log(tau) - math.log(s0**3 * lp**2) + np.log(bracket))
+        return (k * tau - np.log(tau) - (3.0 * math.log(s0) + 2.0 * math.log(lp))
+                + np.log(bracket))
 
 
 def log_closed_form_volume_2d(spec: GeodesicSpec2D, tau):
@@ -221,7 +219,8 @@ def log_closed_form_volume_2d(spec: GeodesicSpec2D, tau):
     k = spec.rate
     body = (mu0 + 2.0 * s0) + (2.0 * s0 - mu0) * np.exp(-2.0 * k * tau)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return k * tau - np.log(tau) - math.log(lp * s0**2) + np.log(body)
+        return (k * tau - np.log(tau) - (math.log(lp) + 2.0 * math.log(s0))
+                + np.log(body))
 
 
 def closed_form_volume_3d(spec: GeodesicSpec3D, tau):
@@ -260,26 +259,28 @@ class IGEResult:
 
 
 def ige_curve(spec, slope_window: tuple = SLOPE_WINDOW, n_grid: int = 2049,
-        mu_span: Optional[float] = None, lead_points: int = 24,
-        window_points: int = 33) -> IGEResult:
+        mu_span: Optional[float] = None) -> IGEResult:
     """Entropy curve and fitted tail slope for one model.
 
     ``slope_window`` is expressed in units of rate * tau.  The default sits
     far out on the tail: the 2D averaged volume carries a 1/tau factor whose
     -log(tau) contribution biases an ordinary least-squares slope by roughly
     -1/(rate*tau); at rate*tau ~ 300 the bias is ~0.3%, negligible against
-    the fit tolerances, while on [20, 50] it would be ~3%.
+    the fit tolerances, while on [20, 50] it would be ~3%.  The line is
+    fitted in rate * tau, where its abscissae stay O(100) however small the
+    rate, and its slope is then scaled to one per unit tau.
     """
     rate = spec.rate
     w0, w1 = slope_window[0] / rate, slope_window[1] / rate
-    lead = np.linspace(w0 / lead_points, w0, lead_points, endpoint=False)
-    window = np.linspace(w0, w1, window_points)
+    lead = np.linspace(w0 / LEAD_POINTS, w0, LEAD_POINTS, endpoint=False)
+    window = np.linspace(w0, w1, WINDOW_POINTS)
     taus = np.concatenate([lead, window])
     span = MU_SPAN_WIDE if mu_span is None else mu_span
     log_avg = np.array([log_averaged_volume(spec, t, n_grid, span) for t in taus])
     logv = log_box_volume(spec, taus, span)
     s_closed = log_closed_form_volume(spec, taus)
-    fit = fit_line(window, log_avg[lead_points:])
+    fit = fit_line(rate * window, log_avg[LEAD_POINTS:])
+    fit = replace(fit, slope=fit.slope * rate, window=(w0, w1))
     return IGEResult(model=spec.model.label, taus=taus, log_vol=logv,
                      log_avg_vol=log_avg, entropy_closed_form=s_closed, fit=fit,
                      rate=rate, mu_span=span)

@@ -70,10 +70,10 @@ def jlc_acceleration(theta, theta_dot, J, J_dot) -> np.ndarray:
     return -(B @ np.asarray(J_dot, dtype=float) + C @ np.asarray(J, dtype=float))
 
 
-def intensity(theta: np.ndarray, J: np.ndarray) -> float:
-    """Metric norm sqrt(g_lm J^l J^m); weights are the diagonal metric."""
+def intensity(theta: np.ndarray, J: np.ndarray):
+    """Metric norm sqrt(g_lm J^l J^m), at one point or per row (diagonal metric)."""
     theta = np.asarray(theta, dtype=float)
-    return math.sqrt(model_of(theta).speed(theta, np.asarray(J, dtype=float)))
+    return np.sqrt(model_of(theta).speed(theta, np.asarray(J, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class JacobiTrajectory:
         return self.states.shape[1]
 
     def intensities(self) -> np.ndarray:
-        return np.array([intensity(th, j) for th, j in zip(self.states, self.J)])
+        return intensity(self.states, self.J)
 
     def window_mask(self, window: tuple) -> np.ndarray:
         lo, hi = window[0] / self.rate, window[1] / self.rate
@@ -262,21 +262,20 @@ def asymptotic_residual(constants: JacobiConstants, tau_grid) -> float:
     """
     L = constants.lambda_decay
     rates = [L] + [constants.lambda_f] * (constants.dimension - 2)
-    worst = 0.0
-    for tau in np.asarray(tau_grid, dtype=float):
-        c1, c2 = constants.C[0]
-        e = math.exp(-2.0 * L * tau)
-        d1 = -2.0 * L * c2 * e
-        d2 = 4.0 * L * L * c2 * e
-        worst = max(worst, abs(d2 + 2.0 * L * d1))
-        for k, lam in enumerate(rates, start=1):
-            c1, c2 = constants.C[k]
-            e = math.exp(-lam * tau)
-            val = (c1 + c2 * tau) * e
-            d1 = (c2 - lam * (c1 + c2 * tau)) * e
-            d2 = (lam * lam * (c1 + c2 * tau) - 2.0 * lam * c2) * e
-            worst = max(worst, abs(d2 + 2.0 * lam * d1 + lam * lam * val))
-    return worst
+    tau = np.asarray(tau_grid, dtype=float)
+    c2 = constants.C[0, 1]
+    e = np.exp(-2.0 * L * tau)
+    d1 = -2.0 * L * c2 * e
+    d2 = 4.0 * L * L * c2 * e
+    worst = np.abs(d2 + 2.0 * L * d1)
+    for k, lam in enumerate(rates, start=1):
+        c1, c2 = constants.C[k]
+        e = np.exp(-lam * tau)
+        val = (c1 + c2 * tau) * e
+        d1 = (c2 - lam * (c1 + c2 * tau)) * e
+        d2 = (lam * lam * (c1 + c2 * tau) - 2.0 * lam * c2) * e
+        worst = np.maximum(worst, np.abs(d2 + 2.0 * lam * d1 + lam * lam * val))
+    return float(worst.max(initial=0.0))
 
 
 def critically_damped(lam: float, c1: float, c2: float, tau):

@@ -150,16 +150,18 @@ _ONE = np.ones(1)
 
 
 def _on_floats(fn, theta, x):
-    # fn(theta, x) on Python floats, several times faster than on numpy
-    # scalars; where floats raise (pow overflow, division by zero) it runs
-    # again on numpy scalars, which give inf/nan without a warning: rk
-    # rejects such trial stages, and a nan speed fails its check
+    # fn(theta, x) at one point runs on Python floats, several times faster
+    # than on numpy scalars; rows (m, n), and a point where floats raise (pow
+    # overflow, division by zero), run on numpy columns, which give inf/nan
+    # without a warning: rk rejects such trial stages, a nan speed fails its check
     theta, x = np.asarray(theta, dtype=float), np.asarray(x, dtype=float)
-    try:
-        return fn(theta.tolist(), x.tolist())
-    except ArithmeticError:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return fn(theta, x)
+    if x.ndim == 1:
+        try:
+            return fn(theta.tolist(), x.tolist())
+        except ArithmeticError:
+            pass
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return fn(theta.T, x.T)
 
 
 def _quadratic(terms, theta, x):
@@ -311,13 +313,13 @@ class DiagonalScaleModel:
         return t_b @ rho, t_c @ rho @ rho
 
     def acceleration(self, theta, v) -> np.ndarray:
-        """-Gamma^k_lm v^l v^m, term by term.
+        """-Gamma^k_lm v^l v^m, term by term, at one point or for each row.
 
         Total in sigma != 0: embedded-pair trial stages may probe slightly
         past the domain and must produce a huge-but-finite value for the
         error controller to reject, not an exception.
         """
-        return np.array(_on_floats(self._acceleration_form, theta, v))
+        return np.array(_on_floats(self._acceleration_form, theta, v)).T
 
     def ratio_acceleration(self, rho) -> np.ndarray:
         """d rho / d tau along a geodesic, rho_i = theta'_i / sigma_{k(i)}.
@@ -326,9 +328,9 @@ class DiagonalScaleModel:
         """
         return np.array(_on_floats(self._ratio_form, _ONE, rho))
 
-    def speed(self, theta, v) -> float:
-        """g_lm v^l v^m = sum_i c_i v_i^2 / sigma_{k(i)}^2."""
-        return float(_on_floats(self._speed, theta, v))
+    def speed(self, theta, v):
+        """g_lm v^l v^m = sum_i c_i v_i^2 / sigma_{k(i)}^2, at one point or per row."""
+        return _on_floats(self._speed, theta, v)
 
     def _speed(self, theta, v):
         total = -0.0
@@ -347,10 +349,11 @@ _MODELS = {m.dimension: m for m in (MODEL_3D, MODEL_2D)}
 
 
 def model_of(theta) -> DiagonalScaleModel:
-    """The model whose coordinates (or velocities) ``theta`` holds."""
-    model = _MODELS.get(len(theta))
+    """The model whose coordinates (or velocities) the last axis of ``theta`` holds."""
+    n = np.shape(theta)[-1]
+    model = _MODELS.get(n)
     if model is None:
-        raise DomainError(f"no model has {len(theta)} coordinates")
+        raise DomainError(f"no model has {n} coordinates")
     return model
 
 

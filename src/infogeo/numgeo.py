@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError
 from .models import (ParameterPoint2D, ParameterPoint3D, metric_2d, metric_3d)
 from .tensors import (ChristoffelSymbols, MetricTensor, RicciTensor,
-                      RiemannTensor, invert_symmetric, leading_minors_positive)
+                      RiemannTensor, invert_symmetric)
 
 METRIC_STEP = 1e-5        # relative step for d g / d theta (central, 2nd order)
 CHRISTOFFEL_STEP = 1e-3   # relative step for d Gamma / d theta (5-point, 4th order)
@@ -54,8 +54,6 @@ class MetricField:
         if g.shape != (self.dimension, self.dimension):
             raise DomainError(f"metric field returned shape {g.shape}, "
                               f"expected {(self.dimension, self.dimension)}")
-        if not leading_minors_positive(g):
-            raise DomainError(f"metric not positive definite at theta={theta}: {g}")
         return MetricTensor(g)
 
 

@@ -17,7 +17,7 @@ positivity floor); the partial solution is attached to the raised
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -65,23 +65,21 @@ class OdeSolution:
     abort_reason: Optional[str]
     n_steps: int
     n_rejected: int
-    _segments: list = field(repr=False, default_factory=list)  # (t0, h, y0, Q)
+    h: np.ndarray                       # step i runs from t[i] to t[i] + h[i]
+    Q: np.ndarray                       # its dense-output coefficients, (n_steps, dim, 4)
 
     def __call__(self, t_eval) -> np.ndarray:
         """Dense evaluation at sorted times inside the covered range."""
         t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
         if t_eval.size and (t_eval[0] < self.t[0] - 1e-12 or t_eval[-1] > self.t[-1] + 1e-12):
             raise ValueError("t_eval outside the integrated range")
-        out = np.empty((t_eval.size, self.y.shape[1]))
-        starts = np.array([seg[0] for seg in self._segments])
-        for i, tv in enumerate(t_eval):
-            k = int(np.searchsorted(starts, tv, side="right") - 1)
-            k = min(max(k, 0), len(self._segments) - 1)
-            t0, h, y0, Q = self._segments[k]
-            theta = np.clip((tv - t0) / h, 0.0, 1.0)
-            powers = np.array([theta, theta**2, theta**3, theta**4])
-            out[i] = y0 + h * (Q @ powers)
-        return out
+        k = np.clip(np.searchsorted(self.t[:-1], t_eval, side="right") - 1, 0, self.h.size - 1)
+        h = self.h[k]
+        theta = np.clip((t_eval - self.t[k]) / h, 0.0, 1.0)
+        # float_power calls the C library pow, like the scalar theta**n: the
+        # SIMD power loop of numpy can differ from it in the last bit
+        powers = np.float_power(theta[:, None], np.arange(1.0, 5.0))
+        return self.y[k] + h[:, None] * np.matmul(self.Q[k], powers[:, :, None])[:, :, 0]
 
 
 def _error_norm(err, y_old, y_new, rtol, atol) -> float:
@@ -115,7 +113,6 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
               y0,
               rtol: float = 1e-10,
               atol: float = 1e-12,
-              max_step: float = np.inf,
               floor: Optional[Callable[[np.ndarray], Optional[str]]] = None,
               raise_on_abort: bool = True) -> OdeSolution:
     """Integrate y' = f(t, y) over ``t_span`` = (t0, t1), t1 > t0.
@@ -135,16 +132,15 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
 
     ts = [t0]
     ys = [y.copy()]
-    segments = []
+    steps, coeffs = [], []
     n_steps = 0
     n_rejected = 0
     err_prev = 1.0
-    h = min(_initial_step(f, t0, y, f_curr, rtol, atol), max_step, t1 - t0)
+    h = min(_initial_step(f, t0, y, f_curr, rtol, atol), t1 - t0)
 
     abort_reason = None
     K = np.empty((7, dim))
     while t < t1:
-        h = min(h, max_step)
         last = h >= t1 - t
         if last:
             h = t1 - t
@@ -170,8 +166,8 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
         if err_norm <= 1.0:  # accept
             factor = _SAFETY * (err_norm + 1e-16) ** (-_ALPHA) * (err_prev + 1e-16) ** _BETA
             err_prev = max(err_norm, 1e-16)
-            Q = K.T @ _P
-            segments.append((t, h, y.copy(), Q))
+            steps.append(h)
+            coeffs.append(K.T @ _P)
             t = t1 if last else t + h
             y = y_new
             f_curr = K[6]  # FSAL
@@ -190,7 +186,8 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
 
     sol = OdeSolution(t=np.array(ts), y=np.array(ys),
                       complete=abort_reason is None, abort_reason=abort_reason,
-                      n_steps=n_steps, n_rejected=n_rejected, _segments=segments)
+                      n_steps=n_steps, n_rejected=n_rejected, h=np.array(steps),
+                      Q=np.array(coeffs).reshape(n_steps, dim, 4))
     if abort_reason is not None and raise_on_abort:
         raise NumericalAbort(abort_reason, partial=sol)
     return sol

@@ -7,6 +7,7 @@ import pytest
 
 import infogeo as ig
 from infogeo.errors import DomainError, NumericalAbort
+from infogeo.geodesics import _closed_form
 
 SPEC3 = ig.GeodesicSpec3D(mu0=0.0, sigma0=1.0, sigma0_prime=1.0,
                           lambda_plus_prime=1.0, lambda_f=1.0)
@@ -53,12 +54,12 @@ def test_coupled_pair_rate():
 
 
 def test_derived_constants_consistency():
-    c3 = ig.DerivedConstants.for_3d(SPEC3)
+    c3 = ig.DerivedConstants.for_spec(SPEC3)
     assert math.sqrt(c3.a) == pytest.approx(SPEC3.lambda_plus_prime, rel=1e-14)
     assert c3.a == pytest.approx(c3.A1**2 / 2.0, rel=1e-14)
     assert (c3.c1, c3.c2, c3.c3) == (SPEC3.sigma0, c3.a, 0.0)
     assert c3.c4 == pytest.approx(SPEC3.mu0 + math.sqrt(2.0) * SPEC3.sigma0, rel=1e-14)
-    c2 = ig.DerivedConstants.for_2d(SPEC2)
+    c2 = ig.DerivedConstants.for_spec(SPEC2)
     assert math.sqrt(c2.a) == pytest.approx(SPEC2.lambda_plus, rel=1e-14)
     assert c2.a == pytest.approx(c2.A1**2 / 4.0, rel=1e-14)
     assert c2.c4 == pytest.approx(SPEC2.mu0 + 2.0 * SPEC2.sigma0, rel=1e-14)
@@ -113,8 +114,8 @@ def test_closed_form_2d_rate_scaling():
 
 def test_first_integral_along_closed_forms():
     # mu' = A1 sigma^2 with A1 = sqrt(2) lambda' (3D) and 2 lambda (2D)
-    c3 = ig.DerivedConstants.for_3d(SPEC3)
-    c2 = ig.DerivedConstants.for_2d(SPEC2)
+    c3 = ig.DerivedConstants.for_spec(SPEC3)
+    c2 = ig.DerivedConstants.for_spec(SPEC2)
     for tau in np.linspace(0.0, 12.0, 25):
         theta, vel = ig.closed_form_3d(SPEC3, tau)
         assert abs(vel[0] - c3.A1 * theta[1] ** 2) < 1e-10
@@ -145,12 +146,47 @@ def test_acceleration_examples():
 def test_acceleration_rejects_nonpositive_sigma():
     with pytest.raises(DomainError):
         ig.geodesic_acceleration([0.0, -1.0, 1.0], [1.0, 0.0, 0.0])
+    # one bad row among good ones
+    for bad in ([0.3, 1.0, 0.0], [0.3, 1.0, np.nan], [np.inf, 1.0, 1.0]):
+        rows = np.array([[0.0, 1.0, 1.0], bad, [1.0, 2.0, 0.5]])
+        with pytest.raises(DomainError):
+            ig.geodesic_acceleration(rows, np.ones_like(rows))
+    with pytest.raises(DomainError):
+        ig.geodesic_acceleration([[0.0, 1.0], [0.0, -2.0]], np.ones((2, 2)))
+
+
+def test_acceleration_rows_match_points():
+    rng = np.random.default_rng(11)
+    for dim in (3, 2):
+        theta = np.column_stack([rng.uniform(-2, 2, 50), rng.uniform(0.1, 3, (50, dim - 1))])
+        vel = rng.normal(size=(50, dim))
+        rows = ig.geodesic_acceleration(theta, vel)
+        points = np.array([ig.geodesic_acceleration(t, v) for t, v in zip(theta, vel)])
+        assert rows.shape == (50, dim)
+        # rows square with x * x, points with pow(): at most an ulp apart per term
+        np.testing.assert_allclose(rows, points, rtol=1e-15, atol=1e-15 * np.abs(points).max())
 
 
 def test_residual_exact_family():
     grid = np.linspace(0.0, 10.0, 100)
     assert ig.residual_check(SPEC3, grid) < 1e-6
     assert ig.residual_check(SPEC2, grid) < 1e-6
+
+
+def test_residual_check_matches_the_per_point_formula():
+    # the per-point loop the grid evaluation replaced, kept as the reference
+    grid = np.linspace(0.01, 10.0, 100)
+    h = 1e-5
+    for spec, span in ((SPEC3, None), (SPEC2, None), (SPEC3, ig.MU_SPAN_WIDE)):
+        form = lambda t: _closed_form(spec, t, span, 0.0)
+        worst, scale = 0.0, 0.0
+        for tau in grid:
+            theta, vel = form(tau)
+            acc = ig.geodesic_acceleration(theta, vel)
+            acc_fd = (form(tau + h)[1] - form(tau - h)[1]) / (2.0 * h)
+            worst = max(worst, float(np.abs(acc_fd - acc).max()))
+            scale = max(scale, float(np.abs(acc).max()))
+        assert abs(ig.residual_check(spec, grid, mu_span=span) - worst) <= 4e-16 * scale
 
 
 def test_residual_separates_the_two_spans():
@@ -200,6 +236,13 @@ def test_speed_is_conserved():
         traj = ig.integrate_geodesic(spec, 10.0, tol=1e-10)
         speeds = traj.speeds()
         assert np.abs(speeds - speeds[0]).max() / speeds[0] < 1e-6
+
+
+def test_speeds_match_the_per_sample_formula():
+    for spec in (SPEC3, SPEC2):
+        traj = ig.integrate_geodesic(spec, 10.0, tol=1e-10, sample_taus=np.linspace(0, 10, 201))
+        ref = np.array([ig.fisher_speed(th, v) for th, v in zip(traj.states, traj.velocities)])
+        np.testing.assert_allclose(traj.speeds(), ref, rtol=1e-15, atol=0)
 
 
 def test_initial_speed_value():

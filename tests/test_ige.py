@@ -1,5 +1,6 @@
 """Swept volumes, temporal averages and entropy tail slopes."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 import infogeo as ig
 from infogeo.errors import DomainError
-from infogeo.ige import log_time_average
+from infogeo.geodesics import _closed_form
+from infogeo.ige import _panelled_gauss, log_time_average
 
 SPEC3 = ig.GeodesicSpec3D(0.0, 1.0, 1.0, 1.0, 1.0)
 SPEC2 = ig.GeodesicSpec2D.from_3d(SPEC3)
@@ -37,13 +39,34 @@ def test_box_volume_vanishes_at_zero():
 
 
 def test_box_volume_against_quadrature_oracle():
-    for tau in (0.5, 2.0, 5.0):
-        closed = ig.box_volume(SPEC3, tau)
-        quad = ig.box_volume_quadrature(SPEC3, tau)
-        assert abs(quad - closed) / closed < 1e-8
-        closed2 = ig.box_volume(SPEC2, tau)
-        quad2 = ig.box_volume_quadrature(SPEC2, tau)
-        assert abs(quad2 - closed2) / closed2 < 1e-8
+    # up to the end of the tail window, where the headline fits sit
+    for rate_tau in (0.5, 2.0, 5.0, 20.0, 50.0):
+        for spec in (SPEC3, SPEC2):
+            tau = rate_tau / spec.rate
+            closed = ig.box_volume(spec, tau)
+            quad = ig.box_volume_quadrature(spec, tau)
+            assert abs(quad - closed) / closed < 1e-8
+
+
+def test_box_quadrature_matches_the_per_node_formula():
+    # the per-node loop the mesh evaluation replaced, kept as the reference
+    def per_node(spec, tau, nodes=(8, 32, 32)):
+        theta1, _ = _closed_form(spec, tau, ig.MU_SPAN_WIDE, 0.0)
+        theta0, _ = _closed_form(spec, 0.0, ig.MU_SPAN_WIDE, 0.0)
+        los, his = np.minimum(theta0, theta1), np.maximum(theta0, theta1)
+        wmu = 0.5 * (his[0] - los[0]) * np.polynomial.legendre.leggauss(nodes[0])[1]
+        axes = [list(zip(*_panelled_gauss(los[j], his[j], nodes[j])))
+                for j in range(1, spec.model.dimension)]
+        total = 0.0
+        for node in itertools.product(*axes):
+            scales, weights = zip(*node)
+            dens = math.sqrt(spec.model.metric((0.0, *scales)).determinant)
+            total += math.prod(weights) * dens
+        return total * wmu.sum()
+    for tau in (0.5, 2.0):
+        for spec in (SPEC3, SPEC2):
+            ref = per_node(spec, tau)
+            assert abs(ig.box_volume_quadrature(spec, tau) - ref) <= 1e-12 * ref
 
 
 def test_box_volume_quadrature_sees_the_span():

@@ -155,6 +155,14 @@ def test_intensity_is_metric_norm():
         assert direct == pytest.approx(norm, rel=1e-12)
 
 
+def test_intensities_match_the_per_sample_formula():
+    for spec in (SPEC3, SPEC2):
+        tau_max = 20.0 / spec.rate
+        traj = ig.integrate_jlc(spec, tau_max=tau_max, sample_taus=np.linspace(0, tau_max, 101))
+        ref = np.array([ig.intensity(th, j) for th, j in zip(traj.states, traj.J)])
+        np.testing.assert_allclose(traj.intensities(), ref, rtol=1e-15, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # integration
 # ---------------------------------------------------------------------------

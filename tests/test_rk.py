@@ -21,6 +21,21 @@ def test_dense_output_accuracy():
     assert np.abs(vals[:, 0] - np.cos(ts)).max() < 5e-8
 
 
+def test_dense_output_matches_the_per_sample_formula():
+    # the per-sample loop the batched evaluation replaced, kept as the reference;
+    # long steps make a last-bit change of theta**n visible in the output
+    sol = rk.integrate(lambda t, y: np.array([y[1], -y[0]]), (0.0, 10.0), [0.0, 1.0],
+                       rtol=1e-4, atol=1e-4)
+    ts = np.concatenate([np.linspace(0.0, 10.0, 2001), sol.t])
+    ts.sort()
+    ref = np.empty((ts.size, 2))
+    for i, tv in enumerate(ts):
+        k = min(max(int(np.searchsorted(sol.t[:-1], tv, side="right")) - 1, 0), sol.n_steps - 1)
+        theta = np.clip((tv - sol.t[k]) / sol.h[k], 0.0, 1.0)
+        ref[i] = sol.y[k] + sol.h[k] * (sol.Q[k] @ np.array([theta, theta**2, theta**3, theta**4]))
+    np.testing.assert_array_equal(sol(ts), ref)
+
+
 def test_tolerance_controls_error():
     def run(tol):
         sol = rk.integrate(lambda t, y: -y, (0.0, 8.0), [1.0], rtol=tol, atol=tol)
