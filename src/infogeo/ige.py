@@ -34,6 +34,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -149,36 +150,49 @@ def _logsumexp(values: np.ndarray) -> float:
     return m + math.log(float(np.sum(np.exp(values - m))))
 
 
+@cache
 def _simpson_log_weights(n_nodes: int) -> np.ndarray:
     w = np.ones(n_nodes)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return np.log(w / 3.0)
+    w = np.log(w / 3.0)
+    w.flags.writeable = False   # one array shared by every call
+    return w
 
 
-def log_time_average(log_fn, tau: float, n_grid: int = 2049) -> float:
+def log_time_average(log_fn, tau, n_grid: int = 2049):
     """log of (1/tau) * integral_0^tau exp(log_fn(tau')) dtau'.
 
     Composite Simpson on a uniform grid, accumulated with log-sum-exp so
-    arbitrarily late tails stay representable.  ``log_fn`` must accept an
-    array of times; ``n_grid`` is the node count (>= 65, forced odd).
+    arbitrarily late tails stay representable.  ``tau`` is one time (the
+    result is a float) or an array of times (an array of that shape).
+    ``log_fn`` must accept an array of times; ``n_grid`` is the node count
+    (>= 65, forced odd).
     """
-    if tau <= 0.0:
+    taus = np.asarray(tau, dtype=float)
+    if (taus <= 0.0).any():
         raise DomainError("tau must be positive")
     if n_grid < 64:
         raise DomainError("n_grid must be >= 64")
     if n_grid % 2 == 0:
         n_grid += 1  # composite Simpson needs an odd node count
-    ts = np.linspace(0.0, tau, n_grid)
+    log_w = _simpson_log_weights(n_grid)
+    # one time at a time: a batched (times, nodes) grid measured no faster,
+    # since the elementwise logs dominate, and its temporaries take megabytes
+    out = [_log_time_average(log_fn, t, log_w) for t in taus.ravel().tolist()]
+    return out[0] if taus.ndim == 0 else np.array(out).reshape(taus.shape)
+
+
+def _log_time_average(log_fn, tau: float, log_w: np.ndarray) -> float:
+    ts = np.linspace(0.0, tau, log_w.size)
     h = ts[1] - ts[0]
     logv = np.asarray(log_fn(ts), dtype=float)
-    log_integral = _logsumexp(logv + _simpson_log_weights(n_grid)) + math.log(h)
-    return log_integral - math.log(tau)
+    return _logsumexp(logv + log_w) + math.log(h) - math.log(tau)
 
 
-def log_averaged_volume(spec, tau: float, n_grid: int = 2049,
-                        mu_span: Optional[float] = None) -> float:
-    """log of the time-averaged swept volume at tau."""
+def log_averaged_volume(spec, tau, n_grid: int = 2049,
+                        mu_span: Optional[float] = None):
+    """log of the time-averaged swept volume at tau (a float, or an array of times)."""
     return log_time_average(lambda ts: log_box_volume(spec, ts, mu_span),
                             tau, n_grid)
 
@@ -204,8 +218,9 @@ def log_closed_form_volume_3d(spec: GeodesicSpec3D, tau):
     mu0, ls = spec.mu0, math.log(spec.sigma0_prime)
     k = spec.rate
     e2 = np.exp(-2.0 * k * tau)
-    bracket = ((2.0 * s0 + mu0) * s0 * lf * lp * tau
-               + (2.0 * s0 - mu0) * s0 * lf * lp * tau * e2
+    # k * tau first: with s0 * lp * tau, s0^2 underflows at tiny sigma0
+    bracket = ((2.0 * s0 + mu0) * lf * (k * tau)
+               + (2.0 * s0 - mu0) * lf * (k * tau) * e2
                - (lf + lp * s0 * ls) * (2.0 * s0 + mu0)
                - (s0 * lp * ls - lf) * (2.0 * s0 - mu0) * e2)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -276,7 +291,7 @@ def ige_curve(spec, slope_window: tuple = SLOPE_WINDOW, n_grid: int = 2049,
     window = np.linspace(w0, w1, WINDOW_POINTS)
     taus = np.concatenate([lead, window])
     span = MU_SPAN_WIDE if mu_span is None else mu_span
-    log_avg = np.array([log_averaged_volume(spec, t, n_grid, span) for t in taus])
+    log_avg = log_averaged_volume(spec, taus, n_grid, span)
     logv = log_box_volume(spec, taus, span)
     s_closed = log_closed_form_volume(spec, taus)
     fit = fit_line(rate * window, log_avg[LEAD_POINTS:])

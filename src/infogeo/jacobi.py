@@ -34,6 +34,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -108,6 +109,28 @@ class JacobiTrajectory:
 _JLC_LOG_FLOOR = math.log(1e-150)
 
 
+def _floor(model, y) -> Optional[str]:
+    """Why the Jacobi run stops at the accepted state y, or None.
+
+    y = (mu, log sigma..., rho..., K..., K'...).  The checks run on Python
+    floats: on vectors this short, numpy calls cost more than the checks.
+    """
+    n = model.dimension
+    v = y.tolist()
+    for log_sigma in v[1:n]:
+        if log_sigma <= _JLC_LOG_FLOOR:
+            return ("sigma coordinate fell below 1e-150; the reported "
+                    "intensity g(J, J) carries 1/sigma^2")
+    K = v[2 * n:3 * n]
+    for x in K:
+        if abs(x) > J_OVERFLOW:
+            return f"normalized Jacobi component exceeded {J_OVERFLOW:g}"
+    for x, k in zip(K, model.scale_map):
+        if abs(x) * math.exp(v[k]) > J_OVERFLOW:
+            return f"Jacobi component exceeded {J_OVERFLOW:g}"
+    return None
+
+
 def _scaled_geodesic_state(model, theta0: np.ndarray, vel0: np.ndarray) -> np.ndarray:
     # (mu, log sigma..., scaled velocities): sigma decays exponentially on
     # useful horizons, so raw coordinates lose all relative accuracy once
@@ -157,35 +180,23 @@ def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
     y0 = np.concatenate([geo0, K0, Kd0])
     n_geo = 2 * dim
 
+    # the tail tensor as a matrix over its last rho_hat index: 2-D dots on
+    # contiguous operands cost less per call than the 4-D matmul
+    tail = model.jacobi_tail.reshape(-1, dim + 1)
+    rho_hat = np.ones(dim + 1)
+    k0 = model.scale_map[0]
+
     def rhs(t, y):
         rho = y[dim:n_geo]
-        K, Kd = y[n_geo:n_geo + dim], y[n_geo + dim:]
-        rho_dot = model.ratio_acceleration(rho)
-        r, r_dot = model.scales(rho), model.scales(rho_dot)
-        B, C = model.jacobi_coefficients(rho)
-        # J = S K with S = diag(sigma scales), R = diag(r), r = S'/S: the
-        # transformed system K'' = -(M1 K' + M0 K), M1 = B + 2R,
-        # M0 = C + R' + R^2 + B R, has O(1) entries at any horizon (B and C
-        # are block diagonal, so no sigma_x/sigma_y scale ratios appear)
-        rK = r * K
-        Kdd = -(B @ (Kd + rK) + C @ K + r * (2.0 * Kd + rK) + r_dot * K)
-        # mu' = rho_0 sigma_k(0); (log sigma_j)' = rho_j
-        mu_dot = rho[0] * math.exp(y[model.scale_map[0]])
-        return np.concatenate([(mu_dot,), rho[1:], rho_dot, Kd, Kdd])
-
-    def floor(y):
-        if np.any(y[1:dim] <= _JLC_LOG_FLOOR):
-            return ("sigma coordinate fell below 1e-150; the reported "
-                    "intensity g(J, J) carries 1/sigma^2")
-        K = y[n_geo:n_geo + dim]
-        if np.any(np.abs(K) > J_OVERFLOW):
-            return f"normalized Jacobi component exceeded {J_OVERFLOW:g}"
-        if np.any(np.abs(K) * np.exp(model.scales(y[:dim])) > J_OVERFLOW):
-            return f"Jacobi component exceeded {J_OVERFLOW:g}"
-        return None
+        rho_hat[1:] = rho
+        Kdd = tail.dot(rho_hat).reshape(-1, dim + 1).dot(rho_hat).reshape(dim, -1).dot(y[n_geo:])
+        # (mu, log sigma_j)' = (rho_0 sigma_k(0), rho_j): rho with its first entry replaced
+        dy = np.concatenate((rho, model.ratio_acceleration(rho), y[n_geo + dim:], Kdd))
+        dy[0] = rho[0] * math.exp(y[k0])
+        return dy
 
     sol = rk.integrate(rhs, (0.0, tau_max), y0, rtol=tol, atol=tol,
-                       floor=floor, raise_on_abort=raise_on_abort)
+                       floor=partial(_floor, model), raise_on_abort=raise_on_abort)
     if sample_taus is not None and sol.complete:
         taus = np.asarray(sample_taus, dtype=float)
         ys = sol(taus)

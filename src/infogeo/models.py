@@ -278,14 +278,43 @@ class DiagonalScaleModel:
         return partial(_quadratic, _quadratic_terms(-self._unit_tensors[0], self.scale_map))
 
     @cached_property
-    def _ratio_form(self):
+    def _ratio_tensor(self) -> np.ndarray:
         # rho_a = theta'_a / sigma_k(a) obeys rho_a' = Q_a(rho) - rho_a rho_k(a),
-        # Q_a the acceleration form at unit scales
+        # Q_a the acceleration form at unit scales; rho_a' = q[a] : rho rho
         q = -self._unit_tensors[0]
         for a, ka in enumerate(self.scale_map):
             q[a, a, ka] -= 0.5
             q[a, ka, a] -= 0.5
-        return partial(_quadratic, _quadratic_terms(q, [0] * self.dimension))
+        return q
+
+    @cached_property
+    def _ratio_form(self):
+        return partial(_quadratic, _quadratic_terms(self._ratio_tensor, [0] * self.dimension))
+
+    @cached_property
+    def jacobi_tail(self) -> np.ndarray:
+        """T with K'' = (T @ rho_hat @ rho_hat) @ (K, K'), rho_hat = (1, rho).
+
+        K = J / sigma_k is the scaled Jacobi field.  With r = rho_k the
+        log-rates of the scales, J = S K gives
+        K'' = -(B (K' + r K) + C K + r (2 K' + r K) + r' K),
+        with B = T_B rho, C = T_C rho rho and r' = q_k rho rho from the ratio
+        form: quadratic in rho on K, linear on K'.  T is indexed
+        [m, (K, K'), rho_hat, rho_hat]; its entries are O(1) constants, and
+        B and C are block diagonal, so no sigma_x / sigma_y ratio appears at
+        any horizon.
+        """
+        n = self.dimension
+        t_b, t_c = self._jacobi_tensors
+        sel = np.eye(n)[self._k]                # r = sel @ rho
+        diag = np.eye(n)[:, :, None]            # delta_ma
+        t = np.zeros((n, 2 * n, n + 1, n + 1))
+        t[:, :n, 1:, 1:] = -(np.einsum("mac,ad->macd", t_b, sel) + t_c
+                             + diag[..., None] * (np.einsum("mc,md->mcd", sel, sel)
+                                                  + self._ratio_tensor[self._k])[:, None])
+        t[:, n:, 0, 1:] = -(t_b + 2.0 * diag * sel[:, None, :])
+        t.flags.writeable = False   # shared by every Jacobi run of the model
+        return t
 
     def scales(self, theta) -> np.ndarray:
         """sigma_{k(i)} for every coordinate i, of one point or of each row."""

@@ -17,6 +17,7 @@ positivity floor); the partial solution is attached to the raised
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -83,8 +84,9 @@ class OdeSolution:
 
 
 def _error_norm(err, y_old, y_new, rtol, atol) -> float:
-    scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    # the RMS of np.mean, bit for bit, without its Python-level wrapper
+    r = err / (atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new)))
+    return math.sqrt(float(np.add.reduce(r * r)) / r.size)
 
 
 def _initial_step(f, t0, y0, f0, rtol, atol) -> float:
@@ -149,15 +151,16 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
             break
 
         K[0] = f_curr
-        # a trial stage past the domain gives inf/nan, rejected just below
+        # a trial stage past the domain gives inf/nan, rejected just below;
+        # ndarray.dot makes the same BLAS call as @ with less dispatch per step
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for s in range(1, 6):
-                ys_stage = y + h * (_A[s] @ K[:s])
+                ys_stage = y + h * _A[s].dot(K[:s])
                 K[s] = f(t + _C[s] * h, ys_stage)
-            y_new = y + h * (_B[:6] @ K[:6])
+            y_new = y + h * _B[:6].dot(K[:6])
             K[6] = f(t + h, y_new)
-            err_norm = _error_norm(h * (_E @ K), y, y_new, rtol, atol)
-        if not np.isfinite(err_norm):
+            err_norm = _error_norm(h * _E.dot(K), y, y_new, rtol, atol)
+        if not math.isfinite(err_norm):
             # trial stage left the domain (e.g. sigma sign flip): retry smaller
             h *= _MIN_FACTOR
             n_rejected += 1
@@ -167,7 +170,7 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
             factor = _SAFETY * (err_norm + 1e-16) ** (-_ALPHA) * (err_prev + 1e-16) ** _BETA
             err_prev = max(err_norm, 1e-16)
             steps.append(h)
-            coeffs.append(K.T @ _P)
+            coeffs.append(K.T.dot(_P))
             t = t1 if last else t + h
             y = y_new
             f_curr = K[6]  # FSAL

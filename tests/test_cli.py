@@ -165,12 +165,13 @@ def test_softening_runs_each_sigma0_once(tmp_path, monkeypatch):
             "softening.csv"} <= {p.name for p in out.iterdir()}
 
 
-@pytest.mark.parametrize("command,code", [("geodesics", 1), ("jacobi", 3), ("ige", 1)])
+@pytest.mark.parametrize("command,code", [("geodesics", 1), ("jacobi", 3), ("ige", 0)])
 def test_vanishing_sigma0_warns_nothing(tmp_path, command, code):
-    # at sigma0 = 1e-200 the Fisher speed is nan (drift check fails, exit 1),
-    # the Jacobi run stops on the 1e-150 floor (exit 3) and the 3D closed-form
-    # volume is nan (exit 1); the inf/nan of the rejected trial stages stay
-    # silent, and the IGE slopes are fitted at rate * tau ~ 300, not tau ~ 1e202
+    # at sigma0 = 1e-200 the Fisher speed is nan (drift check fails, exit 1)
+    # and the Jacobi run stops on the 1e-150 floor (exit 3); every IGE check
+    # passes (exit 0): the 3D closed-form volume forms no sigma0^2 product.
+    # The inf/nan of the rejected trial stages stay silent, and the IGE
+    # slopes are fitted at rate * tau ~ 300, not tau ~ 1e202
     path = tmp_path / "tiny.ini"
     path.write_text("[model]\nsigma0 = 1e-200\n")
     with warnings.catch_warnings(record=True) as caught:

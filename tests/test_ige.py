@@ -105,9 +105,35 @@ def test_average_grid_refinement_converges():
     assert abs(math.expm1(a - b)) < 1e-6
 
 
+def _per_time_average(spec, tau, n_grid=2049):
+    # the single-time formula the array form replaced, kept as the reference
+    ts = np.linspace(0.0, tau, n_grid)
+    w = np.ones(n_grid)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    logv = ig.log_box_volume(spec, ts, None) + np.log(w / 3.0)
+    m = float(np.max(logv))
+    log_integral = m + math.log(float(np.sum(np.exp(logv - m)))) + math.log(ts[1] - ts[0])
+    return log_integral - math.log(tau)
+
+
+def test_average_over_many_times_matches_the_per_time_formula():
+    # same summation order, so equal bit for bit; a float stays a float
+    for spec in (SPEC3, SPEC2):
+        taus = np.concatenate([np.geomspace(1e-3, 5.0, 20), np.linspace(200.0, 400.0, 33)]) / spec.rate
+        ref = np.array([_per_time_average(spec, t) for t in taus])
+        np.testing.assert_array_equal(ig.log_averaged_volume(spec, taus), ref)
+        np.testing.assert_array_equal(ig.log_averaged_volume(spec, taus.reshape(1, -1, 1)),
+                                      ref.reshape(1, -1, 1))
+        one = ig.log_averaged_volume(spec, float(taus[7]))
+        assert type(one) is float and one == ref[7]
+
+
 def test_average_validation():
     with pytest.raises(DomainError):
         ig.log_averaged_volume(SPEC3, 0.0)
+    with pytest.raises(DomainError):
+        ig.log_averaged_volume(SPEC3, np.array([1.0, -1.0]))
     with pytest.raises(DomainError):
         ig.log_averaged_volume(SPEC3, 1.0, n_grid=32)
     ig.log_averaged_volume(SPEC3, 1.0, n_grid=64)  # minimum grid accepted

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import infogeo as ig
+from infogeo import jacobi
 from infogeo.errors import DomainError
 from infogeo.models import MODEL_2D, MODEL_3D
 
@@ -130,6 +131,57 @@ def test_coefficients_match_textbook_assembly(mu, log_scales, rho, three):
     assert np.abs(B - B_ref).max() <= 1e-14 * np.abs(B_ref).max()
     assert np.abs(C - C_ref).max() <= 1e-14 * np.abs(C_ref).max()
     assert C[0, 0] == 0.0
+
+
+def _tail_term_by_term(model, rho, K, Kd):
+    # K'' of the scaled field K = J / sigma_k, term by term: J = S K with
+    # S = diag(sigma scales) and r = S'/S the log-rates of the scales
+    rho_dot = model.ratio_acceleration(rho)
+    r, r_dot = model.scales(rho), model.scales(rho_dot)
+    B, C = model.jacobi_coefficients(rho)
+    rK = r * K
+    return -(B @ (Kd + rK) + C @ K + r * (2.0 * Kd + rK) + r_dot * K)
+
+
+def _tail_error(model, tail, rho, K, Kd):
+    """max |T rho_hat rho_hat (K, K') - term-by-term tail| per unit of
+    max|rho_hat|^2 max|(K, K')|, the size of the largest term (T's entries are O(1))."""
+    rho_hat, z = np.concatenate([[1.0], rho]), np.concatenate([K, Kd])
+    err = np.abs(tail @ rho_hat @ rho_hat @ z - _tail_term_by_term(model, rho, K, Kd)).max()
+    scale = np.abs(rho_hat).max() ** 2 * np.abs(z).max()
+    return err / scale if scale else err
+
+
+_decades = st.floats(-6.0, 2.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(log_rho=st.tuples(*[_decades] * 3), signs=st.tuples(*[st.booleans()] * 3),
+       data=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6), three=st.booleans())
+def test_tail_tensor_matches_the_term_by_term_tail(log_rho, signs, data, three):
+    # |rho_i| in [1e-6, 1e2]: the one contraction equals the tail built from
+    # the Jacobi coefficients, the ratio acceleration and the scale map
+    model = MODEL_3D if three else MODEL_2D
+    n = model.dimension
+    rho = np.array([(-1.0 if s else 1.0) * 10.0**e for s, e in zip(signs, log_rho)])[:n]
+    K, Kd = np.array(data[:n]), np.array(data[3:3 + n])
+    assert _tail_error(model, model.jacobi_tail, rho, K, Kd) <= 1e-14
+
+
+def test_a_perturbed_tail_block_fails_the_property():
+    # each block of T (index 0 of rho_hat is the constant 1) changed by 1e-7
+    # moves the contraction far past the 1e-14 bound
+    for model in (MODEL_3D, MODEL_2D):
+        n = model.dimension
+        rho = np.array([0.7, 1.3, 0.4])[:n]
+        K, Kd = np.array([0.9, 0.5, 0.2])[:n], np.array([0.3, 0.8, 0.6])[:n]
+        assert _tail_error(model, model.jacobi_tail, rho, K, Kd) <= 1e-14
+        for field in (slice(0, n), slice(n, 2 * n)):
+            for first in (slice(0, 1), slice(1, n + 1)):
+                for second in (slice(0, 1), slice(1, n + 1)):
+                    mutant = model.jacobi_tail.copy()
+                    mutant[:, field, first, second] += 1e-7
+                    assert _tail_error(model, mutant, rho, K, Kd) > 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +319,51 @@ def test_sigma_floor_truncates_jlc_run():
     assert len(traj.taus) > 100  # partial trajectory retained
 
 
+def _numpy_floor(model, y):
+    # the numpy form of the stop test that the float form replaced, kept as
+    # the reference; y = (mu, log sigma..., rho..., K..., K'...)
+    n = model.dimension
+    if np.any(y[1:n] <= math.log(1e-150)):
+        return ("sigma coordinate fell below 1e-150; the reported "
+                "intensity g(J, J) carries 1/sigma^2")
+    K = y[2 * n:3 * n]
+    if np.any(np.abs(K) > jacobi.J_OVERFLOW):
+        return f"normalized Jacobi component exceeded {jacobi.J_OVERFLOW:g}"
+    if np.any(np.abs(K) * np.exp(model.scales(y[:n])) > jacobi.J_OVERFLOW):
+        return f"Jacobi component exceeded {jacobi.J_OVERFLOW:g}"
+    return None
+
+
+@pytest.mark.parametrize("model", [MODEL_3D, MODEL_2D], ids=["3d", "2d"])
+def test_floor_reasons_at_their_boundaries(model):
+    # each threshold stops the run at its boundary and not just inside it;
+    # unit scales (log sigma = 0) make |K| sigma_k exact
+    n = model.dimension
+    floor, past_1e300 = math.log(1e-150), math.nextafter(1e300, math.inf)
+
+    def state(entries):
+        y = np.zeros(4 * n)
+        y[list(entries)] = list(entries.values())
+        return y
+
+    cases = []                    # (state, whether the run stops there)
+    for j in range(1, n):
+        cases += [(state({j: floor}), True), (state({j: math.nextafter(floor, 0.0)}), False)]
+    for a in range(2 * n, 3 * n):
+        k = model.scale_map[a - 2 * n]
+        cases += [(state({a: -past_1e300}), True), (state({a: 1e300}), False),
+                  # |K| at the bound and sigma_k the next double above 1
+                  (state({a: 1e300, k: 2.0**-52}), True),
+                  (state({a: 1e299, k: 2.0**-52}), False)]
+    # every threshold crossed: the sigma floor is reported first
+    cases.append((state({1: floor, 2 * n: past_1e300}), True))
+    for y, stops in cases:
+        reason = jacobi._floor(model, y)
+        assert reason == _numpy_floor(model, y)
+        assert (reason is not None) == stops
+    assert "1e-150" in jacobi._floor(model, cases[-1][0])
+
+
 # ---------------------------------------------------------------------------
 # asymptotic solutions
 # ---------------------------------------------------------------------------
@@ -310,6 +407,41 @@ def test_exponent_fits():
     assert jac.exponent_2d == pytest.approx(SPEC2.rate, rel=0.02)
     assert jac.fit_3d.r_squared > 0.999
     assert jac.fit_2d.r_squared > 0.999
+
+
+@pytest.mark.parametrize("spec", [SPEC3, SPEC2], ids=["3d", "2d"])
+def test_exponents_match_an_independent_integrator(spec):
+    # scipy's DOP853 on the same scaled system, with the term-by-term tail,
+    # fits the same growth exponent to 1e-8 relative
+    integrate = pytest.importorskip("scipy.integrate")
+    model, n = spec.model, spec.model.dimension
+    tau_max = ig.EXPONENT_WINDOW[1] / spec.rate
+    samples = np.linspace(0.0, tau_max, 401)
+    ours = ig.integrate_jlc(spec, tau_max=tau_max, sample_taus=samples)
+
+    def rhs(t, y):
+        rho, K, Kd = y[n:2 * n], y[2 * n:3 * n], y[3 * n:]
+        mu_dot = rho[0] * math.exp(y[model.scale_map[0]])
+        return np.concatenate([[mu_dot], rho[1:], model.ratio_acceleration(rho), Kd,
+                               _tail_term_by_term(model, rho, K, Kd)])
+
+    theta0, vel0 = ig.closed_form(spec, 0.0)
+    J0, Jd0 = ig.default_initial(n)
+    scales0, rho0 = model.scales(theta0), vel0 / model.scales(theta0)
+    y0 = np.concatenate([theta0[:1], np.log(theta0[1:]), rho0,
+                         J0 / scales0, (Jd0 - model.scales(rho0) * J0) / scales0])
+    sol = integrate.solve_ivp(rhs, (0.0, tau_max), y0, method="DOP853",
+                              t_eval=samples, rtol=1e-12, atol=1e-12)
+    assert sol.success
+    ys = sol.y.T
+    states = np.concatenate([ys[:, :1], np.exp(ys[:, 1:n])], axis=1)
+    scales, rho, K = model.scales(states), ys[:, n:2 * n], ys[:, 2 * n:3 * n]
+    theirs = ig.JacobiTrajectory(taus=samples, states=states, velocities=rho * scales,
+                                 J=scales * K, J_dot=scales * (ys[:, 3 * n:] + model.scales(rho) * K),
+                                 rate=spec.rate, tolerance=1e-12, n_steps=sol.t.size)
+    fit, ref = ig.exponent_fit(ours), ig.exponent_fit(theirs)
+    assert fit.slope == pytest.approx(ref.slope, rel=1e-8)
+    np.testing.assert_allclose(ours.J_dot, theirs.J_dot, rtol=1e-7, atol=1e-9)
 
 
 def test_softening_gap_value():

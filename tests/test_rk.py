@@ -69,3 +69,14 @@ def test_eval_outside_range_rejected():
     sol = rk.integrate(lambda t, y: -y, (0.0, 1.0), [1.0])
     with pytest.raises(ValueError):
         sol(np.array([2.0]))
+
+
+def test_error_norm_is_the_mean_square_root_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for size in (1, 2, 5, 8, 12, 17, 100):
+        for _ in range(300):
+            err, y_old, y_new = (rng.normal(size=size) * 10.0 ** rng.uniform(-12, 12, size)
+                                 for _ in range(3))
+            scale = 1e-10 + 1e-10 * np.maximum(np.abs(y_old), np.abs(y_new))
+            ref = float(np.sqrt(np.mean((err / scale) ** 2)))
+            assert rk._error_norm(err, y_old, y_new, 1e-10, 1e-10) == ref
