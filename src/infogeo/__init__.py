@@ -28,9 +28,7 @@ from .geodesics import (DerivedConstants, GeodesicSpec2D, GeodesicSpec3D,
                         integrate_geodesic, residual_check,
                         trajectory_to_csv)
 from .ige import (IGEResult, IgeSoftening, SLOPE_WINDOW, VOLUME_WINDOW,
-                  averaged_volume, box_volume, box_volume_quadrature,
-                  closed_form_volume_2d, closed_form_volume_3d,
-                  fisher_density_2d, fisher_density_3d, ige_curve, ige_to_csv,
+                  box_volume, box_volume_quadrature, ige_curve, ige_to_csv,
                   log_averaged_volume, log_box_volume,
                   log_closed_form_volume_2d, log_closed_form_volume_3d,
                   softening_ratio_ige)
@@ -39,7 +37,7 @@ from .jacobi import (EXPONENT_WINDOW, JacobiConstants, JacobiSoftening,
                      asymptotic_solutions, critically_damped,
                      default_initial, exponent_fit, extract_constants,
                      integrate_jlc, intensity, jacobi_to_csv,
-                     jlc_acceleration, jlc_coefficients, softening_gap)
+                     jlc_coefficients, softening_gap)
 from .fitting import LineFit, fit_basis, fit_line
 
 __version__ = "0.1.0"

@@ -27,7 +27,6 @@ import configparser
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -42,8 +41,8 @@ from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, check_tol, closed_form,
 from .jacobi import (critically_damped, exponent_fit, integrate_jlc,
                      jacobi_to_csv, softening_gap)
 from .models import (Model2DConfig, ParameterPoint2D, ParameterPoint3D,
-                     SCALAR_CURVATURE_2D, SCALAR_CURVATURE_3D, metric_2d,
-                     metric_3d)
+                     SCALAR_CURVATURE_2D, SCALAR_CURVATURE_3D, christoffel_2d,
+                     christoffel_3d, metric_2d, metric_3d)
 
 SCHEMA_VERSION = 1
 _POINT_SEED = 20260811  # fixed PCG64 stream: "random" check points, same every run
@@ -74,7 +73,6 @@ class ExperimentConfig:
     sweep_sigma0: tuple = (0.5, 1.0, 2.0)
     out_dir: str = "out"
     formats: tuple = ("csv", "json")
-    jobs: int = 1
 
     def spec_3d(self) -> GeodesicSpec3D:
         if self.tau_f is not None and self.epsilon is not None:
@@ -110,7 +108,6 @@ def load_config(path) -> ExperimentConfig:
                 return cast(parser.get(section, key))
             return current
 
-        window = lambda s: tuple(float(v) for v in s.split(","))
         floats = lambda s: tuple(float(v) for v in s.split(","))
         strs = lambda s: tuple(v.strip() for v in s.split(","))
         cfg = replace(
@@ -126,9 +123,9 @@ def load_config(path) -> ExperimentConfig:
             capital_sigma_sq=fget("model", "capital_sigma_sq", cfg.capital_sigma_sq),
             tol=fget("solver", "tol", cfg.tol),
             tau_max=fget("solver", "tau_max", cfg.tau_max),
-            volume_window=fget("fit", "volume_window", cfg.volume_window, window),
-            slope_window=fget("fit", "slope_window", cfg.slope_window, window),
-            exponent_window=fget("fit", "exponent_window", cfg.exponent_window, window),
+            volume_window=fget("fit", "volume_window", cfg.volume_window, floats),
+            slope_window=fget("fit", "slope_window", cfg.slope_window, floats),
+            exponent_window=fget("fit", "exponent_window", cfg.exponent_window, floats),
             sweep_sigma0=fget("sweep", "sigma0_values", cfg.sweep_sigma0, floats),
             out_dir=fget("output", "directory", cfg.out_dir, str),
             formats=fget("output", "format", cfg.formats, strs),
@@ -147,13 +144,13 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(f"{name} must be an increasing positive pair, got {w}")
     if any(f not in ("csv", "json") for f in cfg.formats):
         raise ConfigError(f"format entries must be csv or json, got {cfg.formats}")
-    if cfg.jobs < 1:
-        raise ConfigError("jobs must be >= 1")
     if not (math.isfinite(cfg.tau_max) and cfg.tau_max > 0.0):
         raise ConfigError(f"tau_max must be a positive real, got {cfg.tau_max!r}")
     try:
         check_tol(cfg.tol)
         spec = cfg.spec_3d()
+        for s0 in (cfg.sigma0, *cfg.sweep_sigma0):
+            GeodesicSpec2D.from_3d(replace(spec, sigma0=s0))
         Model2DConfig(cfg.capital_sigma_sq)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
@@ -266,12 +263,14 @@ def run_verify(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     report.add("scalar_curvature_2d_analytic_minus_expected",
                SCALAR_CURVATURE_2D - (-0.5), 0.0)
 
-    worst3 = max(abs(numgeo.scalar_numeric(f3, p.as_array()) + 1.0) for p in pts3)
+    # one Riemann tensor per 3D point serves the scalar, component and Bianchi checks
+    riem3 = [numgeo.riemann_numeric(f3, p.as_array()) for p in pts3]
+    worst3 = max(abs(r.ricci().scalar(f3.metric_at(p.as_array())) + 1.0)
+                 for p, r in zip(pts3, riem3))
     worst2 = max(abs(numgeo.scalar_numeric(f2, p.as_array()) + 0.5) for p in pts2)
     report.add("scalar_curvature_3d_fd_error", worst3, 1e-4)
     report.add("scalar_curvature_2d_fd_error", worst2, 1e-4)
 
-    from .models import christoffel_2d, christoffel_3d
     gerr = 0.0
     for p in pts3:
         num = numgeo.christoffel_numeric(f3, p.as_array()).components
@@ -282,14 +281,13 @@ def run_verify(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     report.add("christoffel_fd_error", gerr, 1e-6)
 
     rerr = 0.0
-    for p in pts3:
-        num = numgeo.riemann_numeric(f3, p.as_array()).components[0, 1, 0, 1]
+    for p, r in zip(pts3, riem3):
+        num = r.components[0, 1, 0, 1]
         ref = -1.0 / p.sigma_x**2
         rerr = max(rerr, abs((num - ref) / ref))
     report.add("riemann_component_fd_relative_error", rerr, 1e-4)
 
-    bianchi = max(numgeo.riemann_numeric(f3, p.as_array()).first_bianchi_defect()
-                  for p in pts3)
+    bianchi = max(r.first_bianchi_defect() for r in riem3)
     report.add("first_bianchi_defect", bianchi, 1e-6)
 
     q = QuadratureSpec()
@@ -372,10 +370,8 @@ def run_jacobi(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     return report, series
 
 
-def _softening_point(args) -> tuple:
+def _softening_point(cfg: ExperimentConfig, sigma0: float) -> tuple:
     """The table row, the IGE pair and the Jacobi pair at one sigma0."""
-    cfg_params, sigma0 = args
-    cfg = ExperimentConfig(**cfg_params)
     spec = replace(cfg.spec_3d(), sigma0=sigma0)
     s_ige = ige.softening_ratio_ige(spec, slope_window=cfg.slope_window)
     s_jac = softening_gap(spec, window=cfg.exponent_window, tol=cfg.tol)
@@ -397,14 +393,8 @@ def run_softening(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     report = RunReport("softening", cfg.parameters())
     series = {}
     # each distinct sigma0 once: the sweep usually holds the base point too
-    values = sorted(set(cfg.sweep_sigma0) | {cfg.sigma0})
-    tasks = [(cfg.parameters(), s0) for s0 in values]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_softening_point, tasks))
-    else:
-        results = [_softening_point(t) for t in tasks]
-    runs = dict(zip(values, results))
+    runs = {s0: _softening_point(cfg, s0)
+            for s0 in sorted(set(cfg.sweep_sigma0) | {cfg.sigma0})}
     rows = sorted((runs[s0][0] for s0 in cfg.sweep_sigma0), key=lambda r: r["sigma0"])
 
     expected_ratio = 1.0 / math.sqrt(2.0)
@@ -447,8 +437,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="INI-style configuration file")
     parser.add_argument("--out", type=str, default=None, help="output directory")
     parser.add_argument("--format", choices=("csv", "json", "both"), default=None)
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker pool size for sweeps")
     parser.add_argument("--tol", type=float, default=None,
                         help="integrator tolerance")
     parser.add_argument("--tau-max", type=float, default=None,
@@ -466,8 +454,6 @@ def _resolve_config(args) -> ExperimentConfig:
         updates["out_dir"] = args.out
     if args.format is not None:
         updates["formats"] = ("csv", "json") if args.format == "both" else (args.format,)
-    if args.jobs is not None:
-        updates["jobs"] = args.jobs
     if args.tol is not None:
         updates["tol"] = args.tol
     if args.tau_max is not None:

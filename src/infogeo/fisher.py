@@ -65,10 +65,13 @@ def _scores_2d(theta: ParameterPoint2D, cfg: Model2DConfig, x, y):
             dx**2 / s**3 - s * y**2 / s2**2)
 
 
-def _gauss_hermite_grid(n: int):
-    # physicists' weight exp(-u^2); normalize so weights sum to 1
+def _gauss_hermite(mu_x, sigma_x, sigma_y, score_fn, n):
+    """Scores on the n x n product grid of N(mu_x, sigma_x^2) x N(0, sigma_y^2), weights."""
+    # physicists' weight exp(-u^2), mapped by x = mu + sqrt(2) sigma u; weights sum to 1
     u, w = np.polynomial.hermite.hermgauss(n)
-    return u, w / np.sqrt(np.pi)
+    x = mu_x + np.sqrt(2.0) * sigma_x * u
+    y = np.sqrt(2.0) * sigma_y * u
+    return score_fn(x[:, None], y[None, :]), w / np.sqrt(np.pi)
 
 
 def _simpson_weights(n: int) -> np.ndarray:
@@ -96,14 +99,6 @@ def _expectation_matrix(scores, weights_x, weights_y, density=None):
     return out
 
 
-def _fisher_gauss_hermite(mu_x, sigma_x, sigma_y, score_fn, n):
-    u, w = _gauss_hermite_grid(n)
-    x = mu_x + np.sqrt(2.0) * sigma_x * u
-    y = np.sqrt(2.0) * sigma_y * u
-    sc = score_fn(x[:, None], y[None, :])
-    return _expectation_matrix(sc, w, w)
-
-
 def _fisher_truncated_grid(mu_x, sigma_x, sigma_y, score_fn, pdf_fn, n, radius):
     wx = _simpson_weights(n)
     nn = wx.size
@@ -120,8 +115,8 @@ def fisher_numeric_3d(theta: ParameterPoint3D, q: QuadratureSpec = QuadratureSpe
     """Quadrature estimate of the 3x3 Fisher matrix at theta."""
     score_fn = lambda x, y: _scores_3d(theta, x, y)
     if q.scheme == "gauss-hermite-product":
-        return _fisher_gauss_hermite(theta.mu_x, theta.sigma_x, theta.sigma_y,
-                                     score_fn, q.nodes_per_axis)
+        sc, w = _gauss_hermite(theta.mu_x, theta.sigma_x, theta.sigma_y, score_fn, q.nodes_per_axis)
+        return _expectation_matrix(sc, w, w)
     pdf_fn = lambda x, y: (np.exp(-0.5 * ((x - theta.mu_x) / theta.sigma_x) ** 2
                                   - 0.5 * (y / theta.sigma_y) ** 2)
                            / (2.0 * np.pi * theta.sigma_x * theta.sigma_y))
@@ -139,8 +134,8 @@ def fisher_numeric_2d(theta: ParameterPoint2D, cfg: Model2DConfig = Model2DConfi
     sy_eff = cfg.sigma_y(theta.sigma)
     score_fn = lambda x, y: _scores_2d(theta, cfg, x, y)
     if q.scheme == "gauss-hermite-product":
-        return _fisher_gauss_hermite(theta.mu_x, theta.sigma, sy_eff,
-                                     score_fn, q.nodes_per_axis)
+        sc, w = _gauss_hermite(theta.mu_x, theta.sigma, sy_eff, score_fn, q.nodes_per_axis)
+        return _expectation_matrix(sc, w, w)
     pdf_fn = lambda x, y: (np.exp(-0.5 * ((x - theta.mu_x) / theta.sigma) ** 2
                                   - 0.5 * (theta.sigma * y) ** 2 / cfg.capital_sigma_sq ** 2)
                            / (2.0 * np.pi * cfg.capital_sigma_sq))
@@ -148,24 +143,23 @@ def fisher_numeric_2d(theta: ParameterPoint2D, cfg: Model2DConfig = Model2DConfi
                                   score_fn, pdf_fn, q.nodes_per_axis, q.truncation_radius)
 
 
+def _score_means(sc, w) -> np.ndarray:
+    grid = (w.size, w.size)
+    return np.array([float(w @ np.broadcast_to(s, grid) @ w) for s in sc])
+
+
 def score_mean_3d(theta: ParameterPoint3D, q: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """E[d_l log p]; identically zero, quadrature sanity check."""
-    u, w = _gauss_hermite_grid(q.nodes_per_axis)
-    x = theta.mu_x + np.sqrt(2.0) * theta.sigma_x * u
-    y = np.sqrt(2.0) * theta.sigma_y * u
-    sc = _scores_3d(theta, x[:, None], y[None, :])
-    grid = (u.size, u.size)
-    return np.array([float(w @ np.broadcast_to(s, grid) @ w) for s in sc])
+    return _score_means(*_gauss_hermite(theta.mu_x, theta.sigma_x, theta.sigma_y,
+                                        lambda x, y: _scores_3d(theta, x, y),
+                                        q.nodes_per_axis))
 
 
 def score_mean_2d(theta: ParameterPoint2D, cfg: Model2DConfig = Model2DConfig(),
                   q: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
-    u, w = _gauss_hermite_grid(q.nodes_per_axis)
-    x = theta.mu_x + np.sqrt(2.0) * theta.sigma * u
-    y = np.sqrt(2.0) * cfg.sigma_y(theta.sigma) * u
-    sc = _scores_2d(theta, cfg, x[:, None], y[None, :])
-    grid = (u.size, u.size)
-    return np.array([float(w @ np.broadcast_to(s, grid) @ w) for s in sc])
+    return _score_means(*_gauss_hermite(theta.mu_x, theta.sigma, cfg.sigma_y(theta.sigma),
+                                        lambda x, y: _scores_2d(theta, cfg, x, y),
+                                        q.nodes_per_axis))
 
 
 def convergence_defect(compute, q: QuadratureSpec) -> float:

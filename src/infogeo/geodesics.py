@@ -54,6 +54,12 @@ def _positive(name, v):
         raise DomainError(f"{name} must be a positive real, got {v!r}")
 
 
+def _check_initial_velocity(spec):
+    # mu'(0) grouped as ``_closed_form`` forms it; a float ** raises OverflowError
+    if not math.isfinite(spec.model.mean_span * spec.lam * (spec.sigma0 * spec.sigma0)):
+        raise DomainError(f"sigma0 = {spec.sigma0!r} overflows the initial mean velocity")
+
+
 def check_tol(tol):
     """Integrator tolerances outside [1e-13, 1e-6] are rejected."""
     if not 1e-13 <= tol <= 1e-6:
@@ -82,6 +88,7 @@ class GeodesicSpec3D:
         _positive("sigma0_prime", self.sigma0_prime)
         _positive("lambda_plus_prime", self.lambda_plus_prime)
         _positive("lambda_f", self.lambda_f)
+        _check_initial_velocity(self)
 
     @staticmethod
     def from_final_spread(mu0, sigma0, sigma0_prime, lambda_plus_prime,
@@ -127,6 +134,7 @@ class GeodesicSpec2D:
             raise DomainError("mu0 must be finite")
         _positive("sigma0", self.sigma0)
         _positive("lambda_plus", self.lambda_plus)
+        _check_initial_velocity(self)
 
     @staticmethod
     def from_3d(spec: GeodesicSpec3D) -> "GeodesicSpec2D":
@@ -321,19 +329,6 @@ def residual_check(spec, tau_grid, mu_span: Optional[float] = None,
     _, vel_m = _closed_form(spec, tau_grid - h, mu_span, 0.0)
     resid = (vel_p - vel_m) / (2.0 * h) - geodesic_acceleration(theta, vel)
     return float(np.abs(resid).max(initial=0.0))
-
-
-def sigma_equation_residual(spec: GeodesicSpec3D, tau_grid, h: float = 1e-5) -> float:
-    """Residual of the decoupled sigma_y equation in its product form
-    sigma_y sigma_y'' - sigma_y'^2 = 0 (exact for the exponential path)."""
-    tau = np.asarray(tau_grid, dtype=float)
-    lf, s0 = spec.lambda_f, spec.sigma0_prime
-    sy = s0 * np.exp(-lf * tau)
-    dsy = -lf * sy
-    dsy_p = -lf * s0 * np.exp(-lf * (tau + h))
-    dsy_m = -lf * s0 * np.exp(-lf * (tau - h))
-    ddsy = (dsy_p - dsy_m) / (2.0 * h)
-    return float(np.abs(sy * ddsy - dsy**2).max(initial=0.0))
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

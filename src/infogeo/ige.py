@@ -20,7 +20,7 @@ growth.
 Everything is computed in log space: on useful fit windows the volumes reach
 exp(400) and beyond, far outside double range.
 
-Closed-form reference volumes (``closed_form_volume_*``) keep only the
+Closed-form reference volumes (``log_closed_form_volume_*``) keep only the
 moving-endpoint antiderivative terms of each factor, which is why they carry
 (mu0 + 2 sigma0) where the honest box carries the mean span 2 sigma0; the
 two agree on the tail for mu0 = 0 and share the growth rate always.  The 3D
@@ -43,7 +43,7 @@ from .errors import DomainError
 from .fitting import LineFit, fit_line
 from .geodesics import (MU_SPAN_WIDE, GeodesicSpec2D, GeodesicSpec3D,
                         _closed_form)
-from .models import MODEL_2D, MODEL_3D, ParameterPoint2D, ParameterPoint3D
+from .models import MODEL_2D, MODEL_3D
 
 # default fit windows, in units of rate * tau (rate = sigma0 * lambda)
 VOLUME_WINDOW = (20.0, 50.0)   # closed-form volume cross-checks
@@ -52,16 +52,6 @@ LEAD_POINTS = 24               # samples of the entropy curve before the slope w
 WINDOW_POINTS = 33             # samples inside it
 
 LOG2 = math.log(2.0)
-
-
-def fisher_density_3d(theta: ParameterPoint3D) -> float:
-    """sqrt(det g) = 2 / (sigma_x^2 sigma_y)."""
-    return MODEL_3D.volume_density(theta.as_array())
-
-
-def fisher_density_2d(theta: ParameterPoint2D) -> float:
-    """sqrt(det g) = 2 / sigma^2."""
-    return MODEL_2D.volume_density(theta.as_array())
 
 
 def _log_tanh(u):
@@ -197,11 +187,6 @@ def log_averaged_volume(spec, tau, n_grid: int = 2049,
                             tau, n_grid)
 
 
-def averaged_volume(spec, tau: float, n_grid: int = 2049,
-                    mu_span: Optional[float] = None) -> float:
-    return math.exp(log_averaged_volume(spec, tau, n_grid, mu_span))
-
-
 # ---------------------------------------------------------------------------
 # closed-form reference volumes
 # ---------------------------------------------------------------------------
@@ -236,14 +221,6 @@ def log_closed_form_volume_2d(spec: GeodesicSpec2D, tau):
     with np.errstate(divide="ignore", invalid="ignore"):
         return (k * tau - np.log(tau) - (math.log(lp) + 2.0 * math.log(s0))
                 + np.log(body))
-
-
-def closed_form_volume_3d(spec: GeodesicSpec3D, tau):
-    return np.exp(log_closed_form_volume_3d(spec, tau))
-
-
-def closed_form_volume_2d(spec: GeodesicSpec2D, tau):
-    return np.exp(log_closed_form_volume_2d(spec, tau))
 
 
 # the closed-form volumes are the paper's per-model expressions

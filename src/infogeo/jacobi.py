@@ -65,12 +65,6 @@ def jlc_coefficients(theta: np.ndarray, theta_dot: np.ndarray):
     return model.jacobi_coefficients(np.asarray(theta_dot, dtype=float) / model.scales(theta))
 
 
-def jlc_acceleration(theta, theta_dot, J, J_dot) -> np.ndarray:
-    """d^2 J / d tau^2 from the full (non-asymptotic) equation."""
-    B, C = jlc_coefficients(theta, theta_dot)
-    return -(B @ np.asarray(J_dot, dtype=float) + C @ np.asarray(J, dtype=float))
-
-
 def intensity(theta: np.ndarray, J: np.ndarray):
     """Metric norm sqrt(g_lm J^l J^m), at one point or per row (diagonal metric)."""
     theta = np.asarray(theta, dtype=float)

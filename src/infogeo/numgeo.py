@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .models import (ParameterPoint2D, ParameterPoint3D, metric_2d, metric_3d)
-from .tensors import (ChristoffelSymbols, MetricTensor, RicciTensor,
-                      RiemannTensor, invert_symmetric)
+from .tensors import ChristoffelSymbols, MetricTensor, RicciTensor, RiemannTensor
 
 METRIC_STEP = 1e-5        # relative step for d g / d theta (central, 2nd order)
 CHRISTOFFEL_STEP = 1e-3   # relative step for d Gamma / d theta (5-point, 4th order)
@@ -103,7 +102,7 @@ def metric_derivatives(field: MetricField, theta, h: float = METRIC_STEP) -> np.
 def christoffel_numeric(field: MetricField, theta, h: float = METRIC_STEP) -> ChristoffelSymbols:
     """Gamma^k_ij = (1/2) g^km (d_i g_mj + d_j g_im - d_m g_ij) with numeric d g."""
     theta = np.asarray(theta, dtype=float)
-    ginv = invert_symmetric(field.metric_at(theta).components)
+    ginv = field.metric_at(theta).inverse
     dg = metric_derivatives(field, theta, h)
     # lower-index bracket, indexed [m, i, j]
     bracket = (np.einsum("imj->mij", dg) + np.einsum("jim->mij", dg)

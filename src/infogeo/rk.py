@@ -151,15 +151,19 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
             break
 
         K[0] = f_curr
-        # a trial stage past the domain gives inf/nan, rejected just below;
-        # ndarray.dot makes the same BLAS call as @ with less dispatch per step
+        # a trial stage past the domain gives inf/nan or raises (math functions
+        # in the RHS), rejected just below; ndarray.dot makes the same BLAS
+        # call as @ with less dispatch per step
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for s in range(1, 6):
-                ys_stage = y + h * _A[s].dot(K[:s])
-                K[s] = f(t + _C[s] * h, ys_stage)
-            y_new = y + h * _B[:6].dot(K[:6])
-            K[6] = f(t + h, y_new)
-            err_norm = _error_norm(h * _E.dot(K), y, y_new, rtol, atol)
+            try:
+                for s in range(1, 6):
+                    ys_stage = y + h * _A[s].dot(K[:s])
+                    K[s] = f(t + _C[s] * h, ys_stage)
+                y_new = y + h * _B[:6].dot(K[:6])
+                K[6] = f(t + h, y_new)
+                err_norm = _error_norm(h * _E.dot(K), y, y_new, rtol, atol)
+            except ArithmeticError:
+                err_norm = math.inf
         if not math.isfinite(err_norm):
             # trial stage left the domain (e.g. sigma sign flip): retry smaller
             h *= _MIN_FACTOR

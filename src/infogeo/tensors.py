@@ -33,22 +33,6 @@ def _as_locked(array, shape) -> np.ndarray:
     return out
 
 
-def leading_minors_positive(matrix: np.ndarray, tol: float = 0.0) -> bool:
-    """Sylvester criterion: every leading principal minor is positive."""
-    for k in range(1, matrix.shape[0] + 1):
-        if np.linalg.det(matrix[:k, :k]) <= tol:
-            return False
-    return True
-
-
-def invert_symmetric(matrix: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric matrix; raises :class:`DomainError` on a
-    (numerically) singular input."""
-    if abs(np.linalg.det(matrix)) < 1e-300:
-        raise DomainError("singular metric, cannot invert")
-    return np.linalg.inv(matrix)
-
-
 @dataclass(frozen=True)
 class MetricTensor:
     """Symmetric positive definite metric at a point."""
@@ -60,10 +44,15 @@ class MetricTensor:
         if comps.ndim != 2 or comps.shape[0] != comps.shape[1]:
             raise ValueError("metric components must be a square matrix")
         object.__setattr__(self, "components", _as_locked(comps, comps.shape))
-        if not np.allclose(comps, comps.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(comps).max())):
+        # finite first: inf - inf in the symmetry test would warn
+        if not np.isfinite(comps).all():
+            raise DomainError(f"metric has a non-finite entry:\n{comps}")
+        if np.abs(comps - comps.T).max() > 1e-12 * max(1.0, np.abs(comps).max()):
             raise DomainError(f"metric is not symmetric:\n{comps}")
-        if not leading_minors_positive(comps):
-            raise DomainError(f"metric is not positive definite:\n{comps}")
+        try:
+            np.linalg.cholesky(comps)
+        except np.linalg.LinAlgError:
+            raise DomainError(f"metric is not positive definite:\n{comps}") from None
 
     @property
     def dimension(self) -> int:
@@ -72,7 +61,7 @@ class MetricTensor:
     @cached_property
     def inverse(self) -> np.ndarray:
         """g^lm with g^lm g_mk = delta^l_k."""
-        inv = invert_symmetric(self.components)
+        inv = np.linalg.inv(self.components)
         inv.flags.writeable = False
         return inv
 

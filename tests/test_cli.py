@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -52,10 +54,20 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
 
 
 def test_invalid_parameters_are_exit_2(tmp_path, capsys):
+    # sigma0 = 1e200 overflows the closed-form initial mean velocity span * lam * sigma0^2
+    commands = ("verify-geometry", "geodesics", "ige", "jacobi", "softening", "all")
+    cases = [("[model]\nsigma0 = -1.0\n", "verify-geometry")]
+    cases += [("[model]\nsigma0 = 1e200\n", command) for command in commands]
+    cases += [(f"[sweep]\nsigma0_values = 0.5, {v}\n", "softening") for v in ("0", "-1", "nan")]
     path = tmp_path / "bad.ini"
-    path.write_text("[model]\nsigma0 = -1.0\n")
-    assert run(["--config", str(path), "--out", str(tmp_path / "o"),
-                "verify-geometry"]) == 2
+    for text, command in cases:
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["--config", str(path), "--out", str(tmp_path / "o"), command]) == 2
+        assert not caught
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: ") and err.count("\n") == 1
 
 
 def test_malformed_values_are_exit_2(tmp_path):
@@ -65,11 +77,27 @@ def test_malformed_values_are_exit_2(tmp_path):
                 "geodesics"]) == 2
 
 
-def test_numerical_abort_is_exit_3(tmp_path):
+def test_numerical_abort_is_exit_3(tmp_path, capsys):
+    # at sigma0 = 1e100 the trial stages of the Jacobi run overflow math.exp;
+    # they are rejected like inf/nan stages until the step size underflows
     path = tmp_path / "abort.ini"
-    path.write_text("[model]\nsigma0_prime = 1e-295\nlambda_f = 2.0\n")
-    assert run(["--config", str(path), "--out", str(tmp_path / "o"),
-                "geodesics"]) == 3
+    for text, command in (("[model]\nsigma0_prime = 1e-295\nlambda_f = 2.0\n", "geodesics"),
+                          ("[model]\nsigma0 = 1e100\n", "jacobi")):
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["--config", str(path), "--out", str(tmp_path / "o"), command]) == 3
+        assert not caught
+        err = capsys.readouterr().err
+        assert err.startswith("numerical abort: ") and err.count("\n") == 1
+
+
+def test_readme_synopsis_lists_every_option():
+    # the CLI synopsis block in README names exactly the parser's options
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    synopsis = re.search(r"```sh\n(infogeo .*?)```", readme, re.S).group(1)
+    options = {o for a in cli._build_parser()._actions for o in a.option_strings}
+    assert set(re.findall(r"--[a-z-]+", synopsis)) == options - {"-h", "--help"}
 
 
 def test_verify_geometry_passes(tmp_path, capsys):

@@ -30,6 +30,13 @@ def test_spec_validation():
         ig.GeodesicSpec3D(0.0, 1.0, 1.0, 0.0, 1.0)
     with pytest.raises(DomainError):
         ig.GeodesicSpec2D(0.0, 1.0, -2.0)
+    # the closed form starts at mu' = span * lam * sigma0^2, which must be finite
+    for make in (lambda s0: ig.GeodesicSpec3D(0.0, s0, 1.0, 1.0, 1.0),
+                 lambda s0: ig.GeodesicSpec2D(0.0, s0, 1.0)):
+        assert np.all(np.isfinite(ig.closed_form(make(9e153), 0.0)))
+        for s0 in (1.2e154, 1e200):
+            with pytest.raises(DomainError, match="overflows"):
+                make(s0)
 
 
 def test_lambda_f_from_final_spread():
@@ -205,11 +212,6 @@ def test_residual_of_time_translates():
         acc_fd = (vel_p - vel_m) / 2e-5
         worst = max(worst, np.abs(acc_fd - ig.geodesic_acceleration(theta, vel)).max())
     assert worst < 1e-6
-
-
-def test_sigma_y_product_form_residual():
-    from infogeo.geodesics import sigma_equation_residual
-    assert sigma_equation_residual(SPEC3, np.linspace(0.0, 10.0, 50)) < 1e-8
 
 
 # ---------------------------------------------------------------------------

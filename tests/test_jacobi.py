@@ -33,7 +33,8 @@ def test_third_component_decouples():
 
 def test_zero_state_gives_zero_acceleration():
     theta, vel = ig.closed_form_3d(SPEC3, 1.0)
-    acc = ig.jlc_acceleration(theta, vel, np.zeros(3), np.zeros(3))
+    B, C = ig.jlc_coefficients(theta, vel)
+    acc = -(B @ np.zeros(3) + C @ np.zeros(3))
     np.testing.assert_allclose(acc, np.zeros(3), atol=0)
 
 

@@ -1,10 +1,11 @@
 """Closed-form model geometry: densities, metrics, connection, curvature."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import infogeo as ig
 from infogeo.errors import DomainError
@@ -130,6 +131,55 @@ def test_metric_inverse_identity():
     p = random_point_3d()
     g = ig.metric_3d(p)
     np.testing.assert_allclose(g.components @ g.inverse, np.eye(3), atol=1e-14)
+
+
+def _sylvester_accepts(g):
+    # the determinant reference: every leading principal minor is positive
+    return all(np.linalg.det(g[:k, :k]) > 0.0 for k in range(1, len(g) + 1))
+
+
+def _metric_accepts(g):
+    try:
+        ig.MetricTensor(g)
+    except DomainError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from((2, 3)), diag=st.lists(st.floats(-0.5, 2.0), min_size=3, max_size=3),
+       off=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3), exponent=st.integers(-80, 80))
+def test_cholesky_validation_matches_sylvester(n, diag, off, exponent):
+    # symmetric, entries up to 10^exponent in size: no minor underflows or
+    # overflows, and none lies so near zero that rounding could flip its sign
+    a = np.diag(diag[:n])
+    a[np.triu_indices(n, 1)] = off[:n * (n - 1) // 2]
+    a = a + np.triu(a, 1).T
+    assume(all(abs(np.linalg.det(a[:k, :k])) > 1e-6 for k in range(1, n + 1)))
+    g = a * 10.0**exponent
+    assert _metric_accepts(g) == _sylvester_accepts(g)
+
+
+@pytest.mark.parametrize("g, match", [
+    (np.diag([-1.0, -2.0]), "positive definite"),          # det = 2 > 0, indefinite
+    (np.diag([-1.0, -1.0, 1.0]), "positive definite"),     # det = 1 > 0, indefinite
+    (np.array([[1.0, 1.0], [1.0, 1.0]]), "positive definite"),   # singular PSD
+    (np.diag([1.0, 0.0]), "positive definite"),            # singular PSD
+    (np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric"),
+    (np.diag([math.inf, 1.0]), "non-finite"),
+    (np.diag([1.0, math.nan]), "non-finite"),
+    (np.diag([1e-200, 1e-200]), None),   # SPD; its determinant underflows to 0
+], ids=["indefinite-2", "indefinite-3", "singular-psd-full", "singular-psd-diag",
+        "asymmetric", "inf", "nan", "tiny-spd"])
+def test_metric_validation_fixed_cases(g, match):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if match is None:
+            ig.MetricTensor(g)
+        else:
+            with pytest.raises(DomainError, match=match):
+                ig.MetricTensor(g)
+    assert not caught
 
 
 # ---------------------------------------------------------------------------
