@@ -174,19 +174,17 @@ def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
     y0 = np.concatenate([geo0, K0, Kd0])
     n_geo = 2 * dim
 
-    # the tail tensor as a matrix over its last rho_hat index: 2-D dots on
+    # the system tensor as a matrix over its last rho_hat index: 2-D dots on
     # contiguous operands cost less per call than the 4-D matmul
-    tail = model.jacobi_tail.reshape(-1, dim + 1)
-    rho_hat = np.ones(dim + 1)
+    system = model.jacobi_system.reshape(-1, dim + 1)
+    rho_hat, z = np.ones(dim + 1), np.ones(n_geo + 1)
     k0 = model.scale_map[0]
 
     def rhs(t, y):
-        rho = y[dim:n_geo]
-        rho_hat[1:] = rho
-        Kdd = tail.dot(rho_hat).reshape(-1, dim + 1).dot(rho_hat).reshape(dim, -1).dot(y[n_geo:])
-        # (mu, log sigma_j)' = (rho_0 sigma_k(0), rho_j): rho with its first entry replaced
-        dy = np.concatenate((rho, model.ratio_acceleration(rho), y[n_geo + dim:], Kdd))
-        dy[0] = rho[0] * math.exp(y[k0])
+        rho_hat[1:] = y[dim:n_geo]
+        z[1:] = y[n_geo:]
+        dy = system.dot(rho_hat).reshape(-1, dim + 1).dot(rho_hat).reshape(4 * dim, -1).dot(z)
+        dy[0] = y[dim] * math.exp(y[k0])
         return dy
 
     sol = rk.integrate(rhs, (0.0, tau_max), y0, rtol=tol, atol=tol,

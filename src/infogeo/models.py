@@ -292,27 +292,35 @@ class DiagonalScaleModel:
         return partial(_quadratic, _quadratic_terms(self._ratio_tensor, [0] * self.dimension))
 
     @cached_property
-    def jacobi_tail(self) -> np.ndarray:
-        """T with K'' = (T @ rho_hat @ rho_hat) @ (K, K'), rho_hat = (1, rho).
+    def jacobi_system(self) -> np.ndarray:
+        """T with y' = (T @ rho_hat @ rho_hat) @ z for the scaled Jacobi state
+        y = (mu, log sigma, rho, K, K'), where rho_hat = (1, rho), z = (1, K, K').
 
-        K = J / sigma_k is the scaled Jacobi field.  With r = rho_k the
-        log-rates of the scales, J = S K gives
+        T is indexed [row of y', z, rho_hat, rho_hat].  Its row blocks are
+        (log sigma_j)' = rho_j (row 0, mu' = rho_0 sigma_k(0), is left 0 for
+        the caller), rho' = q : rho rho from the ratio tensor, K' itself,
+        and the tail K'' of the scaled field K = J / sigma_k.  With r = rho_k
+        the log-rates of the scales, J = S K gives
         K'' = -(B (K' + r K) + C K + r (2 K' + r K) + r' K),
-        with B = T_B rho, C = T_C rho rho and r' = q_k rho rho from the ratio
-        form: quadratic in rho on K, linear on K'.  T is indexed
-        [m, (K, K'), rho_hat, rho_hat]; its entries are O(1) constants, and
-        B and C are block diagonal, so no sigma_x / sigma_y ratio appears at
-        any horizon.
+        with B = T_B rho, C = T_C rho rho and r' = q_k rho rho: quadratic in
+        rho on K, linear on K'.  The entries are O(1) constants, and B and C
+        are block diagonal, so no sigma_x / sigma_y ratio appears at any
+        horizon.
         """
         n = self.dimension
         t_b, t_c = self._jacobi_tensors
-        sel = np.eye(n)[self._k]                # r = sel @ rho
-        diag = np.eye(n)[:, :, None]            # delta_ma
-        t = np.zeros((n, 2 * n, n + 1, n + 1))
-        t[:, :n, 1:, 1:] = -(np.einsum("mac,ad->macd", t_b, sel) + t_c
-                             + diag[..., None] * (np.einsum("mc,md->mcd", sel, sel)
-                                                  + self._ratio_tensor[self._k])[:, None])
-        t[:, n:, 0, 1:] = -(t_b + 2.0 * diag * sel[:, None, :])
+        eye = np.eye(n)
+        sel = eye[self._k]                      # r = sel @ rho
+        diag = eye[:, :, None]                  # delta_ma
+        t = np.zeros((4 * n, 2 * n + 1, n + 1, n + 1))
+        t[1:n, 0, 0, 1:] = eye[1:]
+        t[n:2 * n, 0, 1:, 1:] = self._ratio_tensor
+        t[2 * n:3 * n, n + 1:, 0, 0] = eye
+        tail = t[3 * n:, 1:]
+        tail[:, :n, 1:, 1:] = -(np.einsum("mac,ad->macd", t_b, sel) + t_c
+                                + diag[..., None] * (np.einsum("mc,md->mcd", sel, sel)
+                                                     + self._ratio_tensor[self._k])[:, None])
+        tail[:, n:, 0, 1:] = -(t_b + 2.0 * diag * sel[:, None, :])
         t.flags.writeable = False   # shared by every Jacobi run of the model
         return t
 

@@ -90,17 +90,16 @@ def _error_norm(err, y_old, y_new, rtol, atol) -> float:
 
 
 def _initial_step(f, t0, y0, f0, rtol, atol) -> float:
-    # standard two-trial heuristic
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = atol + rtol * np.abs(y0)
-        d0 = np.sqrt(np.mean((y0 / scale) ** 2))
-        d1 = np.sqrt(np.mean((f0 / scale) ** 2))
-        if not (np.isfinite(d0) and np.isfinite(d1)):
-            return 1e-6
-        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        y1 = y0 + h0 * f0
-        f1 = f(t0 + h0, y1)
-        d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
+    # standard two-trial heuristic, run inside the np.errstate of integrate
+    scale = atol + rtol * np.abs(y0)
+    d0 = np.sqrt(np.mean((y0 / scale) ** 2))
+    d1 = np.sqrt(np.mean((f0 / scale) ** 2))
+    if not (np.isfinite(d0) and np.isfinite(d1)):
+        return 1e-6
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    y1 = y0 + h0 * f0
+    f1 = f(t0 + h0, y1)
+    d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
     if not np.isfinite(d2):
         return 1e-6
     if max(d1, d2) <= 1e-15:
@@ -120,9 +119,9 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
     """Integrate y' = f(t, y) over ``t_span`` = (t0, t1), t1 > t0.
 
     ``floor(y)`` may return a reason string to stop at the current state;
-    step-size underflow also stops.  With ``raise_on_abort`` the partial
-    solution rides on the :class:`NumericalAbort`; otherwise it is returned
-    with ``complete=False``.
+    step-size underflow, and f(t0, y0) not finite, also stop.  With
+    ``raise_on_abort`` the partial solution rides on the
+    :class:`NumericalAbort`; otherwise it is returned with ``complete=False``.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
@@ -130,31 +129,31 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
     y = np.array(y0, dtype=float)
     dim = y.size
     t = t0
-    f_curr = np.asarray(f(t, y), dtype=float)
-
-    ts = [t0]
-    ys = [y.copy()]
+    ts, ys = [t0], [y]
     steps, coeffs = [], []
     n_steps = 0
     n_rejected = 0
     err_prev = 1.0
-    h = min(_initial_step(f, t0, y, f_curr, rtol, atol), t1 - t0)
-
     abort_reason = None
     K = np.empty((7, dim))
-    while t < t1:
-        last = h >= t1 - t
-        if last:
-            h = t1 - t
-        if h < 1e-14 * max(1.0, abs(t)) and not last:
-            abort_reason = "step size underflow"
-            break
+    # one np.errstate for the whole run: a trial stage past the domain gives
+    # inf/nan or raises (math functions in the RHS), and is rejected below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        f_curr = np.asarray(f(t, y), dtype=float)
+        if np.isfinite(f_curr).all():
+            h = min(_initial_step(f, t0, y, f_curr, rtol, atol), t1 - t0)
+        else:
+            abort_reason = "right-hand side is not finite at the initial state"
+        while abort_reason is None and t < t1:
+            last = h >= t1 - t
+            if last:
+                h = t1 - t
+            if h < 1e-14 * max(1.0, abs(t)) and not last:
+                abort_reason = "step size underflow"
+                break
 
-        K[0] = f_curr
-        # a trial stage past the domain gives inf/nan or raises (math functions
-        # in the RHS), rejected just below; ndarray.dot makes the same BLAS
-        # call as @ with less dispatch per step
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            K[0] = f_curr
+            # ndarray.dot makes the same BLAS call as @ with less dispatch per step
             try:
                 for s in range(1, 6):
                     ys_stage = y + h * _A[s].dot(K[:s])
@@ -164,32 +163,32 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
                 err_norm = _error_norm(h * _E.dot(K), y, y_new, rtol, atol)
             except ArithmeticError:
                 err_norm = math.inf
-        if not math.isfinite(err_norm):
-            # trial stage left the domain (e.g. sigma sign flip): retry smaller
-            h *= _MIN_FACTOR
-            n_rejected += 1
-            continue
+            if not math.isfinite(err_norm):
+                # trial stage left the domain (e.g. sigma sign flip): retry smaller
+                h *= _MIN_FACTOR
+                n_rejected += 1
+                continue
 
-        if err_norm <= 1.0:  # accept
-            factor = _SAFETY * (err_norm + 1e-16) ** (-_ALPHA) * (err_prev + 1e-16) ** _BETA
-            err_prev = max(err_norm, 1e-16)
-            steps.append(h)
-            coeffs.append(K.T.dot(_P))
-            t = t1 if last else t + h
-            y = y_new
-            f_curr = K[6]  # FSAL
-            ts.append(t)
-            ys.append(y.copy())
-            n_steps += 1
-            if floor is not None:
-                reason = floor(y)
-                if reason:
-                    abort_reason = reason
-                    break
-        else:
-            factor = _SAFETY * err_norm ** (-_ALPHA)
-            n_rejected += 1
-        h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            if err_norm <= 1.0:  # accept
+                factor = _SAFETY * (err_norm + 1e-16) ** (-_ALPHA) * (err_prev + 1e-16) ** _BETA
+                err_prev = max(err_norm, 1e-16)
+                steps.append(h)
+                coeffs.append(K.T.dot(_P))
+                t = t1 if last else t + h
+                y = y_new  # a fresh array: no copy needed
+                f_curr = K[6]  # FSAL
+                ts.append(t)
+                ys.append(y)
+                n_steps += 1
+                if floor is not None:
+                    reason = floor(y)
+                    if reason:
+                        abort_reason = reason
+                        break
+            else:
+                factor = _SAFETY * err_norm ** (-_ALPHA)
+                n_rejected += 1
+            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
 
     sol = OdeSolution(t=np.array(ts), y=np.array(ys),
                       complete=abort_reason is None, abort_reason=abort_reason,

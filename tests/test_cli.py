@@ -79,10 +79,12 @@ def test_malformed_values_are_exit_2(tmp_path):
 
 def test_numerical_abort_is_exit_3(tmp_path, capsys):
     # at sigma0 = 1e100 the trial stages of the Jacobi run overflow math.exp;
-    # they are rejected like inf/nan stages until the step size underflows
+    # they are rejected like inf/nan stages until the step size underflows.
+    # At sigma0 = 1e154 rho^2 overflows in the first Jacobi RHS call itself
     path = tmp_path / "abort.ini"
     for text, command in (("[model]\nsigma0_prime = 1e-295\nlambda_f = 2.0\n", "geodesics"),
-                          ("[model]\nsigma0 = 1e100\n", "jacobi")):
+                          ("[model]\nsigma0 = 1e100\n", "jacobi"),
+                          ("[model]\nsigma0 = 1e154\n", "jacobi")):
         path.write_text(text)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

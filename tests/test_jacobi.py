@@ -144,13 +144,21 @@ def _tail_term_by_term(model, rho, K, Kd):
     return -(B @ (Kd + rK) + C @ K + r * (2.0 * Kd + rK) + r_dot * K)
 
 
-def _tail_error(model, tail, rho, K, Kd):
-    """max |T rho_hat rho_hat (K, K') - term-by-term tail| per unit of
-    max|rho_hat|^2 max|(K, K')|, the size of the largest term (T's entries are O(1))."""
-    rho_hat, z = np.concatenate([[1.0], rho]), np.concatenate([K, Kd])
-    err = np.abs(tail @ rho_hat @ rho_hat @ z - _tail_term_by_term(model, rho, K, Kd)).max()
-    scale = np.abs(rho_hat).max() ** 2 * np.abs(z).max()
-    return err / scale if scale else err
+def _system_term_by_term(model, rho, K, Kd):
+    # every row of the scaled state's derivative but the mean's, term by term:
+    # (log sigma_j)' = rho_j, the ratio acceleration, K' and the tail
+    return np.concatenate([rho[1:], model.ratio_acceleration(rho), Kd,
+                           _tail_term_by_term(model, rho, K, Kd)])
+
+
+def _system_error(model, system, rho, K, Kd):
+    """max |T rho_hat rho_hat z - term-by-term rows| over every row but the
+    mean's, per unit of max|rho_hat|^2 max|z|, the size of the largest term
+    (T's entries are O(1)); z = (1, K, K')."""
+    rho_hat, z = np.concatenate([[1.0], rho]), np.concatenate([[1.0], K, Kd])
+    dy = system @ rho_hat @ rho_hat @ z
+    err = np.abs(dy[1:] - _system_term_by_term(model, rho, K, Kd)).max()
+    return err / (np.abs(rho_hat).max() ** 2 * np.abs(z).max())
 
 
 _decades = st.floats(-6.0, 2.0)
@@ -160,29 +168,33 @@ _decades = st.floats(-6.0, 2.0)
 @given(log_rho=st.tuples(*[_decades] * 3), signs=st.tuples(*[st.booleans()] * 3),
        data=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6), three=st.booleans())
 def test_tail_tensor_matches_the_term_by_term_tail(log_rho, signs, data, three):
-    # |rho_i| in [1e-6, 1e2]: the one contraction equals the tail built from
-    # the Jacobi coefficients, the ratio acceleration and the scale map
+    # |rho_i| in [1e-6, 1e2]: the one contraction of the system tensor equals
+    # the rows built from rho, the ratio acceleration, K' and the tail of the
+    # Jacobi coefficients; the mean's row is left 0 for the caller
     model = MODEL_3D if three else MODEL_2D
     n = model.dimension
     rho = np.array([(-1.0 if s else 1.0) * 10.0**e for s, e in zip(signs, log_rho)])[:n]
     K, Kd = np.array(data[:n]), np.array(data[3:3 + n])
-    assert _tail_error(model, model.jacobi_tail, rho, K, Kd) <= 1e-14
+    assert _system_error(model, model.jacobi_system, rho, K, Kd) <= 1e-14
+    assert not model.jacobi_system[0].any()
 
 
 def test_a_perturbed_tail_block_fails_the_property():
-    # each block of T (index 0 of rho_hat is the constant 1) changed by 1e-7
-    # moves the contraction far past the 1e-14 bound
+    # each block of T (index 0 of z and of rho_hat is the constant 1) changed
+    # by 1e-7, in each row block (log sigma, rho, K, K'), moves the
+    # contraction far past the 1e-14 bound
     for model in (MODEL_3D, MODEL_2D):
         n = model.dimension
         rho = np.array([0.7, 1.3, 0.4])[:n]
         K, Kd = np.array([0.9, 0.5, 0.2])[:n], np.array([0.3, 0.8, 0.6])[:n]
-        assert _tail_error(model, model.jacobi_tail, rho, K, Kd) <= 1e-14
-        for field in (slice(0, n), slice(n, 2 * n)):
-            for first in (slice(0, 1), slice(1, n + 1)):
-                for second in (slice(0, 1), slice(1, n + 1)):
-                    mutant = model.jacobi_tail.copy()
-                    mutant[:, field, first, second] += 1e-7
-                    assert _tail_error(model, mutant, rho, K, Kd) > 1e-9
+        assert _system_error(model, model.jacobi_system, rho, K, Kd) <= 1e-14
+        for rows in (slice(1, n), slice(n, 2 * n), slice(2 * n, 3 * n), slice(3 * n, 4 * n)):
+            for field in (slice(0, 1), slice(1, n + 1), slice(n + 1, 2 * n + 1)):
+                for first in (slice(0, 1), slice(1, n + 1)):
+                    for second in (slice(0, 1), slice(1, n + 1)):
+                        mutant = model.jacobi_system.copy()
+                        mutant[rows, field, first, second] += 1e-7
+                        assert _system_error(model, mutant, rho, K, Kd) > 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +424,7 @@ def test_exponent_fits():
 
 @pytest.mark.parametrize("spec", [SPEC3, SPEC2], ids=["3d", "2d"])
 def test_exponents_match_an_independent_integrator(spec):
-    # scipy's DOP853 on the same scaled system, with the term-by-term tail,
+    # scipy's DOP853 on the same scaled system, with the term-by-term rows,
     # fits the same growth exponent to 1e-8 relative
     integrate = pytest.importorskip("scipy.integrate")
     model, n = spec.model, spec.model.dimension
@@ -423,8 +435,7 @@ def test_exponents_match_an_independent_integrator(spec):
     def rhs(t, y):
         rho, K, Kd = y[n:2 * n], y[2 * n:3 * n], y[3 * n:]
         mu_dot = rho[0] * math.exp(y[model.scale_map[0]])
-        return np.concatenate([[mu_dot], rho[1:], model.ratio_acceleration(rho), Kd,
-                               _tail_term_by_term(model, rho, K, Kd)])
+        return np.concatenate([[mu_dot], _system_term_by_term(model, rho, K, Kd)])
 
     theta0, vel0 = ig.closed_form(spec, 0.0)
     J0, Jd0 = ig.default_initial(n)

@@ -1,5 +1,7 @@
 """The embedded 5(4) integrator on problems with known solutions."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,17 @@ def test_abort_can_return_partial_instead():
                        floor=lambda y: "floor" if y[0] < 0.5 else None,
                        raise_on_abort=False)
     assert not sol.complete and sol.abort_reason == "floor"
+
+
+def test_nonfinite_initial_derivative_aborts_at_once():
+    # y / t is inf at t0 = 0: no step is tried, and the division warns nowhere
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = rk.integrate(lambda t, y: y / t, (0.0, 1.0), [1.0], raise_on_abort=False)
+    assert not caught
+    assert not sol.complete and sol.n_steps == 0 and sol.n_rejected == 0
+    assert sol.abort_reason == "right-hand side is not finite at the initial state"
+    np.testing.assert_array_equal(sol.y, [[1.0]])
 
 
 def test_t_span_must_increase():
