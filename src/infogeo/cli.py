@@ -64,7 +64,6 @@ class ExperimentConfig:
     lambda_f: float = None              # 1.0, or derived from tau_f + epsilon
     tau_f: float = None
     epsilon: float = None
-    capital_sigma_sq: float = 1.0
     tol: float = 1e-10
     tau_max: float = 10.0
     volume_window: tuple = ige.VOLUME_WINDOW
@@ -95,44 +94,45 @@ class ExperimentConfig:
         return out
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse the INI-style configuration file (flat key-value sections)."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    cfg = ExperimentConfig()
-    try:
-        def fget(section, key, current, cast=float):
-            if parser.has_option(section, key):
-                return cast(parser.get(section, key))
-            return current
+_floats = lambda s: tuple(float(v) for v in s.split(","))
+_strs = lambda s: tuple(v.strip() for v in s.split(","))
+# INI section -> key -> (ExperimentConfig field, parser); nothing else is accepted
+_INI_KEYS = {
+    "model": {"model": ("model", str),
+              **{k: (k, float) for k in ("mu0", "sigma0", "sigma0_prime", "lambda_plus_prime",
+                                         "lambda_f", "tau_f", "epsilon")}},
+    "solver": {"tol": ("tol", float), "tau_max": ("tau_max", float)},
+    "fit": {k: (k, _floats) for k in ("volume_window", "slope_window", "exponent_window")},
+    "sweep": {"sigma0_values": ("sweep_sigma0", _floats)},
+    "output": {"directory": ("out_dir", str), "format": ("formats", _strs)},
+}
 
-        floats = lambda s: tuple(float(v) for v in s.split(","))
-        strs = lambda s: tuple(v.strip() for v in s.split(","))
-        cfg = replace(
-            cfg,
-            model=fget("model", "model", cfg.model, str),
-            mu0=fget("model", "mu0", cfg.mu0),
-            sigma0=fget("model", "sigma0", cfg.sigma0),
-            sigma0_prime=fget("model", "sigma0_prime", cfg.sigma0_prime),
-            lambda_plus_prime=fget("model", "lambda_plus_prime", cfg.lambda_plus_prime),
-            lambda_f=fget("model", "lambda_f", cfg.lambda_f),
-            tau_f=fget("model", "tau_f", cfg.tau_f),
-            epsilon=fget("model", "epsilon", cfg.epsilon),
-            capital_sigma_sq=fget("model", "capital_sigma_sq", cfg.capital_sigma_sq),
-            tol=fget("solver", "tol", cfg.tol),
-            tau_max=fget("solver", "tau_max", cfg.tau_max),
-            volume_window=fget("fit", "volume_window", cfg.volume_window, floats),
-            slope_window=fget("fit", "slope_window", cfg.slope_window, floats),
-            exponent_window=fget("fit", "exponent_window", cfg.exponent_window, floats),
-            sweep_sigma0=fget("sweep", "sigma0_values", cfg.sweep_sigma0, floats),
-            out_dir=fget("output", "directory", cfg.out_dir, str),
-            formats=fget("output", "format", cfg.formats, strs),
-        )
+
+def load_config(path) -> ExperimentConfig:
+    """Parse the INI-style configuration file (flat key-value sections).
+
+    An unknown section or key is a configuration error, so a mistyped key
+    cannot silently run the default.
+    """
+    # no header can name the section "", so [DEFAULT] is an ordinary, unknown section
+    parser = configparser.ConfigParser(default_section="")
+    updates = {}
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+        for section in parser.sections():
+            keys = _INI_KEYS.get(section)
+            if keys is None:
+                raise ConfigError(f"unknown section [{section}] in {path}")
+            for key, text in parser.items(section):
+                if key not in keys:
+                    raise ConfigError(f"unknown key {key!r} in section [{section}] of {path}")
+                name, cast = keys[key]
+                updates[name] = cast(text)
     except (ValueError, configparser.Error) as exc:
-        raise ConfigError(f"malformed config file {path}: {exc}") from exc
-    return cfg
+        detail = " ".join(str(exc).split())    # one line, like every config error
+        raise ConfigError(f"malformed config file {path}: {detail}") from exc
+    return ExperimentConfig(**updates)
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -146,12 +146,13 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"format entries must be csv or json, got {cfg.formats}")
     if not (math.isfinite(cfg.tau_max) and cfg.tau_max > 0.0):
         raise ConfigError(f"tau_max must be a positive real, got {cfg.tau_max!r}")
+    if (cfg.tau_f is None) != (cfg.epsilon is None):
+        raise ConfigError("tau_f and epsilon must be given together")
     try:
         check_tol(cfg.tol)
         spec = cfg.spec_3d()
         for s0 in (cfg.sigma0, *cfg.sweep_sigma0):
             GeodesicSpec2D.from_3d(replace(spec, sigma0=s0))
-        Model2DConfig(cfg.capital_sigma_sq)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
     return replace(cfg, lambda_f=spec.lambda_f)

@@ -20,11 +20,13 @@ results are reproducible bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import DomainError
-from .models import Model2DConfig, ParameterPoint2D, ParameterPoint3D
+from .models import (MicroSample, Model2DConfig, ParameterPoint2D, ParameterPoint3D,
+                     pdf_2d, pdf_3d)
 
 _SCHEMES = ("gauss-hermite-product", "truncated-grid")
 
@@ -99,15 +101,15 @@ def _expectation_matrix(scores, weights_x, weights_y, density=None):
     return out
 
 
-def _fisher_truncated_grid(mu_x, sigma_x, sigma_y, score_fn, pdf_fn, n, radius):
-    wx = _simpson_weights(n)
-    nn = wx.size
+def _fisher_truncated_grid(mu_x, sigma_x, sigma_y, score_fn, pdf, q):
+    wx = _simpson_weights(q.nodes_per_axis)
+    nn, radius = wx.size, q.truncation_radius
     x = np.linspace(mu_x - radius * sigma_x, mu_x + radius * sigma_x, nn)
     y = np.linspace(-radius * sigma_y, radius * sigma_y, nn)
     hx = x[1] - x[0]
     hy = y[1] - y[0]
     sc = score_fn(x[:, None], y[None, :])
-    dens = pdf_fn(x[:, None], y[None, :])
+    dens = pdf(MicroSample(x[:, None], y[None, :]))
     return _expectation_matrix(sc, wx * hx, wx * hy, density=dens)
 
 
@@ -117,11 +119,8 @@ def fisher_numeric_3d(theta: ParameterPoint3D, q: QuadratureSpec = QuadratureSpe
     if q.scheme == "gauss-hermite-product":
         sc, w = _gauss_hermite(theta.mu_x, theta.sigma_x, theta.sigma_y, score_fn, q.nodes_per_axis)
         return _expectation_matrix(sc, w, w)
-    pdf_fn = lambda x, y: (np.exp(-0.5 * ((x - theta.mu_x) / theta.sigma_x) ** 2
-                                  - 0.5 * (y / theta.sigma_y) ** 2)
-                           / (2.0 * np.pi * theta.sigma_x * theta.sigma_y))
-    return _fisher_truncated_grid(theta.mu_x, theta.sigma_x, theta.sigma_y,
-                                  score_fn, pdf_fn, q.nodes_per_axis, q.truncation_radius)
+    return _fisher_truncated_grid(theta.mu_x, theta.sigma_x, theta.sigma_y, score_fn,
+                                  partial(pdf_3d, theta), q)
 
 
 def fisher_numeric_2d(theta: ParameterPoint2D, cfg: Model2DConfig = Model2DConfig(),
@@ -136,11 +135,8 @@ def fisher_numeric_2d(theta: ParameterPoint2D, cfg: Model2DConfig = Model2DConfi
     if q.scheme == "gauss-hermite-product":
         sc, w = _gauss_hermite(theta.mu_x, theta.sigma, sy_eff, score_fn, q.nodes_per_axis)
         return _expectation_matrix(sc, w, w)
-    pdf_fn = lambda x, y: (np.exp(-0.5 * ((x - theta.mu_x) / theta.sigma) ** 2
-                                  - 0.5 * (theta.sigma * y) ** 2 / cfg.capital_sigma_sq ** 2)
-                           / (2.0 * np.pi * cfg.capital_sigma_sq))
-    return _fisher_truncated_grid(theta.mu_x, theta.sigma, sy_eff,
-                                  score_fn, pdf_fn, q.nodes_per_axis, q.truncation_radius)
+    return _fisher_truncated_grid(theta.mu_x, theta.sigma, sy_eff, score_fn,
+                                  partial(pdf_2d, theta, cfg), q)
 
 
 def _score_means(sc, w) -> np.ndarray:

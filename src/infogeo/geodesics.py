@@ -298,10 +298,15 @@ def integrate_geodesic(spec, tau_max: float, tol: float = 1e-10,
     model = spec.model
     dim = model.dimension
     y0 = np.concatenate([theta0, vel0])
+    # the system tensor as a matrix over its last v_hat index, as in integrate_jlc
+    system = model.geodesic_system.reshape(-1, dim + 1)
+    v_hat, k = np.ones(dim + 1), np.array(model.scale_map)
 
     def rhs(t, y):
-        acc = model.acceleration(y[:dim], y[dim:])
-        return np.concatenate([y[dim:], acc])
+        v_hat[1:] = y[dim:]
+        dy = system.dot(v_hat).reshape(2 * dim, -1).dot(v_hat)
+        dy[dim:] /= y[k]
+        return dy
 
     sol = rk.integrate(rhs, (0.0, tau_max), y0, rtol=tol, atol=tol,
                        floor=_sigma_floor(dim), raise_on_abort=raise_on_abort)

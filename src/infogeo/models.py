@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +48,7 @@ def _require_positive(name, value):
 
 @dataclass(frozen=True)
 class MicroSample:
-    """A point (x, y) of the microspace.
+    """A point (x, y) of the microspace, or a grid of them (broadcasting arrays).
 
     For the constrained model x plays the role of a position and y of its
     conjugate momentum.
@@ -58,8 +58,9 @@ class MicroSample:
     y: float
 
     def __post_init__(self):
-        _require_finite("x", self.x)
-        _require_finite("y", self.y)
+        for name in ("x", "y"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -122,14 +123,15 @@ class Model2DConfig:
 # densities
 # ---------------------------------------------------------------------------
 
-def pdf_3d(theta: ParameterPoint3D, sample: MicroSample) -> float:
-    """Density (1 / (2 pi sx sy)) exp(-(x-mu)^2 / (2 sx^2) - y^2 / (2 sy^2))."""
+def pdf_3d(theta: ParameterPoint3D, sample: MicroSample):
+    """Density (1 / (2 pi sx sy)) exp(-(x-mu)^2 / (2 sx^2) - y^2 / (2 sy^2)),
+    at one sample or on a grid."""
     dx = sample.x - theta.mu_x
     expo = -0.5 * (dx / theta.sigma_x) ** 2 - 0.5 * (sample.y / theta.sigma_y) ** 2
-    return math.exp(expo) / (_TWO_PI * theta.sigma_x * theta.sigma_y)
+    return np.exp(expo) / (_TWO_PI * theta.sigma_x * theta.sigma_y)
 
 
-def pdf_2d(theta: ParameterPoint2D, cfg: Model2DConfig, sample: MicroSample) -> float:
+def pdf_2d(theta: ParameterPoint2D, cfg: Model2DConfig, sample: MicroSample):
     """Density of the constrained family.
 
     Equals ``pdf_3d`` evaluated at (mu_x, sigma, Sigma^2 / sigma): the
@@ -139,51 +141,12 @@ def pdf_2d(theta: ParameterPoint2D, cfg: Model2DConfig, sample: MicroSample) -> 
     dx = sample.x - theta.mu_x
     expo = (-0.5 * (dx / theta.sigma) ** 2
             - 0.5 * (theta.sigma * sample.y) ** 2 / s2**2)
-    return math.exp(expo) / (_TWO_PI * s2)
+    return np.exp(expo) / (_TWO_PI * s2)
 
 
 # ---------------------------------------------------------------------------
 # the diagonal-scale model description
 # ---------------------------------------------------------------------------
-
-_ONE = np.ones(1)
-
-
-def _on_floats(fn, theta, x):
-    # fn(theta, x) at one point runs on Python floats, several times faster
-    # than on numpy scalars; rows (m, n), and a point where floats raise (pow
-    # overflow, division by zero), run on numpy columns, which give inf/nan
-    # without a warning: rk rejects such trial stages, a nan speed fails its check
-    theta, x = np.asarray(theta, dtype=float), np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        try:
-            return fn(theta.tolist(), x.tolist())
-        except ArithmeticError:
-            pass
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return fn(theta.T, x.T)
-
-
-def _quadratic(terms, theta, x):
-    """out_a = sum over the terms (a, q, b, c, k) of q x_b x_c / theta_k.
-
-    Squares are taken with ``**``: pow() can round differently from x * x,
-    and integrated trajectories are kept reproducible bit for bit.  Sums
-    start from -0.0, the exact additive identity.
-    """
-    out = [-0.0] * len(x)
-    for a, q, b, c, k in terms:
-        out[a] += (q * x[b] ** 2 if b == c else q * x[b] * x[c]) / theta[k]
-    return out
-
-
-def _quadratic_terms(tensor, divisor):
-    """The terms (a, q, b, c, divisor[a]) of x -> tensor[a] : x x, b <= c."""
-    n = tensor.shape[0]
-    sym = tensor + np.swapaxes(tensor, 1, 2) - tensor * np.eye(n)
-    return tuple((a, float(sym[a, b, c]), b, c, divisor[a]) for a in range(n)
-                 for b in range(n) for c in range(b, n) if sym[a, b, c] != 0.0)
-
 
 @dataclass(frozen=True)
 class DiagonalScaleModel:
@@ -274,13 +237,9 @@ class DiagonalScaleModel:
         return float(sum(np.diag(ricci) / np.array(self.weights)))
 
     @cached_property
-    def _acceleration_form(self):
-        return partial(_quadratic, _quadratic_terms(-self._unit_tensors[0], self.scale_map))
-
-    @cached_property
     def _ratio_tensor(self) -> np.ndarray:
         # rho_a = theta'_a / sigma_k(a) obeys rho_a' = Q_a(rho) - rho_a rho_k(a),
-        # Q_a the acceleration form at unit scales; rho_a' = q[a] : rho rho
+        # Q the acceleration at unit scales; rho_a' = q[a] : rho rho
         q = -self._unit_tensors[0]
         for a, ka in enumerate(self.scale_map):
             q[a, a, ka] -= 0.5
@@ -288,8 +247,19 @@ class DiagonalScaleModel:
         return q
 
     @cached_property
-    def _ratio_form(self):
-        return partial(_quadratic, _quadratic_terms(self._ratio_tensor, [0] * self.dimension))
+    def geodesic_system(self) -> np.ndarray:
+        """T with y' = T @ v_hat @ v_hat for the geodesic state y = (theta, v),
+        v_hat = (1, v), once the acceleration rows are divided by sigma_k.
+
+        T is indexed [row of y', v_hat, v_hat]: rows 0..n-1 hold theta' = v,
+        rows n..2n-1 hold -Gamma at unit scales.
+        """
+        n = self.dimension
+        t = np.zeros((2 * n, n + 1, n + 1))
+        t[:n, 0, 1:] = np.eye(n)
+        t[n:, 1:, 1:] = -self._unit_tensors[0]
+        t.flags.writeable = False   # shared by every geodesic run of the model
+        return t
 
     @cached_property
     def jacobi_system(self) -> np.ndarray:
@@ -350,30 +320,19 @@ class DiagonalScaleModel:
         return t_b @ rho, t_c @ rho @ rho
 
     def acceleration(self, theta, v) -> np.ndarray:
-        """-Gamma^k_lm v^l v^m, term by term, at one point or for each row.
+        """-Gamma^a_lm v^l v^m = -U^a_lm v^l v^m / sigma_k(a), at one point or per row.
 
-        Total in sigma != 0: embedded-pair trial stages may probe slightly
-        past the domain and must produce a huge-but-finite value for the
-        error controller to reject, not an exception.
+        Total in sigma: sigma = 0 or an overflow gives inf/nan, without a warning.
         """
-        return np.array(_on_floats(self._acceleration_form, theta, v)).T
-
-    def ratio_acceleration(self, rho) -> np.ndarray:
-        """d rho / d tau along a geodesic, rho_i = theta'_i / sigma_{k(i)}.
-
-        Free of sigma, so it stays O(1) however far the scales decay.
-        """
-        return np.array(_on_floats(self._ratio_form, _ONE, rho))
+        neg_gam = self.geodesic_system[self.dimension:, 1:, 1:]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return np.einsum("kab,...a,...b->...k", neg_gam, v, v) / self.scales(theta)
 
     def speed(self, theta, v):
         """g_lm v^l v^m = sum_i c_i v_i^2 / sigma_{k(i)}^2, at one point or per row."""
-        return _on_floats(self._speed, theta, v)
-
-    def _speed(self, theta, v):
-        total = -0.0
-        for c, x, k in zip(self.weights, v, self.scale_map):
-            total += c * x**2 / theta[k] ** 2
-        return total
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return (np.multiply(self.weights, np.square(v))
+                    / np.square(self.scales(theta))).sum(-1)
 
     def volume_density(self, theta) -> float:
         """sqrt(det g) = sqrt(prod c) / prod_i sigma_{k(i)}."""

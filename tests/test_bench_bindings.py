@@ -1,0 +1,70 @@
+"""The benchmark's bindings into the package.
+
+``bench/workloads.py`` calls package functions by module attribute, and
+``bench/tracing.py`` wraps them by name.  A refactor that deletes or renames
+one of those names should fail here, not first in a benchmark run.  Both
+files are only read and imported, never changed.
+"""
+
+import ast
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import infogeo
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up while it loads
+    spec.loader.exec_module(module)
+    return module
+
+
+def _package_modules(tree) -> dict:
+    """Local name -> infogeo module, from the file's import statements."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "infogeo":
+                    bound[alias.asname or alias.name] = infogeo
+        elif isinstance(node, ast.ImportFrom) and node.module == "infogeo":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = importlib.import_module(
+                    f"infogeo.{alias.name}")
+    return bound
+
+
+def _namespaces() -> list:
+    """Every package module and every class it defines: what the tracer patches."""
+    modules = [m for name, m in sys.modules.items() if name.startswith("infogeo")]
+    classes = [v for m in modules for v in vars(m).values()
+               if isinstance(v, type) and v.__module__.startswith("infogeo")]
+    return modules + classes
+
+
+def test_instrumentation_enters_and_restores():
+    tracing = _load("tracing")
+    _load("workloads")
+    before = [(ns, dict(vars(ns))) for ns in _namespaces()]
+    with tracing.Instrumentation(tracing.Tracer()):
+        pass
+    for ns, saved in before:
+        now = vars(ns)
+        assert now.keys() == saved.keys() and all(now[k] is v for k, v in saved.items()), ns
+
+
+def test_every_package_attribute_named_by_the_workloads_exists():
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    bound = _package_modules(tree)
+    assert {"cli", "geodesics", "ige", "jacobi", "models", "numgeo"} <= set(bound)
+    named = {(node.value.id, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id in bound}
+    missing = sorted(f"{mod}.{attr}" for mod, attr in named if not hasattr(bound[mod], attr))
+    assert not missing

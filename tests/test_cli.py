@@ -59,6 +59,13 @@ def test_invalid_parameters_are_exit_2(tmp_path, capsys):
     cases = [("[model]\nsigma0 = -1.0\n", "verify-geometry")]
     cases += [("[model]\nsigma0 = 1e200\n", command) for command in commands]
     cases += [(f"[sweep]\nsigma0_values = 0.5, {v}\n", "softening") for v in ("0", "-1", "nan")]
+    # half of the (tau_f, epsilon) pair, an unknown section or key (the
+    # removed capital_sigma_sq among them) and a file without a section
+    # header: none may run the defaults
+    cases += [(text, "softening") for text in (
+        "[model]\ntau_f = 5\n", "[model]\nepsilon = 0.1\n", "[model]\nsigmao = 2.0\n",
+        "[modle]\nsigma0 = 2.0\n", "[DEFAULT]\nsigma0 = 2.0\n", "[model]\ncapital_sigma_sq = 1.0\n",
+        "[solver]\ntol = 1e-9\ntau_mx = 5\n", "sigma0 = 2.0\n")]
     path = tmp_path / "bad.ini"
     for text, command in cases:
         path.write_text(text)

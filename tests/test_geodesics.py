@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import infogeo as ig
 from infogeo.errors import DomainError, NumericalAbort
 from infogeo.geodesics import _closed_form
+from infogeo.models import MODEL_2D, MODEL_3D
 
 SPEC3 = ig.GeodesicSpec3D(mu0=0.0, sigma0=1.0, sigma0_prime=1.0,
                           lambda_plus_prime=1.0, lambda_f=1.0)
@@ -170,8 +172,58 @@ def test_acceleration_rows_match_points():
         rows = ig.geodesic_acceleration(theta, vel)
         points = np.array([ig.geodesic_acceleration(t, v) for t, v in zip(theta, vel)])
         assert rows.shape == (50, dim)
-        # rows square with x * x, points with pow(): at most an ulp apart per term
-        np.testing.assert_allclose(rows, points, rtol=1e-15, atol=1e-15 * np.abs(points).max())
+        # a point and its rows go through one expression: equal bit for bit
+        np.testing.assert_array_equal(rows, points)
+
+
+def _geodesic_rows_error(model, system, theta, vel):
+    """|T v_hat v_hat, acceleration rows / sigma_k, - (v, -Gamma v v)| per row
+    of y' = (theta', v'), and each row's allowed error: 1e-14 of its largest
+    term, plus, on the acceleration rows, the underflow of the n + 1 products
+    v_b v_c at unit scales (one subnormal step each) divided by sigma_k.
+    Gamma is assembled in sigma-space from the model's Christoffel symbols."""
+    n = model.dimension
+    v_hat = np.concatenate([[1.0], vel])
+    dy = system @ v_hat @ v_hat
+    dy[n:] /= model.scales(theta)
+    terms = -model.tensors(theta)[0] * vel[:, None] * vel[None, :]
+    ref = np.concatenate([vel, terms.sum(axis=(1, 2))])
+    underflow = (n + 1) * np.finfo(float).smallest_subnormal / model.scales(theta)
+    bound = 1e-14 * np.concatenate([np.abs(vel), np.abs(terms).max(axis=(1, 2))])
+    return np.abs(dy - ref), bound + np.concatenate([np.zeros(n), underflow])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(mu=st.floats(-5.0, 5.0), log_scales=st.tuples(*[st.floats(-140.0, 2.0)] * 2),
+       rho=st.tuples(*[st.floats(-2.0, 2.0)] * 3), three=st.booleans())
+def test_geodesic_system_matches_the_christoffel_symbols(mu, log_scales, rho, three):
+    # the draws of test_coefficients_match_textbook_assembly: sigma in
+    # [1e-140, 1e2]; each row within 1e-14 of its largest term, and the
+    # acceleration rows also within their products' underflow
+    model = MODEL_3D if three else MODEL_2D
+    n = model.dimension
+    theta = np.array([mu, *(10.0 ** np.array(log_scales))])[:n]
+    vel = np.array(rho[:n]) * model.scales(theta)
+    err, bound = _geodesic_rows_error(model, model.geodesic_system, theta, vel)
+    assert np.all(err <= bound)
+
+
+def test_a_perturbed_geodesic_block_fails_the_property():
+    # each (row block, v_hat block, v_hat block) of T changed by 1e-7 moves
+    # some row far past the bound; index 0 of v_hat is the constant 1
+    for model in (MODEL_3D, MODEL_2D):
+        n = model.dimension
+        theta = np.array([0.3, 0.7, 1.9])[:n]
+        vel = np.array([0.7, 1.3, 0.4])[:n] * model.scales(theta)
+        err, bound = _geodesic_rows_error(model, model.geodesic_system, theta, vel)
+        assert np.all(err <= bound)
+        for rows in (slice(0, n), slice(n, 2 * n)):
+            for first in (slice(0, 1), slice(1, n + 1)):
+                for second in (slice(0, 1), slice(1, n + 1)):
+                    mutant = model.geodesic_system.copy()
+                    mutant[rows, first, second] += 1e-7
+                    err, bound = _geodesic_rows_error(model, mutant, theta, vel)
+                    assert np.any(err > 1e5 * bound)
 
 
 def test_residual_exact_family():

@@ -134,10 +134,17 @@ def test_coefficients_match_textbook_assembly(mu, log_scales, rho, three):
     assert C[0, 0] == 0.0
 
 
+def _ratio_rates(model, rho):
+    # rho' from the geodesic equation itself, not from the ratio tensor:
+    # rho_a' = theta''_a / sigma_k(a) - rho_a rho_k(a), and theta''_a / sigma_k(a)
+    # is the acceleration at unit scales (each unit entry involves one scale)
+    return model.acceleration(np.ones(model.dimension), rho) - rho * model.scales(rho)
+
+
 def _tail_term_by_term(model, rho, K, Kd):
     # K'' of the scaled field K = J / sigma_k, term by term: J = S K with
     # S = diag(sigma scales) and r = S'/S the log-rates of the scales
-    rho_dot = model.ratio_acceleration(rho)
+    rho_dot = _ratio_rates(model, rho)
     r, r_dot = model.scales(rho), model.scales(rho_dot)
     B, C = model.jacobi_coefficients(rho)
     rK = r * K
@@ -146,8 +153,8 @@ def _tail_term_by_term(model, rho, K, Kd):
 
 def _system_term_by_term(model, rho, K, Kd):
     # every row of the scaled state's derivative but the mean's, term by term:
-    # (log sigma_j)' = rho_j, the ratio acceleration, K' and the tail
-    return np.concatenate([rho[1:], model.ratio_acceleration(rho), Kd,
+    # (log sigma_j)' = rho_j, rho' from the geodesic equation, K' and the tail
+    return np.concatenate([rho[1:], _ratio_rates(model, rho), Kd,
                            _tail_term_by_term(model, rho, K, Kd)])
 
 
@@ -169,7 +176,7 @@ _decades = st.floats(-6.0, 2.0)
        data=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6), three=st.booleans())
 def test_tail_tensor_matches_the_term_by_term_tail(log_rho, signs, data, three):
     # |rho_i| in [1e-6, 1e2]: the one contraction of the system tensor equals
-    # the rows built from rho, the ratio acceleration, K' and the tail of the
+    # the rows built from rho, rho' from the geodesic equation, K' and the tail of the
     # Jacobi coefficients; the mean's row is left 0 for the caller
     model = MODEL_3D if three else MODEL_2D
     n = model.dimension

@@ -29,7 +29,7 @@ def simpson_mass(pdf, mu, sx, sy, half_width=10.0, n=801):
     ys = np.linspace(-half_width * sy, half_width * sy, n)
     w = np.ones(n)
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    vals = np.array([[pdf(ig.MicroSample(x, y)) for y in ys] for x in xs])
+    vals = pdf(ig.MicroSample(xs[:, None], ys[None, :]))
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
     return float(w @ vals @ w) * hx * hy / 9.0
 
@@ -88,6 +88,18 @@ def test_parameter_validation():
         ig.Model2DConfig(0.0)
     with pytest.raises(DomainError):
         ig.MicroSample(math.inf, 0.0)
+    with pytest.raises(DomainError):
+        ig.MicroSample(np.zeros(3), np.array([0.0, math.nan, 1.0]))
+
+
+def test_pdf_grid_matches_points():
+    # one call on a grid gives the per-sample values bit for bit
+    p3, p2, cfg = random_point_3d(), random_point_2d(), ig.Model2DConfig(1.7)
+    xs, ys = RNG.uniform(-4, 4, 7), RNG.uniform(-4, 4, 5)
+    for pdf in (lambda s: ig.pdf_3d(p3, s), lambda s: ig.pdf_2d(p2, cfg, s)):
+        grid = pdf(ig.MicroSample(xs[:, None], ys[None, :]))
+        points = [[pdf(ig.MicroSample(x, y)) for y in ys] for x in xs]
+        np.testing.assert_array_equal(grid, points)
 
 
 # ---------------------------------------------------------------------------
