@@ -20,7 +20,7 @@ results are reproducible bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -67,13 +67,22 @@ def _scores_2d(theta: ParameterPoint2D, cfg: Model2DConfig, x, y):
             dx**2 / s**3 - s * y**2 / s2**2)
 
 
+@cache
+def _hermite_nodes(n: int) -> tuple:
+    # physicists' weight exp(-u^2); the weights are normalised to sum to 1
+    u, w = np.polynomial.hermite.hermgauss(n)
+    w = w / np.sqrt(np.pi)
+    u.flags.writeable = w.flags.writeable = False   # one pair shared by every call
+    return u, w
+
+
 def _gauss_hermite(mu_x, sigma_x, sigma_y, score_fn, n):
     """Scores on the n x n product grid of N(mu_x, sigma_x^2) x N(0, sigma_y^2), weights."""
-    # physicists' weight exp(-u^2), mapped by x = mu + sqrt(2) sigma u; weights sum to 1
-    u, w = np.polynomial.hermite.hermgauss(n)
+    # nodes mapped by x = mu + sqrt(2) sigma u
+    u, w = _hermite_nodes(n)
     x = mu_x + np.sqrt(2.0) * sigma_x * u
     y = np.sqrt(2.0) * sigma_y * u
-    return score_fn(x[:, None], y[None, :]), w / np.sqrt(np.pi)
+    return score_fn(x[:, None], y[None, :]), w
 
 
 def _simpson_weights(n: int) -> np.ndarray:

@@ -93,13 +93,20 @@ def box_volume(spec, tau_prime, mu_span: Optional[float] = None):
     return np.exp(log_box_volume(spec, tau_prime, mu_span))
 
 
+@cache
+def _legendre_nodes(n: int) -> tuple:
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False   # one pair shared by every call
+    return x, w
+
+
 def _panelled_gauss(a: float, b: float, n: int):
     """Gauss-Legendre nodes/weights, composite over geometric panels.
 
     Scale coordinates can span a wide ratio (sigma shrinks exponentially);
     one panel per octave keeps 1/sigma^2-like integrands fully resolved.
     """
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _legendre_nodes(n)
     n_panels = max(1, int(math.ceil(math.log2(b / a))))
     edges = np.geomspace(a, b, n_panels + 1)
     xs, ws = [], []
@@ -123,7 +130,7 @@ def box_volume_quadrature(spec, tau_prime: float, nodes=(8, 32, 32),
     los = np.minimum(theta0, theta1)
     his = np.maximum(theta0, theta1)
     # the density does not depend on the mean: only the mean weights enter
-    wmu = 0.5 * (his[0] - los[0]) * np.polynomial.legendre.leggauss(nodes[0])[1]
+    wmu = 0.5 * (his[0] - los[0]) * _legendre_nodes(nodes[0])[1]
     model = spec.model
     axes = [_panelled_gauss(los[j], his[j], nodes[j]) for j in range(1, model.dimension)]
     # coordinate j > 0 varies along mesh axis j - 1; the mean is never a scale

@@ -79,11 +79,6 @@ class ParameterPoint3D:
     def as_array(self) -> np.ndarray:
         return np.array([self.mu_x, self.sigma_x, self.sigma_y])
 
-    @staticmethod
-    def from_array(theta) -> "ParameterPoint3D":
-        mu, sx, sy = (float(v) for v in theta)
-        return ParameterPoint3D(mu, sx, sy)
-
 
 @dataclass(frozen=True)
 class ParameterPoint2D:
@@ -98,11 +93,6 @@ class ParameterPoint2D:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.mu_x, self.sigma])
-
-    @staticmethod
-    def from_array(theta) -> "ParameterPoint2D":
-        mu, s = (float(v) for v in theta)
-        return ParameterPoint2D(mu, s)
 
 
 @dataclass(frozen=True)
@@ -298,9 +288,22 @@ class DiagonalScaleModel:
         """sigma_{k(i)} for every coordinate i, of one point or of each row."""
         return np.asarray(theta, dtype=float).T[self._k].T
 
+    def metric_rows(self, theta) -> np.ndarray:
+        """g_ii = c_i / sigma_{k(i)}^2 at each row of ``theta`` (or the point),
+        shape (rows, n, n).  A row with a non-finite coordinate or a scale
+        <= 0 raises the DomainError of ``point``."""
+        rows = np.atleast_2d(np.asarray(theta, dtype=float))
+        inside = np.isfinite(rows).all(axis=1) & (rows[:, 1:] > 0.0).all(axis=1)
+        if not inside.all():
+            self.point(*(float(v) for v in rows[inside.argmin()]))
+        g = np.zeros(rows.shape + rows.shape[-1:])
+        diagonal = np.arange(self.dimension)
+        # libm pow, as for a float64 scalar: np.square differs from it in the last bit
+        g[:, diagonal, diagonal] = np.divide(self.weights, np.float_power(self.scales(rows), 2))
+        return g
+
     def metric(self, theta) -> MetricTensor:
-        return MetricTensor(np.diag([c / theta[k] ** 2
-                                     for c, k in zip(self.weights, self.scale_map)]))
+        return MetricTensor(self.metric_rows(theta)[0])
 
     def tensors(self, theta) -> tuple:
         """Gamma^k_ij [k, i, j] and R^a_mnr [a, m, n, r] (first index

@@ -20,8 +20,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .models import (ParameterPoint2D, ParameterPoint3D, metric_2d, metric_3d)
-from .tensors import ChristoffelSymbols, MetricTensor, RicciTensor, RiemannTensor
+from .models import MODEL_2D, MODEL_3D
+from .tensors import (ChristoffelSymbols, MetricTensor, RicciTensor, RiemannTensor,
+                      validate_metrics)
 
 METRIC_STEP = 1e-5        # relative step for d g / d theta (central, 2nd order)
 CHRISTOFFEL_STEP = 1e-3   # relative step for d Gamma / d theta (5-point, 4th order)
@@ -31,10 +32,11 @@ CHRISTOFFEL_STEP = 1e-3   # relative step for d Gamma / d theta (5-point, 4th or
 class MetricField:
     """A metric as a function of the parameter vector.
 
-    ``evaluate`` must return a symmetric positive definite (dimension x
-    dimension) array.  ``lower_bounds`` marks open lower limits of the
-    coordinate domain (e.g. 0 for scale parameters) so finite-difference
-    stencils can refuse to step across them.
+    ``evaluate`` maps (m, dimension) rows of parameters to the (m,
+    dimension, dimension) stack of metrics at them, each of which must be
+    symmetric positive definite.  ``lower_bounds`` marks open lower limits
+    of the coordinate domain (e.g. 0 for scale parameters) so
+    finite-difference stencils can refuse to step across them.
     """
 
     dimension: int
@@ -47,95 +49,98 @@ class MetricField:
         elif len(self.lower_bounds) != self.dimension:
             raise ValueError("lower_bounds length must match dimension")
 
+    def _evaluate(self, rows: np.ndarray) -> np.ndarray:
+        g = np.asarray(self.evaluate(rows), dtype=float)
+        expected = (len(rows), self.dimension, self.dimension)
+        if g.shape != expected:
+            raise DomainError(f"metric field returned shape {g.shape}, expected {expected}")
+        return g
+
     def metric_at(self, theta: np.ndarray) -> MetricTensor:
         """Evaluate and validate (symmetry + positive definiteness)."""
-        g = np.asarray(self.evaluate(np.asarray(theta, dtype=float)), dtype=float)
-        if g.shape != (self.dimension, self.dimension):
-            raise DomainError(f"metric field returned shape {g.shape}, "
-                              f"expected {(self.dimension, self.dimension)}")
-        return MetricTensor(g)
+        return MetricTensor(self._evaluate(np.asarray(theta, dtype=float)[None])[0])
 
 
 def field_3d() -> MetricField:
     """The unconstrained Gaussian model as a metric field."""
-    return MetricField(3, lambda t: metric_3d(ParameterPoint3D.from_array(t)).components,
-                       lower_bounds=(-np.inf, 0.0, 0.0))
+    return MetricField(3, MODEL_3D.metric_rows, lower_bounds=(-np.inf, 0.0, 0.0))
 
 
 def field_2d() -> MetricField:
     """The constrained Gaussian model as a metric field."""
-    return MetricField(2, lambda t: metric_2d(ParameterPoint2D.from_array(t)).components,
-                       lower_bounds=(-np.inf, 0.0))
+    return MetricField(2, MODEL_2D.metric_rows, lower_bounds=(-np.inf, 0.0))
 
 
 def euclidean_field(dimension: int) -> MetricField:
-    return MetricField(dimension, lambda t: np.eye(dimension))
+    return MetricField(dimension, lambda rows: np.broadcast_to(
+        np.eye(dimension), (len(rows), dimension, dimension)))
 
 
 def _steps(theta: np.ndarray, rel: float) -> np.ndarray:
     return rel * np.maximum(1.0, np.abs(theta))
 
 
-def _check_step(field: MetricField, theta: np.ndarray, h: np.ndarray, reach: float):
-    lo = np.asarray(field.lower_bounds)
-    if np.any(theta - reach * h <= lo):
+def _check_step(field: MetricField, rows: np.ndarray, h: np.ndarray, reach: float):
+    """Refuse a stencil of half-width reach * h (per row) that leaves the domain."""
+    finite = np.isfinite(rows).all(axis=1)
+    with np.errstate(invalid="ignore"):     # inf - inf at a non-finite row
+        bad = ~finite | (rows - reach * h <= np.asarray(field.lower_bounds)).any(axis=1)
+    if bad.any():
+        i = bad.argmax()
+        field.evaluate(rows[i:i + 1])       # the field's own error for a point it rejects
+        if not finite[i]:
+            raise DomainError(f"finite-difference point theta={rows[i]} is not finite")
         raise DomainError(
-            f"finite-difference step {h} reaches the domain boundary at theta={theta}")
+            f"finite-difference step {h[i]} reaches the domain boundary at theta={rows[i]}")
 
 
-def metric_derivatives(field: MetricField, theta, h: float = METRIC_STEP) -> np.ndarray:
-    """d g_ij / d theta^k by central differences, indexed [k, i, j]."""
-    theta = np.asarray(theta, dtype=float)
-    hs = _steps(theta, h)
-    _check_step(field, theta, hs, 1.0)
-    n = field.dimension
-    dg = np.empty((n, n, n))
-    for k in range(n):
-        step = np.zeros(n)
-        step[k] = hs[k]
-        gp = field.evaluate(theta + step)
-        gm = field.evaluate(theta - step)
-        dg[k] = (gp - gm) / (2.0 * hs[k])
-    return dg
+def _christoffel_rows(field: MetricField, rows: np.ndarray, h: float) -> np.ndarray:
+    """Gamma^k_ij = (1/2) g^km (d_i g_mj + d_j g_im - d_m g_ij) at each of the
+    m rows, indexed [row, k, i, j], with d g by central differences.
+
+    The m centres and their 2n m stencil points are evaluated in one call
+    and validated as one batch.
+    """
+    m, n = rows.shape
+    hs = _steps(rows, h)
+    _check_step(field, rows, hs, 1.0)
+    steps = hs[:, :, None] * np.eye(n)                  # [row, k, :] = hs_k e_k
+    g = field._evaluate(np.concatenate([rows, (rows[:, None] + steps).reshape(-1, n),
+                                        (rows[:, None] - steps).reshape(-1, n)]))
+    validate_metrics(g)
+    gp, gm = g[m:].reshape(2, m, n, n, n)
+    dg = (gp - gm) / (2.0 * hs)[:, :, None, None]      # [row, k, i, j] = d_k g_ij
+    # lower-index bracket, indexed [row, m, i, j]
+    bracket = (np.einsum("pimj->pmij", dg) + np.einsum("pjim->pmij", dg)
+               - np.einsum("pmij->pmij", dg))
+    # sum over m by broadcasting: a batched einsum buffers its operands (more peak memory)
+    return 0.5 * (np.linalg.inv(g[:m])[..., None, None] * bracket[:, None]).sum(axis=2)
 
 
 def christoffel_numeric(field: MetricField, theta, h: float = METRIC_STEP) -> ChristoffelSymbols:
     """Gamma^k_ij = (1/2) g^km (d_i g_mj + d_j g_im - d_m g_ij) with numeric d g."""
-    theta = np.asarray(theta, dtype=float)
-    ginv = field.metric_at(theta).inverse
-    dg = metric_derivatives(field, theta, h)
-    # lower-index bracket, indexed [m, i, j]
-    bracket = (np.einsum("imj->mij", dg) + np.einsum("jim->mij", dg)
-               - np.einsum("mij->mij", dg))
-    gamma = 0.5 * np.einsum("km,mij->kij", ginv, bracket)
-    return ChristoffelSymbols(gamma)
-
-
-def _christoffel_derivatives(field: MetricField, theta,
-                             h_metric: float, h_gamma: float) -> np.ndarray:
-    """d Gamma^k_ij / d theta^n via a 4th-order stencil, indexed [n, k, i, j]."""
-    theta = np.asarray(theta, dtype=float)
-    hs = _steps(theta, h_gamma)
-    _check_step(field, theta, hs, 2.0 + h_metric / h_gamma)
-    n = field.dimension
-    dgamma = np.empty((n, n, n, n))
-    for k in range(n):
-        step = np.zeros(n)
-        step[k] = hs[k]
-        gm2 = christoffel_numeric(field, theta - 2 * step, h_metric).components
-        gm1 = christoffel_numeric(field, theta - step, h_metric).components
-        gp1 = christoffel_numeric(field, theta + step, h_metric).components
-        gp2 = christoffel_numeric(field, theta + 2 * step, h_metric).components
-        dgamma[k] = (gm2 - 8.0 * gm1 + 8.0 * gp1 - gp2) / (12.0 * hs[k])
-    return dgamma
+    return ChristoffelSymbols(_christoffel_rows(field, np.asarray(theta, dtype=float)[None], h)[0])
 
 
 def riemann_numeric(field: MetricField, theta, h: float = METRIC_STEP,
                     h_gamma: float = CHRISTOFFEL_STEP) -> RiemannTensor:
     """R^a_mnr = d_n Gamma^a_mr - d_r Gamma^a_mn
-               + Gamma^a_bn Gamma^b_mr - Gamma^a_br Gamma^b_mn."""
-    gamma = christoffel_numeric(field, theta, h).components
-    dgamma = _christoffel_derivatives(field, theta, h, h_gamma)
+               + Gamma^a_bn Gamma^b_mr - Gamma^a_br Gamma^b_mn.
+
+    d Gamma^k_ij / d theta^n comes from a 4th-order five-point stencil; Gamma
+    at the centre and at the 4n stencil points is one batched call.
+    """
+    theta = np.asarray(theta, dtype=float)[None]
+    _check_step(field, theta, _steps(theta, h), 1.0)      # the centre's own stencil first
+    hs = _steps(theta[0], h_gamma)
+    _check_step(field, theta, hs[None], 2.0 + h / h_gamma)
+    n = field.dimension
+    offsets = np.array([-2.0, -1.0, 1.0, 2.0])[:, None, None] * (hs * np.eye(n))
+    gam = _christoffel_rows(field, np.concatenate([theta, (theta + offsets).reshape(-1, n)]), h)
+    gamma = gam[0]
+    gm2, gm1, gp1, gp2 = gam[1:].reshape(4, n, n, n, n)
+    # d Gamma^k_ij / d theta^n, indexed [n, k, i, j]
+    dgamma = (gm2 - 8.0 * gm1 + 8.0 * gp1 - gp2) / (12.0 * hs)[:, None, None, None]
     term_d = np.einsum("namr->amnr", dgamma) - np.einsum("ramn->amnr", dgamma)
     term_q = (np.einsum("abn,bmr->amnr", gamma, gamma)
               - np.einsum("abr,bmn->amnr", gamma, gamma))

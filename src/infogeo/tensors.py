@@ -33,6 +33,33 @@ def _as_locked(array, shape) -> np.ndarray:
     return out
 
 
+def validate_metrics(g: np.ndarray) -> None:
+    """Check each matrix of a stack g[..., l, m]: finite, symmetric, positive definite.
+
+    Raises DomainError naming the first bad matrix and its first defect.
+    """
+    flat = g.reshape(-1, *g.shape[-2:])
+    finite = np.isfinite(flat).all(axis=(1, 2))
+    with np.errstate(invalid="ignore"):     # inf - inf in a non-finite matrix
+        symmetric = (np.abs(flat - flat.transpose(0, 2, 1)).max(axis=(1, 2))
+                     <= 1e-12 * np.maximum(1.0, np.abs(flat).max(axis=(1, 2))))
+    try:
+        if finite.all() and symmetric.all():
+            np.linalg.cholesky(flat)
+            return
+    except np.linalg.LinAlgError:
+        pass
+    for comps, fin, sym in zip(flat, finite, symmetric):
+        if not fin:
+            raise DomainError(f"metric has a non-finite entry:\n{comps}")
+        if not sym:
+            raise DomainError(f"metric is not symmetric:\n{comps}")
+        try:
+            np.linalg.cholesky(comps)
+        except np.linalg.LinAlgError:
+            raise DomainError(f"metric is not positive definite:\n{comps}") from None
+
+
 @dataclass(frozen=True)
 class MetricTensor:
     """Symmetric positive definite metric at a point."""
@@ -44,15 +71,7 @@ class MetricTensor:
         if comps.ndim != 2 or comps.shape[0] != comps.shape[1]:
             raise ValueError("metric components must be a square matrix")
         object.__setattr__(self, "components", _as_locked(comps, comps.shape))
-        # finite first: inf - inf in the symmetry test would warn
-        if not np.isfinite(comps).all():
-            raise DomainError(f"metric has a non-finite entry:\n{comps}")
-        if np.abs(comps - comps.T).max() > 1e-12 * max(1.0, np.abs(comps).max()):
-            raise DomainError(f"metric is not symmetric:\n{comps}")
-        try:
-            np.linalg.cholesky(comps)
-        except np.linalg.LinAlgError:
-            raise DomainError(f"metric is not positive definite:\n{comps}") from None
+        validate_metrics(comps)
 
     @property
     def dimension(self) -> int:
