@@ -1,32 +1,35 @@
 """Fisher information by quadrature over the microspace.
 
 The metric entries are covariances of the score, g_lm = E[d_l log p d_m log p]
-under p itself.  Scores are coded in closed form (they are low-degree
-polynomials in the standardized microvariables), so quadrature is the only
-error source.
-
-Two schemes:
+under p itself.  Scores are coded in closed form for the unconstrained family
+(low-degree polynomials in the standardized microvariables), so quadrature is
+the only error source.  The constrained family is that family on the curve
+(mu_x, sigma) -> (mu_x, sigma, Sigma^2 / sigma): its scores are J^T s with
+J = d(mu_x, sigma_x, sigma_y) / d(mu_x, sigma), on the grid of the lifted
+point, so its metric is the pullback J^T F_3 J.  ``_grid`` picks the scheme:
 
 * ``gauss-hermite-product``: nodes mapped by x = mu + sqrt(2) sigma u so the
   Gaussian weight is exact.  Score moments are polynomial, hence the result
   is exact to rounding for >= 3 nodes per axis.
 * ``truncated-grid``: composite Simpson on [mu - R sigma, mu + R sigma] per
-  axis.  Slower to converge; kept as a structurally different cross-check.
+  axis times the density.  Slower to converge; kept as a structurally
+  different cross-check.
 
-All loops are vectorized with fixed (pairwise) numpy summation order, so
-results are reproducible bit-for-bit.
+A grid is N flattened nodes with weights w.  The score means are one product
+s @ w; E[s s^T] is one Gram product t @ t^T of t = s sqrt(w), so each Fisher
+matrix is exactly symmetric.  What does not depend on theta is computed once
+per node count and shared as read-only arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
 from .errors import DomainError
-from .models import (MicroSample, Model2DConfig, ParameterPoint2D, ParameterPoint3D,
-                     pdf_2d, pdf_3d)
+from .models import MicroSample, Model2DConfig, ParameterPoint2D, ParameterPoint3D, pdf_3d
 
 _SCHEMES = ("gauss-hermite-product", "truncated-grid")
 
@@ -49,122 +52,89 @@ class QuadratureSpec:
         return QuadratureSpec(self.scheme, 2 * self.nodes_per_axis, self.truncation_radius)
 
 
-def _scores_3d(theta: ParameterPoint3D, x, y):
-    """d log p / d(mu_x, sigma_x, sigma_y) on arrays of microspace points."""
-    sx, sy = theta.sigma_x, theta.sigma_y
-    dx = x - theta.mu_x
-    return (dx / sx**2,
-            dx**2 / sx**3 - 1.0 / sx,
-            y**2 / sy**3 - 1.0 / sy)
-
-
-def _scores_2d(theta: ParameterPoint2D, cfg: Model2DConfig, x, y):
-    """d log p / d(mu_x, sigma) under the product constraint."""
-    s = theta.sigma
-    s2 = cfg.capital_sigma_sq
-    dx = x - theta.mu_x
-    return (dx / s**2,
-            dx**2 / s**3 - s * y**2 / s2**2)
+def _scores(mu_x, sigma_x, sigma_y, x, y) -> np.ndarray:
+    """d log p / d(mu_x, sigma_x, sigma_y) of the unconstrained family on the
+    product grid of the axes x and y, node (i, j) at column i * y.size + j."""
+    dx, y = (x - mu_x)[:, None], y[None, :]
+    return np.stack(np.broadcast_arrays(dx / sigma_x**2,
+                                        dx**2 / sigma_x**3 - 1.0 / sigma_x,
+                                        y**2 / sigma_y**3 - 1.0 / sigma_y)).reshape(3, -1)
 
 
 @cache
 def _hermite_nodes(n: int) -> tuple:
-    # physicists' weight exp(-u^2); the weights are normalised to sum to 1
+    """Nodes u for the physicists' weight exp(-u^2), and the weights of the
+    flattened n x n product rule, normalised to sum to 1."""
     u, w = np.polynomial.hermite.hermgauss(n)
     w = w / np.sqrt(np.pi)
+    w = np.outer(w, w).ravel()
     u.flags.writeable = w.flags.writeable = False   # one pair shared by every call
     return u, w
 
 
-def _gauss_hermite(mu_x, sigma_x, sigma_y, score_fn, n):
-    """Scores on the n x n product grid of N(mu_x, sigma_x^2) x N(0, sigma_y^2), weights."""
-    # nodes mapped by x = mu + sqrt(2) sigma u
-    u, w = _hermite_nodes(n)
-    x = mu_x + np.sqrt(2.0) * sigma_x * u
-    y = np.sqrt(2.0) * sigma_y * u
-    return score_fn(x[:, None], y[None, :]), w
-
-
+@cache
 def _simpson_weights(n: int) -> np.ndarray:
     if n % 2 == 0:
         n += 1  # composite Simpson needs an odd node count
     w = np.ones(n)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w / 3.0
+    w /= 3.0
+    w.flags.writeable = False
+    return w
 
 
-def _expectation_matrix(scores, weights_x, weights_y, density=None):
-    """E[s_l s_m] over a product grid; symmetrized (lm + ml)/2."""
-    n = len(scores)
-    grid_shape = (weights_x.size, weights_y.size)
-    out = np.empty((n, n))
-    for l in range(n):
-        for m in range(l, n):
-            integrand = scores[l] * scores[m]
-            if density is not None:
-                integrand = integrand * density
-            integrand = np.broadcast_to(integrand, grid_shape)
-            val = float(weights_x @ integrand @ weights_y)
-            out[l, m] = out[m, l] = val
-    return out
+def _grid(theta: ParameterPoint3D, q: QuadratureSpec) -> tuple:
+    """The unconstrained scores (3, N) at the N nodes of q's product grid
+    around theta, and the node weights (N,)."""
+    if q.scheme == "gauss-hermite-product":
+        u, w = _hermite_nodes(q.nodes_per_axis)
+        x = theta.mu_x + np.sqrt(2.0) * theta.sigma_x * u
+        y = np.sqrt(2.0) * theta.sigma_y * u
+    else:
+        wx, radius = _simpson_weights(q.nodes_per_axis), q.truncation_radius
+        x = np.linspace(theta.mu_x - radius * theta.sigma_x,
+                        theta.mu_x + radius * theta.sigma_x, wx.size)
+        y = np.linspace(-radius * theta.sigma_y, radius * theta.sigma_y, wx.size)
+        w = (np.outer(wx * (x[1] - x[0]), wx * (y[1] - y[0]))
+             * pdf_3d(theta, MicroSample(x[:, None], y[None, :]))).ravel()
+    return _scores(theta.mu_x, theta.sigma_x, theta.sigma_y, x, y), w
 
 
-def _fisher_truncated_grid(mu_x, sigma_x, sigma_y, score_fn, pdf, q):
-    wx = _simpson_weights(q.nodes_per_axis)
-    nn, radius = wx.size, q.truncation_radius
-    x = np.linspace(mu_x - radius * sigma_x, mu_x + radius * sigma_x, nn)
-    y = np.linspace(-radius * sigma_y, radius * sigma_y, nn)
-    hx = x[1] - x[0]
-    hy = y[1] - y[0]
-    sc = score_fn(x[:, None], y[None, :])
-    dens = pdf(MicroSample(x[:, None], y[None, :]))
-    return _expectation_matrix(sc, wx * hx, wx * hy, density=dens)
+def _grid_2d(theta: ParameterPoint2D, cfg: Model2DConfig, q: QuadratureSpec) -> tuple:
+    """The constrained scores J^T s (2, N) on the grid of the lifted point
+    (mu_x, sigma, Sigma^2 / sigma), and the node weights (N,)."""
+    sy = cfg.sigma_y(theta.sigma)
+    s, w = _grid(ParameterPoint3D(theta.mu_x, theta.sigma, sy), q)
+    jac_t = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, -sy / theta.sigma]])
+    return jac_t @ s, w
+
+
+def _covariance(s, w) -> np.ndarray:
+    t = s * np.sqrt(w)
+    return t @ t.T
 
 
 def fisher_numeric_3d(theta: ParameterPoint3D, q: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """Quadrature estimate of the 3x3 Fisher matrix at theta."""
-    score_fn = lambda x, y: _scores_3d(theta, x, y)
-    if q.scheme == "gauss-hermite-product":
-        sc, w = _gauss_hermite(theta.mu_x, theta.sigma_x, theta.sigma_y, score_fn, q.nodes_per_axis)
-        return _expectation_matrix(sc, w, w)
-    return _fisher_truncated_grid(theta.mu_x, theta.sigma_x, theta.sigma_y, score_fn,
-                                  partial(pdf_3d, theta), q)
+    return _covariance(*_grid(theta, q))
 
 
 def fisher_numeric_2d(theta: ParameterPoint2D, cfg: Model2DConfig = Model2DConfig(),
                       q: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
-    """Quadrature estimate of the 2x2 Fisher matrix at theta.
-
-    The y-marginal has effective scale Sigma^2 / sigma; the result must not
-    depend on Sigma^2.
-    """
-    sy_eff = cfg.sigma_y(theta.sigma)
-    score_fn = lambda x, y: _scores_2d(theta, cfg, x, y)
-    if q.scheme == "gauss-hermite-product":
-        sc, w = _gauss_hermite(theta.mu_x, theta.sigma, sy_eff, score_fn, q.nodes_per_axis)
-        return _expectation_matrix(sc, w, w)
-    return _fisher_truncated_grid(theta.mu_x, theta.sigma, sy_eff, score_fn,
-                                  partial(pdf_2d, theta, cfg), q)
-
-
-def _score_means(sc, w) -> np.ndarray:
-    grid = (w.size, w.size)
-    return np.array([float(w @ np.broadcast_to(s, grid) @ w) for s in sc])
+    """Quadrature estimate of the 2x2 Fisher matrix at theta; it must not
+    depend on Sigma^2."""
+    return _covariance(*_grid_2d(theta, cfg, q))
 
 
 def score_mean_3d(theta: ParameterPoint3D, q: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """E[d_l log p]; identically zero, quadrature sanity check."""
-    return _score_means(*_gauss_hermite(theta.mu_x, theta.sigma_x, theta.sigma_y,
-                                        lambda x, y: _scores_3d(theta, x, y),
-                                        q.nodes_per_axis))
+    return np.dot(*_grid(theta, q))
 
 
 def score_mean_2d(theta: ParameterPoint2D, cfg: Model2DConfig = Model2DConfig(),
                   q: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
-    return _score_means(*_gauss_hermite(theta.mu_x, theta.sigma, cfg.sigma_y(theta.sigma),
-                                        lambda x, y: _scores_2d(theta, cfg, x, y),
-                                        q.nodes_per_axis))
+    return np.dot(*_grid_2d(theta, cfg, q))
 
 
 def convergence_defect(compute, q: QuadratureSpec) -> float:

@@ -298,8 +298,10 @@ class DiagonalScaleModel:
             self.point(*(float(v) for v in rows[inside.argmin()]))
         g = np.zeros(rows.shape + rows.shape[-1:])
         diagonal = np.arange(self.dimension)
-        # libm pow, as for a float64 scalar: np.square differs from it in the last bit
-        g[:, diagonal, diagonal] = np.divide(self.weights, np.float_power(self.scales(rows), 2))
+        # libm pow, as for a float64 scalar: np.square differs from it in the last bit;
+        # a square that under- or overflows leaves an entry the validation rejects
+        with np.errstate(divide="ignore", over="ignore"):
+            g[:, diagonal, diagonal] = np.divide(self.weights, np.float_power(self.scales(rows), 2))
         return g
 
     def metric(self, theta) -> MetricTensor:

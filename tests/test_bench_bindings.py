@@ -9,10 +9,12 @@ files are only read and imported, never changed.
 import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import infogeo
+from infogeo import fisher, ige, rk
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -68,3 +70,15 @@ def test_every_package_attribute_named_by_the_workloads_exists():
              and node.value.id in bound}
     missing = sorted(f"{mod}.{attr}" for mod, attr in named if not hasattr(bound[mod], attr))
     assert not missing
+
+
+def test_parameters_the_tracer_binds():
+    # tracing.py takes the quadrature spec as the last positional argument or
+    # the keyword q, binds box_volume_quadrature's arguments by name, and reads
+    # the dense-output times as the second positional argument of __call__
+    for fn in (fisher.fisher_numeric_3d, fisher.fisher_numeric_2d):
+        last = list(inspect.signature(fn).parameters.values())[-1]
+        assert last.name == "q" and isinstance(last.default, fisher.QuadratureSpec), fn
+    bound = inspect.signature(ige.box_volume_quadrature).parameters
+    assert {"spec", "tau_prime", "nodes", "mu_span"} <= set(bound)
+    assert list(inspect.signature(rk.OdeSolution.__call__).parameters)[1] == "t_eval"

@@ -194,6 +194,20 @@ def test_metric_validation_fixed_cases(g, match):
     assert not caught
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: ig.field_2d().metric_at([0.0, 1e-200]), "non-finite entry"),
+    (lambda: ig.christoffel_numeric(ig.field_2d(), np.array([0.0, 1e200])),
+     "not positive definite"),
+    (lambda: ig.metric_3d(ig.ParameterPoint3D(0.0, 1e200, 1.0)), "not positive definite"),
+], ids=["square-underflows", "stencil-square-overflows", "square-overflows"])
+def test_closed_form_metric_out_of_range_raises_without_warning(build, match):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DomainError, match=match):
+            build()
+    assert not caught
+
+
 # ---------------------------------------------------------------------------
 # connection
 # ---------------------------------------------------------------------------
