@@ -17,13 +17,11 @@ from .models import (MicroSample, Model2DConfig, ParameterPoint2D,
 from .tensors import (ChristoffelSymbols, MetricTensor, RicciTensor,
                       RiemannTensor)
 from .numgeo import (MetricField, christoffel_numeric, euclidean_field,
-                     field_2d, field_3d, ricci_numeric, riemann_numeric,
-                     scalar_numeric)
+                     field_2d, field_3d, riemann_numeric, scalar_numeric)
 from .fisher import (QuadratureSpec, convergence_defect, fisher_numeric_2d,
                      fisher_numeric_3d, score_mean_2d, score_mean_3d)
-from .geodesics import (DerivedConstants, GeodesicSpec2D, GeodesicSpec3D,
-                        MU_SPAN_EXACT_2D, MU_SPAN_EXACT_3D, MU_SPAN_WIDE,
-                        Trajectory, closed_form, closed_form_2d,
+from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, MU_SPAN_EXACT_3D,
+                        MU_SPAN_WIDE, Trajectory, closed_form, closed_form_2d,
                         closed_form_3d, fisher_speed, geodesic_acceleration,
                         integrate_geodesic, residual_check,
                         trajectory_to_csv)

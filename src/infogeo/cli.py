@@ -86,13 +86,6 @@ class ExperimentConfig:
     def spec_2d(self) -> GeodesicSpec2D:
         return GeodesicSpec2D.from_3d(self.spec_3d())
 
-    def parameters(self) -> dict:
-        out = asdict(self)
-        for key in ("volume_window", "slope_window", "exponent_window",
-                    "sweep_sigma0", "formats"):
-            out[key] = list(out[key])
-        return out
-
 
 _floats = lambda s: tuple(float(v) for v in s.split(","))
 _strs = lambda s: tuple(v.strip() for v in s.split(","))
@@ -140,8 +133,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"model must be 3d, 2d or pair, got {cfg.model!r}")
     for name in ("volume_window", "slope_window", "exponent_window"):
         w = getattr(cfg, name)
-        if len(w) != 2 or not 0 < w[0] < w[1]:
-            raise ConfigError(f"{name} must be an increasing positive pair, got {w}")
+        if len(w) != 2 or not 0 < w[0] < w[1] < math.inf:
+            raise ConfigError(f"{name} must be an increasing pair of positive reals, got {w}")
     if any(f not in ("csv", "json") for f in cfg.formats):
         raise ConfigError(f"format entries must be csv or json, got {cfg.formats}")
     if not (math.isfinite(cfg.tau_max) and cfg.tau_max > 0.0):
@@ -199,18 +192,6 @@ class RunReport:
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-    @staticmethod
-    def from_json(text: str) -> "RunReport":
-        payload = json.loads(text)
-        report = RunReport(command=payload["command"],
-                           parameters=payload["parameters"],
-                           tables=payload["tables"],
-                           schema_version=payload["schema_version"])
-        for c in payload["checks"]:
-            report.checks.append(Check(c["name"], c["tolerance"],
-                                       c["measured"], c["passed"]))
-        return report
-
 
 def _checks_csv(report: RunReport) -> str:
     lines = ["# infogeo checks csv schema=1", "name,tolerance,measured,passed"]
@@ -255,7 +236,7 @@ def _sample_points(n: int):
 
 def run_verify(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     """Closed-form geometry vs the finite-difference engine and quadrature."""
-    report = RunReport("verify-geometry", cfg.parameters())
+    report = RunReport("verify-geometry", asdict(cfg))
     pts3, pts2 = _sample_points(12)
     f3, f2 = numgeo.field_3d(), numgeo.field_2d()
 
@@ -305,7 +286,7 @@ def run_verify(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
 
 
 def run_geodesics(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
-    report = RunReport("geodesics", cfg.parameters())
+    report = RunReport("geodesics", asdict(cfg))
     series = {}
     for label, spec in _specs(cfg):
         grid = np.linspace(0.0, cfg.tau_max, 501)
@@ -326,7 +307,7 @@ def run_geodesics(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
 
 
 def run_ige(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
-    report = RunReport("ige", cfg.parameters())
+    report = RunReport("ige", asdict(cfg))
     series = {}
     for label, spec in _specs(cfg):
         result = ige.ige_curve(spec, slope_window=cfg.slope_window)
@@ -344,7 +325,7 @@ def run_ige(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
 
 
 def run_jacobi(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
-    report = RunReport("jacobi", cfg.parameters())
+    report = RunReport("jacobi", asdict(cfg))
     series = {}
     for label, spec in _specs(cfg):
         tau_max = cfg.exponent_window[1] / spec.rate
@@ -391,7 +372,7 @@ def _softening_point(cfg: ExperimentConfig, sigma0: float) -> tuple:
 
 def run_softening(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     """Headline table: entropy-slope ratio and Jacobi exponent gap per sigma0."""
-    report = RunReport("softening", cfg.parameters())
+    report = RunReport("softening", asdict(cfg))
     series = {}
     # each distinct sigma0 once: the sweep usually holds the base point too
     runs = {s0: _softening_point(cfg, s0)

@@ -45,7 +45,6 @@ from .models import MODEL_2D, MODEL_3D, DiagonalScaleModel, model_of
 
 SIGMA_FLOOR = 1e-300
 MU_SPAN_EXACT_3D = MODEL_3D.mean_span
-MU_SPAN_EXACT_2D = MODEL_2D.mean_span
 MU_SPAN_WIDE = 2.0  # span assumed by the closed-form volume expressions
 
 
@@ -151,30 +150,6 @@ class GeodesicSpec2D:
         return self.sigma0 * self.lambda_plus
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Constants of the sigma-equation reduction: a, A1 and c1..c4.
-
-    c1 is the sigma peak value, c2 = a, c3 the time shift (0 under the
-    working hypothesis), c4 = mu0 + A1 sigma0 / sqrt(a) the mean value the
-    path approaches as tau -> infinity.
-    """
-
-    a: float
-    A1: float
-    c1: float
-    c2: float
-    c3: float
-    c4: float
-
-    @staticmethod
-    def for_spec(spec) -> "DerivedConstants":
-        a = spec.lam ** 2                      # lambda = sqrt(a)
-        A1 = spec.model.mean_span * spec.lam   # a = A1^2 c_0 / c_1
-        return DerivedConstants(a=a, A1=A1, c1=spec.sigma0, c2=a, c3=0.0,
-                                c4=spec.mu0 + A1 * spec.sigma0 / math.sqrt(a))
-
-
 def _sech(u):
     e = np.exp(-np.abs(u))
     return 2.0 * e / (1.0 + e * e)
@@ -184,48 +159,45 @@ def _sech(u):
 # closed-form paths
 # ---------------------------------------------------------------------------
 
-def _closed_form(spec, tau, mu_span: Optional[float], shift: float):
+def _closed_form(spec, tau, mu_span: Optional[float]):
     # the (mu, sigma) plane follows the sech/tanh path, every flat scale
     # coordinate decays exponentially
     tau = np.asarray(tau, dtype=float)
     span = spec.model.mean_span if mu_span is None else mu_span
     k = spec.rate
-    u = k * (tau + shift)
+    u = k * tau
     sech = _sech(u)
     tanh = np.tanh(u)
     s = spec.sigma0 * sech
     coords = [spec.mu0 + span * spec.sigma0 * tanh, s]
     rates = [span * spec.lam * s**2, -k * spec.sigma0 * sech * tanh]
     for start, decay in spec.flat_factors:
-        coords.append(start * np.exp(-decay * (tau + shift)))
+        coords.append(start * np.exp(-decay * tau))
         rates.append(-decay * coords[-1])
     theta = np.stack(np.broadcast_arrays(*coords), axis=-1)
     vel = np.stack(np.broadcast_arrays(*rates), axis=-1)
     return theta, vel
 
 
-def closed_form_3d(spec: GeodesicSpec3D, tau, mu_span: float = MU_SPAN_EXACT_3D,
-                   shift: float = 0.0):
+def closed_form_3d(spec: GeodesicSpec3D, tau, mu_span: float = MU_SPAN_EXACT_3D):
     """Closed-form path and velocity at tau (arrays broadcast over tau).
 
     Returns ``(theta, velocity)`` with rows (mu_x, sigma_x, sigma_y).  At
-    tau = 0 (and shift 0) the state is (mu0, sigma0, sigma0') with velocity
-    (mu_span * lambda_plus' * sigma0^2, 0, -lambda_f * sigma0').  A nonzero
-    ``shift`` evaluates the same curve at tau + shift (geodesics are closed
-    under time translation).
+    tau = 0 the state is (mu0, sigma0, sigma0') with velocity
+    (mu_span * lambda_plus' * sigma0^2, 0, -lambda_f * sigma0').
     """
-    return _closed_form(spec, tau, mu_span, shift)
+    return _closed_form(spec, tau, mu_span)
 
 
-def closed_form_2d(spec: GeodesicSpec2D, tau, shift: float = 0.0):
+def closed_form_2d(spec: GeodesicSpec2D, tau):
     """Closed-form 2D path; the (mu, sigma) shape matches the 3D one with
     mean span 2 and rate sigma0 * lambda_plus."""
-    return _closed_form(spec, tau, None, shift)
+    return _closed_form(spec, tau, None)
 
 
-def closed_form(spec, tau, shift: float = 0.0):
+def closed_form(spec, tau):
     """Closed-form path of either model with its exact mean span."""
-    return _closed_form(spec, tau, None, shift)
+    return _closed_form(spec, tau, None)
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +235,6 @@ class Trajectory:
     complete: bool = True
     abort_reason: Optional[str] = None
 
-    @property
-    def dimension(self) -> int:
-        return self.states.shape[1]
-
     def __post_init__(self):
         taus = np.asarray(self.taus, dtype=float)
         if np.any(np.diff(taus) <= 0.0):
@@ -285,13 +253,13 @@ def _sigma_floor(dim):
 
 
 def integrate_geodesic(spec, tau_max: float, tol: float = 1e-10,
-                       sample_taus=None, raise_on_abort: bool = False) -> Trajectory:
+                       sample_taus=None) -> Trajectory:
     """Integrate the geodesic initial value problem up to ``tau_max``.
 
     Initial conditions come from the exact closed form at tau = 0.  Samples
     are taken at solver steps, or on ``sample_taus`` via dense output.
     Aborts (positivity floor, step underflow) return the partial trajectory
-    flagged ``complete=False`` unless ``raise_on_abort``.
+    flagged ``complete=False``.
     """
     check_tol(tol)
     theta0, vel0 = closed_form(spec, 0.0)
@@ -309,7 +277,7 @@ def integrate_geodesic(spec, tau_max: float, tol: float = 1e-10,
         return dy
 
     sol = rk.integrate(rhs, (0.0, tau_max), y0, rtol=tol, atol=tol,
-                       floor=_sigma_floor(dim), raise_on_abort=raise_on_abort)
+                       floor=_sigma_floor(dim), raise_on_abort=False)
     if sample_taus is not None and sol.complete:
         taus = np.asarray(sample_taus, dtype=float)
         ys = sol(taus)
@@ -320,18 +288,18 @@ def integrate_geodesic(spec, tau_max: float, tol: float = 1e-10,
                       complete=sol.complete, abort_reason=sol.abort_reason)
 
 
-def residual_check(spec, tau_grid, mu_span: Optional[float] = None,
-                   h: float = 1e-5) -> float:
+def residual_check(spec, tau_grid, mu_span: Optional[float] = None) -> float:
     """Max absolute geodesic-equation residual of the closed form on a grid.
 
     First derivatives are analytic; second derivatives are central
     differences of the analytic velocity, so the only residual for an exact
     solution is O(h^2) differentiation error.
     """
+    h = 1e-5
     tau_grid = np.asarray(tau_grid, dtype=float)
-    theta, vel = _closed_form(spec, tau_grid, mu_span, 0.0)
-    _, vel_p = _closed_form(spec, tau_grid + h, mu_span, 0.0)
-    _, vel_m = _closed_form(spec, tau_grid - h, mu_span, 0.0)
+    theta, vel = _closed_form(spec, tau_grid, mu_span)
+    _, vel_p = _closed_form(spec, tau_grid + h, mu_span)
+    _, vel_m = _closed_form(spec, tau_grid - h, mu_span)
     resid = (vel_p - vel_m) / (2.0 * h) - geodesic_acceleration(theta, vel)
     return float(np.abs(resid).max(initial=0.0))
 

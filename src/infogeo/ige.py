@@ -24,9 +24,10 @@ Closed-form reference volumes (``log_closed_form_volume_*``) keep only the
 moving-endpoint antiderivative terms of each factor, which is why they carry
 (mu0 + 2 sigma0) where the honest box carries the mean span 2 sigma0; the
 two agree on the tail for mu0 = 0 and share the growth rate always.  The 3D
-reference expression presumes the span-2 mean path, so 3D volumes default to
-``mu_span = MU_SPAN_WIDE`` (see :mod:`infogeo.geodesics`); slopes and slope
-ratios are span-independent.
+reference expression presumes the span-2 mean path, so the entropy curve
+always sweeps it (``MU_SPAN_WIDE``, see :mod:`infogeo.geodesics`); only the
+volume primitives take another ``mu_span``.  Slopes and slope ratios are
+span-independent.
 """
 
 from __future__ import annotations
@@ -125,8 +126,8 @@ def box_volume_quadrature(spec, tau_prime: float, nodes=(8, 32, 32),
     diagonal c_i / sigma_k(i)^2.
     """
     span = MU_SPAN_WIDE if mu_span is None else mu_span
-    theta1, _ = _closed_form(spec, tau_prime, span, 0.0)
-    theta0, _ = _closed_form(spec, 0.0, span, 0.0)
+    theta1, _ = _closed_form(spec, tau_prime, span)
+    theta0, _ = _closed_form(spec, 0.0, span)
     los = np.minimum(theta0, theta1)
     his = np.maximum(theta0, theta1)
     # the density does not depend on the mean: only the mean weights enter
@@ -164,7 +165,7 @@ def log_time_average(log_fn, tau, n_grid: int = 2049):
     arbitrarily late tails stay representable.  ``tau`` is one time (the
     result is a float) or an array of times (an array of that shape).
     ``log_fn`` must accept an array of times; ``n_grid`` is the node count
-    (>= 65, forced odd).
+    (at least 64; an even count is raised to the next odd one).
     """
     taus = np.asarray(tau, dtype=float)
     if (taus <= 0.0).any():
@@ -187,11 +188,9 @@ def _log_time_average(log_fn, tau: float, log_w: np.ndarray) -> float:
     return _logsumexp(logv + log_w) + math.log(h) - math.log(tau)
 
 
-def log_averaged_volume(spec, tau, n_grid: int = 2049,
-                        mu_span: Optional[float] = None):
+def log_averaged_volume(spec, tau):
     """log of the time-averaged swept volume at tau (a float, or an array of times)."""
-    return log_time_average(lambda ts: log_box_volume(spec, ts, mu_span),
-                            tau, n_grid)
+    return log_time_average(lambda ts: log_box_volume(spec, ts), tau)
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +253,9 @@ class IGEResult:
     entropy_closed_form: np.ndarray
     fit: LineFit
     rate: float                    # sigma0 * lambda of the model
-    mu_span: float
 
 
-def ige_curve(spec, slope_window: tuple = SLOPE_WINDOW, n_grid: int = 2049,
-        mu_span: Optional[float] = None) -> IGEResult:
+def ige_curve(spec, slope_window: tuple = SLOPE_WINDOW) -> IGEResult:
     """Entropy curve and fitted tail slope for one model.
 
     ``slope_window`` is expressed in units of rate * tau.  The default sits
@@ -274,15 +271,14 @@ def ige_curve(spec, slope_window: tuple = SLOPE_WINDOW, n_grid: int = 2049,
     lead = np.linspace(w0 / LEAD_POINTS, w0, LEAD_POINTS, endpoint=False)
     window = np.linspace(w0, w1, WINDOW_POINTS)
     taus = np.concatenate([lead, window])
-    span = MU_SPAN_WIDE if mu_span is None else mu_span
-    log_avg = log_averaged_volume(spec, taus, n_grid, span)
-    logv = log_box_volume(spec, taus, span)
+    log_avg = log_averaged_volume(spec, taus)
+    logv = log_box_volume(spec, taus)
     s_closed = log_closed_form_volume(spec, taus)
     fit = fit_line(rate * window, log_avg[LEAD_POINTS:])
     fit = replace(fit, slope=fit.slope * rate, window=(w0, w1))
     return IGEResult(model=spec.model.label, taus=taus, log_vol=logv,
                      log_avg_vol=log_avg, entropy_closed_form=s_closed, fit=fit,
-                     rate=rate, mu_span=span)
+                     rate=rate)
 
 
 @dataclass(frozen=True)
@@ -295,14 +291,9 @@ class IgeSoftening:
     slope_2d: float
     ratio: float                   # slope_2d / slope_3d, approaches 1/sqrt(2)
 
-    @property
-    def expected_ratio(self) -> float:
-        return 1.0 / math.sqrt(2.0)
-
 
 def softening_ratio_ige(spec3d: GeodesicSpec3D,
-                        slope_window: tuple = SLOPE_WINDOW,
-                        n_grid: int = 2049) -> IgeSoftening:
+                        slope_window: tuple = SLOPE_WINDOW) -> IgeSoftening:
     """Fitted S-slope ratio of the constrained vs unconstrained model.
 
     The 2D companion shares (mu0, sigma0) and uses lambda_plus =
@@ -310,8 +301,8 @@ def softening_ratio_ige(spec3d: GeodesicSpec3D,
     and rate_3d = sigma0 lambda_plus' and the ratio cancels sigma0.
     """
     spec2d = GeodesicSpec2D.from_3d(spec3d)
-    r3 = ige_curve(spec3d, slope_window, n_grid)
-    r2 = ige_curve(spec2d, slope_window, n_grid)
+    r3 = ige_curve(spec3d, slope_window)
+    r2 = ige_curve(spec2d, slope_window)
     return IgeSoftening(result_3d=r3, result_2d=r2,
                         slope_3d=r3.fit.slope, slope_2d=r2.fit.slope,
                         ratio=r2.fit.slope / r3.fit.slope)

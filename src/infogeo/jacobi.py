@@ -136,7 +136,7 @@ def _scaled_geodesic_state(model, theta0: np.ndarray, vel0: np.ndarray) -> np.nd
 
 def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
                   tau_max: Optional[float] = None, tol: float = 1e-10,
-                  sample_taus=None, raise_on_abort: bool = False) -> JacobiTrajectory:
+                  sample_taus=None) -> JacobiTrajectory:
     """Co-integrate geodesic and Jacobi field as one first-order system.
 
     The augmented state has dimension 2n + 2n: the geodesic factor
@@ -146,9 +146,8 @@ def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
     however far sigma has decayed; reported values are mapped back to
     (theta, theta', J, J').  Geodesic initial data come from the exact
     closed form at tau = 0; Jacobi initial data default to
-    :func:`default_initial`.  Stops early (flagged, or raising when
-    ``raise_on_abort``) on the sigma positivity floor or a normalized
-    component exceeding 1e300.
+    :func:`default_initial`.  Stops early, flagged ``complete=False``, on the
+    sigma positivity floor or a normalized component exceeding 1e300.
     """
     model = spec.model
     dim = model.dimension
@@ -188,7 +187,7 @@ def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
         return dy
 
     sol = rk.integrate(rhs, (0.0, tau_max), y0, rtol=tol, atol=tol,
-                       floor=partial(_floor, model), raise_on_abort=raise_on_abort)
+                       floor=partial(_floor, model), raise_on_abort=False)
     if sample_taus is not None and sol.complete:
         taus = np.asarray(sample_taus, dtype=float)
         ys = sol(taus)
@@ -348,16 +347,16 @@ class JacobiSoftening:
     expected_gap: float        # sigma0 * lambda_plus' * (1 - 1/sqrt(2))
 
 
-def softening_gap(spec3d: GeodesicSpec3D, initial_J=None, initial_J_dot=None,
-                  window: tuple = EXPONENT_WINDOW, tol: float = 1e-10) -> JacobiSoftening:
-    """Fitted intensity-growth exponents of the coupled pair and their gap."""
+def softening_gap(spec3d: GeodesicSpec3D, window: tuple = EXPONENT_WINDOW,
+                  tol: float = 1e-10) -> JacobiSoftening:
+    """Fitted intensity-growth exponents of the coupled pair and their gap,
+    from the default Jacobi initial data."""
     spec2d = GeodesicSpec2D.from_3d(spec3d)
     runs = []
     for spec in (spec3d, spec2d):
         tau_max = window[1] / spec.rate
         samples = np.linspace(0.0, tau_max, 401)
-        traj = integrate_jlc(spec, initial_J, initial_J_dot,
-                             tau_max=tau_max, tol=tol, sample_taus=samples)
+        traj = integrate_jlc(spec, tau_max=tau_max, tol=tol, sample_taus=samples)
         runs.append((traj, exponent_fit(traj, window)))
     (t3, f3), (t2, f2) = runs
     expected = spec3d.rate * (1.0 - 1.0 / math.sqrt(2.0))

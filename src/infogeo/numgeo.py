@@ -14,15 +14,14 @@ stencil, which keeps the truncation error down at that width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
 from .models import MODEL_2D, MODEL_3D
-from .tensors import (ChristoffelSymbols, MetricTensor, RicciTensor, RiemannTensor,
-                      validate_metrics)
+from .tensors import ChristoffelSymbols, MetricTensor, RiemannTensor, validate_metrics
 
 METRIC_STEP = 1e-5        # relative step for d g / d theta (central, 2nd order)
 CHRISTOFFEL_STEP = 1e-3   # relative step for d Gamma / d theta (5-point, 4th order)
@@ -122,8 +121,7 @@ def christoffel_numeric(field: MetricField, theta, h: float = METRIC_STEP) -> Ch
     return ChristoffelSymbols(_christoffel_rows(field, np.asarray(theta, dtype=float)[None], h)[0])
 
 
-def riemann_numeric(field: MetricField, theta, h: float = METRIC_STEP,
-                    h_gamma: float = CHRISTOFFEL_STEP) -> RiemannTensor:
+def riemann_numeric(field: MetricField, theta) -> RiemannTensor:
     """R^a_mnr = d_n Gamma^a_mr - d_r Gamma^a_mn
                + Gamma^a_bn Gamma^b_mr - Gamma^a_br Gamma^b_mn.
 
@@ -131,12 +129,13 @@ def riemann_numeric(field: MetricField, theta, h: float = METRIC_STEP,
     at the centre and at the 4n stencil points is one batched call.
     """
     theta = np.asarray(theta, dtype=float)[None]
-    _check_step(field, theta, _steps(theta, h), 1.0)      # the centre's own stencil first
-    hs = _steps(theta[0], h_gamma)
-    _check_step(field, theta, hs[None], 2.0 + h / h_gamma)
+    _check_step(field, theta, _steps(theta, METRIC_STEP), 1.0)  # the centre's own stencil first
+    hs = _steps(theta[0], CHRISTOFFEL_STEP)
+    _check_step(field, theta, hs[None], 2.0 + METRIC_STEP / CHRISTOFFEL_STEP)
     n = field.dimension
     offsets = np.array([-2.0, -1.0, 1.0, 2.0])[:, None, None] * (hs * np.eye(n))
-    gam = _christoffel_rows(field, np.concatenate([theta, (theta + offsets).reshape(-1, n)]), h)
+    gam = _christoffel_rows(field, np.concatenate([theta, (theta + offsets).reshape(-1, n)]),
+                            METRIC_STEP)
     gamma = gam[0]
     gm2, gm1, gp1, gp2 = gam[1:].reshape(4, n, n, n, n)
     # d Gamma^k_ij / d theta^n, indexed [n, k, i, j]
@@ -147,12 +146,7 @@ def riemann_numeric(field: MetricField, theta, h: float = METRIC_STEP,
     return RiemannTensor(term_d + term_q)
 
 
-def ricci_numeric(field: MetricField, theta, h: float = METRIC_STEP,
-                  h_gamma: float = CHRISTOFFEL_STEP) -> RicciTensor:
-    return riemann_numeric(field, theta, h, h_gamma).ricci()
-
-
-def scalar_numeric(field: MetricField, theta, h: float = METRIC_STEP,
-                   h_gamma: float = CHRISTOFFEL_STEP) -> float:
-    ricci = ricci_numeric(field, theta, h, h_gamma)
+def scalar_numeric(field: MetricField, theta) -> float:
+    """R = g^ij R_ij from the finite-difference Riemann tensor."""
+    ricci = riemann_numeric(field, theta).ricci()
     return ricci.scalar(field.metric_at(np.asarray(theta, dtype=float)))

@@ -73,25 +73,12 @@ class MetricTensor:
         object.__setattr__(self, "components", _as_locked(comps, comps.shape))
         validate_metrics(comps)
 
-    @property
-    def dimension(self) -> int:
-        return self.components.shape[0]
-
     @cached_property
     def inverse(self) -> np.ndarray:
         """g^lm with g^lm g_mk = delta^l_k."""
         inv = np.linalg.inv(self.components)
         inv.flags.writeable = False
         return inv
-
-    @cached_property
-    def determinant(self) -> float:
-        return float(np.linalg.det(self.components))
-
-    def norm_squared(self, vector: np.ndarray) -> float:
-        """g_lm v^l v^m."""
-        v = np.asarray(vector, dtype=float)
-        return float(v @ self.components @ v)
 
 
 @dataclass(frozen=True)
@@ -102,10 +89,6 @@ class ChristoffelSymbols:
         comps = np.asarray(self.components, dtype=float)
         n = comps.shape[0]
         object.__setattr__(self, "components", _as_locked(comps, (n, n, n)))
-
-    @property
-    def dimension(self) -> int:
-        return self.components.shape[0]
 
     def symmetry_defect(self) -> float:
         """max |Gamma^k_ij - Gamma^k_ji| (zero for a Levi-Civita connection)."""
@@ -121,10 +104,6 @@ class RiemannTensor:
         comps = np.asarray(self.components, dtype=float)
         n = comps.shape[0]
         object.__setattr__(self, "components", _as_locked(comps, (n, n, n, n)))
-
-    @property
-    def dimension(self) -> int:
-        return self.components.shape[0]
 
     def antisymmetry_defect(self) -> float:
         """max |R^a_mnr + R^a_mrn|."""
@@ -154,10 +133,6 @@ class RicciTensor:
         comps = np.asarray(self.components, dtype=float)
         n = comps.shape[0]
         object.__setattr__(self, "components", _as_locked(comps, (n, n)))
-
-    @property
-    def dimension(self) -> int:
-        return self.components.shape[0]
 
     def scalar(self, metric: MetricTensor) -> float:
         """R = g^ij R_ij."""

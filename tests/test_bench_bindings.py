@@ -10,11 +10,12 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import math
 import sys
 from pathlib import Path
 
 import infogeo
-from infogeo import fisher, ige, rk
+from infogeo import fisher, geodesics, ige, rk
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -82,3 +83,20 @@ def test_parameters_the_tracer_binds():
     bound = inspect.signature(ige.box_volume_quadrature).parameters
     assert {"spec", "tau_prime", "nodes", "mu_span"} <= set(bound)
     assert list(inspect.signature(rk.OdeSolution.__call__).parameters)[1] == "t_eval"
+
+
+def test_tracer_counts_the_quadrature_mesh():
+    # tracing.py recounts the nodes of box_volume_quadrature through
+    # closed_form_3d(..., mu_span=) and closed_form_2d(spec, tau); the count
+    # must be the size of the scale mesh the quadrature really builds
+    tracing = _load("tracing")
+    nodes = inspect.signature(ige.box_volume_quadrature).parameters["nodes"].default
+    spec3 = geodesics.GeodesicSpec3D(0.0, 1.0, 1.0, 1.0, 1.0)
+    for spec in (spec3, geodesics.GeodesicSpec2D.from_3d(spec3)):
+        tau = 5.0 / spec.rate
+        theta0, _ = geodesics._closed_form(spec, 0.0, geodesics.MU_SPAN_WIDE)
+        theta1, _ = geodesics._closed_form(spec, tau, geodesics.MU_SPAN_WIDE)
+        mesh = math.prod(ige._panelled_gauss(min(a, b), max(a, b), nodes[j])[0].size
+                         for j, (a, b) in enumerate(zip(theta0, theta1)) if j > 0)
+        assert mesh > max(nodes) ** (spec.model.dimension - 1)    # several panels per axis
+        assert tracing._quadrature_nodes((spec, tau), {}) == mesh

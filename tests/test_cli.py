@@ -124,8 +124,7 @@ def test_report_json_roundtrip(tmp_path):
     out = tmp_path / "out"
     run(["--out", str(out), "--format", "json", "geodesics"])
     text = (out / "geodesics_report.json").read_text()
-    report = cli.RunReport.from_json(text)
-    assert report.to_json() == text
+    assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
 
 
 def test_format_selection(tmp_path):
@@ -182,6 +181,21 @@ def test_bad_solver_settings_are_exit_2(tmp_path, capsys, args):
     assert run([*args, "--out", str(tmp_path / "o"), "geodesics"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text,command", [
+    ("volume_window = 20, inf", "ige"), ("slope_window = 200, inf", "ige"),
+    ("exponent_window = 20, inf", "softening"), ("slope_window = 200, nan", "ige")])
+def test_non_finite_fit_windows_are_exit_2(tmp_path, capsys, text, command):
+    path = tmp_path / "window.ini"
+    path.write_text(f"[fit]\n{text}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["--config", str(path), "--out", str(tmp_path / "o"), command]) == 2
+    assert not caught
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 

@@ -223,7 +223,7 @@ def test_intensity_is_metric_norm():
                                 rng.uniform(0.3, 2))
         J = rng.normal(size=3)
         direct = ig.intensity(p.as_array(), J)
-        norm = math.sqrt(ig.metric_3d(p).norm_squared(J))
+        norm = math.sqrt(J @ ig.metric_3d(p).components @ J)
         assert direct == pytest.approx(norm, rel=1e-12)
 
 
