@@ -36,9 +36,9 @@ from . import ige, jacobi, numgeo
 from .errors import DomainError, NumericalAbort
 from .fisher import QuadratureSpec, fisher_numeric_2d, fisher_numeric_3d
 from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, check_tol, closed_form,
-                        integrate_geodesic, residual_check,
+                        integrate_geodesic, residual_check, series_to_csv,
                         trajectory_to_csv)
-from .jacobi import (critically_damped, exponent_fit, integrate_jlc,
+from .jacobi import (critically_damped, exponent_fit, exponent_run, integrate_jlc,
                      jacobi_to_csv, softening_gap)
 from .models import (Model2DConfig, ParameterPoint2D, ParameterPoint3D,
                      SCALAR_CURVATURE_2D, SCALAR_CURVATURE_3D, christoffel_2d,
@@ -328,10 +328,7 @@ def run_jacobi(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     report = RunReport("jacobi", asdict(cfg))
     series = {}
     for label, spec in _specs(cfg):
-        tau_max = cfg.exponent_window[1] / spec.rate
-        samples = np.linspace(0.0, tau_max, 401)
-        traj = integrate_jlc(spec, tau_max=tau_max, tol=cfg.tol,
-                             sample_taus=samples)
+        traj = exponent_run(spec, cfg.exponent_window, cfg.tol)
         if not traj.complete:
             raise NumericalAbort(f"jacobi run {label}: {traj.abort_reason}",
                                  partial=traj)
@@ -344,7 +341,7 @@ def run_jacobi(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
             # a flat scale component is exactly critically damped
             unit = np.eye(spec.model.dimension)[j]
             run = integrate_jlc(spec, initial_J=unit, initial_J_dot=np.zeros_like(unit),
-                                tau_max=min(tau_max, 10.0 / lam), tol=cfg.tol)
+                                tau_max=min(traj.taus[-1], 10.0 / lam), tol=cfg.tol)
             ref = critically_damped(lam, 1.0, lam, run.taus)
             report.add(f"jacobi_{label}_damped_component_error",
                        float(np.abs(run.J[:, j] - ref).max()), 1e-8)
@@ -390,12 +387,9 @@ def run_softening(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
                    passed=row["gap"] > 0.0)
     report.tables["softening"] = rows
 
-    header = ("sigma0,ige_slope_3d,ige_slope_2d,ratio,"
-              "jacobi_exponent_3d,jacobi_exponent_2d,gap,expected_gap")
-    lines = ["# infogeo softening csv schema=1", header]
-    for row in rows:
-        lines.append(",".join(f"{row[k]:.17g}" for k in header.split(",")))
-    series["softening.csv"] = "\n".join(lines) + "\n"
+    names = list(rows[0])
+    series["softening.csv"] = series_to_csv("softening", names,
+                                            [[row[k] for row in rows] for k in names])
 
     # series for the configured base point
     _, pair, jac = runs[cfg.sigma0]

@@ -32,7 +32,6 @@ are span-independent.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Optional
@@ -225,7 +224,8 @@ def fisher_speed(theta: np.ndarray, velocity: np.ndarray):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled geodesic: times, states, velocities plus solver metadata."""
+    """Sampled geodesic: times, states, velocities plus solver metadata.
+    :class:`infogeo.jacobi.JacobiTrajectory` adds the Jacobi field."""
 
     taus: np.ndarray
     states: np.ndarray      # (len(taus), dim)
@@ -240,8 +240,29 @@ class Trajectory:
         if np.any(np.diff(taus) <= 0.0):
             raise DomainError("sample times must be strictly increasing")
 
+    @property
+    def dimension(self) -> int:
+        return self.states.shape[1]
+
     def speeds(self) -> np.ndarray:
         return fisher_speed(self.states, self.velocities)
+
+
+def _sampled_run(rhs, initial, tau_max: float, tol: float, floor, sample_taus) -> tuple:
+    """One rk run to ``tau_max``: ``(taus, ys, fields)``, ``fields`` being the
+    solver keywords of :class:`Trajectory`.  ``initial()`` builds y0 after the
+    tolerance check, so its own checks run second.  Samples are on
+    ``sample_taus`` (dense output) if the run completes, else its steps."""
+    check_tol(tol)
+    sol = rk.integrate(rhs, (0.0, tau_max), initial(), rtol=tol, atol=tol,
+                       floor=floor, raise_on_abort=False)
+    if sample_taus is not None and sol.complete:
+        taus = np.asarray(sample_taus, dtype=float)
+        ys = sol(taus)
+    else:
+        taus, ys = sol.t, sol.y
+    return taus, ys, dict(tolerance=tol, n_steps=sol.n_steps,
+                          complete=sol.complete, abort_reason=sol.abort_reason)
 
 
 def _sigma_floor(dim):
@@ -261,11 +282,8 @@ def integrate_geodesic(spec, tau_max: float, tol: float = 1e-10,
     Aborts (positivity floor, step underflow) return the partial trajectory
     flagged ``complete=False``.
     """
-    check_tol(tol)
-    theta0, vel0 = closed_form(spec, 0.0)
     model = spec.model
     dim = model.dimension
-    y0 = np.concatenate([theta0, vel0])
     # the system tensor as a matrix over its last v_hat index, as in integrate_jlc
     system = model.geodesic_system.reshape(-1, dim + 1)
     v_hat, k = np.ones(dim + 1), np.array(model.scale_map)
@@ -276,16 +294,9 @@ def integrate_geodesic(spec, tau_max: float, tol: float = 1e-10,
         dy[dim:] /= y[k]
         return dy
 
-    sol = rk.integrate(rhs, (0.0, tau_max), y0, rtol=tol, atol=tol,
-                       floor=_sigma_floor(dim), raise_on_abort=False)
-    if sample_taus is not None and sol.complete:
-        taus = np.asarray(sample_taus, dtype=float)
-        ys = sol(taus)
-    else:
-        taus, ys = sol.t, sol.y
-    return Trajectory(taus=taus, states=ys[:, :dim], velocities=ys[:, dim:],
-                      tolerance=tol, n_steps=sol.n_steps,
-                      complete=sol.complete, abort_reason=sol.abort_reason)
+    taus, ys, fields = _sampled_run(rhs, lambda: np.concatenate(closed_form(spec, 0.0)),
+                                    tau_max, tol, _sigma_floor(dim), sample_taus)
+    return Trajectory(taus=taus, states=ys[:, :dim], velocities=ys[:, dim:], **fields)
 
 
 def residual_check(spec, tau_grid, mu_span: Optional[float] = None) -> float:
@@ -304,14 +315,18 @@ def residual_check(spec, tau_grid, mu_span: Optional[float] = None) -> float:
     return float(np.abs(resid).max(initial=0.0))
 
 
+def series_to_csv(kind: str, names, cols) -> str:
+    """A ``# infogeo <kind> csv schema=1`` file: the header ``names``, then
+    one row per sample of the columns ``cols`` (1-D, or 2-D blocks of
+    columns), each value as %.17g, which parses back to the exact double."""
+    rows = np.column_stack(cols).tolist()
+    lines = [f"# infogeo {kind} csv schema=1", ",".join(names)]
+    lines += [",".join(f"{v:.17g}" for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV text: tau, state components, velocity components."""
     names = model_of(traj.states[0]).coordinates
-    cols = ",".join(["tau", *names, *(f"d{name}" for name in names)])
-    buf = io.StringIO()
-    buf.write("# infogeo trajectory csv schema=1\n")
-    buf.write(cols + "\n")
-    for i, tau in enumerate(traj.taus):
-        row = [tau, *traj.states[i], *traj.velocities[i]]
-        buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    return buf.getvalue()
+    return series_to_csv("trajectory", ["tau", *names, *(f"d{name}" for name in names)],
+                         [traj.taus, traj.states, traj.velocities])

@@ -32,7 +32,6 @@ span-independent.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, replace
 from functools import cache
@@ -41,9 +40,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
+from .fisher import _simpson_weights
 from .fitting import LineFit, fit_line
 from .geodesics import (MU_SPAN_WIDE, GeodesicSpec2D, GeodesicSpec3D,
-                        _closed_form)
+                        _closed_form, series_to_csv)
 from .models import MODEL_2D, MODEL_3D
 
 # default fit windows, in units of rate * tau (rate = sigma0 * lambda)
@@ -150,10 +150,7 @@ def _logsumexp(values: np.ndarray) -> float:
 
 @cache
 def _simpson_log_weights(n_nodes: int) -> np.ndarray:
-    w = np.ones(n_nodes)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w = np.log(w / 3.0)
+    w = np.log(_simpson_weights(n_nodes))
     w.flags.writeable = False   # one array shared by every call
     return w
 
@@ -315,13 +312,9 @@ def softening_ratio_ige(spec3d: GeodesicSpec3D,
 def ige_to_csv(result: IGEResult) -> str:
     """Columns: tau, vol, avg_vol, S, S_closed_form (volumes may print inf
     past the double range; S columns stay finite)."""
-    buf = io.StringIO()
-    buf.write("# infogeo ige csv schema=1\n")
-    buf.write("tau,vol,avg_vol,S,S_closed_form\n")
     with np.errstate(over="ignore"):
         vol = np.exp(result.log_vol)
         avg = np.exp(result.log_avg_vol)
-    for i, tau in enumerate(result.taus):
-        row = [tau, vol[i], avg[i], result.log_avg_vol[i], result.entropy_closed_form[i]]
-        buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    return buf.getvalue()
+    return series_to_csv("ige", ["tau", "vol", "avg_vol", "S", "S_closed_form"],
+                         [result.taus, vol, avg, result.log_avg_vol,
+                          result.entropy_closed_form])

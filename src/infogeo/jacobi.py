@@ -31,7 +31,6 @@ the same softening as the entropy slope.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -40,9 +39,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from . import rk
 from .fitting import LineFit, fit_basis, fit_line
-from .geodesics import GeodesicSpec2D, GeodesicSpec3D, check_tol, closed_form
+from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, Trajectory, _sampled_run,
+                        closed_form, series_to_csv)
 from .models import model_of
 
 J_OVERFLOW = 1e300
@@ -71,24 +70,13 @@ def intensity(theta: np.ndarray, J: np.ndarray):
     return np.sqrt(model_of(theta).speed(theta, np.asarray(J, dtype=float)))
 
 
-@dataclass(frozen=True)
-class JacobiTrajectory:
+@dataclass(frozen=True, kw_only=True)
+class JacobiTrajectory(Trajectory):
     """Co-integrated geodesic + Jacobi samples."""
 
-    taus: np.ndarray
-    states: np.ndarray        # geodesic theta(tau), (n_samples, dim)
-    velocities: np.ndarray
     J: np.ndarray             # (n_samples, dim)
     J_dot: np.ndarray
     rate: float               # sigma0 * lambda of the underlying model
-    tolerance: float
-    n_steps: int
-    complete: bool = True
-    abort_reason: Optional[str] = None
-
-    @property
-    def dimension(self) -> int:
-        return self.states.shape[1]
 
     def intensities(self) -> np.ndarray:
         return intensity(self.states, self.J)
@@ -151,27 +139,25 @@ def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
     """
     model = spec.model
     dim = model.dimension
-    check_tol(tol)
     if tau_max is None:
         tau_max = EXPONENT_WINDOW[1] / spec.rate
-    J0, Jd0 = default_initial(dim)
-    if initial_J is not None:
-        J0 = np.asarray(initial_J, dtype=float)
-    if initial_J_dot is not None:
-        Jd0 = np.asarray(initial_J_dot, dtype=float)
-    if J0.shape != (dim,) or Jd0.shape != (dim,):
-        raise DomainError(f"Jacobi initial data must have shape ({dim},)")
-    if not (np.all(np.isfinite(J0)) and np.all(np.isfinite(Jd0))):
-        raise DomainError("Jacobi initial data must be finite")
-
-    theta0, vel0 = closed_form(spec, 0.0)
-    geo0 = _scaled_geodesic_state(model, theta0, vel0)
-    scales0 = model.scales(theta0)
-    rates0 = model.scales(geo0[dim:])     # d log sigma_k(i) / d tau = rho_k(i)
-    K0 = J0 / scales0
-    Kd0 = (Jd0 - rates0 * J0) / scales0
-    y0 = np.concatenate([geo0, K0, Kd0])
     n_geo = 2 * dim
+
+    def initial():
+        J0, Jd0 = default_initial(dim)
+        if initial_J is not None:
+            J0 = np.asarray(initial_J, dtype=float)
+        if initial_J_dot is not None:
+            Jd0 = np.asarray(initial_J_dot, dtype=float)
+        if J0.shape != (dim,) or Jd0.shape != (dim,):
+            raise DomainError(f"Jacobi initial data must have shape ({dim},)")
+        if not (np.all(np.isfinite(J0)) and np.all(np.isfinite(Jd0))):
+            raise DomainError("Jacobi initial data must be finite")
+        theta0, vel0 = closed_form(spec, 0.0)
+        geo0 = _scaled_geodesic_state(model, theta0, vel0)
+        scales0 = model.scales(theta0)
+        rates0 = model.scales(geo0[dim:])     # d log sigma_k(i) / d tau = rho_k(i)
+        return np.concatenate([geo0, J0 / scales0, (Jd0 - rates0 * J0) / scales0])
 
     # the system tensor as a matrix over its last rho_hat index: 2-D dots on
     # contiguous operands cost less per call than the 4-D matmul
@@ -186,13 +172,8 @@ def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
         dy[0] = y[dim] * math.exp(y[k0])
         return dy
 
-    sol = rk.integrate(rhs, (0.0, tau_max), y0, rtol=tol, atol=tol,
-                       floor=partial(_floor, model), raise_on_abort=False)
-    if sample_taus is not None and sol.complete:
-        taus = np.asarray(sample_taus, dtype=float)
-        ys = sol(taus)
-    else:
-        taus, ys = sol.t, sol.y
+    taus, ys, fields = _sampled_run(rhs, initial, tau_max, tol,
+                                    partial(_floor, model), sample_taus)
     states = ys[:, :dim].copy()
     states[:, 1:] = np.exp(states[:, 1:])
     scales, rates = model.scales(states), model.scales(ys[:, dim:n_geo])
@@ -200,9 +181,7 @@ def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
     K, Kd = ys[:, n_geo:n_geo + dim], ys[:, n_geo + dim:]
     J, J_dot = scales * K, scales * (Kd + rates * K)
     return JacobiTrajectory(taus=taus, states=states, velocities=velocities,
-                            J=J, J_dot=J_dot,
-                            rate=spec.rate, tolerance=tol, n_steps=sol.n_steps,
-                            complete=sol.complete, abort_reason=sol.abort_reason)
+                            J=J, J_dot=J_dot, rate=spec.rate, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -347,18 +326,21 @@ class JacobiSoftening:
     expected_gap: float        # sigma0 * lambda_plus' * (1 - 1/sqrt(2))
 
 
+def exponent_run(spec, window: tuple, tol: float) -> JacobiTrajectory:
+    """The default-initial Jacobi run an exponent fit on ``window`` needs:
+    out to rate * tau = window[1], sampled at 401 even times."""
+    tau_max = window[1] / spec.rate
+    return integrate_jlc(spec, tau_max=tau_max, tol=tol,
+                         sample_taus=np.linspace(0.0, tau_max, 401))
+
+
 def softening_gap(spec3d: GeodesicSpec3D, window: tuple = EXPONENT_WINDOW,
                   tol: float = 1e-10) -> JacobiSoftening:
     """Fitted intensity-growth exponents of the coupled pair and their gap,
     from the default Jacobi initial data."""
-    spec2d = GeodesicSpec2D.from_3d(spec3d)
-    runs = []
-    for spec in (spec3d, spec2d):
-        tau_max = window[1] / spec.rate
-        samples = np.linspace(0.0, tau_max, 401)
-        traj = integrate_jlc(spec, tau_max=tau_max, tol=tol, sample_taus=samples)
-        runs.append((traj, exponent_fit(traj, window)))
-    (t3, f3), (t2, f2) = runs
+    pair = (spec3d, GeodesicSpec2D.from_3d(spec3d))
+    t3, t2 = (exponent_run(spec, window, tol) for spec in pair)
+    f3, f2 = exponent_fit(t3, window), exponent_fit(t2, window)
     expected = spec3d.rate * (1.0 - 1.0 / math.sqrt(2.0))
     return JacobiSoftening(trajectory_3d=t3, trajectory_2d=t2,
                            fit_3d=f3, fit_2d=f2,
@@ -372,14 +354,9 @@ def softening_gap(spec3d: GeodesicSpec3D, window: tuple = EXPONENT_WINDOW,
 
 def jacobi_to_csv(traj: JacobiTrajectory) -> str:
     """Columns: tau, J components, intensity, log intensity."""
-    names = ",".join(f"J{k + 1}" for k in range(traj.dimension))
-    buf = io.StringIO()
-    buf.write("# infogeo jacobi csv schema=1\n")
-    buf.write(f"tau,{names},intensity,log_intensity\n")
+    names = [f"J{k + 1}" for k in range(traj.dimension)]
     inten = traj.intensities()
     with np.errstate(divide="ignore"):
         log_inten = np.log(inten)
-    for i, tau in enumerate(traj.taus):
-        row = [tau, *traj.J[i], inten[i], log_inten[i]]
-        buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    return buf.getvalue()
+    return series_to_csv("jacobi", ["tau", *names, "intensity", "log_intensity"],
+                         [traj.taus, traj.J, inten, log_inten])

@@ -216,6 +216,21 @@ def test_softening_runs_each_sigma0_once(tmp_path, monkeypatch):
             "softening.csv"} <= {p.name for p in out.iterdir()}
 
 
+def test_one_point_sweep_table(tmp_path):
+    # a sweep without the base point sigma0 = 1 tabulates only its own row,
+    # and each softening.csv value is the report's table entry exactly
+    path = tmp_path / "one.ini"
+    path.write_text("[sweep]\nsigma0_values = 2\n")
+    out = tmp_path / "out"
+    assert run(["--config", str(path), "--out", str(out), "softening"]) == 0
+    lines = (out / "softening.csv").read_text().splitlines()
+    rows = json.loads((out / "softening_report.json").read_text())["tables"]["softening"]
+    assert len(lines) == 3 and len(rows) == 1 and rows[0]["sigma0"] == 2.0
+    names = lines[1].split(",")
+    assert sorted(names) == sorted(rows[0])
+    assert [float(v) for v in lines[2].split(",")] == [rows[0][k] for k in names]
+
+
 @pytest.mark.parametrize("command,code", [("geodesics", 1), ("jacobi", 3), ("ige", 0)])
 def test_vanishing_sigma0_warns_nothing(tmp_path, command, code):
     # at sigma0 = 1e-200 the Fisher speed is nan (drift check fails, exit 1)

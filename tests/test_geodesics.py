@@ -319,11 +319,15 @@ def test_positivity_floor_aborts_with_partial_trajectory():
     assert traj.taus[-1] < 10.0
 
 
-def test_trajectory_requires_increasing_times():
+@pytest.mark.parametrize("record,jacobi_fields", [
+    (ig.Trajectory, {}),
+    (ig.JacobiTrajectory, {"J": np.zeros((3, 2)), "J_dot": np.zeros((3, 2)), "rate": 1.0}),
+], ids=["Trajectory", "JacobiTrajectory"])
+def test_trajectory_requires_increasing_times(record, jacobi_fields):
     with pytest.raises(DomainError):
-        ig.Trajectory(taus=np.array([0.0, 0.0, 1.0]),
-                      states=np.zeros((3, 2)), velocities=np.zeros((3, 2)),
-                      tolerance=1e-9, n_steps=2)
+        record(taus=np.array([0.0, 0.0, 1.0]),
+               states=np.zeros((3, 2)), velocities=np.zeros((3, 2)),
+               tolerance=1e-9, n_steps=2, **jacobi_fields)
 
 
 def test_csv_export_roundtrip():

@@ -233,3 +233,14 @@ def test_csv_export():
     assert len(lines) == 2 + len(result.taus)
     first = [float(v) for v in lines[2].split(",")]
     assert first[0] == result.taus[0]
+    # every value parses back to the exact double; on the late window the
+    # volumes pass the double range and print inf
+    late = ig.ige_curve(SPEC2, slope_window=(400.0, 800.0))
+    for res in (result, late):
+        lines = ig.ige_to_csv(res).strip().split("\n")
+        parsed = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]])
+        with np.errstate(over="ignore"):
+            expected = np.column_stack([res.taus, np.exp(res.log_vol), np.exp(res.log_avg_vol),
+                                        res.log_avg_vol, res.entropy_closed_form])
+        assert parsed.shape == expected.shape and (parsed == expected).all()
+    assert (parsed[-1, 1:3] == np.inf).all()

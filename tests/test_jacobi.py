@@ -505,3 +505,14 @@ def test_csv_export():
     assert lines[0] == "# infogeo jacobi csv schema=1"
     assert lines[1] == "tau,J1,J2,J3,intensity,log_intensity"
     assert len(lines) == 13
+    # every value parses back to the exact double; the zero field's log
+    # intensity is -inf
+    zero = ig.integrate_jlc(SPEC3, initial_J=(0.0, 0.0, 0.0), tau_max=1.0)
+    for run in (traj, zero):
+        lines = ig.jacobi_to_csv(run).strip().split("\n")
+        parsed = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]])
+        inten = run.intensities()
+        with np.errstate(divide="ignore"):
+            expected = np.column_stack([run.taus, run.J, inten, np.log(inten)])
+        assert parsed.shape == expected.shape and (parsed == expected).all()
+    assert (parsed[:, -1] == -np.inf).all()
