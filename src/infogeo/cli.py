@@ -34,15 +34,13 @@ import numpy as np
 
 from . import ige, jacobi, numgeo
 from .errors import DomainError, NumericalAbort
-from .fisher import QuadratureSpec, fisher_numeric_2d, fisher_numeric_3d
+from .fisher import fisher_numeric_2d, fisher_numeric_3d
 from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, check_tol, closed_form,
                         integrate_geodesic, residual_check, series_to_csv,
                         trajectory_to_csv)
 from .jacobi import (critically_damped, exponent_fit, exponent_run, integrate_jlc,
                      jacobi_to_csv, softening_gap)
-from .models import (Model2DConfig, ParameterPoint2D, ParameterPoint3D,
-                     SCALAR_CURVATURE_2D, SCALAR_CURVATURE_3D, christoffel_2d,
-                     christoffel_3d, metric_2d, metric_3d)
+from .models import MODEL_2D, MODEL_3D, Model2DConfig
 
 SCHEMA_VERSION = 1
 _POINT_SEED = 20260811  # fixed PCG64 stream: "random" check points, same every run
@@ -141,11 +139,18 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"tau_max must be a positive real, got {cfg.tau_max!r}")
     if (cfg.tau_f is None) != (cfg.epsilon is None):
         raise ConfigError("tau_f and epsilon must be given together")
+    if len(set(cfg.sweep_sigma0)) != len(cfg.sweep_sigma0):
+        raise ConfigError(f"sigma0_values must not repeat a value, got {cfg.sweep_sigma0}")
     try:
         check_tol(cfg.tol)
         spec = cfg.spec_3d()
+        # the latest fit time, in rate * tau; the 2D rate is the smaller of the pair
+        horizon = max(cfg.volume_window[1], cfg.slope_window[1], cfg.exponent_window[1])
         for s0 in (cfg.sigma0, *cfg.sweep_sigma0):
-            GeodesicSpec2D.from_3d(replace(spec, sigma0=s0))
+            rate = GeodesicSpec2D.from_3d(replace(spec, sigma0=s0)).rate
+            if not (rate > 0.0 and horizon / rate < math.inf):
+                raise ConfigError(f"sigma0 = {s0!r} puts the fit horizon {horizon:g} / rate "
+                                  f"beyond the largest float")
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
     return replace(cfg, lambda_f=spec.lambda_f)
@@ -200,19 +205,16 @@ def _checks_csv(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(out_dir: Path, name: str, text: str):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(text)
-
-
 def _emit(cfg: ExperimentConfig, out_dir: Path, stem: str, report: RunReport,
-          csv_series: dict = ()):
+          csv_series: dict):
+    files = {}
     if "json" in cfg.formats:
-        _write(out_dir, f"{stem}_report.json", report.to_json())
+        files[f"{stem}_report.json"] = report.to_json()
     if "csv" in cfg.formats:
-        _write(out_dir, f"{stem}_checks.csv", _checks_csv(report))
-        for name, text in dict(csv_series).items():
-            _write(out_dir, name, text)
+        files[f"{stem}_checks.csv"] = _checks_csv(report)
+        files.update(csv_series)
+    for name, text in files.items():
+        (out_dir / name).write_text(text)
 
 
 def _specs(cfg: ExperimentConfig) -> list:
@@ -221,13 +223,13 @@ def _specs(cfg: ExperimentConfig) -> list:
             if cfg.model in (spec.model.label, "pair")]
 
 
-def _sample_points(n: int):
+def _sample_points(n: int) -> dict:
+    """{model: (n, dimension) check points}: mu_x in [-2, 2) and every scale
+    in [0.5, 2), drawn from the ``_POINT_SEED`` stream, the 3D model first."""
     rng = np.random.default_rng(_POINT_SEED)
-    pts3 = [ParameterPoint3D(rng.uniform(-2, 2), rng.uniform(0.5, 2.0),
-                             rng.uniform(0.5, 2.0)) for _ in range(n)]
-    pts2 = [ParameterPoint2D(rng.uniform(-2, 2), rng.uniform(0.5, 2.0))
-            for _ in range(n)]
-    return pts3, pts2
+    return {model: rng.uniform((-2.0,) + (0.5,) * (model.dimension - 1), 2.0,
+                               (n, model.dimension))
+            for model in (MODEL_3D, MODEL_2D)}
 
 
 # ---------------------------------------------------------------------------
@@ -237,50 +239,39 @@ def _sample_points(n: int):
 def run_verify(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     """Closed-form geometry vs the finite-difference engine and quadrature."""
     report = RunReport("verify-geometry", asdict(cfg))
-    pts3, pts2 = _sample_points(12)
-    f3, f2 = numgeo.field_3d(), numgeo.field_2d()
-
-    report.add("scalar_curvature_3d_analytic_minus_expected",
-               SCALAR_CURVATURE_3D - (-1.0), 0.0)
-    report.add("scalar_curvature_2d_analytic_minus_expected",
-               SCALAR_CURVATURE_2D - (-0.5), 0.0)
-
-    # one Riemann tensor per 3D point serves the scalar, component and Bianchi checks
-    riem3 = [numgeo.riemann_numeric(f3, p.as_array()) for p in pts3]
-    worst3 = max(abs(r.ricci().scalar(f3.metric_at(p.as_array())) + 1.0)
-                 for p, r in zip(pts3, riem3))
-    worst2 = max(abs(numgeo.scalar_numeric(f2, p.as_array()) + 0.5) for p in pts2)
-    report.add("scalar_curvature_3d_fd_error", worst3, 1e-4)
-    report.add("scalar_curvature_2d_fd_error", worst2, 1e-4)
-
-    gerr = 0.0
-    for p in pts3:
-        num = numgeo.christoffel_numeric(f3, p.as_array()).components
-        gerr = max(gerr, float(np.abs(num - christoffel_3d(p).components).max()))
-    for p in pts2:
-        num = numgeo.christoffel_numeric(f2, p.as_array()).components
-        gerr = max(gerr, float(np.abs(num - christoffel_2d(p).components).max()))
+    # per model: the paper's scalar curvature, the metric field of the finite
+    # differences, the Fisher quadrature and the extra arguments of each
+    # Fisher case (the 2D matrix must not depend on Sigma^2)
+    cases = {MODEL_3D: (-1.0, numgeo.field_3d(), fisher_numeric_3d, [()]),
+             MODEL_2D: (-0.5, numgeo.field_2d(), fisher_numeric_2d,
+                        [(Model2DConfig(s2),) for s2 in (0.5, 1.0, 3.0)])}
+    riemann, scalar_errors, gerr, ferr = {}, {}, 0.0, 0.0
+    for model, rows in _sample_points(12).items():
+        expected, fld, fisher, arg_sets = cases[model]
+        report.add(f"scalar_curvature_{model.label}_analytic_minus_expected",
+                   model.scalar_curvature - expected, 0.0)
+        # one Riemann tensor per point serves the scalar, component and Bianchi checks
+        riemann[model] = [(row, numgeo.riemann_numeric(fld, row)) for row in rows]
+        scalar_errors[model.label] = max(abs(r.ricci().scalar(fld.metric_at(row)) - expected)
+                                         for row, r in riemann[model])
+        for row in rows:
+            num = numgeo.christoffel_numeric(fld, row).components
+            gerr = max(gerr, float(np.abs(num - model.tensors(row)[0]).max()))
+        for row in rows[:6]:
+            for args in arg_sets:
+                num = fisher(model.point(*row), *args)   # default quadrature
+                ferr = max(ferr, float(np.abs(num - model.metric_rows(row)[0]).max()))
+    for label, worst in scalar_errors.items():
+        report.add(f"scalar_curvature_{label}_fd_error", worst, 1e-4)
     report.add("christoffel_fd_error", gerr, 1e-6)
 
     rerr = 0.0
-    for p, r in zip(pts3, riem3):
-        num = r.components[0, 1, 0, 1]
-        ref = -1.0 / p.sigma_x**2
-        rerr = max(rerr, abs((num - ref) / ref))
+    for row, r in riemann[MODEL_3D]:
+        ref = -1.0 / row[1]**2     # R^1_212 = -1/sigma_x^2
+        rerr = max(rerr, abs((r.components[0, 1, 0, 1] - ref) / ref))
     report.add("riemann_component_fd_relative_error", rerr, 1e-4)
-
-    bianchi = max(r.first_bianchi_defect() for r in riem3)
+    bianchi = max(r.first_bianchi_defect() for _, r in riemann[MODEL_3D])
     report.add("first_bianchi_defect", bianchi, 1e-6)
-
-    q = QuadratureSpec()
-    ferr = 0.0
-    for p in pts3[:6]:
-        ferr = max(ferr, float(np.abs(fisher_numeric_3d(p, q)
-                                      - metric_3d(p).components).max()))
-    for p in pts2[:6]:
-        for s2 in (0.5, 1.0, 3.0):
-            ferr = max(ferr, float(np.abs(fisher_numeric_2d(p, Model2DConfig(s2), q)
-                                          - metric_2d(p).components).max()))
     report.add("fisher_quadrature_error", ferr, 1e-8)
     return report, {}
 
@@ -450,22 +441,21 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        cfg = _resolve_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    out_dir = Path(cfg.out_dir)
     names = list(_COMMANDS) if args.command == "all" else [args.command]
     all_passed = True
     try:
+        cfg = _resolve_config(args)
+        out_dir = Path(cfg.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
         for name in names:
             report, series = _COMMANDS[name](cfg)
             _emit(cfg, out_dir, name.replace("-", "_"), report, series)
             status = "pass" if report.passed else "FAIL"
             print(f"{name}: {status} ({len(report.checks)} checks)")
             all_passed &= report.passed
+    except (ConfigError, OSError) as exc:   # OSError: out_dir cannot be made or written
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except NumericalAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3

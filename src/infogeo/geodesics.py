@@ -32,6 +32,7 @@ are span-independent.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Optional
@@ -65,28 +66,37 @@ def check_tol(tol):
 
 
 @dataclass(frozen=True)
-class GeodesicSpec3D:
-    """Initial data (mu0, sigma0, sigma0') and rates (lambda_plus', lambda_f).
-
-    ``lam`` is the lambda of the (mu, sigma_x) plane, ``flat_factors`` the
-    (initial value, decay rate) of each flat scale coordinate.
-    """
+class _GeodesicSpec:
+    """Start (mu0, sigma0) of the (mu, sigma) plane; every later field is > 0."""
 
     mu0: float
     sigma0: float
-    sigma0_prime: float
-    lambda_plus_prime: float
-    lambda_f: float
-    model: ClassVar[DiagonalScaleModel] = MODEL_3D
 
     def __post_init__(self):
         if not math.isfinite(self.mu0):
             raise DomainError("mu0 must be finite")
-        _positive("sigma0", self.sigma0)
-        _positive("sigma0_prime", self.sigma0_prime)
-        _positive("lambda_plus_prime", self.lambda_plus_prime)
-        _positive("lambda_f", self.lambda_f)
+        for f in dataclasses.fields(self)[1:]:
+            _positive(f.name, getattr(self, f.name))
         _check_initial_velocity(self)
+
+    @property
+    def rate(self) -> float:
+        """sigma0 * lam: decay rate of sigma, growth rate of volumes."""
+        return self.sigma0 * self.lam
+
+
+@dataclass(frozen=True)
+class GeodesicSpec3D(_GeodesicSpec):
+    """Initial data (mu0, sigma0, sigma0') and rates (lambda_plus', lambda_f).
+
+    ``lam`` is lambda_plus', ``flat_factors`` the (initial value, decay
+    rate) of each flat scale coordinate.
+    """
+
+    sigma0_prime: float
+    lambda_plus_prime: float
+    lambda_f: float
+    model: ClassVar[DiagonalScaleModel] = MODEL_3D
 
     @staticmethod
     def from_final_spread(mu0, sigma0, sigma0_prime, lambda_plus_prime,
@@ -113,26 +123,12 @@ class GeodesicSpec3D:
     def flat_factors(self) -> tuple:
         return ((self.sigma0_prime, self.lambda_f),)
 
-    @property
-    def rate(self) -> float:
-        """sigma0 * lambda_plus': decay rate of sigma_x, growth rate of volumes."""
-        return self.sigma0 * self.lambda_plus_prime
-
 
 @dataclass(frozen=True)
-class GeodesicSpec2D:
-    mu0: float
-    sigma0: float
+class GeodesicSpec2D(_GeodesicSpec):
     lambda_plus: float
     model: ClassVar[DiagonalScaleModel] = MODEL_2D
     flat_factors: ClassVar[tuple] = ()
-
-    def __post_init__(self):
-        if not math.isfinite(self.mu0):
-            raise DomainError("mu0 must be finite")
-        _positive("sigma0", self.sigma0)
-        _positive("lambda_plus", self.lambda_plus)
-        _check_initial_velocity(self)
 
     @staticmethod
     def from_3d(spec: GeodesicSpec3D) -> "GeodesicSpec2D":
@@ -143,10 +139,6 @@ class GeodesicSpec2D:
     @property
     def lam(self) -> float:
         return self.lambda_plus
-
-    @property
-    def rate(self) -> float:
-        return self.sigma0 * self.lambda_plus
 
 
 def _sech(u):

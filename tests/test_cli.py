@@ -6,9 +6,11 @@ import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from infogeo import cli
+from infogeo.models import MODEL_2D, MODEL_3D
 
 
 def run(args):
@@ -59,6 +61,11 @@ def test_invalid_parameters_are_exit_2(tmp_path, capsys):
     cases = [("[model]\nsigma0 = -1.0\n", "verify-geometry")]
     cases += [("[model]\nsigma0 = 1e200\n", command) for command in commands]
     cases += [(f"[sweep]\nsigma0_values = 0.5, {v}\n", "softening") for v in ("0", "-1", "nan")]
+    # a sigma0 whose fit horizon window[1] / rate overflows, or whose rate
+    # underflows to 0, and a repeated sweep value
+    cases += [(f"[model]\nsigma0 = {v}\n", command) for v in ("2e-306", "1e-310", "5e-324")
+              for command in ("ige", "softening")]
+    cases += [(f"[sweep]\nsigma0_values = {v}\n", "softening") for v in ("0.5, 1e-310", "1, 1")]
     # half of the (tau_f, epsilon) pair, an unknown section or key (the
     # removed capital_sigma_sq among them) and a file without a section
     # header: none may run the defaults
@@ -75,6 +82,27 @@ def test_invalid_parameters_are_exit_2(tmp_path, capsys):
         assert not caught
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_smallest_sigma0_with_finite_fit_horizons_runs(tmp_path):
+    # just above the overflow threshold (about 3.15e-306 for the default
+    # windows) the IGE checks still pass
+    path = tmp_path / "tiny.ini"
+    for s0 in ("3.2e-306", "1e-305"):
+        path.write_text(f"[model]\nsigma0 = {s0}\n")
+        assert run(["--config", str(path), "--out", str(tmp_path / "o"), "ige"]) == 0
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub", "out/verify_geometry_report.json"])
+def test_unusable_output_directory_is_exit_2(tmp_path, capsys, out):
+    # an existing file, a path below a file, and a report path that is a directory
+    (tmp_path / "file").write_text("")
+    (tmp_path / "out" / "verify_geometry_report.json").mkdir(parents=True)
+    target = tmp_path / (out if out.startswith("file") else "out")
+    assert run(["--out", str(target), "verify-geometry"]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("config error: ") and err.count("\n") == 1
+    assert str(tmp_path / out) in err
 
 
 def test_malformed_values_are_exit_2(tmp_path):
@@ -107,6 +135,16 @@ def test_readme_synopsis_lists_every_option():
     synopsis = re.search(r"```sh\n(infogeo .*?)```", readme, re.S).group(1)
     options = {o for a in cli._build_parser()._actions for o in a.option_strings}
     assert set(re.findall(r"--[a-z-]+", synopsis)) == options - {"-h", "--help"}
+
+
+def test_sample_points_are_the_seeded_scalar_draws():
+    # one scalar draw per coordinate, point by point, the 3D points first
+    rng = np.random.default_rng(cli._POINT_SEED)
+    pts3 = [[rng.uniform(-2, 2), rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)] for _ in range(12)]
+    pts2 = [[rng.uniform(-2, 2), rng.uniform(0.5, 2.0)] for _ in range(12)]
+    points = cli._sample_points(12)
+    assert list(points) == [MODEL_3D, MODEL_2D]
+    assert points[MODEL_3D].tolist() == pts3 and points[MODEL_2D].tolist() == pts2
 
 
 def test_verify_geometry_passes(tmp_path, capsys):

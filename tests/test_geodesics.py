@@ -1,6 +1,8 @@
 """Geodesic closed forms, numeric integration and their cross-validation."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +41,24 @@ def test_spec_validation():
         for s0 in (1.2e154, 1e200):
             with pytest.raises(DomainError, match="overflows"):
                 make(s0)
+
+
+_VALID_ARGS = {ig.GeodesicSpec3D: (0.0, 1.0, 1.0, 1.0, 1.0), ig.GeodesicSpec2D: (0.0, 1.0, 1.0)}
+
+
+@pytest.mark.parametrize("cls,index,bad", [
+    pytest.param(cls, i, bad, id=f"{cls.__name__}-{dataclasses.fields(cls)[i].name}-{bad}")
+    for cls, args in _VALID_ARGS.items() for i in range(len(args))
+    for bad in ((math.nan, -math.inf) if i == 0 else (0.0, -1.0, math.inf, math.nan))])
+def test_each_spec_field_raises_its_own_message(cls, index, bad):
+    # the field and every later one are bad: the message names this field,
+    # so the checks run in declaration order
+    name = dataclasses.fields(cls)[index].name
+    args = list(_VALID_ARGS[cls])
+    args[index:] = [bad] * (len(args) - index)
+    message = "mu0 must be finite" if index == 0 else f"{name} must be a positive real, got {bad!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        cls(*args)
 
 
 def test_lambda_f_from_final_spread():
