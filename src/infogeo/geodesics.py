@@ -243,13 +243,15 @@ class Trajectory:
 def _sampled_run(rhs, initial, tau_max: float, tol: float, floor, sample_taus) -> tuple:
     """One rk run to ``tau_max``: ``(taus, ys, fields)``, ``fields`` being the
     solver keywords of :class:`Trajectory`.  ``initial()`` builds y0 after the
-    tolerance check, so its own checks run second.  Samples are on
-    ``sample_taus`` (dense output) if the run completes, else its steps."""
+    tolerance check, so its own checks run second.  Samples are the
+    ``sample_taus`` the run reached (dense output), or its steps when no
+    ``sample_taus`` are given or it stopped before its first step."""
     check_tol(tol)
     sol = rk.integrate(rhs, (0.0, tau_max), initial(), rtol=tol, atol=tol,
                        floor=floor, raise_on_abort=False)
-    if sample_taus is not None and sol.complete:
+    if sample_taus is not None and sol.n_steps:
         taus = np.asarray(sample_taus, dtype=float)
+        taus = taus[taus <= sol.t[-1]]
         ys = sol(taus)
     else:
         taus, ys = sol.t, sol.y

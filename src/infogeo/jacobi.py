@@ -94,8 +94,9 @@ _JLC_LOG_FLOOR = math.log(1e-150)
 def _floor(model, y) -> Optional[str]:
     """Why the Jacobi run stops at the accepted state y, or None.
 
-    y = (mu, log sigma..., rho..., K..., K'...).  The checks run on Python
-    floats: on vectors this short, numpy calls cost more than the checks.
+    y = (mu, log sigma..., rho..., J^mu, K..., J^mu', K'...).  The checks run
+    on Python floats: on vectors this short, numpy calls cost more than the
+    checks.
     """
     n = model.dimension
     v = y.tolist()
@@ -103,13 +104,12 @@ def _floor(model, y) -> Optional[str]:
         if log_sigma <= _JLC_LOG_FLOOR:
             return ("sigma coordinate fell below 1e-150; the reported "
                     "intensity g(J, J) carries 1/sigma^2")
-    K = v[2 * n:3 * n]
-    for x in K:
-        if abs(x) > J_OVERFLOW:
-            return f"normalized Jacobi component exceeded {J_OVERFLOW:g}"
-    for x, k in zip(K, model.scale_map):
-        if abs(x) * math.exp(v[k]) > J_OVERFLOW:
-            return f"Jacobi component exceeded {J_OVERFLOW:g}"
+    J_mu, K = abs(v[2 * n]), v[2 * n + 1:3 * n]
+    if J_mu / math.exp(v[model.scale_map[0]]) > J_OVERFLOW or any(abs(x) > J_OVERFLOW for x in K):
+        return f"normalized Jacobi component exceeded {J_OVERFLOW:g}"
+    if J_mu > J_OVERFLOW or any(abs(x) * math.exp(v[k]) > J_OVERFLOW
+                                for x, k in zip(K, model.scale_map[1:])):
+        return f"Jacobi component exceeded {J_OVERFLOW:g}"
     return None
 
 
@@ -122,6 +122,14 @@ def _scaled_geodesic_state(model, theta0: np.ndarray, vel0: np.ndarray) -> np.nd
     return np.concatenate([theta0[:1], np.log(theta0[1:]), vel0 / model.scales(theta0)])
 
 
+def _slot_scales(model, theta, rho) -> tuple:
+    """The scale and log-rate of each Jacobi slot, per row: sigma_k(i) and
+    rho_k(i), except 1 and 0 for the mean slot, which carries J^mu itself."""
+    scales, rates = model.scales(theta), model.scales(rho)
+    scales[..., 0], rates[..., 0] = 1.0, 0.0
+    return scales, rates
+
+
 def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
                   tau_max: Optional[float] = None, tol: float = 1e-10,
                   sample_taus=None) -> JacobiTrajectory:
@@ -129,11 +137,14 @@ def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
 
     The augmented state has dimension 2n + 2n: the geodesic factor
     (parameterized by mu, log sigma and the velocity/sigma ratios) plus the
-    metric-normalized Jacobi components K = J / sigma-scale and their
-    rates.  Both parameterizations keep every quantity relative-accurate
-    however far sigma has decayed; reported values are mapped back to
-    (theta, theta', J, J').  Geodesic initial data come from the exact
-    closed form at tau = 0; Jacobi initial data default to
+    Jacobi field and its rate.  The field's mean component J^mu is carried
+    as it is: it tends to a constant, the Killing mode d/dmu.  Every other
+    component is carried metric-normalized, K_i = J^i / sigma_k(i), which
+    tends to a constant or decays.  So no slot grows with the intensity,
+    the step size is set by the transient alone, and every quantity stays
+    relative-accurate however far sigma has decayed; reported values are
+    mapped back to (theta, theta', J, J').  Geodesic initial data come from
+    the exact closed form at tau = 0; Jacobi initial data default to
     :func:`default_initial`.  Stops early, flagged ``complete=False``, on the
     sigma positivity floor or a normalized component exceeding 1e300.
     """
@@ -155,8 +166,7 @@ def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
             raise DomainError("Jacobi initial data must be finite")
         theta0, vel0 = closed_form(spec, 0.0)
         geo0 = _scaled_geodesic_state(model, theta0, vel0)
-        scales0 = model.scales(theta0)
-        rates0 = model.scales(geo0[dim:])     # d log sigma_k(i) / d tau = rho_k(i)
+        scales0, rates0 = _slot_scales(model, theta0, geo0[dim:])
         return np.concatenate([geo0, J0 / scales0, (Jd0 - rates0 * J0) / scales0])
 
     # the system tensor as a matrix over its last rho_hat index: 2-D dots on
@@ -164,23 +174,32 @@ def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
     system = model.jacobi_system.reshape(-1, dim + 1)
     rho_hat, z = np.ones(dim + 1), np.ones(n_geo + 1)
     k0 = model.scale_map[0]
+    r0, jm, jmd = dim + k0, n_geo, n_geo + dim   # slots of rho_k(0), J^mu, J^mu'
 
     def rhs(t, y):
+        # the tensor acts on K_0 = J^mu / s and its rate, s = sigma_k(0) and
+        # r = rho_k(0) = s'/s; J^mu'' = r J^mu' + s (K_0'' + r' K_0 + r K_0')
+        s, r = math.exp(y[k0]), y[r0]
+        K0 = y[jm] / s
+        K0d = y[jmd] / s - r * K0
         rho_hat[1:] = y[dim:n_geo]
         z[1:] = y[n_geo:]
+        z[1], z[1 + dim] = K0, K0d
         dy = system.dot(rho_hat).reshape(-1, dim + 1).dot(rho_hat).reshape(4 * dim, -1).dot(z)
-        dy[0] = y[dim] * math.exp(y[k0])
+        dy[0] = y[dim] * s
+        dy[jm] = y[jmd]
+        dy[jmd] = r * y[jmd] + s * (dy[jmd] + dy[r0] * K0 + r * K0d)
         return dy
 
     taus, ys, fields = _sampled_run(rhs, initial, tau_max, tol,
                                     partial(_floor, model), sample_taus)
     states = ys[:, :dim].copy()
     states[:, 1:] = np.exp(states[:, 1:])
-    scales, rates = model.scales(states), model.scales(ys[:, dim:n_geo])
-    velocities = ys[:, dim:n_geo] * scales
+    rho = ys[:, dim:n_geo]
+    scales, rates = _slot_scales(model, states, rho)
     K, Kd = ys[:, n_geo:n_geo + dim], ys[:, n_geo + dim:]
     J, J_dot = scales * K, scales * (Kd + rates * K)
-    return JacobiTrajectory(taus=taus, states=states, velocities=velocities,
+    return JacobiTrajectory(taus=taus, states=states, velocities=rho * model.scales(states),
                             J=J, J_dot=J_dot, rate=spec.rate, **fields)
 
 

@@ -265,7 +265,9 @@ class DiagonalScaleModel:
         with B = T_B rho, C = T_C rho rho and r' = q_k rho rho: quadratic in
         rho on K, linear on K'.  The entries are O(1) constants, and B and C
         are block diagonal, so no sigma_x / sigma_y ratio appears at any
-        horizon.
+        horizon.  :func:`infogeo.jacobi.integrate_jlc` carries J^mu and J^mu'
+        in the K_0 and K_0' slots; it rebuilds K_0, K_0' for z and maps the
+        two rows of the mean back.
         """
         n = self.dimension
         t_b, t_c = self._jacobi_tensors

@@ -247,13 +247,35 @@ def test_third_component_is_critically_damped():
     assert np.abs(traj.J[:, 2] - ref).max() < 1e-8
 
 
+def _killing_error(spec, tau_max, samples):
+    # J = (1, 0, ...), J' = 0 is the Killing mode d/dmu: it solves the full
+    # system exactly, and its mean slot carries J^mu itself, a constant
+    n = spec.model.dimension
+    unit = np.eye(n)[0]
+    traj = ig.integrate_jlc(spec, initial_J=unit, initial_J_dot=np.zeros(n), tau_max=tau_max,
+                            sample_taus=np.linspace(0.0, tau_max, samples))
+    return float(np.abs(traj.J - unit).max())
+
+
 def test_translation_mode_is_exactly_constant():
-    # J = (1, 0, 0), J' = 0 is the Killing mode: it solves the full system
-    # exactly, so the trajectory stays at its initial value up to solver noise
-    traj = ig.integrate_jlc(SPEC3, initial_J=(1.0, 0.0, 0.0),
-                            initial_J_dot=(0.0, 0.0, 0.0),
-                            tau_max=50.0, sample_taus=np.linspace(0.0, 50.0, 501))
-    assert np.abs(traj.J - np.array([1.0, 0.0, 0.0])).max() < 1e-8
+    # the trajectory stays at its initial value up to solver noise
+    for spec in (SPEC3, SPEC2):
+        assert _killing_error(spec, 50.0, 501) < 1e-10
+
+
+_log_uniform = st.floats(-1.0, 1.0).map(lambda e: 2.0**e)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(mu0=st.floats(-1.0, 1.0), log_sigma0=st.floats(-3.0, 3.0),
+       sigma0_prime=st.floats(0.5, 2.0), lam=_log_uniform, lam_f=_log_uniform)
+def test_killing_mode_is_exact_over_the_sweep_ranges(mu0, log_sigma0, sigma0_prime, lam, lam_f):
+    # the softening sweep's parameters (sigma0 in [1/8, 8] covers its
+    # sigma0 / 2 and 2 sigma0 points), both models, out to the exponent
+    # horizon on its 401 samples
+    spec = ig.GeodesicSpec3D(mu0, 2.0**log_sigma0, sigma0_prime, lam, lam_f)
+    for s in (spec, ig.GeodesicSpec2D.from_3d(spec)):
+        assert _killing_error(s, ig.EXPONENT_WINDOW[1] / s.rate, 401) < 1e-10
 
 
 def test_first_component_plateaus():
@@ -341,15 +363,17 @@ def test_sigma_floor_truncates_jlc_run():
 
 def _numpy_floor(model, y):
     # the numpy form of the stop test that the float form replaced, kept as
-    # the reference; y = (mu, log sigma..., rho..., K..., K'...)
+    # the reference; y = (mu, log sigma..., rho..., J^mu, K..., J^mu', K'...)
     n = model.dimension
     if np.any(y[1:n] <= math.log(1e-150)):
         return ("sigma coordinate fell below 1e-150; the reported "
                 "intensity g(J, J) carries 1/sigma^2")
-    K = y[2 * n:3 * n]
+    slots, scales = y[2 * n:3 * n], np.exp(model.scales(y[:n]))
+    K, J = slots.copy(), slots * scales
+    K[0], J[0] = slots[0] / scales[0], slots[0]
     if np.any(np.abs(K) > jacobi.J_OVERFLOW):
         return f"normalized Jacobi component exceeded {jacobi.J_OVERFLOW:g}"
-    if np.any(np.abs(K) * np.exp(model.scales(y[:n])) > jacobi.J_OVERFLOW):
+    if np.any(np.abs(J) > jacobi.J_OVERFLOW):
         return f"Jacobi component exceeded {jacobi.J_OVERFLOW:g}"
     return None
 
@@ -357,7 +381,7 @@ def _numpy_floor(model, y):
 @pytest.mark.parametrize("model", [MODEL_3D, MODEL_2D], ids=["3d", "2d"])
 def test_floor_reasons_at_their_boundaries(model):
     # each threshold stops the run at its boundary and not just inside it;
-    # unit scales (log sigma = 0) make |K| sigma_k exact
+    # unit scales (log sigma = 0) make |K| sigma_k and J^mu / sigma_k exact
     n = model.dimension
     floor, past_1e300 = math.log(1e-150), math.nextafter(1e300, math.inf)
 
@@ -371,16 +395,23 @@ def test_floor_reasons_at_their_boundaries(model):
         cases += [(state({j: floor}), True), (state({j: math.nextafter(floor, 0.0)}), False)]
     for a in range(2 * n, 3 * n):
         k = model.scale_map[a - 2 * n]
+        # the slot at the bound and sigma_k one double away from 1: above 1
+        # it scales K_i up to J^i; below 1 it scales J^mu up to K_0
+        nudge = -2.0**-52 if a == 2 * n else 2.0**-52
         cases += [(state({a: -past_1e300}), True), (state({a: 1e300}), False),
-                  # |K| at the bound and sigma_k the next double above 1
-                  (state({a: 1e300, k: 2.0**-52}), True),
-                  (state({a: 1e299, k: 2.0**-52}), False)]
+                  (state({a: 1e300, k: nudge}), True),
+                  (state({a: 1e299, k: nudge}), False)]
+    # J^mu past the bound with K_0 = J^mu / sigma_k back inside it
+    k0 = model.scale_map[0]
+    unnormalized = state({2 * n: past_1e300, k0: 2.0**-52})
+    cases.append((unnormalized, True))
     # every threshold crossed: the sigma floor is reported first
     cases.append((state({1: floor, 2 * n: past_1e300}), True))
     for y, stops in cases:
         reason = jacobi._floor(model, y)
         assert reason == _numpy_floor(model, y)
         assert (reason is not None) == stops
+    assert jacobi._floor(model, unnormalized).startswith("Jacobi component exceeded")
     assert "1e-150" in jacobi._floor(model, cases[-1][0])
 
 
@@ -461,6 +492,25 @@ def test_exponents_match_an_independent_integrator(spec):
     fit, ref = ig.exponent_fit(ours), ig.exponent_fit(theirs)
     assert fit.slope == pytest.approx(ref.slope, rel=1e-8)
     np.testing.assert_allclose(ours.J_dot, theirs.J_dot, rtol=1e-7, atol=1e-9)
+
+
+def test_exponent_runs_take_few_steps():
+    # no slot of the Jacobi state grows with the intensity, so the step
+    # size is not held down by an exponential: about 210 steps to rate * tau = 50
+    for spec in (SPEC3, SPEC2):
+        assert jacobi.exponent_run(spec, ig.EXPONENT_WINDOW, 1e-10).n_steps < 400
+
+
+def test_truncated_runs_are_fitted_on_their_samples():
+    # the 3D run stops on the 1e-150 sigma_y floor at rate * tau = 23.6; the
+    # samples it reached still fill the fit window past rate * tau = 20
+    jac = ig.softening_gap(ig.GeodesicSpec3D(0.8, 0.1368, 0.6, 0.6, 1.2))
+    traj = jac.trajectory_3d
+    assert not traj.complete and "1e-150" in traj.abort_reason
+    grid = np.linspace(0.0, ig.EXPONENT_WINDOW[1] / traj.rate, 401)
+    assert np.array_equal(traj.taus, grid[:traj.taus.size])
+    assert traj.window_mask(ig.EXPONENT_WINDOW).sum() >= 4
+    assert jac.gap == pytest.approx(jac.expected_gap, rel=1e-6)
 
 
 def test_softening_gap_value():
