@@ -41,7 +41,7 @@ import numpy as np
 from .errors import DomainError
 from .fitting import LineFit, fit_basis, fit_line
 from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, Trajectory, _sampled_run,
-                        closed_form, series_to_csv)
+                        closed_form, nonzero_terms, series_to_csv)
 from .models import model_of
 
 J_OVERFLOW = 1e300
@@ -130,6 +130,40 @@ def _slot_scales(model, theta, rho) -> tuple:
     return scales, rates
 
 
+def _jlc_rhs(model):
+    """y' for the scaled Jacobi state y = (mu, log sigma, rho, J^mu, K, J^mu', K')
+    of :func:`integrate_jlc`: T rho_hat rho_hat z, T = ``model.jacobi_system``,
+    rho_hat = (1, rho), z = (1, K_0, K, K_0', K'), then the rows of mu and
+    of the mean slot.  The terms are summed on Python floats."""
+    dim = model.dimension
+    n_geo = 2 * dim
+    terms = nonzero_terms(model.jacobi_system)
+    k0 = model.scale_map[0]
+    r0, jm, jmd = dim + k0, n_geo, n_geo + dim   # slots of rho_k(0), J^mu, J^mu'
+
+    def rhs(t, y):
+        # the tensor acts on K_0 = J^mu / s and its rate, s = sigma_k(0) and
+        # r = rho_k(0) = s'/s; J^mu'' = r J^mu' + s (K_0'' + r' K_0 + r K_0')
+        v = y.tolist()
+        s, r = math.exp(v[k0]), v[r0]
+        if s:
+            K0, K0d = v[jm] / s, v[jmd] / s
+        else:   # exp underflowed: inf or nan, as numpy divides by 0, not an error
+            K0, K0d = v[jm] * math.inf, v[jmd] * math.inf
+        K0d -= r * K0
+        rho_hat = [1.0, *v[dim:n_geo]]
+        z = [1.0, *v[n_geo:]]
+        z[1], z[1 + dim] = K0, K0d
+        dy = [0.0] * (4 * dim)
+        for row, i, a, b, c in terms:
+            dy[row] += c * rho_hat[b] * rho_hat[a] * z[i]
+        dy[0] = v[dim] * s
+        dy[jm] = v[jmd]
+        dy[jmd] = r * v[jmd] + s * (dy[jmd] + dy[r0] * K0 + r * K0d)
+        return np.array(dy)
+    return rhs
+
+
 def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
                   tau_max: Optional[float] = None, tol: float = 1e-10,
                   sample_taus=None) -> JacobiTrajectory:
@@ -169,29 +203,7 @@ def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
         scales0, rates0 = _slot_scales(model, theta0, geo0[dim:])
         return np.concatenate([geo0, J0 / scales0, (Jd0 - rates0 * J0) / scales0])
 
-    # the system tensor as a matrix over its last rho_hat index: 2-D dots on
-    # contiguous operands cost less per call than the 4-D matmul
-    system = model.jacobi_system.reshape(-1, dim + 1)
-    rho_hat, z = np.ones(dim + 1), np.ones(n_geo + 1)
-    k0 = model.scale_map[0]
-    r0, jm, jmd = dim + k0, n_geo, n_geo + dim   # slots of rho_k(0), J^mu, J^mu'
-
-    def rhs(t, y):
-        # the tensor acts on K_0 = J^mu / s and its rate, s = sigma_k(0) and
-        # r = rho_k(0) = s'/s; J^mu'' = r J^mu' + s (K_0'' + r' K_0 + r K_0')
-        s, r = math.exp(y[k0]), y[r0]
-        K0 = y[jm] / s
-        K0d = y[jmd] / s - r * K0
-        rho_hat[1:] = y[dim:n_geo]
-        z[1:] = y[n_geo:]
-        z[1], z[1 + dim] = K0, K0d
-        dy = system.dot(rho_hat).reshape(-1, dim + 1).dot(rho_hat).reshape(4 * dim, -1).dot(z)
-        dy[0] = y[dim] * s
-        dy[jm] = y[jmd]
-        dy[jmd] = r * y[jmd] + s * (dy[jmd] + dy[r0] * K0 + r * K0d)
-        return dy
-
-    taus, ys, fields = _sampled_run(rhs, initial, tau_max, tol,
+    taus, ys, fields = _sampled_run(_jlc_rhs(model), initial, tau_max, tol,
                                     partial(_floor, model), sample_taus)
     states = ys[:, :dim].copy()
     states[:, 1:] = np.exp(states[:, 1:])

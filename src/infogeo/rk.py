@@ -1,9 +1,12 @@
 """Embedded Runge-Kutta 5(4) integrator with PI step control.
 
-Dormand-Prince pair: six function evaluations per accepted step (plus the
+Dormand-Prince pair: six function evaluations per attempted step (plus the
 FSAL evaluation reused from the previous step), fifth-order propagation,
 fourth-order embedded solution for the local error estimate, and the
-standard free fourth-order interpolant for dense output.
+standard free fourth-order interpolant for dense output.  The last stage
+f(t + h, y_new) is reused (FSAL) only from an accepted step: it is kept in
+its own array, so a rejected attempt, which overwrites the stage buffer,
+leaves the first stage of the retry at f(t, y).
 
 Step control is proportional-integral: the step factor uses both the
 current and the previous error estimate, which damps the accept/reject
@@ -176,7 +179,7 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
                 coeffs.append(K.T.dot(_P))
                 t = t1 if last else t + h
                 y = y_new  # a fresh array: no copy needed
-                f_curr = K[6]  # FSAL
+                f_curr = K[6].copy()  # FSAL: the next attempt overwrites K[6]
                 ts.append(t)
                 ys.append(y)
                 n_steps += 1

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import infogeo as ig
 from infogeo.errors import DomainError
-from infogeo.geodesics import _closed_form
+from infogeo.geodesics import _closed_form, _geodesic_rhs, nonzero_terms
 from infogeo.models import MODEL_2D, MODEL_3D
 
 SPEC3 = ig.GeodesicSpec3D(mu0=0.0, sigma0=1.0, sigma0_prime=1.0,
@@ -232,6 +232,59 @@ def test_a_perturbed_geodesic_block_fails_the_property():
                     mutant[rows, first, second] += 1e-7
                     err, bound = _geodesic_rows_error(model, mutant, theta, vel)
                     assert np.any(err > 1e5 * bound)
+
+
+def _dot_geodesic_rhs(model):
+    # the reshape-dot contraction the geodesic RHS used before it summed
+    # nonzero terms, kept as the reference
+    dim = model.dimension
+    system = model.geodesic_system.reshape(-1, dim + 1)
+    v_hat, k = np.ones(dim + 1), np.array(model.scale_map)
+
+    def rhs(t, y):
+        v_hat[1:] = y[dim:]
+        dy = system.dot(v_hat).reshape(2 * dim, -1).dot(v_hat)
+        dy[dim:] /= y[k]
+        return dy
+    return rhs
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(mu=st.floats(-5.0, 5.0), log_scales=st.tuples(*[st.floats(-140.0, 2.0)] * 2),
+       rho=st.tuples(*[st.floats(-2.0, 2.0)] * 3), three=st.booleans())
+def test_geodesic_rhs_matches_the_dot_contraction(mu, log_scales, rho, three):
+    # the draws of test_coefficients_match_textbook_assembly; each row within
+    # 1e-15 of the sum of its terms' magnitudes
+    model = MODEL_3D if three else MODEL_2D
+    n = model.dimension
+    theta = np.array([mu, *(10.0 ** np.array(log_scales))])[:n]
+    y = np.concatenate([theta, np.array(rho[:n]) * model.scales(theta)])
+    v_hat = np.abs(np.concatenate([[1.0], y[n:]]))
+    scale = np.abs(model.geodesic_system) @ v_hat @ v_hat
+    scale[n:] /= model.scales(theta)
+    err = np.abs(_geodesic_rhs(model)(0.0, y) - _dot_geodesic_rhs(model)(0.0, y))
+    assert np.all(err <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize("model", [MODEL_3D, MODEL_2D], ids=lambda m: m.label)
+def test_nonzero_terms_rebuild_each_system_tensor(model):
+    for tensor in (model.geodesic_system, model.jacobi_system):
+        rebuilt = np.zeros(tensor.shape)
+        for *index, c in nonzero_terms(tensor):
+            rebuilt[tuple(index)] = c
+        np.testing.assert_array_equal(rebuilt, tensor)
+
+
+@pytest.mark.parametrize("model", [MODEL_3D, MODEL_2D], ids=lambda m: m.label)
+def test_geodesic_rhs_at_a_zero_sigma_is_non_finite(model):
+    # a trial stage can land on sigma = 0: the dot route divided by it in
+    # numpy (under the np.errstate of rk.integrate), giving inf or nan, and
+    # so must the term route, without raising
+    n = model.dimension
+    y = np.array([0.0, *[0.0] * (n - 1), *[0.5] * n])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert not np.isfinite(_dot_geodesic_rhs(model)(0.0, y)[n:]).any()
+    assert not np.isfinite(_geodesic_rhs(model)(0.0, y)[n:]).any()
 
 
 def test_residual_exact_family():

@@ -204,6 +204,79 @@ def test_a_perturbed_tail_block_fails_the_property():
                         assert _system_error(model, mutant, rho, K, Kd) > 1e-9
 
 
+def _dot_jlc_rhs(model):
+    # the reshape-dot contraction the Jacobi RHS used before it summed
+    # nonzero terms, kept as the reference
+    dim = model.dimension
+    n_geo = 2 * dim
+    system = model.jacobi_system.reshape(-1, dim + 1)
+    rho_hat, z = np.ones(dim + 1), np.ones(n_geo + 1)
+    k0 = model.scale_map[0]
+    r0, jm, jmd = dim + k0, n_geo, n_geo + dim
+
+    def rhs(t, y):
+        s, r = math.exp(y[k0]), y[r0]
+        K0 = y[jm] / s
+        K0d = y[jmd] / s - r * K0
+        rho_hat[1:] = y[dim:n_geo]
+        z[1:] = y[n_geo:]
+        z[1], z[1 + dim] = K0, K0d
+        dy = system.dot(rho_hat).reshape(-1, dim + 1).dot(rho_hat).reshape(4 * dim, -1).dot(z)
+        dy[0] = y[dim] * s
+        dy[jm] = y[jmd]
+        dy[jmd] = r * y[jmd] + s * (dy[jmd] + dy[r0] * K0 + r * K0d)
+        return dy
+    return rhs
+
+
+def _jlc_term_scale(model, y):
+    """Per row of the Jacobi RHS, the sum of its terms' magnitudes."""
+    n = model.dimension
+    k0 = model.scale_map[0]
+    r0, jm, jmd = n + k0, 2 * n, 3 * n
+    s, r = math.exp(y[k0]), y[r0]
+    K0 = y[jm] / s
+    K0d = y[jmd] / s - r * K0
+    rho_hat = np.abs(np.concatenate([[1.0], y[n:2 * n]]))
+    z = np.abs(np.concatenate([[1.0], y[2 * n:]]))
+    z[1], z[1 + n] = abs(K0), abs(K0d)
+    scale = np.abs(model.jacobi_system) @ rho_hat @ rho_hat @ z
+    scale[0] = abs(y[n] * s)
+    scale[jm] = abs(y[jmd])
+    scale[jmd] = abs(r * y[jmd]) + s * (scale[jmd] + scale[r0] * abs(K0) + abs(r * K0d))
+    return scale
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mu=st.floats(-5.0, 5.0), log_scales=st.tuples(*[st.floats(-140.0, 2.0)] * 2),
+       rho=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+       data=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6), three=st.booleans())
+def test_jlc_rhs_matches_the_dot_contraction(mu, log_scales, rho, data, three):
+    # the draws of test_coefficients_match_textbook_assembly, sigma in
+    # [1e-140, 1e2], with the field's slots from those of the tail test;
+    # each row within 1e-15 of the sum of its terms' magnitudes
+    model = MODEL_3D if three else MODEL_2D
+    n = model.dimension
+    log_sigma = np.log(10.0) * np.array(log_scales[:n - 1])
+    y = np.concatenate([[mu], log_sigma, rho[:n], data[:n], data[3:3 + n]])
+    err = np.abs(jacobi._jlc_rhs(model)(0.0, y) - _dot_jlc_rhs(model)(0.0, y))
+    assert np.all(err <= 1e-15 * _jlc_term_scale(model, y))
+
+
+@pytest.mark.parametrize("model", [MODEL_3D, MODEL_2D], ids=lambda m: m.label)
+def test_jlc_rhs_below_the_exp_range_is_non_finite(model):
+    # at log sigma_k(0) = -800 exp gives 0: the dot route divided J^mu by it
+    # in numpy (under the np.errstate of rk.integrate), giving inf or nan,
+    # and so must the term route, without raising
+    n = model.dimension
+    y = np.concatenate([[0.0], [-800.0] * (n - 1), [0.5] * n, [0.3] * (2 * n)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert not np.isfinite(_dot_jlc_rhs(model)(0.0, y)).all()
+    dy = jacobi._jlc_rhs(model)(0.0, y)
+    assert not np.isfinite(dy).all()
+    assert not np.isfinite(dy[3 * n])   # J^mu'' of the mean slot
+
+
 # ---------------------------------------------------------------------------
 # intensity
 # ---------------------------------------------------------------------------
@@ -496,9 +569,9 @@ def test_exponents_match_an_independent_integrator(spec):
 
 def test_exponent_runs_take_few_steps():
     # no slot of the Jacobi state grows with the intensity, so the step
-    # size is not held down by an exponential: about 210 steps to rate * tau = 50
+    # size is not held down by an exponential: about 200 steps to rate * tau = 50
     for spec in (SPEC3, SPEC2):
-        assert jacobi.exponent_run(spec, ig.EXPONENT_WINDOW, 1e-10).n_steps < 400
+        assert jacobi.exponent_run(spec, ig.EXPONENT_WINDOW, 1e-10).n_steps < 230
 
 
 def test_truncated_runs_are_fitted_on_their_samples():

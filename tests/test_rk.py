@@ -93,3 +93,47 @@ def test_error_norm_is_the_mean_square_root_bit_for_bit():
             scale = 1e-10 + 1e-10 * np.maximum(np.abs(y_old), np.abs(y_new))
             ref = float(np.sqrt(np.mean((err / scale) ** 2)))
             assert rk._error_norm(err, y_old, y_new, 1e-10, 1e-10) == ref
+
+
+def test_a_retry_starts_from_the_derivative_at_the_accepted_state():
+    # a square wave in t forces a rejection at each jump; the stage-2 argument
+    # y + h/5 k1 of every attempt gives back its first stage k1, which must be
+    # f(t, y) at the last accepted state, not the last stage of the rejected trial
+    def square(t, y):
+        return np.array([1.0 if t % 1.0 < 0.5 else -1.0, y[0]])
+
+    def f(t, y):
+        calls.append((t, y.copy()))
+        return square(t, y)
+
+    calls = []
+    sol = rk.integrate(f, (0.0, 4.0), [0.0, 0.0], rtol=1e-8, atol=1e-8)
+    assert sol.complete and sol.n_rejected >= 4
+    # after f(t0, y0) and the initial-step probe, six stage calls per attempt
+    attempts = [calls[i:i + 6] for i in range(2, len(calls), 6)]
+    assert len(attempts) == sol.n_steps + sol.n_rejected
+    base = 0
+    for stages in attempts:
+        t, y = sol.t[base], sol.y[base]
+        (t2, y2), (_, y_new) = stages[0], stages[-1]
+        h = 5.0 * (t2 - t)
+        k1 = (y2 - y) / (0.2 * h)
+        np.testing.assert_allclose(k1, square(t, y), rtol=1e-6, atol=1e-6)
+        if np.array_equal(y_new, sol.y[base + 1]):   # accepted
+            base += 1
+    assert base == sol.n_steps
+
+
+def test_a_non_finite_last_stage_is_retried_from_the_accepted_state():
+    # the last stage of the third attempt is nan: that attempt is rejected,
+    # and the retry must not start from it, or every later attempt is nan
+    # and the run ends in step size underflow
+    def f(t, y):
+        calls[0] += 1
+        return np.array([np.nan]) if calls[0] == 2 + 6 * 3 else -y
+
+    calls = [0]
+    sol = rk.integrate(f, (0.0, 5.0), [1.0], rtol=1e-10, atol=1e-12, raise_on_abort=False)
+    assert sol.complete, sol.abort_reason
+    assert sol.n_rejected == 1
+    assert abs(sol.y[-1, 0] - np.exp(-5.0)) < 1e-10
