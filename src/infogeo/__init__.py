@@ -35,7 +35,7 @@ from .jacobi import (EXPONENT_WINDOW, JacobiConstants, JacobiSoftening,
                      asymptotic_solutions, critically_damped,
                      default_initial, exponent_fit, extract_constants,
                      integrate_jlc, intensity, jacobi_to_csv,
-                     jlc_coefficients, softening_gap)
+                     jlc_coefficients, softening_gap, window_mask)
 from .fitting import LineFit, fit_basis, fit_line
 
 __version__ = "0.1.0"

@@ -81,9 +81,16 @@ class JacobiTrajectory(Trajectory):
     def intensities(self) -> np.ndarray:
         return intensity(self.states, self.J)
 
-    def window_mask(self, window: tuple) -> np.ndarray:
-        lo, hi = window[0] / self.rate, window[1] / self.rate
-        return (self.taus >= lo - 1e-12) & (self.taus <= hi + 1e-12)
+
+def window_mask(taus: np.ndarray, rate: float, window: tuple,
+                fit: Optional[str] = None) -> np.ndarray:
+    """The samples of ``taus`` on ``window`` (rate * tau units); a DomainError
+    when a ``fit`` ("exponent", "extraction") would get fewer than 4."""
+    lo, hi = window[0] / rate, window[1] / rate
+    mask = (taus >= lo - 1e-12) & (taus <= hi + 1e-12)
+    if fit and mask.sum() < 4:
+        raise DomainError(f"{fit} window contains too few samples")
+    return mask
 
 
 # the reported intensity g(J, J) carries 1/sigma^2, so the JLC run needs
@@ -111,15 +118,6 @@ def _floor(model, y) -> Optional[str]:
                                 for x, k in zip(K, model.scale_map[1:])):
         return f"Jacobi component exceeded {J_OVERFLOW:g}"
     return None
-
-
-def _scaled_geodesic_state(model, theta0: np.ndarray, vel0: np.ndarray) -> np.ndarray:
-    # (mu, log sigma..., scaled velocities): sigma decays exponentially on
-    # useful horizons, so raw coordinates lose all relative accuracy once
-    # sigma drops below the absolute tolerance; logs and the ratios
-    # rho_i = theta'_i / sigma_k(i) (u = mu'/sigma_x, v = sigma_x'/sigma_x,
-    # w = sigma_y'/sigma_y) stay O(1).
-    return np.concatenate([theta0[:1], np.log(theta0[1:]), vel0 / model.scales(theta0)])
 
 
 def _slot_scales(model, theta, rho) -> tuple:
@@ -198,8 +196,13 @@ def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
             raise DomainError(f"Jacobi initial data must have shape ({dim},)")
         if not (np.all(np.isfinite(J0)) and np.all(np.isfinite(Jd0))):
             raise DomainError("Jacobi initial data must be finite")
+        # (mu, log sigma..., scaled velocities): sigma decays exponentially on
+        # useful horizons, so raw coordinates lose all relative accuracy once
+        # sigma drops below the absolute tolerance; logs and the ratios
+        # rho_i = theta'_i / sigma_k(i) (u = mu'/sigma_x, v = sigma_x'/sigma_x,
+        # w = sigma_y'/sigma_y) stay O(1)
         theta0, vel0 = closed_form(spec, 0.0)
-        geo0 = _scaled_geodesic_state(model, theta0, vel0)
+        geo0 = np.concatenate([theta0[:1], np.log(theta0[1:]), vel0 / model.scales(theta0)])
         scales0, rates0 = _slot_scales(model, theta0, geo0[dim:])
         return np.concatenate([geo0, J0 / scales0, (Jd0 - rates0 * J0) / scales0])
 
@@ -234,17 +237,18 @@ class JacobiConstants:
     lambda_f: Optional[float] = None
 
     @property
-    def dimension(self) -> int:
-        return self.C.shape[0]
+    def damped_rates(self) -> list:
+        """The rate of each critically damped component, J^2 onwards."""
+        return [self.lambda_decay] + [self.lambda_f] * (len(self.C) - 2)
 
 
 def component_bases(constants: JacobiConstants):
     """Basis functions {f1, f2} of each component's asymptotic solution."""
     L = constants.lambda_decay
     bases = [(lambda t: np.ones_like(t), lambda t: np.exp(-2.0 * L * t))]
-    for lam in [L] + [constants.lambda_f] * (constants.dimension - 2):
-        bases.append((lambda t, lam=lam: np.exp(-lam * t),
-                      lambda t, lam=lam: t * np.exp(-lam * t)))
+    for lam in constants.damped_rates:
+        bases.append((partial(critically_damped, lam, 1.0, 0.0),
+                      partial(critically_damped, lam, 0.0, 1.0)))
     return bases
 
 
@@ -273,19 +277,18 @@ def asymptotic_residual(constants: JacobiConstants, tau_grid) -> float:
     (pure rounding for any constants).
     """
     L = constants.lambda_decay
-    rates = [L] + [constants.lambda_f] * (constants.dimension - 2)
     tau = np.asarray(tau_grid, dtype=float)
     c2 = constants.C[0, 1]
     e = np.exp(-2.0 * L * tau)
     d1 = -2.0 * L * c2 * e
     d2 = 4.0 * L * L * c2 * e
     worst = np.abs(d2 + 2.0 * L * d1)
-    for k, lam in enumerate(rates, start=1):
+    for k, lam in enumerate(constants.damped_rates, start=1):
+        # each derivative of (c1 + c2 tau) e^(-lam tau) is again of that form
         c1, c2 = constants.C[k]
-        e = np.exp(-lam * tau)
-        val = (c1 + c2 * tau) * e
-        d1 = (c2 - lam * (c1 + c2 * tau)) * e
-        d2 = (lam * lam * (c1 + c2 * tau) - 2.0 * lam * c2) * e
+        val = critically_damped(lam, c1, c2, tau)
+        d1 = critically_damped(lam, c2 - lam * c1, -lam * c2, tau)
+        d2 = critically_damped(lam, lam * lam * c1 - 2.0 * lam * c2, lam * lam * c2, tau)
         worst = np.maximum(worst, np.abs(d2 + 2.0 * lam * d1 + lam * lam * val))
     return float(worst.max(initial=0.0))
 
@@ -307,22 +310,14 @@ def extract_constants(traj: JacobiTrajectory, window: tuple = (8.0, 25.0),
     exponentially decaying coefficient corrections are below the target
     accuracy, but not so late that the decaying bases underflow.
     """
-    mask = traj.window_mask(window)
-    if mask.sum() < 4:
-        raise DomainError("extraction window contains too few samples")
-    taus = traj.taus[mask]
-    L = traj.rate
-    constants = JacobiConstants(lambda_decay=L,
-                                C=np.zeros((traj.dimension, 2)),
+    mask = window_mask(traj.taus, traj.rate, window, "extraction")
+    constants = JacobiConstants(lambda_decay=traj.rate, C=np.zeros((traj.dimension, 2)),
                                 lambda_f=lambda_f)
-    C = np.zeros((traj.dimension, 2))
     residuals = []
     for k, basis in enumerate(component_bases(constants)):
-        coeffs, resid = fit_basis(taus, traj.J[mask, k], basis)
-        C[k] = coeffs
+        constants.C[k], resid = fit_basis(traj.taus[mask], traj.J[mask, k], basis)
         residuals.append(resid)
-    return (JacobiConstants(lambda_decay=L, C=C, lambda_f=lambda_f),
-            residuals)
+    return constants, residuals
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +331,7 @@ def exponent_fit(traj: JacobiTrajectory, window: tuple = EXPONENT_WINDOW) -> Lin
     dominates; before it the secular tau-terms of the decaying components
     are still visible.
     """
-    mask = traj.window_mask(window)
-    if mask.sum() < 4:
-        raise DomainError("exponent window contains too few samples")
+    mask = window_mask(traj.taus, traj.rate, window, "exponent")
     inten = traj.intensities()[mask]
     if np.any(inten <= 0.0):
         raise DomainError("intensity must be positive on the fit window")
@@ -357,12 +350,18 @@ class JacobiSoftening:
     expected_gap: float        # sigma0 * lambda_plus' * (1 - 1/sqrt(2))
 
 
+def exponent_times(rate: float, window: tuple) -> np.ndarray:
+    """The 401 even sample times of an exponent run, to rate * tau = window[1];
+    a DomainError when too few of them fall on ``window`` to fit."""
+    taus = np.linspace(0.0, window[1] / rate, 401)
+    window_mask(taus, rate, window, "exponent")
+    return taus
+
+
 def exponent_run(spec, window: tuple, tol: float) -> JacobiTrajectory:
-    """The default-initial Jacobi run an exponent fit on ``window`` needs:
-    out to rate * tau = window[1], sampled at 401 even times."""
-    tau_max = window[1] / spec.rate
-    return integrate_jlc(spec, tau_max=tau_max, tol=tol,
-                         sample_taus=np.linspace(0.0, tau_max, 401))
+    """The default-initial Jacobi run to fit on ``window``: see :func:`exponent_times`."""
+    taus = exponent_times(spec.rate, window)
+    return integrate_jlc(spec, tau_max=taus[-1], tol=tol, sample_taus=taus)
 
 
 def softening_gap(spec3d: GeodesicSpec3D, window: tuple = EXPONENT_WINDOW,

@@ -147,7 +147,7 @@ def test_criterion_7_asymptotic_consistency():
                             sample_taus=np.linspace(0.0, 50.0, 801))
     consts, residuals = ig.extract_constants(traj, window=(8.0, 25.0),
                                              lambda_f=lam)
-    tail = traj.J[traj.window_mask((30.0, 50.0)), 0]
+    tail = traj.J[ig.window_mask(traj.taus, traj.rate, (30.0, 50.0)), 0]
     plateau = float(np.abs(tail - tail[-1]).max() / abs(tail[-1]))
     ok = (j3_err < 1e-8 and plateau < 1e-8 and max(residuals) < 1e-6
           and abs(consts.C[1, 1]) > 0.1)

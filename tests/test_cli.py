@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from infogeo import cli
+from infogeo import cli, jacobi
 from infogeo.models import MODEL_2D, MODEL_3D
 
 
@@ -66,6 +66,9 @@ def test_invalid_parameters_are_exit_2(tmp_path, capsys):
     cases += [(f"[model]\nsigma0 = {v}\n", command) for v in ("2e-306", "1e-310", "5e-324")
               for command in ("ige", "softening")]
     cases += [(f"[sweep]\nsigma0_values = {v}\n", "softening") for v in ("0.5, 1e-310", "1, 1")]
+    # an exponent window that holds 1 of the exponent run's samples, too few to fit
+    cases += [("[fit]\nexponent_window = 49.9, 50\n", command)
+              for command in ("jacobi", "softening")]
     # half of the (tau_f, epsilon) pair, an unknown section or key (the
     # removed capital_sigma_sq among them) and a file without a section
     # header: none may run the defaults
@@ -91,6 +94,13 @@ def test_smallest_sigma0_with_finite_fit_horizons_runs(tmp_path):
     for s0 in ("3.2e-306", "1e-305"):
         path.write_text(f"[model]\nsigma0 = {s0}\n")
         assert run(["--config", str(path), "--out", str(tmp_path / "o"), "ige"]) == 0
+
+
+def test_exponent_window_of_nine_samples_runs(tmp_path):
+    # rate * tau in [49, 50] holds 9 of the exponent run's samples: enough to fit
+    path = tmp_path / "narrow.ini"
+    path.write_text("[fit]\nexponent_window = 49, 50\n")
+    assert run(["--config", str(path), "--out", str(tmp_path / "o"), "jacobi"]) == 0
 
 
 @pytest.mark.parametrize("out", ["file", "file/sub", "out/verify_geometry_report.json"])
@@ -261,6 +271,48 @@ def test_softening_runs_each_sigma0_once(tmp_path, monkeypatch):
     assert sorted(calls) == [0.5, 1.0, 2.0]
     assert {"jacobi_3d.csv", "jacobi_2d.csv", "ige_3d.csv", "ige_2d.csv",
             "softening.csv"} <= {p.name for p in out.iterdir()}
+
+
+def test_base_point_series_agree_across_subcommands(tmp_path):
+    # all writes ige_* from ige and jacobi_* from jacobi, then softening
+    # overwrites all four with its base-point runs: each copy must be the same
+    path = tmp_path / "base.ini"
+    path.write_text("[model]\nsigma0 = 2.0\nlambda_f = 1.5\n")
+    names = {"ige_3d.csv", "ige_2d.csv", "jacobi_3d.csv", "jacobi_2d.csv"}
+    written = {}
+    for command in ("ige", "jacobi", "softening"):
+        out = tmp_path / command
+        assert run(["--config", str(path), "--out", str(out), command]) == 0
+        written[command] = {p.name: p.read_bytes() for p in out.iterdir() if p.name in names}
+    assert written["softening"].keys() == names
+    assert {**written["ige"], **written["jacobi"]} == written["softening"]
+
+
+def test_jacobi_makes_one_run_per_model(tmp_path, monkeypatch):
+    # the damped check reads the exponent run: one integrate_jlc call per
+    # model, counted in every module that binds the name
+    calls = []
+    original = jacobi.integrate_jlc
+
+    def counted(spec, *args, **kwargs):
+        calls.append(spec.model.label)
+        return original(spec, *args, **kwargs)
+    for module in (jacobi, cli):
+        if hasattr(module, "integrate_jlc"):
+            monkeypatch.setattr(module, "integrate_jlc", counted)
+    assert run(["--out", str(tmp_path / "out"), "jacobi"]) == 0
+    assert calls == ["3d", "2d"]
+
+
+@pytest.mark.parametrize("sigma0", [0.5, 2.0])
+@pytest.mark.parametrize("ratio", [0.1, 1.0, 5.0])
+def test_damped_component_error_is_rounding(sigma0, ratio):
+    # J^3 of the exponent run against its exact critically damped form, for
+    # lambda_f / rate from 0.1 to 5: the flat slot is integrated exactly
+    cfg = cli._validate(cli.ExperimentConfig(model="3d", sigma0=sigma0, lambda_f=ratio * sigma0))
+    report, _ = cli.run_jacobi(cfg)
+    [check] = [c for c in report.checks if c.name == "jacobi_3d_damped_component_error"]
+    assert check.measured <= 1e-12
 
 
 def test_one_point_sweep_table(tmp_path):
