@@ -35,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -270,29 +271,51 @@ def _sigma_floor(dim):
 def nonzero_terms(tensor: np.ndarray) -> list:
     """``(row, indices..., coefficient)`` of each nonzero entry of a system
     tensor, in index order, as Python ints and floats.  The system tensors
-    are almost empty (16 of the 1,344 entries of the 3D Jacobi one), so an
-    RHS summing these terms on floats costs less than contracting the whole
-    tensor with numpy."""
+    are almost empty (16 of the 1,344 entries of the 3D Jacobi one):
+    :func:`compile_terms` turns these terms into the RHS kernels."""
     return [(*map(int, index), float(tensor[tuple(index)])) for index in np.argwhere(tensor)]
 
 
+def compile_terms(tensor: np.ndarray, axes: tuple):
+    """The contraction of a system tensor as a straight-line Python function.
+
+    ``axes`` names the vector of each index after the row; slot 0 of each
+    vector is the constant 1, and the function takes the other slots as
+    arguments, vector by vector in order of first appearance (slot 1 of
+    vector "v" is the argument ``v1``).  It returns the list of rows: row r
+    is the sum, in index order, of its terms c * x[last index] * ... *
+    x[first index], multiplied left to right and added to 0.0, so it equals
+    a loop over :func:`nonzero_terms` bit for bit; factors of 1.0 (the
+    constant slots, unit coefficients) are left out, as they are exact.
+    """
+    sizes = dict(zip(axes, tensor.shape[1:]))
+    rows = [["0.0"] for _ in range(tensor.shape[0])]
+    for row, *index, c in nonzero_terms(tensor):
+        factors = [f"{axes[j]}{i}" for j, i in reversed(list(enumerate(index))) if i]
+        rows[row].append("*".join([repr(c)] * (c != 1.0 or not factors) + factors))
+    params = [f"{name}{i}" for name, size in sizes.items() for i in range(1, size)]
+    source = (f"def kernel({', '.join(params)}):\n"
+              f"    return [{', '.join(' + '.join(terms) for terms in rows)}]\n")
+    namespace = {}
+    exec(compile(source, "<compile_terms>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+@cache
 def _geodesic_rhs(model):
     """y' = T v_hat v_hat for y = (theta, v), T = ``model.geodesic_system``,
-    v_hat = (1, v), with the acceleration rows divided by sigma_k.  The
-    terms are summed on Python floats."""
+    v_hat = (1, v), with the acceleration rows divided by sigma_k: the
+    compiled kernel of T, as a list."""
     dim = model.dimension
-    terms, k = nonzero_terms(model.geodesic_system), model.scale_map
+    kernel, k = compile_terms(model.geodesic_system, ("v", "v")), model.scale_map
 
     def rhs(t, y):
         v = y.tolist()
-        v_hat = [1.0, *v[dim:]]
-        dy = [0.0] * (2 * dim)
-        for row, a, b, c in terms:
-            dy[row] += c * v_hat[b] * v_hat[a]
+        dy = kernel(*v[dim:])
         for row, j in enumerate(k, start=dim):
             # a trial sigma of 0 gives inf or nan, as numpy divides by 0, not an error
             dy[row] = dy[row] / v[j] if v[j] else dy[row] * math.inf
-        return np.array(dy)
+        return dy
     return rhs
 
 

@@ -32,8 +32,8 @@ the same softening as the entropy slope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
+from functools import cache, partial
 from typing import Optional
 
 import numpy as np
@@ -41,7 +41,7 @@ import numpy as np
 from .errors import DomainError
 from .fitting import LineFit, fit_basis, fit_line
 from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, Trajectory, _sampled_run,
-                        closed_form, nonzero_terms, series_to_csv)
+                        closed_form, compile_terms, series_to_csv)
 from .models import model_of
 
 J_OVERFLOW = 1e300
@@ -128,14 +128,15 @@ def _slot_scales(model, theta, rho) -> tuple:
     return scales, rates
 
 
+@cache
 def _jlc_rhs(model):
     """y' for the scaled Jacobi state y = (mu, log sigma, rho, J^mu, K, J^mu', K')
     of :func:`integrate_jlc`: T rho_hat rho_hat z, T = ``model.jacobi_system``,
-    rho_hat = (1, rho), z = (1, K_0, K, K_0', K'), then the rows of mu and
-    of the mean slot.  The terms are summed on Python floats."""
+    rho_hat = (1, rho), z = (1, K_0, K, K_0', K'), from the compiled kernel
+    of T, then the rows of mu and of the mean slot; a list."""
     dim = model.dimension
     n_geo = 2 * dim
-    terms = nonzero_terms(model.jacobi_system)
+    kernel = compile_terms(model.jacobi_system, ("z", "r", "r"))
     k0 = model.scale_map[0]
     r0, jm, jmd = dim + k0, n_geo, n_geo + dim   # slots of rho_k(0), J^mu, J^mu'
 
@@ -149,16 +150,13 @@ def _jlc_rhs(model):
         else:   # exp underflowed: inf or nan, as numpy divides by 0, not an error
             K0, K0d = v[jm] * math.inf, v[jmd] * math.inf
         K0d -= r * K0
-        rho_hat = [1.0, *v[dim:n_geo]]
-        z = [1.0, *v[n_geo:]]
-        z[1], z[1 + dim] = K0, K0d
-        dy = [0.0] * (4 * dim)
-        for row, i, a, b, c in terms:
-            dy[row] += c * rho_hat[b] * rho_hat[a] * z[i]
+        z = v[n_geo:]
+        z[0], z[dim] = K0, K0d
+        dy = kernel(*z, *v[dim:n_geo])
         dy[0] = v[dim] * s
         dy[jm] = v[jmd]
         dy[jmd] = r * v[jmd] + s * (dy[jmd] + dy[r0] * K0 + r * K0d)
-        return np.array(dy)
+        return dy
     return rhs
 
 
@@ -329,13 +327,18 @@ def exponent_fit(traj: JacobiTrajectory, window: tuple = EXPONENT_WINDOW) -> Lin
 
     The window must start past the crossover where the constant J^1 mode
     dominates; before it the secular tau-terms of the decaying components
-    are still visible.
+    are still visible.  The line is fitted in tau over the window's last
+    sample time, where the abscissae stay O(1) however small or large the
+    window, and its slope is then scaled to one per unit tau.
     """
     mask = window_mask(traj.taus, traj.rate, window, "exponent")
     inten = traj.intensities()[mask]
     if np.any(inten <= 0.0):
         raise DomainError("intensity must be positive on the fit window")
-    return fit_line(traj.taus[mask], np.log(inten))
+    taus = traj.taus[mask]
+    end = taus[-1]
+    fit = fit_line(taus / end, np.log(inten))
+    return replace(fit, slope=fit.slope / end, window=(float(taus[0]), float(end)))
 
 
 @dataclass(frozen=True)

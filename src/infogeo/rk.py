@@ -1,12 +1,18 @@
 """Embedded Runge-Kutta 5(4) integrator with PI step control.
 
-Dormand-Prince pair: six function evaluations per attempted step (plus the
-FSAL evaluation reused from the previous step), fifth-order propagation,
-fourth-order embedded solution for the local error estimate, and the
-standard free fourth-order interpolant for dense output.  The last stage
-f(t + h, y_new) is reused (FSAL) only from an accepted step: it is kept in
-its own array, so a rejected attempt, which overwrites the stage buffer,
-leaves the first stage of the retry at f(t, y).
+Dormand-Prince pair (Hairer, Norsett & Wanner, Solving ODEs I, II.5): six
+function evaluations per attempted step (plus the FSAL evaluation reused
+from the previous step), fifth-order propagation, fourth-order embedded
+solution for the local error estimate, and the standard free fourth-order
+interpolant for dense output.
+
+An attempt works on one buffer [y; K0; ...; K6]: with the stage matrix
+scaled by h, each stage state, y_new and the error estimate is one ``dot``
+of a matrix row with the buffer, and f may return a list or an array, which
+is written straight into its row.  The last stage f(t + h, y_new) is reused
+(FSAL) only from an accepted step: it is copied into the K0 row then, and a
+rejected attempt overwrites only the rows after it, so a retry starts from
+f(t, y).  Dense-output coefficients are built once, at the end.
 
 Step control is proportional-integral: the step factor uses both the
 current and the previous error estimate, which damps the accept/reject
@@ -28,19 +34,20 @@ import numpy as np
 
 from .errors import NumericalAbort
 
-# Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-# b - b_hat: weights of the embedded error estimate
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+# Dormand-Prince 5(4) tableau as one stage matrix: each row combines the
+# buffer rows y, K0, ..., K6 (the K columns to be scaled by h).  Rows 0-4 are
+# the states of stages 1-5 (a_ij), row 5 is y_new (b_j), row 6 the error
+# estimate (b_j - b_hat_j).  Stages 1-5 are taken at t + c_i h.
+_STAGES = np.array([
+    [1, 1 / 5, 0, 0, 0, 0, 0, 0],
+    [1, 3 / 40, 9 / 40, 0, 0, 0, 0, 0],
+    [1, 44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
+    [1, 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
+    [1, 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
+    [1, 35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
+    [0, 71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
+])
+_STAGE_TIMES = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)   # c_1..c_5
 # dense output polynomial (theta, theta^2, theta^3, theta^4 coefficients per stage)
 _P = np.array([
     [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
@@ -86,10 +93,15 @@ class OdeSolution:
         return self.y[k] + h[:, None] * np.matmul(self.Q[k], powers[:, :, None])[:, :, 0]
 
 
-def _error_norm(err, y_old, y_new, rtol, atol) -> float:
-    # the RMS of np.mean, bit for bit, without its Python-level wrapper
-    r = err / (atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new)))
-    return math.sqrt(float(np.add.reduce(r * r)) / r.size)
+def _error_norm(err, abs_old, abs_new, rtol, atol) -> float:
+    """The RMS of err / (atol + rtol max(|y_old|, |y_new|)), bit for bit
+    np.sqrt(np.mean(...)) without its Python-level wrapper; overwrites err."""
+    scale = np.maximum(abs_old, abs_new)
+    scale *= rtol
+    scale += atol
+    err /= scale
+    err *= err
+    return math.sqrt(float(np.add.reduce(err)) / err.size)
 
 
 def _initial_step(f, t0, y0, f0, rtol, atol) -> float:
@@ -101,7 +113,7 @@ def _initial_step(f, t0, y0, f0, rtol, atol) -> float:
         return 1e-6
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     y1 = y0 + h0 * f0
-    f1 = f(t0 + h0, y1)
+    f1 = np.asarray(f(t0 + h0, y1), dtype=float)
     d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
     if not np.isfinite(d2):
         return 1e-6
@@ -121,8 +133,9 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
               raise_on_abort: bool = True) -> OdeSolution:
     """Integrate y' = f(t, y) over ``t_span`` = (t0, t1), t1 > t0.
 
-    ``floor(y)`` may return a reason string to stop at the current state;
-    step-size underflow, and f(t0, y0) not finite, also stop.  With
+    ``f`` returns a list or an array of the size of y.  ``floor(y)`` may
+    return a reason string to stop at the current state; step-size
+    underflow, and f(t0, y0) not finite, also stop.  With
     ``raise_on_abort`` the partial solution rides on the
     :class:`NumericalAbort`; otherwise it is returned with ``complete=False``.
     """
@@ -133,18 +146,22 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
     dim = y.size
     t = t0
     ts, ys = [t0], [y]
-    steps, coeffs = [], []
+    steps, stages = [], []
     n_steps = 0
     n_rejected = 0
     err_prev = 1.0
     abort_reason = None
-    K = np.empty((7, dim))
+    buf = np.zeros((8, dim))        # y, K0, ..., K6
+    buf[0] = y
+    abs_y = np.abs(y)
+    tableau = np.empty((7, 8))      # _STAGES with its K columns scaled by h
+    rows, y_column = list(tableau), tableau[:6, 0]
     # one np.errstate for the whole run: a trial stage past the domain gives
     # inf/nan or raises (math functions in the RHS), and is rejected below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        f_curr = np.asarray(f(t, y), dtype=float)
-        if np.isfinite(f_curr).all():
-            h = min(_initial_step(f, t0, y, f_curr, rtol, atol), t1 - t0)
+        buf[1] = f(t, y)
+        if np.isfinite(buf[1]).all():
+            h = min(_initial_step(f, t0, y, buf[1], rtol, atol), t1 - t0)
         else:
             abort_reason = "right-hand side is not finite at the initial state"
         while abort_reason is None and t < t1:
@@ -155,19 +172,21 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
                 abort_reason = "step size underflow"
                 break
 
-            K[0] = f_curr
-            # ndarray.dot makes the same BLAS call as @ with less dispatch per step
+            np.multiply(_STAGES, h, out=tableau)
+            y_column.fill(1.0)
             try:
-                for s in range(1, 6):
-                    ys_stage = y + h * _A[s].dot(K[:s])
-                    K[s] = f(t + _C[s] * h, ys_stage)
-                y_new = y + h * _B[:6].dot(K[:6])
-                K[6] = f(t + h, y_new)
-                err_norm = _error_norm(h * _E.dot(K), y, y_new, rtol, atol)
+                for s in range(5):
+                    buf[s + 2] = f(t + _STAGE_TIMES[s] * h, rows[s].dot(buf))
+                y_new = rows[5].dot(buf)
+                buf[7] = f(t + h, y_new)
+                abs_new = np.abs(y_new)
+                err_norm = _error_norm(rows[6].dot(buf), abs_y, abs_new, rtol, atol)
             except ArithmeticError:
                 err_norm = math.inf
             if not math.isfinite(err_norm):
-                # trial stage left the domain (e.g. sigma sign flip): retry smaller
+                # trial stage left the domain (e.g. sigma sign flip): retry
+                # smaller; a zero tableau entry must not meet its inf or nan
+                buf[2:] = 0.0
                 h *= _MIN_FACTOR
                 n_rejected += 1
                 continue
@@ -176,10 +195,11 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
                 factor = _SAFETY * (err_norm + 1e-16) ** (-_ALPHA) * (err_prev + 1e-16) ** _BETA
                 err_prev = max(err_norm, 1e-16)
                 steps.append(h)
-                coeffs.append(K.T.dot(_P))
+                stages.append(buf[1:].copy())
                 t = t1 if last else t + h
-                y = y_new  # a fresh array: no copy needed
-                f_curr = K[6].copy()  # FSAL: the next attempt overwrites K[6]
+                y, abs_y = y_new, abs_new   # a fresh array: no copy needed
+                buf[0] = y
+                buf[1] = buf[7]   # FSAL: the next attempt overwrites only rows 2..7
                 ts.append(t)
                 ys.append(y)
                 n_steps += 1
@@ -193,10 +213,11 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
                 n_rejected += 1
             h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
 
+    K = np.array(stages).reshape(n_steps, 7, dim)
     sol = OdeSolution(t=np.array(ts), y=np.array(ys),
                       complete=abort_reason is None, abort_reason=abort_reason,
                       n_steps=n_steps, n_rejected=n_rejected, h=np.array(steps),
-                      Q=np.array(coeffs).reshape(n_steps, dim, 4))
+                      Q=np.matmul(K.transpose(0, 2, 1), _P))
     if abort_reason is not None and raise_on_abort:
         raise NumericalAbort(abort_reason, partial=sol)
     return sol

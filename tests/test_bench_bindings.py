@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 import infogeo
-from infogeo import fisher, geodesics, ige, rk
+from infogeo import fisher, geodesics, ige, jacobi, rk
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -100,3 +100,19 @@ def test_tracer_counts_the_quadrature_mesh():
                          for j, (a, b) in enumerate(zip(theta0, theta1)) if j > 0)
         assert mesh > max(nodes) ** (spec.model.dimension - 1)    # several panels per axis
         assert tracing._quadrature_nodes((spec, tau), {}) == mesh
+
+
+def test_default_runs_keep_the_rk_identities_the_tracer_checks(monkeypatch):
+    # check_rk_identities expects 2 + 6 (steps + rejected) RHS calls and one
+    # floor call per accepted step from every run; the right-hand sides
+    # return lists, which rk writes into its stage rows
+    tracing = _load("tracing")
+    tr = tracing.Tracer()
+    monkeypatch.setattr(rk, "integrate", tracing._traced_integrate(tr, rk.integrate))
+    spec = geodesics.GeodesicSpec3D(0.0, 1.0, 1.0, 1.0, 1.0)
+    jlc = jacobi.integrate_jlc(spec)
+    geo = geodesics.integrate_geodesic(spec, 20.0)
+    assert jlc.complete and geo.complete
+    assert [run[1] for run in tr.rk_runs] == [jlc.n_steps, geo.n_steps]
+    assert tr.rk_runs[0][2] > 0     # rejected attempts are counted too
+    assert tracing.check_rk_identities(tr) == []

@@ -103,6 +103,20 @@ def test_exponent_window_of_nine_samples_runs(tmp_path):
     assert run(["--config", str(path), "--out", str(tmp_path / "o"), "jacobi"]) == 0
 
 
+@pytest.mark.parametrize("command", ["jacobi", "softening"])
+def test_tiny_exponent_window_fails_its_checks_without_a_traceback(tmp_path, capsys, command):
+    # abscissae near 1e-300 square to subnormals; the fit once handed them
+    # to np.polyfit, whose SVD did not converge (a LinAlgError traceback)
+    path = tmp_path / "tiny.ini"
+    path.write_text("[fit]\nexponent_window = 1e-300, 1e-299\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["--config", str(path), "--out", str(tmp_path / "o"), command]) == 1
+    assert not caught
+    out, err = capsys.readouterr()
+    assert out == f"{command}: FAIL ({5 if command == 'jacobi' else 9} checks)\n" and err == ""
+
+
 @pytest.mark.parametrize("out", ["file", "file/sub", "out/verify_geometry_report.json"])
 def test_unusable_output_directory_is_exit_2(tmp_path, capsys, out):
     # an existing file, a path below a file, and a report path that is a directory

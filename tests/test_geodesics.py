@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import infogeo as ig
 from infogeo.errors import DomainError
-from infogeo.geodesics import _closed_form, _geodesic_rhs, nonzero_terms
+from infogeo.geodesics import _closed_form, _geodesic_rhs, compile_terms, nonzero_terms
 from infogeo.models import MODEL_2D, MODEL_3D
 
 SPEC3 = ig.GeodesicSpec3D(mu0=0.0, sigma0=1.0, sigma0_prime=1.0,
@@ -253,8 +253,8 @@ def _dot_geodesic_rhs(model):
 @given(mu=st.floats(-5.0, 5.0), log_scales=st.tuples(*[st.floats(-140.0, 2.0)] * 2),
        rho=st.tuples(*[st.floats(-2.0, 2.0)] * 3), three=st.booleans())
 def test_geodesic_rhs_matches_the_dot_contraction(mu, log_scales, rho, three):
-    # the draws of test_coefficients_match_textbook_assembly; each row within
-    # 1e-15 of the sum of its terms' magnitudes
+    # the draws of test_coefficients_match_textbook_assembly; each row of the
+    # RHS around the compiled kernel within 1e-15 of the sum of its terms' magnitudes
     model = MODEL_3D if three else MODEL_2D
     n = model.dimension
     theta = np.array([mu, *(10.0 ** np.array(log_scales))])[:n]
@@ -262,7 +262,7 @@ def test_geodesic_rhs_matches_the_dot_contraction(mu, log_scales, rho, three):
     v_hat = np.abs(np.concatenate([[1.0], y[n:]]))
     scale = np.abs(model.geodesic_system) @ v_hat @ v_hat
     scale[n:] /= model.scales(theta)
-    err = np.abs(_geodesic_rhs(model)(0.0, y) - _dot_geodesic_rhs(model)(0.0, y))
+    err = np.abs(np.asarray(_geodesic_rhs(model)(0.0, y)) - _dot_geodesic_rhs(model)(0.0, y))
     assert np.all(err <= 1e-15 * scale)
 
 
@@ -279,12 +279,44 @@ def test_nonzero_terms_rebuild_each_system_tensor(model):
 def test_geodesic_rhs_at_a_zero_sigma_is_non_finite(model):
     # a trial stage can land on sigma = 0: the dot route divided by it in
     # numpy (under the np.errstate of rk.integrate), giving inf or nan, and
-    # so must the term route, without raising
+    # so must the RHS around the compiled kernel, without raising
     n = model.dimension
     y = np.array([0.0, *[0.0] * (n - 1), *[0.5] * n])
     with np.errstate(divide="ignore", invalid="ignore"):
         assert not np.isfinite(_dot_geodesic_rhs(model)(0.0, y)[n:]).any()
-    assert not np.isfinite(_geodesic_rhs(model)(0.0, y)[n:]).any()
+    assert not np.isfinite(np.asarray(_geodesic_rhs(model)(0.0, y))[n:]).any()
+
+
+def _term_loop(tensor, vectors):
+    # the loop over nonzero_terms the right-hand sides ran before the terms
+    # were compiled, kept as the reference: slot 0 of each vector is 1.0
+    dy = [0.0] * tensor.shape[0]
+    for row, *index, c in nonzero_terms(tensor):
+        term = c
+        for j, i in reversed(list(enumerate(index))):
+            term = term * vectors[j][i]
+        dy[row] += term
+    return dy
+
+
+_KERNEL_VALUES = st.one_of(st.floats(allow_nan=False, width=64),
+                           st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(_KERNEL_VALUES, min_size=9, max_size=9), three=st.booleans())
+def test_compiled_kernels_equal_the_term_loop_bit_for_bit(values, three):
+    # overflow, inf - inf and signed zeros included
+    model = MODEL_3D if three else MODEL_2D
+    n = model.dimension
+    v = values[:n]
+    kernel = compile_terms(model.geodesic_system, ("v", "v"))
+    ref = _term_loop(model.geodesic_system, [[1.0, *v]] * 2)
+    assert np.array(kernel(*v)).tobytes() == np.array(ref).tobytes()
+    z, rho = values[:2 * n], values[2 * n:3 * n]
+    kernel = compile_terms(model.jacobi_system, ("z", "r", "r"))
+    ref = _term_loop(model.jacobi_system, [[1.0, *z], [1.0, *rho], [1.0, *rho]])
+    assert np.array(kernel(*z, *rho)).tobytes() == np.array(ref).tobytes()
 
 
 def test_residual_exact_family():

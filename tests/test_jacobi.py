@@ -253,13 +253,14 @@ def _jlc_term_scale(model, y):
        data=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6), three=st.booleans())
 def test_jlc_rhs_matches_the_dot_contraction(mu, log_scales, rho, data, three):
     # the draws of test_coefficients_match_textbook_assembly, sigma in
-    # [1e-140, 1e2], with the field's slots from those of the tail test;
-    # each row within 1e-15 of the sum of its terms' magnitudes
+    # [1e-140, 1e2], with the field's slots from those of the tail test; each
+    # row of the RHS around the compiled kernel within 1e-15 of the sum of
+    # its terms' magnitudes
     model = MODEL_3D if three else MODEL_2D
     n = model.dimension
     log_sigma = np.log(10.0) * np.array(log_scales[:n - 1])
     y = np.concatenate([[mu], log_sigma, rho[:n], data[:n], data[3:3 + n]])
-    err = np.abs(jacobi._jlc_rhs(model)(0.0, y) - _dot_jlc_rhs(model)(0.0, y))
+    err = np.abs(np.asarray(jacobi._jlc_rhs(model)(0.0, y)) - _dot_jlc_rhs(model)(0.0, y))
     assert np.all(err <= 1e-15 * _jlc_term_scale(model, y))
 
 
@@ -267,12 +268,12 @@ def test_jlc_rhs_matches_the_dot_contraction(mu, log_scales, rho, data, three):
 def test_jlc_rhs_below_the_exp_range_is_non_finite(model):
     # at log sigma_k(0) = -800 exp gives 0: the dot route divided J^mu by it
     # in numpy (under the np.errstate of rk.integrate), giving inf or nan,
-    # and so must the term route, without raising
+    # and so must the RHS around the compiled kernel, without raising
     n = model.dimension
     y = np.concatenate([[0.0], [-800.0] * (n - 1), [0.5] * n, [0.3] * (2 * n)])
     with np.errstate(divide="ignore", invalid="ignore"):
         assert not np.isfinite(_dot_jlc_rhs(model)(0.0, y)).all()
-    dy = jacobi._jlc_rhs(model)(0.0, y)
+    dy = np.asarray(jacobi._jlc_rhs(model)(0.0, y))
     assert not np.isfinite(dy).all()
     assert not np.isfinite(dy[3 * n])   # J^mu'' of the mean slot
 

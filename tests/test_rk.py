@@ -1,5 +1,6 @@
 """The embedded 5(4) integrator on problems with known solutions."""
 
+import math
 import warnings
 
 import numpy as np
@@ -7,6 +8,22 @@ import pytest
 
 from infogeo import rk
 from infogeo.errors import NumericalAbort
+
+
+def test_tableau_is_the_dormand_prince_one():
+    # against scipy's copy (Hairer, Norsett & Wanner, Solving ODEs I, II.5);
+    # its E is b_hat - b, the error row here b - b_hat.  The stage matrix
+    # combines y, K0..K6: y enters each stage state and y_new once
+    from scipy.integrate._ivp.rk import RK45
+    m = rk._STAGES
+    assert m.shape == (7, 8)
+    np.testing.assert_array_equal(m[:, 0], [1, 1, 1, 1, 1, 1, 0])
+    np.testing.assert_array_equal(m[:5, 1:6], RK45.A[1:])
+    assert not m[:5, 6:].any() and m[5, 7] == 0.0
+    np.testing.assert_array_equal(m[5, 1:7], RK45.B)
+    np.testing.assert_array_equal(m[6, 1:], -RK45.E)
+    np.testing.assert_array_equal(rk._STAGE_TIMES, RK45.C[1:])
+    np.testing.assert_array_equal(rk._P, RK45.P)
 
 
 def test_exponential_decay_accuracy():
@@ -92,7 +109,8 @@ def test_error_norm_is_the_mean_square_root_bit_for_bit():
                                  for _ in range(3))
             scale = 1e-10 + 1e-10 * np.maximum(np.abs(y_old), np.abs(y_new))
             ref = float(np.sqrt(np.mean((err / scale) ** 2)))
-            assert rk._error_norm(err, y_old, y_new, 1e-10, 1e-10) == ref
+            # the helper takes |y_old| and |y_new| and overwrites err
+            assert rk._error_norm(err.copy(), np.abs(y_old), np.abs(y_new), 1e-10, 1e-10) == ref
 
 
 def test_a_retry_starts_from_the_derivative_at_the_accepted_state():
@@ -137,3 +155,17 @@ def test_a_non_finite_last_stage_is_retried_from_the_accepted_state():
     assert sol.complete, sol.abort_reason
     assert sol.n_rejected == 1
     assert abs(sol.y[-1, 0] - np.exp(-5.0)) < 1e-10
+
+
+def test_an_rhs_returning_a_list_gives_the_same_solution_bit_for_bit():
+    # the square wave forces rejections; the first call and the initial-step
+    # probe see the list too
+    def as_list(t, y):
+        return [1.0 if t % 1.0 < 0.5 else -1.0, y[0] * y[1] - y[1], math.sin(y[0])]
+
+    runs = [rk.integrate(f, (0.0, 4.0), [0.1, 1.0, -0.5], rtol=1e-8, atol=1e-8)
+            for f in (as_list, lambda t, y: np.array(as_list(t, y)))]
+    assert runs[0].n_rejected >= 4
+    for name in ("t", "y", "h", "Q"):
+        assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes(), name
+    assert (runs[0].n_steps, runs[0].n_rejected) == (runs[1].n_steps, runs[1].n_rejected)
