@@ -262,8 +262,9 @@ def _sampled_run(rhs, initial, tau_max: float, tol: float, floor, sample_taus) -
 
 def _sigma_floor(dim):
     def check(y):
-        if np.any(y[1:dim] <= SIGMA_FLOOR):
-            return f"sigma coordinate fell to the positivity floor {SIGMA_FLOOR:g}"
+        for sigma in y[1:dim]:
+            if sigma <= SIGMA_FLOOR:
+                return f"sigma coordinate fell to the positivity floor {SIGMA_FLOOR:g}"
         return None
     return check
 
@@ -305,16 +306,15 @@ def compile_terms(tensor: np.ndarray, axes: tuple):
 def _geodesic_rhs(model):
     """y' = T v_hat v_hat for y = (theta, v), T = ``model.geodesic_system``,
     v_hat = (1, v), with the acceleration rows divided by sigma_k: the
-    compiled kernel of T, as a list."""
+    compiled kernel of T, from a list y to a list."""
     dim = model.dimension
     kernel, k = compile_terms(model.geodesic_system, ("v", "v")), model.scale_map
 
     def rhs(t, y):
-        v = y.tolist()
-        dy = kernel(*v[dim:])
+        dy = kernel(*y[dim:])
         for row, j in enumerate(k, start=dim):
             # a trial sigma of 0 gives inf or nan, as numpy divides by 0, not an error
-            dy[row] = dy[row] / v[j] if v[j] else dy[row] * math.inf
+            dy[row] = dy[row] / y[j] if y[j] else dy[row] * math.inf
         return dy
     return rhs
 

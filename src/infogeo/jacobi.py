@@ -98,26 +98,35 @@ def window_mask(taus: np.ndarray, rate: float, window: tuple,
 _JLC_LOG_FLOOR = math.log(1e-150)
 
 
-def _floor(model, y) -> Optional[str]:
-    """Why the Jacobi run stops at the accepted state y, or None.
+@cache
+def _floor(model):
+    """The stop test of a Jacobi run: why it stops at the accepted state y =
+    (mu, log sigma..., rho..., J^mu, K..., J^mu', K'...), a list, or None.
+    It runs straight-line on floats, with one exp per scale coordinate."""
+    n, (k0, *k) = model.dimension, model.scale_map
+    normalized, raw = (f"{kind}Jacobi component exceeded {J_OVERFLOW:g}"
+                       for kind in ("normalized ", ""))
 
-    y = (mu, log sigma..., rho..., J^mu, K..., J^mu', K'...).  The checks run
-    on Python floats: on vectors this short, numpy calls cost more than the
-    checks.
-    """
-    n = model.dimension
-    v = y.tolist()
-    for log_sigma in v[1:n]:
-        if log_sigma <= _JLC_LOG_FLOOR:
-            return ("sigma coordinate fell below 1e-150; the reported "
-                    "intensity g(J, J) carries 1/sigma^2")
-    J_mu, K = abs(v[2 * n]), v[2 * n + 1:3 * n]
-    if J_mu / math.exp(v[model.scale_map[0]]) > J_OVERFLOW or any(abs(x) > J_OVERFLOW for x in K):
-        return f"normalized Jacobi component exceeded {J_OVERFLOW:g}"
-    if J_mu > J_OVERFLOW or any(abs(x) * math.exp(v[k]) > J_OVERFLOW
-                                for x, k in zip(K, model.scale_map[1:])):
-        return f"Jacobi component exceeded {J_OVERFLOW:g}"
-    return None
+    def floor(y):
+        log_sigma = y[1:n]
+        for s in log_sigma:
+            if s <= _JLC_LOG_FLOOR:
+                return ("sigma coordinate fell below 1e-150; the reported "
+                        "intensity g(J, J) carries 1/sigma^2")
+        sigma = [1.0, *map(math.exp, log_sigma)]     # sigma_k by coordinate index k
+        J_mu, K = abs(y[2 * n]), y[2 * n + 1:3 * n]
+        if J_mu / sigma[k0] > J_OVERFLOW:
+            return normalized
+        for x in K:
+            if abs(x) > J_OVERFLOW:
+                return normalized
+        if J_mu > J_OVERFLOW:
+            return raw
+        for x, ki in zip(K, k):
+            if abs(x) * sigma[ki] > J_OVERFLOW:
+                return raw
+        return None
+    return floor
 
 
 def _slot_scales(model, theta, rho) -> tuple:
@@ -133,7 +142,7 @@ def _jlc_rhs(model):
     """y' for the scaled Jacobi state y = (mu, log sigma, rho, J^mu, K, J^mu', K')
     of :func:`integrate_jlc`: T rho_hat rho_hat z, T = ``model.jacobi_system``,
     rho_hat = (1, rho), z = (1, K_0, K, K_0', K'), from the compiled kernel
-    of T, then the rows of mu and of the mean slot; a list."""
+    of T, then the rows of mu and of the mean slot; from a list y to a list."""
     dim = model.dimension
     n_geo = 2 * dim
     kernel = compile_terms(model.jacobi_system, ("z", "r", "r"))
@@ -143,19 +152,18 @@ def _jlc_rhs(model):
     def rhs(t, y):
         # the tensor acts on K_0 = J^mu / s and its rate, s = sigma_k(0) and
         # r = rho_k(0) = s'/s; J^mu'' = r J^mu' + s (K_0'' + r' K_0 + r K_0')
-        v = y.tolist()
-        s, r = math.exp(v[k0]), v[r0]
+        s, r = math.exp(y[k0]), y[r0]
         if s:
-            K0, K0d = v[jm] / s, v[jmd] / s
+            K0, K0d = y[jm] / s, y[jmd] / s
         else:   # exp underflowed: inf or nan, as numpy divides by 0, not an error
-            K0, K0d = v[jm] * math.inf, v[jmd] * math.inf
+            K0, K0d = y[jm] * math.inf, y[jmd] * math.inf
         K0d -= r * K0
-        z = v[n_geo:]
+        z = y[n_geo:]
         z[0], z[dim] = K0, K0d
-        dy = kernel(*z, *v[dim:n_geo])
-        dy[0] = v[dim] * s
-        dy[jm] = v[jmd]
-        dy[jmd] = r * v[jmd] + s * (dy[jmd] + dy[r0] * K0 + r * K0d)
+        dy = kernel(*z, *y[dim:n_geo])
+        dy[0] = y[dim] * s
+        dy[jm] = y[jmd]
+        dy[jmd] = r * y[jmd] + s * (dy[jmd] + dy[r0] * K0 + r * K0d)
         return dy
     return rhs
 
@@ -205,7 +213,7 @@ def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
         return np.concatenate([geo0, J0 / scales0, (Jd0 - rates0 * J0) / scales0])
 
     taus, ys, fields = _sampled_run(_jlc_rhs(model), initial, tau_max, tol,
-                                    partial(_floor, model), sample_taus)
+                                    _floor(model), sample_taus)
     states = ys[:, :dim].copy()
     states[:, 1:] = np.exp(states[:, 1:])
     rho = ys[:, dim:n_geo]

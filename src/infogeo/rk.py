@@ -1,42 +1,38 @@
 """Embedded Runge-Kutta 5(4) integrator with PI step control.
 
 Dormand-Prince pair (Hairer, Norsett & Wanner, Solving ODEs I, II.5): six
-function evaluations per attempted step (plus the FSAL evaluation reused
-from the previous step), fifth-order propagation, fourth-order embedded
-solution for the local error estimate, and the standard free fourth-order
-interpolant for dense output.
+function evaluations per attempted step plus the FSAL one, reused only from
+an accepted step; fifth-order propagation, a fourth-order embedded error
+estimate, and the free fourth-order dense output, built once at the end
+from the accepted steps' stages, which are kept as doubles.
 
-An attempt works on one buffer [y; K0; ...; K6]: with the stage matrix
-scaled by h, each stage state, y_new and the error estimate is one ``dot``
-of a matrix row with the buffer, and f may return a list or an array, which
-is written straight into its row.  The last stage f(t + h, y_new) is reused
-(FSAL) only from an accepted step: it is copied into the K0 row then, and a
-rejected attempt overwrites only the rows after it, so a retry starts from
-f(t, y).  Dense-output coefficients are built once, at the end.
+The states have 4 to 12 components, where a numpy call costs more than its
+arithmetic.  So an attempt is one straight-line Python function per state
+dimension, generated from the tableau and cached (:func:`_attempt`), and
+``f(t, y)`` and ``floor(y)`` get y as a list of floats and t as a float;
+f returns a list (an array works, at numpy's speed).
 
-Step control is proportional-integral: the step factor uses both the
-current and the previous error estimate, which damps the accept/reject
-oscillation of the plain controller on smooth problems.
-
-A ``floor`` callback lets callers stop the integration when the state
-leaves its physical domain (e.g. a scale coordinate falling to the
-positivity floor); the partial solution is attached to the raised
-:class:`NumericalAbort`.
+Step control is proportional-integral, which damps the accept/reject
+oscillation of the plain controller on smooth problems.  A ``floor``
+callback stops the run where the state leaves its domain; the partial
+solution rides on the raised :class:`NumericalAbort`.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import NumericalAbort
 
-# Dormand-Prince 5(4) tableau as one stage matrix: each row combines the
-# buffer rows y, K0, ..., K6 (the K columns to be scaled by h).  Rows 0-4 are
-# the states of stages 1-5 (a_ij), row 5 is y_new (b_j), row 6 the error
+# Dormand-Prince 5(4) tableau as one stage matrix: each row combines y and
+# the stages K0, ..., K6 (the K columns scaled by h).  Rows 0-4 are the
+# states of stages 1-5 (a_ij), row 5 is y_new (b_j), row 6 the error
 # estimate (b_j - b_hat_j).  Stages 1-5 are taken at t + c_i h.
 _STAGES = np.array([
     [1, 1 / 5, 0, 0, 0, 0, 0, 0],
@@ -93,27 +89,70 @@ class OdeSolution:
         return self.y[k] + h[:, None] * np.matmul(self.Q[k], powers[:, :, None])[:, :, 0]
 
 
-def _error_norm(err, abs_old, abs_new, rtol, atol) -> float:
-    """The RMS of err / (atol + rtol max(|y_old|, |y_new|)), bit for bit
-    np.sqrt(np.mean(...)) without its Python-level wrapper; overwrites err."""
-    scale = np.maximum(abs_old, abs_new)
-    scale *= rtol
-    scale += atol
-    err /= scale
-    err *= err
-    return math.sqrt(float(np.add.reduce(err)) / err.size)
+def _sum(terms: list) -> str:
+    """The sum of up to 128 squares ``terms`` in numpy's add.reduce order:
+    below 8 terms left to right (numpy's leading 0.0 changes no square),
+    else 8 interleaved partial sums combined pairwise, then the rest."""
+    n = len(terms)
+    if n < 8:
+        return f"({' + '.join(terms)})"
+    full = n - n % 8
+    r = [f"({' + '.join(terms[j:full:8])})" for j in range(8)]
+    pairs = f"(({r[0]} + {r[1]}) + ({r[2]} + {r[3]})) + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]}))"
+    return f"({' + '.join([pairs, *terms[full:]])})"
+
+
+def _norm_lines(dim: int) -> list:
+    """Body lines from an error vector e_i, y_i and y_new n_i to ``err_norm``,
+    the RMS of e_i / (atol + rtol max(|y_i|, |n_i|)) (a conditional costs
+    less than max()), equal to np.sqrt(np.mean(...)) bit for bit."""
+    lines = []
+    for i in range(dim):
+        lines += [f"a, b = abs(y{i}), abs(n{i})",
+                  f"e{i} = e{i} / (atol + rtol * (a if a > b else b))"]
+    return lines + [f"err_norm = sqrt({_sum([f'e{i} * e{i}' for i in range(dim)])} / {dim})"]
+
+
+@cache
+def _attempt(dim: int):
+    """One attempt on ``dim`` floats, generated from the tableau:
+    ``attempt(f, t, h, y, k0, rtol, atol)`` returns y_new, the stages K0, ...,
+    K6 as one flat list (K6 = f(t + h, y_new)) and the error norm.  Each
+    stage state y + h (a_0 K0 + ...), y_new and the error estimate
+    h (e_0 K0 + ...) sums its nonzero tableau entries left to right."""
+    def names(prefix):
+        return ", ".join(f"{prefix}{i}" for i in range(dim))
+
+    def combination(row, i):
+        coefficients = enumerate(_STAGES[row, 1:].tolist())
+        terms = " + ".join(f"{c!r} * k{j}_{i}" for j, c in coefficients if c)
+        return f"y{i} + h * ({terms})" if _STAGES[row, 0] else f"h * ({terms})"
+
+    stages = range(_STAGES.shape[1] - 1)
+    lines = ["def attempt(f, t, h, y, k0, rtol, atol):",
+             f"{names('y')}, = y", f"{names('k0_')}, = k0"]
+    for s, c in enumerate((*_STAGE_TIMES, 1.0), start=1):   # the last state is y_new
+        at = "t + h" if c == 1.0 else f"t + {c!r} * h"
+        lines += [f"k{s} = f({at}, n := [{', '.join(combination(s - 1, i) for i in range(dim))}])",
+                  f"{names(f'k{s}_')}, = k{s}"]
+    lines += [f"{names('n')}, = n", *(f"e{i} = {combination(-1, i)}" for i in range(dim))]
+    lines += _norm_lines(dim) + [f"return n, [{', '.join(f'*k{s}' for s in stages)}], err_norm"]
+    namespace = {"sqrt": math.sqrt}
+    exec("\n    ".join(lines), namespace)
+    return namespace["attempt"]
 
 
 def _initial_step(f, t0, y0, f0, rtol, atol) -> float:
-    # standard two-trial heuristic, run inside the np.errstate of integrate
+    # standard two-trial heuristic, run inside the np.errstate of integrate;
+    # h comes back a float, or every stage value would be an np.float64
+    y0, f0 = np.array(y0), np.array(f0, dtype=float)
     scale = atol + rtol * np.abs(y0)
     d0 = np.sqrt(np.mean((y0 / scale) ** 2))
     d1 = np.sqrt(np.mean((f0 / scale) ** 2))
     if not (np.isfinite(d0) and np.isfinite(d1)):
         return 1e-6
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    y1 = y0 + h0 * f0
-    f1 = np.asarray(f(t0 + h0, y1), dtype=float)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else float(0.01 * d0 / d1)
+    f1 = np.asarray(f(t0 + h0, (y0 + h0 * f0).tolist()), dtype=float)
     d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
     if not np.isfinite(d2):
         return 1e-6
@@ -121,47 +160,42 @@ def _initial_step(f, t0, y0, f0, rtol, atol) -> float:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1)
+    return float(min(100 * h0, h1))
 
 
-def integrate(f: Callable[[float, np.ndarray], np.ndarray],
+def integrate(f: Callable[[float, list], list],
               t_span: tuple,
               y0,
               rtol: float = 1e-10,
               atol: float = 1e-12,
-              floor: Optional[Callable[[np.ndarray], Optional[str]]] = None,
+              floor: Optional[Callable[[list], Optional[str]]] = None,
               raise_on_abort: bool = True) -> OdeSolution:
     """Integrate y' = f(t, y) over ``t_span`` = (t0, t1), t1 > t0.
 
-    ``f`` returns a list or an array of the size of y.  ``floor(y)`` may
-    return a reason string to stop at the current state; step-size
-    underflow, and f(t0, y0) not finite, also stop.  With
+    ``f(t, y)`` gets t as a float and y as a list of floats, and returns a
+    list (or an array) of the size of y; ``floor(y)`` gets the accepted
+    state as a list and may return a reason string to stop there.
+    Step-size underflow, and f(t0, y0) not finite, also stop.  With
     ``raise_on_abort`` the partial solution rides on the
     :class:`NumericalAbort`; otherwise it is returned with ``complete=False``.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("t_span must satisfy t1 > t0")
-    y = np.array(y0, dtype=float)
-    dim = y.size
+    y = np.array(y0, dtype=float).tolist()
+    dim = len(y)
+    attempt = _attempt(dim)
     t = t0
-    ts, ys = [t0], [y]
-    steps, stages = [], []
-    n_steps = 0
+    ts, ys, steps, stages = [t0], array("d", y), [], array("d")
     n_rejected = 0
     err_prev = 1.0
     abort_reason = None
-    buf = np.zeros((8, dim))        # y, K0, ..., K6
-    buf[0] = y
-    abs_y = np.abs(y)
-    tableau = np.empty((7, 8))      # _STAGES with its K columns scaled by h
-    rows, y_column = list(tableau), tableau[:6, 0]
-    # one np.errstate for the whole run: a trial stage past the domain gives
-    # inf/nan or raises (math functions in the RHS), and is rejected below
+    # one np.errstate for the whole run (initial step, an f on arrays): a trial
+    # stage past the domain gives inf/nan or raises, and is rejected below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        buf[1] = f(t, y)
-        if np.isfinite(buf[1]).all():
-            h = min(_initial_step(f, t0, y, buf[1], rtol, atol), t1 - t0)
+        k = f(t, y)
+        if all(map(math.isfinite, k)):
+            h = min(_initial_step(f, t0, y, k, rtol, atol), t1 - t0)
         else:
             abort_reason = "right-hand side is not finite at the initial state"
         while abort_reason is None and t < t1:
@@ -172,21 +206,12 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
                 abort_reason = "step size underflow"
                 break
 
-            np.multiply(_STAGES, h, out=tableau)
-            y_column.fill(1.0)
             try:
-                for s in range(5):
-                    buf[s + 2] = f(t + _STAGE_TIMES[s] * h, rows[s].dot(buf))
-                y_new = rows[5].dot(buf)
-                buf[7] = f(t + h, y_new)
-                abs_new = np.abs(y_new)
-                err_norm = _error_norm(rows[6].dot(buf), abs_y, abs_new, rtol, atol)
+                y_new, ks, err_norm = attempt(f, t, h, y, k, rtol, atol)
             except ArithmeticError:
                 err_norm = math.inf
             if not math.isfinite(err_norm):
-                # trial stage left the domain (e.g. sigma sign flip): retry
-                # smaller; a zero tableau entry must not meet its inf or nan
-                buf[2:] = 0.0
+                # trial stage left the domain (e.g. sigma sign flip): retry smaller
                 h *= _MIN_FACTOR
                 n_rejected += 1
                 continue
@@ -195,14 +220,11 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
                 factor = _SAFETY * (err_norm + 1e-16) ** (-_ALPHA) * (err_prev + 1e-16) ** _BETA
                 err_prev = max(err_norm, 1e-16)
                 steps.append(h)
-                stages.append(buf[1:].copy())
+                stages.extend(ks)
                 t = t1 if last else t + h
-                y, abs_y = y_new, abs_new   # a fresh array: no copy needed
-                buf[0] = y
-                buf[1] = buf[7]   # FSAL: the next attempt overwrites only rows 2..7
+                y, k = y_new, ks[-dim:]   # FSAL: the next step starts from f(t + h, y_new)
                 ts.append(t)
-                ys.append(y)
-                n_steps += 1
+                ys.extend(y)
                 if floor is not None:
                     reason = floor(y)
                     if reason:
@@ -213,10 +235,10 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
                 n_rejected += 1
             h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
 
-    K = np.array(stages).reshape(n_steps, 7, dim)
-    sol = OdeSolution(t=np.array(ts), y=np.array(ys),
+    K = np.frombuffer(stages).reshape(len(steps), len(_P), dim)
+    sol = OdeSolution(t=np.array(ts), y=np.frombuffer(ys).reshape(-1, dim),
                       complete=abort_reason is None, abort_reason=abort_reason,
-                      n_steps=n_steps, n_rejected=n_rejected, h=np.array(steps),
+                      n_steps=len(steps), n_rejected=n_rejected, h=np.array(steps),
                       Q=np.matmul(K.transpose(0, 2, 1), _P))
     if abort_reason is not None and raise_on_abort:
         raise NumericalAbort(abort_reason, partial=sol)

@@ -105,7 +105,7 @@ def test_tracer_counts_the_quadrature_mesh():
 def test_default_runs_keep_the_rk_identities_the_tracer_checks(monkeypatch):
     # check_rk_identities expects 2 + 6 (steps + rejected) RHS calls and one
     # floor call per accepted step from every run; the right-hand sides
-    # return lists, which rk writes into its stage rows
+    # and floors take lists, and the generated attempt calls f six times
     tracing = _load("tracing")
     tr = tracing.Tracer()
     monkeypatch.setattr(rk, "integrate", tracing._traced_integrate(tr, rk.integrate))

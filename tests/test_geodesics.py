@@ -262,7 +262,8 @@ def test_geodesic_rhs_matches_the_dot_contraction(mu, log_scales, rho, three):
     v_hat = np.abs(np.concatenate([[1.0], y[n:]]))
     scale = np.abs(model.geodesic_system) @ v_hat @ v_hat
     scale[n:] /= model.scales(theta)
-    err = np.abs(np.asarray(_geodesic_rhs(model)(0.0, y)) - _dot_geodesic_rhs(model)(0.0, y))
+    rhs = np.asarray(_geodesic_rhs(model)(0.0, y.tolist()))
+    err = np.abs(rhs - _dot_geodesic_rhs(model)(0.0, y))
     assert np.all(err <= 1e-15 * scale)
 
 
@@ -284,7 +285,7 @@ def test_geodesic_rhs_at_a_zero_sigma_is_non_finite(model):
     y = np.array([0.0, *[0.0] * (n - 1), *[0.5] * n])
     with np.errstate(divide="ignore", invalid="ignore"):
         assert not np.isfinite(_dot_geodesic_rhs(model)(0.0, y)[n:]).any()
-    assert not np.isfinite(np.asarray(_geodesic_rhs(model)(0.0, y))[n:]).any()
+    assert not np.isfinite(np.asarray(_geodesic_rhs(model)(0.0, y.tolist()))[n:]).any()
 
 
 def _term_loop(tensor, vectors):

@@ -260,7 +260,7 @@ def test_jlc_rhs_matches_the_dot_contraction(mu, log_scales, rho, data, three):
     n = model.dimension
     log_sigma = np.log(10.0) * np.array(log_scales[:n - 1])
     y = np.concatenate([[mu], log_sigma, rho[:n], data[:n], data[3:3 + n]])
-    err = np.abs(np.asarray(jacobi._jlc_rhs(model)(0.0, y)) - _dot_jlc_rhs(model)(0.0, y))
+    err = np.abs(np.asarray(jacobi._jlc_rhs(model)(0.0, y.tolist())) - _dot_jlc_rhs(model)(0.0, y))
     assert np.all(err <= 1e-15 * _jlc_term_scale(model, y))
 
 
@@ -273,7 +273,7 @@ def test_jlc_rhs_below_the_exp_range_is_non_finite(model):
     y = np.concatenate([[0.0], [-800.0] * (n - 1), [0.5] * n, [0.3] * (2 * n)])
     with np.errstate(divide="ignore", invalid="ignore"):
         assert not np.isfinite(_dot_jlc_rhs(model)(0.0, y)).all()
-    dy = np.asarray(jacobi._jlc_rhs(model)(0.0, y))
+    dy = np.asarray(jacobi._jlc_rhs(model)(0.0, y.tolist()))
     assert not np.isfinite(dy).all()
     assert not np.isfinite(dy[3 * n])   # J^mu'' of the mean slot
 
@@ -452,6 +452,56 @@ def _numpy_floor(model, y):
     return None
 
 
+def _generator_floor(model, y):
+    # the stop test before it was written straight-line, kept as the
+    # reference: one exp per K slot, in generators
+    n = model.dimension
+    for log_sigma in y[1:n]:
+        if log_sigma <= jacobi._JLC_LOG_FLOOR:
+            return ("sigma coordinate fell below 1e-150; the reported "
+                    "intensity g(J, J) carries 1/sigma^2")
+    J_mu, K = abs(y[2 * n]), y[2 * n + 1:3 * n]
+    if J_mu / math.exp(y[model.scale_map[0]]) > jacobi.J_OVERFLOW or any(
+            abs(x) > jacobi.J_OVERFLOW for x in K):
+        return f"normalized Jacobi component exceeded {jacobi.J_OVERFLOW:g}"
+    if J_mu > jacobi.J_OVERFLOW or any(abs(x) * math.exp(y[k]) > jacobi.J_OVERFLOW
+                                       for x, k in zip(K, model.scale_map[1:])):
+        return f"Jacobi component exceeded {jacobi.J_OVERFLOW:g}"
+    return None
+
+
+_LOG_FLOOR = math.log(1e-150)
+_PAST_1E300 = math.nextafter(1e300, math.inf)
+
+
+@st.composite
+def _floor_states(draw):
+    # log sigma at the 1e-150 floor, one double above it, or anywhere up to
+    # 700 (exp stays finite); each field slot near 1e300 as K_i, as J^i =
+    # K_i sigma_k or as J^mu / sigma_k, exactly at the bound or a special value
+    model = draw(st.sampled_from([MODEL_3D, MODEL_2D]))
+    n = model.dimension
+    y = [0.0] * (4 * n)
+    for j in range(1, n):
+        y[j] = draw(st.one_of(st.sampled_from([_LOG_FLOOR, math.nextafter(_LOG_FLOOR, 0.0)]),
+                              st.floats(_LOG_FLOOR, 700.0)))
+    for a in range(2 * n, 3 * n):
+        sigma = math.exp(y[model.scale_map[a - 2 * n]])
+        near = draw(st.sampled_from([1e300, 1e300 * sigma, 1e300 / sigma]))
+        y[a] = draw(st.one_of(
+            st.floats(-4.0, 4.0).map(lambda u: near * (1.0 + u * 2.0**-52)),
+            st.sampled_from([1e300, -_PAST_1E300, 0.0, math.inf, -math.inf, math.nan]),
+            st.floats(-1e3, 1e3)))
+    return model, y
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_floor_states())
+def test_floor_matches_the_generator_form(case):
+    model, y = case
+    assert jacobi._floor(model)(y) == _generator_floor(model, y)
+
+
 @pytest.mark.parametrize("model", [MODEL_3D, MODEL_2D], ids=["3d", "2d"])
 def test_floor_reasons_at_their_boundaries(model):
     # each threshold stops the run at its boundary and not just inside it;
@@ -481,12 +531,13 @@ def test_floor_reasons_at_their_boundaries(model):
     cases.append((unnormalized, True))
     # every threshold crossed: the sigma floor is reported first
     cases.append((state({1: floor, 2 * n: past_1e300}), True))
+    stop = jacobi._floor(model)
     for y, stops in cases:
-        reason = jacobi._floor(model, y)
-        assert reason == _numpy_floor(model, y)
+        reason = stop(y.tolist())
+        assert reason == _numpy_floor(model, y) == _generator_floor(model, y.tolist())
         assert (reason is not None) == stops
-    assert jacobi._floor(model, unnormalized).startswith("Jacobi component exceeded")
-    assert "1e-150" in jacobi._floor(model, cases[-1][0])
+    assert stop(unnormalized.tolist()).startswith("Jacobi component exceeded")
+    assert "1e-150" in stop(cases[-1][0].tolist())
 
 
 # ---------------------------------------------------------------------------
