@@ -241,21 +241,22 @@ class Trajectory:
         return fisher_speed(self.states, self.velocities)
 
 
-def _sampled_run(rhs, initial, tau_max: float, tol: float, floor, sample_taus) -> tuple:
-    """One rk run to ``tau_max``: ``(taus, ys, fields)``, ``fields`` being the
-    solver keywords of :class:`Trajectory`.  ``initial()`` builds y0 after the
-    tolerance check, so its own checks run second.  Samples are the
-    ``sample_taus`` the run reached (dense output), or its steps when no
-    ``sample_taus`` are given or it stopped before its first step."""
+def _sampled_run(rhs, y0, tau_max: float, tol: float, floor, sample_taus,
+                 rate: float = 1.0) -> tuple:
+    """One rk run to ``tau_max`` from ``y0``, made in s = rate * tau:
+    ``(taus, ys, fields)``, ``fields`` being the solver keywords of
+    :class:`Trajectory`.  Samples are the ``sample_taus`` the run reached
+    (dense output), or its steps when no ``sample_taus`` are given or it
+    stopped before its first step."""
     check_tol(tol)
-    sol = rk.integrate(rhs, (0.0, tau_max), initial(), rtol=tol, atol=tol,
+    sol = rk.integrate(rhs, (0.0, tau_max * rate), y0, rtol=tol, atol=tol,
                        floor=floor, raise_on_abort=False)
     if sample_taus is not None and sol.n_steps:
         taus = np.asarray(sample_taus, dtype=float)
-        taus = taus[taus <= sol.t[-1]]
-        ys = sol(taus)
+        taus = taus[taus * rate <= sol.t[-1]]
+        ys = sol(taus * rate)
     else:
-        taus, ys = sol.t, sol.y
+        taus, ys = sol.t / rate, sol.y
     return taus, ys, dict(tolerance=tol, n_steps=sol.n_steps,
                           complete=sol.complete, abort_reason=sol.abort_reason)
 
@@ -330,7 +331,7 @@ def integrate_geodesic(spec, tau_max: float, tol: float = 1e-10,
     """
     dim = spec.model.dimension
     taus, ys, fields = _sampled_run(_geodesic_rhs(spec.model),
-                                    lambda: np.concatenate(closed_form(spec, 0.0)),
+                                    np.concatenate(closed_form(spec, 0.0)),
                                     tau_max, tol, _sigma_floor(dim), sample_taus)
     return Trajectory(taus=taus, states=ys[:, :dim], velocities=ys[:, dim:], **fields)
 

@@ -38,10 +38,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalAbort
 from .fitting import LineFit, fit_basis, fit_line
 from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, Trajectory, _sampled_run,
-                        closed_form, compile_terms, series_to_csv)
+                        compile_terms, series_to_csv)
 from .models import model_of
 
 J_OVERFLOW = 1e300
@@ -74,47 +74,43 @@ def intensity(theta: np.ndarray, J: np.ndarray):
 class JacobiTrajectory(Trajectory):
     """Co-integrated geodesic + Jacobi samples."""
 
-    J: np.ndarray             # (n_samples, dim)
+    J: np.ndarray             # (n_samples, dim); may underflow to 0
     J_dot: np.ndarray
     rate: float               # sigma0 * lambda of the underlying model
+    log_intensities: np.ndarray   # log sqrt(g(J, J)), formed without J itself
 
     def intensities(self) -> np.ndarray:
-        return intensity(self.states, self.J)
+        """sqrt(g(J, J)) per sample: inf past the double range."""
+        with np.errstate(over="ignore"):
+            return np.exp(self.log_intensities)
 
 
 def window_mask(taus: np.ndarray, rate: float, window: tuple,
                 fit: Optional[str] = None) -> np.ndarray:
-    """The samples of ``taus`` on ``window`` (rate * tau units); a DomainError
-    when a ``fit`` ("exponent", "extraction") would get fewer than 4."""
-    lo, hi = window[0] / rate, window[1] / rate
-    mask = (taus >= lo - 1e-12) & (taus <= hi + 1e-12)
+    """The samples of ``taus`` on ``window``, compared in rate * tau units
+    with a slack of 1e-12 there; a DomainError when a ``fit`` ("exponent",
+    "extraction") would get fewer than 4."""
+    s = np.asarray(taus) * rate
+    mask = (s >= window[0] - 1e-12) & (s <= window[1] + 1e-12)
     if fit and mask.sum() < 4:
         raise DomainError(f"{fit} window contains too few samples")
     return mask
 
 
-# the reported intensity g(J, J) carries 1/sigma^2, so the JLC run needs
-# sigma comfortably above sqrt(double minimum), tighter than the geodesic floor
-_JLC_LOG_FLOOR = math.log(1e-150)
-
-
 @cache
 def _floor(model):
     """The stop test of a Jacobi run: why it stops at the accepted state y =
-    (mu, log sigma..., rho..., J^mu, K..., J^mu', K'...), a list, or None.
-    It runs straight-line on floats, with one exp per scale coordinate."""
+    (mu, log sigma..., rho..., J^mu, K..., J^mu', K'...) in the units of
+    :func:`integrate_jlc`, a list, or None; straight-line on floats."""
     n, (k0, *k) = model.dimension, model.scale_map
     normalized, raw = (f"{kind}Jacobi component exceeded {J_OVERFLOW:g}"
                        for kind in ("normalized ", ""))
 
     def floor(y):
-        log_sigma = y[1:n]
-        for s in log_sigma:
-            if s <= _JLC_LOG_FLOOR:
-                return ("sigma coordinate fell below 1e-150; the reported "
-                        "intensity g(J, J) carries 1/sigma^2")
-        sigma = [1.0, *map(math.exp, log_sigma)]     # sigma_k by coordinate index k
+        sigma = [1.0, *map(math.exp, y[1:n])]     # sigma_k by coordinate index k
         J_mu, K = abs(y[2 * n]), y[2 * n + 1:3 * n]
+        # sigma_k(0) > 0: where its exp underflows the RHS is not finite, and rk
+        # accepts no such state
         if J_mu / sigma[k0] > J_OVERFLOW:
             return normalized
         for x in K:
@@ -129,20 +125,13 @@ def _floor(model):
     return floor
 
 
-def _slot_scales(model, theta, rho) -> tuple:
-    """The scale and log-rate of each Jacobi slot, per row: sigma_k(i) and
-    rho_k(i), except 1 and 0 for the mean slot, which carries J^mu itself."""
-    scales, rates = model.scales(theta), model.scales(rho)
-    scales[..., 0], rates[..., 0] = 1.0, 0.0
-    return scales, rates
-
-
 @cache
 def _jlc_rhs(model):
     """y' for the scaled Jacobi state y = (mu, log sigma, rho, J^mu, K, J^mu', K')
     of :func:`integrate_jlc`: T rho_hat rho_hat z, T = ``model.jacobi_system``,
-    rho_hat = (1, rho), z = (1, K_0, K, K_0', K'), from the compiled kernel
-    of T, then the rows of mu and of the mean slot; from a list y to a list."""
+    rho_hat = (1, rho), z = (1, K_0, K, K_0', K'), from the compiled kernel of
+    T, then the rows of mu and of the mean slot; from a list y to a list.  It
+    is homogeneous in rho, so it reads the same in tau and in rate units."""
     dim = model.dimension
     n_geo = 2 * dim
     kernel = compile_terms(model.jacobi_system, ("z", "r", "r"))
@@ -173,55 +162,63 @@ def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
                   sample_taus=None) -> JacobiTrajectory:
     """Co-integrate geodesic and Jacobi field as one first-order system.
 
-    The augmented state has dimension 2n + 2n: the geodesic factor
-    (parameterized by mu, log sigma and the velocity/sigma ratios) plus the
-    Jacobi field and its rate.  The field's mean component J^mu is carried
-    as it is: it tends to a constant, the Killing mode d/dmu.  Every other
-    component is carried metric-normalized, K_i = J^i / sigma_k(i), which
-    tends to a constant or decays.  So no slot grows with the intensity,
-    the step size is set by the transient alone, and every quantity stays
-    relative-accurate however far sigma has decayed; reported values are
-    mapped back to (theta, theta', J, J').  Geodesic initial data come from
-    the exact closed form at tau = 0; Jacobi initial data default to
-    :func:`default_initial`.  Stops early, flagged ``complete=False``, on the
-    sigma positivity floor or a normalized component exceeding 1e300.
+    The run is made in rate units s = rate * tau, relative to the start: the
+    geodesic as (mu - mu0) / sigma0, log(sigma / sigma(0)) and the velocity
+    ratios rho_i = theta'_i / sigma_k(i) over the rate; the field as J^mu /
+    sigma0, which tends to a constant (the Killing mode d/dmu), and the
+    metric-normalized K_i = J^i / sigma_k(i), which tend to a constant or
+    decay, with their s-rates, all divided by the max-norm of their start
+    vector.  The system is homogeneous in rho and linear in the field, so it
+    reads the same in s as in tau.  No slot grows with the intensity, the 2D
+    run depends on the spec only through rounding and the 3D run only on
+    lambda_f / rate.  Reported values are mapped back to (theta, theta', J,
+    J'), where sigma and J may underflow to 0; the log intensities come from
+    the slots.  The geodesic starts as the exact closed form; the field
+    defaults to :func:`default_initial`.  Stops early, flagged
+    ``complete=False``, once a normalized slot exceeds 1e300 (near rate * tau
+    = 691 for the default field).
     """
-    model = spec.model
-    dim = model.dimension
-    if tau_max is None:
-        tau_max = EXPONENT_WINDOW[1] / spec.rate
+    model, rate = spec.model, spec.rate
+    dim, k0 = model.dimension, model.scale_map[0]
     n_geo = 2 * dim
-
-    def initial():
-        J0, Jd0 = default_initial(dim)
-        if initial_J is not None:
-            J0 = np.asarray(initial_J, dtype=float)
-        if initial_J_dot is not None:
-            Jd0 = np.asarray(initial_J_dot, dtype=float)
-        if J0.shape != (dim,) or Jd0.shape != (dim,):
-            raise DomainError(f"Jacobi initial data must have shape ({dim},)")
-        if not (np.all(np.isfinite(J0)) and np.all(np.isfinite(Jd0))):
-            raise DomainError("Jacobi initial data must be finite")
-        # (mu, log sigma..., scaled velocities): sigma decays exponentially on
-        # useful horizons, so raw coordinates lose all relative accuracy once
-        # sigma drops below the absolute tolerance; logs and the ratios
-        # rho_i = theta'_i / sigma_k(i) (u = mu'/sigma_x, v = sigma_x'/sigma_x,
-        # w = sigma_y'/sigma_y) stay O(1)
-        theta0, vel0 = closed_form(spec, 0.0)
-        geo0 = np.concatenate([theta0[:1], np.log(theta0[1:]), vel0 / model.scales(theta0)])
-        scales0, rates0 = _slot_scales(model, theta0, geo0[dim:])
-        return np.concatenate([geo0, J0 / scales0, (Jd0 - rates0 * J0) / scales0])
-
-    taus, ys, fields = _sampled_run(_jlc_rhs(model), initial, tau_max, tol,
-                                    _floor(model), sample_taus)
-    states = ys[:, :dim].copy()
-    states[:, 1:] = np.exp(states[:, 1:])
-    rho = ys[:, dim:n_geo]
-    scales, rates = _slot_scales(model, states, rho)
-    K, Kd = ys[:, n_geo:n_geo + dim], ys[:, n_geo + dim:]
-    J, J_dot = scales * K, scales * (Kd + rates * K)
-    return JacobiTrajectory(taus=taus, states=states, velocities=rho * model.scales(states),
-                            J=J, J_dot=J_dot, rate=spec.rate, **fields)
+    J0, Jd0 = default_initial(dim)
+    J0 = J0 if initial_J is None else np.asarray(initial_J, dtype=float)
+    Jd0 = Jd0 if initial_J_dot is None else np.asarray(initial_J_dot, dtype=float)
+    if J0.shape != (dim,) or Jd0.shape != (dim,):
+        raise DomainError(f"Jacobi initial data must have shape ({dim},)")
+    if not (np.all(np.isfinite(J0)) and np.all(np.isfinite(Jd0))):
+        raise DomainError("Jacobi initial data must be finite")
+    # the closed form at tau = 0: sigma_k(i) and the velocity ratios over the rate
+    scales0 = model.scales([spec.mu0, spec.sigma0, *(start for start, _ in spec.flat_factors)])
+    rho0 = np.array([model.mean_span, 0.0, *(-decay / rate for _, decay in spec.flat_factors)])
+    # a start vector past the double range gives nan slots: the run stops at its start
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # the slots' log-rates are rho_k(i), 0 for the mean's, as sigma_x'(0) = 0
+        field0 = np.concatenate([J0, Jd0 / rate - model.scales(rho0) * J0]) / np.tile(scales0, 2)
+        unit = np.abs(field0).max() or 1.0
+        y0 = np.concatenate([np.zeros(dim), rho0, field0 / unit])
+        taus, ys, fields = _sampled_run(_jlc_rhs(model), y0,
+                                        EXPONENT_WINDOW[1] / rate if tau_max is None else tau_max,
+                                        tol, _floor(model), sample_taus, rate)
+        relative = np.column_stack([ys[:, :1], np.exp(ys[:, 1:dim])])   # mu~, sigma / sigma(0)
+        # each slot's relative scale and log-rate: 1 and 0 for the mean's, J^mu / sigma0
+        scales, rates = model.scales(relative), model.scales(ys[:, dim:n_geo])
+        scales[:, 0], rates[:, 0] = 1.0, 0.0
+        K, Kd = ys[:, n_geo:n_geo + dim], ys[:, n_geo + dim:]
+        # g(J, J) = unit^2 sum_i c_i t_i^2 for t = (K_0 / relative sigma_k(0), K_1, ...),
+        # summed in units of max |t_i|, so that no square overflows
+        t = np.column_stack([K[:, 0] / relative[:, k0], K[:, 1:]])
+        size = np.abs(t).max(axis=1, keepdims=True)
+        t = np.divide(t, size, out=np.zeros_like(t), where=size > 0.0)
+        log_inten = (math.log(unit) + np.log(size[:, 0])
+                     + 0.5 * np.log(np.multiply(model.weights, np.square(t)).sum(-1)))
+        states = np.column_stack([spec.mu0 + spec.sigma0 * ys[:, 0],
+                                  scales0[1:] * relative[:, 1:]])
+        return JacobiTrajectory(taus=taus, states=states,
+                                velocities=rate * ys[:, dim:n_geo] * model.scales(states),
+                                J=unit * scales0 * scales * K,
+                                J_dot=rate * unit * scales0 * scales * (Kd + rates * K),
+                                rate=rate, log_intensities=log_inten, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +337,12 @@ def exponent_fit(traj: JacobiTrajectory, window: tuple = EXPONENT_WINDOW) -> Lin
     window, and its slope is then scaled to one per unit tau.
     """
     mask = window_mask(traj.taus, traj.rate, window, "exponent")
-    inten = traj.intensities()[mask]
-    if np.any(inten <= 0.0):
+    log_inten = traj.log_intensities[mask]
+    if not np.all(log_inten > -math.inf):
         raise DomainError("intensity must be positive on the fit window")
     taus = traj.taus[mask]
     end = taus[-1]
-    fit = fit_line(taus / end, np.log(inten))
+    fit = fit_line(taus / end, log_inten)
     return replace(fit, slope=fit.slope / end, window=(float(taus[0]), float(end)))
 
 
@@ -370,9 +367,13 @@ def exponent_times(rate: float, window: tuple) -> np.ndarray:
 
 
 def exponent_run(spec, window: tuple, tol: float) -> JacobiTrajectory:
-    """The default-initial Jacobi run to fit on ``window``: see :func:`exponent_times`."""
+    """The default-initial Jacobi run to fit on ``window``: see
+    :func:`exponent_times`; a NumericalAbort when it stops short."""
     taus = exponent_times(spec.rate, window)
-    return integrate_jlc(spec, tau_max=taus[-1], tol=tol, sample_taus=taus)
+    traj = integrate_jlc(spec, tau_max=taus[-1], tol=tol, sample_taus=taus)
+    if not traj.complete:
+        raise NumericalAbort(f"jacobi run {spec.model.label}: {traj.abort_reason}", partial=traj)
+    return traj
 
 
 def softening_gap(spec3d: GeodesicSpec3D, window: tuple = EXPONENT_WINDOW,
@@ -396,8 +397,5 @@ def softening_gap(spec3d: GeodesicSpec3D, window: tuple = EXPONENT_WINDOW,
 def jacobi_to_csv(traj: JacobiTrajectory) -> str:
     """Columns: tau, J components, intensity, log intensity."""
     names = [f"J{k + 1}" for k in range(traj.dimension)]
-    inten = traj.intensities()
-    with np.errstate(divide="ignore"):
-        log_inten = np.log(inten)
     return series_to_csv("jacobi", ["tau", *names, "intensity", "log_intensity"],
-                         [traj.taus, traj.J, inten, log_inten])
+                         [traj.taus, traj.J, traj.intensities(), traj.log_intensities])

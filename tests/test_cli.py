@@ -137,13 +137,14 @@ def test_malformed_values_are_exit_2(tmp_path):
 
 
 def test_numerical_abort_is_exit_3(tmp_path, capsys):
-    # at sigma0 = 1e100 the trial stages of the Jacobi run overflow math.exp;
-    # they are rejected like inf/nan stages until the step size underflows.
-    # At sigma0 = 1e154 rho^2 overflows in the first Jacobi RHS call itself
+    # the 3D Jacobi run depends on lambda_f / rate alone: at 1e100 (sigma0 =
+    # 1e-100) its steps shrink until the step size underflows; at 1e200 with
+    # sigma0' = 1e-200 its start vector lies past the double range, so its
+    # slots are nan and the first RHS call is not finite
     path = tmp_path / "abort.ini"
     for text, command in (("[model]\nsigma0_prime = 1e-295\nlambda_f = 2.0\n", "geodesics"),
-                          ("[model]\nsigma0 = 1e100\n", "jacobi"),
-                          ("[model]\nsigma0 = 1e154\n", "jacobi")):
+                          ("[model]\nsigma0 = 1e-100\n", "jacobi"),
+                          ("[model]\nsigma0 = 1e-200\nsigma0_prime = 1e-200\n", "jacobi")):
         path.write_text(text)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -344,11 +345,11 @@ def test_one_point_sweep_table(tmp_path):
     assert [float(v) for v in lines[2].split(",")] == [rows[0][k] for k in names]
 
 
-@pytest.mark.parametrize("command,code", [("geodesics", 1), ("jacobi", 3), ("ige", 0)])
+@pytest.mark.parametrize("command,code", [("geodesics", 1), ("jacobi", 0), ("ige", 0)])
 def test_vanishing_sigma0_warns_nothing(tmp_path, command, code):
-    # at sigma0 = 1e-200 the Fisher speed is nan (drift check fails, exit 1)
-    # and the Jacobi run stops on the 1e-150 floor (exit 3); every IGE check
-    # passes (exit 0): the 3D closed-form volume forms no sigma0^2 product.
+    # at sigma0 = 1e-200 the Fisher speed is nan (drift check fails, exit 1);
+    # the Jacobi runs, made in rate units, pass their checks (exit 0), and
+    # so does every IGE check: the 3D closed-form volume forms no sigma0^2 product.
     # The inf/nan of the rejected trial stages stay silent, and the IGE
     # slopes are fitted at rate * tau ~ 300, not tau ~ 1e202
     path = tmp_path / "tiny.ini"
@@ -357,3 +358,31 @@ def test_vanishing_sigma0_warns_nothing(tmp_path, command, code):
         warnings.simplefilter("always")
         assert run(["--config", str(path), "--out", str(tmp_path / "o"), command]) == code
     assert not caught
+
+
+def test_truncated_jacobi_run_ends_softening_with_one_line(tmp_path, capsys):
+    # at sigma0 = 1e-100 the 3D Jacobi run (lambda_f / rate = 1e100) ends in
+    # step size underflow: the exponent is not fitted on what it reached
+    path = tmp_path / "abort.ini"
+    path.write_text("[model]\nsigma0 = 1e-100\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["--config", str(path), "--out", str(tmp_path / "o"), "softening"]) == 3
+    assert not caught
+    out, err = capsys.readouterr()
+    assert out == "" and err == "numerical abort: jacobi run 3d: step size underflow\n"
+
+
+@pytest.mark.parametrize("sigma0", ["1e-6", "1e10", "1e100"])
+@pytest.mark.parametrize("command", ["jacobi", "softening"])
+def test_far_sigma0_runs_pass(tmp_path, capsys, sigma0, command):
+    # in rate units the 2D run does not depend on sigma0 and the 3D run only
+    # on lambda_f / rate, so these pass their checks; in tau units 1e-6
+    # stopped on a 1e-150 sigma floor and 1e10 in step size underflow
+    path = tmp_path / "far.ini"
+    path.write_text(f"[model]\nsigma0 = {sigma0}\nsigma0_prime = {sigma0}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["--config", str(path), "--out", str(tmp_path / "o"), command]) == 0
+    assert not caught
+    assert capsys.readouterr().err == ""

@@ -427,7 +427,8 @@ def test_positivity_floor_aborts_with_partial_trajectory():
 
 @pytest.mark.parametrize("record,jacobi_fields", [
     (ig.Trajectory, {}),
-    (ig.JacobiTrajectory, {"J": np.zeros((3, 2)), "J_dot": np.zeros((3, 2)), "rate": 1.0}),
+    (ig.JacobiTrajectory, {"J": np.zeros((3, 2)), "J_dot": np.zeros((3, 2)), "rate": 1.0,
+                           "log_intensities": np.zeros(3)}),
 ], ids=["Trajectory", "JacobiTrajectory"])
 def test_trajectory_requires_increasing_times(record, jacobi_fields):
     with pytest.raises(DomainError):

@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import infogeo as ig
-from infogeo import jacobi
+from infogeo import jacobi, rk
 from infogeo.errors import DomainError
 from infogeo.models import MODEL_2D, MODEL_3D
 
@@ -103,23 +103,30 @@ def test_2d_cross_coefficients():
 
 def _textbook_coefficients(model, theta, vel):
     # the sigma-space assembly: unit Gamma divided by the scale of its upper
-    # index, unit d Gamma and R by its square, theta'' from the model
-    gam_u, dgam_u, riem_u = model._unit_tensors
-    s = model.scales(theta)
+    # index, unit d Gamma and R by its square, theta'' = -Gamma v v; all in
+    # np.longdouble (80-bit on x86), where a velocity near 1e-157 squares to
+    # a normal number, not to a subnormal double, then rounded to double
+    gam_u, dgam_u, riem_u = (t.astype(np.longdouble) for t in model._unit_tensors)
+    theta, vel = np.asarray(theta, np.longdouble), np.asarray(vel, np.longdouble)
+    s = model.scales(theta).astype(np.longdouble)
     gam = gam_u / s[:, None, None]
     dgam, riem = (t / (s * s)[:, None, None, None] for t in (dgam_u, riem_u))
-    acc = model.acceleration(theta, vel)
+    acc = -np.einsum("mab,a,b->m", gam, vel, vel)
     B = 2.0 * np.einsum("mab,b->ma", gam, vel)
     C = (np.einsum("mab,b->ma", gam, acc)
          + np.einsum("mnab,n,b->ma", dgam, vel, vel)
          + np.einsum("mrb,ras,s,b->ma", gam, gam, vel, vel)
          + np.einsum("mnal,n,l->ma", riem, vel, vel))
-    return B, C
+    return B.astype(float), C.astype(float)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(mu=st.floats(-5.0, 5.0), log_scales=st.tuples(*[st.floats(-140.0, 2.0)] * 2),
        rho=st.tuples(*[st.floats(-2.0, 2.0)] * 3), three=st.booleans())
+# a sigma velocity near 1e-157 (a double reference squared it to a subnormal),
+# and a C entry near 1e-499 that both routes must round to 0
+@example(mu=0.0, log_scales=(-37.0, 0.0), rho=(0.0, 3.767518363299512e-120, 0.0), three=False)
+@example(mu=0.0, log_scales=(0.0, 0.0), rho=(0.0, 8.747990309317954e-250, 0.0), three=False)
 def test_coefficients_match_textbook_assembly(mu, log_scales, rho, three):
     # the constant-tensor route equals the sigma-space assembly for any
     # state with sigma in [1e-140, 1e2], and the Killing entry is exactly 0
@@ -302,11 +309,15 @@ def test_intensity_is_metric_norm():
 
 
 def test_intensities_match_the_per_sample_formula():
+    # the run forms the log intensities from its normalized slots, not from
+    # J and sigma; where both routes are representable they agree to an ulp
+    # or two of the log, and the intensities are their exponentials
     for spec in (SPEC3, SPEC2):
         tau_max = 20.0 / spec.rate
         traj = ig.integrate_jlc(spec, tau_max=tau_max, sample_taus=np.linspace(0, tau_max, 101))
         ref = np.array([ig.intensity(th, j) for th, j in zip(traj.states, traj.J)])
-        np.testing.assert_allclose(traj.intensities(), ref, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(traj.log_intensities, np.log(ref), rtol=1e-15, atol=1e-15)
+        assert np.array_equal(traj.intensities(), np.exp(traj.log_intensities))
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +361,41 @@ def test_killing_mode_is_exact_over_the_sweep_ranges(mu0, log_sigma0, sigma0_pri
     spec = ig.GeodesicSpec3D(mu0, 2.0**log_sigma0, sigma0_prime, lam, lam_f)
     for s in (spec, ig.GeodesicSpec2D.from_3d(spec)):
         assert _killing_error(s, ig.EXPONENT_WINDOW[1] / s.rate, 401) < 1e-10
+
+
+def _rk_solutions(spec_pair):
+    """The rk solution of the exponent run of each spec, and its run."""
+    runs, integrate = [], rk.integrate
+
+    def recording(*args, **kwargs):
+        runs.append(integrate(*args, **kwargs))
+        return runs[-1]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rk, "integrate", recording)
+        trajs = [jacobi.exponent_run(spec, ig.EXPONENT_WINDOW, 1e-10) for spec in spec_pair]
+    return list(zip(runs, trajs))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(mu0=st.floats(-1.0, 1.0), log_sigma0=st.floats(-2.0, 2.0),
+       sigma0_prime=st.floats(0.5, 2.0), lam=_log_uniform, lam_f=_log_uniform,
+       k=st.integers(-60, 60), shift=st.floats(-1e6, 1e6))
+def test_runs_are_invariant_under_scaling_and_translation(mu0, log_sigma0, sigma0_prime,
+                                                          lam, lam_f, k, shift):
+    # the run is made in rate units relative to the start, so scaling every
+    # scale and rate by 2^k (sigma0 in 2D; sigma0, sigma0' and lambda_f in
+    # 3D) and shifting mu0 leave it bit for bit the same: the same steps,
+    # rejections and samples in rate units, and the same J
+    spec = ig.GeodesicSpec3D(mu0, 2.0**log_sigma0, sigma0_prime, lam, lam_f)
+    c = 2.0**k
+    moved = ig.GeodesicSpec3D(mu0 + shift, c * spec.sigma0, c * sigma0_prime, lam, c * lam_f)
+    for pair in ((spec, moved), (ig.GeodesicSpec2D.from_3d(spec), ig.GeodesicSpec2D.from_3d(moved))):
+        (sol, traj), (sol_m, traj_m) = _rk_solutions(pair)
+        assert (sol.n_steps, sol.n_rejected) == (sol_m.n_steps, sol_m.n_rejected)
+        assert np.array_equal(sol.t, sol_m.t) and np.array_equal(sol.y, sol_m.y)
+        s = traj.taus * traj.rate
+        assert np.array_equal(s, traj_m.taus * traj_m.rate)
+        assert np.array_equal(sol(s), sol_m(s)) and np.array_equal(traj.J, traj_m.J)
 
 
 def test_first_component_plateaus():
@@ -423,25 +469,23 @@ def test_initial_data_validation():
         ig.integrate_jlc(SPEC3, tol=1e-3)
 
 
-def test_sigma_floor_truncates_jlc_run():
-    # long horizons end when sigma leaves the range where the 1/sigma^2 of
-    # the reported intensity is representable (rate*tau ~ 345); this always
-    # precedes the defensive |J| > 1e300 truncation for bounded initial data
-    # (the normalized growing mode would reach 1e300 only at rate*tau ~ 691)
-    traj = ig.integrate_jlc(SPEC3, tau_max=400.0, tol=1e-6)
-    assert not traj.complete
-    assert "1e-150" in traj.abort_reason
-    assert 340.0 < traj.taus[-1] < 350.0
-    assert len(traj.taus) > 100  # partial trajectory retained
+def test_normalized_overflow_truncates_jlc_run():
+    # no sigma floor: a long run ends when the growing mode K_0 = J^mu /
+    # sigma_x, in units of the start field, passes 1e300, at rate * tau ~
+    # log(1e300) = 691 for the default field; its log intensities stay finite
+    for spec in (SPEC3, SPEC2):
+        traj = ig.integrate_jlc(spec, tau_max=800.0 / spec.rate, tol=1e-6)
+        assert not traj.complete
+        assert traj.abort_reason == "normalized Jacobi component exceeded 1e+300"
+        assert 685.0 < traj.taus[-1] * traj.rate < 695.0
+        assert len(traj.taus) > 100  # partial trajectory retained
+        assert np.isfinite(traj.log_intensities).all()
 
 
 def _numpy_floor(model, y):
     # the numpy form of the stop test that the float form replaced, kept as
     # the reference; y = (mu, log sigma..., rho..., J^mu, K..., J^mu', K'...)
     n = model.dimension
-    if np.any(y[1:n] <= math.log(1e-150)):
-        return ("sigma coordinate fell below 1e-150; the reported "
-                "intensity g(J, J) carries 1/sigma^2")
     slots, scales = y[2 * n:3 * n], np.exp(model.scales(y[:n]))
     K, J = slots.copy(), slots * scales
     K[0], J[0] = slots[0] / scales[0], slots[0]
@@ -456,10 +500,6 @@ def _generator_floor(model, y):
     # the stop test before it was written straight-line, kept as the
     # reference: one exp per K slot, in generators
     n = model.dimension
-    for log_sigma in y[1:n]:
-        if log_sigma <= jacobi._JLC_LOG_FLOOR:
-            return ("sigma coordinate fell below 1e-150; the reported "
-                    "intensity g(J, J) carries 1/sigma^2")
     J_mu, K = abs(y[2 * n]), y[2 * n + 1:3 * n]
     if J_mu / math.exp(y[model.scale_map[0]]) > jacobi.J_OVERFLOW or any(
             abs(x) > jacobi.J_OVERFLOW for x in K):
@@ -476,8 +516,8 @@ _PAST_1E300 = math.nextafter(1e300, math.inf)
 
 @st.composite
 def _floor_states(draw):
-    # log sigma at the 1e-150 floor, one double above it, or anywhere up to
-    # 700 (exp stays finite); each field slot near 1e300 as K_i, as J^i =
+    # log sigma at the former 1e-150 floor, one double above it, or anywhere
+    # up to 700 (exp stays finite); each field slot near 1e300 as K_i, as J^i =
     # K_i sigma_k or as J^mu / sigma_k, exactly at the bound or a special value
     model = draw(st.sampled_from([MODEL_3D, MODEL_2D]))
     n = model.dimension
@@ -507,16 +547,14 @@ def test_floor_reasons_at_their_boundaries(model):
     # each threshold stops the run at its boundary and not just inside it;
     # unit scales (log sigma = 0) make |K| sigma_k and J^mu / sigma_k exact
     n = model.dimension
-    floor, past_1e300 = math.log(1e-150), math.nextafter(1e300, math.inf)
+    past_1e300 = math.nextafter(1e300, math.inf)
 
     def state(entries):
         y = np.zeros(4 * n)
         y[list(entries)] = list(entries.values())
         return y
 
-    cases = []                    # (state, whether the run stops there)
-    for j in range(1, n):
-        cases += [(state({j: floor}), True), (state({j: math.nextafter(floor, 0.0)}), False)]
+    cases = [(state({j: math.log(1e-150) for j in range(1, n)}), False)]   # no sigma floor
     for a in range(2 * n, 3 * n):
         k = model.scale_map[a - 2 * n]
         # the slot at the bound and sigma_k one double away from 1: above 1
@@ -529,15 +567,16 @@ def test_floor_reasons_at_their_boundaries(model):
     k0 = model.scale_map[0]
     unnormalized = state({2 * n: past_1e300, k0: 2.0**-52})
     cases.append((unnormalized, True))
-    # every threshold crossed: the sigma floor is reported first
-    cases.append((state({1: floor, 2 * n: past_1e300}), True))
+    # both thresholds crossed: the normalized one is reported first
+    both = state({2 * n: past_1e300})
+    cases.append((both, True))
     stop = jacobi._floor(model)
     for y, stops in cases:
         reason = stop(y.tolist())
         assert reason == _numpy_floor(model, y) == _generator_floor(model, y.tolist())
         assert (reason is not None) == stops
     assert stop(unnormalized.tolist()).startswith("Jacobi component exceeded")
-    assert "1e-150" in stop(cases[-1][0].tolist())
+    assert stop(both.tolist()).startswith("normalized Jacobi component exceeded")
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +616,16 @@ def test_full_solution_converges_to_asymptotic_forms():
 # growth exponents and the gap
 # ---------------------------------------------------------------------------
 
+def test_window_mask_compares_in_rate_units():
+    # an absolute slack of 1e-12 in tau started the [20, 50] window at
+    # rate * tau = 19 for rate 1e12, and took every sample from tau = 0 for
+    # rate 1e14; in rate units it takes samples 160 to 400 of 401 at any rate
+    for rate in (1.0, 1e12, 1e14):
+        taus = jacobi.exponent_times(rate, ig.EXPONENT_WINDOW)
+        mask = jacobi.window_mask(taus, rate, ig.EXPONENT_WINDOW)
+        assert np.array_equal(np.flatnonzero(mask), np.arange(160, 401))
+
+
 def test_exponent_fits():
     jac = ig.softening_gap(SPEC3)
     assert jac.exponent_3d == pytest.approx(SPEC3.rate, rel=0.02)
@@ -611,9 +660,11 @@ def test_exponents_match_an_independent_integrator(spec):
     ys = sol.y.T
     states = np.concatenate([ys[:, :1], np.exp(ys[:, 1:n])], axis=1)
     scales, rho, K = model.scales(states), ys[:, n:2 * n], ys[:, 2 * n:3 * n]
+    J = scales * K
     theirs = ig.JacobiTrajectory(taus=samples, states=states, velocities=rho * scales,
-                                 J=scales * K, J_dot=scales * (ys[:, 3 * n:] + model.scales(rho) * K),
-                                 rate=spec.rate, tolerance=1e-12, n_steps=sol.t.size)
+                                 J=J, J_dot=scales * (ys[:, 3 * n:] + model.scales(rho) * K),
+                                 rate=spec.rate, log_intensities=np.log(ig.intensity(states, J)),
+                                 tolerance=1e-12, n_steps=sol.t.size)
     fit, ref = ig.exponent_fit(ours), ig.exponent_fit(theirs)
     assert fit.slope == pytest.approx(ref.slope, rel=1e-8)
     np.testing.assert_allclose(ours.J_dot, theirs.J_dot, rtol=1e-7, atol=1e-9)
@@ -626,16 +677,20 @@ def test_exponent_runs_take_few_steps():
         assert jacobi.exponent_run(spec, ig.EXPONENT_WINDOW, 1e-10).n_steps < 230
 
 
-def test_truncated_runs_are_fitted_on_their_samples():
-    # the 3D run stops on the 1e-150 sigma_y floor at rate * tau = 23.6; the
-    # samples it reached still fill the fit window past rate * tau = 20
+def test_stopped_runs_are_not_fitted():
+    # the 3D run of this spec (lambda_f / rate = 14.6) once stopped on a
+    # 1e-150 sigma_y floor at rate * tau = 23.6 and was fitted on the samples
+    # it reached; with no floor it runs to the end of the window
     jac = ig.softening_gap(ig.GeodesicSpec3D(0.8, 0.1368, 0.6, 0.6, 1.2))
     traj = jac.trajectory_3d
-    assert not traj.complete and "1e-150" in traj.abort_reason
-    grid = np.linspace(0.0, ig.EXPONENT_WINDOW[1] / traj.rate, 401)
-    assert np.array_equal(traj.taus, grid[:traj.taus.size])
-    assert jacobi.window_mask(traj.taus, traj.rate, ig.EXPONENT_WINDOW).sum() >= 4
+    assert traj.complete
+    assert np.array_equal(traj.taus, np.linspace(0.0, ig.EXPONENT_WINDOW[1] / traj.rate, 401))
     assert jac.gap == pytest.approx(jac.expected_gap, rel=1e-6)
+    # at lambda_f / rate = 1e100 the 3D run ends in step size underflow:
+    # the fit raises, and the abort carries the partial run
+    with pytest.raises(ig.NumericalAbort, match="^jacobi run 3d: step size underflow$") as abort:
+        ig.softening_gap(ig.GeodesicSpec3D(0.0, 1e-100, 1.0, 1.0, 1.0))
+    assert not abort.value.partial.complete
 
 
 def test_softening_gap_value():
@@ -686,8 +741,6 @@ def test_csv_export():
     for run in (traj, zero):
         lines = ig.jacobi_to_csv(run).strip().split("\n")
         parsed = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]])
-        inten = run.intensities()
-        with np.errstate(divide="ignore"):
-            expected = np.column_stack([run.taus, run.J, inten, np.log(inten)])
+        expected = np.column_stack([run.taus, run.J, run.intensities(), run.log_intensities])
         assert parsed.shape == expected.shape and (parsed == expected).all()
     assert (parsed[:, -1] == -np.inf).all()
