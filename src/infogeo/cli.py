@@ -5,7 +5,7 @@ plus JSON reports:
 
     verify-geometry   closed-form vs finite-difference vs quadrature geometry
     geodesics         numeric integration vs closed forms, speed conservation
-    ige               entropy curves, tail slopes, closed-form volume check
+    ige               entropy curves, tail slopes, Simpson and closed-form volume checks
     jacobi            one Jacobi run per model: growth exponent, damped component
     softening         coupled-pair headline table: slope ratio and exponent gap
     all               everything above into one output directory
@@ -306,10 +306,14 @@ def run_ige(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
         result = ige.ige_curve(spec, slope_window=cfg.slope_window)
         report.add(f"ige_{label}_slope_relative_error",
                    abs(result.fit.slope - spec.rate) / spec.rate, 0.02)
-        # closed-form volume agreement on the volume window
+        # on the volume window: the exact time average against Simpson
+        # quadrature, then against the paper's closed-form volume
         taus = np.linspace(cfg.volume_window[0] / spec.rate,
                            cfg.volume_window[1] / spec.rate, 16)
         log_avg = ige.log_averaged_volume(spec, taus)
+        log_simpson = ige.log_time_average(lambda ts: ige.log_box_volume(spec, ts), taus)
+        report.add(f"ige_{label}_time_average_quadrature_error",
+                   float(np.abs(np.expm1(log_avg - log_simpson)).max()), 1e-7)
         log_ref = ige.log_closed_form_volume(spec, taus)
         rel = float(np.abs(np.expm1(log_avg - log_ref)).max())
         report.add(f"ige_{label}_closed_form_volume_relative_error", rel, 0.05)

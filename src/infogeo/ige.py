@@ -17,6 +17,15 @@ a constrained/unconstrained pair built from one spec is
 lambda_plus / lambda_plus' = 1/sqrt(2): the constraint softens the entropy
 growth.
 
+The time average is exact (``log_averaged_volume``): with U = rate * tau it
+is span * w * prod(lambda_f / rate) * F_n(U) / U, where F_n(U) is the
+integral of u^n (sinh u - tanh u) over [0, U] and n counts the flat factors.
+F_n is a closed form (a dilogarithm series in 3D) from U = 2 on and a
+cancellation-free Gauss rule below, so the entropy curve and its slopes need
+no quadrature.  Composite Simpson over the box volume (``log_time_average``)
+stays as the independent cross-check that ``ige`` reports, and
+``box_volume_quadrature`` checks the box volume itself.
+
 Everything is computed in log space: on useful fit windows the volumes reach
 exp(400) and beyond, far outside double range.
 
@@ -145,44 +154,102 @@ def _logsumexp(values: np.ndarray) -> float:
     return m + math.log(float(np.sum(np.exp(values - m))))
 
 
-@cache
-def _simpson_log_weights(n_nodes: int) -> np.ndarray:
-    w = np.log(_simpson_weights(n_nodes))
-    w.flags.writeable = False   # one array shared by every call
-    return w
+SIMPSON_NODES = 2049   # nodes of the Simpson time average
+_SIMPSON_LOG_W = np.log(_simpson_weights(SIMPSON_NODES))
 
 
-def log_time_average(log_fn, tau, n_grid: int = 2049):
-    """log of (1/tau) * integral_0^tau exp(log_fn(tau')) dtau'.
+def log_time_average(log_fn, tau):
+    """log of (1/tau) * integral_0^tau exp(log_fn(tau')) dtau', by quadrature.
 
-    Composite Simpson on a uniform grid, accumulated with log-sum-exp so
-    arbitrarily late tails stay representable.  ``tau`` is one time (the
-    result is a float) or an array of times (an array of that shape).
-    ``log_fn`` must accept an array of times; ``n_grid`` is the node count
-    (at least 64; an even count is raised to the next odd one).
+    Composite Simpson on ``SIMPSON_NODES`` uniform nodes, accumulated with
+    log-sum-exp so arbitrarily late tails stay representable.  ``tau`` is one
+    time (the result is a float) or an array of times (an array of that
+    shape).  ``log_fn`` must accept an array of times.  For the swept volume
+    this is the independent cross-check of the exact ``log_averaged_volume``.
     """
     taus = np.asarray(tau, dtype=float)
     if (taus <= 0.0).any():
         raise DomainError("tau must be positive")
-    if n_grid < 64:
-        raise DomainError("n_grid must be >= 64")
-    log_w = _simpson_log_weights(n_grid)   # an even n_grid gets one more node
     # one time at a time: a batched (times, nodes) grid measured no faster,
     # since the elementwise logs dominate, and its temporaries take megabytes
-    out = [_log_time_average(log_fn, t, log_w) for t in taus.ravel().tolist()]
+    out = [_log_time_average(log_fn, t) for t in taus.ravel().tolist()]
     return out[0] if taus.ndim == 0 else np.array(out).reshape(taus.shape)
 
 
-def _log_time_average(log_fn, tau: float, log_w: np.ndarray) -> float:
-    ts = np.linspace(0.0, tau, log_w.size)
+def _log_time_average(log_fn, tau: float) -> float:
+    ts = np.linspace(0.0, tau, SIMPSON_NODES)
     h = ts[1] - ts[0]
     logv = np.asarray(log_fn(ts), dtype=float)
-    return _logsumexp(logv + log_w) + math.log(h) - math.log(tau)
+    return _logsumexp(logv + _SIMPSON_LOG_W) + math.log(h) - math.log(tau)
+
+
+# the exact time average: F_n(U) = integral_0^U u^n (sinh u - tanh u) du
+EXACT_SWITCH = 2.0     # U below which F_n comes from the Gauss rule
+# Li2(-q) = sum_k (-q)^k / k^2; 20 terms reach rounding for q <= e^-2 (U >= 1)
+_LI2_K = np.arange(1, 21)
+_LI2_NEG = (-1.0) ** _LI2_K / _LI2_K ** 2
+
+
+def _log_moment_gauss(n: int, U: np.ndarray) -> np.ndarray:
+    """log F_n(U) by 24-node Gauss-Legendre; at rounding level for U <= 4.
+
+    F_n(U) = U^(n+4) integral_0^1 t^(n+3) g(U t) dt with
+    g(u) = (tanh u / u) * 2 (sinh(u/2) / u)^2, a positive integrand free of
+    cancellation and of underflow; g(0) = 1/2, so F_n ~ U^(n+4) / (2 (n+4)).
+    """
+    x, w = _legendre_nodes(24)   # not at import: the first leggauss sets up LAPACK (ms, MB)
+    t = 0.5 * (x + 1.0)
+    u = U[:, None] * t
+    g = np.tanh(u) / u * 2.0 * (np.sinh(0.5 * u) / u) ** 2
+    return (n + 4) * np.log(U) + np.log(g @ (0.5 * w * t ** (n + 3)))
+
+
+def _log_moment_closed(n: int, U: np.ndarray) -> np.ndarray:
+    """log F_n(U) in closed form with e^U / 2 factored out; for U >= 1.
+
+    F_0 = cosh U - 1 - log cosh U and F_1 = U cosh U - sinh U - T(U), where
+    T(U) = integral_0^U u tanh u du
+         = U^2/2 - pi^2/24 - Li2(-q)/2 + U log(1 + q),  q = e^(-2U).
+    Products with e^-U are taken first, so no term overflows at any U.
+    """
+    q, e = np.exp(-2.0 * U), np.exp(-U)
+    log1p_q = np.log1p(q)
+    if n == 0:
+        bracket = 1.0 + q - 2.0 * e * (1.0 + U - LOG2 + log1p_q)
+    else:
+        eu = e * U
+        e_t = (0.5 * eu * U - e * (math.pi ** 2 / 24.0
+                                  + 0.5 * (q[:, None] ** _LI2_K) @ _LI2_NEG)
+               + eu * log1p_q)
+        bracket = U - 1.0 + (U + 1.0) * q - 2.0 * e_t
+    return U - LOG2 + np.log(bracket)
+
+
+def _log_moment(n: int, U: np.ndarray) -> np.ndarray:
+    """log F_n(U) for a 1-D array of U > 0 and n = 0 or 1 flat factors."""
+    out = np.empty_like(U)
+    small = U < EXACT_SWITCH
+    if small.any():
+        out[small] = _log_moment_gauss(n, U[small])
+    out[~small] = _log_moment_closed(n, U[~small])
+    return out
 
 
 def log_averaged_volume(spec, tau):
-    """log of the time-averaged swept volume at tau (a float, or an array of times)."""
-    return log_time_average(lambda ts: log_box_volume(spec, ts), tau)
+    """log of the time-averaged swept volume at tau (a float, or an array of times).
+
+    Exact: log(span * w * prod(lambda_f / rate) * F_n(U) / U) with
+    U = rate * tau, which involves sigma0 only through U and the rate.
+    """
+    taus = np.asarray(tau, dtype=float)
+    if (taus <= 0.0).any():
+        raise DomainError("tau must be positive")
+    rate = spec.rate
+    U = rate * taus.ravel()
+    log_const = math.log(MU_SPAN_WIDE * spec.model.volume_weight) + sum(
+        math.log(decay) - math.log(rate) for _, decay in spec.flat_factors)
+    out = log_const + _log_moment(len(spec.flat_factors), U) - np.log(U)
+    return float(out[0]) if taus.ndim == 0 else out.reshape(taus.shape)
 
 
 # ---------------------------------------------------------------------------

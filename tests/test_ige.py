@@ -2,14 +2,17 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import infogeo as ig
 from infogeo.errors import DomainError
 from infogeo.geodesics import _closed_form
-from infogeo.ige import _panelled_gauss, log_time_average
+from infogeo.ige import (EXACT_SWITCH, _log_moment, _log_moment_closed, _log_moment_gauss,
+                         _panelled_gauss, log_time_average)
 from infogeo.models import MODEL_2D, MODEL_3D
 
 SPEC3 = ig.GeodesicSpec3D(0.0, 1.0, 1.0, 1.0, 1.0)
@@ -104,10 +107,21 @@ def _log_volume(ts):
     return ig.log_box_volume(SPEC3, ts)
 
 
-def test_average_grid_refinement_converges():
-    a = log_time_average(_log_volume, 10.0, n_grid=2049)
-    b = log_time_average(_log_volume, 10.0, n_grid=4097)
-    assert abs(math.expm1(a - b)) < 1e-6
+def _simpson_average(spec, tau):
+    return log_time_average(lambda ts: ig.log_box_volume(spec, ts), tau)
+
+
+def test_simpson_average_converges_to_the_exact_average():
+    # Simpson's error grows with rate * tau as its step does: about 5e-12 at
+    # rate * tau = 10 and 8e-6 on the slope window, both within these bounds
+    for spec in (SPEC3, SPEC2):
+        for rate_taus, bound in (([2.0, 10.0], 1e-9), (np.linspace(*ig.SLOPE_WINDOW, 5), 2e-5)):
+            taus = np.reshape(rate_taus, (1, -1, 1)) / spec.rate
+            exact = ig.log_averaged_volume(spec, taus)
+            assert exact.shape == taus.shape
+            assert np.abs(np.expm1(exact - _simpson_average(spec, taus))).max() < bound
+        one = ig.log_averaged_volume(spec, float(taus.flat[2]))
+        assert type(one) is float and one == exact.flat[2]
 
 
 def _per_time_average(spec, tau, n_grid=2049):
@@ -127,21 +141,67 @@ def test_average_over_many_times_matches_the_per_time_formula():
     for spec in (SPEC3, SPEC2):
         taus = np.concatenate([np.geomspace(1e-3, 5.0, 20), np.linspace(200.0, 400.0, 33)]) / spec.rate
         ref = np.array([_per_time_average(spec, t) for t in taus])
-        np.testing.assert_array_equal(ig.log_averaged_volume(spec, taus), ref)
-        np.testing.assert_array_equal(ig.log_averaged_volume(spec, taus.reshape(1, -1, 1)),
+        np.testing.assert_array_equal(_simpson_average(spec, taus), ref)
+        np.testing.assert_array_equal(_simpson_average(spec, taus.reshape(1, -1, 1)),
                                       ref.reshape(1, -1, 1))
-        one = ig.log_averaged_volume(spec, float(taus[7]))
+        one = _simpson_average(spec, float(taus[7]))
         assert type(one) is float and one == ref[7]
 
 
 def test_average_validation():
-    with pytest.raises(DomainError):
-        ig.log_averaged_volume(SPEC3, 0.0)
-    with pytest.raises(DomainError):
-        ig.log_averaged_volume(SPEC3, np.array([1.0, -1.0]))
-    with pytest.raises(DomainError):
-        log_time_average(_log_volume, 1.0, n_grid=32)
-    log_time_average(_log_volume, 1.0, n_grid=64)  # minimum grid accepted
+    for tau in (0.0, np.array([1.0, -1.0])):
+        with pytest.raises(DomainError):
+            ig.log_averaged_volume(SPEC3, tau)
+        with pytest.raises(DomainError):
+            log_time_average(_log_volume, tau)
+
+
+# the softening sweep's parameter ranges, sigma0 widened to cover its
+# sigma0 / 2 and 2 sigma0 points
+_log_uniform = st.floats(-1.0, 1.0).map(lambda e: 2.0**e)
+_sweep_specs = st.builds(ig.GeodesicSpec3D, st.floats(-1.0, 1.0),
+                         st.floats(-3.0, 3.0).map(lambda e: 2.0**e), st.floats(0.5, 2.0),
+                         _log_uniform, _log_uniform)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(spec3=_sweep_specs, rate_tau=st.floats(-3.0, math.log10(25.0)).map(lambda e: 10.0**e))
+def test_exact_average_matches_simpson_over_the_sweep_ranges(spec3, rate_tau):
+    for spec in (spec3, ig.GeodesicSpec2D.from_3d(spec3)):
+        tau = rate_tau / spec.rate
+        exact = ig.log_averaged_volume(spec, tau)
+        assert abs(math.expm1(exact - _simpson_average(spec, tau))) <= 1e-8
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(U=st.floats(EXACT_SWITCH / 2.0, 2.0 * EXACT_SWITCH),
+       n=st.sampled_from([0, 1]))
+def test_gauss_and_closed_form_branches_agree_across_the_switch(U, n):
+    # each branch is accurate on both sides of the switch, so the exact
+    # average is continuous there to rounding
+    U = np.array([U])
+    gauss = _log_moment_gauss(n, U)
+    closed = _log_moment_closed(n, U)
+    assert abs(math.expm1(gauss[0] - closed[0])) <= 1e-13
+
+
+def test_exact_average_leading_terms():
+    # F_n(U) ~ U^4 / 8 (2D) and U^5 / 10 (3D) for small U, with no underflow
+    U = np.array([1e-300, 1e-100, 1e-8])
+    for n, log_lead in ((0, 4.0 * np.log(U) - math.log(8.0)),
+                        (1, 5.0 * np.log(U) - math.log(10.0))):
+        np.testing.assert_allclose(_log_moment(n, U), log_lead, rtol=0.0, atol=1e-15)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(spec3=_sweep_specs, k=st.integers(-60, 60))
+def test_fitted_slope_per_rate_is_sigma0_free(spec3, k):
+    # sigma0 -> 2^k sigma0 scales the rate and the window times exactly and
+    # shifts S by a constant, so the fitted slope in rate units is unchanged
+    for spec in (spec3, ig.GeodesicSpec2D.from_3d(spec3)):
+        scaled = replace(spec, sigma0=spec.sigma0 * 2.0**k)
+        a, b = ig.ige_curve(spec), ig.ige_curve(scaled)
+        assert abs(b.fit.slope / b.rate - a.fit.slope / a.rate) <= 1e-12 * a.fit.slope / a.rate
 
 
 # ---------------------------------------------------------------------------
