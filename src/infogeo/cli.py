@@ -202,8 +202,8 @@ class RunReport:
 
 def _checks_csv(report: RunReport) -> str:
     lines = ["# infogeo checks csv schema=1", "name,tolerance,measured,passed"]
-    for c in report.checks:
-        lines.append(f"{c.name},{c.tolerance:.17g},{c.measured:.17g},{int(c.passed)}")
+    lines += ["%s,%.17g,%.17g,%d" % (c.name, c.tolerance, c.measured, c.passed)
+              for c in report.checks]
     return "\n".join(lines) + "\n"
 
 

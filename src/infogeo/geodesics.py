@@ -273,7 +273,7 @@ def _sigma_floor(dim):
 def nonzero_terms(tensor: np.ndarray) -> list:
     """``(row, indices..., coefficient)`` of each nonzero entry of a system
     tensor, in index order, as Python ints and floats.  The system tensors
-    are almost empty (16 of the 1,344 entries of the 3D Jacobi one):
+    are almost empty (7 of the 672 entries of the 3D Jacobi one):
     :func:`compile_terms` turns these terms into the RHS kernels."""
     return [(*map(int, index), float(tensor[tuple(index)])) for index in np.argwhere(tensor)]
 
@@ -356,9 +356,10 @@ def series_to_csv(kind: str, names, cols) -> str:
     """A ``# infogeo <kind> csv schema=1`` file: the header ``names``, then
     one row per sample of the columns ``cols`` (1-D, or 2-D blocks of
     columns), each value as %.17g, which parses back to the exact double."""
-    rows = np.column_stack(cols).tolist()
+    table = np.column_stack(cols)
+    template = ",".join(["%.17g"] * table.shape[1])   # one format per row
     lines = [f"# infogeo {kind} csv schema=1", ",".join(names)]
-    lines += [",".join(f"{v:.17g}" for v in row) for row in rows]
+    lines += [template % tuple(row) for row in table.tolist()]
     return "\n".join(lines) + "\n"
 
 

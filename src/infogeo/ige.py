@@ -70,9 +70,10 @@ def _log_tanh(u):
 
 
 def _log_cosh_minus_one(u):
-    # cosh u - 1 = e^u (1 - e^-u)^2 / 2, stable for u in [0, inf)
+    # cosh u - 1 = e^u (1 - e^-u)^2 / 2, with 1 - e^-u = -expm1(-u) exact to an
+    # ulp for every u in [0, inf)
     with np.errstate(divide="ignore"):
-        return u - LOG2 + 2.0 * np.log1p(-np.exp(-u))
+        return u - LOG2 + 2.0 * np.log(-np.expm1(-u))
 
 
 def log_box_volume(spec, tau_prime, mu_span: Optional[float] = None):

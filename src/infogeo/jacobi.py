@@ -41,10 +41,9 @@ import numpy as np
 from .errors import DomainError, NumericalAbort
 from .fitting import LineFit, fit_basis, fit_line
 from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, Trajectory, _sampled_run,
-                        compile_terms, series_to_csv)
+                        closed_form, compile_terms, series_to_csv)
 from .models import model_of
 
-J_OVERFLOW = 1e300
 EXPONENT_WINDOW = (20.0, 50.0)  # in units of rate * tau
 
 
@@ -72,7 +71,7 @@ def intensity(theta: np.ndarray, J: np.ndarray):
 
 @dataclass(frozen=True, kw_only=True)
 class JacobiTrajectory(Trajectory):
-    """Co-integrated geodesic + Jacobi samples."""
+    """Jacobi samples along the closed-form geodesic, with its states and velocities."""
 
     J: np.ndarray             # (n_samples, dim); may underflow to 0
     J_dot: np.ndarray
@@ -98,89 +97,44 @@ def window_mask(taus: np.ndarray, rate: float, window: tuple,
 
 
 @cache
-def _floor(model):
-    """The stop test of a Jacobi run: why it stops at the accepted state y =
-    (mu, log sigma..., rho..., J^mu, K..., J^mu', K'...) in the units of
-    :func:`integrate_jlc`, a list, or None; straight-line on floats."""
-    n, (k0, *k) = model.dimension, model.scale_map
-    normalized, raw = (f"{kind}Jacobi component exceeded {J_OVERFLOW:g}"
-                       for kind in ("normalized ", ""))
-
-    def floor(y):
-        sigma = [1.0, *map(math.exp, y[1:n])]     # sigma_k by coordinate index k
-        J_mu, K = abs(y[2 * n]), y[2 * n + 1:3 * n]
-        # sigma_k(0) > 0: where its exp underflows the RHS is not finite, and rk
-        # accepts no such state
-        if J_mu / sigma[k0] > J_OVERFLOW:
-            return normalized
-        for x in K:
-            if abs(x) > J_OVERFLOW:
-                return normalized
-        if J_mu > J_OVERFLOW:
-            return raw
-        for x, ki in zip(K, k):
-            if abs(x) * sigma[ki] > J_OVERFLOW:
-                return raw
-        return None
-    return floor
+def _kernel(model):
+    return compile_terms(model.jacobi_system, ("z", "g", "g"))
 
 
-@cache
-def _jlc_rhs(model):
-    """y' for the scaled Jacobi state y = (mu, log sigma, rho, J^mu, K, J^mu', K')
-    of :func:`integrate_jlc`: T rho_hat rho_hat z, T = ``model.jacobi_system``,
-    rho_hat = (1, rho), z = (1, K_0, K, K_0', K'), from the compiled kernel of
-    T, then the rows of mu and of the mean slot; from a list y to a list.  It
-    is homogeneous in rho, so it reads the same in tau and in rate units."""
-    dim = model.dimension
-    n_geo = 2 * dim
-    kernel = compile_terms(model.jacobi_system, ("z", "r", "r"))
-    k0 = model.scale_map[0]
-    r0, jm, jmd = dim + k0, n_geo, n_geo + dim   # slots of rho_k(0), J^mu, J^mu'
+def _jlc_rhs(spec):
+    """w' at s for the field slots w of :func:`integrate_jlc`, from a list to
+    a list: the compiled kernel of ``model.jacobi_system`` at g_hat = (1,
+    sech s, -tanh s, -lambda_f / rate), the exact geodesic in rate units."""
+    kernel = _kernel(spec.model)
+    flat = [-decay / spec.rate for _, decay in spec.flat_factors]
 
-    def rhs(t, y):
-        # the tensor acts on K_0 = J^mu / s and its rate, s = sigma_k(0) and
-        # r = rho_k(0) = s'/s; J^mu'' = r J^mu' + s (K_0'' + r' K_0 + r K_0')
-        s, r = math.exp(y[k0]), y[r0]
-        if s:
-            K0, K0d = y[jm] / s, y[jmd] / s
-        else:   # exp underflowed: inf or nan, as numpy divides by 0, not an error
-            K0, K0d = y[jm] * math.inf, y[jmd] * math.inf
-        K0d -= r * K0
-        z = y[n_geo:]
-        z[0], z[dim] = K0, K0d
-        dy = kernel(*z, *y[dim:n_geo])
-        dy[0] = y[dim] * s
-        dy[jm] = y[jmd]
-        dy[jmd] = r * y[jmd] + s * (dy[jmd] + dy[r0] * K0 + r * K0d)
-        return dy
+    def rhs(s, w):
+        x = math.exp(-s)   # sech s = 2 x / (1 + x^2) underflows to 0, cosh would overflow
+        return kernel(*w, 2.0 * x / (1.0 + x * x), -math.tanh(s), *flat)
     return rhs
 
 
 def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
                   tau_max: Optional[float] = None, tol: float = 1e-10,
                   sample_taus=None) -> JacobiTrajectory:
-    """Co-integrate geodesic and Jacobi field as one first-order system.
+    """Integrate the Jacobi field along the exact geodesic of ``spec``.
 
-    The run is made in rate units s = rate * tau, relative to the start: the
-    geodesic as (mu - mu0) / sigma0, log(sigma / sigma(0)) and the velocity
-    ratios rho_i = theta'_i / sigma_k(i) over the rate; the field as J^mu /
-    sigma0, which tends to a constant (the Killing mode d/dmu), and the
-    metric-normalized K_i = J^i / sigma_k(i), which tend to a constant or
-    decay, with their s-rates, all divided by the max-norm of their start
-    vector.  The system is homogeneous in rho and linear in the field, so it
-    reads the same in s as in tau.  No slot grows with the intensity, the 2D
-    run depends on the spec only through rounding and the 3D run only on
-    lambda_f / rate.  Reported values are mapped back to (theta, theta', J,
-    J'), where sigma and J may underflow to 0; the log intensities come from
-    the slots.  The geodesic starts as the exact closed form; the field
-    defaults to :func:`default_initial`.  Stops early, flagged
-    ``complete=False``, once a normalized slot exceeds 1e300 (near rate * tau
-    = 691 for the default field).
+    The base geodesic is the closed form, so the run carries the field
+    alone, in rate units s = rate * tau: J^mu / sigma0, which tends to a
+    constant (the Killing mode d/dmu), and the metric-normalized K_i =
+    J^i / sigma_i, which tend to a constant, decay or (a flat scale) grow
+    linearly, with their s-rates, all divided by the max-norm of their start
+    vector.  The coefficients, ``model.jacobi_system`` at sech s, -tanh s
+    and -lambda_f / rate, stay O(1) at every s: no slot grows with the
+    intensity and no horizon stops the run.  The 2D run depends on the spec
+    only through rounding and the 3D run only on lambda_f / rate.  States
+    and velocities are the closed form at the sample times; J and J' are
+    mapped back from the slots, where they may underflow to 0, and the log
+    intensities come from the slots and log sech s.  The field defaults to
+    :func:`default_initial`.
     """
     model, rate = spec.model, spec.rate
-    dim, k0 = model.dimension, model.scale_map[0]
-    n_geo = 2 * dim
+    dim = model.dimension
     J0, Jd0 = default_initial(dim)
     J0 = J0 if initial_J is None else np.asarray(initial_J, dtype=float)
     Jd0 = Jd0 if initial_J_dot is None else np.asarray(initial_J_dot, dtype=float)
@@ -188,36 +142,34 @@ def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
         raise DomainError(f"Jacobi initial data must have shape ({dim},)")
     if not (np.all(np.isfinite(J0)) and np.all(np.isfinite(Jd0))):
         raise DomainError("Jacobi initial data must be finite")
-    # the closed form at tau = 0: sigma_k(i) and the velocity ratios over the rate
-    scales0 = model.scales([spec.mu0, spec.sigma0, *(start for start, _ in spec.flat_factors)])
-    rho0 = np.array([model.mean_span, 0.0, *(-decay / rate for _, decay in spec.flat_factors)])
+    flat = [-decay / rate for _, decay in spec.flat_factors]
+    # the slot scales (sigma0, sigma_1, ...) and their log-rates (0, -tanh s, flat) at s = 0
+    scales0 = np.array([spec.sigma0, spec.sigma0, *(start for start, _ in spec.flat_factors)])
     # a start vector past the double range gives nan slots: the run stops at its start
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # the slots' log-rates are rho_k(i), 0 for the mean's, as sigma_x'(0) = 0
-        field0 = np.concatenate([J0, Jd0 / rate - model.scales(rho0) * J0]) / np.tile(scales0, 2)
+        field0 = np.concatenate([J0, Jd0 / rate - np.array([0.0, 0.0, *flat]) * J0])
+        field0 /= np.tile(scales0, 2)
         unit = np.abs(field0).max() or 1.0
-        y0 = np.concatenate([np.zeros(dim), rho0, field0 / unit])
-        taus, ys, fields = _sampled_run(_jlc_rhs(model), y0,
-                                        EXPONENT_WINDOW[1] / rate if tau_max is None else tau_max,
-                                        tol, _floor(model), sample_taus, rate)
-        relative = np.column_stack([ys[:, :1], np.exp(ys[:, 1:dim])])   # mu~, sigma / sigma(0)
-        # each slot's relative scale and log-rate: 1 and 0 for the mean's, J^mu / sigma0
-        scales, rates = model.scales(relative), model.scales(ys[:, dim:n_geo])
-        scales[:, 0], rates[:, 0] = 1.0, 0.0
-        K, Kd = ys[:, n_geo:n_geo + dim], ys[:, n_geo + dim:]
-        # g(J, J) = unit^2 sum_i c_i t_i^2 for t = (K_0 / relative sigma_k(0), K_1, ...),
-        # summed in units of max |t_i|, so that no square overflows
-        t = np.column_stack([K[:, 0] / relative[:, k0], K[:, 1:]])
-        size = np.abs(t).max(axis=1, keepdims=True)
-        t = np.divide(t, size, out=np.zeros_like(t), where=size > 0.0)
-        log_inten = (math.log(unit) + np.log(size[:, 0])
-                     + 0.5 * np.log(np.multiply(model.weights, np.square(t)).sum(-1)))
-        states = np.column_stack([spec.mu0 + spec.sigma0 * ys[:, 0],
-                                  scales0[1:] * relative[:, 1:]])
-        return JacobiTrajectory(taus=taus, states=states,
-                                velocities=rate * ys[:, dim:n_geo] * model.scales(states),
-                                J=unit * scales0 * scales * K,
-                                J_dot=rate * unit * scales0 * scales * (Kd + rates * K),
+        taus, w, fields = _sampled_run(_jlc_rhs(spec), field0 / unit,
+                                       EXPONENT_WINDOW[1] / rate if tau_max is None else tau_max,
+                                       tol, None, sample_taus, rate)
+        states, velocities = closed_form(spec, taus)
+        s = taus * rate
+        scales = np.column_stack([np.full_like(s, spec.sigma0), states[:, 1:]])
+        log_rates = np.column_stack([np.zeros_like(s), -np.tanh(s),
+                                     *(np.full_like(s, r) for r in flat)])
+        K, Kd = w[:, :dim], w[:, dim:]
+        # g(J, J) = unit^2 sum_i c_i t_i^2 for t = (J^mu / sigma_x, K_1, ...) in units of
+        # the start field, summed in logs: log |J^mu / sigma_x| = log |K_0| - log sech s
+        logs = np.log(np.abs(K))
+        logs[:, 0] -= math.log(2.0) - s - np.log1p(np.exp(-2.0 * s))
+        top = logs.max(axis=1, keepdims=True)
+        top[~np.isfinite(top)] = 0.0   # a zero field: its log intensity is -inf
+        log_inten = (math.log(unit) + top[:, 0]
+                     + 0.5 * np.log(np.exp(2.0 * (logs - top)) @ np.array(model.weights)))
+        return JacobiTrajectory(taus=taus, states=states, velocities=velocities,
+                                J=unit * scales * K,
+                                J_dot=rate * unit * scales * (Kd + log_rates * K),
                                 rate=rate, log_intensities=log_inten, **fields)
 
 

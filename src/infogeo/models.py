@@ -253,36 +253,46 @@ class DiagonalScaleModel:
 
     @cached_property
     def jacobi_system(self) -> np.ndarray:
-        """T with y' = (T @ rho_hat @ rho_hat) @ z for the scaled Jacobi state
-        y = (mu, log sigma, rho, K, K'), where rho_hat = (1, rho), z = (1, K, K').
+        """T with w' = (T @ g_hat @ g_hat) @ z for the Jacobi field along an
+        exact geodesic, in the slots w = (J^mu / sigma0, K_1, ..., K_n-1, and
+        their rates), K_i = J^i / sigma_i; z = (1, w) and g_hat = (1, e,
+        rho_1, ..., rho_n-1), with e = sigma_k(0) / sigma0.
 
-        T is indexed [row of y', z, rho_hat, rho_hat].  Its row blocks are
-        (log sigma_j)' = rho_j (row 0, mu' = rho_0 sigma_k(0), is left 0 for
-        the caller), rho' = q : rho rho from the ratio tensor, K' itself,
-        and the tail K'' of the scaled field K = J / sigma_k.  With r = rho_k
-        the log-rates of the scales, J = S K gives
-        K'' = -(B (K' + r K) + C K + r (2 K' + r K) + r' K),
-        with B = T_B rho, C = T_C rho rho and r' = q_k rho rho: quadratic in
-        rho on K, linear on K'.  The entries are O(1) constants, and B and C
-        are block diagonal, so no sigma_x / sigma_y ratio appears at any
-        horizon.  :func:`infogeo.jacobi.integrate_jlc` carries J^mu and J^mu'
-        in the K_0 and K_0' slots; it rebuilds K_0, K_0' for z and maps the
-        two rows of the mean back.
+        T is indexed [row of w', z, g_hat, g_hat]: rows 0..n-1 hold the
+        rates themselves, rows n..2n-1 the second derivatives.  With D =
+        diag(sigma0, sigma_1, ...) and R = D'/D = diag(0, rho_1, ...), J = D w
+        turns J'' = -(B J' + C J) into
+        w'' = -(D^-1 B D + 2 R) w' - D^-1 (B R + C + R' + R^2) D w,
+        with B = T_B rho, C = T_C rho rho and R' from the ratio tensor.  The
+        mean's velocity ratio is rho_0 = span e on the exact geodesics (its
+        first integral), so its slot in g_hat carries e, and span goes into
+        T.  D^-1 B D scales the mean's couplings by e (its row) and 1/e (its
+        column, where B is span e times a constant); the mean's row and
+        column of the w block vanish (the Killing mode), so the entries are
+        O(1) constants, quadratic in g_hat, and K_0 = J^mu / sigma_k(0),
+        which grows without bound, is never formed.
         """
         n = self.dimension
         t_b, t_c = self._jacobi_tensors
         eye = np.eye(n)
-        sel = eye[self._k]                      # r = sel @ rho
-        diag = eye[:, :, None]                  # delta_ma
-        t = np.zeros((4 * n, 2 * n + 1, n + 1, n + 1))
-        t[1:n, 0, 0, 1:] = eye[1:]
-        t[n:2 * n, 0, 1:, 1:] = self._ratio_tensor
-        t[2 * n:3 * n, n + 1:, 0, 0] = eye
-        tail = t[3 * n:, 1:]
-        tail[:, :n, 1:, 1:] = -(np.einsum("mac,ad->macd", t_b, sel) + t_c
-                                + diag[..., None] * (np.einsum("mc,md->mcd", sel, sel)
-                                                     + self._ratio_tensor[self._k])[:, None])
-        tail[:, n:, 0, 1:] = -(t_b + 2.0 * diag * sel[:, None, :])
+        sel = eye[self._k]
+        sel[0] = 0.0                            # R = diag(sel @ rho)
+        on_w = (np.einsum("mab,ac->mabc", t_b, sel) + t_c + eye[:, :, None, None]
+                * (np.einsum("mb,mc->mbc", sel, sel)
+                   + np.einsum("mj,jbc->mbc", sel, self._ratio_tensor))[:, None])
+        on_w = 0.5 * (on_w + np.swapaxes(on_w, 2, 3))   # so the mean's row is exactly 0
+        on_rates = t_b + 2.0 * eye[:, :, None] * sel[:, None, :]
+        span = np.ones(n)
+        span[0] = self.mean_span
+        pairs = np.outer(span, span)
+        pairs[0, 0] = self.weights[1] / self.weights[0]      # span^2, exact in binary
+        t = np.zeros((2 * n, 2 * n + 1, n + 1, n + 1))
+        t[:n, n + 1:, 0, 0] = eye
+        t[n:, 1:n + 1, 1:, 1:] = -on_w * pairs
+        t[n:, n + 1:, 1:, 0] = -on_rates * span
+        # the mean's row times e, its column over e (only rho_0 = span e enters there)
+        t[n, n + 2:, :, 1], t[n, n + 2:, :, 0] = t[n, n + 2:, :, 0], 0.0
+        t[n + 1:, n + 1, 0, 0], t[n + 1:, n + 1, 1, 0] = t[n + 1:, n + 1, 1, 0], 0.0
         t.flags.writeable = False   # shared by every Jacobi run of the model
         return t
 

@@ -103,6 +103,18 @@ def test_exponent_window_of_nine_samples_runs(tmp_path):
     assert run(["--config", str(path), "--out", str(tmp_path / "o"), "jacobi"]) == 0
 
 
+def test_exponent_window_to_rate_tau_800_passes(tmp_path, capsys):
+    # the Jacobi runs have no horizon: past rate * tau = 691 (where they once
+    # stopped) and 745 (where sech underflows) the fit still passes, silently
+    path = tmp_path / "long.ini"
+    path.write_text("[fit]\nexponent_window = 20, 800\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["--config", str(path), "--out", str(tmp_path / "o"), "jacobi"]) == 0
+    assert not caught
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("command", ["jacobi", "softening"])
 def test_tiny_exponent_window_fails_its_checks_without_a_traceback(tmp_path, capsys, command):
     # abscissae near 1e-300 square to subnormals; the fit once handed them
@@ -137,13 +149,13 @@ def test_malformed_values_are_exit_2(tmp_path):
 
 
 def test_numerical_abort_is_exit_3(tmp_path, capsys):
-    # the 3D Jacobi run depends on lambda_f / rate alone: at 1e100 (sigma0 =
-    # 1e-100) its steps shrink until the step size underflows; at 1e200 with
-    # sigma0' = 1e-200 its start vector lies past the double range, so its
+    # the Jacobi runs abort only where their start vector lies past the double
+    # range: J^3 / sigma0' overflows at sigma0' = 1e-310, and its rate over the
+    # rate, J^3 lambda_f / (rate sigma0'), at sigma0 = sigma0' = 1e-200; the
     # slots are nan and the first RHS call is not finite
     path = tmp_path / "abort.ini"
     for text, command in (("[model]\nsigma0_prime = 1e-295\nlambda_f = 2.0\n", "geodesics"),
-                          ("[model]\nsigma0 = 1e-100\n", "jacobi"),
+                          ("[model]\nsigma0_prime = 1e-310\n", "jacobi"),
                           ("[model]\nsigma0 = 1e-200\nsigma0_prime = 1e-200\n", "jacobi")):
         path.write_text(text)
         with warnings.catch_warnings(record=True) as caught:
@@ -361,16 +373,31 @@ def test_vanishing_sigma0_warns_nothing(tmp_path, command, code):
 
 
 def test_truncated_jacobi_run_ends_softening_with_one_line(tmp_path, capsys):
-    # at sigma0 = 1e-100 the 3D Jacobi run (lambda_f / rate = 1e100) ends in
-    # step size underflow: the exponent is not fitted on what it reached
+    # at sigma0 = sigma0' = 1e-200 the 3D Jacobi run stops at its start (see
+    # test_numerical_abort_is_exit_3): no exponent is fitted, and softening
+    # ends in one line
     path = tmp_path / "abort.ini"
-    path.write_text("[model]\nsigma0 = 1e-100\n")
+    path.write_text("[model]\nsigma0 = 1e-200\nsigma0_prime = 1e-200\n")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run(["--config", str(path), "--out", str(tmp_path / "o"), "softening"]) == 3
     assert not caught
     out, err = capsys.readouterr()
-    assert out == "" and err == "numerical abort: jacobi run 3d: step size underflow\n"
+    assert out == "" and err == ("numerical abort: jacobi run 3d: right-hand side is not "
+                                 "finite at the initial state\n")
+
+
+@pytest.mark.parametrize("command", ["jacobi", "softening"])
+def test_vanishing_sigma0_runs_pass(tmp_path, capsys, command):
+    # at sigma0 = 1e-100 (lambda_f / rate = 1e100) the 3D run once ended in
+    # step size underflow before its first step; the field slots complete it
+    path = tmp_path / "tiny.ini"
+    path.write_text("[model]\nsigma0 = 1e-100\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["--config", str(path), "--out", str(tmp_path / "o"), command]) == 0
+    assert not caught
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("sigma0", ["1e-6", "1e10", "1e100"])

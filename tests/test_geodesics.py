@@ -314,10 +314,10 @@ def test_compiled_kernels_equal_the_term_loop_bit_for_bit(values, three):
     kernel = compile_terms(model.geodesic_system, ("v", "v"))
     ref = _term_loop(model.geodesic_system, [[1.0, *v]] * 2)
     assert np.array(kernel(*v)).tobytes() == np.array(ref).tobytes()
-    z, rho = values[:2 * n], values[2 * n:3 * n]
-    kernel = compile_terms(model.jacobi_system, ("z", "r", "r"))
-    ref = _term_loop(model.jacobi_system, [[1.0, *z], [1.0, *rho], [1.0, *rho]])
-    assert np.array(kernel(*z, *rho)).tobytes() == np.array(ref).tobytes()
+    z, g = values[:2 * n], values[2 * n:3 * n]
+    kernel = compile_terms(model.jacobi_system, ("z", "g", "g"))
+    ref = _term_loop(model.jacobi_system, [[1.0, *z], [1.0, *g], [1.0, *g]])
+    assert np.array(kernel(*z, *g)).tobytes() == np.array(ref).tobytes()
 
 
 def test_residual_exact_family():

@@ -42,6 +42,20 @@ def test_box_volume_vanishes_at_zero():
     assert ig.box_volume(SPEC3, 1e-8) < 1e-20
 
 
+def test_log_box_volume_keeps_relative_accuracy_near_zero():
+    # the 2D box volume at sigma0 = rate = 1 is 4 tanh u (cosh u - 1), u = tau';
+    # log1p(-exp(-u)) lost about 1e-16 / u of cosh u - 1 (4.4e-5 of the log
+    # at u = 1e-12, -inf at 1e-17), expm1 loses nothing
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    spec = ig.GeodesicSpec2D(0.0, 1.0, 1.0)
+    for u in (1e-3, 1e-8, 1e-12):
+        x = mpmath.mpf(u)
+        ref = float(mpmath.log(4 * mpmath.tanh(x) * (mpmath.cosh(x) - 1)))
+        assert ig.log_box_volume(spec, u) == pytest.approx(ref, rel=1e-14)
+    assert math.isfinite(ig.log_box_volume(spec, 1e-17))
+
+
 def test_box_volume_against_quadrature_oracle():
     # up to the end of the tail window, where the headline fits sit
     for rate_tau in (0.5, 2.0, 5.0, 20.0, 50.0):

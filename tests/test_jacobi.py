@@ -159,130 +159,117 @@ def _tail_term_by_term(model, rho, K, Kd):
 
 
 def _system_term_by_term(model, rho, K, Kd):
-    # every row of the scaled state's derivative but the mean's, term by term:
-    # (log sigma_j)' = rho_j, rho' from the geodesic equation, K' and the tail
+    # the geodesic co-integrated with the field, term by term, the route the
+    # field-only run replaced: every row of the scaled state's derivative but
+    # the mean's, (log sigma_j)' = rho_j, rho' from the geodesic equation, K'
+    # and the tail
     return np.concatenate([rho[1:], _ratio_rates(model, rho), Kd,
                            _tail_term_by_term(model, rho, K, Kd)])
 
 
-def _system_error(model, system, rho, K, Kd):
-    """max |T rho_hat rho_hat z - term-by-term rows| over every row but the
-    mean's, per unit of max|rho_hat|^2 max|z|, the size of the largest term
-    (T's entries are O(1)); z = (1, K, K')."""
-    rho_hat, z = np.concatenate([[1.0], rho]), np.concatenate([[1.0], K, Kd])
-    dy = system @ rho_hat @ rho_hat @ z
-    err = np.abs(dy[1:] - _system_term_by_term(model, rho, K, Kd)).max()
-    return err / (np.abs(rho_hat).max() ** 2 * np.abs(z).max())
+def _slot_rows_term_by_term(model, g, w):
+    # w' for the slots w = (J^mu / sigma0, K_1, ..., rates) at g = (e, rho_1, ...),
+    # term by term through J itself: rho_0 = span e, D = diag(1, e, 1, ...) (the
+    # flat scales cancel), R = D'/D = diag(0, rho_1, ...), J = D w,
+    # J' = D (w' + R w), J'' = -(B J' + C J) = D (w'' + 2 R w' + (R' + R^2) w)
+    n = model.dimension
+    rho = np.array([model.mean_span * g[0], *g[1:]])
+    D = np.array([1.0, g[0], *[1.0] * (n - 2)])
+    R = np.array([0.0, *rho[1:]])
+    R_dot = np.array([0.0, *_ratio_rates(model, rho)[1:]])
+    B, C = model.jacobi_coefficients(rho)
+    K, Kd = w[:n], w[n:]
+    J_ddot = -(B @ (D * (Kd + R * K)) + C @ (D * K))
+    return np.concatenate([Kd, J_ddot / D - 2.0 * R * Kd - (R_dot + R * R) * K])
+
+
+def _system_error(model, system, g, w):
+    """max |T g_hat g_hat z - term-by-term rows| per unit of max|g_hat|^2
+    max|z|, the size of the largest term (T's entries are O(1)); z = (1, w)."""
+    g_hat, z = np.concatenate([[1.0], g]), np.concatenate([[1.0], w])
+    dy = system @ g_hat @ g_hat @ z
+    err = np.abs(dy - _slot_rows_term_by_term(model, g, w)).max()
+    return err / (np.abs(g_hat).max() ** 2 * np.abs(z).max())
 
 
 _decades = st.floats(-6.0, 2.0)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(log_rho=st.tuples(*[_decades] * 3), signs=st.tuples(*[st.booleans()] * 3),
+@given(log_g=st.tuples(*[_decades] * 3), signs=st.tuples(*[st.booleans()] * 3),
        data=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6), three=st.booleans())
-def test_tail_tensor_matches_the_term_by_term_tail(log_rho, signs, data, three):
-    # |rho_i| in [1e-6, 1e2]: the one contraction of the system tensor equals
-    # the rows built from rho, rho' from the geodesic equation, K' and the tail of the
-    # Jacobi coefficients; the mean's row is left 0 for the caller
+def test_tail_tensor_matches_the_term_by_term_tail(log_g, signs, data, three):
+    # e = sigma_x / sigma0 in [1e-6, 1] and |rho_i| in [1e-6, 1e2]: the one
+    # contraction of the system tensor equals the slot rows built through J
+    # from the Jacobi coefficients, with rho' from the geodesic equation
     model = MODEL_3D if three else MODEL_2D
     n = model.dimension
-    rho = np.array([(-1.0 if s else 1.0) * 10.0**e for s, e in zip(signs, log_rho)])[:n]
-    K, Kd = np.array(data[:n]), np.array(data[3:3 + n])
-    assert _system_error(model, model.jacobi_system, rho, K, Kd) <= 1e-14
-    assert not model.jacobi_system[0].any()
+    g = np.array([(-1.0 if s else 1.0) * 10.0**e for s, e in zip(signs, log_g)])[:n]
+    g[0] = min(abs(g[0]), 1.0)
+    w = np.array(data[:n] + data[3:3 + n])
+    assert _system_error(model, model.jacobi_system, g, w) <= 1e-14
 
 
 def test_a_perturbed_tail_block_fails_the_property():
-    # each block of T (index 0 of z and of rho_hat is the constant 1) changed
-    # by 1e-7, in each row block (log sigma, rho, K, K'), moves the
+    # each block of T (index 0 of z and of g_hat is the constant 1) changed
+    # by 1e-7, in each row block (rates, second derivatives), moves the
     # contraction far past the 1e-14 bound
     for model in (MODEL_3D, MODEL_2D):
         n = model.dimension
-        rho = np.array([0.7, 1.3, 0.4])[:n]
-        K, Kd = np.array([0.9, 0.5, 0.2])[:n], np.array([0.3, 0.8, 0.6])[:n]
-        assert _system_error(model, model.jacobi_system, rho, K, Kd) <= 1e-14
-        for rows in (slice(1, n), slice(n, 2 * n), slice(2 * n, 3 * n), slice(3 * n, 4 * n)):
+        g = np.array([0.7, -0.4, 1.3])[:n]
+        w = np.array([0.9, 0.5, 0.2][:n] + [0.3, 0.8, 0.6][:n])
+        assert _system_error(model, model.jacobi_system, g, w) <= 1e-14
+        for rows in (slice(0, n), slice(n, 2 * n)):
             for field in (slice(0, 1), slice(1, n + 1), slice(n + 1, 2 * n + 1)):
                 for first in (slice(0, 1), slice(1, n + 1)):
                     for second in (slice(0, 1), slice(1, n + 1)):
                         mutant = model.jacobi_system.copy()
                         mutant[rows, field, first, second] += 1e-7
-                        assert _system_error(model, mutant, rho, K, Kd) > 1e-9
+                        assert _system_error(model, mutant, g, w) > 1e-9
 
 
-def _dot_jlc_rhs(model):
-    # the reshape-dot contraction the Jacobi RHS used before it summed
-    # nonzero terms, kept as the reference
-    dim = model.dimension
-    n_geo = 2 * dim
-    system = model.jacobi_system.reshape(-1, dim + 1)
-    rho_hat, z = np.ones(dim + 1), np.ones(n_geo + 1)
-    k0 = model.scale_map[0]
-    r0, jm, jmd = dim + k0, n_geo, n_geo + dim
+def _dot_jlc_rhs(spec):
+    # the reshape-dot contraction of the system tensor at the closed-form
+    # g_hat, kept as the reference for the RHS around the compiled kernel
+    n = spec.model.dimension
+    system = spec.model.jacobi_system.reshape(-1, n + 1)
+    flat = [-decay / spec.rate for _, decay in spec.flat_factors]
 
-    def rhs(t, y):
-        s, r = math.exp(y[k0]), y[r0]
-        K0 = y[jm] / s
-        K0d = y[jmd] / s - r * K0
-        rho_hat[1:] = y[dim:n_geo]
-        z[1:] = y[n_geo:]
-        z[1], z[1 + dim] = K0, K0d
-        dy = system.dot(rho_hat).reshape(-1, dim + 1).dot(rho_hat).reshape(4 * dim, -1).dot(z)
-        dy[0] = y[dim] * s
-        dy[jm] = y[jmd]
-        dy[jmd] = r * y[jmd] + s * (dy[jmd] + dy[r0] * K0 + r * K0d)
-        return dy
+    def rhs(s, w):
+        g_hat = np.array([1.0, 1.0 / math.cosh(s) if s < 700.0 else 0.0, -math.tanh(s), *flat])
+        z = np.concatenate([[1.0], w])
+        return system.dot(g_hat).reshape(-1, n + 1).dot(g_hat).reshape(2 * n, -1).dot(z)
     return rhs
 
 
-def _jlc_term_scale(model, y):
-    """Per row of the Jacobi RHS, the sum of its terms' magnitudes."""
-    n = model.dimension
-    k0 = model.scale_map[0]
-    r0, jm, jmd = n + k0, 2 * n, 3 * n
-    s, r = math.exp(y[k0]), y[r0]
-    K0 = y[jm] / s
-    K0d = y[jmd] / s - r * K0
-    rho_hat = np.abs(np.concatenate([[1.0], y[n:2 * n]]))
-    z = np.abs(np.concatenate([[1.0], y[2 * n:]]))
-    z[1], z[1 + n] = abs(K0), abs(K0d)
-    scale = np.abs(model.jacobi_system) @ rho_hat @ rho_hat @ z
-    scale[0] = abs(y[n] * s)
-    scale[jm] = abs(y[jmd])
-    scale[jmd] = abs(r * y[jmd]) + s * (scale[jmd] + scale[r0] * abs(K0) + abs(r * K0d))
-    return scale
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(mu=st.floats(-5.0, 5.0), log_scales=st.tuples(*[st.floats(-140.0, 2.0)] * 2),
-       rho=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+@given(s=st.floats(0.0, 800.0), lam_f=st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
        data=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6), three=st.booleans())
-def test_jlc_rhs_matches_the_dot_contraction(mu, log_scales, rho, data, three):
-    # the draws of test_coefficients_match_textbook_assembly, sigma in
-    # [1e-140, 1e2], with the field's slots from those of the tail test; each
-    # row of the RHS around the compiled kernel within 1e-15 of the sum of
-    # its terms' magnitudes
-    model = MODEL_3D if three else MODEL_2D
-    n = model.dimension
-    log_sigma = np.log(10.0) * np.array(log_scales[:n - 1])
-    y = np.concatenate([[mu], log_sigma, rho[:n], data[:n], data[3:3 + n]])
-    err = np.abs(np.asarray(jacobi._jlc_rhs(model)(0.0, y.tolist())) - _dot_jlc_rhs(model)(0.0, y))
-    assert np.all(err <= 1e-15 * _jlc_term_scale(model, y))
+def test_jlc_rhs_matches_the_dot_contraction(s, lam_f, data, three):
+    # the RHS around the compiled kernel at any s of a run (sech s underflows
+    # to 0 past s = 745, where the dot route sets it to 0), each row within
+    # 1e-15 of the sum of its terms' magnitudes
+    spec3 = ig.GeodesicSpec3D(0.0, 1.0, 1.0, 1.0, lam_f)
+    spec = spec3 if three else ig.GeodesicSpec2D.from_3d(spec3)
+    n = spec.model.dimension
+    w = np.array(data[:n] + data[3:3 + n])
+    dy = np.asarray(jacobi._jlc_rhs(spec)(s, w.tolist()))
+    g_hat = np.abs(np.array([1.0, 1.0 / math.cosh(min(s, 700.0)), math.tanh(s), lam_f])[:n + 1])
+    scale = np.abs(spec.model.jacobi_system) @ g_hat @ g_hat @ np.abs(np.concatenate([[1.0], w]))
+    assert np.all(np.abs(dy - _dot_jlc_rhs(spec)(s, w)) <= 1e-15 * scale)
 
 
-@pytest.mark.parametrize("model", [MODEL_3D, MODEL_2D], ids=lambda m: m.label)
-def test_jlc_rhs_below_the_exp_range_is_non_finite(model):
-    # at log sigma_k(0) = -800 exp gives 0: the dot route divided J^mu by it
-    # in numpy (under the np.errstate of rk.integrate), giving inf or nan,
-    # and so must the RHS around the compiled kernel, without raising
-    n = model.dimension
-    y = np.concatenate([[0.0], [-800.0] * (n - 1), [0.5] * n, [0.3] * (2 * n)])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        assert not np.isfinite(_dot_jlc_rhs(model)(0.0, y)).all()
-    dy = np.asarray(jacobi._jlc_rhs(model)(0.0, y.tolist()))
-    assert not np.isfinite(dy).all()
-    assert not np.isfinite(dy[3 * n])   # J^mu'' of the mean slot
+@pytest.mark.parametrize("spec", [SPEC3, SPEC2], ids=["3d", "2d"])
+def test_jlc_rhs_past_the_exp_range_is_finite(spec):
+    # K_0 = J^mu / sigma_x is never formed: where sech s underflows to 0 the
+    # RHS is its s -> inf limit, finite (m'' = -2 m', K_1'' = -(2 / span) m'
+    # for the mean slot m), and rk accepts such states
+    n = spec.model.dimension
+    w = [0.5] * n + [0.3] * n
+    for s in (745.5, 800.0, 1e6):
+        dy = jacobi._jlc_rhs(spec)(s, w)
+        assert dy == _dot_jlc_rhs(spec)(s, np.array(w)).tolist()
+        assert dy[n:n + 2] == pytest.approx([-0.6, -0.6 / spec.model.mean_span], rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -469,114 +456,20 @@ def test_initial_data_validation():
         ig.integrate_jlc(SPEC3, tol=1e-3)
 
 
-def test_normalized_overflow_truncates_jlc_run():
-    # no sigma floor: a long run ends when the growing mode K_0 = J^mu /
-    # sigma_x, in units of the start field, passes 1e300, at rate * tau ~
-    # log(1e300) = 691 for the default field; its log intensities stay finite
+def test_jlc_runs_to_rate_tau_800_complete():
+    # no slot grows with the intensity and the coefficients stay O(1), so a
+    # run passes rate * tau = 691, where K_0 = J^mu / sigma_x passes 1e300, and
+    # 745, where sech underflows: its log intensities stay finite and grow at
+    # exactly the rate, while the intensity itself overflows to inf
     for spec in (SPEC3, SPEC2):
         traj = ig.integrate_jlc(spec, tau_max=800.0 / spec.rate, tol=1e-6)
-        assert not traj.complete
-        assert traj.abort_reason == "normalized Jacobi component exceeded 1e+300"
-        assert 685.0 < traj.taus[-1] * traj.rate < 695.0
-        assert len(traj.taus) > 100  # partial trajectory retained
-        assert np.isfinite(traj.log_intensities).all()
-
-
-def _numpy_floor(model, y):
-    # the numpy form of the stop test that the float form replaced, kept as
-    # the reference; y = (mu, log sigma..., rho..., J^mu, K..., J^mu', K'...)
-    n = model.dimension
-    slots, scales = y[2 * n:3 * n], np.exp(model.scales(y[:n]))
-    K, J = slots.copy(), slots * scales
-    K[0], J[0] = slots[0] / scales[0], slots[0]
-    if np.any(np.abs(K) > jacobi.J_OVERFLOW):
-        return f"normalized Jacobi component exceeded {jacobi.J_OVERFLOW:g}"
-    if np.any(np.abs(J) > jacobi.J_OVERFLOW):
-        return f"Jacobi component exceeded {jacobi.J_OVERFLOW:g}"
-    return None
-
-
-def _generator_floor(model, y):
-    # the stop test before it was written straight-line, kept as the
-    # reference: one exp per K slot, in generators
-    n = model.dimension
-    J_mu, K = abs(y[2 * n]), y[2 * n + 1:3 * n]
-    if J_mu / math.exp(y[model.scale_map[0]]) > jacobi.J_OVERFLOW or any(
-            abs(x) > jacobi.J_OVERFLOW for x in K):
-        return f"normalized Jacobi component exceeded {jacobi.J_OVERFLOW:g}"
-    if J_mu > jacobi.J_OVERFLOW or any(abs(x) * math.exp(y[k]) > jacobi.J_OVERFLOW
-                                       for x, k in zip(K, model.scale_map[1:])):
-        return f"Jacobi component exceeded {jacobi.J_OVERFLOW:g}"
-    return None
-
-
-_LOG_FLOOR = math.log(1e-150)
-_PAST_1E300 = math.nextafter(1e300, math.inf)
-
-
-@st.composite
-def _floor_states(draw):
-    # log sigma at the former 1e-150 floor, one double above it, or anywhere
-    # up to 700 (exp stays finite); each field slot near 1e300 as K_i, as J^i =
-    # K_i sigma_k or as J^mu / sigma_k, exactly at the bound or a special value
-    model = draw(st.sampled_from([MODEL_3D, MODEL_2D]))
-    n = model.dimension
-    y = [0.0] * (4 * n)
-    for j in range(1, n):
-        y[j] = draw(st.one_of(st.sampled_from([_LOG_FLOOR, math.nextafter(_LOG_FLOOR, 0.0)]),
-                              st.floats(_LOG_FLOOR, 700.0)))
-    for a in range(2 * n, 3 * n):
-        sigma = math.exp(y[model.scale_map[a - 2 * n]])
-        near = draw(st.sampled_from([1e300, 1e300 * sigma, 1e300 / sigma]))
-        y[a] = draw(st.one_of(
-            st.floats(-4.0, 4.0).map(lambda u: near * (1.0 + u * 2.0**-52)),
-            st.sampled_from([1e300, -_PAST_1E300, 0.0, math.inf, -math.inf, math.nan]),
-            st.floats(-1e3, 1e3)))
-    return model, y
-
-
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(_floor_states())
-def test_floor_matches_the_generator_form(case):
-    model, y = case
-    assert jacobi._floor(model)(y) == _generator_floor(model, y)
-
-
-@pytest.mark.parametrize("model", [MODEL_3D, MODEL_2D], ids=["3d", "2d"])
-def test_floor_reasons_at_their_boundaries(model):
-    # each threshold stops the run at its boundary and not just inside it;
-    # unit scales (log sigma = 0) make |K| sigma_k and J^mu / sigma_k exact
-    n = model.dimension
-    past_1e300 = math.nextafter(1e300, math.inf)
-
-    def state(entries):
-        y = np.zeros(4 * n)
-        y[list(entries)] = list(entries.values())
-        return y
-
-    cases = [(state({j: math.log(1e-150) for j in range(1, n)}), False)]   # no sigma floor
-    for a in range(2 * n, 3 * n):
-        k = model.scale_map[a - 2 * n]
-        # the slot at the bound and sigma_k one double away from 1: above 1
-        # it scales K_i up to J^i; below 1 it scales J^mu up to K_0
-        nudge = -2.0**-52 if a == 2 * n else 2.0**-52
-        cases += [(state({a: -past_1e300}), True), (state({a: 1e300}), False),
-                  (state({a: 1e300, k: nudge}), True),
-                  (state({a: 1e299, k: nudge}), False)]
-    # J^mu past the bound with K_0 = J^mu / sigma_k back inside it
-    k0 = model.scale_map[0]
-    unnormalized = state({2 * n: past_1e300, k0: 2.0**-52})
-    cases.append((unnormalized, True))
-    # both thresholds crossed: the normalized one is reported first
-    both = state({2 * n: past_1e300})
-    cases.append((both, True))
-    stop = jacobi._floor(model)
-    for y, stops in cases:
-        reason = stop(y.tolist())
-        assert reason == _numpy_floor(model, y) == _generator_floor(model, y.tolist())
-        assert (reason is not None) == stops
-    assert stop(unnormalized.tolist()).startswith("Jacobi component exceeded")
-    assert stop(both.tolist()).startswith("normalized Jacobi component exceeded")
+        assert traj.complete and traj.taus[-1] * traj.rate == 800.0
+        assert np.isfinite(traj.log_intensities).all() and np.isfinite(traj.J).all()
+        s, log_inten = traj.taus * traj.rate, traj.log_intensities
+        tail = s >= 700.0
+        slope = np.polyfit(s[tail], log_inten[tail], 1)[0]
+        assert slope == pytest.approx(1.0, abs=1e-6)
+        assert np.isinf(traj.intensities()[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -686,11 +579,24 @@ def test_stopped_runs_are_not_fitted():
     assert traj.complete
     assert np.array_equal(traj.taus, np.linspace(0.0, ig.EXPONENT_WINDOW[1] / traj.rate, 401))
     assert jac.gap == pytest.approx(jac.expected_gap, rel=1e-6)
-    # at lambda_f / rate = 1e100 the 3D run ends in step size underflow:
-    # the fit raises, and the abort carries the partial run
-    with pytest.raises(ig.NumericalAbort, match="^jacobi run 3d: step size underflow$") as abort:
-        ig.softening_gap(ig.GeodesicSpec3D(0.0, 1e-100, 1.0, 1.0, 1.0))
+    # at sigma0 = sigma0' = 1e-200 the 3D run's start vector lies past the
+    # double range (J^3' / sigma0' over the rate): the fit raises, and the
+    # abort carries the run stopped at its start
+    message = "^jacobi run 3d: right-hand side is not finite at the initial state$"
+    with pytest.raises(ig.NumericalAbort, match=message) as abort:
+        ig.softening_gap(ig.GeodesicSpec3D(0.0, 1e-200, 1e-200, 1.0, 1.0))
     assert not abort.value.partial.complete
+
+
+@pytest.mark.parametrize("e", [12, 15, 50, 100, 140, 300])
+def test_exponent_runs_complete_at_any_flat_rate(e):
+    # lambda_f / rate = 10^e: once a log sigma_y slot sloped at -10^e led the
+    # initial step guess, and the runs for e from 15 to 140 ended in step size
+    # underflow before their first step; the field slots take about 200 steps
+    traj = jacobi.exponent_run(ig.GeodesicSpec3D(0.0, 10.0**-e, 1.0, 1.0, 1.0),
+                               ig.EXPONENT_WINDOW, 1e-10)
+    assert traj.complete and traj.n_steps < 230
+    assert ig.exponent_fit(traj).slope == pytest.approx(traj.rate, rel=1e-8)
 
 
 def test_softening_gap_value():
