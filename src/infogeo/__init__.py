@@ -33,8 +33,8 @@ from .ige import (IGEResult, IgeSoftening, SLOPE_WINDOW, VOLUME_WINDOW,
 from .jacobi import (EXPONENT_WINDOW, JacobiConstants, JacobiSoftening,
                      JacobiTrajectory, asymptotic_residual,
                      asymptotic_solutions, critically_damped,
-                     default_initial, exponent_fit, extract_constants,
-                     integrate_jlc, intensity, jacobi_to_csv,
+                     default_initial, exact_jacobi, exponent_fit,
+                     extract_constants, integrate_jlc, intensity, jacobi_to_csv,
                      jlc_coefficients, softening_gap, window_mask)
 from .fitting import LineFit, fit_basis, fit_line
 

@@ -38,8 +38,8 @@ from .fisher import fisher_numeric_2d, fisher_numeric_3d
 from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, check_tol, closed_form,
                         integrate_geodesic, residual_check, series_to_csv,
                         trajectory_to_csv)
-from .jacobi import (critically_damped, exponent_fit, exponent_run, jacobi_to_csv,
-                     softening_gap)
+from .jacobi import (critically_damped, exponent_fit, exponent_run, field_relative_error,
+                     jacobi_to_csv, softening_gap)
 from .models import MODEL_2D, MODEL_3D, Model2DConfig
 
 SCHEMA_VERSION = 1
@@ -337,15 +337,22 @@ def run_jacobi(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
             ref = critically_damped(lam, 1.0, lam, traj.taus)
             report.add(f"jacobi_{label}_damped_component_error",
                        float(np.abs(traj.J[:, j] / traj.J[0, j] - ref).max()), 1e-8)
+        _exact_field_check(report, label, traj, exponent_run(spec, cfg.exponent_window))
         series[f"jacobi_{label}.csv"] = jacobi_to_csv(traj)
     return report, series
+
+
+def _exact_field_check(report: RunReport, label: str, traj, exact):
+    # the rk field against its closed form, in the metric at every sample
+    report.add(f"jacobi_{label}_exact_field_relative_error",
+               field_relative_error(traj, exact), 1e-7)
 
 
 def _softening_point(cfg: ExperimentConfig, sigma0: float) -> tuple:
     """The table row, the IGE pair and the Jacobi pair at one sigma0."""
     spec = replace(cfg.spec_3d(), sigma0=sigma0)
     s_ige = ige.softening_ratio_ige(spec, slope_window=cfg.slope_window)
-    s_jac = softening_gap(spec, window=cfg.exponent_window, tol=cfg.tol)
+    s_jac = softening_gap(spec, window=cfg.exponent_window)
     row = {
         "sigma0": sigma0,
         "ige_slope_3d": s_ige.slope_3d,
@@ -360,7 +367,10 @@ def _softening_point(cfg: ExperimentConfig, sigma0: float) -> tuple:
 
 
 def run_softening(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
-    """Headline table: entropy-slope ratio and Jacobi exponent gap per sigma0."""
+    """Headline table: entropy-slope ratio and Jacobi exponent gap per sigma0.
+
+    The sweep fits the exact Jacobi fields; the rk runs of the configured
+    base point write the jacobi_* series and are checked against them."""
     report = RunReport("softening", asdict(cfg))
     series = {}
     # each distinct sigma0 once: the sweep usually holds the base point too
@@ -387,8 +397,10 @@ def run_softening(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     _, pair, jac = runs[cfg.sigma0]
     series["ige_3d.csv"] = ige.ige_to_csv(pair.result_3d)
     series["ige_2d.csv"] = ige.ige_to_csv(pair.result_2d)
-    series["jacobi_3d.csv"] = jacobi_to_csv(jac.trajectory_3d)
-    series["jacobi_2d.csv"] = jacobi_to_csv(jac.trajectory_2d)
+    for spec, exact in zip((cfg.spec_3d(), cfg.spec_2d()), (jac.trajectory_3d, jac.trajectory_2d)):
+        traj = exponent_run(spec, cfg.exponent_window, cfg.tol)
+        _exact_field_check(report, spec.model.label, traj, exact)
+        series[f"jacobi_{spec.model.label}.csv"] = jacobi_to_csv(traj)
     return report, series
 
 

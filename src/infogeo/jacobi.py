@@ -77,6 +77,8 @@ class JacobiTrajectory(Trajectory):
     J_dot: np.ndarray
     rate: float               # sigma0 * lambda of the underlying model
     log_intensities: np.ndarray   # log sqrt(g(J, J)), formed without J itself
+    slots: Optional[np.ndarray] = None   # (J^mu / sigma0, K_1, ..., their s-rates) in ``units``
+    units: Optional[np.ndarray] = None   # per slot and its rate: its factor's start max-norm
 
     def intensities(self) -> np.ndarray:
         """sqrt(g(J, J)) per sample: inf past the double range."""
@@ -114,25 +116,12 @@ def _jlc_rhs(spec):
     return rhs
 
 
-def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
-                  tau_max: Optional[float] = None, tol: float = 1e-10,
-                  sample_taus=None) -> JacobiTrajectory:
-    """Integrate the Jacobi field along the exact geodesic of ``spec``.
-
-    The base geodesic is the closed form, so the run carries the field
-    alone, in rate units s = rate * tau: J^mu / sigma0, which tends to a
-    constant (the Killing mode d/dmu), and the metric-normalized K_i =
-    J^i / sigma_i, which tend to a constant, decay or (a flat scale) grow
-    linearly, with their s-rates, all divided by the max-norm of their start
-    vector.  The coefficients, ``model.jacobi_system`` at sech s, -tanh s
-    and -lambda_f / rate, stay O(1) at every s: no slot grows with the
-    intensity and no horizon stops the run.  The 2D run depends on the spec
-    only through rounding and the 3D run only on lambda_f / rate.  States
-    and velocities are the closed form at the sample times; J and J' are
-    mapped back from the slots, where they may underflow to 0, and the log
-    intensities come from the slots and log sech s.  The field defaults to
-    :func:`default_initial`.
-    """
+def _start_slots(spec, initial_J, initial_J_dot) -> tuple:
+    """The field slots w(0) of a start (J, J'), (J^mu / sigma0, K_1, ...) and
+    their s-rates with K_i = J^i / sigma_i, each factor's divided by its
+    max-norm, and those ``units`` per slot.  The factors do not couple, so
+    each keeps its own relative accuracy under an absolute tolerance.  A
+    start past the double range gives nan slots."""
     model, rate = spec.model, spec.rate
     dim = model.dimension
     J0, Jd0 = default_initial(dim)
@@ -145,32 +134,141 @@ def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
     flat = [-decay / rate for _, decay in spec.flat_factors]
     # the slot scales (sigma0, sigma_1, ...) and their log-rates (0, -tanh s, flat) at s = 0
     scales0 = np.array([spec.sigma0, spec.sigma0, *(start for start, _ in spec.flat_factors)])
-    # a start vector past the double range gives nan slots: the run stops at its start
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         field0 = np.concatenate([J0, Jd0 / rate - np.array([0.0, 0.0, *flat]) * J0])
         field0 /= np.tile(scales0, 2)
-        unit = np.abs(field0).max() or 1.0
-        taus, w, fields = _sampled_run(_jlc_rhs(spec), field0 / unit,
-                                       EXPONENT_WINDOW[1] / rate if tau_max is None else tau_max,
-                                       tol, None, sample_taus, rate)
+        units = np.abs(field0).reshape(2, dim).max(axis=0)
+        units[:2] = units[:2].max()          # the (mu, sigma) plane: m and K_1 couple
+        units[units == 0.0] = units.max() or 1.0
+        return field0 / np.tile(units, 2), units
+
+
+def _log_norms(model, s, K, units) -> np.ndarray:
+    """log sqrt(g(J, J)) per row of the slots K in ``units`` at rate * tau =
+    s: g(J, J) = sum_i c_i t_i^2 for t = (J^mu / sigma_x, K_1, ...), summed
+    in logs, with log |J^mu / sigma_x| = log |K_0| - log sech s.  A zero row
+    gives -inf."""
+    logs = np.log(np.abs(K)) + (np.log(units) - np.log(units.max()))
+    logs[:, 0] -= math.log(2.0) - s - np.log1p(np.exp(-2.0 * s))
+    top = logs.max(axis=1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    return (math.log(units.max()) + top[:, 0]
+            + 0.5 * np.log(np.exp(2.0 * (logs - top)) @ np.array(model.weights)))
+
+
+def _from_slots(spec, taus, w, units, **fields) -> JacobiTrajectory:
+    """The trajectory of the field slots ``w`` (in ``units``) at ``taus``:
+    states and velocities of the closed form, J and J' mapped back from the
+    slots, where they may underflow to 0, and log intensities from the slots."""
+    model, rate = spec.model, spec.rate
+    dim = model.dimension
+    flat = [-decay / rate for _, decay in spec.flat_factors]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         states, velocities = closed_form(spec, taus)
         s = taus * rate
         scales = np.column_stack([np.full_like(s, spec.sigma0), states[:, 1:]])
         log_rates = np.column_stack([np.zeros_like(s), -np.tanh(s),
                                      *(np.full_like(s, r) for r in flat)])
         K, Kd = w[:, :dim], w[:, dim:]
-        # g(J, J) = unit^2 sum_i c_i t_i^2 for t = (J^mu / sigma_x, K_1, ...) in units of
-        # the start field, summed in logs: log |J^mu / sigma_x| = log |K_0| - log sech s
-        logs = np.log(np.abs(K))
-        logs[:, 0] -= math.log(2.0) - s - np.log1p(np.exp(-2.0 * s))
-        top = logs.max(axis=1, keepdims=True)
-        top[~np.isfinite(top)] = 0.0   # a zero field: its log intensity is -inf
-        log_inten = (math.log(unit) + top[:, 0]
-                     + 0.5 * np.log(np.exp(2.0 * (logs - top)) @ np.array(model.weights)))
         return JacobiTrajectory(taus=taus, states=states, velocities=velocities,
-                                J=unit * scales * K,
-                                J_dot=rate * unit * scales * (Kd + log_rates * K),
-                                rate=rate, log_intensities=log_inten, **fields)
+                                J=units * scales * K,
+                                J_dot=rate * units * scales * (Kd + log_rates * K),
+                                rate=rate, log_intensities=_log_norms(model, s, K, units),
+                                slots=w, units=units, **fields)
+
+
+def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
+                  tau_max: Optional[float] = None, tol: float = 1e-10,
+                  sample_taus=None) -> JacobiTrajectory:
+    """Integrate the Jacobi field along the exact geodesic of ``spec``.
+
+    The base geodesic is the closed form, so the run carries the field
+    alone, in rate units s = rate * tau: J^mu / sigma0, which tends to a
+    constant (the Killing mode d/dmu), and the metric-normalized K_i =
+    J^i / sigma_i, which tend to a constant, decay or (a flat scale) grow
+    linearly, with their s-rates, each factor's divided by the max-norm of
+    its start (see :func:`_start_slots`).  The coefficients,
+    ``model.jacobi_system`` at sech s, -tanh s and -lambda_f / rate, stay
+    O(1) at every s: no slot grows with the intensity and no horizon stops
+    the run.  The 2D run depends on the spec only through rounding and the
+    3D run only on lambda_f / rate.  States
+    and velocities are the closed form at the sample times; J and J' are
+    mapped back from the slots, where they may underflow to 0, and the log
+    intensities come from the slots and log sech s.  The field defaults to
+    :func:`default_initial`; :func:`exact_jacobi` is its closed form.
+    """
+    w0, units = _start_slots(spec, initial_J, initial_J_dot)
+    # a start vector past the double range gives nan slots: the run stops at its start
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        taus, w, fields = _sampled_run(_jlc_rhs(spec), w0,
+                                       EXPONENT_WINDOW[1] / spec.rate if tau_max is None else tau_max,
+                                       tol, None, sample_taus, spec.rate)
+    return _from_slots(spec, taus, w, units, **fields)
+
+
+def exact_jacobi(spec, taus, initial_J=None, initial_J_dot=None) -> JacobiTrajectory:
+    """The field of :func:`integrate_jlc` in closed form at the sample times.
+
+    Both manifolds are products of a hyperbolic plane and flat lines, so
+    the slot equations, with c_1 the sigma weight, b = 2 sqrt(c_1) and
+    a = 2 / sqrt(c_1),
+
+        m'' = -2 tanh s m' + b sech^2 s K',   K'' = 2 sech^2 s K - a m',
+        K_f'' = 0,
+
+    integrate once to cosh^2 s m' = b K + C, C = m'(0) - b K(0), which
+    leaves K'' + 2 sech^2 s K = -a C sech^2 s: the l = 1 Poschl-Teller
+    equation.  With A = K'(0) and B = -K(0) - a C / 2 (a b = 4),
+
+        K = A tanh s + B (s tanh s - 1) - a C / 2 = K(0) + (A + B s) tanh s,
+        m = m(0) + (b A / 2) tanh^2 s - (b B / 2)(s sech^2 s + tanh s) - C tanh s
+          = m(0) + (b / 2)(A tanh^2 s + K(0)(s sech^2 s + tanh s)) + C s sech^2 s,
+        K_f = K_f(0) + K_f'(0) s,
+
+    evaluated in the second forms, which give the start exactly at s = 0
+    and m -> m(0) + (b / 2)(K(0) + K'(0)) without cancellation.
+    It reads the model's weights only, never ``model.jacobi_system``.  A
+    start past the double range gives a run stopped at its start, as in
+    :func:`integrate_jlc`.
+    """
+    w0, units = _start_slots(spec, initial_J, initial_J_dot)
+    dim = spec.model.dimension
+    taus = np.asarray(taus, dtype=float)
+    if not np.all(np.isfinite(w0)):
+        # where the slot system's right-hand side is not finite at s = 0
+        return _from_slots(spec, taus[:1], w0[None, :], units, tolerance=0.0, n_steps=0,
+                           complete=False,
+                           abort_reason="right-hand side is not finite at the initial state")
+    root = math.sqrt(spec.model.weights[1])
+    b, a = 2.0 * root, 2.0 / root
+    m0, K0, m_rate0, A = w0[0], w0[1], w0[dim], w0[dim + 1]
+    C = m_rate0 - b * K0
+    B = -K0 - 0.5 * a * C
+    s = taus * spec.rate
+    x = np.exp(-s)
+    sech2 = (2.0 * x / (1.0 + x * x))**2    # cosh would overflow
+    tanh = np.tanh(s)
+    grown = (A + B * s) * tanh
+    m = m0 + 0.5 * b * (A * tanh**2 + K0 * (s * sech2 + tanh)) + C * s * sech2
+    flat = w0[2:dim] + np.outer(s, w0[dim + 2:])
+    w = np.column_stack([m, K0 + grown, flat, sech2 * (m_rate0 + b * grown),
+                         A * sech2 + B * (tanh + s * sech2),
+                         np.broadcast_to(w0[dim + 2:], flat.shape)])
+    return _from_slots(spec, taus, w, units, tolerance=0.0, n_steps=0)
+
+
+def field_relative_error(traj: JacobiTrajectory, ref: JacobiTrajectory) -> float:
+    """max over the samples of |J - J_ref| / |J_ref| in the metric, for two
+    fields from one start at the same sample times: formed from their slots,
+    so that no J^mu / sigma_x is formed and nothing overflows.  A sample
+    where the two agree exactly counts 0, even where J_ref = 0."""
+    s = ref.taus * ref.rate
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        model = model_of(ref.states)
+        K, K_ref = traj.slots[:, :model.dimension], ref.slots[:, :model.dimension]
+        diff = _log_norms(model, s, K - K_ref, ref.units)
+        errors = np.exp(diff - _log_norms(model, s, K_ref, ref.units))
+        return float(np.where(diff == -math.inf, 0.0, errors).max())
 
 
 # ---------------------------------------------------------------------------
@@ -318,22 +416,24 @@ def exponent_times(rate: float, window: tuple) -> np.ndarray:
     return taus
 
 
-def exponent_run(spec, window: tuple, tol: float) -> JacobiTrajectory:
-    """The default-initial Jacobi run to fit on ``window``: see
-    :func:`exponent_times`; a NumericalAbort when it stops short."""
+def exponent_run(spec, window: tuple, tol: Optional[float] = None) -> JacobiTrajectory:
+    """The default-initial Jacobi field to fit on ``window``, at the
+    :func:`exponent_times`: the closed form of :func:`exact_jacobi`, or with
+    a ``tol`` the :func:`integrate_jlc` run; a NumericalAbort when it stops
+    short."""
     taus = exponent_times(spec.rate, window)
-    traj = integrate_jlc(spec, tau_max=taus[-1], tol=tol, sample_taus=taus)
+    traj = (exact_jacobi(spec, taus) if tol is None
+            else integrate_jlc(spec, tau_max=taus[-1], tol=tol, sample_taus=taus))
     if not traj.complete:
         raise NumericalAbort(f"jacobi run {spec.model.label}: {traj.abort_reason}", partial=traj)
     return traj
 
 
-def softening_gap(spec3d: GeodesicSpec3D, window: tuple = EXPONENT_WINDOW,
-                  tol: float = 1e-10) -> JacobiSoftening:
+def softening_gap(spec3d: GeodesicSpec3D, window: tuple = EXPONENT_WINDOW) -> JacobiSoftening:
     """Fitted intensity-growth exponents of the coupled pair and their gap,
-    from the default Jacobi initial data."""
+    from the exact field of the default Jacobi initial data."""
     pair = (spec3d, GeodesicSpec2D.from_3d(spec3d))
-    t3, t2 = (exponent_run(spec, window, tol) for spec in pair)
+    t3, t2 = (exponent_run(spec, window) for spec in pair)
     f3, f2 = exponent_fit(t3, window), exponent_fit(t2, window)
     expected = spec3d.rate * (1.0 - 1.0 / math.sqrt(2.0))
     return JacobiSoftening(trajectory_3d=t3, trajectory_2d=t2,

@@ -126,7 +126,7 @@ def test_tiny_exponent_window_fails_its_checks_without_a_traceback(tmp_path, cap
         assert run(["--config", str(path), "--out", str(tmp_path / "o"), command]) == 1
     assert not caught
     out, err = capsys.readouterr()
-    assert out == f"{command}: FAIL ({5 if command == 'jacobi' else 9} checks)\n" and err == ""
+    assert out == f"{command}: FAIL ({7 if command == 'jacobi' else 11} checks)\n" and err == ""
 
 
 @pytest.mark.parametrize("out", ["file", "file/sub", "out/verify_geometry_report.json"])
@@ -329,6 +329,66 @@ def test_jacobi_makes_one_run_per_model(tmp_path, monkeypatch):
             monkeypatch.setattr(module, "integrate_jlc", counted)
     assert run(["--out", str(tmp_path / "out"), "jacobi"]) == 0
     assert calls == ["3d", "2d"]
+
+
+def test_softening_runs_rk_only_at_the_base_point(tmp_path, monkeypatch):
+    # the sweep fits the exact fields; rk runs once per model, at the base
+    # point, for the jacobi_* series and the exact-field check
+    calls = []
+    original = jacobi.integrate_jlc
+
+    def counted(spec, *args, **kwargs):
+        calls.append((spec.model.label, spec.sigma0))
+        return original(spec, *args, **kwargs)
+    monkeypatch.setattr(jacobi, "integrate_jlc", counted)
+    path = tmp_path / "sweep.ini"
+    path.write_text("[model]\nsigma0 = 0.7\n[sweep]\nsigma0_values = 0.25, 0.5, 1, 2, 4\n")
+    assert run(["--config", str(path), "--out", str(tmp_path / "out"), "softening"]) == 0
+    assert calls == [("3d", 0.7), ("2d", 0.7)]
+
+
+@pytest.mark.parametrize("base", [1.0, 0.5, 3.0])
+def test_softening_agrees_with_jacobi_at_the_base_point(tmp_path, base):
+    # the same config through jacobi and softening: the same jacobi_* bytes,
+    # both exact-field checks passing, and the table's exact-field exponents
+    # at the base point within 1e-9 of the rk exponents jacobi fits
+    path = tmp_path / "base.ini"
+    path.write_text(f"[model]\nsigma0 = {base!r}\n"
+                    f"[sweep]\nsigma0_values = {base / 2!r}, {base!r}, {2 * base!r}\n")
+    names = {"jacobi_3d.csv", "jacobi_2d.csv"}
+    written = {}
+    for command in ("jacobi", "softening"):
+        out = tmp_path / command
+        assert run(["--config", str(path), "--out", str(out), command]) == 0
+        written[command] = {name: (out / name).read_bytes() for name in names}
+        checks = {c["name"]: c for c in json.loads((out / f"{command}_report.json")
+                                                   .read_text())["checks"]}
+        for label in ("3d", "2d"):
+            check = checks[f"jacobi_{label}_exact_field_relative_error"]
+            assert check["passed"] and check["tolerance"] == 1e-7
+    assert written["jacobi"] == written["softening"]
+    row = next(r for r in json.loads((tmp_path / "softening" / "softening_report.json")
+                                     .read_text())["tables"]["softening"]
+               if r["sigma0"] == base)
+    cfg = cli._validate(cli.load_config(path))
+    for spec in (cfg.spec_3d(), cfg.spec_2d()):
+        rk = jacobi.exponent_fit(jacobi.exponent_run(spec, cfg.exponent_window, cfg.tol))
+        exact = row[f"jacobi_exponent_{spec.model.label}"]
+        assert exact == pytest.approx(rk.slope, rel=1e-9)
+
+
+def test_far_sweep_points_pass_on_the_exact_route(tmp_path, capsys):
+    # sweep points six decades either side of the base point, where only the
+    # exact field runs; at sigma0 = 1e6 (sigma0' = 1) J^3 / sigma_y of the
+    # default field gives way to the mean mode at rate * tau ~ 14, before the
+    # [20, 50] window, and the gap still passes (see README)
+    path = tmp_path / "far.ini"
+    path.write_text("[sweep]\nsigma0_values = 1e-6, 1, 1e6\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["--config", str(path), "--out", str(tmp_path / "o"), "softening"]) == 0
+    assert not caught
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("sigma0", [0.5, 2.0])

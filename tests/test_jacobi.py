@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import infogeo as ig
 from infogeo import jacobi, rk
@@ -470,6 +470,154 @@ def test_jlc_runs_to_rate_tau_800_complete():
         slope = np.polyfit(s[tail], log_inten[tail], 1)[0]
         assert slope == pytest.approx(1.0, abs=1e-6)
         assert np.isinf(traj.intensities()[-1])
+
+
+# ---------------------------------------------------------------------------
+# the exact field
+# ---------------------------------------------------------------------------
+
+def _exact_rates(spec, s, w):
+    """w'' of the exact slots, the s-derivatives of the closed-form rates
+    m' = sech^2 s (b K + C) and K' = A sech^2 s + B (tanh s + s sech^2 s),
+    taken by hand; a flat rate is constant."""
+    n = spec.model.dimension
+    b, a = 2.0 * math.sqrt(spec.model.weights[1]), 2.0 / math.sqrt(spec.model.weights[1])
+    w0 = w[0]
+    C, A = w0[n] - b * w0[1], w0[n + 1]
+    B = -w0[1] - 0.5 * a * C
+    x = np.exp(-s)
+    sech2, tanh = (2.0 * x / (1.0 + x * x))**2, np.tanh(s)
+    m_dd = -2.0 * tanh * w[:, n] + b * sech2 * w[:, n + 1]
+    K_dd = -2.0 * A * sech2 * tanh + 2.0 * B * sech2 * (1.0 - s * tanh)
+    return np.column_stack([m_dd, K_dd, np.zeros((len(s), n - 2))])
+
+
+@pytest.mark.parametrize("spec", [SPEC3, SPEC2, ig.GeodesicSpec3D(0.3, 0.2, 1.7, 0.6, 4.0)],
+                         ids=["3d", "2d", "3d-fast-flat"])
+def test_exact_slots_solve_the_tensor_system(spec):
+    # w' and w'' of the closed form, set against the compiled tensor system
+    # at s in [0, 800], agree to rounding of the system's terms
+    n = spec.model.dimension
+    taus = np.concatenate([np.linspace(0.0, 60.0, 241), np.linspace(61.0, 800.0, 40)]) / spec.rate
+    rng = np.random.default_rng(24)
+    for J0, Jd0 in [ig.default_initial(n), *rng.uniform(-1.0, 1.0, (4, 2, n))]:
+        traj = ig.exact_jacobi(spec, taus, J0, Jd0)
+        s, w = traj.taus * traj.rate, traj.slots
+        assert traj.complete and s[-1] == pytest.approx(800.0, rel=1e-15)
+        expected = np.column_stack([w[:, n:], _exact_rates(spec, s, w)])
+        rhs = jacobi._jlc_rhs(spec)
+        for row, si, want in zip(w, s, expected):
+            dy = np.array(rhs(float(si), row.tolist()))
+            g_hat = np.abs([1.0, 1.0 / math.cosh(min(si, 700.0)), math.tanh(si),
+                            *[d / spec.rate for _, d in spec.flat_factors]])
+            scale = (np.abs(spec.model.jacobi_system) @ g_hat @ g_hat
+                     @ np.abs(np.concatenate([[1.0], row])))
+            assert np.all(np.abs(dy - want) <= 1e-15 * scale + 1e-300)   # subnormals: absolute
+
+
+def test_exact_slot_rates_are_the_derivatives_of_the_slots():
+    # a fourth-order central difference of the closed-form slots recovers
+    # their closed-form rates: the rate formulas and the slot formulas agree
+    h, s = 1e-3, np.linspace(0.5, 40.0, 80)
+    for spec in (SPEC3, SPEC2):
+        n = spec.model.dimension
+        J0, Jd0 = np.array([0.3, -0.8, 0.5][:n]), np.array([0.7, 0.2, -0.4][:n])
+        slots = [ig.exact_jacobi(spec, (s + d * h) / spec.rate, J0, Jd0).slots[:, :n]
+                 for d in (-2, -1, 1, 2)]
+        diff = (slots[0] - 8.0 * slots[1] + 8.0 * slots[2] - slots[3]) / (12.0 * h)
+        rates = ig.exact_jacobi(spec, s / spec.rate, J0, Jd0).slots[:, n:]
+        assert np.abs(diff - rates).max() <= 1e-9 * (1.0 + np.abs(rates).max())
+
+
+def test_exact_killing_and_flat_modes_are_exact():
+    # the Killing mode J = (1, 0, ...), J' = 0 keeps its slots exactly; the
+    # flat slot is exactly linear in s, so J^3 is the critically damped
+    # (1 + lam tau) e^(-lam tau) to rounding, where the rk run gets 1e-8
+    taus = np.linspace(0.0, 800.0, 801)
+    for spec in (SPEC3, SPEC2):
+        n = spec.model.dimension
+        traj = ig.exact_jacobi(spec, taus / spec.rate, np.eye(n)[0], np.zeros(n))
+        assert np.all(traj.slots == np.eye(2 * n)[0]) and np.all(traj.J == np.eye(n)[0])
+        assert np.all(traj.J_dot == 0.0)
+    lam = SPEC3.lambda_f
+    taus = np.linspace(0.0, 30.0, 301)
+    traj = ig.exact_jacobi(SPEC3, taus, (0.0, 0.0, 1.0), (0.0, 0.0, 0.0))
+    assert np.all(traj.J[:, :2] == 0.0)
+    ref = ig.critically_damped(lam, 1.0, lam, taus)
+    assert np.abs(traj.J[:, 2] - ref).max() <= 4e-16
+
+
+_finite_data = st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(mu0=st.floats(-1.0, 1.0), log_sigma0=st.floats(-3.0, 3.0),
+       sigma0_prime=st.floats(0.5, 2.0), lam=_log_uniform, lam_f=_log_uniform,
+       data=_finite_data, three=st.booleans())
+def test_exact_field_matches_the_rk_run(mu0, log_sigma0, sigma0_prime, lam, lam_f, data, three):
+    # over the softening sweep's parameters (sigma0 in [1/8, 8]) and random
+    # start data, the rk field at tol 1e-10 and the closed form agree in the
+    # metric to 1e-7 at every sample of the exponent horizon.  The intensity
+    # grows with the mean slot's limit m(0) + (b / 2)(K(0) + K'(0)); rk
+    # carries it to the absolute tolerance in units of the start, so draws
+    # where it cancels below 1% of the start are left out: there the rk
+    # field's relative error is about 1e-10 over that fraction
+    spec = ig.GeodesicSpec3D(mu0, 2.0**log_sigma0, sigma0_prime, lam, lam_f)
+    spec = spec if three else ig.GeodesicSpec2D.from_3d(spec)
+    n = spec.model.dimension
+    J0, Jd0 = np.array(data[:n]), np.array(data[3:3 + n])
+    taus = jacobi.exponent_times(spec.rate, ig.EXPONENT_WINDOW)
+    exact = ig.exact_jacobi(spec, taus, J0, Jd0)
+    w0 = exact.slots[0, [0, 1, n, n + 1]]
+    assume(abs(w0[0] + math.sqrt(spec.model.weights[1]) * (w0[1] + w0[3]))
+           >= 0.01 * np.abs(w0).max())
+    ours = ig.integrate_jlc(spec, J0, Jd0, tau_max=taus[-1], sample_taus=taus)
+    # asserts on plain values: pytest would print a failing trajectory's repr,
+    # once per shrinking step
+    complete, same_taus = ours.complete, np.array_equal(ours.taus, exact.taus)
+    assert complete and same_taus
+    error = jacobi.field_relative_error(ours, exact)
+    assert error <= 1e-7
+
+
+def test_field_error_reads_the_metric_norm():
+    # where J is representable, the slot route is |J - J_ref|_g / |J_ref|_g
+    spec = SPEC3
+    taus = np.linspace(0.0, 20.0, 81)
+    exact = ig.exact_jacobi(spec, taus)
+    ours = ig.integrate_jlc(spec, tau_max=taus[-1], tol=1e-7, sample_taus=taus)
+    ref = np.max(ig.intensity(exact.states, ours.J - exact.J)[1:]
+                 / ig.intensity(exact.states, exact.J)[1:])
+    assert jacobi.field_relative_error(ours, exact) == pytest.approx(ref, rel=1e-6)
+    assert jacobi.field_relative_error(exact, exact) == 0.0
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(mu0=st.floats(-1.0, 1.0), log_sigma0=st.floats(-2.0, 2.0),
+       sigma0_prime=st.floats(0.5, 2.0), lam=_log_uniform, lam_f=_log_uniform,
+       k=st.integers(-60, 60), shift=st.floats(-1e6, 1e6))
+def test_sweep_exponents_are_invariant_under_scaling_and_translation(
+        mu0, log_sigma0, sigma0_prime, lam, lam_f, k, shift):
+    # a shift of mu0 leaves the exponents over the rate bit for bit the same.
+    # Scaling every scale and rate by 2^k (sigma0, sigma0' and lambda_f)
+    # leaves the exact slots bit for bit the same; the log intensities then
+    # carry log 2^k more, so the fitted exponents over the rate agree to
+    # rounding only.  (With sigma0' fixed the default field's J^3 / sigma_y
+    # moves against the mean mode, and the exponent moves with it.)
+    spec = ig.GeodesicSpec3D(mu0, 2.0**log_sigma0, sigma0_prime, lam, lam_f)
+    c = 2.0**k
+    shifted = ig.GeodesicSpec3D(mu0 + shift, spec.sigma0, sigma0_prime, lam, lam_f)
+    scaled = ig.GeodesicSpec3D(mu0 + shift, c * spec.sigma0, c * sigma0_prime, lam, c * lam_f)
+
+    def per_rate(jac):
+        return np.array([jac.exponent_3d / jac.trajectory_3d.rate,
+                         jac.exponent_2d / jac.trajectory_2d.rate])
+    base, moved, grown = (ig.softening_gap(s) for s in (spec, shifted, scaled))
+    assert np.array_equal(per_rate(base), per_rate(moved))
+    np.testing.assert_allclose(per_rate(grown), per_rate(base), rtol=4e-15, atol=0.0)
+    for label in ("3d", "2d"):
+        one, other = (getattr(j, f"trajectory_{label}") for j in (base, grown))
+        assert np.array_equal(one.slots, other.slots)
 
 
 # ---------------------------------------------------------------------------
