@@ -4,11 +4,14 @@ Independent numerical route to the connection and curvature of any smooth
 metric field: no closed forms are assumed, only pointwise metric values.
 Used to cross-validate the analytic results in :mod:`infogeo.models`.
 
+Every step is relative to the field's own scale of its coordinate (sigma_k(i)
+for the Gaussian models, 1 by default), so the stencils commute with the
+scaling isometry (mu, sigma) -> (c mu, c sigma) and never reach sigma = 0.
 Two step sizes are involved.  Metric derivatives use second-order central
-differences with a small relative step.  Christoffel derivatives (needed
-for the Riemann tensor) difference an already-differenced quantity, so a
-plain nested central difference with the same step would amplify rounding
-error to ~1e-5; instead we use a wider step with a fourth-order five-point
+differences with a small step.  Christoffel derivatives (needed for the
+Riemann tensor) difference an already-differenced quantity, so a plain
+nested central difference with the same step would amplify rounding error
+to ~1e-5; instead we use a wider step with a fourth-order five-point
 stencil, which keeps the truncation error down at that width.
 """
 
@@ -23,8 +26,8 @@ from .errors import DomainError
 from .models import MODEL_2D, MODEL_3D
 from .tensors import ChristoffelSymbols, MetricTensor, RiemannTensor, validate_metrics
 
-METRIC_STEP = 1e-5        # relative step for d g / d theta (central, 2nd order)
-CHRISTOFFEL_STEP = 1e-3   # relative step for d Gamma / d theta (5-point, 4th order)
+METRIC_STEP = 1e-5        # d g / d theta, in coordinate scales (central, 2nd order)
+CHRISTOFFEL_STEP = 1e-3   # d Gamma / d theta, in coordinate scales (5-point, 4th order)
 
 
 @dataclass(frozen=True)
@@ -33,20 +36,13 @@ class MetricField:
 
     ``evaluate`` maps (m, dimension) rows of parameters to the (m,
     dimension, dimension) stack of metrics at them, each of which must be
-    symmetric positive definite.  ``lower_bounds`` marks open lower limits
-    of the coordinate domain (e.g. 0 for scale parameters) so
-    finite-difference stencils can refuse to step across them.
+    symmetric positive definite.  ``scales`` maps rows (or a point) to the
+    scale of each coordinate there, the unit of its finite-difference steps.
     """
 
     dimension: int
     evaluate: Callable[[np.ndarray], np.ndarray]
-    lower_bounds: tuple = None
-
-    def __post_init__(self):
-        if self.lower_bounds is None:
-            object.__setattr__(self, "lower_bounds", (-np.inf,) * self.dimension)
-        elif len(self.lower_bounds) != self.dimension:
-            raise ValueError("lower_bounds length must match dimension")
+    scales: Callable[[np.ndarray], np.ndarray] = np.ones_like
 
     def _evaluate(self, rows: np.ndarray) -> np.ndarray:
         g = np.asarray(self.evaluate(rows), dtype=float)
@@ -62,12 +58,12 @@ class MetricField:
 
 def field_3d() -> MetricField:
     """The unconstrained Gaussian model as a metric field."""
-    return MetricField(3, MODEL_3D.metric_rows, lower_bounds=(-np.inf, 0.0, 0.0))
+    return MetricField(3, MODEL_3D.metric_rows, MODEL_3D.scales)
 
 
 def field_2d() -> MetricField:
     """The constrained Gaussian model as a metric field."""
-    return MetricField(2, MODEL_2D.metric_rows, lower_bounds=(-np.inf, 0.0))
+    return MetricField(2, MODEL_2D.metric_rows, MODEL_2D.scales)
 
 
 def euclidean_field(dimension: int) -> MetricField:
@@ -75,22 +71,13 @@ def euclidean_field(dimension: int) -> MetricField:
         np.eye(dimension), (len(rows), dimension, dimension)))
 
 
-def _steps(theta: np.ndarray, rel: float) -> np.ndarray:
-    return rel * np.maximum(1.0, np.abs(theta))
-
-
-def _check_step(field: MetricField, rows: np.ndarray, h: np.ndarray, reach: float):
-    """Refuse a stencil of half-width reach * h (per row) that leaves the domain."""
+def _check_finite(field: MetricField, rows: np.ndarray):
+    """Refuse a non-finite row, with the field's own error if it rejects it."""
     finite = np.isfinite(rows).all(axis=1)
-    with np.errstate(invalid="ignore"):     # inf - inf at a non-finite row
-        bad = ~finite | (rows - reach * h <= np.asarray(field.lower_bounds)).any(axis=1)
-    if bad.any():
-        i = bad.argmax()
-        field.evaluate(rows[i:i + 1])       # the field's own error for a point it rejects
-        if not finite[i]:
-            raise DomainError(f"finite-difference point theta={rows[i]} is not finite")
-        raise DomainError(
-            f"finite-difference step {h[i]} reaches the domain boundary at theta={rows[i]}")
+    if not finite.all():
+        i = finite.argmin()
+        field.evaluate(rows[i:i + 1])
+        raise DomainError(f"finite-difference point theta={rows[i]} is not finite")
 
 
 def _christoffel_rows(field: MetricField, rows: np.ndarray, h: float) -> np.ndarray:
@@ -101,8 +88,8 @@ def _christoffel_rows(field: MetricField, rows: np.ndarray, h: float) -> np.ndar
     and validated as one batch.
     """
     m, n = rows.shape
-    hs = _steps(rows, h)
-    _check_step(field, rows, hs, 1.0)
+    _check_finite(field, rows)
+    hs = h * field.scales(rows)
     steps = hs[:, :, None] * np.eye(n)                  # [row, k, :] = hs_k e_k
     g = field._evaluate(np.concatenate([rows, (rows[:, None] + steps).reshape(-1, n),
                                         (rows[:, None] - steps).reshape(-1, n)]))
@@ -129,9 +116,8 @@ def riemann_numeric(field: MetricField, theta) -> RiemannTensor:
     at the centre and at the 4n stencil points is one batched call.
     """
     theta = np.asarray(theta, dtype=float)[None]
-    _check_step(field, theta, _steps(theta, METRIC_STEP), 1.0)  # the centre's own stencil first
-    hs = _steps(theta[0], CHRISTOFFEL_STEP)
-    _check_step(field, theta, hs[None], 2.0 + METRIC_STEP / CHRISTOFFEL_STEP)
+    _check_finite(field, theta)     # before the steps: an infinite scale times 0 warns
+    hs = CHRISTOFFEL_STEP * field.scales(theta[0])
     n = field.dimension
     offsets = np.array([-2.0, -1.0, 1.0, 2.0])[:, None, None] * (hs * np.eye(n))
     gam = _christoffel_rows(field, np.concatenate([theta, (theta + offsets).reshape(-1, n)]),

@@ -6,7 +6,7 @@ an accepted step; fifth-order propagation, a fourth-order embedded error
 estimate, and the free fourth-order dense output, built once at the end
 from the accepted steps' stages, which are kept as doubles.
 
-The states have 4 to 12 components, where a numpy call costs more than its
+The states have 4 or 6 components, where a numpy call costs more than its
 arithmetic.  So an attempt is one straight-line Python function per state
 dimension, generated from the tableau and cached (:func:`_attempt`), and
 ``f(t, y)`` and ``floor(y)`` get y as a list of floats and t as a float;

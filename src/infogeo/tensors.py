@@ -42,7 +42,7 @@ def validate_metrics(g: np.ndarray) -> None:
     finite = np.isfinite(flat).all(axis=(1, 2))
     with np.errstate(invalid="ignore"):     # inf - inf in a non-finite matrix
         symmetric = (np.abs(flat - flat.transpose(0, 2, 1)).max(axis=(1, 2))
-                     <= 1e-12 * np.maximum(1.0, np.abs(flat).max(axis=(1, 2))))
+                     <= 1e-12 * np.abs(flat).max(axis=(1, 2)))
     try:
         if finite.all() and symmetric.all():
             np.linalg.cholesky(flat)

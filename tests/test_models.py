@@ -179,11 +179,14 @@ def test_cholesky_validation_matches_sylvester(n, diag, off, exponent):
     (np.array([[1.0, 1.0], [1.0, 1.0]]), "positive definite"),   # singular PSD
     (np.diag([1.0, 0.0]), "positive definite"),            # singular PSD
     (np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric"),
+    # the same 50% asymmetry at the size of a model metric at sigma = 1e6:
+    # the symmetry bound is relative at every scale
+    (np.array([[1e-12, 5e-13], [0.0, 1e-12]]), "symmetric"),
     (np.diag([math.inf, 1.0]), "non-finite"),
     (np.diag([1.0, math.nan]), "non-finite"),
     (np.diag([1e-200, 1e-200]), None),   # SPD; its determinant underflows to 0
 ], ids=["indefinite-2", "indefinite-3", "singular-psd-full", "singular-psd-diag",
-        "asymmetric", "inf", "nan", "tiny-spd"])
+        "asymmetric", "asymmetric-tiny", "inf", "nan", "tiny-spd"])
 def test_metric_validation_fixed_cases(g, match):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
