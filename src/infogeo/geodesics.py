@@ -273,51 +273,51 @@ def _sigma_floor(dim):
 def nonzero_terms(tensor: np.ndarray) -> list:
     """``(row, indices..., coefficient)`` of each nonzero entry of a system
     tensor, in index order, as Python ints and floats.  The system tensors
-    are almost empty (7 of the 672 entries of the 3D Jacobi one):
-    :func:`compile_terms` turns these terms into the RHS kernels."""
+    are almost empty (7 of the 672 entries of the 3D Jacobi one), and
+    :func:`_generate_rhs` writes each row of a right-hand side as the sum of
+    its terms."""
     return [(*map(int, index), float(tensor[tuple(index)])) for index in np.argwhere(tensor)]
 
 
-def compile_terms(tensor: np.ndarray, axes: tuple):
-    """The contraction of a system tensor as a straight-line Python function.
+def _generate_rhs(tensor: np.ndarray, axes: tuple, state: list, head: tuple = (),
+                  divisors: tuple = ()):
+    """The contraction of a system tensor as one straight-line ``rhs(t, y)``,
+    from a list y to a list.
 
     ``axes`` names the vector of each index after the row; slot 0 of each
-    vector is the constant 1, and the function takes the other slots as
-    arguments, vector by vector in order of first appearance (slot 1 of
-    vector "v" is the argument ``v1``).  It returns the list of rows: row r
-    is the sum, in index order, of its terms c * x[last index] * ... *
-    x[first index], multiplied left to right and added to 0.0, so it equals
-    a loop over :func:`nonzero_terms` bit for bit; factors of 1.0 (the
-    constant slots, unit coefficients) are left out, as they are exact.
+    vector is the constant 1, and slot i of vector "v" is the name ``vi``.
+    y is unpacked into the names ``state``, then the ``head`` lines define
+    the other names (``exp``, ``tanh`` and ``inf`` are in scope).  Row r is
+    the sum, in index order, of its terms c * x[last index] * ... * x[first
+    index], multiplied left to right and added to 0.0, so it equals a loop
+    over :func:`nonzero_terms` bit for bit; factors of 1.0 (the constant
+    slots, unit coefficients) are left out, as they are exact.  For each
+    ``(row, name)`` of ``divisors`` the row is divided by that name; a
+    divisor of 0 gives inf or nan, as numpy divides by 0, not an error.
     """
-    sizes = dict(zip(axes, tensor.shape[1:]))
     rows = [["0.0"] for _ in range(tensor.shape[0])]
     for row, *index, c in nonzero_terms(tensor):
         factors = [f"{axes[j]}{i}" for j, i in reversed(list(enumerate(index))) if i]
         rows[row].append("*".join([repr(c)] * (c != 1.0 or not factors) + factors))
-    params = [f"{name}{i}" for name, size in sizes.items() for i in range(1, size)]
-    source = (f"def kernel({', '.join(params)}):\n"
-              f"    return [{', '.join(' + '.join(terms) for terms in rows)}]\n")
-    namespace = {}
-    exec(compile(source, "<compile_terms>", "exec"), namespace)
-    return namespace["kernel"]
+    sums = [" + ".join(terms) for terms in rows]
+    for row, name in divisors:
+        sums[row] = f"({sums[row]}) / {name} if {name} else ({sums[row]}) * inf"
+    source = "\n    ".join(["def rhs(t, y):", f"{', '.join(state)}, = y", *head,
+                             f"return [{', '.join(sums)}]"])
+    namespace = {"exp": math.exp, "tanh": math.tanh, "inf": math.inf}
+    exec(compile(source, "<generate_rhs>", "exec"), namespace)
+    return namespace["rhs"]
 
 
 @cache
 def _geodesic_rhs(model):
     """y' = T v_hat v_hat for y = (theta, v), T = ``model.geodesic_system``,
-    v_hat = (1, v), with the acceleration rows divided by sigma_k: the
-    compiled kernel of T, from a list y to a list."""
-    dim = model.dimension
-    kernel, k = compile_terms(model.geodesic_system, ("v", "v")), model.scale_map
-
-    def rhs(t, y):
-        dy = kernel(*y[dim:])
-        for row, j in enumerate(k, start=dim):
-            # a trial sigma of 0 gives inf or nan, as numpy divides by 0, not an error
-            dy[row] = dy[row] / y[j] if y[j] else dy[row] * math.inf
-        return dy
-    return rhs
+    v_hat = (1, v), with the acceleration rows divided by sigma_k: one
+    generated function, from a list y to a list."""
+    n = model.dimension
+    state = [*(f"y{i}" for i in range(n)), *(f"v{i}" for i in range(1, n + 1))]
+    divisors = [(n + a, f"y{k}") for a, k in enumerate(model.scale_map)]
+    return _generate_rhs(model.geodesic_system, ("v", "v"), state, divisors=divisors)
 
 
 def integrate_geodesic(spec, tau_max: float, tol: float = 1e-10,

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import DomainError, NumericalAbort
 from .fitting import LineFit, fit_basis, fit_line
 from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, Trajectory, _sampled_run,
-                        closed_form, compile_terms, series_to_csv)
+                        _generate_rhs, closed_form, series_to_csv)
 from .models import model_of
 
 EXPONENT_WINDOW = (20.0, 50.0)  # in units of rate * tau
@@ -99,21 +99,17 @@ def window_mask(taus: np.ndarray, rate: float, window: tuple,
 
 
 @cache
-def _kernel(model):
-    return compile_terms(model.jacobi_system, ("z", "g", "g"))
-
-
-def _jlc_rhs(spec):
+def _jlc_rhs(model):
     """w' at s for the field slots w of :func:`integrate_jlc`, from a list to
-    a list: the compiled kernel of ``model.jacobi_system`` at g_hat = (1,
-    sech s, -tanh s, -lambda_f / rate), the exact geodesic in rate units."""
-    kernel = _kernel(spec.model)
-    flat = [-decay / spec.rate for _, decay in spec.flat_factors]
-
-    def rhs(s, w):
-        x = math.exp(-s)   # sech s = 2 x / (1 + x^2) underflows to 0, cosh would overflow
-        return kernel(*w, 2.0 * x / (1.0 + x * x), -math.tanh(s), *flat)
-    return rhs
+    a list: ``model.jacobi_system`` at g_hat = (1, sech s, -tanh s, flat
+    rates), the exact geodesic in rate units, as one generated function.
+    The flat rates -lambda_f / rate have no term (K_f'' = 0), so one
+    function serves every spec of the model; a term in them would fail as
+    an unbound name at the first call."""
+    head = ("x = exp(-t)",   # sech s = 2 x / (1 + x^2) underflows to 0, cosh would overflow
+            "g1 = 2.0 * x / (1.0 + x * x)", "g2 = -tanh(t)")
+    return _generate_rhs(model.jacobi_system, ("z", "g", "g"),
+                         [f"z{i}" for i in range(1, 2 * model.dimension + 1)], head)
 
 
 def _start_slots(spec, initial_J, initial_J_dot) -> tuple:
@@ -200,7 +196,7 @@ def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
     w0, units = _start_slots(spec, initial_J, initial_J_dot)
     # a start vector past the double range gives nan slots: the run stops at its start
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        taus, w, fields = _sampled_run(_jlc_rhs(spec), w0,
+        taus, w, fields = _sampled_run(_jlc_rhs(spec.model), w0,
                                        EXPONENT_WINDOW[1] / spec.rate if tau_max is None else tau_max,
                                        tol, None, sample_taus, spec.rate)
     return _from_slots(spec, taus, w, units, **fields)

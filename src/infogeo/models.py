@@ -346,10 +346,11 @@ class DiagonalScaleModel:
             return np.einsum("kab,...a,...b->...k", neg_gam, v, v) / self.scales(theta)
 
     def speed(self, theta, v):
-        """g_lm v^l v^m = sum_i c_i v_i^2 / sigma_{k(i)}^2, at one point or per row."""
+        """g_lm v^l v^m = sum_i c_i (v_i / sigma_{k(i)})^2, at one point or per row:
+        each ratio is formed before it is squared, so a v_i and sigma whose
+        squares underflow still give their speed."""
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return (np.multiply(self.weights, np.square(v))
-                    / np.square(self.scales(theta))).sum(-1)
+            return np.multiply(self.weights, np.square(v / self.scales(theta))).sum(-1)
 
     def volume_density(self, theta) -> float:
         """sqrt(det g) = sqrt(prod c) / prod_i sigma_{k(i)}."""

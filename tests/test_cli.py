@@ -417,15 +417,21 @@ def test_one_point_sweep_table(tmp_path):
     assert [float(v) for v in lines[2].split(",")] == [rows[0][k] for k in names]
 
 
-@pytest.mark.parametrize("command,code", [("geodesics", 1), ("jacobi", 0), ("ige", 0)])
-def test_vanishing_sigma0_warns_nothing(tmp_path, command, code):
-    # at sigma0 = 1e-200 the Fisher speed is nan (drift check fails, exit 1);
-    # the Jacobi runs, made in rate units, pass their checks (exit 0), and
-    # so does every IGE check: the 3D closed-form volume forms no sigma0^2 product.
-    # The inf/nan of the rejected trial stages stay silent, and the IGE
-    # slopes are fitted at rate * tau ~ 300, not tau ~ 1e202
+@pytest.mark.parametrize("command,sigma0,code", [
+    (command, sigma0, int(command == "geodesics" and sigma0 == "1e-200"))
+    for command in ("geodesics", "jacobi", "ige")
+    for sigma0 in ("1e-90", "1e-120", "1e-160", "1e-200")])
+def test_vanishing_sigma0_warns_nothing(tmp_path, command, sigma0, code):
+    # at sigma0 = 1e-200 v_mu(0) = span lam sigma0^2 underflows to 0, so the
+    # Fisher speed is 0 and the drift check fails by name (exit 1); above it
+    # the speed is formed from v / sigma, never from squares that underflow,
+    # and the drift is finite.  The Jacobi runs, made in rate units, pass
+    # their checks (exit 0), and so does every IGE check: the 3D closed-form
+    # volume forms no sigma0^2 product.  The inf/nan of the rejected trial
+    # stages stay silent, and the IGE slopes are fitted at rate * tau ~ 300,
+    # not tau ~ 1e202
     path = tmp_path / "tiny.ini"
-    path.write_text("[model]\nsigma0 = 1e-200\n")
+    path.write_text(f"[model]\nsigma0 = {sigma0}\n")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run(["--config", str(path), "--out", str(tmp_path / "o"), command]) == code

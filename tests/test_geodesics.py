@@ -6,11 +6,14 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import infogeo as ig
 from infogeo.errors import DomainError
-from infogeo.geodesics import _closed_form, _geodesic_rhs, compile_terms, nonzero_terms
+from infogeo import rk
+from infogeo.geodesics import (_closed_form, _geodesic_rhs, _sigma_floor, closed_form,
+                              nonzero_terms)
+from infogeo.jacobi import _jlc_rhs, _start_slots
 from infogeo.models import MODEL_2D, MODEL_3D
 
 SPEC3 = ig.GeodesicSpec3D(mu0=0.0, sigma0=1.0, sigma0_prime=1.0,
@@ -254,7 +257,7 @@ def _dot_geodesic_rhs(model):
        rho=st.tuples(*[st.floats(-2.0, 2.0)] * 3), three=st.booleans())
 def test_geodesic_rhs_matches_the_dot_contraction(mu, log_scales, rho, three):
     # the draws of test_coefficients_match_textbook_assembly; each row of the
-    # RHS around the compiled kernel within 1e-15 of the sum of its terms' magnitudes
+    # generated RHS within 1e-15 of the sum of its terms' magnitudes
     model = MODEL_3D if three else MODEL_2D
     n = model.dimension
     theta = np.array([mu, *(10.0 ** np.array(log_scales))])[:n]
@@ -280,7 +283,7 @@ def test_nonzero_terms_rebuild_each_system_tensor(model):
 def test_geodesic_rhs_at_a_zero_sigma_is_non_finite(model):
     # a trial stage can land on sigma = 0: the dot route divided by it in
     # numpy (under the np.errstate of rk.integrate), giving inf or nan, and
-    # so must the RHS around the compiled kernel, without raising
+    # so must the generated RHS, without raising
     n = model.dimension
     y = np.array([0.0, *[0.0] * (n - 1), *[0.5] * n])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -289,8 +292,8 @@ def test_geodesic_rhs_at_a_zero_sigma_is_non_finite(model):
 
 
 def _term_loop(tensor, vectors):
-    # the loop over nonzero_terms the right-hand sides ran before the terms
-    # were compiled, kept as the reference: slot 0 of each vector is 1.0
+    # the loop over nonzero_terms the right-hand sides ran before they were
+    # generated, kept as the reference: slot 0 of each vector is 1.0
     dy = [0.0] * tensor.shape[0]
     for row, *index, c in nonzero_terms(tensor):
         term = c
@@ -300,24 +303,83 @@ def _term_loop(tensor, vectors):
     return dy
 
 
-_KERNEL_VALUES = st.one_of(st.floats(allow_nan=False, width=64),
-                           st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf]))
+def _loop_geodesic_rhs(model):
+    # the term loop, then each acceleration row divided by its sigma_k as
+    # the RHS did before it was generated: a sigma of 0 gives inf or nan
+    n = model.dimension
+
+    def rhs(t, y):
+        dy = _term_loop(model.geodesic_system, [[1.0, *y[n:]]] * 2)
+        for row, k in enumerate(model.scale_map, start=n):
+            dy[row] = dy[row] / y[k] if y[k] else dy[row] * math.inf
+        return dy
+    return rhs
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(values=st.lists(_KERNEL_VALUES, min_size=9, max_size=9), three=st.booleans())
-def test_compiled_kernels_equal_the_term_loop_bit_for_bit(values, three):
-    # overflow, inf - inf and signed zeros included
+def _loop_jlc_rhs(model, flat):
+    # the term loop at g_hat = (1, sech s, -tanh s, flat rates)
+    def rhs(s, w):
+        x = math.exp(-s)
+        g_hat = [1.0, 2.0 * x / (1.0 + x * x), -math.tanh(s), *flat]
+        return _term_loop(model.jacobi_system, [[1.0, *w], g_hat, g_hat])
+    return rhs
+
+
+_RHS_VALUES = st.one_of(st.floats(allow_nan=False, width=64),
+                        st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(_RHS_VALUES, min_size=7, max_size=7),
+       s=st.one_of(st.floats(0.0, 800.0), st.floats(745.0, 1e6)), three=st.booleans())
+@example(values=[0.5, 0.0, 0.0, 1.0, -2.0, 3.0, 0.25], s=746.0, three=True)
+@example(values=[0.5, 0.0, 1.0, -2.0, 0.0, 0.0, 0.25], s=1e6, three=False)
+def test_generated_rhs_equals_the_term_loop_bit_for_bit(values, s, three):
+    # overflow, inf - inf, signed zeros, a sigma of 0 and sech s underflowed
+    # to 0 (s > 745) included; the flat rate has no term in the Jacobi system
     model = MODEL_3D if three else MODEL_2D
     n = model.dimension
-    v = values[:n]
-    kernel = compile_terms(model.geodesic_system, ("v", "v"))
-    ref = _term_loop(model.geodesic_system, [[1.0, *v]] * 2)
-    assert np.array(kernel(*v)).tobytes() == np.array(ref).tobytes()
-    z, g = values[:2 * n], values[2 * n:3 * n]
-    kernel = compile_terms(model.jacobi_system, ("z", "g", "g"))
-    ref = _term_loop(model.jacobi_system, [[1.0, *z], [1.0, *g], [1.0, *g]])
-    assert np.array(kernel(*z, *g)).tobytes() == np.array(ref).tobytes()
+    y = values[:2 * n]
+    with np.errstate(all="ignore"):
+        assert (np.array(_geodesic_rhs(model)(0.0, y)).tobytes()
+                == np.array(_loop_geodesic_rhs(model)(0.0, y)).tobytes())
+    flat = values[-1:] if three else []
+    assert (np.array(_jlc_rhs(model)(s, y)).tobytes()
+            == np.array(_loop_jlc_rhs(model, flat)(s, y)).tobytes())
+
+
+def _run_pair(rhs, ref, t_end, y0, floor=None):
+    return [rk.integrate(f, (0.0, t_end), y0, rtol=1e-10, atol=1e-10, floor=floor,
+                         raise_on_abort=False) for f in (rhs, ref)]
+
+
+def _assert_same_run(a, b):
+    assert a.n_steps > 100
+    assert (a.n_steps, a.n_rejected, a.abort_reason) == (b.n_steps, b.n_rejected, b.abort_reason)
+    for name in ("t", "y", "h", "Q"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+@pytest.mark.parametrize("spec,tau_max,reason", [
+    (SPEC3, 50.0, "sigma coordinate fell to the positivity floor 1e-300"), (SPEC2, 20.0, None)],
+    ids=["3d", "2d"])
+def test_geodesic_runs_of_the_generated_rhs_equal_the_term_loop_runs(spec, tau_max, reason):
+    # the 3D run ends on the sigma floor after 26 rejected attempts
+    model = spec.model
+    y0 = np.concatenate(closed_form(spec, 0.0))
+    runs = _run_pair(_geodesic_rhs(model), _loop_geodesic_rhs(model), tau_max, y0,
+                     _sigma_floor(model.dimension))
+    _assert_same_run(*runs)
+    assert runs[0].abort_reason == reason
+
+
+@pytest.mark.parametrize("spec", [SPEC3, SPEC2], ids=["3d", "2d"])
+def test_jacobi_runs_of_the_generated_rhs_equal_the_term_loop_runs(spec):
+    flat = [-decay / spec.rate for _, decay in spec.flat_factors]
+    w0, _ = _start_slots(spec, None, None)
+    runs = _run_pair(_jlc_rhs(spec.model), _loop_jlc_rhs(spec.model, flat), 50.0, w0)
+    _assert_same_run(*runs)
+    assert runs[0].complete
 
 
 def test_residual_exact_family():

@@ -230,7 +230,7 @@ def test_a_perturbed_tail_block_fails_the_property():
 
 def _dot_jlc_rhs(spec):
     # the reshape-dot contraction of the system tensor at the closed-form
-    # g_hat, kept as the reference for the RHS around the compiled kernel
+    # g_hat, kept as the reference for the generated RHS
     n = spec.model.dimension
     system = spec.model.jacobi_system.reshape(-1, n + 1)
     flat = [-decay / spec.rate for _, decay in spec.flat_factors]
@@ -246,14 +246,14 @@ def _dot_jlc_rhs(spec):
 @given(s=st.floats(0.0, 800.0), lam_f=st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
        data=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6), three=st.booleans())
 def test_jlc_rhs_matches_the_dot_contraction(s, lam_f, data, three):
-    # the RHS around the compiled kernel at any s of a run (sech s underflows
+    # the generated RHS at any s of a run (sech s underflows
     # to 0 past s = 745, where the dot route sets it to 0), each row within
     # 1e-15 of the sum of its terms' magnitudes
     spec3 = ig.GeodesicSpec3D(0.0, 1.0, 1.0, 1.0, lam_f)
     spec = spec3 if three else ig.GeodesicSpec2D.from_3d(spec3)
     n = spec.model.dimension
     w = np.array(data[:n] + data[3:3 + n])
-    dy = np.asarray(jacobi._jlc_rhs(spec)(s, w.tolist()))
+    dy = np.asarray(jacobi._jlc_rhs(spec.model)(s, w.tolist()))
     g_hat = np.abs(np.array([1.0, 1.0 / math.cosh(min(s, 700.0)), math.tanh(s), lam_f])[:n + 1])
     scale = np.abs(spec.model.jacobi_system) @ g_hat @ g_hat @ np.abs(np.concatenate([[1.0], w]))
     assert np.all(np.abs(dy - _dot_jlc_rhs(spec)(s, w)) <= 1e-15 * scale)
@@ -267,7 +267,7 @@ def test_jlc_rhs_past_the_exp_range_is_finite(spec):
     n = spec.model.dimension
     w = [0.5] * n + [0.3] * n
     for s in (745.5, 800.0, 1e6):
-        dy = jacobi._jlc_rhs(spec)(s, w)
+        dy = jacobi._jlc_rhs(spec.model)(s, w)
         assert dy == _dot_jlc_rhs(spec)(s, np.array(w)).tolist()
         assert dy[n:n + 2] == pytest.approx([-0.6, -0.6 / spec.model.mean_span], rel=1e-15)
 
@@ -495,7 +495,7 @@ def _exact_rates(spec, s, w):
 @pytest.mark.parametrize("spec", [SPEC3, SPEC2, ig.GeodesicSpec3D(0.3, 0.2, 1.7, 0.6, 4.0)],
                          ids=["3d", "2d", "3d-fast-flat"])
 def test_exact_slots_solve_the_tensor_system(spec):
-    # w' and w'' of the closed form, set against the compiled tensor system
+    # w' and w'' of the closed form, set against the generated RHS of the system
     # at s in [0, 800], agree to rounding of the system's terms
     n = spec.model.dimension
     taus = np.concatenate([np.linspace(0.0, 60.0, 241), np.linspace(61.0, 800.0, 40)]) / spec.rate
@@ -505,7 +505,7 @@ def test_exact_slots_solve_the_tensor_system(spec):
         s, w = traj.taus * traj.rate, traj.slots
         assert traj.complete and s[-1] == pytest.approx(800.0, rel=1e-15)
         expected = np.column_stack([w[:, n:], _exact_rates(spec, s, w)])
-        rhs = jacobi._jlc_rhs(spec)
+        rhs = jacobi._jlc_rhs(spec.model)
         for row, si, want in zip(w, s, expected):
             dy = np.array(rhs(float(si), row.tolist()))
             g_hat = np.abs([1.0, 1.0 / math.cosh(min(si, 700.0)), math.tanh(si),
