@@ -261,20 +261,20 @@ def log_closed_form_volume_3d(spec: GeodesicSpec3D, tau):
     """Closed-form averaged 3D volume (moving-endpoint terms only), in logs.
 
     Returns -inf/nan where the expression is nonpositive, which happens
-    before the tail for some parameter corners; the expression is meaningful
-    on tail windows.
+    before the tail for some parameter corners, or overflows (|mu0| near
+    1e308); the expression is meaningful on tail windows.
     """
     tau = np.asarray(tau, dtype=float)
     s0, lp, lf = spec.sigma0, spec.lambda_plus_prime, spec.lambda_f
     mu0, ls = spec.mu0, math.log(spec.sigma0_prime)
     k = spec.rate
     e2 = np.exp(-2.0 * k * tau)
-    # k * tau first: with s0 * lp * tau, s0^2 underflows at tiny sigma0
-    bracket = ((2.0 * s0 + mu0) * lf * (k * tau)
-               + (2.0 * s0 - mu0) * lf * (k * tau) * e2
-               - (lf + lp * s0 * ls) * (2.0 * s0 + mu0)
-               - (s0 * lp * ls - lf) * (2.0 * s0 - mu0) * e2)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # k * tau first: with s0 * lp * tau, s0^2 underflows at tiny sigma0
+        bracket = ((2.0 * s0 + mu0) * lf * (k * tau)
+                   + (2.0 * s0 - mu0) * lf * (k * tau) * e2
+                   - (lf + lp * s0 * ls) * (2.0 * s0 + mu0)
+                   - (s0 * lp * ls - lf) * (2.0 * s0 - mu0) * e2)
         return (k * tau - np.log(tau) - (3.0 * math.log(s0) + 2.0 * math.log(lp))
                 + np.log(bracket))
 

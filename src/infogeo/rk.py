@@ -3,14 +3,13 @@
 Dormand-Prince pair (Hairer, Norsett & Wanner, Solving ODEs I, II.5): six
 function evaluations per attempted step plus the FSAL one, reused only from
 an accepted step; fifth-order propagation, a fourth-order embedded error
-estimate, and the free fourth-order dense output, built once at the end
-from the accepted steps' stages, which are kept as doubles.
+estimate, and the free fourth-order dense output, built at the end of a run.
 
 The states have 4 or 6 components, where a numpy call costs more than its
-arithmetic.  So an attempt is one straight-line Python function per state
-dimension, generated from the tableau and cached (:func:`_attempt`), and
-``f(t, y)`` and ``floor(y)`` get y as a list of floats and t as a float;
-f returns a list (an array works, at numpy's speed).
+arithmetic.  So the accept/reject loop is one Python function per state
+dimension, generated from the tableau and cached (:func:`_loop`), with the
+state and the stages as local floats.  An accepted step keeps only K2, ...,
+K6: the dense output reads no K1, and K0 is f(t0, y0) or the last K6.
 
 Step control is proportional-integral, which damps the accept/reject
 oscillation of the plain controller on smooth problems.  A ``floor``
@@ -54,12 +53,6 @@ _P = np.array([
     [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
-
-_SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 10.0
-_ALPHA = 0.17  # current-error exponent of the PI controller
-_BETA = 0.04   # previous-error exponent
 
 
 @dataclass
@@ -113,13 +106,51 @@ def _norm_lines(dim: int) -> list:
     return lines + [f"err_norm = sqrt({_sum([f'e{i} * e{i}' for i in range(dim)])} / {dim})"]
 
 
+_LOOP = """\
+def loop(f, floor, t, t1, y, k, rtol, atol, ts, ys, steps, stages):
+    if not all(-inf < v < inf for v in k):
+        return 0, "right-hand side is not finite at the initial state"
+    h = min(initial_step(f, t, y, k, rtol, atol), t1 - t)
+    n_rejected, err_prev = 0, 1.0
+    {y}, = y
+    {k0}, = k
+    while t < t1:
+        last = h >= t1 - t
+        if last:
+            h = t1 - t
+        elif h < 1e-14 * (t if t > 1.0 else -t if t < -1.0 else 1.0):   # max(1, |t|)
+            return n_rejected, "step size underflow"
+        try:
+            {attempt}
+        except ArithmeticError:
+            err_norm = inf
+        if err_norm <= 1.0:   # accept
+            factor = 0.9 * (err_norm + 1e-16) ** -0.17 * (err_prev + 1e-16) ** 0.04
+            err_prev = err_norm if err_norm > 1e-16 else 1e-16
+            steps.append(h)
+            stages.fromlist([{kept}])
+            t = t1 if last else t + h
+            {y}, = n
+            {k0} = {k6}   # FSAL: the next step starts from f(t + h, y_new)
+            ts.append(t)
+            ys.fromlist(n)
+            if floor is not None and (reason := floor(n)):
+                return n_rejected, reason
+        else:   # reject; by 0.2 where a trial stage left the domain
+            factor = 0.9 * err_norm ** -0.17 if err_norm < inf else 0.0
+            n_rejected += 1
+        h *= (factor if factor < 10.0 else 10.0) if factor > 0.2 else 0.2
+    return n_rejected, None
+"""
+
+
 @cache
-def _attempt(dim: int):
-    """One attempt on ``dim`` floats, generated from the tableau:
-    ``attempt(f, t, h, y, k0, rtol, atol)`` returns y_new, the stages K0, ...,
-    K6 as one flat list (K6 = f(t + h, y_new)) and the error norm.  Each
-    stage state y + h (a_0 K0 + ...), y_new and the error estimate
-    h (e_0 K0 + ...) sums its nonzero tableau entries left to right."""
+def _loop(dim: int):
+    """``_LOOP`` on ``dim`` floats, from t, y and k = f(t, y) to t1: it appends
+    each accepted t, y, h and K2, ..., K6 to ts, ys, steps and stages, and
+    returns the rejected count and the abort reason (None at t1).  Each stage
+    state, y_new and the error estimate sums its nonzero tableau entries left
+    to right."""
     def names(prefix):
         return ", ".join(f"{prefix}{i}" for i in range(dim))
 
@@ -128,18 +159,18 @@ def _attempt(dim: int):
         terms = " + ".join(f"{c!r} * k{j}_{i}" for j, c in coefficients if c)
         return f"y{i} + h * ({terms})" if _STAGES[row, 0] else f"h * ({terms})"
 
-    stages = range(_STAGES.shape[1] - 1)
-    lines = ["def attempt(f, t, h, y, k0, rtol, atol):",
-             f"{names('y')}, = y", f"{names('k0_')}, = k0"]
+    attempt = []
     for s, c in enumerate((*_STAGE_TIMES, 1.0), start=1):   # the last state is y_new
         at = "t + h" if c == 1.0 else f"t + {c!r} * h"
-        lines += [f"k{s} = f({at}, n := [{', '.join(combination(s - 1, i) for i in range(dim))}])",
-                  f"{names(f'k{s}_')}, = k{s}"]
-    lines += [f"{names('n')}, = n", *(f"e{i} = {combination(-1, i)}" for i in range(dim))]
-    lines += _norm_lines(dim) + [f"return n, [{', '.join(f'*k{s}' for s in stages)}], err_norm"]
-    namespace = {"sqrt": math.sqrt}
-    exec("\n    ".join(lines), namespace)
-    return namespace["attempt"]
+        attempt.append(f"{names(f'k{s}_')}, = f({at}, n := "
+                       f"[{', '.join(combination(s - 1, i) for i in range(dim))}])")
+    attempt += [f"{names('n')}, = n", *(f"e{i} = {combination(-1, i)}" for i in range(dim))]
+    source = _LOOP.format(y=names("y"), k0=names("k0_"), k6=names("k6_"),
+                          attempt="\n            ".join(attempt + _norm_lines(dim)),
+                          kept=", ".join(f"k{s}_{i}" for s in range(2, 7) for i in range(dim)))
+    namespace = {"sqrt": math.sqrt, "inf": math.inf, "initial_step": _initial_step}
+    exec(compile(source, f"<rk loop {dim}>", "exec"), namespace)
+    return namespace["loop"]
 
 
 def _initial_step(f, t0, y0, f0, rtol, atol) -> float:
@@ -152,7 +183,10 @@ def _initial_step(f, t0, y0, f0, rtol, atol) -> float:
     if not (np.isfinite(d0) and np.isfinite(d1)):
         return 1e-6
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else float(0.01 * d0 / d1)
-    f1 = np.asarray(f(t0 + h0, (y0 + h0 * f0).tolist()), dtype=float)
+    try:   # a probe past the domain is treated like a non-finite one
+        f1 = np.asarray(f(t0 + h0, (y0 + h0 * f0).tolist()), dtype=float)
+    except ArithmeticError:
+        return 1e-6
     d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
     if not np.isfinite(d2):
         return 1e-6
@@ -163,11 +197,8 @@ def _initial_step(f, t0, y0, f0, rtol, atol) -> float:
     return float(min(100 * h0, h1))
 
 
-def integrate(f: Callable[[float, list], list],
-              t_span: tuple,
-              y0,
-              rtol: float = 1e-10,
-              atol: float = 1e-12,
+def integrate(f: Callable[[float, list], list], t_span: tuple, y0,
+              rtol: float = 1e-10, atol: float = 1e-12,
               floor: Optional[Callable[[list], Optional[str]]] = None,
               raise_on_abort: bool = True) -> OdeSolution:
     """Integrate y' = f(t, y) over ``t_span`` = (t0, t1), t1 > t0.
@@ -178,64 +209,30 @@ def integrate(f: Callable[[float, list], list],
     Step-size underflow, and f(t0, y0) not finite, also stop.  With
     ``raise_on_abort`` the partial solution rides on the
     :class:`NumericalAbort`; otherwise it is returned with ``complete=False``.
+
+    A run calls ``floor`` once per accepted step and f 2 + 6 (n_steps +
+    n_rejected) times (f(t0, y0), the initial-step probe, six stages per
+    attempt), except: once if f(t0, y0) is not finite; an attempt whose stage
+    raises ArithmeticError stops there; and no probe (h = 1e-6) where the
+    scaled norm of y0 or f(t0, y0) overflows.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("t_span must satisfy t1 > t0")
     y = np.array(y0, dtype=float).tolist()
     dim = len(y)
-    attempt = _attempt(dim)
-    t = t0
     ts, ys, steps, stages = [t0], array("d", y), [], array("d")
-    n_rejected = 0
-    err_prev = 1.0
-    abort_reason = None
     # one np.errstate for the whole run (initial step, an f on arrays): a trial
-    # stage past the domain gives inf/nan or raises, and is rejected below
+    # stage past the domain gives inf/nan or raises, and is rejected
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        k = f(t, y)
-        if all(map(math.isfinite, k)):
-            h = min(_initial_step(f, t0, y, k, rtol, atol), t1 - t0)
-        else:
-            abort_reason = "right-hand side is not finite at the initial state"
-        while abort_reason is None and t < t1:
-            last = h >= t1 - t
-            if last:
-                h = t1 - t
-            if h < 1e-14 * max(1.0, abs(t)) and not last:
-                abort_reason = "step size underflow"
-                break
+        k = f(t0, y)
+        n_rejected, abort_reason = _loop(dim)(f, floor, t0, t1, y, k, rtol, atol,
+                                              ts, ys, steps, stages)
 
-            try:
-                y_new, ks, err_norm = attempt(f, t, h, y, k, rtol, atol)
-            except ArithmeticError:
-                err_norm = math.inf
-            if not math.isfinite(err_norm):
-                # trial stage left the domain (e.g. sigma sign flip): retry smaller
-                h *= _MIN_FACTOR
-                n_rejected += 1
-                continue
-
-            if err_norm <= 1.0:  # accept
-                factor = _SAFETY * (err_norm + 1e-16) ** (-_ALPHA) * (err_prev + 1e-16) ** _BETA
-                err_prev = max(err_norm, 1e-16)
-                steps.append(h)
-                stages.extend(ks)
-                t = t1 if last else t + h
-                y, k = y_new, ks[-dim:]   # FSAL: the next step starts from f(t + h, y_new)
-                ts.append(t)
-                ys.extend(y)
-                if floor is not None:
-                    reason = floor(y)
-                    if reason:
-                        abort_reason = reason
-                        break
-            else:
-                factor = _SAFETY * err_norm ** (-_ALPHA)
-                n_rejected += 1
-            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-
-    K = np.frombuffer(stages).reshape(len(steps), len(_P), dim)
+    # K0 is f(t0, y0), then the previous step's K6 (FSAL); K1 stays 0 (_P row 0)
+    K = np.zeros((len(steps), len(_P), dim))
+    K[:, 2:] = np.frombuffer(stages).reshape(len(steps), 5, dim)
+    K[:1, 0], K[1:, 0] = k, K[:-1, 6]
     sol = OdeSolution(t=np.array(ts), y=np.frombuffer(ys).reshape(-1, dim),
                       complete=abort_reason is None, abort_reason=abort_reason,
                       n_steps=len(steps), n_rejected=n_rejected, h=np.array(steps),

@@ -479,3 +479,42 @@ def test_far_sigma0_runs_pass(tmp_path, capsys, sigma0, command):
         assert run(["--config", str(path), "--out", str(tmp_path / "o"), command]) == 0
     assert not caught
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("text", ["lambda_f = 100", "lambda_f = 1e4", "tau_f = 1\nepsilon = 1e-300"])
+def test_underflowing_sigma_y_fails_the_closed_form_residual_by_name(tmp_path, capsys, text):
+    # sigma_y = sigma0' e^(-lambda_f tau) underflows to 0 on the residual grid,
+    # outside the domain of the geodesic acceleration: the 3D residual is nan
+    # and fails by name (exit 1), where a DomainError traceback once ended the
+    # run; the 2D residual does not involve sigma_y and passes
+    path = tmp_path / "steep.ini"
+    path.write_text(f"[model]\n{text}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["--config", str(path), "--out", str(tmp_path / "o"), "geodesics"]) == 1
+    assert not caught
+    assert capsys.readouterr() == ("geodesics: FAIL (6 checks)\n", "")
+    checks = {c["name"]: c for c in
+              json.loads((tmp_path / "o" / "geodesics_report.json").read_text())["checks"]}
+    assert math.isnan(checks["geodesic_3d_closed_form_residual"]["measured"])
+    assert not checks["geodesic_3d_closed_form_residual"]["passed"]
+    assert checks["geodesic_2d_closed_form_residual"]["passed"]
+
+
+@pytest.mark.parametrize("mu0", ["1e308", "-1e308"])
+@pytest.mark.parametrize("command,code", [("ige", 1), ("softening", 0)])
+def test_extreme_mu0_warns_nothing(tmp_path, capsys, mu0, command, code):
+    # the bracket of the 3D closed-form volume overflows at |mu0| = 1e308: the
+    # check reads nan and fails by name (exit 1), without a RuntimeWarning;
+    # softening does not use the closed-form volume and passes
+    path = tmp_path / "far.ini"
+    path.write_text(f"[model]\nmu0 = {mu0}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["--config", str(path), "--out", str(tmp_path / "o"), command]) == code
+    assert not caught
+    assert capsys.readouterr().err == ""
+    if command == "ige":
+        checks = {c["name"]: c["measured"] for c in
+                  json.loads((tmp_path / "o" / "ige_report.json").read_text())["checks"]}
+        assert math.isnan(checks["ige_3d_closed_form_volume_relative_error"])

@@ -1,6 +1,8 @@
 """The embedded 5(4) integrator on problems with known solutions."""
 
+import functools
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -137,51 +139,194 @@ def test_sums_follow_numpy_add_reduce_bit_for_bit():
             assert total(*x.tolist()) == float(np.add.reduce(x))
 
 
-def _matrix_attempt(f, t, h, y, k0):
-    # the stage-matrix attempt the generated one replaced, kept as the
-    # reference: one buffer [y; K0; ...; K6] and the tableau scaled by h,
-    # one dot of a row with the buffer per stage state, y_new and error estimate
-    buf = np.zeros((8, len(y)))
-    buf[0], buf[1] = y, k0
-    tableau = rk._STAGES * h
-    tableau[:6, 0] = 1.0
-    for s in range(5):
-        buf[s + 2] = f(t + rk._STAGE_TIMES[s] * h, tableau[s].dot(buf))
-    y_new = tableau[5].dot(buf)
-    buf[7] = f(t + h, y_new)
-    return y_new, buf[1:], tableau[6].dot(buf)
+def _matrix_attempt(f, t, h, y, k0, rtol, atol):
+    # one attempt read off the stage matrix row by row, kept as the reference:
+    # each stage state, y_new and the error estimate sums h a_j K_j over the
+    # row's nonzero entries left to right in Python floats (reduce, as sum()
+    # would start from 0 and turn a -0.0 into 0.0); the error norm is
+    # numpy's RMS
+    K = [list(k0)]
+
+    def state(row):
+        weights = [(j, c) for j, c in enumerate(rk._STAGES[row, 1:].tolist()) if c]
+        out = []
+        for i in range(len(y)):
+            total = h * functools.reduce(operator.add, [c * K[j][i] for j, c in weights])
+            out.append(y[i] + total if rk._STAGES[row, 0] else total)
+        return out
+
+    for s, c in enumerate((*rk._STAGE_TIMES, 1.0)):   # the last state is y_new
+        y_new = state(s)
+        K.append(list(f(t + c * h, y_new)))
+    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+    return y_new, K, float(np.sqrt(np.mean((np.array(state(6)) / scale) ** 2)))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(dim=st.sampled_from([1, 2, 4, 6, 8, 12]), h=st.floats(1e-6, 10.0),
-       t=st.floats(-10.0, 10.0), data=st.data())
-def test_generated_attempt_matches_the_stage_matrix(dim, h, t, data):
-    # f replays drawn stages, whatever state it gets, and records the states:
-    # each stage state and y_new within 8 ulps of the sum of its terms'
-    # magnitudes, the stages themselves exactly; the error estimate through
-    # the norm at atol = 1, rtol = 0, where it is its RMS
-    values = st.floats(-1e3, 1e3)
-    y = data.draw(st.lists(values, min_size=dim, max_size=dim))
-    K = np.array(data.draw(st.lists(values, min_size=7 * dim, max_size=7 * dim))).reshape(7, dim)
+def _reference_integrate(f, t_span, y0, rtol, atol, floor):
+    # the Python while loop rk.integrate ran before its loop was generated,
+    # keeping all seven stages of each accepted step for the dense output
+    t, t1 = t_span
+    y, k = list(y0), f(t, list(y0))
+    ts, ys, steps, stages, n_rejected, err_prev, reason = [t], [y], [], [], 0, 1.0, None
+    if all(map(math.isfinite, k)):
+        h = min(rk._initial_step(f, t, y, k, rtol, atol), t1 - t)
+    else:
+        reason, t1 = "right-hand side is not finite at the initial state", t
+    while t < t1:
+        last = h >= t1 - t
+        if last:
+            h = t1 - t
+        if h < 1e-14 * max(1.0, abs(t)) and not last:
+            reason = "step size underflow"
+            break
+        try:
+            y_new, ks, err_norm = _matrix_attempt(f, t, h, y, k, rtol, atol)
+        except ArithmeticError:
+            err_norm = math.inf
+        if not math.isfinite(err_norm):
+            h *= 0.2
+            n_rejected += 1
+            continue
+        if err_norm <= 1.0:
+            factor = 0.9 * (err_norm + 1e-16) ** (-0.17) * (err_prev + 1e-16) ** 0.04
+            err_prev = max(err_norm, 1e-16)
+            steps.append(h)
+            stages.append(ks)
+            t = t1 if last else t + h
+            y, k = y_new, ks[-1]
+            ts.append(t)
+            ys.append(y)
+            if floor is not None:
+                reason = floor(y)
+                if reason:
+                    break
+        else:
+            factor = 0.9 * err_norm ** (-0.17)
+            n_rejected += 1
+        h *= min(10.0, max(0.2, factor))
+    K = np.array(stages).reshape(len(steps), 7, len(y))
+    return rk.OdeSolution(t=np.array(ts), y=np.array(ys), complete=not reason,
+                          abort_reason=reason or None, n_steps=len(steps),
+                          n_rejected=n_rejected, h=np.array(steps),
+                          Q=np.matmul(K.transpose(0, 2, 1), rk._P))
 
-    def replay(into):
-        def f(tk, yk):
-            into.append((tk, np.asarray(yk, dtype=float)))
-            return K[len(into)].tolist()
-        return f
 
-    seen, ref_seen = [], []
-    y_new, stages, err_norm = rk._attempt(dim)(replay(seen), t, h, y, K[0].tolist(), 0.0, 1.0)
-    ref_new, _, ref_err = _matrix_attempt(replay(ref_seen), t, h, np.array(y), K[0])
-    np.testing.assert_array_equal(stages, K.ravel())
-    terms = np.abs(rk._STAGES[:, :1]) * np.abs(y) + h * np.abs(rk._STAGES[:, 1:]) @ np.abs(K)
-    eps = np.finfo(float).eps
-    for row, ((tk, yk), (ref_tk, ref_yk)) in enumerate(zip(seen, ref_seen)):
-        assert tk == ref_tk
-        assert np.all(np.abs(yk - ref_yk) <= 8 * eps * terms[min(row, 5)])
-    assert np.all(np.abs(np.array(y_new) - ref_new) <= 8 * eps * terms[5])
-    ref_norm = math.sqrt(np.mean(ref_err ** 2))
-    assert abs(err_norm - ref_norm) <= 8 * eps * (math.sqrt(np.mean(terms[6] ** 2)) + ref_norm)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(dim=st.sampled_from([1, 2, 4, 6]),
+       case=st.sampled_from(["smooth", "non-finite", "overflow", "floor"]),
+       tol=st.sampled_from([1e-4, 1e-6, 1e-8]), t1=st.floats(0.5, 4.0),
+       wall=st.floats(0.5, 3.0), data=st.data())
+def test_whole_runs_match_the_reference_integrator_bit_for_bit(dim, case, tol, t1, wall, data):
+    # a linear system with a square wave in t on its first row (which forces
+    # rejections); past |y_0| = wall its first stage is nan ("non-finite"),
+    # overflows math.exp ("overflow"), or the floor stops the run ("floor").
+    # Every f and floor call must see the same arguments, in the same order
+    entries = st.floats(-2.0, 2.0)
+    A = np.array(data.draw(st.lists(entries, min_size=dim * dim, max_size=dim * dim)))
+    A = A.reshape(dim, dim).tolist()
+    y0 = data.draw(st.lists(entries, min_size=dim, max_size=dim))
+
+    def rhs(t, y):
+        out = [sum(a * v for a, v in zip(row, y)) for row in A]
+        out[0] += 1.0 if t % 1.0 < 0.5 else -1.0
+        if case == "non-finite" and abs(y[0]) > wall:
+            out[0] = math.nan
+        elif case == "overflow":
+            out[0] += 1e-308 * math.exp(709.0 * abs(y[0]) / wall)
+        return out
+
+    def floor(y):
+        return "past the wall" if abs(y[0]) > wall else None
+
+    def run(integrate):
+        calls = []
+
+        def f(t, y):
+            calls.append(("f", t, list(y)))
+            return rhs(t, y)
+
+        def recorded_floor(y):
+            calls.append(("floor", list(y)))
+            return floor(y)
+        try:   # f(t0, y0) itself may overflow
+            sol = integrate(f, (0.0, t1), y0, tol, tol, None if case == "smooth" else recorded_floor)
+        except OverflowError:
+            return None, calls
+        return sol, calls
+
+    with np.errstate(all="ignore"):
+        ref, ref_calls = run(_reference_integrate)
+    sol, calls = run(lambda *args: rk.integrate(*args, raise_on_abort=False))
+    assert repr(calls) == repr(ref_calls)
+    if ref is None:
+        assert sol is None
+        return
+    for name in ("t", "y", "h", "Q"):
+        assert getattr(sol, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert ((sol.n_steps, sol.n_rejected, sol.abort_reason, sol.complete)
+            == (ref.n_steps, ref.n_rejected, ref.abort_reason, ref.complete))
+
+
+def _counted(f, floor=None):
+    # f and floor behind call counters
+    counts = {"f": 0, "floor": 0}
+
+    def counted_f(t, y):
+        counts["f"] += 1
+        return f(t, y)
+
+    def counted_floor(y):
+        counts["floor"] += 1
+        return floor(y)
+    return counted_f, counted_floor if floor else None, counts
+
+
+def test_rhs_and_floor_calls_follow_the_counting_contract():
+    # 2 + 6 (steps + rejected) RHS calls and one floor call per accepted step,
+    # through rejections and a floor abort; then the three documented
+    # exceptions to the RHS count
+    def square(t, y):
+        return [1.0 if t % 1.0 < 0.5 else -1.0, y[0] * y[1] - y[1]]
+
+    for level in (10.0, 0.3):   # the floor stops the run at 0.3
+        f, floor, counts = _counted(square, lambda y: "floor" if y[0] > level else None)
+        sol = rk.integrate(f, (0.0, 4.0), [0.0, 1.0], rtol=1e-8, atol=1e-8, floor=floor,
+                           raise_on_abort=False)
+        assert sol.complete == (level == 10.0) and sol.n_rejected >= sol.complete
+        assert counts == {"f": 2 + 6 * (sol.n_steps + sol.n_rejected), "floor": sol.n_steps}
+
+    # f(t0, y0) not finite: that one call, no initial-step probe, no attempt
+    f, _, counts = _counted(lambda t, y: [math.inf])
+    sol = rk.integrate(f, (0.0, 1.0), [1.0], raise_on_abort=False)
+    assert counts["f"] == 1 and sol.n_steps == sol.n_rejected == 0
+
+    # an attempt whose stage raises ArithmeticError ends at that stage: here
+    # the third stage of the second attempt, so that attempt makes 3 calls
+    def third_stage_of_second_attempt_raises(t, y):
+        if counts["f"] == 2 + 6 + 3:
+            raise OverflowError("math range error")
+        return [-y[0]]
+
+    f, _, counts = _counted(third_stage_of_second_attempt_raises)
+    sol = rk.integrate(f, (0.0, 5.0), [1.0])
+    assert sol.complete and sol.n_rejected == 1
+    assert counts["f"] == 2 + 6 * (sol.n_steps + sol.n_rejected) - 3
+
+    # y0 or f(t0, y0) so large against the tolerances that the initial-step
+    # heuristic's scaled norm overflows: it takes h = 1e-6 without the probe
+    f, _, counts = _counted(lambda t, y: [1e200])
+    sol = rk.integrate(f, (0.0, 1.0), [1.0])
+    assert sol.complete and counts["f"] == 1 + 6 * (sol.n_steps + sol.n_rejected)
+
+
+def test_an_initial_step_probe_that_raises_falls_back_to_a_small_step():
+    # the probe f(t0 + h0, y0 + h0 f0) at h0 = 0.01 raises OverflowError;
+    # like a non-finite probe, it gives h = 1e-6, and the run goes on
+    def f(t, y):
+        return [math.exp(1e5 * t)]
+
+    sol = rk.integrate(f, (0.0, 1e-3), [1.0], rtol=1e-6, atol=1e-6)
+    assert sol.complete and sol.h[0] == 1e-6
 
 
 def test_a_retry_starts_from_the_derivative_at_the_accepted_state():
