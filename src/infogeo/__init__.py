@@ -31,11 +31,11 @@ from .ige import (IGEResult, IgeSoftening, SLOPE_WINDOW, VOLUME_WINDOW,
                   log_closed_form_volume_2d, log_closed_form_volume_3d,
                   softening_ratio_ige)
 from .jacobi import (EXPONENT_WINDOW, JacobiConstants, JacobiSoftening,
-                     JacobiTrajectory, asymptotic_residual,
+                     JacobiTrajectory, asymptotic_constants,
                      asymptotic_solutions, critically_damped,
                      default_initial, exact_jacobi, exponent_fit,
-                     extract_constants, integrate_jlc, intensity, jacobi_to_csv,
+                     integrate_jlc, intensity, jacobi_to_csv,
                      jlc_coefficients, softening_gap, window_mask)
-from .fitting import LineFit, fit_basis, fit_line
+from .fitting import LineFit, fit_line
 
 __version__ = "0.1.0"

@@ -44,6 +44,9 @@ from .models import MODEL_2D, MODEL_3D, Model2DConfig
 
 SCHEMA_VERSION = 1
 _POINT_SEED = 20260811  # fixed PCG64 stream: "random" check points, same every run
+# the latest exponent_window end in rate * tau: past s ~ 20 stability holds the
+# rk Jacobi step near 1.65 (m' damps at rate 2), so its cost grows with the end
+_EXPONENT_END = 1e4
 
 
 class ConfigError(Exception):
@@ -133,6 +136,9 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         w = getattr(cfg, name)
         if len(w) != 2 or not 0 < w[0] < w[1] < math.inf:
             raise ConfigError(f"{name} must be an increasing pair of positive reals, got {w}")
+    if cfg.exponent_window[1] > _EXPONENT_END:
+        raise ConfigError(f"exponent_window must end by rate * tau = {_EXPONENT_END:g}, where "
+                          f"the rk Jacobi run takes about 6,000 steps, got {cfg.exponent_window}")
     if any(f not in ("csv", "json") for f in cfg.formats):
         raise ConfigError(f"format entries must be csv or json, got {cfg.formats}")
     if not (math.isfinite(cfg.tau_max) and cfg.tau_max > 0.0):

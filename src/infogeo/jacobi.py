@@ -18,28 +18,30 @@ analytic curvature; no large-tau simplification enters the dynamics.  Along
 the closed-form geodesics the coefficients settle exponentially fast to
 constants, and the components relax to
 
-    3D:  J^1 -> const + decaying,   J^2 ~ (c1 + c2 tau) e^(-L tau),
+    3D:  J^1 ~ c0 + (c1 + c2 tau) e^(-2L tau),   J^2 ~ (c1 + c2 tau) e^(-L tau),
          J^3 = (c1 + c2 tau) e^(-lam_f tau)   (exactly critically damped),
-    2D:  J^1 -> const + decaying,   J^2 ~ (c1 + c2 tau) e^(-L tau),
+    2D:  J^1 ~ c0 + (c1 + c2 tau) e^(-2L tau),   J^2 ~ (c1 + c2 tau) e^(-L tau),
 
-with L = sigma0 * lambda the sigma-decay rate of the model.  The metric norm
-of J (the intensity) then grows like e^(L tau) because the constant J^1 mode
-is measured against the shrinking sigma scale: the growth exponent equals L,
-and the constrained model's exponent is smaller by the factor 1/sqrt(2),
-the same softening as the entropy slope.
+with L = sigma0 * lambda the sigma-decay rate of the model; the secular
+tau e^(-2L tau) term of J^1 is J^2 forcing it at its resonant rate, and
+:func:`asymptotic_constants` gives every constant from the start data.  The
+metric norm of J (the intensity) then grows like e^(L tau) because the
+constant J^1 mode is measured against the shrinking sigma scale: the growth
+exponent equals L, and the constrained model's exponent is smaller by the
+factor 1/sqrt(2), the same softening as the entropy slope.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import cache
 from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, NumericalAbort
-from .fitting import LineFit, fit_basis, fit_line
+from .fitting import LineFit, fit_line
 from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, Trajectory, _sampled_run,
                         _generate_rhs, closed_form, series_to_csv)
 from .models import model_of
@@ -86,15 +88,13 @@ class JacobiTrajectory(Trajectory):
             return np.exp(self.log_intensities)
 
 
-def window_mask(taus: np.ndarray, rate: float, window: tuple,
-                fit: Optional[str] = None) -> np.ndarray:
-    """The samples of ``taus`` on ``window``, compared in rate * tau units
-    with a slack of 1e-12 there; a DomainError when a ``fit`` ("exponent",
-    "extraction") would get fewer than 4."""
+def window_mask(taus: np.ndarray, rate: float, window: tuple) -> np.ndarray:
+    """The samples of ``taus`` on ``window``, in rate * tau with a slack of
+    1e-12 there; a DomainError when fewer than 4, too few to fit."""
     s = np.asarray(taus) * rate
     mask = (s >= window[0] - 1e-12) & (s <= window[1] + 1e-12)
-    if fit and mask.sum() < 4:
-        raise DomainError(f"{fit} window contains too few samples")
+    if mask.sum() < 4:
+        raise DomainError("exponent window contains too few samples")
     return mask
 
 
@@ -202,6 +202,19 @@ def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
     return _from_slots(spec, taus, w, units, **fields)
 
 
+def _integration_constants(spec, initial_J, initial_J_dot) -> tuple:
+    """The start slots and ``units`` of :func:`_start_slots`, then the
+    constants of :func:`exact_jacobi`: b = 2 sqrt(c_1), m(0), K(0), m'(0),
+    A = K'(0), B = -K(0) - a C / 2 and C = m'(0) - b K(0)."""
+    w0, units = _start_slots(spec, initial_J, initial_J_dot)
+    dim = spec.model.dimension
+    root = math.sqrt(spec.model.weights[1])
+    b, a = 2.0 * root, 2.0 / root
+    m0, K0, m_rate0, A = w0[0], w0[1], w0[dim], w0[dim + 1]
+    C = m_rate0 - b * K0
+    return w0, units, b, m0, K0, m_rate0, A, -K0 - 0.5 * a * C, C
+
+
 def exact_jacobi(spec, taus, initial_J=None, initial_J_dot=None) -> JacobiTrajectory:
     """The field of :func:`integrate_jlc` in closed form at the sample times.
 
@@ -227,7 +240,8 @@ def exact_jacobi(spec, taus, initial_J=None, initial_J_dot=None) -> JacobiTrajec
     start past the double range gives a run stopped at its start, as in
     :func:`integrate_jlc`.
     """
-    w0, units = _start_slots(spec, initial_J, initial_J_dot)
+    w0, units, b, m0, K0, m_rate0, A, B, C = _integration_constants(spec, initial_J,
+                                                                    initial_J_dot)
     dim = spec.model.dimension
     taus = np.asarray(taus, dtype=float)
     if not np.all(np.isfinite(w0)):
@@ -235,11 +249,6 @@ def exact_jacobi(spec, taus, initial_J=None, initial_J_dot=None) -> JacobiTrajec
         return _from_slots(spec, taus[:1], w0[None, :], units, tolerance=0.0, n_steps=0,
                            complete=False,
                            abort_reason="right-hand side is not finite at the initial state")
-    root = math.sqrt(spec.model.weights[1])
-    b, a = 2.0 * root, 2.0 / root
-    m0, K0, m_rate0, A = w0[0], w0[1], w0[dim], w0[dim + 1]
-    C = m_rate0 - b * K0
-    B = -K0 - 0.5 * a * C
     s = taus * spec.rate
     x = np.exp(-s)
     sech2 = (2.0 * x / (1.0 + x * x))**2    # cosh would overflow
@@ -273,100 +282,70 @@ def field_relative_error(traj: JacobiTrajectory, ref: JacobiTrajectory) -> float
 
 @dataclass(frozen=True)
 class JacobiConstants:
-    """Integration constants of the asymptotic component forms.
+    """Constants of the asymptotic forms c0 + (c1 + c2 tau) e^(-r tau), one
+    row (c0, c1, c2) of ``C`` and one rate r of ``rates`` per component:
 
-    ``C[k]`` holds the two constants of component k+1.  ``lambda_decay``
-    is L = sigma0 * lambda; for the 3D model ``lambda_f`` drives the third
-    component.  A coupled pair built from one 3D spec always satisfies
-    L_3d > L_2d > 0 (their ratio is sqrt(2)).
+        J^1 = C11 + (C12 + C13 tau) e^(-2L tau)
+        J^2 = (C21 + C22 tau) e^(-L tau)           (c0 = 0)
+        J^3 = (C31 + C32 tau) e^(-lam_f tau)       (3D only; c0 = 0)
+
+    with L = sigma0 * lambda.
     """
 
-    lambda_decay: float
-    C: np.ndarray               # (dim, 2)
-    lambda_f: Optional[float] = None
-
-    @property
-    def damped_rates(self) -> list:
-        """The rate of each critically damped component, J^2 onwards."""
-        return [self.lambda_decay] + [self.lambda_f] * (len(self.C) - 2)
+    rates: np.ndarray           # (dim,)
+    C: np.ndarray               # (dim, 3)
 
 
-def component_bases(constants: JacobiConstants):
-    """Basis functions {f1, f2} of each component's asymptotic solution."""
-    L = constants.lambda_decay
-    bases = [(lambda t: np.ones_like(t), lambda t: np.exp(-2.0 * L * t))]
-    for lam in constants.damped_rates:
-        bases.append((partial(critically_damped, lam, 1.0, 0.0),
-                      partial(critically_damped, lam, 0.0, 1.0)))
-    return bases
+def asymptotic_constants(spec, initial_J=None, initial_J_dot=None) -> JacobiConstants:
+    """The constants of the asymptotic forms of the field of :func:`exact_jacobi`
+    from the start (J, J'), read off its closed form as s = L tau -> inf.
+
+    With e = e^(-2s), tanh s = 1 - 2e + O(e^2) and sech^2 s = 4e + O(e^2),
+    so tanh^2 s = 1 - 4e + O(e^2), and the closed-form m becomes
+
+        m = m(0) + (b/2)(K(0) + A) - b (2A + K(0)) e + 4 (C + (b/2) K(0)) s e
+            + O(s e^2),
+
+    where C + (b/2) K(0) = m'(0) - sqrt(c_1) K(0).  J^1 = sigma0 m gives
+
+        C11 = sigma0 (m(0) + (b/2)(K(0) + A)),   C12 = -b sigma0 (2A + K(0)),
+        C13 = 4 sigma0 L (m'(0) - sqrt(c_1) K(0)):
+
+    the secular term is J^2 forcing J^1 at its resonant rate e^(-2L tau).
+    With sech s = 2 e^(-s)(1 + O(e)) and tanh s = 1 + O(e),
+    J^2 = sigma_x K = sigma0 sech s (K(0) + (A + B s) tanh s) gives
+
+        J^2 = 2 sigma0 (K(0) + A + B L tau) e^(-L tau) (1 + O(s e)),
+        C21 = 2 sigma0 (K(0) + A),   C22 = 2 sigma0 B L.
+
+    J^3 = sigma_y K_f = sigma0' e^(-lam_f tau)(K_f(0) + K_f'(0) L tau) at
+    every tau, so C31 = sigma0' K_f(0) and C32 = sigma0' K_f'(0) L are
+    exact.  The slots are in start units, so each row is times its ``units``
+    (see :func:`_start_slots`) and its start scale, sigma0 or sigma0'.
+    """
+    w0, units, b, m0, K0, m_rate0, A, B, _ = _integration_constants(spec, initial_J,
+                                                                    initial_J_dot)
+    dim, L = spec.model.dimension, spec.rate
+    rows = [(m0 + 0.5 * b * (K0 + A), -b * (2.0 * A + K0), 4.0 * L * (m_rate0 - 0.5 * b * K0)),
+            (0.0, 2.0 * (K0 + A), 2.0 * B * L)]
+    rows += [(0.0, Kf, Kf_rate * L) for Kf, Kf_rate in zip(w0[2:dim], w0[dim + 2:])]
+    starts = [spec.sigma0, spec.sigma0, *(start for start, _ in spec.flat_factors)]
+    rates = [2.0 * L, L, *(decay for _, decay in spec.flat_factors)]
+    return JacobiConstants(rates=np.array(rates), C=np.array(rows) * (units * starts)[:, None])
 
 
 def asymptotic_solutions(constants: JacobiConstants, tau) -> np.ndarray:
-    """Evaluate the asymptotic component forms:
-
-    J^1 = C11 + C12 e^(-2L tau)
-    J^2 = (C21 + C22 tau) e^(-L tau)
-    J^3 = (C31 + C32 tau) e^(-lam_f tau)        (3D only)
-    """
-    tau = np.asarray(tau, dtype=float)
-    cols = []
-    for k, (f1, f2) in enumerate(component_bases(constants)):
-        c1, c2 = constants.C[k]
-        cols.append(c1 * f1(tau) + c2 * f2(tau))
-    return np.stack(cols, axis=-1)
-
-
-def asymptotic_residual(constants: JacobiConstants, tau_grid) -> float:
-    """Substitute the asymptotic forms into the constant-coefficient limit ODEs
-
-        J''^1 + 2L J'^1 = 0,   J''^2 + 2L J'^2 + L^2 J^2 = 0,
-        J''^3 + 2 lam_f J'^3 + lam_f^2 J^3 = 0,
-
-    with exact derivatives of the forms, and return the max numeric residual
-    (pure rounding for any constants).
-    """
-    L = constants.lambda_decay
-    tau = np.asarray(tau_grid, dtype=float)
-    c2 = constants.C[0, 1]
-    e = np.exp(-2.0 * L * tau)
-    d1 = -2.0 * L * c2 * e
-    d2 = 4.0 * L * L * c2 * e
-    worst = np.abs(d2 + 2.0 * L * d1)
-    for k, lam in enumerate(constants.damped_rates, start=1):
-        # each derivative of (c1 + c2 tau) e^(-lam tau) is again of that form
-        c1, c2 = constants.C[k]
-        val = critically_damped(lam, c1, c2, tau)
-        d1 = critically_damped(lam, c2 - lam * c1, -lam * c2, tau)
-        d2 = critically_damped(lam, lam * lam * c1 - 2.0 * lam * c2, lam * lam * c2, tau)
-        worst = np.maximum(worst, np.abs(d2 + 2.0 * lam * d1 + lam * lam * val))
-    return float(worst.max(initial=0.0))
+    """The asymptotic component forms of ``constants`` at ``tau``, one
+    column per component."""
+    C = constants.C
+    tau = np.asarray(tau, dtype=float)[..., None]
+    return C[:, 0] + critically_damped(constants.rates, C[:, 1], C[:, 2], tau)
 
 
 def critically_damped(lam: float, c1: float, c2: float, tau):
     """(c1 + c2 tau) e^(-lam tau): the double-root solution of
     J'' + 2 lam J' + lam^2 J = 0."""
-    tau = np.asarray(tau, dtype=float)
     return (c1 + c2 * tau) * np.exp(-lam * tau)
-
-
-def extract_constants(traj: JacobiTrajectory, window: tuple = (8.0, 25.0),
-                      lambda_f: Optional[float] = None) -> tuple:
-    """Fit each component's tail to its asymptotic basis.
-
-    Returns ``(JacobiConstants, residuals)`` where residuals[k] is the max
-    misfit of component k relative to its own scale on the window.  The
-    window (in rate * tau units) should start late enough that the
-    exponentially decaying coefficient corrections are below the target
-    accuracy, but not so late that the decaying bases underflow.
-    """
-    mask = window_mask(traj.taus, traj.rate, window, "extraction")
-    constants = JacobiConstants(lambda_decay=traj.rate, C=np.zeros((traj.dimension, 2)),
-                                lambda_f=lambda_f)
-    residuals = []
-    for k, basis in enumerate(component_bases(constants)):
-        constants.C[k], resid = fit_basis(traj.taus[mask], traj.J[mask, k], basis)
-        residuals.append(resid)
-    return constants, residuals
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +361,7 @@ def exponent_fit(traj: JacobiTrajectory, window: tuple = EXPONENT_WINDOW) -> Lin
     sample time, where the abscissae stay O(1) however small or large the
     window, and its slope is then scaled to one per unit tau.
     """
-    mask = window_mask(traj.taus, traj.rate, window, "exponent")
+    mask = window_mask(traj.taus, traj.rate, window)
     log_inten = traj.log_intensities[mask]
     if not np.all(log_inten > -math.inf):
         raise DomainError("intensity must be positive on the fit window")
@@ -408,7 +387,7 @@ def exponent_times(rate: float, window: tuple) -> np.ndarray:
     """The 401 even sample times of an exponent run, to rate * tau = window[1];
     a DomainError when too few of them fall on ``window`` to fit."""
     taus = np.linspace(0.0, window[1] / rate, 401)
-    window_mask(taus, rate, window, "exponent")
+    window_mask(taus, rate, window)
     return taus
 
 

@@ -69,6 +69,10 @@ def test_invalid_parameters_are_exit_2(tmp_path, capsys):
     # an exponent window that holds 1 of the exponent run's samples, too few to fit
     cases += [("[fit]\nexponent_window = 49.9, 50\n", command)
               for command in ("jacobi", "softening")]
+    # an exponent window past rate * tau = 1e4, where the rk run's cost grows
+    # with the window's end: at 1e301 it ran for minutes
+    cases += [(f"[fit]\nexponent_window = {w}\n", command)
+              for w in ("20, 10000.5", "1e300, 1e301") for command in ("jacobi", "softening")]
     # half of the (tau_f, epsilon) pair, an unknown section or key (the
     # removed capital_sigma_sq among them) and a file without a section
     # header: none may run the defaults
@@ -113,6 +117,31 @@ def test_exponent_window_to_rate_tau_800_passes(tmp_path, capsys):
         assert run(["--config", str(path), "--out", str(tmp_path / "o"), "jacobi"]) == 0
     assert not caught
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["jacobi", "softening"])
+def test_exponent_window_to_rate_tau_1e4_passes(tmp_path, capsys, command):
+    # the latest end the configuration accepts: about 6,000 rk steps
+    path = tmp_path / "longest.ini"
+    path.write_text("[fit]\nexponent_window = 20, 1e4\n")
+    assert run(["--config", str(path), "--out", str(tmp_path / "o"), command]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("window,code", [("1e300, 1e301", 0), ("1e-300, 1e-299", 1)])
+def test_extreme_slope_windows_end_on_their_checks(tmp_path, capsys, window, code):
+    # the IGE line is fitted in rate * tau, so its abscissae are the window:
+    # at 1e300 their squares once overflowed (slope 0, a ZeroDivisionError
+    # traceback) and at 1e-300 the SVD did not converge; now the fit holds at
+    # 1e300 and the tiny window fails its slope checks by name
+    path = tmp_path / "slope.ini"
+    path.write_text(f"[fit]\nslope_window = {window}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["--config", str(path), "--out", str(tmp_path / "o"), "softening"]) == code
+    assert not caught
+    out, err = capsys.readouterr()
+    assert out == f"softening: {'pass' if code == 0 else 'FAIL'} (11 checks)\n" and err == ""
 
 
 @pytest.mark.parametrize("command", ["jacobi", "softening"])

@@ -1,0 +1,45 @@
+"""Least-squares line fits: exact under power-of-two scaling, at any scale."""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from infogeo import fit_line
+
+# multiples of 2^-10 in [-1000, 1000]: scaled by 2^k for |k| <= 450 they,
+# and the slopes and intercepts of their fits, stay normal floats
+_values = st.integers(-1024000, 1024000).map(lambda i: i / 1024.0)
+_exponents = st.integers(-450, 450)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(points=st.lists(st.tuples(_values, _values), min_size=2, max_size=40),
+       k=_exponents, j=_exponents)
+def test_scaling_by_powers_of_two_maps_the_fit_exactly(points, k, j):
+    # y ~ a x + b gives y 2^j ~ (a 2^(j-k)) (x 2^k) + b 2^j, bit for bit
+    x, y = (np.array(v) for v in zip(*points))
+    assume(np.ptp(x) > 0.0)
+    base = fit_line(x, y)
+    scaled = fit_line(np.ldexp(x, k), np.ldexp(y, j))
+    assert scaled.slope == np.ldexp(base.slope, j - k)
+    assert scaled.intercept == np.ldexp(base.intercept, j)
+    assert scaled.r_squared == base.r_squared
+
+
+@pytest.mark.parametrize("x_scale,y_scale", [(1e300, 1e300), (1e-300, 1e-300),
+                                             (1e300, 1.0), (1e-300, 1.0)])
+def test_extreme_scales_recover_the_line_without_a_warning(x_scale, y_scale):
+    # np.polyfit squares the abscissae: past about 1e154 they overflowed and
+    # the slope came back 0, below about 1e-154 its SVD did not converge
+    x = np.linspace(1.0, 10.0, 50) * x_scale
+    slope = 2.5 * y_scale / x_scale
+    y = slope * x + 7.0 * y_scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_line(x, y)
+    assert fit.slope == pytest.approx(slope, rel=1e-13)
+    assert fit.intercept == pytest.approx(7.0 * y_scale, rel=1e-12)
+    assert fit.r_squared == pytest.approx(1.0, abs=1e-14)
+    assert fit.window == (x[0], x[-1])

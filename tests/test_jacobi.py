@@ -402,16 +402,20 @@ def test_first_component_plateaus():
 
 
 def test_second_component_secular_structure():
-    # J2 ~ (c1 + c2 tau) e^(-L tau) with a nonvanishing secular part
+    # J2 ~ (c1 + c2 tau) e^(-L tau) with a nonvanishing secular part: the rk
+    # run follows the exact asymptotic form to 1e-6 of its scale on [8, 18]
     traj = ig.integrate_jlc(SPEC2, tau_max=30.0,
                             sample_taus=np.linspace(0.0, 30.0, 601))
-    consts, residuals = ig.extract_constants(traj, window=(8.0, 18.0))
-    assert residuals[1] < 1e-6
+    consts = ig.asymptotic_constants(SPEC2)
+    mask = jacobi.window_mask(traj.taus, traj.rate, (8.0, 18.0))
+    J2 = traj.J[mask, 1]
+    form = ig.asymptotic_solutions(consts, traj.taus[mask])[:, 1]
+    assert np.abs(J2 - form).max() < 1e-6 * np.abs(J2).max()
     L = SPEC2.rate
     mask = jacobi.window_mask(traj.taus, traj.rate, (10.0, 18.0))
     secular = traj.J[mask, 1] * np.exp(L * traj.taus[mask]) / traj.taus[mask]
-    assert abs(consts.C[1, 1]) > 0.1
-    np.testing.assert_allclose(secular, consts.C[1, 1], rtol=0.15)
+    assert abs(consts.C[1, 2]) > 0.1
+    np.testing.assert_allclose(secular, consts.C[1, 2], rtol=0.15)
 
 
 def test_linearity_of_the_flow():
@@ -625,32 +629,108 @@ def test_sweep_exponents_are_invariant_under_scaling_and_translation(
 # ---------------------------------------------------------------------------
 
 def test_asymptotic_solution_values():
-    consts = ig.JacobiConstants(lambda_decay=1.0,
-                                C=np.array([[1.0, 0.5], [0.3, 0.7], [0.2, 0.4]]),
-                                lambda_f=1.0)
+    # at tau = 0 the forms give J^1 = C11 + C12, J^2 = C21, J^3 = C31 = J^3(0);
+    # late they give the plateau C11 alone; J^3 is its form at every tau
+    consts = ig.asymptotic_constants(SPEC3)
+    C = consts.C
     at0 = ig.asymptotic_solutions(consts, 0.0)
-    np.testing.assert_allclose(at0, [1.5, 0.3, 0.2], rtol=1e-14)
+    np.testing.assert_allclose(at0, [C[0, 0] + C[0, 1], C[1, 1], C[2, 1]], rtol=1e-15)
+    assert C[2, 1] == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-15)
     late = ig.asymptotic_solutions(consts, 200.0)
-    np.testing.assert_allclose(late, [1.0, 0.0, 0.0], atol=1e-60)
-
-
-def test_asymptotic_forms_solve_limit_equations():
-    consts = ig.JacobiConstants(lambda_decay=1.3,
-                                C=np.array([[1.0, 0.5], [0.3, 0.7], [0.2, 0.4]]),
-                                lambda_f=0.8)
-    assert ig.asymptotic_residual(consts, np.linspace(0.0, 20.0, 41)) < 1e-10
+    np.testing.assert_allclose(late, [C[0, 0], 0.0, 0.0], rtol=1e-15, atol=1e-60)
+    taus = np.linspace(0.0, 30.0, 61)
+    exact = ig.exact_jacobi(SPEC3, taus)
+    np.testing.assert_allclose(ig.asymptotic_solutions(consts, taus)[:, 2], exact.J[:, 2],
+                               rtol=1e-14, atol=0.0)
 
 
 def test_full_solution_converges_to_asymptotic_forms():
+    # the rk run follows the exact forms to 1e-6 of each component's scale
+    # on rate * tau in [8, 50]: J^1, with its secular term, to the solver
+    # tolerance, J^2 to its next order (about 3e-7 at s = 8), J^3 to rounding
     traj = ig.integrate_jlc(SPEC3, tau_max=50.0,
                             sample_taus=np.linspace(0.0, 50.0, 801))
-    consts, residuals = ig.extract_constants(traj, window=(8.0, 25.0),
-                                             lambda_f=SPEC3.lambda_f)
-    assert max(residuals) < 1e-6
-    mask = jacobi.window_mask(traj.taus, traj.rate, (20.0, 50.0))
-    ref = ig.asymptotic_solutions(consts, traj.taus[mask])
+    mask = jacobi.window_mask(traj.taus, traj.rate, (8.0, 50.0))
+    ref = ig.asymptotic_solutions(ig.asymptotic_constants(SPEC3), traj.taus[mask])
     scale = np.abs(traj.J[mask]).max(axis=0)
     assert (np.abs(traj.J[mask] - ref) / scale).max() < 1e-6
+
+
+def _form_errors(spec, J0=None, Jd0=None, window=(8.0, 25.0)):
+    """|J - form| per sample and component on ``window`` (rate * tau), for
+    the exact field from (J0, J0') and its asymptotic forms, and that field."""
+    taus = np.linspace(window[0], window[1], 341) / spec.rate
+    exact = ig.exact_jacobi(spec, taus, J0, Jd0)
+    form = ig.asymptotic_solutions(ig.asymptotic_constants(spec, J0, Jd0), taus)
+    return np.abs(exact.J - form), exact
+
+
+@pytest.mark.parametrize("spec", [SPEC3, SPEC2], ids=["3d", "2d"])
+def test_asymptotic_forms_match_the_exact_field(spec):
+    # on rate * tau in [8, 25] the forms of the default field follow the
+    # closed form to 1e-6 of each component's scale: J^1 to rounding, J^2 to
+    # its next order, relative O(s e^(-2s)), about 3e-7 at s = 8.  Without
+    # the secular tau e^(-2L tau) term J^1 is off by more than 1e-6
+    errors, exact = _form_errors(spec)
+    relative = errors.max(axis=0) / np.abs(exact.J).max(axis=0)
+    assert relative[0] <= 1e-11 and relative[1] <= 1e-6
+    assert np.all(relative[2:] <= 1e-14)
+    consts = ig.asymptotic_constants(spec)
+    consts.C[0, 2] = 0.0
+    J1 = ig.asymptotic_solutions(consts, exact.taus)[:, 0]
+    assert np.abs(exact.J[:, 0] - J1).max() > 1e-6 * np.abs(exact.J[:, 0]).max()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=_data, three=st.booleans())
+def test_asymptotic_forms_match_the_exact_field_from_any_start(data, three):
+    # each component against its size for a start of unit max-norm, units *
+    # sigma_k * (1 + s) (sigma_1 = sigma0): the slots are at most that in
+    # their units, so leading constants that cancel do not make the next
+    # order look large.  The J^2 error is e^(-2s) |K(0) + 3A + 3Bs| there,
+    # at most 5.6e-7 at s = 8 for |B| = |K(0) - m'(0) / sqrt(c_1)| <= 1.71
+    spec = SPEC3 if three else SPEC2
+    n = spec.model.dimension
+    errors, exact = _form_errors(spec, np.array(data[:n]), np.array(data[3:3 + n]))
+    s = exact.taus * exact.rate
+    sigma = np.column_stack([np.full_like(s, spec.sigma0), exact.states[:, 1:]])
+    envelope = exact.units * sigma * (1.0 + s)[:, None]
+    assert np.all(errors <= 1e-6 * envelope)
+
+
+def _derivative(spec, k, tau, h):
+    """d J^k / d tau of the default exact field at ``tau``: eighth-order
+    central difference with step ``h``."""
+    weights = np.array([1 / 280, -4 / 105, 1 / 5, -4 / 5, 0.0, 4 / 5, -1 / 5, 4 / 105, -1 / 280])
+    J = ig.exact_jacobi(spec, tau + h * np.arange(-4.0, 5.0)).J[:, k]
+    return float(weights @ J) / h
+
+
+@pytest.mark.parametrize("spec", [SPEC3, SPEC2, ig.GeodesicSpec3D(0.3, 0.2, 1.7, 0.6, 4.0)],
+                         ids=["3d", "2d", "3d-odd"])
+def test_asymptotic_constants_match_differences_of_the_closed_form(spec):
+    # each constant read back from the closed form alone, where the next
+    # order is below the tolerance: J^1's plateau at s = 40; its
+    # secular pair from J^1' e^(2L tau) = C13 - 2L C12 - 2L C13 tau at
+    # s = 9 and 11; C22 = (J^2' + L J^2) e^(L tau) and C21 = J^2 e^(L tau)
+    # - C22 tau at s = 12; J^3's pair, exact at every tau, the same at tau = 1
+    consts = ig.asymptotic_constants(spec)
+    C, L = consts.C, spec.rate
+    assert C[0, 0] == pytest.approx(ig.exact_jacobi(spec, [40.0 / L]).J[0, 0], rel=1e-15)
+    ta, tb = 9.0 / L, 11.0 / L
+    ua, ub = (_derivative(spec, 0, t, 0.125 / L) * math.exp(2.0 * L * t) for t in (ta, tb))
+    C13 = (ub - ua) / (tb - ta) / (-2.0 * L)
+    assert C[0, 2] == pytest.approx(C13, rel=1e-5)
+    assert C[0, 1] == pytest.approx((C13 - ua - 2.0 * L * C13 * ta) / (2.0 * L), rel=1e-4)
+    cases = [(1, L, 12.0 / L)]
+    if spec.model.dimension == 3:
+        cases.append((2, spec.lambda_f, 1.0))
+    for k, rate, tau in cases:
+        J = ig.exact_jacobi(spec, [tau]).J[0, k]
+        grown = math.exp(rate * tau)
+        c2 = (_derivative(spec, k, tau, 0.125 / rate) + rate * J) * grown
+        assert C[k, 2] == pytest.approx(c2, rel=1e-7)
+        assert C[k, 1] == pytest.approx(J * grown - c2 * tau, rel=1e-7)
 
 
 # ---------------------------------------------------------------------------
