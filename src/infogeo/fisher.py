@@ -48,9 +48,6 @@ class QuadratureSpec:
         if self.scheme == "truncated-grid" and self.truncation_radius < 6.0:
             raise DomainError("truncation_radius must be >= 6 sigma")
 
-    def doubled(self) -> "QuadratureSpec":
-        return QuadratureSpec(self.scheme, 2 * self.nodes_per_axis, self.truncation_radius)
-
 
 def _scores(mu_x, sigma_x, sigma_y, x, y) -> np.ndarray:
     """d log p / d(mu_x, sigma_x, sigma_y) of the unconstrained family on the
@@ -136,13 +133,3 @@ def score_mean_2d(theta: ParameterPoint2D, cfg: Model2DConfig = Model2DConfig(),
                   q: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     return np.dot(*_grid_2d(theta, cfg, q))
 
-
-def convergence_defect(compute, q: QuadratureSpec) -> float:
-    """Max absolute entry change when the node count is doubled.
-
-    ``compute`` maps a QuadratureSpec to a matrix.  A large defect flags
-    quadrature nonconvergence; callers decide what to do with it.
-    """
-    coarse = compute(q)
-    fine = compute(q.doubled())
-    return float(np.abs(fine - coarse).max())

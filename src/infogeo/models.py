@@ -352,10 +352,6 @@ class DiagonalScaleModel:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return np.multiply(self.weights, np.square(v / self.scales(theta))).sum(-1)
 
-    def volume_density(self, theta) -> float:
-        """sqrt(det g) = sqrt(prod c) / prod_i sigma_{k(i)}."""
-        return self.volume_weight / float(np.prod(self.scales(theta)))
-
 
 MODEL_3D = DiagonalScaleModel("3d", (1.0, 2.0, 2.0), (1, 1, 2), ParameterPoint3D)
 MODEL_2D = DiagonalScaleModel("2d", (1.0, 4.0), (1, 1), ParameterPoint2D)

@@ -83,22 +83,16 @@ class OdeSolution:
 
 
 def _sum(terms: list) -> str:
-    """The sum of up to 128 squares ``terms`` in numpy's add.reduce order:
-    below 8 terms left to right (numpy's leading 0.0 changes no square),
-    else 8 interleaved partial sums combined pairwise, then the rest."""
-    n = len(terms)
-    if n < 8:
-        return f"({' + '.join(terms)})"
-    full = n - n % 8
-    r = [f"({' + '.join(terms[j:full:8])})" for j in range(8)]
-    pairs = f"(({r[0]} + {r[1]}) + ({r[2]} + {r[3]})) + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]}))"
-    return f"({' + '.join([pairs, *terms[full:]])})"
+    """The sum of ``terms`` left to right: numpy's add.reduce order for up
+    to 7 squares (its leading 0.0 changes no square)."""
+    return f"({' + '.join(terms)})"
 
 
 def _norm_lines(dim: int) -> list:
     """Body lines from an error vector e_i, y_i and y_new n_i to ``err_norm``,
     the RMS of e_i / (atol + rtol max(|y_i|, |n_i|)) (a conditional costs
-    less than max()), equal to np.sqrt(np.mean(...)) bit for bit."""
+    less than max()).  Below 8 components (the geodesic and Jacobi states
+    have 4 or 6) it equals np.sqrt(np.mean(...)) bit for bit."""
     lines = []
     for i in range(dim):
         lines += [f"a, b = abs(y{i}), abs(n{i})",

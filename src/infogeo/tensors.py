@@ -51,13 +51,13 @@ def validate_metrics(g: np.ndarray) -> None:
         pass
     for comps, fin, sym in zip(flat, finite, symmetric):
         if not fin:
-            raise DomainError(f"metric has a non-finite entry:\n{comps}")
+            raise DomainError(f"metric has a non-finite entry: {comps.tolist()}")
         if not sym:
-            raise DomainError(f"metric is not symmetric:\n{comps}")
+            raise DomainError(f"metric is not symmetric: {comps.tolist()}")
         try:
             np.linalg.cholesky(comps)
         except np.linalg.LinAlgError:
-            raise DomainError(f"metric is not positive definite:\n{comps}") from None
+            raise DomainError(f"metric is not positive definite: {comps.tolist()}") from None
 
 
 @dataclass(frozen=True)

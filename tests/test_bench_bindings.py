@@ -12,10 +12,13 @@ import importlib.util
 import inspect
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 import infogeo
-from infogeo import fisher, geodesics, ige, jacobi, rk
+from infogeo import fisher, geodesics, ige, jacobi, models, numgeo, rk
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -116,3 +119,25 @@ def test_default_runs_keep_the_rk_identities_the_tracer_checks(monkeypatch):
     assert [run[1] for run in tr.rk_runs] == [jlc.n_steps, geo.n_steps]
     assert tr.rk_runs[0][2] > 0     # rejected attempts are counted too
     assert tracing.check_rk_identities(tr) == []
+
+
+def test_a_counted_field_keeps_its_results_and_counts_every_evaluation(monkeypatch):
+    # tracing.py rebuilds each field as replace(field, evaluate=counted): the
+    # finite differences must read the metric through that evaluate only
+    tracing = _load("tracing")
+    tr = tracing.Tracer()
+    evaluated = []
+    metric_rows = models.DiagonalScaleModel.metric_rows
+
+    def spy(self, theta):
+        evaluated.append(len(theta))
+        return metric_rows(self, theta)
+
+    monkeypatch.setattr(models.DiagonalScaleModel, "metric_rows", spy)
+    plain = numgeo.field_3d()
+    field = replace(plain, evaluate=tracing._counted(tr, "numgeo.metric_evals", plain.evaluate))
+    theta = np.array([0.3, 1.7, 0.6])
+    gam = numgeo.christoffel_numeric(field, theta).components
+    # the centre read, then the centre and its 2n stencil points
+    assert evaluated == [1, 7] and tr.counts["numgeo.metric_evals"] == 2
+    assert np.array_equal(gam, numgeo.christoffel_numeric(plain, theta).components)

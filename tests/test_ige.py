@@ -13,28 +13,14 @@ from infogeo.errors import DomainError
 from infogeo.geodesics import _closed_form
 from infogeo.ige import (EXACT_SWITCH, _log_moment, _log_moment_closed, _log_moment_gauss,
                          _panelled_gauss, log_time_average)
-from infogeo.models import MODEL_2D, MODEL_3D
 
 SPEC3 = ig.GeodesicSpec3D(0.0, 1.0, 1.0, 1.0, 1.0)
 SPEC2 = ig.GeodesicSpec2D.from_3d(SPEC3)
 
-RNG = np.random.default_rng(303)
-
 
 # ---------------------------------------------------------------------------
-# density and instantaneous volumes
+# instantaneous volumes
 # ---------------------------------------------------------------------------
-
-def test_fisher_density_matches_metric_determinant():
-    for _ in range(25):
-        p3 = ig.ParameterPoint3D(RNG.uniform(-2, 2), RNG.uniform(0.3, 3),
-                                 RNG.uniform(0.3, 3))
-        assert MODEL_3D.volume_density(p3.as_array()) == pytest.approx(
-            math.sqrt(np.linalg.det(ig.metric_3d(p3).components)), rel=1e-12)
-        p2 = ig.ParameterPoint2D(RNG.uniform(-2, 2), RNG.uniform(0.3, 3))
-        assert MODEL_2D.volume_density(p2.as_array()) == pytest.approx(
-            math.sqrt(np.linalg.det(ig.metric_2d(p2).components)), rel=1e-12)
-
 
 def test_box_volume_vanishes_at_zero():
     assert ig.box_volume(SPEC3, 0.0) == 0.0

@@ -203,13 +203,22 @@ def test_metric_validation_fixed_cases(g, match):
     (lambda: ig.christoffel_numeric(ig.field_2d(), np.array([0.0, 1e200])),
      "not positive definite"),
     (lambda: ig.metric_3d(ig.ParameterPoint3D(0.0, 1e200, 1.0)), "not positive definite"),
-], ids=["square-underflows", "stencil-square-overflows", "square-overflows"])
+    # the finite differences just past the double range of g, in both directions
+    (lambda: ig.christoffel_numeric(ig.field_3d(), np.array([0.0, 1e156, 1.0])),
+     "not positive definite"),
+    (lambda: ig.riemann_numeric(ig.field_3d(), np.array([0.0, 1.0, 1e160])),
+     "not positive definite"),
+    (lambda: ig.scalar_numeric(ig.field_2d(), np.array([0.0, 1e300])), "not positive definite"),
+    (lambda: ig.riemann_numeric(ig.field_2d(), np.array([0.0, 1e-160])), "non-finite entry"),
+], ids=["square-underflows", "stencil-square-overflows", "square-overflows",
+        "fd-christoffel-1e156", "fd-riemann-1e160", "fd-scalar-1e300", "fd-riemann-1e-160"])
 def test_closed_form_metric_out_of_range_raises_without_warning(build, match):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(DomainError, match=match):
+        with pytest.raises(DomainError, match=match) as exc:
             build()
     assert not caught
+    assert "\n" not in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
