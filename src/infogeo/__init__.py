@@ -12,8 +12,7 @@ from .errors import DomainError, NumericalAbort
 from .models import (MicroSample, Model2DConfig, ParameterPoint2D,
                      ParameterPoint3D, SCALAR_CURVATURE_2D,
                      SCALAR_CURVATURE_3D, christoffel_2d, christoffel_3d,
-                     metric_2d, metric_3d, pdf_2d, pdf_3d, ricci_2d,
-                     ricci_3d, riemann_2d, riemann_3d)
+                     metric_2d, metric_3d, pdf_2d, pdf_3d, riemann_3d)
 from .tensors import (ChristoffelSymbols, MetricTensor, RicciTensor,
                       RiemannTensor)
 from .numgeo import (MetricField, christoffel_numeric, euclidean_field,
@@ -22,7 +21,7 @@ from .fisher import (QuadratureSpec, fisher_numeric_2d, fisher_numeric_3d,
                      score_mean_2d, score_mean_3d)
 from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, MU_SPAN_EXACT_3D,
                         MU_SPAN_WIDE, Trajectory, closed_form, closed_form_2d,
-                        closed_form_3d, fisher_speed, geodesic_acceleration,
+                        closed_form_3d, geodesic_acceleration,
                         integrate_geodesic, residual_check,
                         trajectory_to_csv)
 from .ige import (IGEResult, IgeSoftening, SLOPE_WINDOW, VOLUME_WINDOW,

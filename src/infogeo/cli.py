@@ -362,8 +362,8 @@ def _softening_point(cfg: ExperimentConfig, sigma0: float) -> tuple:
     s_jac = softening_gap(spec, window=cfg.exponent_window)
     row = {
         "sigma0": sigma0,
-        "ige_slope_3d": s_ige.slope_3d,
-        "ige_slope_2d": s_ige.slope_2d,
+        "ige_slope_3d": s_ige.result_3d.fit.slope,
+        "ige_slope_2d": s_ige.result_2d.fit.slope,
         "ratio": s_ige.ratio,
         "jacobi_exponent_3d": s_jac.exponent_3d,
         "jacobi_exponent_2d": s_jac.exponent_2d,

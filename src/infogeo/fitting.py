@@ -17,7 +17,6 @@ class LineFit:
     slope: float
     intercept: float
     r_squared: float
-    window: tuple
 
 
 def fit_line(x, y) -> LineFit:
@@ -41,8 +40,7 @@ def fit_line(x, y) -> LineFit:
     ss_res = float(resid @ resid)
     ss_tot = float(((v - v.mean()) ** 2).sum())
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return LineFit(float(np.ldexp(slope, ey - ex)), float(np.ldexp(intercept, ey)), r2,
-                   (float(x.min()), float(x.max())))
+    return LineFit(float(np.ldexp(slope, ey - ex)), float(np.ldexp(intercept, ey)), r2)
 
 
 def fit_basis(x, y, basis_functions):

@@ -209,12 +209,6 @@ def geodesic_acceleration(theta: np.ndarray, velocity: np.ndarray) -> np.ndarray
     return model.acceleration(theta, np.asarray(velocity, dtype=float))
 
 
-def fisher_speed(theta: np.ndarray, velocity: np.ndarray):
-    """g_lm v^l v^m, conserved along geodesics; at one point or for each row."""
-    theta = np.asarray(theta, dtype=float)
-    return model_of(theta).speed(theta, np.asarray(velocity, dtype=float))
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled geodesic: times, states, velocities plus solver metadata.
@@ -238,7 +232,8 @@ class Trajectory:
         return self.states.shape[1]
 
     def speeds(self) -> np.ndarray:
-        return fisher_speed(self.states, self.velocities)
+        """g_lm v^l v^m per sample, conserved along geodesics."""
+        return model_of(self.states).speed(self.states, self.velocities)
 
 
 def _sampled_run(rhs, y0, tau_max: float, tol: float, floor, sample_taus,

@@ -42,7 +42,7 @@ span-independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from typing import Optional
 
@@ -95,7 +95,7 @@ def log_box_volume(spec, tau_prime, mu_span: Optional[float] = None):
     log_sx_factor = math.log(spec.model.volume_weight / s0) + _log_cosh_minus_one(u)
     total = log_dmu + log_sx_factor
     for _, decay in spec.flat_factors:
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):   # log 0 = -inf, log inf = inf
             total = total + np.log(decay * tau_prime)
     return total
 
@@ -197,11 +197,14 @@ def _log_moment_gauss(n: int, U: np.ndarray) -> np.ndarray:
     F_n(U) = U^(n+4) integral_0^1 t^(n+3) g(U t) dt with
     g(u) = (tanh u / u) * 2 (sinh(u/2) / u)^2, a positive integrand free of
     cancellation and of underflow; g(0) = 1/2, so F_n ~ U^(n+4) / (2 (n+4)).
+    A u below the smallest normal float (0/0 at u = 0) takes that limit.
     """
     x, w = _legendre_nodes(24)   # not at import: the first leggauss sets up LAPACK (ms, MB)
     t = 0.5 * (x + 1.0)
     u = U[:, None] * t
-    g = np.tanh(u) / u * 2.0 * (np.sinh(0.5 * u) / u) ** 2
+    with np.errstate(invalid="ignore"):
+        g = np.tanh(u) / u * 2.0 * (np.sinh(0.5 * u) / u) ** 2
+    g[u < np.finfo(float).tiny] = 0.5
     return (n + 4) * np.log(U) + np.log(g @ (0.5 * w * t ** (n + 3)))
 
 
@@ -306,7 +309,6 @@ def log_closed_form_volume(spec, tau):
 class IGEResult:
     """Sampled entropy curve S(tau) = log avg_vol plus the fitted tail slope."""
 
-    model: str                     # "3d" or "2d"
     taus: np.ndarray
     log_vol: np.ndarray            # instantaneous box volume, log
     log_avg_vol: np.ndarray        # temporal average, log: the entropy S
@@ -323,8 +325,8 @@ def ige_curve(spec, slope_window: tuple = SLOPE_WINDOW) -> IGEResult:
     -log(tau) contribution biases an ordinary least-squares slope by roughly
     -1/(rate*tau); at rate*tau ~ 300 the bias is ~0.3%, negligible against
     the fit tolerances, while on [20, 50] it would be ~3%.  The line is
-    fitted in rate * tau, where its abscissae stay O(100) however small the
-    rate, and its slope is then scaled to one per unit tau.
+    fitted in tau itself: ``fit_line`` scales its abscissae by a power of
+    two, so it needs no rescaling by the rate, however small or large.
     """
     rate = spec.rate
     w0, w1 = slope_window[0] / rate, slope_window[1] / rate
@@ -334,11 +336,8 @@ def ige_curve(spec, slope_window: tuple = SLOPE_WINDOW) -> IGEResult:
     log_avg = log_averaged_volume(spec, taus)
     logv = log_box_volume(spec, taus)
     s_closed = log_closed_form_volume(spec, taus)
-    fit = fit_line(rate * window, log_avg[LEAD_POINTS:])
-    fit = replace(fit, slope=fit.slope * rate, window=(w0, w1))
-    return IGEResult(model=spec.model.label, taus=taus, log_vol=logv,
-                     log_avg_vol=log_avg, entropy_closed_form=s_closed, fit=fit,
-                     rate=rate)
+    return IGEResult(taus=taus, log_vol=logv, log_avg_vol=log_avg, entropy_closed_form=s_closed,
+                     fit=fit_line(window, log_avg[LEAD_POINTS:]), rate=rate)
 
 
 @dataclass(frozen=True)
@@ -347,9 +346,7 @@ class IgeSoftening:
 
     result_3d: IGEResult
     result_2d: IGEResult
-    slope_3d: float
-    slope_2d: float
-    ratio: float                   # slope_2d / slope_3d, approaches 1/sqrt(2)
+    ratio: float                   # 2D over 3D fitted slope, approaches 1/sqrt(2)
 
 
 def softening_ratio_ige(spec3d: GeodesicSpec3D,
@@ -363,9 +360,7 @@ def softening_ratio_ige(spec3d: GeodesicSpec3D,
     spec2d = GeodesicSpec2D.from_3d(spec3d)
     r3 = ige_curve(spec3d, slope_window)
     r2 = ige_curve(spec2d, slope_window)
-    return IgeSoftening(result_3d=r3, result_2d=r2,
-                        slope_3d=r3.fit.slope, slope_2d=r2.fit.slope,
-                        ratio=r2.fit.slope / r3.fit.slope)
+    return IgeSoftening(result_3d=r3, result_2d=r2, ratio=r2.fit.slope / r3.fit.slope)
 
 
 # ---------------------------------------------------------------------------

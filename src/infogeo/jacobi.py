@@ -34,7 +34,7 @@ factor 1/sqrt(2), the same softening as the entropy slope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from typing import Optional
 
@@ -76,7 +76,6 @@ class JacobiTrajectory(Trajectory):
     """Jacobi samples along the closed-form geodesic, with its states and velocities."""
 
     J: np.ndarray             # (n_samples, dim); may underflow to 0
-    J_dot: np.ndarray
     rate: float               # sigma0 * lambda of the underlying model
     log_intensities: np.ndarray   # log sqrt(g(J, J)), formed without J itself
     slots: Optional[np.ndarray] = None   # (J^mu / sigma0, K_1, ..., their s-rates) in ``units``
@@ -154,22 +153,17 @@ def _log_norms(model, s, K, units) -> np.ndarray:
 
 def _from_slots(spec, taus, w, units, **fields) -> JacobiTrajectory:
     """The trajectory of the field slots ``w`` (in ``units``) at ``taus``:
-    states and velocities of the closed form, J and J' mapped back from the
-    slots, where they may underflow to 0, and log intensities from the slots."""
+    states and velocities of the closed form, J mapped back from the slots,
+    where it may underflow to 0, and log intensities from the slots."""
     model, rate = spec.model, spec.rate
-    dim = model.dimension
-    flat = [-decay / rate for _, decay in spec.flat_factors]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         states, velocities = closed_form(spec, taus)
         s = taus * rate
         scales = np.column_stack([np.full_like(s, spec.sigma0), states[:, 1:]])
-        log_rates = np.column_stack([np.zeros_like(s), -np.tanh(s),
-                                     *(np.full_like(s, r) for r in flat)])
-        K, Kd = w[:, :dim], w[:, dim:]
+        K = w[:, :model.dimension]
         return JacobiTrajectory(taus=taus, states=states, velocities=velocities,
-                                J=units * scales * K,
-                                J_dot=rate * units * scales * (Kd + log_rates * K),
-                                rate=rate, log_intensities=_log_norms(model, s, K, units),
+                                J=units * scales * K, rate=rate,
+                                log_intensities=_log_norms(model, s, K, units),
                                 slots=w, units=units, **fields)
 
 
@@ -188,8 +182,8 @@ def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
     O(1) at every s: no slot grows with the intensity and no horizon stops
     the run.  The 2D run depends on the spec only through rounding and the
     3D run only on lambda_f / rate.  States
-    and velocities are the closed form at the sample times; J and J' are
-    mapped back from the slots, where they may underflow to 0, and the log
+    and velocities are the closed form at the sample times; J is mapped
+    back from the slots, where it may underflow to 0, and the log
     intensities come from the slots and log sech s.  The field defaults to
     :func:`default_initial`; :func:`exact_jacobi` is its closed form.
     """
@@ -344,8 +338,9 @@ def asymptotic_solutions(constants: JacobiConstants, tau) -> np.ndarray:
 
 def critically_damped(lam: float, c1: float, c2: float, tau):
     """(c1 + c2 tau) e^(-lam tau): the double-root solution of
-    J'' + 2 lam J' + lam^2 J = 0."""
-    return (c1 + c2 * tau) * np.exp(-lam * tau)
+    J'' + 2 lam J' + lam^2 J = 0; inf or nan, unwarned, where c2 tau overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (c1 + c2 * tau) * np.exp(-lam * tau)
 
 
 # ---------------------------------------------------------------------------
@@ -357,18 +352,15 @@ def exponent_fit(traj: JacobiTrajectory, window: tuple = EXPONENT_WINDOW) -> Lin
 
     The window must start past the crossover where the constant J^1 mode
     dominates; before it the secular tau-terms of the decaying components
-    are still visible.  The line is fitted in tau over the window's last
-    sample time, where the abscissae stay O(1) however small or large the
-    window, and its slope is then scaled to one per unit tau.
+    are still visible.  The line is fitted in tau itself: ``fit_line``
+    scales its abscissae by a power of two, so it needs no rescaling by the
+    window, however small or large.
     """
     mask = window_mask(traj.taus, traj.rate, window)
     log_inten = traj.log_intensities[mask]
     if not np.all(log_inten > -math.inf):
         raise DomainError("intensity must be positive on the fit window")
-    taus = traj.taus[mask]
-    end = taus[-1]
-    fit = fit_line(taus / end, log_inten)
-    return replace(fit, slope=fit.slope / end, window=(float(taus[0]), float(end)))
+    return fit_line(traj.taus[mask], log_inten)
 
 
 @dataclass(frozen=True)

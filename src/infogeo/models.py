@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .tensors import ChristoffelSymbols, MetricTensor, RicciTensor, RiemannTensor
+from .tensors import ChristoffelSymbols, MetricTensor, RiemannTensor
 
 _TWO_PI = 2.0 * math.pi
 
@@ -409,19 +409,3 @@ def riemann_3d(theta: ParameterPoint3D) -> RiemannTensor:
     flat (the manifold is a product with a 1D factor).
     """
     return RiemannTensor(MODEL_3D.tensors(theta.as_array())[1])
-
-
-def riemann_2d(theta: ParameterPoint2D) -> RiemannTensor:
-    """R^1_212 = -1/s^2 and R^2_121 = -1/(4 s^2), plus antisymmetric partners."""
-    return RiemannTensor(MODEL_2D.tensors(theta.as_array())[1])
-
-
-def ricci_3d(theta: ParameterPoint3D) -> RicciTensor:
-    """diag(-1/(2 sx^2), -1/sx^2, 0)."""
-    return riemann_3d(theta).ricci()
-
-
-def ricci_2d(theta: ParameterPoint2D) -> RicciTensor:
-    """diag(-1/(4 s^2), -1/s^2)."""
-    return riemann_2d(theta).ricci()
-

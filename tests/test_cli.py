@@ -547,3 +547,54 @@ def test_extreme_mu0_warns_nothing(tmp_path, capsys, mu0, command, code):
         checks = {c["name"]: c["measured"] for c in
                   json.loads((tmp_path / "o" / "ige_report.json").read_text())["checks"]}
         assert math.isnan(checks["ige_3d_closed_form_volume_relative_error"])
+
+
+# the config fuzz: every INI key at each edge value, on each subcommand that
+# reads the key, with a companion line where a key is read only with another
+_MODEL_READERS = ("geodesics", "ige", "jacobi", "softening")
+_FUZZ_KEYS = [
+    *(("model", key, _MODEL_READERS, "") for key in ("model", "mu0", "sigma0", "sigma0_prime",
+                                                     "lambda_plus_prime", "lambda_f")),
+    ("model", "tau_f", _MODEL_READERS, "epsilon = 0.1"),
+    ("model", "epsilon", _MODEL_READERS, "tau_f = 2.0"),
+    ("solver", "tol", ("geodesics", "jacobi", "softening"), ""),
+    ("solver", "tau_max", ("geodesics",), ""),
+    ("fit", "volume_window", ("ige",), ""), ("fit", "slope_window", ("ige", "softening"), ""),
+    ("fit", "exponent_window", ("jacobi", "softening"), ""),
+    ("sweep", "sigma0_values", ("softening",), ""),
+    ("output", "directory", ("ige",), ""), ("output", "format", ("ige",), ""),
+]
+_FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e-320", "1e-300", "1e308", "text", "",
+                None]   # None: the key twice
+
+
+@pytest.mark.parametrize("section,key,commands,companion", _FUZZ_KEYS,
+                         ids=[f"{s}.{k}" for s, k, _, _ in _FUZZ_KEYS])
+def test_config_fuzz_ends_in_a_documented_exit(tmp_path, monkeypatch, capsys,
+                                               section, key, commands, companion):
+    # exit 0 or 1 leaves stderr empty, 2 and 3 one line, never a traceback
+    # or a warning; exit 1 only with a failing check.  A window takes the
+    # value as its start, ending at 50
+    monkeypatch.chdir(tmp_path)   # a relative or empty directory lands here
+    faults = []
+    for value in _FUZZ_VALUES:
+        text = "1" if value is None else value
+        line = f"{key} = {text}, 50" if key.endswith("_window") else f"{key} = {text}"
+        lines = [f"[{section}]", line, line if value is None else "", companion]
+        if key != "directory":
+            lines += ["" if section == "output" else "[output]", "directory = out"]
+        path = tmp_path / "fuzz.ini"
+        path.write_text("\n".join(lines) + "\n")
+        for command in commands:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code = run(["--config", str(path), command])
+            except Exception as exc:   # a traceback, a warning among them
+                faults.append(f"{command} at {value!r}: raised {type(exc).__name__}: {exc}")
+                continue
+            out, err = capsys.readouterr()
+            if (code not in (0, 1, 2, 3) or err.count("\n") > (code >= 2)
+                    or (code == 1) != (": FAIL (" in out)):
+                faults.append(f"{command} at {value!r}: exit {code}, stderr {err!r}")
+    assert not faults

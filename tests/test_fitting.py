@@ -42,4 +42,3 @@ def test_extreme_scales_recover_the_line_without_a_warning(x_scale, y_scale):
     assert fit.slope == pytest.approx(slope, rel=1e-13)
     assert fit.intercept == pytest.approx(7.0 * y_scale, rel=1e-12)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-14)
-    assert fit.window == (x[0], x[-1])

@@ -451,7 +451,7 @@ def test_speed_is_conserved():
 def test_speeds_match_the_per_sample_formula():
     for spec in (SPEC3, SPEC2):
         traj = ig.integrate_geodesic(spec, 10.0, tol=1e-10, sample_taus=np.linspace(0, 10, 201))
-        ref = np.array([ig.fisher_speed(th, v) for th, v in zip(traj.states, traj.velocities)])
+        ref = np.array([spec.model.speed(th, v) for th, v in zip(traj.states, traj.velocities)])
         np.testing.assert_allclose(traj.speeds(), ref, rtol=1e-15, atol=0)
 
 
@@ -459,7 +459,7 @@ def test_initial_speed_value():
     theta, vel = ig.closed_form_3d(SPEC3, 0.0)
     expected = (2.0 * SPEC3.lambda_plus_prime**2 * SPEC3.sigma0**2
                 + 2.0 * SPEC3.lambda_f**2)
-    assert ig.fisher_speed(theta, vel) == pytest.approx(expected, rel=1e-12)
+    assert MODEL_3D.speed(theta, vel) == pytest.approx(expected, rel=1e-12)
 
 
 def test_tightening_tolerance_improves_tracking():
@@ -489,8 +489,7 @@ def test_positivity_floor_aborts_with_partial_trajectory():
 
 @pytest.mark.parametrize("record,jacobi_fields", [
     (ig.Trajectory, {}),
-    (ig.JacobiTrajectory, {"J": np.zeros((3, 2)), "J_dot": np.zeros((3, 2)), "rate": 1.0,
-                           "log_intensities": np.zeros(3)}),
+    (ig.JacobiTrajectory, {"J": np.zeros((3, 2)), "rate": 1.0, "log_intensities": np.zeros(3)}),
 ], ids=["Trajectory", "JacobiTrajectory"])
 def test_trajectory_requires_increasing_times(record, jacobi_fields):
     with pytest.raises(DomainError):

@@ -542,7 +542,6 @@ def test_exact_killing_and_flat_modes_are_exact():
         n = spec.model.dimension
         traj = ig.exact_jacobi(spec, taus / spec.rate, np.eye(n)[0], np.zeros(n))
         assert np.all(traj.slots == np.eye(2 * n)[0]) and np.all(traj.J == np.eye(n)[0])
-        assert np.all(traj.J_dot == 0.0)
     lam = SPEC3.lambda_f
     taus = np.linspace(0.0, 30.0, 301)
     traj = ig.exact_jacobi(SPEC3, taus, (0.0, 0.0, 1.0), (0.0, 0.0, 0.0))
@@ -783,12 +782,15 @@ def test_exponents_match_an_independent_integrator(spec):
     scales, rho, K = model.scales(states), ys[:, n:2 * n], ys[:, 2 * n:3 * n]
     J = scales * K
     theirs = ig.JacobiTrajectory(taus=samples, states=states, velocities=rho * scales,
-                                 J=J, J_dot=scales * (ys[:, 3 * n:] + model.scales(rho) * K),
-                                 rate=spec.rate, log_intensities=np.log(ig.intensity(states, J)),
+                                 J=J, rate=spec.rate,
+                                 log_intensities=np.log(ig.intensity(states, J)),
                                  tolerance=1e-12, n_steps=sol.t.size)
     fit, ref = ig.exponent_fit(ours), ig.exponent_fit(theirs)
     assert fit.slope == pytest.approx(ref.slope, rel=1e-8)
-    np.testing.assert_allclose(ours.J_dot, theirs.J_dot, rtol=1e-7, atol=1e-9)
+    # the slot s-rates: J^mu' / sigma0 and (J^i / sigma_i)', per rate and unit
+    mu_dot = scales[:, 0] * (ys[:, 3 * n] + rho[:, 1] * K[:, 0])
+    rates = np.column_stack([mu_dot / spec.sigma0, ys[:, 3 * n + 1:]]) / (spec.rate * ours.units)
+    np.testing.assert_allclose(ours.slots[:, n:], rates, rtol=1e-7, atol=1e-9)
 
 
 def test_exponent_runs_take_few_steps():

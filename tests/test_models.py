@@ -23,6 +23,10 @@ def random_point_2d():
     return ig.ParameterPoint2D(RNG.uniform(-3, 3), RNG.uniform(0.3, 3.0))
 
 
+def riemann_2d(point):
+    return ig.RiemannTensor(MODEL_2D.tensors(point.as_array())[1])
+
+
 def simpson_mass(pdf, mu, sx, sy, half_width=10.0, n=801):
     # independent normalization oracle: composite Simpson over a wide box
     xs = np.linspace(mu - half_width * sx, mu + half_width * sx, n)
@@ -262,8 +266,8 @@ def test_scalar_curvature_exact_values():
 def test_scalar_curvature_is_parameter_independent():
     for _ in range(100):
         p3, p2 = random_point_3d(), random_point_2d()
-        s3 = ig.ricci_3d(p3).scalar(ig.metric_3d(p3))
-        s2 = ig.ricci_2d(p2).scalar(ig.metric_2d(p2))
+        s3 = ig.riemann_3d(p3).ricci().scalar(ig.metric_3d(p3))
+        s2 = riemann_2d(p2).ricci().scalar(ig.metric_2d(p2))
         assert abs(s3 + 1.0) < 1e-12
         assert abs(s2 + 0.5) < 1e-12
 
@@ -274,28 +278,29 @@ def test_more_negative_curvature_without_constraint():
 
 def test_ricci_components():
     p = ig.ParameterPoint3D(0.0, 2.0, 1.0)
-    np.testing.assert_allclose(ig.ricci_3d(p).components,
+    np.testing.assert_allclose(ig.riemann_3d(p).ricci().components,
                                np.diag([-1 / 8, -1 / 4, 0.0]), atol=1e-15)
     p2 = ig.ParameterPoint2D(0.0, 2.0)
-    np.testing.assert_allclose(ig.ricci_2d(p2).components,
+    np.testing.assert_allclose(riemann_2d(p2).ricci().components,
                                np.diag([-1 / 16, -1 / 4]), atol=1e-15)
 
 
 def test_ricci_is_riemann_contraction():
+    # R_ij = R^k_ikj: diag(-1/(2 sx^2), -1/sx^2, 0) in 3D, diag(-1/(4 s^2), -1/s^2) in 2D
     for _ in range(10):
         p = random_point_3d()
         np.testing.assert_allclose(ig.riemann_3d(p).ricci().components,
-                                   ig.ricci_3d(p).components, atol=1e-14)
+                                   np.diag([-0.5, -1.0, 0.0]) / p.sigma_x**2, atol=1e-14)
         p2 = random_point_2d()
-        np.testing.assert_allclose(ig.riemann_2d(p2).ricci().components,
-                                   ig.ricci_2d(p2).components, atol=1e-14)
+        np.testing.assert_allclose(riemann_2d(p2).ricci().components,
+                                   np.diag([-0.25, -1.0]) / p2.sigma**2, atol=1e-14)
 
 
 def test_riemann_contraction_reproduces_scalar():
     # (R_1212 + R_2121) g^11 g^22 equals the scalar curvature
     for point, riemann, metric, expected in [
             (random_point_3d(), ig.riemann_3d, ig.metric_3d, -1.0),
-            (random_point_2d(), ig.riemann_2d, ig.metric_2d, -0.5)]:
+            (random_point_2d(), riemann_2d, ig.metric_2d, -0.5)]:
         g = metric(point)
         low = riemann(point).lowered(g)
         ginv = g.inverse
@@ -306,7 +311,7 @@ def test_riemann_contraction_reproduces_scalar():
 def test_riemann_symmetries_exact():
     for _ in range(10):
         r3 = ig.riemann_3d(random_point_3d())
-        r2 = ig.riemann_2d(random_point_2d())
+        r2 = riemann_2d(random_point_2d())
         assert r3.antisymmetry_defect() == 0.0
         assert r2.antisymmetry_defect() == 0.0
         assert r3.first_bianchi_defect() == 0.0
@@ -320,7 +325,7 @@ def test_riemann_components_explicit():
     for _ in range(10):
         p3, p2 = random_point_3d(), random_point_2d()
         for riemann, point, s, second in ((ig.riemann_3d, p3, p3.sigma_x, -0.5),
-                                          (ig.riemann_2d, p2, p2.sigma, -0.25)):
+                                          (riemann_2d, p2, p2.sigma, -0.25)):
             r = riemann(point).components
             expected = np.zeros(r.shape)
             expected[0, 1, 0, 1], expected[0, 1, 1, 0] = -1.0 / s**2, 1.0 / s**2
