@@ -13,8 +13,7 @@ from .models import (MicroSample, Model2DConfig, ParameterPoint2D,
                      ParameterPoint3D, SCALAR_CURVATURE_2D,
                      SCALAR_CURVATURE_3D, christoffel_2d, christoffel_3d,
                      metric_2d, metric_3d, pdf_2d, pdf_3d, riemann_3d)
-from .tensors import (ChristoffelSymbols, MetricTensor, RicciTensor,
-                      RiemannTensor)
+from .tensors import ChristoffelSymbols, MetricTensor, RiemannTensor
 from .numgeo import (MetricField, christoffel_numeric, euclidean_field,
                      field_2d, field_3d, riemann_numeric, scalar_numeric)
 from .fisher import (QuadratureSpec, fisher_numeric_2d, fisher_numeric_3d,

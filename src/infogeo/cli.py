@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ige, jacobi, numgeo
+from . import ige, jacobi, numgeo, tensors
 from .errors import DomainError, NumericalAbort
 from .fisher import fisher_numeric_2d, fisher_numeric_3d
 from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, check_tol, closed_form,
@@ -141,6 +141,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
                           f"the rk Jacobi run takes about 6,000 steps, got {cfg.exponent_window}")
     if any(f not in ("csv", "json") for f in cfg.formats):
         raise ConfigError(f"format entries must be csv or json, got {cfg.formats}")
+    if not cfg.out_dir:
+        raise ConfigError("output directory must not be empty")
     if not (math.isfinite(cfg.tau_max) and cfg.tau_max > 0.0):
         raise ConfigError(f"tau_max must be a positive real, got {cfg.tau_max!r}")
     if (cfg.tau_f is None) != (cfg.epsilon is None):
@@ -153,10 +155,14 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         # the latest fit time, in rate * tau, at the smaller rate of the pair, the 2D one
         horizon = max(cfg.volume_window[1], cfg.slope_window[1], cfg.exponent_window[1])
         for s0 in (cfg.sigma0, *cfg.sweep_sigma0):
-            rate = GeodesicSpec2D.from_3d(replace(spec, sigma0=s0)).rate
+            spec_s0 = replace(spec, sigma0=s0)
+            rate = GeodesicSpec2D.from_3d(spec_s0).rate
             if not (rate > 0.0 and horizon / rate < math.inf):
                 raise ConfigError(f"sigma0 = {s0!r} puts the fit horizon {horizon:g} / rate "
                                   f"beyond the largest float")
+            if not spec.lambda_f / spec_s0.rate < math.inf:   # the 3D flat slot's decay
+                raise ConfigError(f"sigma0 = {s0!r} puts lambda_f / rate = {spec.lambda_f:g} / "
+                                  f"{spec_s0.rate:g} beyond the largest float")
         # in rate * tau the exponent run's samples are the same at every rate
         jacobi.exponent_times(1.0, cfg.exponent_window)   # DomainError: too few to fit
     except DomainError as exc:
@@ -182,7 +188,6 @@ class RunReport:
     parameters: dict
     checks: list = field(default_factory=list)
     tables: dict = field(default_factory=dict)
-    schema_version: int = SCHEMA_VERSION
 
     def add(self, name: str, measured: float, tolerance: float,
             passed=None) -> bool:
@@ -196,14 +201,16 @@ class RunReport:
 
     def to_json(self) -> str:
         payload = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "command": self.command,
             "parameters": self.parameters,
             "passed": self.passed,
             "checks": [asdict(c) for c in self.checks],
             "tables": self.tables,
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        # strict JSON: each non-finite number (a check measuring nan) is null
+        plain = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+        return json.dumps(plain, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _checks_csv(report: RunReport) -> str:
@@ -260,8 +267,9 @@ def run_verify(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
                    model.scalar_curvature - expected, 0.0)
         # one Riemann tensor per point serves the scalar, component and Bianchi checks
         riemann[model] = [(row, numgeo.riemann_numeric(fld, row)) for row in rows]
-        scalar_errors[model.label] = max(abs(r.ricci().scalar(fld.metric_at(row)) - expected)
-                                         for row, r in riemann[model])
+        scalar_errors[model.label] = max(
+            abs(tensors.scalar(fld.evaluate(row[None])[0], tensors.ricci(r.components)) - expected)
+            for row, r in riemann[model])
         for row in rows:
             num = numgeo.christoffel_numeric(fld, row).components
             gerr = max(gerr, float(np.abs(num - model.tensors(row)[0]).max()))

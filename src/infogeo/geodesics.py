@@ -217,7 +217,6 @@ class Trajectory:
     taus: np.ndarray
     states: np.ndarray      # (len(taus), dim)
     velocities: np.ndarray  # (len(taus), dim)
-    tolerance: float
     n_steps: int
     complete: bool = True
     abort_reason: Optional[str] = None
@@ -226,10 +225,6 @@ class Trajectory:
         taus = np.asarray(self.taus, dtype=float)
         if np.any(np.diff(taus) <= 0.0):
             raise DomainError("sample times must be strictly increasing")
-
-    @property
-    def dimension(self) -> int:
-        return self.states.shape[1]
 
     def speeds(self) -> np.ndarray:
         """g_lm v^l v^m per sample, conserved along geodesics."""
@@ -252,8 +247,7 @@ def _sampled_run(rhs, y0, tau_max: float, tol: float, floor, sample_taus,
         ys = sol(taus * rate)
     else:
         taus, ys = sol.t / rate, sol.y
-    return taus, ys, dict(tolerance=tol, n_steps=sol.n_steps,
-                          complete=sol.complete, abort_reason=sol.abort_reason)
+    return taus, ys, dict(n_steps=sol.n_steps, complete=sol.complete, abort_reason=sol.abort_reason)
 
 
 def _sigma_floor(dim):

@@ -314,7 +314,6 @@ class IGEResult:
     log_avg_vol: np.ndarray        # temporal average, log: the entropy S
     entropy_closed_form: np.ndarray
     fit: LineFit
-    rate: float                    # sigma0 * lambda of the model
 
 
 def ige_curve(spec, slope_window: tuple = SLOPE_WINDOW) -> IGEResult:
@@ -337,7 +336,7 @@ def ige_curve(spec, slope_window: tuple = SLOPE_WINDOW) -> IGEResult:
     logv = log_box_volume(spec, taus)
     s_closed = log_closed_form_volume(spec, taus)
     return IGEResult(taus=taus, log_vol=logv, log_avg_vol=log_avg, entropy_closed_form=s_closed,
-                     fit=fit_line(window, log_avg[LEAD_POINTS:]), rate=rate)
+                     fit=fit_line(window, log_avg[LEAD_POINTS:]))
 
 
 @dataclass(frozen=True)

@@ -240,7 +240,7 @@ def exact_jacobi(spec, taus, initial_J=None, initial_J_dot=None) -> JacobiTrajec
     taus = np.asarray(taus, dtype=float)
     if not np.all(np.isfinite(w0)):
         # where the slot system's right-hand side is not finite at s = 0
-        return _from_slots(spec, taus[:1], w0[None, :], units, tolerance=0.0, n_steps=0,
+        return _from_slots(spec, taus[:1], w0[None, :], units, n_steps=0,
                            complete=False,
                            abort_reason="right-hand side is not finite at the initial state")
     s = taus * spec.rate
@@ -253,7 +253,7 @@ def exact_jacobi(spec, taus, initial_J=None, initial_J_dot=None) -> JacobiTrajec
     w = np.column_stack([m, K0 + grown, flat, sech2 * (m_rate0 + b * grown),
                          A * sech2 + B * (tanh + s * sech2),
                          np.broadcast_to(w0[dim + 2:], flat.shape)])
-    return _from_slots(spec, taus, w, units, tolerance=0.0, n_steps=0)
+    return _from_slots(spec, taus, w, units, n_steps=0)
 
 
 def field_relative_error(traj: JacobiTrajectory, ref: JacobiTrajectory) -> float:
@@ -415,6 +415,6 @@ def softening_gap(spec3d: GeodesicSpec3D, window: tuple = EXPONENT_WINDOW) -> Ja
 
 def jacobi_to_csv(traj: JacobiTrajectory) -> str:
     """Columns: tau, J components, intensity, log intensity."""
-    names = [f"J{k + 1}" for k in range(traj.dimension)]
+    names = [f"J{k + 1}" for k in range(traj.J.shape[1])]
     return series_to_csv("jacobi", ["tau", *names, "intensity", "log_intensity"],
                          [traj.taus, traj.J, traj.intensities(), traj.log_intensities])

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .models import MODEL_2D, MODEL_3D
-from .tensors import ChristoffelSymbols, MetricTensor, RiemannTensor, validate_metrics
+from .tensors import ChristoffelSymbols, RiemannTensor, validate_metrics
 
 METRIC_STEP = 1e-5        # d ghat / d u (central, 2nd order)
 CHRISTOFFEL_STEP = 1e-3   # d Gamma-hat / d u (5-point, 4th order)
@@ -49,10 +49,6 @@ class MetricField:
         if g.shape != expected:
             raise DomainError(f"metric field returned shape {g.shape}, expected {expected}")
         return g
-
-    def metric_at(self, theta: np.ndarray) -> MetricTensor:
-        """Evaluate and validate (symmetry + positive definiteness)."""
-        return MetricTensor(self._evaluate(np.asarray(theta, dtype=float)[None])[0])
 
 
 def field_3d() -> MetricField:

@@ -8,7 +8,7 @@ Index conventions:
 * ``RiemannTensor.components[a, m, n, r]`` is R^a_mnr with the first index
   raised, antisymmetric in the last two indices.  Lowering the first index
   with the metric gives R_amnr.
-* ``RicciTensor.components[i, j]``       is R_ij = R^k_ikj.
+* ``ricci(R)[i, j]``                     is R_ij = R^k_ikj.
 
 Zero components are stored explicitly so property checks can scan whole
 tensors.  All containers are immutable values.
@@ -17,7 +17,6 @@ tensors.  All containers are immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -73,13 +72,6 @@ class MetricTensor:
         object.__setattr__(self, "components", _as_locked(comps, comps.shape))
         validate_metrics(comps)
 
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        """g^lm with g^lm g_mk = delta^l_k."""
-        inv = np.linalg.inv(self.components)
-        inv.flags.writeable = False
-        return inv
-
 
 @dataclass(frozen=True)
 class ChristoffelSymbols:
@@ -116,24 +108,12 @@ class RiemannTensor:
         cyc = c + np.transpose(c, (0, 2, 3, 1)) + np.transpose(c, (0, 3, 1, 2))
         return float(np.abs(cyc).max())
 
-    def lowered(self, metric: MetricTensor) -> np.ndarray:
-        """R_amnr = g_ab R^b_mnr."""
-        return np.einsum("ab,bmnr->amnr", metric.components, self.components)
 
-    def ricci(self) -> "RicciTensor":
-        """R_mr = R^k_mkr."""
-        return RicciTensor(np.einsum("kmkr->mr", self.components))
+def ricci(R: np.ndarray) -> np.ndarray:
+    """R_mr = R^k_mkr of R[a, m, n, r] = R^a_mnr."""
+    return np.einsum("kmkr->mr", R)
 
 
-@dataclass(frozen=True)
-class RicciTensor:
-    components: np.ndarray  # [i, j]
-
-    def __post_init__(self):
-        comps = np.asarray(self.components, dtype=float)
-        n = comps.shape[0]
-        object.__setattr__(self, "components", _as_locked(comps, (n, n)))
-
-    def scalar(self, metric: MetricTensor) -> float:
-        """R = g^ij R_ij."""
-        return float(np.einsum("ij,ij->", metric.inverse, self.components))
+def scalar(g: np.ndarray, ric: np.ndarray) -> float:
+    """R = g^ij R_ij."""
+    return float(np.einsum("ij,ij->", np.linalg.inv(g), ric))

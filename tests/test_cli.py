@@ -170,6 +170,14 @@ def test_unusable_output_directory_is_exit_2(tmp_path, capsys, out):
     assert str(tmp_path / out) in err
 
 
+def test_empty_output_directory_is_exit_2(tmp_path, monkeypatch, capsys):
+    # Path("") is the working directory, where an empty --out once wrote every artefact
+    monkeypatch.chdir(tmp_path)
+    assert run(["--out", "", "verify-geometry"]) == 2
+    assert capsys.readouterr() == ("", "config error: output directory must not be empty\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_malformed_values_are_exit_2(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[solver]\ntol = not-a-number\n")
@@ -515,7 +523,8 @@ def test_underflowing_sigma_y_fails_the_closed_form_residual_by_name(tmp_path, c
     # sigma_y = sigma0' e^(-lambda_f tau) underflows to 0 on the residual grid,
     # outside the domain of the geodesic acceleration: the 3D residual is nan
     # and fails by name (exit 1), where a DomainError traceback once ended the
-    # run; the 2D residual does not involve sigma_y and passes
+    # run, and the report writes it as null; the 2D residual does not involve
+    # sigma_y and passes
     path = tmp_path / "steep.ini"
     path.write_text(f"[model]\n{text}\n")
     with warnings.catch_warnings(record=True) as caught:
@@ -525,7 +534,7 @@ def test_underflowing_sigma_y_fails_the_closed_form_residual_by_name(tmp_path, c
     assert capsys.readouterr() == ("geodesics: FAIL (6 checks)\n", "")
     checks = {c["name"]: c for c in
               json.loads((tmp_path / "o" / "geodesics_report.json").read_text())["checks"]}
-    assert math.isnan(checks["geodesic_3d_closed_form_residual"]["measured"])
+    assert checks["geodesic_3d_closed_form_residual"]["measured"] is None
     assert not checks["geodesic_3d_closed_form_residual"]["passed"]
     assert checks["geodesic_2d_closed_form_residual"]["passed"]
 
@@ -534,8 +543,8 @@ def test_underflowing_sigma_y_fails_the_closed_form_residual_by_name(tmp_path, c
 @pytest.mark.parametrize("command,code", [("ige", 1), ("softening", 0)])
 def test_extreme_mu0_warns_nothing(tmp_path, capsys, mu0, command, code):
     # the bracket of the 3D closed-form volume overflows at |mu0| = 1e308: the
-    # check reads nan and fails by name (exit 1), without a RuntimeWarning;
-    # softening does not use the closed-form volume and passes
+    # check reads nan (null in the report) and fails by name (exit 1), without
+    # a RuntimeWarning; softening does not use the closed-form volume and passes
     path = tmp_path / "far.ini"
     path.write_text(f"[model]\nmu0 = {mu0}\n")
     with warnings.catch_warnings(record=True) as caught:
@@ -546,7 +555,7 @@ def test_extreme_mu0_warns_nothing(tmp_path, capsys, mu0, command, code):
     if command == "ige":
         checks = {c["name"]: c["measured"] for c in
                   json.loads((tmp_path / "o" / "ige_report.json").read_text())["checks"]}
-        assert math.isnan(checks["ige_3d_closed_form_volume_relative_error"])
+        assert checks["ige_3d_closed_form_volume_relative_error"] is None
 
 
 # the config fuzz: every INI key at each edge value, on each subcommand that
@@ -564,8 +573,19 @@ _FUZZ_KEYS = [
     ("sweep", "sigma0_values", ("softening",), ""),
     ("output", "directory", ("ige",), ""), ("output", "format", ("ige",), ""),
 ]
-_FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e-320", "1e-300", "1e308", "text", "",
-                None]   # None: the key twice
+_FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e-320", "1e-300", "1e307", "1e308", "text",
+                "", None]   # None: the key twice
+# the exits some (key, value, command) cases must end in: lambda_f / rate
+# past the double range at the sweep point sigma0 = 0.5 and an empty output
+# directory are configuration errors; at lambda_f = 1e307 the overflows of
+# lambda_f * tau end ige, jacobi and softening on their checks
+_FUZZ_EXITS = {**{("lambda_f", "1e308", command): 2 for command in _MODEL_READERS},
+               **{("lambda_f", "1e307", command): 1 for command in ("ige", "jacobi", "softening")},
+               ("directory", "", "ige"): 2}
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
 
 
 @pytest.mark.parametrize("section,key,commands,companion", _FUZZ_KEYS,
@@ -573,8 +593,8 @@ _FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e-320", "1e-300", "1e308", "t
 def test_config_fuzz_ends_in_a_documented_exit(tmp_path, monkeypatch, capsys,
                                                section, key, commands, companion):
     # exit 0 or 1 leaves stderr empty, 2 and 3 one line, never a traceback
-    # or a warning; exit 1 only with a failing check.  A window takes the
-    # value as its start, ending at 50
+    # or a warning; exit 1 only with a failing check; every report is strict
+    # JSON.  A window takes the value as its start, ending at 50
     monkeypatch.chdir(tmp_path)   # a relative or empty directory lands here
     faults = []
     for value in _FUZZ_VALUES:
@@ -590,11 +610,17 @@ def test_config_fuzz_ends_in_a_documented_exit(tmp_path, monkeypatch, capsys,
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     code = run(["--config", str(path), command])
+                for report in tmp_path.rglob("*_report.json"):
+                    written = report.read_text()
+                    report.unlink()
+                    json.loads(written, parse_constant=_refuse_constant)
             except Exception as exc:   # a traceback, a warning among them
+                capsys.readouterr()
                 faults.append(f"{command} at {value!r}: raised {type(exc).__name__}: {exc}")
                 continue
             out, err = capsys.readouterr()
             if (code not in (0, 1, 2, 3) or err.count("\n") > (code >= 2)
-                    or (code == 1) != (": FAIL (" in out)):
+                    or (code == 1) != (": FAIL (" in out)
+                    or code != _FUZZ_EXITS.get((key, value, command), code)):
                 faults.append(f"{command} at {value!r}: exit {code}, stderr {err!r}")
     assert not faults

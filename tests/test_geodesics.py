@@ -495,7 +495,7 @@ def test_trajectory_requires_increasing_times(record, jacobi_fields):
     with pytest.raises(DomainError):
         record(taus=np.array([0.0, 0.0, 1.0]),
                states=np.zeros((3, 2)), velocities=np.zeros((3, 2)),
-               tolerance=1e-9, n_steps=2, **jacobi_fields)
+               n_steps=2, **jacobi_fields)
 
 
 def test_csv_export_roundtrip():

@@ -201,7 +201,8 @@ def test_fitted_slope_per_rate_is_sigma0_free(spec3, k):
     for spec in (spec3, ig.GeodesicSpec2D.from_3d(spec3)):
         scaled = replace(spec, sigma0=spec.sigma0 * 2.0**k)
         a, b = ig.ige_curve(spec), ig.ige_curve(scaled)
-        assert abs(b.fit.slope / b.rate - a.fit.slope / a.rate) <= 1e-12 * a.fit.slope / a.rate
+        assert (abs(b.fit.slope / scaled.rate - a.fit.slope / spec.rate)
+                <= 1e-12 * a.fit.slope / spec.rate)
 
 
 # ---------------------------------------------------------------------------

@@ -784,7 +784,7 @@ def test_exponents_match_an_independent_integrator(spec):
     theirs = ig.JacobiTrajectory(taus=samples, states=states, velocities=rho * scales,
                                  J=J, rate=spec.rate,
                                  log_intensities=np.log(ig.intensity(states, J)),
-                                 tolerance=1e-12, n_steps=sol.t.size)
+                                 n_steps=sol.t.size)
     fit, ref = ig.exponent_fit(ours), ig.exponent_fit(theirs)
     assert fit.slope == pytest.approx(ref.slope, rel=1e-8)
     # the slot s-rates: J^mu' / sigma0 and (J^i / sigma_i)', per rate and unit
