@@ -44,9 +44,10 @@ from .models import MODEL_2D, MODEL_3D, Model2DConfig
 
 SCHEMA_VERSION = 1
 _POINT_SEED = 20260811  # fixed PCG64 stream: "random" check points, same every run
-# the latest exponent_window end in rate * tau: past s ~ 20 stability holds the
-# rk Jacobi step near 1.65 (m' damps at rate 2), so its cost grows with the end
-_EXPONENT_END = 1e4
+# the latest rate * tau of an rk run (exponent_window end, tau_max at each rate):
+# past s ~ 20 stability holds the step near 1.65 for the Jacobi run (m' damps at
+# rate 2) and 3.3 for the geodesic (its mean ratio damps at rate 1)
+_RATE_TAU_END = 1e4
 
 
 class ConfigError(Exception):
@@ -136,8 +137,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         w = getattr(cfg, name)
         if len(w) != 2 or not 0 < w[0] < w[1] < math.inf:
             raise ConfigError(f"{name} must be an increasing pair of positive reals, got {w}")
-    if cfg.exponent_window[1] > _EXPONENT_END:
-        raise ConfigError(f"exponent_window must end by rate * tau = {_EXPONENT_END:g}, where "
+    if cfg.exponent_window[1] > _RATE_TAU_END:
+        raise ConfigError(f"exponent_window must end by rate * tau = {_RATE_TAU_END:g}, where "
                           f"the rk Jacobi run takes about 6,000 steps, got {cfg.exponent_window}")
     if any(f not in ("csv", "json") for f in cfg.formats):
         raise ConfigError(f"format entries must be csv or json, got {cfg.formats}")
@@ -296,6 +297,9 @@ def run_geodesics(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     report = RunReport("geodesics", asdict(cfg))
     series = {}
     for label, spec in _specs(cfg):
+        if not cfg.tau_max * spec.rate <= _RATE_TAU_END:
+            raise ConfigError(f"tau_max must end by rate * tau = {_RATE_TAU_END:g} (3,000 rk "
+                              f"steps), got {cfg.tau_max:g} at rate {spec.rate:g}")
         grid = np.linspace(0.0, cfg.tau_max, 501)
         traj = integrate_geodesic(spec, cfg.tau_max, cfg.tol, sample_taus=grid)
         if not traj.complete:

@@ -8,9 +8,9 @@ class DomainError(ValueError):
 
 
 class NumericalAbort(RuntimeError):
-    """An integration or quadrature had to stop before reaching its target
-    (scale coordinate hit the positivity floor, step size underflow,
-    solution overflow).  Carries whatever partial result exists."""
+    """An integration had to stop before reaching its target (step size
+    underflow, a right-hand side not finite at the start).  Carries
+    whatever partial result exists."""
 
     def __init__(self, message, partial=None):
         super().__init__(message)

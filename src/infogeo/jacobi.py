@@ -42,8 +42,8 @@ import numpy as np
 
 from .errors import DomainError, NumericalAbort
 from .fitting import LineFit, fit_line
-from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, Trajectory, _sampled_run,
-                        _generate_rhs, closed_form, series_to_csv)
+from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, Trajectory, _sampled_run, _sech,
+                        _generate_rhs, check_tol, closed_form, series_to_csv)
 from .models import model_of
 
 EXPONENT_WINDOW = (20.0, 50.0)  # in units of rate * tau
@@ -73,7 +73,7 @@ def intensity(theta: np.ndarray, J: np.ndarray):
 
 @dataclass(frozen=True, kw_only=True)
 class JacobiTrajectory(Trajectory):
-    """Jacobi samples along the closed-form geodesic, with its states and velocities."""
+    """Jacobi samples along the closed-form geodesic, with its states and velocity ratios."""
 
     J: np.ndarray             # (n_samples, dim); may underflow to 0
     rate: float               # sigma0 * lambda of the underlying model
@@ -153,15 +153,17 @@ def _log_norms(model, s, K, units) -> np.ndarray:
 
 def _from_slots(spec, taus, w, units, **fields) -> JacobiTrajectory:
     """The trajectory of the field slots ``w`` (in ``units``) at ``taus``:
-    states and velocities of the closed form, J mapped back from the slots,
-    where it may underflow to 0, and log intensities from the slots."""
+    closed-form states and rate (span sech s, -tanh s, flat rates) ratios, J
+    mapped back (it may underflow to 0) and log intensities from the slots."""
     model, rate = spec.model, spec.rate
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        states, velocities = closed_form(spec, taus)
+        states, _ = closed_form(spec, taus)
         s = taus * rate
+        ratios = np.column_stack([model.mean_span * rate * _sech(s), -rate * np.tanh(s),
+                                  *(np.full_like(s, -decay) for _, decay in spec.flat_factors)])
         scales = np.column_stack([np.full_like(s, spec.sigma0), states[:, 1:]])
         K = w[:, :model.dimension]
-        return JacobiTrajectory(taus=taus, states=states, velocities=velocities,
+        return JacobiTrajectory(taus=taus, states=states, ratios=ratios,
                                 J=units * scales * K, rate=rate,
                                 log_intensities=_log_norms(model, s, K, units),
                                 slots=w, units=units, **fields)
@@ -188,11 +190,12 @@ def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
     :func:`default_initial`; :func:`exact_jacobi` is its closed form.
     """
     w0, units = _start_slots(spec, initial_J, initial_J_dot)
+    check_tol(tol)
     # a start vector past the double range gives nan slots: the run stops at its start
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         taus, w, fields = _sampled_run(_jlc_rhs(spec.model), w0,
                                        EXPONENT_WINDOW[1] / spec.rate if tau_max is None else tau_max,
-                                       tol, None, sample_taus, spec.rate)
+                                       tol, sample_taus, spec.rate)
     return _from_slots(spec, taus, w, units, **fields)
 
 

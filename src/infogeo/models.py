@@ -237,17 +237,18 @@ class DiagonalScaleModel:
         return q
 
     @cached_property
-    def geodesic_system(self) -> np.ndarray:
-        """T with y' = T @ v_hat @ v_hat for the geodesic state y = (theta, v),
-        v_hat = (1, v), once the acceleration rows are divided by sigma_k.
-
-        T is indexed [row of y', v_hat, v_hat]: rows 0..n-1 hold theta' = v,
-        rows n..2n-1 hold -Gamma at unit scales.
-        """
+    def ratio_system(self) -> np.ndarray:
+        """T with y' = T @ g_hat @ g_hat for the geodesic in s = rate * tau on
+        y = (m, l_1, ..., l_n-1, r_0, ..., r_n-1), m = (mu - mu0) / sigma0,
+        l_j = log(sigma_j / sigma_j(0)), r = rho / rate, and g_hat = (1, e, r_0,
+        ..., r_n-1), e = sigma_k(0) / sigma0.  T is indexed [row of y', g_hat,
+        g_hat]: m' = e r_0, l_j' = r_j and r' = q : r r (the ratio tensor); no
+        scale enters, so y stays O(1) however far the scales decay."""
         n = self.dimension
-        t = np.zeros((2 * n, n + 1, n + 1))
-        t[:n, 0, 1:] = np.eye(n)
-        t[n:, 1:, 1:] = -self._unit_tensors[0]
+        t = np.zeros((2 * n, n + 2, n + 2))
+        t[0, 1, 2] = 1.0
+        t[range(1, n), range(3, n + 2), 0] = 1.0
+        t[n:, 2:, 2:] = self._ratio_tensor
         t.flags.writeable = False   # shared by every geodesic run of the model
         return t
 
@@ -341,7 +342,7 @@ class DiagonalScaleModel:
 
         Total in sigma: sigma = 0 or an overflow gives inf/nan, without a warning.
         """
-        neg_gam = self.geodesic_system[self.dimension:, 1:, 1:]
+        neg_gam = -self._unit_tensors[0]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return np.einsum("kab,...a,...b->...k", neg_gam, v, v) / self.scales(theta)
 

@@ -12,9 +12,8 @@ state and the stages as local floats.  An accepted step keeps only K2, ...,
 K6: the dense output reads no K1, and K0 is f(t0, y0) or the last K6.
 
 Step control is proportional-integral, which damps the accept/reject
-oscillation of the plain controller on smooth problems.  A ``floor``
-callback stops the run where the state leaves its domain; the partial
-solution rides on the raised :class:`NumericalAbort`.
+oscillation of the plain controller on smooth problems.  A run that stops
+short returns its partial solution, flagged ``complete=False``.
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
-
-from .errors import NumericalAbort
 
 # Dormand-Prince 5(4) tableau as one stage matrix: each row combines y and
 # the stages K0, ..., K6 (the K columns scaled by h).  Rows 0-4 are the
@@ -101,10 +98,11 @@ def _norm_lines(dim: int) -> list:
 
 
 _LOOP = """\
-def loop(f, floor, t, t1, y, k, rtol, atol, ts, ys, steps, stages):
+def loop(f, t, t1, y, k, rtol, atol, ts, ys, steps, stages):
     if not all(-inf < v < inf for v in k):
         return 0, "right-hand side is not finite at the initial state"
     h = min(initial_step(f, t, y, k, rtol, atol), t1 - t)
+    h_min = 1e-14 * max(abs(t), abs(t1))   # below it a step underflows, at any time scale
     n_rejected, err_prev = 0, 1.0
     {y}, = y
     {k0}, = k
@@ -112,7 +110,7 @@ def loop(f, floor, t, t1, y, k, rtol, atol, ts, ys, steps, stages):
         last = h >= t1 - t
         if last:
             h = t1 - t
-        elif h < 1e-14 * (t if t > 1.0 else -t if t < -1.0 else 1.0):   # max(1, |t|)
+        elif h < h_min:
             return n_rejected, "step size underflow"
         try:
             {attempt}
@@ -128,8 +126,6 @@ def loop(f, floor, t, t1, y, k, rtol, atol, ts, ys, steps, stages):
             {k0} = {k6}   # FSAL: the next step starts from f(t + h, y_new)
             ts.append(t)
             ys.fromlist(n)
-            if floor is not None and (reason := floor(n)):
-                return n_rejected, reason
         else:   # reject; by 0.2 where a trial stage left the domain
             factor = 0.9 * err_norm ** -0.17 if err_norm < inf else 0.0
             n_rejected += 1
@@ -192,23 +188,19 @@ def _initial_step(f, t0, y0, f0, rtol, atol) -> float:
 
 
 def integrate(f: Callable[[float, list], list], t_span: tuple, y0,
-              rtol: float = 1e-10, atol: float = 1e-12,
-              floor: Optional[Callable[[list], Optional[str]]] = None,
-              raise_on_abort: bool = True) -> OdeSolution:
+              rtol: float = 1e-10, atol: float = 1e-12) -> OdeSolution:
     """Integrate y' = f(t, y) over ``t_span`` = (t0, t1), t1 > t0.
 
     ``f(t, y)`` gets t as a float and y as a list of floats, and returns a
-    list (or an array) of the size of y; ``floor(y)`` gets the accepted
-    state as a list and may return a reason string to stop there.
-    Step-size underflow, and f(t0, y0) not finite, also stop.  With
-    ``raise_on_abort`` the partial solution rides on the
-    :class:`NumericalAbort`; otherwise it is returned with ``complete=False``.
+    list (or an array) of the size of y.  A step below 1e-14 max(|t0|, |t1|)
+    (step size underflow) or f(t0, y0) not finite stops the run, and its
+    partial solution comes back with ``complete=False`` and the reason.
 
-    A run calls ``floor`` once per accepted step and f 2 + 6 (n_steps +
-    n_rejected) times (f(t0, y0), the initial-step probe, six stages per
-    attempt), except: once if f(t0, y0) is not finite; an attempt whose stage
-    raises ArithmeticError stops there; and no probe (h = 1e-6) where the
-    scaled norm of y0 or f(t0, y0) overflows.
+    A run calls f 2 + 6 (n_steps + n_rejected) times (f(t0, y0), the
+    initial-step probe, six stages per attempt), except: once if f(t0, y0)
+    is not finite; an attempt whose stage raises ArithmeticError stops
+    there; and no probe (h = 1e-6) where the scaled norm of y0 or f(t0, y0)
+    overflows.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
@@ -220,17 +212,13 @@ def integrate(f: Callable[[float, list], list], t_span: tuple, y0,
     # stage past the domain gives inf/nan or raises, and is rejected
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         k = f(t0, y)
-        n_rejected, abort_reason = _loop(dim)(f, floor, t0, t1, y, k, rtol, atol,
-                                              ts, ys, steps, stages)
+        n_rejected, abort_reason = _loop(dim)(f, t0, t1, y, k, rtol, atol, ts, ys, steps, stages)
 
     # K0 is f(t0, y0), then the previous step's K6 (FSAL); K1 stays 0 (_P row 0)
     K = np.zeros((len(steps), len(_P), dim))
     K[:, 2:] = np.frombuffer(stages).reshape(len(steps), 5, dim)
     K[:1, 0], K[1:, 0] = k, K[:-1, 6]
-    sol = OdeSolution(t=np.array(ts), y=np.frombuffer(ys).reshape(-1, dim),
-                      complete=abort_reason is None, abort_reason=abort_reason,
-                      n_steps=len(steps), n_rejected=n_rejected, h=np.array(steps),
-                      Q=np.matmul(K.transpose(0, 2, 1), _P))
-    if abort_reason is not None and raise_on_abort:
-        raise NumericalAbort(abort_reason, partial=sol)
-    return sol
+    return OdeSolution(t=np.array(ts), y=np.frombuffer(ys).reshape(-1, dim),
+                       complete=abort_reason is None, abort_reason=abort_reason,
+                       n_steps=len(steps), n_rejected=n_rejected, h=np.array(steps),
+                       Q=np.matmul(K.transpose(0, 2, 1), _P))

@@ -106,9 +106,10 @@ def test_tracer_counts_the_quadrature_mesh():
 
 
 def test_default_runs_keep_the_rk_identities_the_tracer_checks(monkeypatch):
-    # check_rk_identities expects 2 + 6 (steps + rejected) RHS calls and one
-    # floor call per accepted step from every run; the right-hand sides
-    # and floors take lists, and the generated attempt calls f six times
+    # check_rk_identities expects 2 + 6 (steps + rejected) RHS calls from
+    # every run (rk has no floor, so the floor count is None and skipped);
+    # the right-hand sides take lists, and the generated attempt calls f
+    # six times
     tracing = _load("tracing")
     tr = tracing.Tracer()
     monkeypatch.setattr(rk, "integrate", tracing._traced_integrate(tr, rk.integrate))

@@ -191,8 +191,7 @@ def test_numerical_abort_is_exit_3(tmp_path, capsys):
     # rate, J^3 lambda_f / (rate sigma0'), at sigma0 = sigma0' = 1e-200; the
     # slots are nan and the first RHS call is not finite
     path = tmp_path / "abort.ini"
-    for text, command in (("[model]\nsigma0_prime = 1e-295\nlambda_f = 2.0\n", "geodesics"),
-                          ("[model]\nsigma0_prime = 1e-310\n", "jacobi"),
+    for text, command in (("[model]\nsigma0_prime = 1e-310\n", "jacobi"),
                           ("[model]\nsigma0 = 1e-200\nsigma0_prime = 1e-200\n", "jacobi")):
         path.write_text(text)
         with warnings.catch_warnings(record=True) as caught:
@@ -204,12 +203,34 @@ def test_numerical_abort_is_exit_3(tmp_path, capsys):
 
 
 def test_long_geodesic_runs_end_on_their_checks(tmp_path, capsys):
-    # to tau = 40 the 3D run rejects attempts once sigma nears the absolute
-    # tolerance; each retry starts from f(t, y) at the accepted state, so the
-    # run completes instead of ending in step size underflow.  Its checks
-    # decide the exit code (the 3D speed drift fails, see ROADMAP item 1)
-    assert run(["--out", str(tmp_path / "o"), "--tau-max", "40", "geodesics"]) in (0, 1)
+    # to tau = 40 sigma falls to 8.5e-18 and the scale-free runs pass every
+    # check; at lambda_f = 1e307 log sigma_y leaves the double range past
+    # tau ~ 18 and the run still ends on its checks, silently: the closed
+    # form's sigma_y underflows (residual nan) and the speed lies past the
+    # double range (drift nan)
+    out = ["--out", str(tmp_path / "o"), "--tau-max", "40"]
+    assert run([*out, "geodesics"]) == 0
+    path = tmp_path / "far.ini"
+    path.write_text("[model]\nlambda_f = 1e307\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["--config", str(path), *out, "geodesics"]) == 1
+    failed = {c["name"] for c in json.loads((tmp_path / "o" / "geodesics_report.json")
+                                            .read_text())["checks"] if not c["passed"]}
+    assert failed == {"geodesic_3d_closed_form_residual", "geodesic_3d_speed_drift"}
     assert capsys.readouterr().err == ""
+
+
+def test_a_geodesic_horizon_past_rate_tau_1e4_is_a_configuration_error(tmp_path, capsys):
+    # past s ~ 20 stability holds the rk step near 3.3, so the run's cost
+    # grows with rate * tau_max: 1e4 is the end, at each model's rate
+    out = ["--out", str(tmp_path / "o"), "geodesics"]
+    assert run(["--tau-max", "1.0001e4", *out]) == 2
+    path = tmp_path / "far.ini"
+    path.write_text("[model]\nsigma0 = 1e10\n")
+    assert run(["--config", str(path), *out]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 2 and err.count("config error: tau_max must end") == 2
 
 
 def test_readme_synopsis_lists_every_option():
@@ -459,10 +480,9 @@ def test_one_point_sweep_table(tmp_path):
     for command in ("geodesics", "jacobi", "ige")
     for sigma0 in ("1e-90", "1e-120", "1e-160", "1e-200")])
 def test_vanishing_sigma0_warns_nothing(tmp_path, command, sigma0, code):
-    # at sigma0 = 1e-200 v_mu(0) = span lam sigma0^2 underflows to 0, so the
-    # Fisher speed is 0 and the drift check fails by name (exit 1); above it
-    # the speed is formed from v / sigma, never from squares that underflow,
-    # and the drift is finite.  The Jacobi runs, made in rate units, pass
+    # at sigma0 = 1e-200 the 2D Fisher speed 4 rate^2 underflows to 0, so
+    # the drift check fails by name (exit 1); above it the speed, formed
+    # from the run's velocity ratios, is finite, and so is the drift.  The Jacobi runs, made in rate units, pass
     # their checks (exit 0), and so does every IGE check: the 3D closed-form
     # volume forms no sigma0^2 product.  The inf/nan of the rejected trial
     # stages stay silent, and the IGE slopes are fitted at rate * tau ~ 300,
@@ -578,9 +598,9 @@ _FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e-320", "1e-300", "1e307", "1
 # the exits some (key, value, command) cases must end in: lambda_f / rate
 # past the double range at the sweep point sigma0 = 0.5 and an empty output
 # directory are configuration errors; at lambda_f = 1e307 the overflows of
-# lambda_f * tau end ige, jacobi and softening on their checks
+# lambda_f * tau end every command on its checks
 _FUZZ_EXITS = {**{("lambda_f", "1e308", command): 2 for command in _MODEL_READERS},
-               **{("lambda_f", "1e307", command): 1 for command in ("ige", "jacobi", "softening")},
+               **{("lambda_f", "1e307", command): 1 for command in _MODEL_READERS},
                ("directory", "", "ige"): 2}
 
 

@@ -11,8 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import infogeo as ig
 from infogeo.errors import DomainError
 from infogeo import rk
-from infogeo.geodesics import (_closed_form, _geodesic_rhs, _sigma_floor, closed_form,
-                              nonzero_terms)
+from infogeo.geodesics import _closed_form, _ratio_rhs, nonzero_terms
 from infogeo.jacobi import _jlc_rhs, _start_slots
 from infogeo.models import MODEL_2D, MODEL_3D
 
@@ -187,21 +186,27 @@ def test_acceleration_rows_match_points():
         np.testing.assert_array_equal(rows, points)
 
 
-def _geodesic_rows_error(model, system, theta, vel):
-    """|T v_hat v_hat, acceleration rows / sigma_k, - (v, -Gamma v v)| per row
-    of y' = (theta', v'), and each row's allowed error: 1e-14 of its largest
-    term, plus, on the acceleration rows, the underflow of the n + 1 products
-    v_b v_c at unit scales (one subnormal step each) divided by sigma_k.
-    Gamma is assembled in sigma-space from the model's Christoffel symbols."""
-    n = model.dimension
-    v_hat = np.concatenate([[1.0], vel])
-    dy = system @ v_hat @ v_hat
-    dy[n:] /= model.scales(theta)
+def _ratio_rows_error(model, system, theta, vel):
+    """|T g_hat g_hat - y'| per row of the scale-free state at theta, with
+    start scales 1 and rate 1 (so m' = mu', e = sigma_k(0), l_j = log sigma_j
+    and r = rho), and each row's allowed error: 1e-14 of its largest term,
+    plus, on the ratio rows, the underflow of the n^2 products Gamma v_b v_c
+    (one subnormal step each) divided by sigma_k.  y' is assembled in
+    sigma-space from the model's Christoffel symbols: r_a' = theta''_a /
+    sigma_k(a) - rho_a rho_k(a)."""
+    scales = model.scales(theta)
+    rho = vel / scales
+    g_hat = np.concatenate([[1.0, scales[0]], rho])
+    dy = system @ g_hat @ g_hat
     terms = -model.tensors(theta)[0] * vel[:, None] * vel[None, :]
-    ref = np.concatenate([vel, terms.sum(axis=(1, 2))])
-    underflow = (n + 1) * np.finfo(float).smallest_subnormal / model.scales(theta)
-    bound = 1e-14 * np.concatenate([np.abs(vel), np.abs(terms).max(axis=(1, 2))])
-    return np.abs(dy - ref), bound + np.concatenate([np.zeros(n), underflow])
+    rho_k = rho[list(model.scale_map)]
+    ref = np.concatenate([vel[:1], rho[1:], terms.sum(axis=(1, 2)) / scales - rho * rho_k])
+    largest = np.concatenate([np.abs(vel[:1]), np.abs(rho[1:]),
+                              np.maximum(np.abs(terms).max(axis=(1, 2)) / scales,
+                                         np.abs(rho * rho_k))])
+    underflow = model.dimension**2 * np.finfo(float).smallest_subnormal / scales
+    return np.abs(dy - ref), 1e-14 * largest + np.concatenate([np.zeros(model.dimension),
+                                                               underflow])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -209,47 +214,51 @@ def _geodesic_rows_error(model, system, theta, vel):
        rho=st.tuples(*[st.floats(-2.0, 2.0)] * 3), three=st.booleans())
 def test_geodesic_system_matches_the_christoffel_symbols(mu, log_scales, rho, three):
     # the draws of test_coefficients_match_textbook_assembly: sigma in
-    # [1e-140, 1e2]; each row within 1e-14 of its largest term, and the
-    # acceleration rows also within their products' underflow
+    # [1e-140, 1e2]; each row of the scale-free system within 1e-14 of its
+    # largest term, and the ratio rows also within their products' underflow
     model = MODEL_3D if three else MODEL_2D
     n = model.dimension
     theta = np.array([mu, *(10.0 ** np.array(log_scales))])[:n]
     vel = np.array(rho[:n]) * model.scales(theta)
-    err, bound = _geodesic_rows_error(model, model.geodesic_system, theta, vel)
+    err, bound = _ratio_rows_error(model, model.ratio_system, theta, vel)
     assert np.all(err <= bound)
 
 
 def test_a_perturbed_geodesic_block_fails_the_property():
-    # each (row block, v_hat block, v_hat block) of T changed by 1e-7 moves
-    # some row far past the bound; index 0 of v_hat is the constant 1
+    # each (row block, g_hat block, g_hat block) of T changed by 1e-7 moves
+    # some row far past the bound; the g_hat blocks are the constant 1, e
+    # and the ratios
     for model in (MODEL_3D, MODEL_2D):
         n = model.dimension
         theta = np.array([0.3, 0.7, 1.9])[:n]
         vel = np.array([0.7, 1.3, 0.4])[:n] * model.scales(theta)
-        err, bound = _geodesic_rows_error(model, model.geodesic_system, theta, vel)
+        err, bound = _ratio_rows_error(model, model.ratio_system, theta, vel)
         assert np.all(err <= bound)
+        blocks = (slice(0, 1), slice(1, 2), slice(2, n + 2))
         for rows in (slice(0, n), slice(n, 2 * n)):
-            for first in (slice(0, 1), slice(1, n + 1)):
-                for second in (slice(0, 1), slice(1, n + 1)):
-                    mutant = model.geodesic_system.copy()
+            for first in blocks:
+                for second in blocks:
+                    mutant = model.ratio_system.copy()
                     mutant[rows, first, second] += 1e-7
-                    err, bound = _geodesic_rows_error(model, mutant, theta, vel)
+                    err, bound = _ratio_rows_error(model, mutant, theta, vel)
                     assert np.any(err > 1e5 * bound)
 
 
-def _dot_geodesic_rhs(model):
-    # the reshape-dot contraction the geodesic RHS used before it summed
-    # nonzero terms, kept as the reference
-    dim = model.dimension
-    system = model.geodesic_system.reshape(-1, dim + 1)
-    v_hat, k = np.ones(dim + 1), np.array(model.scale_map)
+def _dot_ratio_rhs(model):
+    # the reshape-dot contraction, kept as the reference
+    n = model.dimension
+    system = model.ratio_system.reshape(-1, n + 2)
 
     def rhs(t, y):
-        v_hat[1:] = y[dim:]
-        dy = system.dot(v_hat).reshape(2 * dim, -1).dot(v_hat)
-        dy[dim:] /= y[k]
-        return dy
+        g_hat = np.array([1.0, math.exp(y[model.scale_map[0]]), *y[n:]])
+        return system.dot(g_hat).reshape(2 * n, -1).dot(g_hat)
     return rhs
+
+
+def _scale_free_state(model, mu, log_scales, rho):
+    # (m, l, r) at start scales 1 and rate 1, from a hypothesis draw
+    n = model.dimension
+    return [mu, *(math.log(10.0) * np.array(log_scales[:n - 1])), *rho[:n]]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -260,19 +269,16 @@ def test_geodesic_rhs_matches_the_dot_contraction(mu, log_scales, rho, three):
     # generated RHS within 1e-15 of the sum of its terms' magnitudes
     model = MODEL_3D if three else MODEL_2D
     n = model.dimension
-    theta = np.array([mu, *(10.0 ** np.array(log_scales))])[:n]
-    y = np.concatenate([theta, np.array(rho[:n]) * model.scales(theta)])
-    v_hat = np.abs(np.concatenate([[1.0], y[n:]]))
-    scale = np.abs(model.geodesic_system) @ v_hat @ v_hat
-    scale[n:] /= model.scales(theta)
-    rhs = np.asarray(_geodesic_rhs(model)(0.0, y.tolist()))
-    err = np.abs(rhs - _dot_geodesic_rhs(model)(0.0, y))
+    y = _scale_free_state(model, mu, log_scales, rho)
+    g_hat = np.abs([1.0, math.exp(y[model.scale_map[0]]), *y[n:]])
+    scale = np.abs(model.ratio_system) @ g_hat @ g_hat
+    err = np.abs(np.asarray(_ratio_rhs(model)(0.0, y)) - _dot_ratio_rhs(model)(0.0, y))
     assert np.all(err <= 1e-15 * scale)
 
 
 @pytest.mark.parametrize("model", [MODEL_3D, MODEL_2D], ids=lambda m: m.label)
 def test_nonzero_terms_rebuild_each_system_tensor(model):
-    for tensor in (model.geodesic_system, model.jacobi_system):
+    for tensor in (model.ratio_system, model.jacobi_system):
         rebuilt = np.zeros(tensor.shape)
         for *index, c in nonzero_terms(tensor):
             rebuilt[tuple(index)] = c
@@ -280,15 +286,17 @@ def test_nonzero_terms_rebuild_each_system_tensor(model):
 
 
 @pytest.mark.parametrize("model", [MODEL_3D, MODEL_2D], ids=lambda m: m.label)
-def test_geodesic_rhs_at_a_zero_sigma_is_non_finite(model):
-    # a trial stage can land on sigma = 0: the dot route divided by it in
-    # numpy (under the np.errstate of rk.integrate), giving inf or nan, and
-    # so must the generated RHS, without raising
+def test_geodesic_rhs_at_a_zero_sigma_is_finite(model):
+    # sigma = 0 is l = -inf in the scale-free state: there e = 0 stops the
+    # mean, and no row divides by a scale, so a trial stage that lands there
+    # gets a finite derivative; past l = 709.78 exp raises OverflowError,
+    # which rk rejects like a non-finite stage
     n = model.dimension
-    y = np.array([0.0, *[0.0] * (n - 1), *[0.5] * n])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        assert not np.isfinite(_dot_geodesic_rhs(model)(0.0, y)[n:]).any()
-    assert not np.isfinite(np.asarray(_geodesic_rhs(model)(0.0, y.tolist()))[n:]).any()
+    rhs, rates = _ratio_rhs(model), [0.5] * n
+    dy = rhs(0.0, [0.0, *[-math.inf] * (n - 1), *rates])
+    assert np.all(np.isfinite(dy)) and dy[0] == 0.0
+    with pytest.raises(OverflowError):
+        rhs(0.0, [0.0, *[710.0] * (n - 1), *rates])
 
 
 def _term_loop(tensor, vectors):
@@ -303,16 +311,13 @@ def _term_loop(tensor, vectors):
     return dy
 
 
-def _loop_geodesic_rhs(model):
-    # the term loop, then each acceleration row divided by its sigma_k as
-    # the RHS did before it was generated: a sigma of 0 gives inf or nan
+def _loop_ratio_rhs(model):
+    # the term loop at g_hat = (1, exp(l_k(0)), r)
     n = model.dimension
 
     def rhs(t, y):
-        dy = _term_loop(model.geodesic_system, [[1.0, *y[n:]]] * 2)
-        for row, k in enumerate(model.scale_map, start=n):
-            dy[row] = dy[row] / y[k] if y[k] else dy[row] * math.inf
-        return dy
+        g_hat = [1.0, math.exp(y[model.scale_map[0]]), *y[n:]]
+        return _term_loop(model.ratio_system, [g_hat, g_hat])
     return rhs
 
 
@@ -333,24 +338,29 @@ _RHS_VALUES = st.one_of(st.floats(allow_nan=False, width=64),
 @given(values=st.lists(_RHS_VALUES, min_size=7, max_size=7),
        s=st.one_of(st.floats(0.0, 800.0), st.floats(745.0, 1e6)), three=st.booleans())
 @example(values=[0.5, 0.0, 0.0, 1.0, -2.0, 3.0, 0.25], s=746.0, three=True)
-@example(values=[0.5, 0.0, 1.0, -2.0, 0.0, 0.0, 0.25], s=1e6, three=False)
+@example(values=[0.5, -math.inf, 1.0, -2.0, 0.0, 0.0, 0.25], s=1e6, three=False)
+@example(values=[0.5, 710.0, 0.0, 1.0, -2.0, 3.0, 0.25], s=0.0, three=True)
 def test_generated_rhs_equals_the_term_loop_bit_for_bit(values, s, three):
-    # overflow, inf - inf, signed zeros, a sigma of 0 and sech s underflowed
+    # overflow, inf - inf, signed zeros, a sigma of 0 (l = -inf), exp(l)
+    # past the double range (both raise OverflowError) and sech s underflowed
     # to 0 (s > 745) included; the flat rate has no term in the Jacobi system
     model = MODEL_3D if three else MODEL_2D
     n = model.dimension
     y = values[:2 * n]
-    with np.errstate(all="ignore"):
-        assert (np.array(_geodesic_rhs(model)(0.0, y)).tobytes()
-                == np.array(_loop_geodesic_rhs(model)(0.0, y)).tobytes())
+    outcomes = []
+    for rhs in (_ratio_rhs(model), _loop_ratio_rhs(model)):
+        try:
+            outcomes.append(np.array(rhs(0.0, y)).tobytes())
+        except OverflowError:
+            outcomes.append("OverflowError")
+    assert outcomes[0] == outcomes[1]
     flat = values[-1:] if three else []
     assert (np.array(_jlc_rhs(model)(s, y)).tobytes()
             == np.array(_loop_jlc_rhs(model, flat)(s, y)).tobytes())
 
 
-def _run_pair(rhs, ref, t_end, y0, floor=None):
-    return [rk.integrate(f, (0.0, t_end), y0, rtol=1e-10, atol=1e-10, floor=floor,
-                         raise_on_abort=False) for f in (rhs, ref)]
+def _run_pair(rhs, ref, t_end, y0):
+    return [rk.integrate(f, (0.0, t_end), y0, rtol=1e-10, atol=1e-10) for f in (rhs, ref)]
 
 
 def _assert_same_run(a, b):
@@ -360,17 +370,15 @@ def _assert_same_run(a, b):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
-@pytest.mark.parametrize("spec,tau_max,reason", [
-    (SPEC3, 50.0, "sigma coordinate fell to the positivity floor 1e-300"), (SPEC2, 20.0, None)],
-    ids=["3d", "2d"])
-def test_geodesic_runs_of_the_generated_rhs_equal_the_term_loop_runs(spec, tau_max, reason):
-    # the 3D run ends on the sigma floor after 26 rejected attempts
+@pytest.mark.parametrize("spec", [SPEC3, SPEC2], ids=["3d", "2d"])
+def test_geodesic_runs_of_the_generated_rhs_equal_the_term_loop_runs(spec):
+    # to rate * tau = 50, from the start of integrate_geodesic
     model = spec.model
-    y0 = np.concatenate(closed_form(spec, 0.0))
-    runs = _run_pair(_geodesic_rhs(model), _loop_geodesic_rhs(model), tau_max, y0,
-                     _sigma_floor(model.dimension))
+    y0 = [0.0] * model.dimension + [model.mean_span, 0.0,
+                                    *(-decay / spec.rate for _, decay in spec.flat_factors)]
+    runs = _run_pair(_ratio_rhs(model), _loop_ratio_rhs(model), 50.0, y0)
     _assert_same_run(*runs)
-    assert runs[0].abort_reason == reason
+    assert runs[0].complete
 
 
 @pytest.mark.parametrize("spec", [SPEC3, SPEC2], ids=["3d", "2d"])
@@ -477,14 +485,44 @@ def test_tolerance_domain():
         ig.integrate_geodesic(SPEC3, 1.0, tol=1e-3)
     with pytest.raises(DomainError):
         ig.integrate_geodesic(SPEC3, 1.0, tol=1e-15)
+    # the user's tol is checked before rk gets tol / 3, so the ends both run
+    for tol in (1e-13, 1e-6):
+        assert ig.integrate_geodesic(SPEC3, 1.0, tol=tol).complete
 
 
-def test_positivity_floor_aborts_with_partial_trajectory():
+def test_scales_near_the_smallest_double_keep_their_relative_accuracy():
+    # sigma_y from 1e-295 to 2e-304, down among the smallest normal doubles
     spec = ig.GeodesicSpec3D(0.0, 1.0, 1e-295, 1.0, 2.0)
-    traj = ig.integrate_geodesic(spec, 10.0, tol=1e-10)
-    assert not traj.complete
-    assert "floor" in traj.abort_reason
-    assert traj.taus[-1] < 10.0
+    grid = np.linspace(0.0, 10.0, 101)
+    traj = ig.integrate_geodesic(spec, 10.0, tol=1e-10, sample_taus=grid)
+    ref, _ = ig.closed_form(spec, grid)
+    assert traj.complete
+    np.testing.assert_allclose(traj.states[:, 1:], ref[:, 1:], rtol=1e-9, atol=0)
+
+
+def test_sigma_y_keeps_its_relative_accuracy_far_below_tol():
+    # lambda_f = 15 to tau = 40: sigma_y falls to e^-600 = 2.7e-261, far
+    # below the absolute tolerance, and its log matches the closed form's
+    spec = ig.GeodesicSpec3D(0.0, 1.0, 1.0, 1.0, 15.0)
+    grid = np.linspace(0.0, 40.0, 401)
+    traj = ig.integrate_geodesic(spec, 40.0, tol=1e-10, sample_taus=grid)
+    ref, _ = ig.closed_form(spec, grid)
+    assert traj.complete
+    assert np.abs(np.log(traj.states[:, 2]) - np.log(ref[:, 2])).max() < 1e-9
+
+
+def test_step_count_does_not_grow_with_lambda_f():
+    # the flat ratio is constant and its log-scale linear, so the steps are
+    # set by the (mu, sigma) plane: 190 to tau = 40 at lambda_f = 0.5, and
+    # within a few of that where sigma_y underflows to 0; the speed, from
+    # the ratios, stays a number there
+    def run(lambda_f):
+        return ig.integrate_geodesic(ig.GeodesicSpec3D(0.0, 1.0, 1.0, 1.0, lambda_f), 40.0)
+    base = run(0.5).n_steps
+    for lambda_f in (15.0, 1e5, 1e150):
+        traj = run(lambda_f)
+        assert traj.complete and abs(traj.n_steps - base) <= 5
+        assert np.all(np.isfinite(traj.speeds()))
 
 
 @pytest.mark.parametrize("record,jacobi_fields", [
@@ -494,7 +532,7 @@ def test_positivity_floor_aborts_with_partial_trajectory():
 def test_trajectory_requires_increasing_times(record, jacobi_fields):
     with pytest.raises(DomainError):
         record(taus=np.array([0.0, 0.0, 1.0]),
-               states=np.zeros((3, 2)), velocities=np.zeros((3, 2)),
+               states=np.zeros((3, 2)), ratios=np.zeros((3, 2)),
                n_steps=2, **jacobi_fields)
 
 

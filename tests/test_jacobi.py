@@ -781,7 +781,7 @@ def test_exponents_match_an_independent_integrator(spec):
     states = np.concatenate([ys[:, :1], np.exp(ys[:, 1:n])], axis=1)
     scales, rho, K = model.scales(states), ys[:, n:2 * n], ys[:, 2 * n:3 * n]
     J = scales * K
-    theirs = ig.JacobiTrajectory(taus=samples, states=states, velocities=rho * scales,
+    theirs = ig.JacobiTrajectory(taus=samples, states=states, ratios=rho,
                                  J=J, rate=spec.rate,
                                  log_intensities=np.log(ig.intensity(states, J)),
                                  n_steps=sol.t.size)

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from infogeo import geodesics, jacobi, rk
-from infogeo.errors import NumericalAbort
 
 
 def test_tableau_is_the_dormand_prince_one():
@@ -65,29 +64,20 @@ def test_tolerance_controls_error():
     assert run(1e-6) > run(1e-10)
 
 
-def test_floor_abort_carries_partial_solution():
-    with pytest.raises(NumericalAbort) as err:
-        rk.integrate(lambda t, y: -np.asarray(y), (0.0, 10.0), [1.0], rtol=1e-10, atol=1e-12,
-                     floor=lambda y: "hit the floor" if y[0] < 0.5 else None)
-    partial = err.value.partial
-    assert partial is not None and not partial.complete
-    assert partial.t[-1] < 10.0
-    assert partial.y[-1, 0] < 0.5
-
-
 def test_abort_can_return_partial_instead():
-    sol = rk.integrate(lambda t, y: -np.asarray(y), (0.0, 10.0), [1.0], rtol=1e-10, atol=1e-12,
-                       floor=lambda y: "floor" if y[0] < 0.5 else None,
-                       raise_on_abort=False)
-    assert not sol.complete and sol.abort_reason == "floor"
+    # y' = y^2 from y(0) = 1 blows up at t = 1: the steps shrink until they
+    # underflow, and the run returns what it reached, flagged incomplete
+    sol = rk.integrate(lambda t, y: [y[0] * y[0]], (0.0, 2.0), [1.0], rtol=1e-10, atol=1e-12)
+    assert not sol.complete and sol.abort_reason == "step size underflow"
+    assert 0.999 < sol.t[-1] < 1.0 and sol.y[-1, 0] > 1e6
+    assert sol.n_steps == len(sol.t) - 1 == len(sol.h)
 
 
 def test_nonfinite_initial_derivative_aborts_at_once():
     # y / t is inf at t0 = 0: no step is tried, and the division warns nowhere
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        sol = rk.integrate(lambda t, y: np.asarray(y) / t, (0.0, 1.0), [1.0],
-                           raise_on_abort=False)
+        sol = rk.integrate(lambda t, y: np.asarray(y) / t, (0.0, 1.0), [1.0])
     assert not caught
     assert not sol.complete and sol.n_steps == 0 and sol.n_rejected == 0
     assert sol.abort_reason == "right-hand side is not finite at the initial state"
@@ -162,7 +152,7 @@ def _matrix_attempt(f, t, h, y, k0, rtol, atol):
     return y_new, K, float(np.sqrt(np.mean((np.array(state(6)) / scale) ** 2)))
 
 
-def _reference_integrate(f, t_span, y0, rtol, atol, floor):
+def _reference_integrate(f, t_span, y0, rtol, atol):
     # the Python while loop rk.integrate ran before its loop was generated,
     # keeping all seven stages of each accepted step for the dense output
     t, t1 = t_span
@@ -176,7 +166,7 @@ def _reference_integrate(f, t_span, y0, rtol, atol, floor):
         last = h >= t1 - t
         if last:
             h = t1 - t
-        if h < 1e-14 * max(1.0, abs(t)) and not last:
+        if h < 1e-14 * max(abs(t_span[0]), abs(t_span[1])) and not last:
             reason = "step size underflow"
             break
         try:
@@ -196,10 +186,6 @@ def _reference_integrate(f, t_span, y0, rtol, atol, floor):
             y, k = y_new, ks[-1]
             ts.append(t)
             ys.append(y)
-            if floor is not None:
-                reason = floor(y)
-                if reason:
-                    break
         else:
             factor = 0.9 * err_norm ** (-0.17)
             n_rejected += 1
@@ -213,14 +199,14 @@ def _reference_integrate(f, t_span, y0, rtol, atol, floor):
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(dim=st.sampled_from([1, 2, 4, 6]),
-       case=st.sampled_from(["smooth", "non-finite", "overflow", "floor"]),
+       case=st.sampled_from(["smooth", "non-finite", "overflow"]),
        tol=st.sampled_from([1e-4, 1e-6, 1e-8]), t1=st.floats(0.5, 4.0),
        wall=st.floats(0.5, 3.0), data=st.data())
 def test_whole_runs_match_the_reference_integrator_bit_for_bit(dim, case, tol, t1, wall, data):
     # a linear system with a square wave in t on its first row (which forces
-    # rejections); past |y_0| = wall its first stage is nan ("non-finite"),
-    # overflows math.exp ("overflow"), or the floor stops the run ("floor").
-    # Every f and floor call must see the same arguments, in the same order
+    # rejections); past |y_0| = wall its first stage is nan ("non-finite")
+    # or overflows math.exp ("overflow").  Every f call must see the same
+    # arguments, in the same order
     entries = st.floats(-2.0, 2.0)
     A = np.array(data.draw(st.lists(entries, min_size=dim * dim, max_size=dim * dim)))
     A = A.reshape(dim, dim).tolist()
@@ -235,28 +221,21 @@ def test_whole_runs_match_the_reference_integrator_bit_for_bit(dim, case, tol, t
             out[0] += 1e-308 * math.exp(709.0 * abs(y[0]) / wall)
         return out
 
-    def floor(y):
-        return "past the wall" if abs(y[0]) > wall else None
-
     def run(integrate):
         calls = []
 
         def f(t, y):
             calls.append(("f", t, list(y)))
             return rhs(t, y)
-
-        def recorded_floor(y):
-            calls.append(("floor", list(y)))
-            return floor(y)
         try:   # f(t0, y0) itself may overflow
-            sol = integrate(f, (0.0, t1), y0, tol, tol, None if case == "smooth" else recorded_floor)
+            sol = integrate(f, (0.0, t1), y0, tol, tol)
         except OverflowError:
             return None, calls
         return sol, calls
 
     with np.errstate(all="ignore"):
         ref, ref_calls = run(_reference_integrate)
-    sol, calls = run(lambda *args: rk.integrate(*args, raise_on_abort=False))
+    sol, calls = run(rk.integrate)
     assert repr(calls) == repr(ref_calls)
     if ref is None:
         assert sol is None
@@ -267,37 +246,34 @@ def test_whole_runs_match_the_reference_integrator_bit_for_bit(dim, case, tol, t
             == (ref.n_steps, ref.n_rejected, ref.abort_reason, ref.complete))
 
 
-def _counted(f, floor=None):
-    # f and floor behind call counters
-    counts = {"f": 0, "floor": 0}
+def _counted(f):
+    # f behind a call counter
+    counts = {"f": 0}
 
     def counted_f(t, y):
         counts["f"] += 1
         return f(t, y)
-
-    def counted_floor(y):
-        counts["floor"] += 1
-        return floor(y)
-    return counted_f, counted_floor if floor else None, counts
+    return counted_f, counts
 
 
-def test_rhs_and_floor_calls_follow_the_counting_contract():
-    # 2 + 6 (steps + rejected) RHS calls and one floor call per accepted step,
-    # through rejections and a floor abort; then the three documented
-    # exceptions to the RHS count
+def test_rhs_calls_follow_the_counting_contract():
+    # 2 + 6 (steps + rejected) RHS calls, through rejections and a step size
+    # underflow; then the three documented exceptions to the count
     def square(t, y):
         return [1.0 if t % 1.0 < 0.5 else -1.0, y[0] * y[1] - y[1]]
 
-    for level in (10.0, 0.3):   # the floor stops the run at 0.3
-        f, floor, counts = _counted(square, lambda y: "floor" if y[0] > level else None)
-        sol = rk.integrate(f, (0.0, 4.0), [0.0, 1.0], rtol=1e-8, atol=1e-8, floor=floor,
-                           raise_on_abort=False)
-        assert sol.complete == (level == 10.0) and sol.n_rejected >= sol.complete
-        assert counts == {"f": 2 + 6 * (sol.n_steps + sol.n_rejected), "floor": sol.n_steps}
+    f, counts = _counted(square)
+    sol = rk.integrate(f, (0.0, 4.0), [0.0, 1.0], rtol=1e-8, atol=1e-8)
+    assert sol.complete and sol.n_rejected > 0
+    assert counts["f"] == 2 + 6 * (sol.n_steps + sol.n_rejected)
+    f, counts = _counted(lambda t, y: [y[0] * y[0]])   # blows up at t = 1
+    sol = rk.integrate(f, (0.0, 2.0), [1.0])
+    assert sol.abort_reason == "step size underflow"
+    assert counts["f"] == 2 + 6 * (sol.n_steps + sol.n_rejected)
 
     # f(t0, y0) not finite: that one call, no initial-step probe, no attempt
-    f, _, counts = _counted(lambda t, y: [math.inf])
-    sol = rk.integrate(f, (0.0, 1.0), [1.0], raise_on_abort=False)
+    f, counts = _counted(lambda t, y: [math.inf])
+    sol = rk.integrate(f, (0.0, 1.0), [1.0])
     assert counts["f"] == 1 and sol.n_steps == sol.n_rejected == 0
 
     # an attempt whose stage raises ArithmeticError ends at that stage: here
@@ -307,14 +283,14 @@ def test_rhs_and_floor_calls_follow_the_counting_contract():
             raise OverflowError("math range error")
         return [-y[0]]
 
-    f, _, counts = _counted(third_stage_of_second_attempt_raises)
+    f, counts = _counted(third_stage_of_second_attempt_raises)
     sol = rk.integrate(f, (0.0, 5.0), [1.0])
     assert sol.complete and sol.n_rejected == 1
     assert counts["f"] == 2 + 6 * (sol.n_steps + sol.n_rejected) - 3
 
     # y0 or f(t0, y0) so large against the tolerances that the initial-step
     # heuristic's scaled norm overflows: it takes h = 1e-6 without the probe
-    f, _, counts = _counted(lambda t, y: [1e200])
+    f, counts = _counted(lambda t, y: [1e200])
     sol = rk.integrate(f, (0.0, 1.0), [1.0])
     assert sol.complete and counts["f"] == 1 + 6 * (sol.n_steps + sol.n_rejected)
 
@@ -367,7 +343,7 @@ def test_a_non_finite_last_stage_is_retried_from_the_accepted_state():
         return np.array([np.nan]) if calls[0] == 2 + 6 * 3 else -np.asarray(y)
 
     calls = [0]
-    sol = rk.integrate(f, (0.0, 5.0), [1.0], rtol=1e-10, atol=1e-12, raise_on_abort=False)
+    sol = rk.integrate(f, (0.0, 5.0), [1.0], rtol=1e-10, atol=1e-12)
     assert sol.complete, sol.abort_reason
     assert sol.n_rejected == 1
     assert abs(sol.y[-1, 0] - np.exp(-5.0)) < 1e-10
@@ -391,41 +367,34 @@ def _assert_floats(y):
     assert type(y) is list and all(type(v) is float for v in y), y
 
 
-def _strict(f, floor):
-    # f and floor behind the contract check: t a float, y a list of exact
-    # floats; an np.float64 h or state would make every stage an np.float64
+def _strict(f):
+    # f behind the contract check: t a float, y a list of exact floats; an
+    # np.float64 h or state would make every stage an np.float64
     def checked_f(t, y):
         assert type(t) is float, type(t)
         _assert_floats(y)
         return f(t, y)
-
-    def checked_floor(y):
-        _assert_floats(y)
-        return floor(y) if floor else None
-    return checked_f, checked_floor
+    return checked_f
 
 
-def test_f_and_floor_get_a_list_of_floats_and_a_float_time(monkeypatch):
+def test_f_gets_a_list_of_floats_and_a_float_time(monkeypatch):
     # integer inputs, a square wave forcing rejections, and the geodesic and
-    # Jacobi runs with their list right-hand sides (the geodesic runs with
-    # their floor; a Jacobi run has none)
+    # Jacobi runs with their list right-hand sides
     def square(t, y):
         return [1.0 if t % 1.0 < 0.5 else -1.0, y[0] * y[1] - y[1]]
 
-    f, floor = _strict(square, None)
-    sol = rk.integrate(f, (0, 4), [0, 1], rtol=1e-8, atol=1e-8, floor=floor)
+    sol = rk.integrate(_strict(square), (0, 4), [0, 1], rtol=1e-8, atol=1e-8)
     assert sol.complete and sol.n_rejected >= 4
 
     integrate, runs = rk.integrate, []
 
-    def strict_integrate(f, t_span, y0, floor=None, **kwargs):
-        runs.append(floor)
-        f, floor = _strict(f, floor)
-        return integrate(f, t_span, y0, floor=floor, **kwargs)
+    def strict_integrate(f, t_span, y0, **kwargs):
+        runs.append(f)
+        return integrate(_strict(f), t_span, y0, **kwargs)
 
     monkeypatch.setattr(rk, "integrate", strict_integrate)
     spec = geodesics.GeodesicSpec3D(0.0, 1.0, 1.0, 1.0, 1.0)
     for s in (spec, geodesics.GeodesicSpec2D.from_3d(spec)):
         assert geodesics.integrate_geodesic(s, 20.0).complete
         assert jacobi.integrate_jlc(s).complete
-    assert len(runs) == 4 and all(runs[::2]) and not any(runs[1::2])
+    assert len(runs) == 4
