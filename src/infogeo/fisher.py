@@ -52,10 +52,12 @@ class QuadratureSpec:
 def _scores(mu_x, sigma_x, sigma_y, x, y) -> np.ndarray:
     """d log p / d(mu_x, sigma_x, sigma_y) of the unconstrained family on the
     product grid of the axes x and y, node (i, j) at column i * y.size + j."""
-    dx, y = (x - mu_x)[:, None], y[None, :]
-    return np.stack(np.broadcast_arrays(dx / sigma_x**2,
-                                        dx**2 / sigma_x**3 - 1.0 / sigma_x,
-                                        y**2 / sigma_y**3 - 1.0 / sigma_y)).reshape(3, -1)
+    dx = (x - mu_x)[:, None]
+    s = np.empty((3, x.size, y.size))
+    s[0] = dx / sigma_x**2
+    s[1] = dx**2 / sigma_x**3 - 1.0 / sigma_x
+    s[2] = y**2 / sigma_y**3 - 1.0 / sigma_y
+    return s.reshape(3, -1)
 
 
 @cache

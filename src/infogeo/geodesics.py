@@ -168,9 +168,10 @@ def _closed_form(spec, tau, mu_span: Optional[float]):
     coords = [spec.mu0 + span * spec.sigma0 * tanh, s]
     rates = [span * spec.lam * s**2, -k * spec.sigma0 * sech * tanh]
     for start, decay in spec.flat_factors:
-        with np.errstate(over="ignore"):   # decay * tau past the double range: the scale is 0
+        # decay * tau past the double range: the scale is 0; decay * start past it: the rate is -inf
+        with np.errstate(over="ignore"):
             coords.append(start * np.exp(-decay * tau))
-        rates.append(-decay * coords[-1])
+            rates.append(-decay * coords[-1])
     theta = np.stack(np.broadcast_arrays(*coords), axis=-1)
     vel = np.stack(np.broadcast_arrays(*rates), axis=-1)
     return theta, vel
@@ -233,8 +234,10 @@ class Trajectory:
 
     @property
     def velocities(self) -> np.ndarray:
-        """theta'_i = rho_i sigma_k(i) per sample; 0 where sigma underflows."""
-        return self.ratios * model_of(self.states).scales(self.states)
+        """theta'_i = rho_i sigma_k(i) per sample; 0 where sigma underflows, inf
+        where the product passes the double range."""
+        with np.errstate(over="ignore"):
+            return self.ratios * model_of(self.states).scales(self.states)
 
     def speeds(self) -> np.ndarray:
         """g_lm v^l v^m = sum_i c_i rho_i^2 per sample, conserved along geodesics:

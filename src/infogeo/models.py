@@ -306,16 +306,16 @@ class DiagonalScaleModel:
         shape (rows, n, n).  A row with a non-finite coordinate or a scale
         <= 0 raises the DomainError of ``point``."""
         rows = np.atleast_2d(np.asarray(theta, dtype=float))
-        inside = np.isfinite(rows).all(axis=1) & (rows[:, 1:] > 0.0).all(axis=1)
-        if not inside.all():
+        if not (np.isfinite(rows).all() and (rows[:, 1:] > 0.0).all()):
+            inside = np.isfinite(rows).all(axis=1) & (rows[:, 1:] > 0.0).all(axis=1)
             self.point(*(float(v) for v in rows[inside.argmin()]))
-        g = np.zeros(rows.shape + rows.shape[-1:])
-        diagonal = np.arange(self.dimension)
+        m, n = rows.shape
+        g = np.zeros((m, n * n))
         # libm pow, as for a float64 scalar: np.square differs from it in the last bit;
         # a square that under- or overflows leaves an entry the validation rejects
         with np.errstate(divide="ignore", over="ignore"):
-            g[:, diagonal, diagonal] = np.divide(self.weights, np.float_power(self.scales(rows), 2))
-        return g
+            g[:, ::n + 1] = np.divide(self.weights, np.float_power(rows.take(self._k, axis=1), 2))
+        return g.reshape(m, n, n)
 
     def metric(self, theta) -> MetricTensor:
         return MetricTensor(self.metric_rows(theta)[0])

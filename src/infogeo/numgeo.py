@@ -93,8 +93,7 @@ def _christoffel_rows(field: MetricField, rows: np.ndarray, s: np.ndarray, h: fl
     gp, gm = g[m:].reshape(2, m, n, n, n) * ss[:, None]
     dg = (gp - gm) / (2.0 * h)                          # [row, k, i, j] = d_k ghat_ij
     # lower-index bracket, indexed [row, m, i, j]
-    bracket = (np.einsum("pimj->pmij", dg) + np.einsum("pjim->pmij", dg)
-               - np.einsum("pmij->pmij", dg))
+    bracket = dg.transpose(0, 2, 1, 3) + dg.transpose(0, 3, 2, 1) - dg
     # sum over m by broadcasting: a batched einsum buffers its operands (more peak memory)
     return 0.5 * (np.linalg.inv(g[:m] * ss)[..., None, None] * bracket[:, None]).sum(axis=2)
 
@@ -119,7 +118,7 @@ def _riemann_hat(field: MetricField, theta) -> tuple:
     gm2, gm1, gp1, gp2 = gam[1:].reshape(4, n, n, n, n)
     # d Gamma-hat^k_ij / d u^n, indexed [n, k, i, j]; exactly 0 where Gamma-hat is constant
     dgamma = (8.0 * (gp1 - gm1) - (gp2 - gm2)) / (12.0 * CHRISTOFFEL_STEP)
-    term_d = np.einsum("namr->amnr", dgamma) - np.einsum("ramn->amnr", dgamma)
+    term_d = dgamma.transpose(1, 2, 0, 3) - dgamma.transpose(1, 2, 3, 0)   # [a, m, n, r]
     term_q = (np.einsum("abn,bmr->amnr", gamma, gamma)
               - np.einsum("abr,bmn->amnr", gamma, gamma))
     return g * np.multiply.outer(s, s), s, term_d + term_q

@@ -35,19 +35,21 @@ def _as_locked(array, shape) -> np.ndarray:
 def validate_metrics(g: np.ndarray) -> None:
     """Check each matrix of a stack g[..., l, m]: finite, symmetric, positive definite.
 
-    Raises DomainError naming the first bad matrix and its first defect.
+    Raises DomainError naming the first bad matrix and its first defect.  A
+    finite, exactly symmetric batch takes one batched Cholesky; any other
+    batch is judged matrix by matrix, symmetric to 1e-12 of its largest entry.
     """
     flat = g.reshape(-1, *g.shape[-2:])
-    finite = np.isfinite(flat).all(axis=(1, 2))
-    with np.errstate(invalid="ignore"):     # inf - inf in a non-finite matrix
-        symmetric = (np.abs(flat - flat.transpose(0, 2, 1)).max(axis=(1, 2))
-                     <= 1e-12 * np.abs(flat).max(axis=(1, 2)))
     try:
-        if finite.all() and symmetric.all():
+        if np.isfinite(flat).all() and (flat == flat.transpose(0, 2, 1)).all():
             np.linalg.cholesky(flat)
             return
     except np.linalg.LinAlgError:
         pass
+    finite = np.isfinite(flat).all(axis=(1, 2))
+    with np.errstate(invalid="ignore"):     # inf - inf in a non-finite matrix
+        symmetric = (np.abs(flat - flat.transpose(0, 2, 1)).max(axis=(1, 2))
+                     <= 1e-12 * np.abs(flat).max(axis=(1, 2)))
     for comps, fin, sym in zip(flat, finite, symmetric):
         if not fin:
             raise DomainError(f"metric has a non-finite entry: {comps.tolist()}")

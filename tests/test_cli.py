@@ -221,6 +221,24 @@ def test_long_geodesic_runs_end_on_their_checks(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("text, failed", [
+    ("[model]\nlambda_f = 1e307\nsigma0_prime = 100\n",
+     {"geodesic_3d_closed_form_residual", "geodesic_3d_speed_drift"}),
+    ("[model]\nsigma0_prime = 1e300\nlambda_f = 1e10\n", {"geodesic_3d_closed_form_residual"}),
+], ids=["lambda_f-1e307", "sigma0_prime-1e300"])
+def test_a_flat_velocity_past_the_double_range_ends_on_the_checks(tmp_path, capsys, text, failed):
+    # lambda_f * sigma0' overflows: sigma_y' is -inf at tau = 0 in the closed
+    # form and in the trajectory, silently, and the checks that read it fail
+    path = tmp_path / "far.ini"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["--config", str(path), "--out", str(tmp_path / "o"), "geodesics"]) == 1
+    report = json.loads((tmp_path / "o" / "geodesics_report.json").read_text())
+    assert {c["name"] for c in report["checks"] if not c["passed"]} == failed
+    assert capsys.readouterr().err == ""
+
+
 def test_a_geodesic_horizon_past_rate_tau_1e4_is_a_configuration_error(tmp_path, capsys):
     # past s ~ 20 stability holds the rk step near 3.3, so the run's cost
     # grows with rate * tau_max: 1e4 is the end, at each model's rate

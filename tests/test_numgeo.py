@@ -167,8 +167,11 @@ def test_field_rows_match_the_pointwise_metric_bit_for_bit():
 _BAD_METRICS = {
     "non-spd": np.diag([1.0, -1.0]),
     "asymmetric": np.array([[1.0, 0.5], [0.0, 1.0]]),
+    "asymmetric-past-1e-12": np.array([[1.0, 2e-12], [0.0, 1.0]]),
     "non-finite": np.diag([1.0, np.nan]),
 }
+# symmetric to 1e-13 of its largest entry: accepted, though not exactly symmetric
+_NEAR_SYMMETRIC = np.array([[2.0, 0.5 + 2e-13], [0.5, 1.0]])
 
 
 @pytest.mark.parametrize("kind", sorted(_BAD_METRICS))
@@ -177,7 +180,7 @@ def test_one_bad_matrix_in_a_batch_raises_todays_message(kind):
     with pytest.raises(DomainError) as single:
         ig.MetricTensor(bad)
     # the first bad matrix is named, with the message a single matrix gets
-    stack = np.stack([np.eye(2), 2.0 * np.eye(2), bad, bad + np.eye(2)])
+    stack = np.stack([np.eye(2), _NEAR_SYMMETRIC, bad, bad + np.eye(2)])
     with pytest.raises(DomainError) as batch:
         tensors.validate_metrics(stack)
     assert str(batch.value) == str(single.value)
@@ -194,6 +197,20 @@ def test_one_bad_matrix_in_a_batch_raises_todays_message(kind):
     assert str(engine.value) == str(single.value)
 
 
+def test_a_batch_symmetric_to_rounding_is_accepted():
+    # not exactly symmetric, so the batch leaves the one-Cholesky route and is
+    # judged matrix by matrix, against 1e-12 of each matrix's largest entry
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((5, 3, 3))
+    g = a @ a.transpose(0, 2, 1) + 3.0 * np.eye(3)
+    g[:, 0, 1] *= 1.0 + 1e-13
+    assert (g != g.transpose(0, 2, 1)).any(axis=(1, 2)).all()
+    tensors.validate_metrics(g)
+    # and through the engine: a constant metric has no connection
+    field = numgeo.MetricField(3, lambda rows: np.broadcast_to(g[0], (len(rows), 3, 3)))
+    assert not ig.christoffel_numeric(field, np.zeros(3)).components.any()
+
+
 @pytest.mark.parametrize("field, row, point", [
     (ig.field_3d(), [0.0, -1.0, 1.0], ig.ParameterPoint3D),
     (ig.field_3d(), [0.0, 1.0, 0.0], ig.ParameterPoint3D),
@@ -204,7 +221,9 @@ def test_one_bad_matrix_in_a_batch_raises_todays_message(kind):
 def test_field_row_outside_the_domain_raises_the_point_error(field, row, point):
     with pytest.raises(DomainError) as single:
         point(*(float(v) for v in row))
-    rows = np.array([[0.0] + [1.0] * (field.dimension - 1), row, row])
+    # one bad row between good ones, and a later bad row that is not named
+    good = [0.0] + [1.0] * (field.dimension - 1)
+    rows = np.array([good, row, good, good[:-1] + [-7.0]])
     with pytest.raises(DomainError) as batch:
         field.evaluate(rows)
     assert str(batch.value) == str(single.value)
