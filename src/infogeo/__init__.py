@@ -16,8 +16,7 @@ from .models import (MicroSample, Model2DConfig, ParameterPoint2D,
 from .tensors import ChristoffelSymbols, MetricTensor, RiemannTensor
 from .numgeo import (MetricField, christoffel_numeric, euclidean_field,
                      field_2d, field_3d, riemann_numeric, scalar_numeric)
-from .fisher import (QuadratureSpec, fisher_numeric_2d, fisher_numeric_3d,
-                     score_mean_2d, score_mean_3d)
+from .fisher import QuadratureSpec, fisher_numeric_2d, fisher_numeric_3d
 from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, MU_SPAN_EXACT_3D,
                         MU_SPAN_WIDE, Trajectory, closed_form, closed_form_2d,
                         closed_form_3d, geodesic_acceleration,

@@ -246,8 +246,7 @@ class Trajectory:
             return np.multiply(model_of(self.states).weights, np.square(self.ratios)).sum(-1)
 
 
-def _sampled_run(rhs, y0, tau_max: float, tol: float, sample_taus,
-                 rate: float = 1.0) -> tuple:
+def _sampled_run(rhs, y0, tau_max: float, tol: float, sample_taus, rate: float) -> tuple:
     """One rk run to ``tau_max`` from ``y0`` at rtol = atol = ``tol``, in s =
     rate * tau: ``(taus, ys, fields)``, ``fields`` the solver keywords of
     :class:`Trajectory`.  Samples are the ``sample_taus`` the run reached (dense

@@ -247,8 +247,7 @@ def exact_jacobi(spec, taus, initial_J=None, initial_J_dot=None) -> JacobiTrajec
                            complete=False,
                            abort_reason="right-hand side is not finite at the initial state")
     s = taus * spec.rate
-    x = np.exp(-s)
-    sech2 = (2.0 * x / (1.0 + x * x))**2    # cosh would overflow
+    sech2 = _sech(s) ** 2
     tanh = np.tanh(s)
     grown = (A + B * s) * tanh
     m = m0 + 0.5 * b * (A * tanh**2 + K0 * (s * sech2 + tanh)) + C * s * sech2

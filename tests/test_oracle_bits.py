@@ -1,12 +1,12 @@
 """The finite-difference and Fisher oracles, bit for bit, at fixed points.
 
-``oracle_bits.json`` holds the ``float.hex`` of every output at 3 points per
-model: Gamma, every component of R and the scalar curvature for sigma from
-1e-150 to 1e150, and both quadrature schemes' Fisher matrices for sigma from
-1e-100 to 1e100 (the score moments take sigma^3, which leaves the double range
-near 1e-103).  A change that reorders the floating-point operations of either
-oracle fails here; regenerate the file only with such a change, and give the
-size of the difference it makes:
+``oracle_bits.json`` holds the ``float.hex`` of every output for sigma from
+1e-150 to 1e150: Gamma, every component of R and the scalar curvature at 3
+points per model, and both quadrature schemes' Fisher matrices at the same
+range plus one point per model with sigma_x << |mu_x| (past 1e-154 the squared
+scores leave the double range in the Gram product).  A change that reorders
+the floating-point operations of either oracle fails here; regenerate the file
+only with such a change, and give the size of the difference it makes:
 
     PYTHONPATH=src python tests/test_oracle_bits.py > tests/oracle_bits.json
 """
@@ -22,8 +22,9 @@ from infogeo.models import Model2DConfig, ParameterPoint2D, ParameterPoint3D
 
 FD_POINTS = {"3d": [(0.3, 1e-150, 2.5), (-1.7, 0.8, 1e150), (4.0, 3e149, 7e-149)],
              "2d": [(0.3, 1e-150), (-1.7, 0.8), (4.0, 1e150)]}
-FISHER_POINTS = {"3d": [(-3e-100, 1e-100, 2.5), (-1.7, 0.8, 1e100), (4e99, 3e99, 7e-99)],
-                 "2d": [(2e-100, 1e-100), (-1.7, 0.8), (4.0, 1e100)]}
+FISHER_POINTS = {"3d": [(-3e-150, 1e-150, 2.5), (-1.7, 0.8, 1e150), (4e149, 3e149, 7e-149),
+                        (0.3, 1e-20, 1.0)],
+                 "2d": [(2e-150, 1e-150), (-1.7, 0.8), (4.0, 1e150), (1e6, 1e-3)]}
 SCHEMES = (fisher.QuadratureSpec(), fisher.QuadratureSpec("truncated-grid"))
 
 
