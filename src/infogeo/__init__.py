@@ -19,9 +19,8 @@ from .numgeo import (MetricField, christoffel_numeric, euclidean_field,
 from .fisher import QuadratureSpec, fisher_numeric_2d, fisher_numeric_3d
 from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, MU_SPAN_EXACT_3D,
                         MU_SPAN_WIDE, Trajectory, closed_form, closed_form_2d,
-                        closed_form_3d, geodesic_acceleration,
-                        integrate_geodesic, residual_check,
-                        trajectory_to_csv)
+                        closed_form_3d, integrate_geodesic,
+                        residual_check, trajectory_to_csv)
 from .ige import (IGEResult, IgeSoftening, SLOPE_WINDOW, VOLUME_WINDOW,
                   box_volume, box_volume_quadrature, ige_curve, ige_to_csv,
                   log_averaged_volume, log_box_volume,

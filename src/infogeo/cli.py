@@ -293,13 +293,18 @@ def run_verify(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     return report, {}
 
 
+def _check_horizon(cfg: ExperimentConfig):
+    """The geodesic runs' ConfigError, raised before any subcommand starts."""
+    for _, spec in _specs(cfg):
+        if not cfg.tau_max * spec.rate <= _RATE_TAU_END:
+            raise ConfigError(f"tau_max must end by rate * tau = {_RATE_TAU_END:g} (3,000 rk "
+                              f"steps), got {cfg.tau_max:g} at rate {spec.rate:g}")
+
+
 def run_geodesics(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     report = RunReport("geodesics", asdict(cfg))
     series = {}
     for label, spec in _specs(cfg):
-        if not cfg.tau_max * spec.rate <= _RATE_TAU_END:
-            raise ConfigError(f"tau_max must end by rate * tau = {_RATE_TAU_END:g} (3,000 rk "
-                              f"steps), got {cfg.tau_max:g} at rate {spec.rate:g}")
         grid = np.linspace(0.0, cfg.tau_max, 501)
         traj = integrate_geodesic(spec, cfg.tau_max, cfg.tol, sample_taus=grid)
         if not traj.complete:
@@ -477,6 +482,8 @@ def main(argv=None) -> int:
     all_passed = True
     try:
         cfg = _resolve_config(args)
+        if "geodesics" in names:
+            _check_horizon(cfg)
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         for name in names:

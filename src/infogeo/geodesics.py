@@ -32,7 +32,11 @@ are span-independent.
 ``integrate_geodesic`` solves the equations in s = rate * tau on the state
 ((mu - mu0) / sigma0, log(sigma / sigma(0)), rho / rate), rho_i = theta'_i /
 sigma_k(i) (``DiagonalScaleModel.ratio_system``): sigma keeps its relative
-accuracy as it decays, and the step does not depend on lambda_f.
+accuracy as it decays, and the step does not depend on lambda_f.  The closed
+form in that chart gives the run its start, and ``residual_check`` compares
+its exact s-derivative with the right-hand side the run integrates: one
+form of the geodesic equations serves both, and an exact solution leaves
+rounding alone at every scale of sigma and lambda_f.
 """
 
 from __future__ import annotations
@@ -198,23 +202,6 @@ def closed_form(spec, tau):
     return _closed_form(spec, tau, None)
 
 
-# ---------------------------------------------------------------------------
-# geodesic equations
-# ---------------------------------------------------------------------------
-
-def geodesic_acceleration(theta: np.ndarray, velocity: np.ndarray) -> np.ndarray:
-    """theta'' = -Gamma^k_lm v^l v^m using the analytic symbols, at one point or per row.
-
-    The model follows from the last axis (3 or 2); rejects a non-finite
-    coordinate or a sigma <= 0 in any row.
-    """
-    theta = np.asarray(theta, dtype=float)
-    model = model_of(theta)
-    if not (np.all(np.isfinite(theta)) and np.all(theta[..., 1:] > 0.0)):
-        raise DomainError(f"{model.label} coordinates must be finite with every sigma > 0")
-    return model.acceleration(theta, np.asarray(velocity, dtype=float))
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled geodesic: times, states, velocity ratios plus solver metadata.
@@ -309,21 +296,39 @@ def _ratio_rhs(model):
     return _generate_rhs(model.ratio_system, ("g", "g"), state, head)
 
 
+def _ratio_closed_form(spec, s, mu_span: Optional[float] = None) -> tuple:
+    """The closed form in the chart of ``model.ratio_system`` at s = rate * tau:
+    ``(y, dy)``, y = (m, l_1, ..., r_0, ...) and its exact s-derivative, each
+    over the last axis.  m = span tanh s, l_1 = log sech s, l_j = r_j s for
+    each flat scale, r_0 = span sech s, r_1 = -tanh s and r_j = -lambda_f /
+    rate; no entry underflows where sigma does."""
+    s = np.asarray(s, dtype=float)
+    span = spec.model.mean_span if mu_span is None else mu_span
+    sech, tanh, a = _sech(s), np.tanh(s), np.abs(s)
+    flat = [-decay / spec.rate for _, decay in spec.flat_factors]
+    with np.errstate(over="ignore"):   # r_j s past the double range: sigma_j is 0
+        y = [span * tanh, np.log(2.0) - a - np.log1p(np.exp(-2.0 * a)), *(r * s for r in flat),
+             span * sech, -tanh, *flat]
+    dy = [span * sech * sech, -tanh, *flat, -span * sech * tanh, -sech * sech, *[0.0] * len(flat)]
+    # + 0.0: the start is +0, not the -0.0 of -tanh 0 and r_j 0
+    return tuple(np.stack(np.broadcast_arrays(*v), axis=-1) + 0.0 for v in (y, dy))
+
+
 def integrate_geodesic(spec, tau_max: float, tol: float = 1e-10,
                        sample_taus=None) -> Trajectory:
     """Integrate the geodesic initial value problem up to ``tau_max``.
 
     The run is made in s = rate * tau on the state of ``model.ratio_system``
-    from the closed form at tau = 0 (rho / rate = (span, 0, -lambda_f / rate)),
-    then mapped back to (theta, rho); sigma underflows to 0 past the double
-    range.  Samples are the solver steps, or ``sample_taus`` by dense output.
-    A run that stops short returns the partial trajectory, ``complete=False``.
+    from its closed form at s = 0 (:func:`_ratio_closed_form`), then mapped
+    back to (theta, rho); sigma underflows to 0 past the double range.
+    Samples are the solver steps, or ``sample_taus`` by dense output.  A run
+    that stops short returns the partial trajectory, ``complete=False``.
     """
     check_tol(tol)
-    model, rate, n = spec.model, spec.rate, spec.model.dimension
-    ratios0 = [model.mean_span, 0.0, *(-decay / rate for _, decay in spec.flat_factors)]
+    rate, n = spec.rate, spec.model.dimension
+    y0, _ = _ratio_closed_form(spec, 0.0)
     with np.errstate(over="ignore"):   # dense output: log sigma past the double range is -inf
-        taus, ys, fields = _sampled_run(_ratio_rhs(model), [0.0] * n + ratios0, tau_max,
+        taus, ys, fields = _sampled_run(_ratio_rhs(spec.model), y0.tolist(), tau_max,
                                         tol / _TOL_DIVISOR, sample_taus, rate)
     theta0, _ = closed_form(spec, 0.0)
     states = np.column_stack([theta0[0] + spec.sigma0 * ys[:, 0], theta0[1:] * np.exp(ys[:, 1:n])])
@@ -331,22 +336,14 @@ def integrate_geodesic(spec, tau_max: float, tol: float = 1e-10,
 
 
 def residual_check(spec, tau_grid, mu_span: Optional[float] = None) -> float:
-    """Max absolute geodesic-equation residual of the closed form on a grid.
-
-    First derivatives are analytic; second derivatives are central
-    differences of the analytic velocity, so the only residual for an exact
-    solution is O(h^2) differentiation error.
-    """
-    h = 1e-5
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    theta, vel = _closed_form(spec, tau_grid, mu_span)
-    _, vel_p = _closed_form(spec, tau_grid + h, mu_span)
-    _, vel_m = _closed_form(spec, tau_grid - h, mu_span)
-    try:
-        resid = (vel_p - vel_m) / (2.0 * h) - geodesic_acceleration(theta, vel)
-    except DomainError:   # a sigma of the closed form underflows to 0: fails by name
-        return math.nan
-    return float(np.abs(resid).max(initial=0.0))
+    """Max absolute residual |y'(s) - f(y(s))| of the closed form on a grid, in
+    the chart the integrator runs in: y and y' from :func:`_ratio_closed_form`,
+    f the right-hand side rk integrates.  Both are exact, so an exact solution
+    leaves rounding alone, at every scale of sigma and lambda_f."""
+    y, dy = _ratio_closed_form(spec, spec.rate * np.ravel(tau_grid).astype(float), mu_span)
+    rhs = _ratio_rhs(spec.model)
+    f = np.array([rhs(0.0, row) for row in y.tolist()]).reshape(dy.shape)
+    return float(np.abs(dy - f).max(initial=0.0))
 
 
 def series_to_csv(kind: str, names, cols) -> str:

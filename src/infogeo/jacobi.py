@@ -42,8 +42,9 @@ import numpy as np
 
 from .errors import DomainError, NumericalAbort
 from .fitting import LineFit, fit_line
-from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, Trajectory, _sampled_run, _sech,
-                        _generate_rhs, check_tol, closed_form, series_to_csv)
+from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, Trajectory, _generate_rhs,
+                        _ratio_closed_form, _sampled_run, _sech, check_tol, closed_form,
+                        series_to_csv)
 from .models import model_of
 
 EXPONENT_WINDOW = (20.0, 50.0)  # in units of rate * tau
@@ -153,14 +154,13 @@ def _log_norms(model, s, K, units) -> np.ndarray:
 
 def _from_slots(spec, taus, w, units, **fields) -> JacobiTrajectory:
     """The trajectory of the field slots ``w`` (in ``units``) at ``taus``:
-    closed-form states and rate (span sech s, -tanh s, flat rates) ratios, J
-    mapped back (it may underflow to 0) and log intensities from the slots."""
+    closed-form states and ratios (rate times the chart's r), J mapped back
+    (it may underflow to 0) and log intensities from the slots."""
     model, rate = spec.model, spec.rate
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         states, _ = closed_form(spec, taus)
         s = taus * rate
-        ratios = np.column_stack([model.mean_span * rate * _sech(s), -rate * np.tanh(s),
-                                  *(np.full_like(s, -decay) for _, decay in spec.flat_factors)])
+        ratios = rate * _ratio_closed_form(spec, s)[0][:, model.dimension:]
         scales = np.column_stack([np.full_like(s, spec.sigma0), states[:, 1:]])
         K = w[:, :model.dimension]
         return JacobiTrajectory(taus=taus, states=states, ratios=ratios,

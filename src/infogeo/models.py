@@ -337,15 +337,6 @@ class DiagonalScaleModel:
         t_b, t_c = self._jacobi_tensors
         return t_b @ rho, t_c @ rho @ rho
 
-    def acceleration(self, theta, v) -> np.ndarray:
-        """-Gamma^a_lm v^l v^m = -U^a_lm v^l v^m / sigma_k(a), at one point or per row.
-
-        Total in sigma: sigma = 0 or an overflow gives inf/nan, without a warning.
-        """
-        neg_gam = -self._unit_tensors[0]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return np.einsum("kab,...a,...b->...k", neg_gam, v, v) / self.scales(theta)
-
     def speed(self, theta, v):
         """g_lm v^l v^m = sum_i c_i (v_i / sigma_{k(i)})^2, at one point or per row:
         each ratio is formed before it is squared, so a v_i and sigma whose

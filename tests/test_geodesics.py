@@ -3,17 +3,18 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import infogeo as ig
 from infogeo.errors import DomainError
 from infogeo import rk
-from infogeo.geodesics import _closed_form, _ratio_rhs, nonzero_terms
+from infogeo.geodesics import _closed_form, _ratio_closed_form, _ratio_rhs, nonzero_terms
 from infogeo.jacobi import _jlc_rhs, _start_slots
-from infogeo.models import MODEL_2D, MODEL_3D
+from infogeo.models import MODEL_2D, MODEL_3D, model_of
 
 SPEC3 = ig.GeodesicSpec3D(mu0=0.0, sigma0=1.0, sigma0_prime=1.0,
                           lambda_plus_prime=1.0, lambda_f=1.0)
@@ -153,37 +154,33 @@ def test_sigma_monotone_decreasing():
 # geodesic equations
 # ---------------------------------------------------------------------------
 
+def _acceleration(theta, vel):
+    # theta'' = -Gamma^a_bc v^b v^c, contracted from the model's Christoffel symbols
+    theta = np.asarray(theta, dtype=float)
+    return -np.einsum("abc,b,c->a", model_of(theta).tensors(theta)[0], vel, vel)
+
+
 def test_acceleration_examples():
-    acc = ig.geodesic_acceleration([0.0, 1.0, 1.0], [1.0, 0.0, 0.0])
+    acc = _acceleration([0.0, 1.0, 1.0], [1.0, 0.0, 0.0])
     np.testing.assert_allclose(acc, [0.0, -0.5, 0.0], atol=1e-15)
-    acc = ig.geodesic_acceleration([0.0, 1.0], [2.0, 0.0])
+    acc = _acceleration([0.0, 1.0], [2.0, 0.0])
     np.testing.assert_allclose(acc, [0.0, -1.0], atol=1e-15)
-    acc = ig.geodesic_acceleration([1.0, 0.7, 2.0], [0.0, 0.0, 0.0])
+    acc = _acceleration([1.0, 0.7, 2.0], [0.0, 0.0, 0.0])
     np.testing.assert_allclose(acc, np.zeros(3), atol=0)
 
 
-def test_acceleration_rejects_nonpositive_sigma():
-    with pytest.raises(DomainError):
-        ig.geodesic_acceleration([0.0, -1.0, 1.0], [1.0, 0.0, 0.0])
-    # one bad row among good ones
-    for bad in ([0.3, 1.0, 0.0], [0.3, 1.0, np.nan], [np.inf, 1.0, 1.0]):
-        rows = np.array([[0.0, 1.0, 1.0], bad, [1.0, 2.0, 0.5]])
-        with pytest.raises(DomainError):
-            ig.geodesic_acceleration(rows, np.ones_like(rows))
-    with pytest.raises(DomainError):
-        ig.geodesic_acceleration([[0.0, 1.0], [0.0, -2.0]], np.ones((2, 2)))
-
-
 def test_acceleration_rows_match_points():
+    # each random row's contraction equals the module docstring's component
+    # equations at that point
     rng = np.random.default_rng(11)
-    for dim in (3, 2):
+    for dim, weight in ((3, 2.0), (2, 4.0)):
         theta = np.column_stack([rng.uniform(-2, 2, 50), rng.uniform(0.1, 3, (50, dim - 1))])
         vel = rng.normal(size=(50, dim))
-        rows = ig.geodesic_acceleration(theta, vel)
-        points = np.array([ig.geodesic_acceleration(t, v) for t, v in zip(theta, vel)])
-        assert rows.shape == (50, dim)
-        # a point and its rows go through one expression: equal bit for bit
-        np.testing.assert_array_equal(rows, points)
+        for (_, s, *flat), (dmu, ds, *dflat) in zip(theta, vel):
+            ref = [2.0 / s * dmu * ds, -dmu**2 / (weight * s) + ds**2 / s,
+                   *(dsy**2 / sy for sy, dsy in zip(flat, dflat))]
+            np.testing.assert_allclose(_acceleration([0.0, s, *flat], [dmu, ds, *dflat]), ref,
+                                       rtol=1e-14, atol=1e-14 * np.abs(ref).max())
 
 
 def _ratio_rows_error(model, system, theta, vel):
@@ -374,8 +371,7 @@ def _assert_same_run(a, b):
 def test_geodesic_runs_of_the_generated_rhs_equal_the_term_loop_runs(spec):
     # to rate * tau = 50, from the start of integrate_geodesic
     model = spec.model
-    y0 = [0.0] * model.dimension + [model.mean_span, 0.0,
-                                    *(-decay / spec.rate for _, decay in spec.flat_factors)]
+    y0 = _ratio_closed_form(spec, 0.0)[0].tolist()
     runs = _run_pair(_ratio_rhs(model), _loop_ratio_rhs(model), 50.0, y0)
     _assert_same_run(*runs)
     assert runs[0].complete
@@ -396,29 +392,70 @@ def test_residual_exact_family():
     assert ig.residual_check(SPEC2, grid) < 1e-6
 
 
-def test_residual_check_matches_the_per_point_formula():
-    # the per-point loop the grid evaluation replaced, kept as the reference
-    grid = np.linspace(0.01, 10.0, 100)
+def _residual_grid(spec):
+    # rate * tau from 0 to 1e4, log-spaced past 1e-3
+    return np.concatenate([[0.0], np.geomspace(1e-3, 1e4, 200)]) / spec.rate
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(log_sigma0=st.floats(-150.0, 150.0), log_sigma0_prime=st.floats(-300.0, 300.0),
+       log_lam=st.floats(-3.0, 300.0), log_lambda_f=st.floats(-3.0, 300.0))
+@example(log_sigma0=0.0, log_sigma0_prime=300.0, log_lam=0.0, log_lambda_f=10.0)
+@example(log_sigma0=-6.0, log_sigma0_prime=0.0, log_lam=0.0, log_lambda_f=0.0)
+def test_residual_is_rounding_at_every_scale(log_sigma0, log_sigma0_prime, log_lam,
+                                             log_lambda_f):
+    # sigma0 in [1e-150, 1e150], sigma0' to 1e300, lambda' and lambda_f in
+    # [1e-3, 1e300], on grids to rate * tau = 1e4, for the 3D spec and its
+    # 2D companion: the exact family leaves a few ulp, without a warning
+    # where sigma or sigma_y underflows or lambda_f sigma0' overflows; the
+    # span-2 mean path misses the 3D system by sech^2 s
+    try:
+        spec3 = ig.GeodesicSpec3D(0.0, 10.0**log_sigma0, 10.0**log_sigma0_prime,
+                                  10.0**log_lam, 10.0**log_lambda_f)
+    except DomainError:   # mu'(0) past the double range
+        assume(False)
+    assume(math.isfinite(spec3.lambda_f / spec3.rate))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec in (spec3, ig.GeodesicSpec2D.from_3d(spec3)):
+            assert ig.residual_check(spec, _residual_grid(spec)) <= 1e-15
+        wide = ig.residual_check(spec3, _residual_grid(spec3), mu_span=ig.MU_SPAN_WIDE)
+    assert wide > 0.1
+
+
+@pytest.mark.parametrize("spec", [SPEC3, SPEC2, ig.GeodesicSpec3D(0.3, 0.7, 2.0, 1.3, 4.0)],
+                         ids=["3d", "2d", "3d-off-unit"])
+def test_ratio_closed_form_derivative_is_the_derivative_of_the_chart(spec):
+    # y' against a central difference of y, so the residual's y' is the
+    # derivative of the y it is tested at; far out, where sech s underflows,
+    # l_1 = log sech s is still log 2 - s
+    s = np.linspace(-3.0, 6.0, 91)
     h = 1e-5
-    for spec, span in ((SPEC3, None), (SPEC2, None), (SPEC3, ig.MU_SPAN_WIDE)):
-        form = lambda t: _closed_form(spec, t, span)
-        worst, scale = 0.0, 0.0
-        for tau in grid:
-            theta, vel = form(tau)
-            acc = ig.geodesic_acceleration(theta, vel)
-            acc_fd = (form(tau + h)[1] - form(tau - h)[1]) / (2.0 * h)
-            worst = max(worst, float(np.abs(acc_fd - acc).max()))
-            scale = max(scale, float(np.abs(acc).max()))
-        assert abs(ig.residual_check(spec, grid, mu_span=span) - worst) <= 4e-16 * scale
+    _, dy = _ratio_closed_form(spec, s)
+    diff = (_ratio_closed_form(spec, s + h)[0] - _ratio_closed_form(spec, s - h)[0]) / (2.0 * h)
+    assert np.abs(diff - dy).max() < 1e-9
+    assert _ratio_closed_form(spec, 1e3)[0][1] == math.log(2.0) - 1e3
+
+
+def test_ratio_closed_form_starts_where_the_run_did():
+    # (0, ..., 0, span, 0, -lambda_f / rate) bit for bit, with +0: a -0.0
+    # would print as -0 in a step-sampled trajectory CSV
+    for spec in (SPEC3, SPEC2, ig.GeodesicSpec3D(0.0, 2.0, 1.0, 0.5, 7.0)):
+        n = spec.model.dimension
+        start = [0.0] * n + [spec.model.mean_span, 0.0,
+                             *(-decay / spec.rate for _, decay in spec.flat_factors)]
+        assert _ratio_closed_form(spec, 0.0)[0].tobytes() == np.array(start).tobytes()
 
 
 def test_residual_separates_the_two_spans():
-    # the span-2 mean path does not solve the 3D system (residual ~ lam^2 sx^3)
+    # the span-2 mean path does not solve the 3D system (residual sech^2 s in r_1')
     grid = np.linspace(0.0, 3.0, 30)
     assert ig.residual_check(SPEC3, grid, mu_span=ig.MU_SPAN_WIDE) > 0.1
 
 
 def test_residual_of_time_translates():
+    # in coordinates, against the contracted Christoffel symbols: the closed
+    # form's central-difference acceleration, shifted by 0.8
     grid = np.linspace(0.0, 5.0, 40)
     worst = 0.0
     for tau in grid:
@@ -426,7 +463,7 @@ def test_residual_of_time_translates():
         _, vel_p = ig.closed_form_3d(SPEC3, tau + 1e-5 + 0.8)
         _, vel_m = ig.closed_form_3d(SPEC3, tau - 1e-5 + 0.8)
         acc_fd = (vel_p - vel_m) / 2e-5
-        worst = max(worst, np.abs(acc_fd - ig.geodesic_acceleration(theta, vel)).max())
+        worst = max(worst, np.abs(acc_fd - _acceleration(theta, vel)).max())
     assert worst < 1e-6
 
 

@@ -144,8 +144,9 @@ def test_coefficients_match_textbook_assembly(mu, log_scales, rho, three):
 def _ratio_rates(model, rho):
     # rho' from the geodesic equation itself, not from the ratio tensor:
     # rho_a' = theta''_a / sigma_k(a) - rho_a rho_k(a), and theta''_a / sigma_k(a)
-    # is the acceleration at unit scales (each unit entry involves one scale)
-    return model.acceleration(np.ones(model.dimension), rho) - rho * model.scales(rho)
+    # is -Gamma^a_bc rho_b rho_c at unit scales (each entry involves one scale)
+    gamma = model.tensors(np.ones(model.dimension))[0]
+    return -np.einsum("abc,...b,...c->...a", gamma, rho, rho) - rho * model.scales(rho)
 
 
 def _tail_term_by_term(model, rho, K, Kd):
