@@ -101,7 +101,10 @@ def log_box_volume(spec, tau_prime, mu_span: Optional[float] = None):
 
 
 def box_volume(spec, tau_prime, mu_span: Optional[float] = None):
-    return np.exp(log_box_volume(spec, tau_prime, mu_span))
+    """The box volume at tau'; inf, without a warning, past the double range."""
+    log_vol = log_box_volume(spec, tau_prime, mu_span)
+    with np.errstate(over="ignore"):
+        return np.exp(log_vol)
 
 
 @cache
@@ -116,10 +119,15 @@ def _panelled_gauss(a: float, b: float, n: int):
 
     Scale coordinates can span a wide ratio (sigma shrinks exponentially);
     one panel per octave keeps 1/sigma^2-like integrands fully resolved.
+    The panel edges are ``np.geomspace(a, b, n_panels + 1)``, ends exact.
     """
     x, w = _legendre_nodes(n)
-    n_panels = max(1, int(math.ceil(math.log2(b / a))))
-    edges = np.geomspace(a, b, n_panels + 1)
+    ratio = float(b) / float(a) if a > 0.0 else math.inf
+    if not ratio < math.inf:
+        raise DomainError("box_volume_quadrature: the scale ratio leaves the double range")
+    n_panels = max(1, int(math.ceil(math.log2(ratio))))
+    edges = 10.0 ** np.linspace(np.log10(a), np.log10(b), n_panels + 1)
+    edges[0], edges[-1] = a, b
     lo, hi = edges[:-1, None], edges[1:, None]     # one row per panel
     return (0.5 * (hi - lo) * x + 0.5 * (lo + hi)).ravel(), (0.5 * (hi - lo) * w).ravel()
 
@@ -130,22 +138,32 @@ def box_volume_quadrature(spec, tau_prime: float, nodes=(8, 32, 32),
 
     Independent of the factorized closed form: at every node of the scale
     mesh the density is the square root of the product of the metric
-    diagonal c_i / sigma_k(i)^2.
+    diagonal c_i / sigma_k(i)^2.  A negative or NaN tau', or a box whose
+    scale ratio or node density (tested at the smallest scales, where it
+    peaks, before the mesh is built) leaves the double range, is refused.
     """
+    if not tau_prime >= 0.0:
+        raise DomainError("tau_prime must be nonnegative")
     span = MU_SPAN_WIDE if mu_span is None else mu_span
-    theta1, _ = _closed_form(spec, tau_prime, span)
-    theta0, _ = _closed_form(spec, 0.0, span)
-    los = np.minimum(theta0, theta1)
-    his = np.maximum(theta0, theta1)
+    corners, _ = _closed_form(spec, [0.0, tau_prime], span)
+    los, his = corners.min(axis=0), corners.max(axis=0)
     # the density does not depend on the mean: only the mean weights enter
     wmu = 0.5 * (his[0] - los[0]) * _legendre_nodes(nodes[0])[1]
     model = spec.model
     axes = [_panelled_gauss(los[j], his[j], nodes[j]) for j in range(1, model.dimension)]
-    # coordinate j > 0 varies along mesh axis j - 1; the mean is never a scale
+
+    def det(scales):
+        # coordinate j > 0 is scales[j]; the mean is never a scale
+        return math.prod(c / scales[k] ** 2 for c, k in zip(model.weights, model.scale_map))
+
+    with np.errstate(over="ignore", divide="ignore"):
+        peak = det([None, *(x[:1] for x, _ in axes)])
+    if not peak[0] < math.inf:
+        raise DomainError("box_volume_quadrature: the node density leaves the double range")
+    # coordinate j > 0 varies along mesh axis j - 1
     scales = [None, *np.meshgrid(*(x for x, _ in axes), indexing="ij", sparse=True)]
     weights = np.meshgrid(*(w for _, w in axes), indexing="ij", sparse=True)
-    det = math.prod(c / scales[k] ** 2 for c, k in zip(model.weights, model.scale_map))
-    return float((math.prod(weights) * np.sqrt(det)).sum() * wmu.sum())
+    return float((math.prod(weights) * np.sqrt(det(scales))).sum() * wmu.sum())
 
 
 def _logsumexp(values: np.ndarray) -> float:
@@ -214,7 +232,8 @@ def _log_moment_closed(n: int, U: np.ndarray) -> np.ndarray:
     F_0 = cosh U - 1 - log cosh U and F_1 = U cosh U - sinh U - T(U), where
     T(U) = integral_0^U u tanh u du
          = U^2/2 - pi^2/24 - Li2(-q)/2 + U log(1 + q),  q = e^(-2U).
-    Products with e^-U are taken first, so no term overflows at any U.
+    Products with e^-U are taken first, so no term overflows at any U.  ``U``
+    is a numpy scalar or an array of any shape, and the result has its shape.
     """
     q, e = np.exp(-2.0 * U), np.exp(-U)
     log1p_q = np.log1p(q)
@@ -223,18 +242,24 @@ def _log_moment_closed(n: int, U: np.ndarray) -> np.ndarray:
     else:
         eu = e * U
         e_t = (0.5 * eu * U - e * (math.pi ** 2 / 24.0
-                                  + 0.5 * (q[:, None] ** _LI2_K) @ _LI2_NEG)
+                                  + 0.5 * (q[..., None] ** _LI2_K) @ _LI2_NEG)
                + eu * log1p_q)
         bracket = U - 1.0 + (U + 1.0) * q - 2.0 * e_t
     return U - LOG2 + np.log(bracket)
 
 
-def _log_moment(n: int, U: np.ndarray) -> np.ndarray:
-    """log F_n(U) for a 1-D array of U > 0 and n = 0 or 1 flat factors."""
-    out = np.empty_like(U)
+def _log_moment(n: int, U):
+    """log F_n(U) for n = 0 or 1 flat factors and U > 0 of any shape.
+
+    With no U below ``EXACT_SWITCH`` the closed form takes U as it is, so a
+    numpy scalar stays one; otherwise the U below go to the Gauss rule as one
+    1-D batch, whose ``g @ w`` groups its sum by batch size (a few ulps).
+    """
     small = U < EXACT_SWITCH
-    if small.any():
-        out[small] = _log_moment_gauss(n, U[small])
+    if not small.any():
+        return _log_moment_closed(n, U)
+    out = np.empty_like(U)
+    out[small] = _log_moment_gauss(n, U[small])
     out[~small] = _log_moment_closed(n, U[~small])
     return out
 
@@ -243,17 +268,20 @@ def log_averaged_volume(spec, tau):
     """log of the time-averaged swept volume at tau (a float, or an array of times).
 
     Exact: log(span * w * prod(lambda_f / rate) * F_n(U) / U) with
-    U = rate * tau, which involves sigma0 only through U and the rate.
+    U = rate * tau, which involves sigma0 only through U and the rate.  Every
+    tau must be positive finite.  A float or 0-d tau returns a float, and from
+    U = ``EXACT_SWITCH`` on it is computed on numpy scalars, with the bits of
+    a 1-element array; an array returns an array of its shape.
     """
     taus = np.asarray(tau, dtype=float)
-    if (taus <= 0.0).any():
-        raise DomainError("tau must be positive")
+    if not ((taus > 0.0) & (taus < math.inf)).all():
+        raise DomainError("tau must be positive finite")
     rate = spec.rate
-    U = rate * taus.ravel()
+    U = rate * taus
     log_const = math.log(MU_SPAN_WIDE * spec.model.volume_weight) + sum(
         math.log(decay) - math.log(rate) for _, decay in spec.flat_factors)
     out = log_const + _log_moment(len(spec.flat_factors), U) - np.log(U)
-    return float(out[0]) if taus.ndim == 0 else out.reshape(taus.shape)
+    return float(out) if taus.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,39 @@ def test_box_volume_rejects_negative_time():
         ig.box_volume(SPEC3, -1.0)
 
 
+_PROBE_3D = ig.GeodesicSpec3D(0.0, 1.3, 1.1, 0.8, 0.9)
+_PROBE_SPECS = {"3d": _PROBE_3D, "2d": ig.GeodesicSpec2D.from_3d(_PROBE_3D)}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("label, tau_prime, message", [
+    ("3d", -1.0, "nonnegative"), ("2d", -1.0, "nonnegative"),
+    ("3d", math.nan, "nonnegative"), ("2d", math.nan, "nonnegative"),
+    # sigma_x = sigma0 sech(rate tau') reaches the subnormals (3D, 700) or 0
+    ("3d", 700.0, "scale ratio"), ("3d", 1000.0, "scale ratio"), ("3d", math.inf, "scale ratio"),
+    ("2d", 1000.0, "scale ratio"), ("2d", math.inf, "scale ratio"),
+    # sigma ~ 1e-224: the ratio is finite, c / sigma^2 is not
+    ("2d", 700.0, "density"),
+])
+def test_box_quadrature_ends_in_one_domain_error_off_its_domain(label, tau_prime, message):
+    # as box_volume does; no warning first, and the density is tested before
+    # the mesh is built (a finite ratio can still mean thousands of panels)
+    with pytest.raises(DomainError, match=message):
+        ig.box_volume_quadrature(_PROBE_SPECS[label], tau_prime)
+
+
+@pytest.mark.filterwarnings("error")
+def test_box_volume_and_exact_average_past_the_double_range_do_not_warn():
+    for spec in _PROBE_SPECS.values():
+        # the log volume passes 709.8: the volume is inf, as ige_to_csv prints it
+        vol = ig.box_volume(spec, np.array([1.0, 1000.0]))
+        assert math.isfinite(vol[0]) and vol[1] == math.inf
+        assert ig.box_volume(spec, math.inf) == math.inf
+        for tau in (math.inf, math.nan, np.array([1.0, math.inf]), np.array([[math.nan]])):
+            with pytest.raises(DomainError, match="positive finite"):
+                ig.log_averaged_volume(spec, tau)
+
+
 # ---------------------------------------------------------------------------
 # temporal average
 # ---------------------------------------------------------------------------
@@ -183,6 +216,31 @@ def test_gauss_and_closed_form_branches_agree_across_the_switch(U, n):
     gauss = _log_moment_gauss(n, U)
     closed = _log_moment_closed(n, U)
     assert abs(math.expm1(gauss[0] - closed[0])) <= 1e-13
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(spec3=_sweep_specs,
+       rate_taus=st.lists(st.floats(-3.0, 3.0).map(lambda e: 10.0**e), min_size=2, max_size=12))
+def test_a_float_time_runs_the_array_arithmetic(spec3, rate_taus):
+    # a float, a 0-d and a 1-element tau give the same bits; so does element
+    # i of an array wherever rate * tau is on the closed form.  Below
+    # EXACT_SWITCH the Gauss rule's g @ w sums a batch of several U by a
+    # matrix-vector product and one U by a dot product, which group the sum
+    # differently: on 803 log-spaced U in [1e-3, 1e3], 20 (3D) and 21 (2D)
+    # batch elements differ, all below the switch, by at most 7.1e-15
+    # relative in the averaged volume
+    for spec in (spec3, ig.GeodesicSpec2D.from_3d(spec3)):
+        taus = np.array(rate_taus) / spec.rate
+        batch = ig.log_averaged_volume(spec, taus)
+        for t, b in zip(taus.tolist(), batch.tolist()):
+            one = ig.log_averaged_volume(spec, t)
+            assert type(one) is float
+            assert one.hex() == ig.log_averaged_volume(spec, np.array(t)).hex()
+            assert one.hex() == float(ig.log_averaged_volume(spec, np.array([t]))[0]).hex()
+            if spec.rate * t >= EXACT_SWITCH:
+                assert b.hex() == one.hex()
+            else:
+                assert abs(math.expm1(b - one)) <= 1e-13
 
 
 def test_exact_average_leading_terms():

@@ -1,12 +1,16 @@
-"""The finite-difference and Fisher oracles, bit for bit, at fixed points.
+"""The finite-difference, Fisher and volume oracles, bit for bit, at fixed points.
 
 ``oracle_bits.json`` holds the ``float.hex`` of every output for sigma from
 1e-150 to 1e150: Gamma, every component of R and the scalar curvature at 3
 points per model, and both quadrature schemes' Fisher matrices at the same
 range plus one point per model with sigma_x << |mu_x| (past 1e-154 the squared
-scores leave the double range in the Gram product).  A change that reorders
-the floating-point operations of either oracle fails here; regenerate the file
-only with such a change, and give the size of the difference it makes:
+scores leave the double range in the Gram product).  For the volume layer it
+holds, per model, the exact time average on a float time, on a 0-d array and
+on a 2-D array whose rate * tau runs across ``EXACT_SWITCH`` (Gauss rule
+below, closed form above), the box volume, and the box quadrature on a
+one-panel and a two-panel box.  A change that reorders the floating-point
+operations of any oracle fails here; regenerate the file only with such a
+change, and give the size of the difference it makes:
 
     PYTHONPATH=src python tests/test_oracle_bits.py > tests/oracle_bits.json
 """
@@ -17,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from infogeo import fisher, numgeo
+from infogeo import fisher, ige, numgeo
+from infogeo.geodesics import GeodesicSpec2D, GeodesicSpec3D
 from infogeo.models import Model2DConfig, ParameterPoint2D, ParameterPoint3D
 
 FD_POINTS = {"3d": [(0.3, 1e-150, 2.5), (-1.7, 0.8, 1e150), (4.0, 3e149, 7e-149)],
@@ -26,6 +31,13 @@ FISHER_POINTS = {"3d": [(-3e-150, 1e-150, 2.5), (-1.7, 0.8, 1e150), (4e149, 3e14
                         (0.3, 1e-20, 1.0)],
                  "2d": [(2e-150, 1e-150), (-1.7, 0.8), (4.0, 1e150), (1e6, 1e-3)]}
 SCHEMES = (fisher.QuadratureSpec(), fisher.QuadratureSpec("truncated-grid"))
+VOLUME_SPEC_3D = GeodesicSpec3D(0.0, 1.3, 1.1, 0.8, 0.9)
+VOLUME_SPECS = {"3d": VOLUME_SPEC_3D, "2d": GeodesicSpec2D.from_3d(VOLUME_SPEC_3D)}
+AVERAGE_TAUS = (0.4, 2.5, 30.0)          # rate * tau below, just above and far above the switch
+MIXED_TAUS = np.linspace(0.1, 8.0, 40).reshape(5, 8)
+BOX_TAUS = np.array([0.0, 0.3, 1.0, 5.0, 50.0])
+# one panel per scale axis at the first time, two on the last axis at the second
+QUADRATURE_TAUS = {"3d": (0.5, 1.0), "2d": (0.5, 2.0)}
 
 
 def _hex(a) -> list:
@@ -49,6 +61,17 @@ def oracle_bits() -> dict:
         out[f"fisher 2d {p!r}"] = {
             q.scheme: _hex(fisher.fisher_numeric_2d(ParameterPoint2D(*p), Model2DConfig(), q))
             for q in SCHEMES}
+    for label, spec in VOLUME_SPECS.items():
+        out[f"volume {label}"] = {
+            "log_averaged_volume float": _hex([ige.log_averaged_volume(spec, t)
+                                               for t in AVERAGE_TAUS]),
+            "log_averaged_volume 0-d": _hex([ige.log_averaged_volume(spec, np.array(t))
+                                             for t in AVERAGE_TAUS]),
+            "log_averaged_volume mixed": _hex(ige.log_averaged_volume(spec, MIXED_TAUS)),
+            "box_volume": _hex(ige.box_volume(spec, BOX_TAUS)),
+            "box_volume_quadrature": _hex([ige.box_volume_quadrature(spec, t)
+                                           for t in QUADRATURE_TAUS[label]]),
+        }
     return out
 
 
