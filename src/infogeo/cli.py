@@ -361,46 +361,37 @@ def run_jacobi(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
             ref = critically_damped(lam, 1.0, lam, traj.taus)
             report.add(f"jacobi_{label}_damped_component_error",
                        float(np.abs(traj.J[:, j] / traj.J[0, j] - ref).max()), 1e-8)
-        _exact_field_check(report, label, traj, exponent_run(spec, cfg.exponent_window))
+        # the rk field against its closed form, in the metric at every sample
+        report.add(f"jacobi_{label}_exact_field_relative_error",
+                   field_relative_error(traj, exponent_run(spec, cfg.exponent_window)), 1e-7)
         series[f"jacobi_{label}.csv"] = jacobi_to_csv(traj)
     return report, series
 
 
-def _exact_field_check(report: RunReport, label: str, traj, exact):
-    # the rk field against its closed form, in the metric at every sample
-    report.add(f"jacobi_{label}_exact_field_relative_error",
-               field_relative_error(traj, exact), 1e-7)
-
-
-def _softening_point(cfg: ExperimentConfig, sigma0: float) -> tuple:
-    """The table row, the IGE pair and the Jacobi pair at one sigma0."""
+def _softening_point(cfg: ExperimentConfig, sigma0: float) -> dict:
+    """The table row at one sigma0: the IGE slopes and the exact-field Jacobi exponents."""
     spec = replace(cfg.spec_3d(), sigma0=sigma0)
     s_ige = ige.softening_ratio_ige(spec, slope_window=cfg.slope_window)
     s_jac = softening_gap(spec, window=cfg.exponent_window)
-    row = {
+    return {
         "sigma0": sigma0,
         "ige_slope_3d": s_ige.result_3d.fit.slope,
         "ige_slope_2d": s_ige.result_2d.fit.slope,
         "ratio": s_ige.ratio,
-        "jacobi_exponent_3d": s_jac.exponent_3d,
-        "jacobi_exponent_2d": s_jac.exponent_2d,
+        "jacobi_exponent_3d": s_jac.fit_3d.slope,
+        "jacobi_exponent_2d": s_jac.fit_2d.slope,
         "gap": s_jac.gap,
         "expected_gap": s_jac.expected_gap,
     }
-    return row, s_ige, s_jac
 
 
 def run_softening(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     """Headline table: entropy-slope ratio and Jacobi exponent gap per sigma0.
 
-    The sweep fits the exact Jacobi fields; the rk runs of the configured
-    base point write the jacobi_* series and are checked against them."""
+    Each sweep point is fitted from the exact IGE curves and Jacobi fields;
+    the base-point series and their rk cross-checks belong to ige and jacobi."""
     report = RunReport("softening", asdict(cfg))
-    series = {}
-    # each distinct sigma0 once: the sweep usually holds the base point too
-    runs = {s0: _softening_point(cfg, s0)
-            for s0 in sorted(set(cfg.sweep_sigma0) | {cfg.sigma0})}
-    rows = sorted((runs[s0][0] for s0 in cfg.sweep_sigma0), key=lambda r: r["sigma0"])
+    rows = [_softening_point(cfg, s0) for s0 in sorted(cfg.sweep_sigma0)]
 
     expected_ratio = 1.0 / math.sqrt(2.0)
     for row in rows:
@@ -414,18 +405,8 @@ def run_softening(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     report.tables["softening"] = rows
 
     names = list(rows[0])
-    series["softening.csv"] = series_to_csv("softening", names,
-                                            [[row[k] for row in rows] for k in names])
-
-    # series for the configured base point
-    _, pair, jac = runs[cfg.sigma0]
-    series["ige_3d.csv"] = ige.ige_to_csv(pair.result_3d)
-    series["ige_2d.csv"] = ige.ige_to_csv(pair.result_2d)
-    for spec, exact in zip((cfg.spec_3d(), cfg.spec_2d()), (jac.trajectory_3d, jac.trajectory_2d)):
-        traj = exponent_run(spec, cfg.exponent_window, cfg.tol)
-        _exact_field_check(report, spec.model.label, traj, exact)
-        series[f"jacobi_{spec.model.label}.csv"] = jacobi_to_csv(traj)
-    return report, series
+    return report, {"softening.csv": series_to_csv("softening", names,
+                                                   [[row[k] for row in rows] for k in names])}
 
 
 # ---------------------------------------------------------------------------

@@ -132,15 +132,21 @@ def _panelled_gauss(a: float, b: float, n: int):
     return (0.5 * (hi - lo) * x + 0.5 * (lo + hi)).ravel(), (0.5 * (hi - lo) * w).ravel()
 
 
+# the largest scale mesh of box_volume_quadrature, 80 MB per float temporary;
+# the largest the tests build is 5,382,144 (3D at rate * tau' = 50)
+MAX_MESH_NODES = 10_000_000
+
+
 def box_volume_quadrature(spec, tau_prime: float, nodes=(8, 32, 32),
                           mu_span: Optional[float] = None) -> float:
     """Product Gauss-Legendre quadrature of sqrt(det g) over the box.
 
     Independent of the factorized closed form: at every node of the scale
     mesh the density is the square root of the product of the metric
-    diagonal c_i / sigma_k(i)^2.  A negative or NaN tau', or a box whose
+    diagonal c_i / sigma_k(i)^2.  A negative or NaN tau', a box whose
     scale ratio or node density (tested at the smallest scales, where it
-    peaks, before the mesh is built) leaves the double range, is refused.
+    peaks) leaves the double range, or a mesh of more than
+    ``MAX_MESH_NODES`` is refused before the mesh is built.
     """
     if not tau_prime >= 0.0:
         raise DomainError("tau_prime must be nonnegative")
@@ -151,6 +157,10 @@ def box_volume_quadrature(spec, tau_prime: float, nodes=(8, 32, 32),
     wmu = 0.5 * (his[0] - los[0]) * _legendre_nodes(nodes[0])[1]
     model = spec.model
     axes = [_panelled_gauss(los[j], his[j], nodes[j]) for j in range(1, model.dimension)]
+    size = math.prod(len(x) for x, _ in axes)
+    if size > MAX_MESH_NODES:
+        raise DomainError(f"box_volume_quadrature: the scale mesh of {size:,} nodes "
+                          f"exceeds {MAX_MESH_NODES:,}")
 
     def det(scales):
         # coordinate j > 0 is scales[j]; the mean is never a scale
@@ -182,13 +192,14 @@ def log_time_average(log_fn, tau):
 
     Composite Simpson on ``SIMPSON_NODES`` uniform nodes, accumulated with
     log-sum-exp so arbitrarily late tails stay representable.  ``tau`` is one
-    time (the result is a float) or an array of times (an array of that
-    shape).  ``log_fn`` must accept an array of times.  For the swept volume
-    this is the independent cross-check of the exact ``log_averaged_volume``.
+    positive finite time (the result is a float) or an array of them (an
+    array of that shape).  ``log_fn`` must accept an array of times.  For
+    the swept volume this is the independent cross-check of the exact
+    ``log_averaged_volume``.
     """
     taus = np.asarray(tau, dtype=float)
-    if (taus <= 0.0).any():
-        raise DomainError("tau must be positive")
+    if not ((taus > 0.0) & (taus < math.inf)).all():
+        raise DomainError("tau must be positive finite")
     # one time at a time: a batched (times, nodes) grid measured no faster,
     # since the elementwise logs dominate, and its temporaries take megabytes
     out = [_log_time_average(log_fn, t) for t in taus.ravel().tolist()]

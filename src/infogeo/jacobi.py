@@ -371,9 +371,7 @@ class JacobiSoftening:
     trajectory_2d: JacobiTrajectory
     fit_3d: LineFit
     fit_2d: LineFit
-    exponent_3d: float
-    exponent_2d: float
-    gap: float                 # exponent_3d - exponent_2d > 0
+    gap: float                 # fit_3d.slope - fit_2d.slope > 0
     expected_gap: float        # sigma0 * lambda_plus' * (1 - 1/sqrt(2))
 
 
@@ -407,7 +405,6 @@ def softening_gap(spec3d: GeodesicSpec3D, window: tuple = EXPONENT_WINDOW) -> Ja
     expected = spec3d.rate * (1.0 - 1.0 / math.sqrt(2.0))
     return JacobiSoftening(trajectory_3d=t3, trajectory_2d=t2,
                            fit_3d=f3, fit_2d=f2,
-                           exponent_3d=f3.slope, exponent_2d=f2.slope,
                            gap=f3.slope - f2.slope, expected_gap=expected)
 
 

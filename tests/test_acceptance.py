@@ -123,13 +123,13 @@ def test_criterion_6_jacobi_exponents():
     # tail log-linearity above 0.999
     jac = ig.softening_gap(BASE)
     rate3, rate2 = BASE.rate, BASE.rate / SQRT2
-    err3 = abs(jac.exponent_3d - rate3) / rate3
-    err2 = abs(jac.exponent_2d - rate2) / rate2
+    err3 = abs(jac.fit_3d.slope - rate3) / rate3
+    err2 = abs(jac.fit_2d.slope - rate2) / rate2
     gap_err = abs(jac.gap - jac.expected_gap) / jac.expected_gap
     ok = (err3 < 0.02 and err2 < 0.02 and gap_err < 0.03 and jac.gap > 0.0
           and jac.fit_3d.r_squared > 0.999 and jac.fit_2d.r_squared > 0.999)
     _report("6 jacobi exponents", ok,
-            f"exponents ({jac.exponent_3d:.5f}, {jac.exponent_2d:.5f}), "
+            f"exponents ({jac.fit_3d.slope:.5f}, {jac.fit_2d.slope:.5f}), "
             f"gap error {gap_err * 100:.3f}%, "
             f"r2 ({jac.fit_3d.r_squared:.6f}, {jac.fit_2d.r_squared:.6f})")
 

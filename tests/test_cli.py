@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from infogeo import cli, jacobi
+from infogeo import cli, jacobi, rk
 from infogeo.models import MODEL_2D, MODEL_3D
 
 
@@ -121,7 +121,7 @@ def test_exponent_window_to_rate_tau_800_passes(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["jacobi", "softening"])
 def test_exponent_window_to_rate_tau_1e4_passes(tmp_path, capsys, command):
-    # the latest end the configuration accepts: about 6,000 rk steps
+    # the latest end the configuration accepts: about 6,000 rk steps in jacobi
     path = tmp_path / "longest.ini"
     path.write_text("[fit]\nexponent_window = 20, 1e4\n")
     assert run(["--config", str(path), "--out", str(tmp_path / "o"), command]) == 0
@@ -141,7 +141,7 @@ def test_extreme_slope_windows_end_on_their_checks(tmp_path, capsys, window, cod
         assert run(["--config", str(path), "--out", str(tmp_path / "o"), "softening"]) == code
     assert not caught
     out, err = capsys.readouterr()
-    assert out == f"softening: {'pass' if code == 0 else 'FAIL'} (11 checks)\n" and err == ""
+    assert out == f"softening: {'pass' if code == 0 else 'FAIL'} (9 checks)\n" and err == ""
 
 
 @pytest.mark.parametrize("command", ["jacobi", "softening"])
@@ -155,7 +155,7 @@ def test_tiny_exponent_window_fails_its_checks_without_a_traceback(tmp_path, cap
         assert run(["--config", str(path), "--out", str(tmp_path / "o"), command]) == 1
     assert not caught
     out, err = capsys.readouterr()
-    assert out == f"{command}: FAIL ({7 if command == 'jacobi' else 11} checks)\n" and err == ""
+    assert out == f"{command}: FAIL ({7 if command == 'jacobi' else 9} checks)\n" and err == ""
 
 
 @pytest.mark.parametrize("out", ["file", "file/sub", "out/verify_geometry_report.json"])
@@ -373,8 +373,8 @@ def test_non_finite_fit_windows_are_exit_2(tmp_path, capsys, text, command):
 
 
 def test_softening_runs_each_sigma0_once(tmp_path, monkeypatch):
-    # the default sweep (0.5, 1, 2) holds the base point sigma0 = 1, whose
-    # run also gives the ige_* and jacobi_* series
+    # one exact-field pair per point of the default sweep (0.5, 1, 2), and
+    # only the table and its report are written
     calls = []
     original = cli.softening_gap
 
@@ -384,24 +384,27 @@ def test_softening_runs_each_sigma0_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "softening_gap", counted)
     out = tmp_path / "out"
     assert run(["--out", str(out), "softening"]) == 0
-    assert sorted(calls) == [0.5, 1.0, 2.0]
-    assert {"jacobi_3d.csv", "jacobi_2d.csv", "ige_3d.csv", "ige_2d.csv",
-            "softening.csv"} <= {p.name for p in out.iterdir()}
+    assert calls == [0.5, 1.0, 2.0]
+    assert {p.name for p in out.iterdir()} == {"softening.csv", "softening_report.json",
+                                              "softening_checks.csv"}
 
 
-def test_base_point_series_agree_across_subcommands(tmp_path):
-    # all writes ige_* from ige and jacobi_* from jacobi, then softening
-    # overwrites all four with its base-point runs: each copy must be the same
+def test_each_artefact_has_one_writer(tmp_path):
+    # the five subcommands write disjoint sets of files whose union is what
+    # all writes, and each CSV of all is its owner's own run, byte for byte
     path = tmp_path / "base.ini"
     path.write_text("[model]\nsigma0 = 2.0\nlambda_f = 1.5\n")
-    names = {"ige_3d.csv", "ige_2d.csv", "jacobi_3d.csv", "jacobi_2d.csv"}
     written = {}
-    for command in ("ige", "jacobi", "softening"):
+    for command in (*cli._COMMANDS, "all"):
         out = tmp_path / command
         assert run(["--config", str(path), "--out", str(out), command]) == 0
-        written[command] = {p.name: p.read_bytes() for p in out.iterdir() if p.name in names}
-    assert written["softening"].keys() == names
-    assert {**written["ige"], **written["jacobi"]} == written["softening"]
+        written[command] = {p.name: p.read_bytes() for p in out.iterdir()}
+    owners = {name: command for command in cli._COMMANDS for name in written[command]}
+    assert sum(len(written[command]) for command in cli._COMMANDS) == len(owners) == 17
+    assert owners.keys() == written["all"].keys()
+    for name, text in written["all"].items():
+        if name.endswith(".csv"):
+            assert text == written[owners[name]][name], name
 
 
 def test_jacobi_makes_one_run_per_model(tmp_path, monkeypatch):
@@ -420,55 +423,44 @@ def test_jacobi_makes_one_run_per_model(tmp_path, monkeypatch):
     assert calls == ["3d", "2d"]
 
 
-def test_softening_runs_rk_only_at_the_base_point(tmp_path, monkeypatch):
-    # the sweep fits the exact fields; rk runs once per model, at the base
-    # point, for the jacobi_* series and the exact-field check
+def test_softening_makes_no_rk_run(tmp_path, monkeypatch):
+    # every sweep point is fitted from the exact fields; the rk runs and
+    # their exact-field checks are jacobi's
     calls = []
-    original = jacobi.integrate_jlc
+    original = rk.integrate
 
-    def counted(spec, *args, **kwargs):
-        calls.append((spec.model.label, spec.sigma0))
-        return original(spec, *args, **kwargs)
-    monkeypatch.setattr(jacobi, "integrate_jlc", counted)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(rk, "integrate", counted)
     path = tmp_path / "sweep.ini"
     path.write_text("[model]\nsigma0 = 0.7\n[sweep]\nsigma0_values = 0.25, 0.5, 1, 2, 4\n")
     assert run(["--config", str(path), "--out", str(tmp_path / "out"), "softening"]) == 0
-    assert calls == [("3d", 0.7), ("2d", 0.7)]
+    assert calls == []
+    assert run(["--config", str(path), "--out", str(tmp_path / "out"), "jacobi"]) == 0
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("base", [1.0, 0.5, 3.0])
 def test_softening_agrees_with_jacobi_at_the_base_point(tmp_path, base):
-    # the same config through jacobi and softening: the same jacobi_* bytes,
-    # both exact-field checks passing, and the table's exact-field exponents
-    # at the base point within 1e-9 of the rk exponents jacobi fits
+    # the table's exact-field exponents at the base point within 1e-9 of
+    # the rk exponents jacobi fits there
     path = tmp_path / "base.ini"
     path.write_text(f"[model]\nsigma0 = {base!r}\n"
                     f"[sweep]\nsigma0_values = {base / 2!r}, {base!r}, {2 * base!r}\n")
-    names = {"jacobi_3d.csv", "jacobi_2d.csv"}
-    written = {}
-    for command in ("jacobi", "softening"):
-        out = tmp_path / command
-        assert run(["--config", str(path), "--out", str(out), command]) == 0
-        written[command] = {name: (out / name).read_bytes() for name in names}
-        checks = {c["name"]: c for c in json.loads((out / f"{command}_report.json")
-                                                   .read_text())["checks"]}
-        for label in ("3d", "2d"):
-            check = checks[f"jacobi_{label}_exact_field_relative_error"]
-            assert check["passed"] and check["tolerance"] == 1e-7
-    assert written["jacobi"] == written["softening"]
-    row = next(r for r in json.loads((tmp_path / "softening" / "softening_report.json")
-                                     .read_text())["tables"]["softening"]
-               if r["sigma0"] == base)
+    out = tmp_path / "softening"
+    assert run(["--config", str(path), "--out", str(out), "softening"]) == 0
+    row = next(r for r in json.loads((out / "softening_report.json").read_text())
+               ["tables"]["softening"] if r["sigma0"] == base)
     cfg = cli._validate(cli.load_config(path))
     for spec in (cfg.spec_3d(), cfg.spec_2d()):
-        rk = jacobi.exponent_fit(jacobi.exponent_run(spec, cfg.exponent_window, cfg.tol))
-        exact = row[f"jacobi_exponent_{spec.model.label}"]
-        assert exact == pytest.approx(rk.slope, rel=1e-9)
+        fit = jacobi.exponent_fit(jacobi.exponent_run(spec, cfg.exponent_window, cfg.tol))
+        assert row[f"jacobi_exponent_{spec.model.label}"] == pytest.approx(fit.slope, rel=1e-9)
 
 
 def test_far_sweep_points_pass_on_the_exact_route(tmp_path, capsys):
-    # sweep points six decades either side of the base point, where only the
-    # exact field runs; at sigma0 = 1e6 (sigma0' = 1) J^3 / sigma_y of the
+    # sweep points six decades either side of unit sigma0, on the exact
+    # fields; at sigma0 = 1e6 (sigma0' = 1) J^3 / sigma_y of the
     # default field gives way to the mean mode at rate * tau ~ 14, before the
     # [20, 50] window, and the gap still passes (see README)
     path = tmp_path / "far.ini"
@@ -527,11 +519,11 @@ def test_vanishing_sigma0_warns_nothing(tmp_path, command, sigma0, code):
 
 
 def test_truncated_jacobi_run_ends_softening_with_one_line(tmp_path, capsys):
-    # at sigma0 = sigma0' = 1e-200 the 3D Jacobi run stops at its start (see
+    # at sigma0 = sigma0' = 1e-200 the 3D Jacobi field stops at its start (see
     # test_numerical_abort_is_exit_3): no exponent is fitted, and softening
     # ends in one line
     path = tmp_path / "abort.ini"
-    path.write_text("[model]\nsigma0 = 1e-200\nsigma0_prime = 1e-200\n")
+    path.write_text("[model]\nsigma0_prime = 1e-200\n[sweep]\nsigma0_values = 1e-200\n")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run(["--config", str(path), "--out", str(tmp_path / "o"), "softening"]) == 3
@@ -541,12 +533,21 @@ def test_truncated_jacobi_run_ends_softening_with_one_line(tmp_path, capsys):
                                  "finite at the initial state\n")
 
 
+def _far_sigma0(command, sigma0, model=""):
+    """An INI text that runs ``command`` at ``sigma0``: the [model] base point,
+    or for softening, which reads only its sweep, the one sweep point."""
+    if command == "softening":
+        return f"[model]\n{model}[sweep]\nsigma0_values = {sigma0}\n"
+    return f"[model]\nsigma0 = {sigma0}\n{model}"
+
+
 @pytest.mark.parametrize("command", ["jacobi", "softening"])
 def test_vanishing_sigma0_runs_pass(tmp_path, capsys, command):
     # at sigma0 = 1e-100 (lambda_f / rate = 1e100) the 3D run once ended in
-    # step size underflow before its first step; the field slots complete it
+    # step size underflow before its first step; the field slots complete it.
+    # softening takes the point as its sweep
     path = tmp_path / "tiny.ini"
-    path.write_text("[model]\nsigma0 = 1e-100\n")
+    path.write_text(_far_sigma0(command, "1e-100"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run(["--config", str(path), "--out", str(tmp_path / "o"), command]) == 0
@@ -561,7 +562,7 @@ def test_far_sigma0_runs_pass(tmp_path, capsys, sigma0, command):
     # on lambda_f / rate, so these pass their checks; in tau units 1e-6
     # stopped on a 1e-150 sigma floor and 1e10 in step size underflow
     path = tmp_path / "far.ini"
-    path.write_text(f"[model]\nsigma0 = {sigma0}\nsigma0_prime = {sigma0}\n")
+    path.write_text(_far_sigma0(command, sigma0, f"sigma0_prime = {sigma0}\n"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run(["--config", str(path), "--out", str(tmp_path / "o"), command]) == 0

@@ -126,6 +126,18 @@ def test_box_volume_and_exact_average_past_the_double_range_do_not_warn():
                 ig.log_averaged_volume(spec, tau)
 
 
+def test_box_quadrature_refuses_a_mesh_past_its_node_bound(monkeypatch):
+    # sigma_x and sigma_y each shrink by about e^230: 331 and 332 octave
+    # panels, 10,592 x 10,624 nodes and 0.9 GB per temporary; refused by
+    # count before any mesh is built
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("the mesh was built")
+    monkeypatch.setattr(np, "meshgrid", no_mesh)
+    spec = ig.GeodesicSpec3D(0.0, 1e100, 1e100, 1e-100, 1.0)
+    with pytest.raises(DomainError, match=r"112,529,408 nodes exceeds 10,000,000"):
+        ig.box_volume_quadrature(spec, 230.0)
+
+
 # ---------------------------------------------------------------------------
 # temporal average
 # ---------------------------------------------------------------------------
@@ -187,6 +199,17 @@ def test_average_validation():
             ig.log_averaged_volume(SPEC3, tau)
         with pytest.raises(DomainError):
             log_time_average(_log_volume, tau)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau", [math.nan, math.inf, np.array([1.0, math.nan]),
+                                 np.array([[math.inf]])],
+                         ids=["nan", "inf", "array-nan", "array-inf"])
+def test_simpson_average_refuses_a_non_finite_time(tau):
+    # nan once passed the sign test and averaged to nan, and inf warned in
+    # the node weights: both end in the exact average's DomainError
+    with pytest.raises(DomainError, match="tau must be positive finite"):
+        log_time_average(lambda ts: ig.log_box_volume(_PROBE_3D, ts), tau)
 
 
 # the softening sweep's parameter ranges, sigma0 widened to cover its

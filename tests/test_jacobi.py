@@ -614,8 +614,8 @@ def test_sweep_exponents_are_invariant_under_scaling_and_translation(
     scaled = ig.GeodesicSpec3D(mu0 + shift, c * spec.sigma0, c * sigma0_prime, lam, c * lam_f)
 
     def per_rate(jac):
-        return np.array([jac.exponent_3d / jac.trajectory_3d.rate,
-                         jac.exponent_2d / jac.trajectory_2d.rate])
+        return np.array([jac.fit_3d.slope / jac.trajectory_3d.rate,
+                         jac.fit_2d.slope / jac.trajectory_2d.rate])
     base, moved, grown = (ig.softening_gap(s) for s in (spec, shifted, scaled))
     assert np.array_equal(per_rate(base), per_rate(moved))
     np.testing.assert_allclose(per_rate(grown), per_rate(base), rtol=4e-15, atol=0.0)
@@ -749,8 +749,8 @@ def test_window_mask_compares_in_rate_units():
 
 def test_exponent_fits():
     jac = ig.softening_gap(SPEC3)
-    assert jac.exponent_3d == pytest.approx(SPEC3.rate, rel=0.02)
-    assert jac.exponent_2d == pytest.approx(SPEC2.rate, rel=0.02)
+    assert jac.fit_3d.slope == pytest.approx(SPEC3.rate, rel=0.02)
+    assert jac.fit_2d.slope == pytest.approx(SPEC2.rate, rel=0.02)
     assert jac.fit_3d.r_squared > 0.999
     assert jac.fit_2d.r_squared > 0.999
 
