@@ -130,6 +130,11 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(**updates)
 
 
+def _sweep_tag(sigma0: float) -> str:
+    """The name of a softening sweep point in its checks."""
+    return f"sigma0={sigma0:g}"
+
+
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.model not in ("3d", "2d", "pair"):
         raise ConfigError(f"model must be 3d, 2d or pair, got {cfg.model!r}")
@@ -148,8 +153,10 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"tau_max must be a positive real, got {cfg.tau_max!r}")
     if (cfg.tau_f is None) != (cfg.epsilon is None):
         raise ConfigError("tau_f and epsilon must be given together")
-    if len(set(cfg.sweep_sigma0)) != len(cfg.sweep_sigma0):
-        raise ConfigError(f"sigma0_values must not repeat a value, got {cfg.sweep_sigma0}")
+    tags = [_sweep_tag(s0) for s0 in cfg.sweep_sigma0]
+    clash = [f"{s0!r} as {tag}" for s0, tag in zip(cfg.sweep_sigma0, tags) if tags.count(tag) > 1]
+    if clash:
+        raise ConfigError(f"sigma0_values must name distinct checks, got {', '.join(clash)}")
     try:
         check_tol(cfg.tol)
         spec = cfg.spec_3d()
@@ -395,7 +402,7 @@ def run_softening(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
 
     expected_ratio = 1.0 / math.sqrt(2.0)
     for row in rows:
-        tag = f"sigma0={row['sigma0']:g}"
+        tag = _sweep_tag(row["sigma0"])
         report.add(f"softening_ratio_error[{tag}]",
                    abs(row["ratio"] - expected_ratio) / expected_ratio, 0.01)
         report.add(f"softening_gap_error[{tag}]",

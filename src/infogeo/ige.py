@@ -132,21 +132,16 @@ def _panelled_gauss(a: float, b: float, n: int):
     return (0.5 * (hi - lo) * x + 0.5 * (lo + hi)).ravel(), (0.5 * (hi - lo) * w).ravel()
 
 
-# the largest scale mesh of box_volume_quadrature, 80 MB per float temporary;
-# the largest the tests build is 5,382,144 (3D at rate * tau' = 50)
-MAX_MESH_NODES = 10_000_000
-
-
 def box_volume_quadrature(spec, tau_prime: float, nodes=(8, 32, 32),
                           mu_span: Optional[float] = None) -> float:
     """Product Gauss-Legendre quadrature of sqrt(det g) over the box.
 
-    Independent of the factorized closed form: at every node of the scale
-    mesh the density is the square root of the product of the metric
-    diagonal c_i / sigma_k(i)^2.  A negative or NaN tau', a box whose
-    scale ratio or node density (tested at the smallest scales, where it
-    peaks) leaves the double range, or a mesh of more than
-    ``MAX_MESH_NODES`` is refused before the mesh is built.
+    Independent of the factorized closed form: sqrt(det g) is the product of
+    sqrt(c_i) / sigma_k(i) over the metric diagonal, so the tensor-product
+    rule over the box is the product of one Gauss sum per scale axis j, over
+    the factors with k(i) = j at that axis's nodes.  A negative or NaN tau',
+    or a box whose scale ratio or node density (tested at each axis's
+    smallest node, where it peaks) leaves the double range, is refused.
     """
     if not tau_prime >= 0.0:
         raise DomainError("tau_prime must be nonnegative")
@@ -154,26 +149,17 @@ def box_volume_quadrature(spec, tau_prime: float, nodes=(8, 32, 32),
     corners, _ = _closed_form(spec, [0.0, tau_prime], span)
     los, his = corners.min(axis=0), corners.max(axis=0)
     # the density does not depend on the mean: only the mean weights enter
-    wmu = 0.5 * (his[0] - los[0]) * _legendre_nodes(nodes[0])[1]
+    total = float(0.5 * (his[0] - los[0]) * _legendre_nodes(nodes[0])[1].sum())
     model = spec.model
-    axes = [_panelled_gauss(los[j], his[j], nodes[j]) for j in range(1, model.dimension)]
-    size = math.prod(len(x) for x, _ in axes)
-    if size > MAX_MESH_NODES:
-        raise DomainError(f"box_volume_quadrature: the scale mesh of {size:,} nodes "
-                          f"exceeds {MAX_MESH_NODES:,}")
-
-    def det(scales):
-        # coordinate j > 0 is scales[j]; the mean is never a scale
-        return math.prod(c / scales[k] ** 2 for c, k in zip(model.weights, model.scale_map))
-
-    with np.errstate(over="ignore", divide="ignore"):
-        peak = det([None, *(x[:1] for x, _ in axes)])
-    if not peak[0] < math.inf:
-        raise DomainError("box_volume_quadrature: the node density leaves the double range")
-    # coordinate j > 0 varies along mesh axis j - 1
-    scales = [None, *np.meshgrid(*(x for x, _ in axes), indexing="ij", sparse=True)]
-    weights = np.meshgrid(*(w for _, w in axes), indexing="ij", sparse=True)
-    return float((math.prod(weights) * np.sqrt(det(scales))).sum() * wmu.sum())
+    for j in range(1, model.dimension):
+        x, w = _panelled_gauss(los[j], his[j], nodes[j])
+        with np.errstate(over="ignore", divide="ignore"):
+            density = math.prod(math.sqrt(c) / x
+                                for c, k in zip(model.weights, model.scale_map) if k == j)
+        if not density[0] < math.inf:
+            raise DomainError("box_volume_quadrature: the node density leaves the double range")
+        total *= float(w @ density)
+    return total
 
 
 def _logsumexp(values: np.ndarray) -> float:

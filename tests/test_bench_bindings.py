@@ -91,7 +91,9 @@ def test_parameters_the_tracer_binds():
 def test_tracer_counts_the_quadrature_mesh():
     # tracing.py recounts the nodes of box_volume_quadrature through
     # closed_form_3d(..., mu_span=) and closed_form_2d(spec, tau); the count
-    # must be the size of the scale mesh the quadrature really builds
+    # is the size of the tensor-product scale mesh, the product of the axes'
+    # node counts, though the quadrature sums each axis once and forms no
+    # mesh (so ige.quadrature_us_per_node is no longer a per-node cost)
     tracing = _load("tracing")
     nodes = inspect.signature(ige.box_volume_quadrature).parameters["nodes"].default
     spec3 = geodesics.GeodesicSpec3D(0.0, 1.0, 1.0, 1.0, 1.0)

@@ -91,6 +91,17 @@ def test_invalid_parameters_are_exit_2(tmp_path, capsys):
         assert out == "" and err.startswith("config error: ") and err.count("\n") == 1
 
 
+def test_sweep_points_that_share_a_check_name_are_exit_2(tmp_path, capsys):
+    # both points print as sigma0=1 (%g): their six checks would carry three names
+    path = tmp_path / "clash.ini"
+    path.write_text("[sweep]\nsigma0_values = 1.0000001, 1.0000002\n")
+    assert run(["--config", str(path), "--out", str(tmp_path / "o"), "softening"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert "1.0000001 as sigma0=1, 1.0000002 as sigma0=1" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_smallest_sigma0_with_finite_fit_horizons_runs(tmp_path):
     # just above the overflow threshold (about 3.15e-306 for the default
     # windows) the IGE checks still pass

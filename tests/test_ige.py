@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -53,7 +55,8 @@ def test_box_volume_against_quadrature_oracle():
 
 
 def test_box_quadrature_matches_the_per_node_formula():
-    # the per-node loop the mesh evaluation replaced, kept as the reference
+    # sqrt(det g) of the metric at every node of the tensor-product mesh: the
+    # reference for the product of one Gauss sum per scale axis
     def per_node(spec, tau, nodes=(8, 32, 32)):
         theta1, _ = _closed_form(spec, tau, ig.MU_SPAN_WIDE)
         theta0, _ = _closed_form(spec, 0.0, ig.MU_SPAN_WIDE)
@@ -67,10 +70,26 @@ def test_box_quadrature_matches_the_per_node_formula():
             dens = math.sqrt(np.linalg.det(spec.model.metric((0.0, *scales)).components))
             total += math.prod(weights) * dens
         return total * wmu.sum()
-    for tau in (0.5, 2.0):
-        for spec in (SPEC3, SPEC2):
-            ref = per_node(spec, tau)
-            assert abs(ig.box_volume_quadrature(spec, tau) - ref) <= 1e-12 * ref
+    # at rate * tau' = 3 the 3D axes hold 4 and 5 octave panels
+    for spec, tau in [(SPEC3, 0.5), (SPEC2, 0.5), (SPEC3, 2.0), (SPEC2, 2.0), (SPEC3, 3.0)]:
+        ref = per_node(spec, tau)
+        assert abs(ig.box_volume_quadrature(spec, tau) - ref) <= 1e-12 * ref
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(log_sigma0=st.floats(-3.0, 3.0), sigma0_prime=st.floats(0.5, 2.0),
+       log_lam=st.floats(-1.0, 1.0), rate_tau=st.floats(0.5, 50.0), flat_tau=st.floats(0.25, 50.0))
+def test_box_quadrature_matches_box_volume(log_sigma0, sigma0_prime, log_lam, rate_tau, flat_tau):
+    # lambda_f * tau' = flat_tau keeps sigma_y's ratio e^flat_tau finite
+    sigma0, lam = 10.0 ** log_sigma0, 10.0 ** log_lam
+    tau = rate_tau / (sigma0 * lam)
+    spec3 = ig.GeodesicSpec3D(0.0, sigma0, sigma0_prime, lam, flat_tau / tau)
+    for spec in (spec3, ig.GeodesicSpec2D.from_3d(spec3)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            closed = ig.box_volume(spec, tau)
+            quad = ig.box_volume_quadrature(spec, tau)
+        assert abs(quad - closed) <= 1e-8 * closed
 
 
 def test_box_volume_quadrature_sees_the_span():
@@ -108,8 +127,8 @@ _PROBE_SPECS = {"3d": _PROBE_3D, "2d": ig.GeodesicSpec2D.from_3d(_PROBE_3D)}
     ("2d", 700.0, "density"),
 ])
 def test_box_quadrature_ends_in_one_domain_error_off_its_domain(label, tau_prime, message):
-    # as box_volume does; no warning first, and the density is tested before
-    # the mesh is built (a finite ratio can still mean thousands of panels)
+    # as box_volume does; no warning first, and each axis's density is tested
+    # at its smallest node before its Gauss sum is formed
     with pytest.raises(DomainError, match=message):
         ig.box_volume_quadrature(_PROBE_SPECS[label], tau_prime)
 
@@ -126,16 +145,21 @@ def test_box_volume_and_exact_average_past_the_double_range_do_not_warn():
                 ig.log_averaged_volume(spec, tau)
 
 
-def test_box_quadrature_refuses_a_mesh_past_its_node_bound(monkeypatch):
+def test_box_quadrature_holds_one_axis_at_a_time():
     # sigma_x and sigma_y each shrink by about e^230: 331 and 332 octave
-    # panels, 10,592 x 10,624 nodes and 0.9 GB per temporary; refused by
-    # count before any mesh is built
-    def no_mesh(*args, **kwargs):
-        raise AssertionError("the mesh was built")
-    monkeypatch.setattr(np, "meshgrid", no_mesh)
-    spec = ig.GeodesicSpec3D(0.0, 1e100, 1e100, 1e-100, 1.0)
-    with pytest.raises(DomainError, match=r"112,529,408 nodes exceeds 10,000,000"):
-        ig.box_volume_quadrature(spec, 230.0)
+    # panels, 10,592 and 10,624 nodes, whose tensor-product mesh would take
+    # 0.9 GB per float array; at rate * tau' = 50 it would take 43 MB
+    far = ig.GeodesicSpec3D(0.0, 1e100, 1e100, 1e-100, 1.0)
+    for spec, tau in [(far, 230.0), (SPEC3, 50.0)]:
+        tracemalloc.start()
+        try:
+            quad = ig.box_volume_quadrature(spec, tau)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        closed = ig.box_volume(spec, tau)
+        assert abs(quad - closed) <= 1e-12 * closed
+        assert peak < 10_000_000
 
 
 # ---------------------------------------------------------------------------
