@@ -31,7 +31,7 @@ def fit_line(x, y) -> LineFit:
     y = np.asarray(y, dtype=float)
     if x.size < 2:
         raise ValueError("need at least two points for a line fit")
-    if not np.all(np.isfinite(y)):
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("non-finite values in the fit window")
     ex, ey = (math.frexp(float(np.abs(v).max()))[1] for v in (x, y))
     u, v = np.ldexp(x, -ex), np.ldexp(y, -ey)

@@ -204,8 +204,7 @@ def closed_form(spec, tau):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled geodesic: times, states, velocity ratios plus solver metadata.
-    :class:`infogeo.jacobi.JacobiTrajectory` adds the Jacobi field."""
+    """Sampled geodesic: times, states, velocity ratios plus solver metadata."""
 
     taus: np.ndarray
     states: np.ndarray      # (len(taus), dim)
@@ -213,11 +212,6 @@ class Trajectory:
     n_steps: int
     complete: bool = True
     abort_reason: Optional[str] = None
-
-    def __post_init__(self):
-        taus = np.asarray(self.taus, dtype=float)
-        if np.any(np.diff(taus) <= 0.0):
-            raise DomainError("sample times must be strictly increasing")
 
     @property
     def velocities(self) -> np.ndarray:
@@ -233,15 +227,27 @@ class Trajectory:
             return np.multiply(model_of(self.states).weights, np.square(self.ratios)).sum(-1)
 
 
+def check_sample_times(taus, tau_max: float = math.inf) -> np.ndarray:
+    """``taus`` as a flat float array; a DomainError unless they are finite
+    and strictly increase in [0, ``tau_max``]."""
+    taus = np.ravel(np.asarray(taus, dtype=float))
+    if (not np.all(np.isfinite(taus) & (taus >= 0.0) & (taus <= tau_max))
+            or np.any(np.diff(taus) <= 0.0)):   # diff after isfinite: inf - inf warns
+        raise DomainError(f"sample times must be finite and strictly increase in [0, {tau_max:g}]")
+    return taus
+
+
 def _sampled_run(rhs, y0, tau_max: float, tol: float, sample_taus, rate: float) -> tuple:
     """One rk run to ``tau_max`` from ``y0`` at rtol = atol = ``tol``, in s =
-    rate * tau: ``(taus, ys, fields)``, ``fields`` the solver keywords of
-    :class:`Trajectory`.  Samples are the ``sample_taus`` the run reached (dense
-    output), or its steps without ``sample_taus`` or before a first step."""
+    rate * tau: ``(taus, ys, fields)``, ``fields`` a record's solver keywords.
+    Samples are the ``sample_taus`` the run reached (dense output), checked by
+    :func:`check_sample_times`, or its steps without them or before a first step.
+    A ``tau_max`` that is not positive and finite is a DomainError."""
+    _positive("tau_max", tau_max)
+    sample_taus = None if sample_taus is None else check_sample_times(sample_taus, tau_max)
     sol = rk.integrate(rhs, (0.0, tau_max * rate), y0, rtol=tol, atol=tol)
     if sample_taus is not None and sol.n_steps:
-        taus = np.asarray(sample_taus, dtype=float)
-        taus = taus[taus * rate <= sol.t[-1]]
+        taus = sample_taus[sample_taus * rate <= sol.t[-1]]
         ys = sol(taus * rate)
     else:
         taus, ys = sol.t / rate, sol.y

@@ -86,7 +86,7 @@ def log_box_volume(spec, tau_prime, mu_span: Optional[float] = None):
     plane gives the first two factors, each flat scale one logarithm.
     """
     tau_prime = np.asarray(tau_prime, dtype=float)
-    if np.any(tau_prime < 0.0):
+    if not np.all(tau_prime >= 0.0):   # NaN too
         raise DomainError("tau_prime must be nonnegative")
     u = spec.rate * tau_prime
     s0 = spec.sigma0

@@ -42,9 +42,8 @@ import numpy as np
 
 from .errors import DomainError, NumericalAbort
 from .fitting import LineFit, fit_line
-from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, Trajectory, _generate_rhs,
-                        _ratio_closed_form, _sampled_run, _sech, check_tol, closed_form,
-                        series_to_csv)
+from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, _generate_rhs, _sampled_run, _sech,
+                        check_sample_times, check_tol, series_to_csv)
 from .models import model_of
 
 EXPONENT_WINDOW = (20.0, 50.0)  # in units of rate * tau
@@ -73,14 +72,18 @@ def intensity(theta: np.ndarray, J: np.ndarray):
 
 
 @dataclass(frozen=True, kw_only=True)
-class JacobiTrajectory(Trajectory):
-    """Jacobi samples along the closed-form geodesic, with its states and velocity ratios."""
+class JacobiTrajectory:
+    """Jacobi samples along the closed-form geodesic plus solver metadata."""
 
+    taus: np.ndarray
     J: np.ndarray             # (n_samples, dim); may underflow to 0
     rate: float               # sigma0 * lambda of the underlying model
     log_intensities: np.ndarray   # log sqrt(g(J, J)), formed without J itself
-    slots: Optional[np.ndarray] = None   # (J^mu / sigma0, K_1, ..., their s-rates) in ``units``
-    units: Optional[np.ndarray] = None   # per slot and its rate: its factor's start max-norm
+    slots: np.ndarray         # (J^mu / sigma0, K_1, ..., their s-rates) in ``units``
+    units: np.ndarray         # per slot and its rate: its factor's start max-norm
+    n_steps: int
+    complete: bool = True
+    abort_reason: Optional[str] = None
 
     def intensities(self) -> np.ndarray:
         """sqrt(g(J, J)) per sample: inf past the double range."""
@@ -153,20 +156,17 @@ def _log_norms(model, s, K, units) -> np.ndarray:
 
 
 def _from_slots(spec, taus, w, units, **fields) -> JacobiTrajectory:
-    """The trajectory of the field slots ``w`` (in ``units``) at ``taus``:
-    closed-form states and ratios (rate times the chart's r), J mapped back
-    (it may underflow to 0) and log intensities from the slots."""
+    """The trajectory of the field slots ``w`` (in ``units``) at ``taus``: J,
+    the slots times their scales sigma0, sigma_x, sigma_y formed as in
+    ``closed_form`` (it may underflow to 0), and log intensities from the slots."""
     model, rate = spec.model, spec.rate
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        states, _ = closed_form(spec, taus)
         s = taus * rate
-        ratios = rate * _ratio_closed_form(spec, s)[0][:, model.dimension:]
-        scales = np.column_stack([np.full_like(s, spec.sigma0), states[:, 1:]])
+        flat = [start * np.exp(-decay * taus) for start, decay in spec.flat_factors]
+        scales = np.column_stack([np.full_like(s, spec.sigma0), spec.sigma0 * _sech(s), *flat])
         K = w[:, :model.dimension]
-        return JacobiTrajectory(taus=taus, states=states, ratios=ratios,
-                                J=units * scales * K, rate=rate,
-                                log_intensities=_log_norms(model, s, K, units),
-                                slots=w, units=units, **fields)
+        return JacobiTrajectory(taus=taus, J=units * scales * K, rate=rate, slots=w, units=units,
+                                log_intensities=_log_norms(model, s, K, units), **fields)
 
 
 def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
@@ -183,11 +183,9 @@ def integrate_jlc(spec, initial_J=None, initial_J_dot=None,
     ``model.jacobi_system`` at sech s, -tanh s and -lambda_f / rate, stay
     O(1) at every s: no slot grows with the intensity and no horizon stops
     the run.  The 2D run depends on the spec only through rounding and the
-    3D run only on lambda_f / rate.  States
-    and velocities are the closed form at the sample times; J is mapped
-    back from the slots, where it may underflow to 0, and the log
-    intensities come from the slots and log sech s.  The field defaults to
-    :func:`default_initial`; :func:`exact_jacobi` is its closed form.
+    3D run only on lambda_f / rate.  The record keeps the field alone (J may
+    underflow to 0; log intensities come from the slots and log sech s), by
+    default from :func:`default_initial`; :func:`exact_jacobi` is its closed form.
     """
     w0, units = _start_slots(spec, initial_J, initial_J_dot)
     check_tol(tol)
@@ -240,7 +238,7 @@ def exact_jacobi(spec, taus, initial_J=None, initial_J_dot=None) -> JacobiTrajec
     w0, units, b, m0, K0, m_rate0, A, B, C = _integration_constants(spec, initial_J,
                                                                     initial_J_dot)
     dim = spec.model.dimension
-    taus = np.asarray(taus, dtype=float)
+    taus = check_sample_times(taus)
     if not np.all(np.isfinite(w0)):
         # where the slot system's right-hand side is not finite at s = 0
         return _from_slots(spec, taus[:1], w0[None, :], units, n_steps=0,
@@ -262,10 +260,13 @@ def field_relative_error(traj: JacobiTrajectory, ref: JacobiTrajectory) -> float
     """max over the samples of |J - J_ref| / |J_ref| in the metric, for two
     fields from one start at the same sample times: formed from their slots,
     so that no J^mu / sigma_x is formed and nothing overflows.  A sample
-    where the two agree exactly counts 0, even where J_ref = 0."""
+    where the two agree exactly counts 0, even where J_ref = 0.  Fields of
+    two models or at other sample times are a DomainError."""
+    if traj.J.shape[1] != ref.J.shape[1] or not np.array_equal(traj.taus, ref.taus):
+        raise DomainError("field_relative_error needs two fields of one model at the same times")
     s = ref.taus * ref.rate
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        model = model_of(ref.states)
+        model = model_of(ref.J)
         K, K_ref = traj.slots[:, :model.dimension], ref.slots[:, :model.dimension]
         diff = _log_norms(model, s, K - K_ref, ref.units)
         errors = np.exp(diff - _log_norms(model, s, K_ref, ref.units))

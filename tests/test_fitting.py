@@ -1,5 +1,6 @@
 """Least-squares line fits: exact under power-of-two scaling, at any scale."""
 
+import math
 import warnings
 
 import numpy as np
@@ -42,3 +43,16 @@ def test_extreme_scales_recover_the_line_without_a_warning(x_scale, y_scale):
     assert fit.slope == pytest.approx(slope, rel=1e-13)
     assert fit.intercept == pytest.approx(7.0 * y_scale, rel=1e-12)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_non_finite_values_are_refused_in_silence(bad, axis, capfd):
+    # a NaN abscissa printed six DLASCL lines from LAPACK before the SVD
+    # failed to converge, and an inf one warned from np.polyfit
+    points = {"x": np.linspace(1.0, 10.0, 10), "y": np.linspace(2.0, 5.0, 10)}
+    points[axis][3] = bad
+    with pytest.raises(ValueError, match="non-finite values in the fit window"):
+        fit_line(points["x"], points["y"])
+    assert capfd.readouterr() == ("", "")

@@ -562,15 +562,45 @@ def test_step_count_does_not_grow_with_lambda_f():
         assert np.all(np.isfinite(traj.speeds()))
 
 
-@pytest.mark.parametrize("record,jacobi_fields", [
-    (ig.Trajectory, {}),
-    (ig.JacobiTrajectory, {"J": np.zeros((3, 2)), "rate": 1.0, "log_intensities": np.zeros(3)}),
-], ids=["Trajectory", "JacobiTrajectory"])
-def test_trajectory_requires_increasing_times(record, jacobi_fields):
-    with pytest.raises(DomainError):
-        record(taus=np.array([0.0, 0.0, 1.0]),
-               states=np.zeros((3, 2)), ratios=np.zeros((3, 2)),
-               n_steps=2, **jacobi_fields)
+_ENTRY_POINTS = {
+    "geodesic": lambda taus, tau_max: ig.integrate_geodesic(SPEC3, tau_max, sample_taus=taus),
+    "jlc": lambda taus, tau_max: ig.integrate_jlc(SPEC2, tau_max=tau_max, sample_taus=taus),
+    "exact_jacobi": lambda taus, tau_max: ig.exact_jacobi(SPEC3, taus),
+}
+_BAD_TIMES = {"repeat": [0.0, 0.0, 1.0], "decrease": [0.0, 2.0, 1.0], "negative": [-400.0, 1.0],
+              "nan": [0.0, math.nan, 1.0], "inf": [0.0, 1.0, math.inf], "-inf": [-math.inf, 1.0]}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+@pytest.mark.parametrize("case", _BAD_TIMES)
+def test_sample_times_are_checked_where_they_enter(entry, case):
+    # one DomainError and no warning: the exact field gave log intensity
+    # +inf at tau = -400, nan at NaN and warned at inf; the rk routes
+    # dropped a NaN sample, and rk raised its own ValueError at -400
+    with pytest.raises(DomainError, match="sample times"):
+        _ENTRY_POINTS[entry](np.array(_BAD_TIMES[case]), 2.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", ["geodesic", "jlc"])
+@pytest.mark.parametrize("taus, tau_max, message", [
+    # a sample past tau_max was dropped from a run reported complete
+    ([0.0, 1.0, 2.5], 2.0, "sample times"),
+    # rk's "t_span must satisfy t1 > t0", and a run aborted on a step underflow
+    (None, math.nan, "tau_max"), (None, math.inf, "tau_max"),
+    (None, 0.0, "tau_max"), (None, -1.0, "tau_max"),
+])
+def test_rk_routes_refuse_samples_past_their_end_and_a_bad_end(entry, taus, tau_max, message):
+    with pytest.raises(DomainError, match=message):
+        _ENTRY_POINTS[entry](taus, tau_max)
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_a_scalar_sample_time_is_one_sample(entry):
+    # the exact field raised numpy's ValueError on a 0-d time
+    traj = _ENTRY_POINTS[entry](1.5, 2.0)
+    assert traj.complete and np.array_equal(traj.taus, [1.5])
 
 
 def test_csv_export_roundtrip():

@@ -112,6 +112,15 @@ def test_box_volume_rejects_negative_time():
         ig.box_volume(SPEC3, -1.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau_prime", [math.nan, np.array([1.0, math.nan])])
+def test_box_volume_rejects_a_nan_time(tau_prime):
+    # NaN passed the check tau' < 0 and came back nan; box_volume_quadrature refuses it so
+    for volume in (ig.box_volume, ig.log_box_volume):
+        with pytest.raises(DomainError, match="tau_prime must be nonnegative"):
+            volume(SPEC3, tau_prime)
+
+
 _PROBE_3D = ig.GeodesicSpec3D(0.0, 1.3, 1.1, 0.8, 0.9)
 _PROBE_SPECS = {"3d": _PROBE_3D, "2d": ig.GeodesicSpec2D.from_3d(_PROBE_3D)}
 

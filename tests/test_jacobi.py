@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import infogeo as ig
-from infogeo import jacobi, rk
+from infogeo import geodesics, jacobi, rk
 from infogeo.errors import DomainError
 from infogeo.models import MODEL_2D, MODEL_3D
 
@@ -303,7 +303,8 @@ def test_intensities_match_the_per_sample_formula():
     for spec in (SPEC3, SPEC2):
         tau_max = 20.0 / spec.rate
         traj = ig.integrate_jlc(spec, tau_max=tau_max, sample_taus=np.linspace(0, tau_max, 101))
-        ref = np.array([ig.intensity(th, j) for th, j in zip(traj.states, traj.J)])
+        states = ig.closed_form(spec, traj.taus)[0]
+        ref = np.array([ig.intensity(th, j) for th, j in zip(states, traj.J)])
         np.testing.assert_allclose(traj.log_intensities, np.log(ref), rtol=1e-15, atol=1e-15)
         assert np.array_equal(traj.intensities(), np.exp(traj.log_intensities))
 
@@ -590,10 +591,39 @@ def test_field_error_reads_the_metric_norm():
     taus = np.linspace(0.0, 20.0, 81)
     exact = ig.exact_jacobi(spec, taus)
     ours = ig.integrate_jlc(spec, tau_max=taus[-1], tol=1e-7, sample_taus=taus)
-    ref = np.max(ig.intensity(exact.states, ours.J - exact.J)[1:]
-                 / ig.intensity(exact.states, exact.J)[1:])
+    states = ig.closed_form(spec, exact.taus)[0]
+    ref = np.max(ig.intensity(states, ours.J - exact.J)[1:] / ig.intensity(states, exact.J)[1:])
     assert jacobi.field_relative_error(ours, exact) == pytest.approx(ref, rel=1e-6)
     assert jacobi.field_relative_error(exact, exact) == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_field_error_refuses_fields_it_cannot_compare():
+    # a 3D field against a 2D one on the same times read 0.208; unequal
+    # sample counts raised numpy's broadcast ValueError
+    taus = np.linspace(0.0, 20.0, 81)
+    exact = ig.exact_jacobi(SPEC3, taus)
+    for other in (ig.exact_jacobi(SPEC2, taus), ig.exact_jacobi(SPEC3, taus[:-1]),
+                  ig.exact_jacobi(SPEC3, taus + 0.125)):
+        with pytest.raises(DomainError, match="field_relative_error"):
+            jacobi.field_relative_error(other, exact)
+
+
+def test_jacobi_records_form_no_closed_form_geodesic(monkeypatch):
+    # the record holds the field alone: neither route evaluates the geodesic
+    # in either chart, under the names geodesics or jacobi might hold
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed-form geodesic evaluated")
+    for module in (geodesics, jacobi):
+        for name in ("closed_form", "_ratio_closed_form"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    for spec in (SPEC3, SPEC2):
+        taus = np.linspace(0.0, 25.0 / spec.rate, 51)
+        exact = ig.exact_jacobi(spec, taus)
+        ours = ig.integrate_jlc(spec, tau_max=taus[-1], sample_taus=taus)
+        assert ours.complete and jacobi.field_relative_error(ours, exact) < 1e-8
+        assert not any(hasattr(exact, name) for name in ("states", "ratios", "velocities",
+                                                         "speeds"))
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -693,7 +723,8 @@ def test_asymptotic_forms_match_the_exact_field_from_any_start(data, three):
     n = spec.model.dimension
     errors, exact = _form_errors(spec, np.array(data[:n]), np.array(data[3:3 + n]))
     s = exact.taus * exact.rate
-    sigma = np.column_stack([np.full_like(s, spec.sigma0), exact.states[:, 1:]])
+    states = ig.closed_form(spec, exact.taus)[0]
+    sigma = np.column_stack([np.full_like(s, spec.sigma0), states[:, 1:]])
     envelope = exact.units * sigma * (1.0 + s)[:, None]
     assert np.all(errors <= 1e-6 * envelope)
 
@@ -782,16 +813,16 @@ def test_exponents_match_an_independent_integrator(spec):
     states = np.concatenate([ys[:, :1], np.exp(ys[:, 1:n])], axis=1)
     scales, rho, K = model.scales(states), ys[:, n:2 * n], ys[:, 2 * n:3 * n]
     J = scales * K
-    theirs = ig.JacobiTrajectory(taus=samples, states=states, ratios=rho,
-                                 J=J, rate=spec.rate,
+    # the slots: J^mu / sigma0, J^i / sigma_i and their s-rates, in ours' units
+    mu_dot = scales[:, 0] * (ys[:, 3 * n] + rho[:, 1] * K[:, 0])
+    slots = np.column_stack([J[:, 0] / spec.sigma0, K[:, 1:], mu_dot / (spec.sigma0 * spec.rate),
+                             ys[:, 3 * n + 1:] / spec.rate]) / np.tile(ours.units, 2)
+    theirs = ig.JacobiTrajectory(taus=samples, J=J, rate=spec.rate,
                                  log_intensities=np.log(ig.intensity(states, J)),
-                                 n_steps=sol.t.size)
+                                 slots=slots, units=ours.units, n_steps=sol.t.size)
     fit, ref = ig.exponent_fit(ours), ig.exponent_fit(theirs)
     assert fit.slope == pytest.approx(ref.slope, rel=1e-8)
-    # the slot s-rates: J^mu' / sigma0 and (J^i / sigma_i)', per rate and unit
-    mu_dot = scales[:, 0] * (ys[:, 3 * n] + rho[:, 1] * K[:, 0])
-    rates = np.column_stack([mu_dot / spec.sigma0, ys[:, 3 * n + 1:]]) / (spec.rate * ours.units)
-    np.testing.assert_allclose(ours.slots[:, n:], rates, rtol=1e-7, atol=1e-9)
+    np.testing.assert_allclose(ours.slots[:, n:], theirs.slots[:, n:], rtol=1e-7, atol=1e-9)
 
 
 def test_exponent_runs_take_few_steps():

@@ -8,7 +8,10 @@ scores leave the double range in the Gram product).  For the volume layer it
 holds, per model, the exact time average on a float time, on a 0-d array and
 on a 2-D array whose rate * tau runs across ``EXACT_SWITCH`` (Gauss rule
 below, closed form above), the box volume, and the box quadrature on a
-one-panel and a two-panel box.  A change that reorders the floating-point
+one-panel and a two-panel box.  For the Jacobi layer it holds, per model,
+the J, log intensities and slots of the exact field on a short grid in rate
+* tau, at the volume spec and at a far spec (sigma0 = 1e-100, sigma0' = 1)
+where J^3 underflows to 0.  A change that reorders the floating-point
 operations of any oracle fails here; regenerate the file only with such a
 change, and give the size of the difference it makes:
 
@@ -21,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from infogeo import fisher, ige, numgeo
+from infogeo import fisher, ige, jacobi, numgeo
 from infogeo.geodesics import GeodesicSpec2D, GeodesicSpec3D
 from infogeo.models import Model2DConfig, ParameterPoint2D, ParameterPoint3D
 
@@ -38,6 +41,9 @@ MIXED_TAUS = np.linspace(0.1, 8.0, 40).reshape(5, 8)
 BOX_TAUS = np.array([0.0, 0.3, 1.0, 5.0, 50.0])
 # one panel per scale axis at the first time, two on the last axis at the second
 QUADRATURE_TAUS = {"3d": (0.5, 1.0), "2d": (0.5, 2.0)}
+FAR_SPEC_3D = GeodesicSpec3D(0.0, 1e-100, 1.0, 0.8, 0.9)
+FAR_SPECS = {"3d": FAR_SPEC_3D, "2d": GeodesicSpec2D.from_3d(FAR_SPEC_3D)}
+JACOBI_S = np.array([0.0, 0.5, 3.0, 20.0, 50.0])   # rate * tau
 
 
 def _hex(a) -> list:
@@ -72,6 +78,13 @@ def oracle_bits() -> dict:
             "box_volume_quadrature": _hex([ige.box_volume_quadrature(spec, t)
                                            for t in QUADRATURE_TAUS[label]]),
         }
+    for label, spec in VOLUME_SPECS.items():
+        out[f"jacobi {label}"] = {}
+        for name, at in (("", spec), ("far ", FAR_SPECS[label])):
+            traj = jacobi.exact_jacobi(at, JACOBI_S / at.rate)
+            out[f"jacobi {label}"].update({f"{name}J": _hex(traj.J),
+                                           f"{name}log_intensities": _hex(traj.log_intensities),
+                                           f"{name}slots": _hex(traj.slots)})
     return out
 
 
