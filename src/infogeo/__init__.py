@@ -17,10 +17,9 @@ from .tensors import ChristoffelSymbols, MetricTensor, RiemannTensor
 from .numgeo import (MetricField, christoffel_numeric, euclidean_field,
                      field_2d, field_3d, riemann_numeric, scalar_numeric)
 from .fisher import QuadratureSpec, fisher_numeric_2d, fisher_numeric_3d
-from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, MU_SPAN_EXACT_3D,
-                        MU_SPAN_WIDE, Trajectory, closed_form, closed_form_2d,
-                        closed_form_3d, integrate_geodesic,
-                        residual_check, trajectory_to_csv)
+from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, MU_SPAN_WIDE,
+                        Trajectory, closed_form, closed_form_2d, closed_form_3d,
+                        integrate_geodesic, residual_check, trajectory_to_csv)
 from .ige import (IGEResult, IgeSoftening, SLOPE_WINDOW, VOLUME_WINDOW,
                   box_volume, box_volume_quadrature, ige_curve, ige_to_csv,
                   log_averaged_volume, log_box_volume,

@@ -85,9 +85,6 @@ class ExperimentConfig:
                               self.lambda_plus_prime,
                               1.0 if self.lambda_f is None else self.lambda_f)
 
-    def spec_2d(self) -> GeodesicSpec2D:
-        return GeodesicSpec2D.from_3d(self.spec_3d())
-
 
 _floats = lambda s: tuple(float(v) for v in s.split(","))
 _strs = lambda s: tuple(v.strip() for v in s.split(","))
@@ -242,7 +239,8 @@ def _emit(cfg: ExperimentConfig, out_dir: Path, stem: str, report: RunReport,
 
 def _specs(cfg: ExperimentConfig) -> list:
     """(label, spec) for each model the configuration selects."""
-    return [(spec.model.label, spec) for spec in (cfg.spec_3d(), cfg.spec_2d())
+    spec3 = cfg.spec_3d()
+    return [(spec.model.label, spec) for spec in (spec3, GeodesicSpec2D.from_3d(spec3))
             if cfg.model in (spec.model.label, "pair")]
 
 

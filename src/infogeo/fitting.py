@@ -15,12 +15,11 @@ import numpy as np
 @dataclass(frozen=True)
 class LineFit:
     slope: float
-    intercept: float
     r_squared: float
 
 
 def fit_line(x, y) -> LineFit:
-    """Ordinary least squares y ~ slope * x + intercept, with R^2.
+    """Ordinary least squares y ~ slope * x + intercept: the slope, with R^2.
 
     Fitted to x / 2^ex and y / 2^ey, 2^ex and 2^ey the binary orders of
     max |x| and max |y|, and scaled back: ``np.polyfit`` squares x, which
@@ -40,7 +39,7 @@ def fit_line(x, y) -> LineFit:
     ss_res = float(resid @ resid)
     ss_tot = float(((v - v.mean()) ** 2).sum())
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return LineFit(float(np.ldexp(slope, ey - ex)), float(np.ldexp(intercept, ey)), r2)
+    return LineFit(float(np.ldexp(slope, ey - ex)), r2)
 
 
 def fit_basis(x, y, basis_functions):

@@ -21,13 +21,13 @@ where the mean span per sigma0 is fixed by the first integral:
 span = A1 / lam, i.e. sqrt(2) for the 3D system and 2 for the 2D system.
 The third 3D coordinate decays independently, sigma_y = sigma0' e^(-lam_f tau).
 
-``closed_form_3d`` therefore defaults to span sqrt(2) (``MU_SPAN_EXACT_3D``),
-the unique value that solves the system exactly.  A span-2 variant of the 3D
-mean path (``MU_SPAN_WIDE``) is also reachable through the ``mu_span``
-argument; it satisfies the mu equation but not the sigma_x equation (residual
-lam^2 sigma_x^3) and exists only because the closed-form swept-volume
-expressions in :mod:`infogeo.ige` are built on it.  All growth/decay rates
-are span-independent.
+Every closed form takes the model's own span, the unique value that solves
+its system exactly.  The closed-form swept-volume expressions in
+:mod:`infogeo.ige` are built on a span-2 mean path (``MU_SPAN_WIDE``), which
+in 3D satisfies the mu equation but not the sigma_x equation (residual
+lam^2 sigma_x^3); ``closed_form_3d`` and ``box_volume_quadrature`` reach it
+through their ``mu_span`` argument.  All growth/decay rates are
+span-independent.
 
 ``integrate_geodesic`` solves the equations in s = rate * tau on the state
 ((mu - mu0) / sigma0, log(sigma / sigma(0)), rho / rate), rho_i = theta'_i /
@@ -53,19 +53,12 @@ from .errors import DomainError
 from . import rk
 from .models import MODEL_2D, MODEL_3D, DiagonalScaleModel, model_of
 
-MU_SPAN_EXACT_3D = MODEL_3D.mean_span
 MU_SPAN_WIDE = 2.0  # span assumed by the closed-form volume expressions
 
 
 def _positive(name, v):
     if not (math.isfinite(v) and v > 0.0):
         raise DomainError(f"{name} must be a positive real, got {v!r}")
-
-
-def _check_initial_velocity(spec):
-    # mu'(0) grouped as ``_closed_form`` forms it; a float ** raises OverflowError
-    if not math.isfinite(spec.model.mean_span * spec.lam * (spec.sigma0 * spec.sigma0)):
-        raise DomainError(f"sigma0 = {spec.sigma0!r} overflows the initial mean velocity")
 
 
 def check_tol(tol):
@@ -86,7 +79,9 @@ class _GeodesicSpec:
             raise DomainError("mu0 must be finite")
         for f in dataclasses.fields(self)[1:]:
             _positive(f.name, getattr(self, f.name))
-        _check_initial_velocity(self)
+        # mu'(0) grouped as ``_closed_form`` forms it; a float ** raises OverflowError
+        if not math.isfinite(self.model.mean_span * self.lam * (self.sigma0 * self.sigma0)):
+            raise DomainError(f"sigma0 = {self.sigma0!r} overflows the initial mean velocity")
 
     @property
     def rate(self) -> float:
@@ -181,12 +176,13 @@ def _closed_form(spec, tau, mu_span: Optional[float]):
     return theta, vel
 
 
-def closed_form_3d(spec: GeodesicSpec3D, tau, mu_span: float = MU_SPAN_EXACT_3D):
+def closed_form_3d(spec: GeodesicSpec3D, tau, mu_span: Optional[float] = None):
     """Closed-form path and velocity at tau (arrays broadcast over tau).
 
     Returns ``(theta, velocity)`` with rows (mu_x, sigma_x, sigma_y).  At
     tau = 0 the state is (mu0, sigma0, sigma0') with velocity
-    (mu_span * lambda_plus' * sigma0^2, 0, -lambda_f * sigma0').
+    (mu_span * lambda_plus' * sigma0^2, 0, -lambda_f * sigma0');
+    ``mu_span=None`` is the model's exact span sqrt(2).
     """
     return _closed_form(spec, tau, mu_span)
 
@@ -263,7 +259,7 @@ def nonzero_terms(tensor: np.ndarray) -> list:
     return [(*map(int, index), float(tensor[tuple(index)])) for index in np.argwhere(tensor)]
 
 
-def _generate_rhs(tensor: np.ndarray, axes: tuple, state: list, head: tuple = ()):
+def _generate_rhs(tensor: np.ndarray, axes: tuple, state: list, head: tuple):
     """The contraction of a system tensor as one straight-line ``rhs(t, y)``,
     from a list y to a list: ``axes`` names the vector of each index after
     the row; slot 0 of each vector is the constant 1, and slot i of vector
@@ -302,14 +298,14 @@ def _ratio_rhs(model):
     return _generate_rhs(model.ratio_system, ("g", "g"), state, head)
 
 
-def _ratio_closed_form(spec, s, mu_span: Optional[float] = None) -> tuple:
+def _ratio_closed_form(spec, s) -> tuple:
     """The closed form in the chart of ``model.ratio_system`` at s = rate * tau:
     ``(y, dy)``, y = (m, l_1, ..., r_0, ...) and its exact s-derivative, each
     over the last axis.  m = span tanh s, l_1 = log sech s, l_j = r_j s for
     each flat scale, r_0 = span sech s, r_1 = -tanh s and r_j = -lambda_f /
     rate; no entry underflows where sigma does."""
     s = np.asarray(s, dtype=float)
-    span = spec.model.mean_span if mu_span is None else mu_span
+    span = spec.model.mean_span
     sech, tanh, a = _sech(s), np.tanh(s), np.abs(s)
     flat = [-decay / spec.rate for _, decay in spec.flat_factors]
     with np.errstate(over="ignore"):   # r_j s past the double range: sigma_j is 0
@@ -341,12 +337,12 @@ def integrate_geodesic(spec, tau_max: float, tol: float = 1e-10,
     return Trajectory(taus=taus, states=states, ratios=rate * ys[:, n:], **fields)
 
 
-def residual_check(spec, tau_grid, mu_span: Optional[float] = None) -> float:
+def residual_check(spec, tau_grid) -> float:
     """Max absolute residual |y'(s) - f(y(s))| of the closed form on a grid, in
     the chart the integrator runs in: y and y' from :func:`_ratio_closed_form`,
     f the right-hand side rk integrates.  Both are exact, so an exact solution
     leaves rounding alone, at every scale of sigma and lambda_f."""
-    y, dy = _ratio_closed_form(spec, spec.rate * np.ravel(tau_grid).astype(float), mu_span)
+    y, dy = _ratio_closed_form(spec, spec.rate * np.ravel(tau_grid).astype(float))
     rhs = _ratio_rhs(spec.model)
     f = np.array([rhs(0.0, row) for row in y.tolist()]).reshape(dy.shape)
     return float(np.abs(dy - f).max(initial=0.0))

@@ -33,10 +33,10 @@ Closed-form reference volumes (``log_closed_form_volume_*``) keep only the
 moving-endpoint antiderivative terms of each factor, which is why they carry
 (mu0 + 2 sigma0) where the honest box carries the mean span 2 sigma0; the
 two agree on the tail for mu0 = 0 and share the growth rate always.  The 3D
-reference expression presumes the span-2 mean path, so the entropy curve
-always sweeps it (``MU_SPAN_WIDE``, see :mod:`infogeo.geodesics`); only the
-volume primitives take another ``mu_span``.  Slopes and slope ratios are
-span-independent.
+reference expression presumes the span-2 mean path, so every box swept here
+is the span-2 box (``MU_SPAN_WIDE``, see :mod:`infogeo.geodesics`); only
+``box_volume_quadrature`` takes another ``mu_span``.  Slopes and slope
+ratios are span-independent.
 """
 
 from __future__ import annotations
@@ -76,13 +76,13 @@ def _log_cosh_minus_one(u):
         return u - LOG2 + 2.0 * np.log(-np.expm1(-u))
 
 
-def log_box_volume(spec, tau_prime, mu_span: Optional[float] = None):
+def log_box_volume(spec, tau_prime):
     """log of the box volume at tau'; broadcasts over tau' arrays.
 
     3D: |dmu| * [2/sigma_x(tau') - 2/sigma0] * log(sigma0'/sigma_y(tau'))
     2D: |dmu| * [2/sigma(tau') - 2/sigma0]
 
-    with |dmu| = mu_span * sigma0 * tanh(rate * tau'): the (mu, sigma)
+    with |dmu| = 2 sigma0 tanh(rate * tau') (``MU_SPAN_WIDE``): the (mu, sigma)
     plane gives the first two factors, each flat scale one logarithm.
     """
     tau_prime = np.asarray(tau_prime, dtype=float)
@@ -90,8 +90,7 @@ def log_box_volume(spec, tau_prime, mu_span: Optional[float] = None):
         raise DomainError("tau_prime must be nonnegative")
     u = spec.rate * tau_prime
     s0 = spec.sigma0
-    span = MU_SPAN_WIDE if mu_span is None else mu_span
-    log_dmu = math.log(span * s0) + _log_tanh(u)
+    log_dmu = math.log(MU_SPAN_WIDE * s0) + _log_tanh(u)
     log_sx_factor = math.log(spec.model.volume_weight / s0) + _log_cosh_minus_one(u)
     total = log_dmu + log_sx_factor
     for _, decay in spec.flat_factors:
@@ -100,9 +99,9 @@ def log_box_volume(spec, tau_prime, mu_span: Optional[float] = None):
     return total
 
 
-def box_volume(spec, tau_prime, mu_span: Optional[float] = None):
+def box_volume(spec, tau_prime):
     """The box volume at tau'; inf, without a warning, past the double range."""
-    log_vol = log_box_volume(spec, tau_prime, mu_span)
+    log_vol = log_box_volume(spec, tau_prime)
     with np.errstate(over="ignore"):
         return np.exp(log_vol)
 
@@ -188,15 +187,12 @@ def log_time_average(log_fn, tau):
         raise DomainError("tau must be positive finite")
     # one time at a time: a batched (times, nodes) grid measured no faster,
     # since the elementwise logs dominate, and its temporaries take megabytes
-    out = [_log_time_average(log_fn, t) for t in taus.ravel().tolist()]
+    out = []
+    for t in taus.ravel().tolist():
+        ts = np.linspace(0.0, t, SIMPSON_NODES)
+        logv = np.asarray(log_fn(ts), dtype=float)
+        out.append(_logsumexp(logv + _SIMPSON_LOG_W) + math.log(ts[1] - ts[0]) - math.log(t))
     return out[0] if taus.ndim == 0 else np.array(out).reshape(taus.shape)
-
-
-def _log_time_average(log_fn, tau: float) -> float:
-    ts = np.linspace(0.0, tau, SIMPSON_NODES)
-    h = ts[1] - ts[0]
-    logv = np.asarray(log_fn(ts), dtype=float)
-    return _logsumexp(logv + _SIMPSON_LOG_W) + math.log(h) - math.log(tau)
 
 
 # the exact time average: F_n(U) = integral_0^U u^n (sinh u - tanh u) du

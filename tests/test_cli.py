@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from infogeo import cli, jacobi, rk
+from infogeo import GeodesicSpec2D, cli, jacobi, rk
 from infogeo.models import MODEL_2D, MODEL_3D
 
 
@@ -20,7 +20,7 @@ def run(args):
 def test_default_config_is_valid():
     cfg = cli._validate(cli.ExperimentConfig())
     assert cfg.model == "pair"
-    assert cfg.spec_2d().lambda_plus == pytest.approx(2**-0.5)
+    assert GeodesicSpec2D.from_3d(cfg.spec_3d()).lambda_plus == pytest.approx(2**-0.5)
 
 
 def test_config_file_parsing(tmp_path):
@@ -464,7 +464,7 @@ def test_softening_agrees_with_jacobi_at_the_base_point(tmp_path, base):
     row = next(r for r in json.loads((out / "softening_report.json").read_text())
                ["tables"]["softening"] if r["sigma0"] == base)
     cfg = cli._validate(cli.load_config(path))
-    for spec in (cfg.spec_3d(), cfg.spec_2d()):
+    for spec in (cfg.spec_3d(), GeodesicSpec2D.from_3d(cfg.spec_3d())):
         fit = jacobi.exponent_fit(jacobi.exponent_run(spec, cfg.exponent_window, cfg.tol))
         assert row[f"jacobi_exponent_{spec.model.label}"] == pytest.approx(fit.slope, rel=1e-9)
 

@@ -15,6 +15,7 @@ from infogeo.errors import DomainError
 from infogeo.geodesics import _closed_form
 from infogeo.ige import (EXACT_SWITCH, _log_moment, _log_moment_closed, _log_moment_gauss,
                          _panelled_gauss, log_time_average)
+from infogeo.models import MODEL_3D
 
 SPEC3 = ig.GeodesicSpec3D(0.0, 1.0, 1.0, 1.0, 1.0)
 SPEC2 = ig.GeodesicSpec2D.from_3d(SPEC3)
@@ -93,10 +94,10 @@ def test_box_quadrature_matches_box_volume(log_sigma0, sigma0_prime, log_lam, ra
 
 
 def test_box_volume_quadrature_sees_the_span():
-    closed = ig.box_volume(SPEC3, 2.0, mu_span=ig.MU_SPAN_EXACT_3D)
-    quad = ig.box_volume_quadrature(SPEC3, 2.0, mu_span=ig.MU_SPAN_EXACT_3D)
+    # the span scales the box's mean side alone
+    closed = ig.box_volume(SPEC3, 2.0) * MODEL_3D.mean_span / 2.0
+    quad = ig.box_volume_quadrature(SPEC3, 2.0, mu_span=MODEL_3D.mean_span)
     assert abs(quad - closed) / closed < 1e-8
-    assert closed < ig.box_volume(SPEC3, 2.0)  # narrower mean span
 
 
 def test_box_volume_nondecreasing():
@@ -208,7 +209,7 @@ def _per_time_average(spec, tau, n_grid=2049):
     w = np.ones(n_grid)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    logv = ig.log_box_volume(spec, ts, None) + np.log(w / 3.0)
+    logv = ig.log_box_volume(spec, ts) + np.log(w / 3.0)
     m = float(np.max(logv))
     log_integral = m + math.log(float(np.sum(np.exp(logv - m)))) + math.log(ts[1] - ts[0])
     return log_integral - math.log(tau)
@@ -374,15 +375,6 @@ def test_tail_slopes_match_rates():
     assert r3.fit.slope == pytest.approx(SPEC3.rate, rel=0.02)
     r2 = ig.ige_curve(SPEC2)
     assert r2.fit.slope == pytest.approx(SPEC2.rate, rel=0.02)
-
-
-def test_slope_is_span_independent():
-    # the span enters the box volume as one constant factor, so S at span 2
-    # and S at span sqrt(2) differ by a constant: the slopes agree exactly
-    taus = np.linspace(*ig.SLOPE_WINDOW, 33) / SPEC3.rate
-    wide, exact = (log_time_average(lambda ts: ig.log_box_volume(SPEC3, ts, span), taus)
-                   for span in (ig.MU_SPAN_WIDE, ig.MU_SPAN_EXACT_3D))
-    assert np.ptp(wide - exact) < 1e-9
 
 
 def test_softening_ratio():
