@@ -48,6 +48,10 @@ _POINT_SEED = 20260811  # fixed PCG64 stream: "random" check points, same every 
 # past s ~ 20 stability holds the step near 1.65 for the Jacobi run (m' damps at
 # rate 2) and 3.3 for the geodesic (its mean ratio damps at rate 1)
 _RATE_TAU_END = 1e4
+# the narrowest slope window, relative to its start: below about 1e-13 the fit's
+# abscissae differ in their last bits and np.polyfit warns RankWarning
+_SLOPE_WIDTH_MIN = 1e-12
+_TRAJECTORY_SAMPLES = 501   # the geodesic runs' sample times, 0 to tau_max
 
 
 class ConfigError(Exception):
@@ -139,6 +143,10 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         w = getattr(cfg, name)
         if len(w) != 2 or not 0 < w[0] < w[1] < math.inf:
             raise ConfigError(f"{name} must be an increasing pair of positive reals, got {w}")
+    w = cfg.slope_window
+    if w[1] - w[0] < _SLOPE_WIDTH_MIN * w[0]:
+        raise ConfigError(f"slope_window must be at least {_SLOPE_WIDTH_MIN:g} of its start "
+                          f"wide, got {w}")
     if cfg.exponent_window[1] > _RATE_TAU_END:
         raise ConfigError(f"exponent_window must end by rate * tau = {_RATE_TAU_END:g}, where "
                           f"the rk Jacobi run takes about 6,000 steps, got {cfg.exponent_window}")
@@ -300,6 +308,9 @@ def run_verify(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
 
 def _check_horizon(cfg: ExperimentConfig):
     """The geodesic runs' ConfigError, raised before any subcommand starts."""
+    if np.any(np.diff(np.linspace(0.0, cfg.tau_max, _TRAJECTORY_SAMPLES)) <= 0.0):
+        raise ConfigError(f"tau_max = {cfg.tau_max!r} is too small for "
+                          f"{_TRAJECTORY_SAMPLES} distinct sample times")
     for _, spec in _specs(cfg):
         if not cfg.tau_max * spec.rate <= _RATE_TAU_END:
             raise ConfigError(f"tau_max must end by rate * tau = {_RATE_TAU_END:g} (3,000 rk "
@@ -310,7 +321,7 @@ def run_geodesics(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     report = RunReport("geodesics", asdict(cfg))
     series = {}
     for label, spec in _specs(cfg):
-        grid = np.linspace(0.0, cfg.tau_max, 501)
+        grid = np.linspace(0.0, cfg.tau_max, _TRAJECTORY_SAMPLES)
         traj = integrate_geodesic(spec, cfg.tau_max, cfg.tol, sample_taus=grid)
         if not traj.complete:
             raise NumericalAbort(f"geodesic run {label}: {traj.abort_reason}",

@@ -346,10 +346,16 @@ def ige_curve(spec, slope_window: tuple = SLOPE_WINDOW) -> IGEResult:
     -1/(rate*tau); at rate*tau ~ 300 the bias is ~0.3%, negligible against
     the fit tolerances, while on [20, 50] it would be ~3%.  The line is
     fitted in tau itself: ``fit_line`` scales its abscissae by a power of
-    two, so it needs no rescaling by the rate, however small or large.
+    two, so it needs no rescaling by the rate, however small or large.  A
+    window that is not an increasing pair of positive finite reals is a
+    DomainError.
     """
+    w0, w1 = slope_window
+    if not 0.0 < w0 < w1 < math.inf:   # NaN too
+        raise DomainError(f"slope_window must be an increasing pair of positive finite "
+                          f"reals, got {slope_window}")
     rate = spec.rate
-    w0, w1 = slope_window[0] / rate, slope_window[1] / rate
+    w0, w1 = w0 / rate, w1 / rate
     lead = np.linspace(w0 / LEAD_POINTS, w0, LEAD_POINTS, endpoint=False)
     window = np.linspace(w0, w1, WINDOW_POINTS)
     taus = np.concatenate([lead, window])

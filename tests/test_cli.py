@@ -73,6 +73,9 @@ def test_invalid_parameters_are_exit_2(tmp_path, capsys):
     # with the window's end: at 1e301 it ran for minutes
     cases += [(f"[fit]\nexponent_window = {w}\n", command)
               for w in ("20, 10000.5", "1e300, 1e301") for command in ("jacobi", "softening")]
+    # a slope window one ulp wide: np.polyfit warned RankWarning and fitted a wrong slope
+    cases += [("[fit]\nslope_window = 1, 1.0000000000000002\n", command)
+              for command in ("ige", "softening", "all")]
     # half of the (tau_f, epsilon) pair, an unknown section or key (the
     # removed capital_sigma_sq among them) and a file without a section
     # header: none may run the defaults
@@ -139,12 +142,14 @@ def test_exponent_window_to_rate_tau_1e4_passes(tmp_path, capsys, command):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("window,code", [("1e300, 1e301", 0), ("1e-300, 1e-299", 1)])
+@pytest.mark.parametrize("window,code", [("1e300, 1e301", 0), ("1e-300, 1e-299", 1),
+                                         ("200, 200.0000000002", 0)])
 def test_extreme_slope_windows_end_on_their_checks(tmp_path, capsys, window, code):
     # the IGE line is fitted in rate * tau, so its abscissae are the window:
     # at 1e300 their squares once overflowed (slope 0, a ZeroDivisionError
     # traceback) and at 1e-300 the SVD did not converge; now the fit holds at
-    # 1e300 and the tiny window fails its slope checks by name
+    # 1e300 and the tiny window fails its slope checks by name.  The
+    # narrowest window accepted, 1e-12 of its start, fits without a warning
     path = tmp_path / "slope.ini"
     path.write_text(f"[fit]\nslope_window = {window}\n")
     with warnings.catch_warnings(record=True) as caught:
@@ -331,12 +336,13 @@ def test_ige_outputs_are_deterministic(tmp_path):
     assert first == second
 
 
-def test_tau_max_override(tmp_path):
+@pytest.mark.parametrize("tau_max", ["4.0", "3e-321"])   # 3e-321: 501 distinct sample times
+def test_tau_max_override(tmp_path, tau_max):
     out = tmp_path / "out"
-    assert run(["--out", str(out), "--tau-max", "4.0", "geodesics"]) == 0
+    assert run(["--out", str(out), "--tau-max", tau_max, "geodesics"]) == 0
     lines = (out / "trajectory_3d.csv").read_text().strip().split("\n")
     last_tau = float(lines[-1].split(",")[0])
-    assert last_tau == pytest.approx(4.0)
+    assert last_tau == pytest.approx(float(tau_max))
 
 
 def test_final_spread_derives_lambda_f(tmp_path, capsys):
@@ -359,8 +365,11 @@ def test_final_spread_derives_lambda_f(tmp_path, capsys):
     assert cli._validate(cli.ExperimentConfig()).lambda_f == 1.0
 
 
+# at 2e-321 and below the 501 trajectory sample times repeat subnormals: the
+# run once ended in a DomainError traceback (exit 1)
 @pytest.mark.parametrize("args", [["--tol", "1e-3"], ["--tau-max", "-1"],
-                                  ["--tau-max", "nan"], ["--tau-max", "0"]])
+                                  ["--tau-max", "nan"], ["--tau-max", "0"],
+                                  ["--tau-max", "1e-321"], ["--tau-max", "2e-321"]])
 def test_bad_solver_settings_are_exit_2(tmp_path, capsys, args):
     assert run([*args, "--out", str(tmp_path / "o"), "geodesics"]) == 2
     err = capsys.readouterr().err

@@ -377,6 +377,17 @@ def test_tail_slopes_match_rates():
     assert r2.fit.slope == pytest.approx(SPEC2.rate, rel=0.02)
 
 
+@pytest.mark.parametrize("window", [(5.0, 1.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 1.0),
+                                    (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)])
+def test_ige_curve_refuses_a_window_that_is_not_an_increasing_positive_pair(window):
+    # a reversed window was fitted (slope 1.506, r^2 0.976) and an infinite
+    # end warned "invalid value encountered in multiply"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="slope_window must be an increasing pair"):
+            ig.ige_curve(SPEC3, window)
+
+
 def test_softening_ratio():
     soft = ig.softening_ratio_ige(SPEC3)
     assert soft.ratio == pytest.approx(1.0 / math.sqrt(2.0), rel=0.01)
