@@ -336,13 +336,20 @@ def test_ige_outputs_are_deterministic(tmp_path):
     assert first == second
 
 
-@pytest.mark.parametrize("tau_max", ["4.0", "3e-321"])   # 3e-321: 501 distinct sample times
-def test_tau_max_override(tmp_path, tau_max):
+def _last_tau(tmp_path, tau_max):
     out = tmp_path / "out"
     assert run(["--out", str(out), "--tau-max", tau_max, "geodesics"]) == 0
     lines = (out / "trajectory_3d.csv").read_text().strip().split("\n")
-    last_tau = float(lines[-1].split(",")[0])
-    assert last_tau == pytest.approx(float(tau_max))
+    return float(lines[-1].split(",")[0])
+
+
+def test_tau_max_override(tmp_path):
+    assert _last_tau(tmp_path, "4.0") == pytest.approx(4.0)
+
+
+def test_shortest_tau_max_with_distinct_sample_times_runs(tmp_path):
+    # 3e-321 is the shortest end whose 501 sample times are all distinct
+    assert _last_tau(tmp_path, "3e-321") == pytest.approx(3e-321)
 
 
 def test_final_spread_derives_lambda_f(tmp_path, capsys):
