@@ -48,8 +48,9 @@ _POINT_SEED = 20260811  # fixed PCG64 stream: "random" check points, same every 
 # past s ~ 20 stability holds the step near 1.65 for the Jacobi run (m' damps at
 # rate 2) and 3.3 for the geodesic (its mean ratio damps at rate 1)
 _RATE_TAU_END = 1e4
-# the narrowest slope window, relative to its start: below about 1e-13 the fit's
-# abscissae differ in their last bits and np.polyfit warns RankWarning
+# the narrowest slope window, relative to its start: on a narrower one the entropy
+# values differ by tens of ulps, so any line fit is wrong (on the 2D curve at 200:
+# 2.4e-5 off at 1e-12, 3.5e-4 at 1e-13, 5e-3 at 1e-14)
 _SLOPE_WIDTH_MIN = 1e-12
 _TRAJECTORY_SAMPLES = 501   # the geodesic runs' sample times, 0 to tau_max
 
@@ -136,6 +137,38 @@ def _sweep_tag(sigma0: float) -> str:
     return f"sigma0={sigma0:g}"
 
 
+def _check_fit_times(cfg: ExperimentConfig, specs: list):
+    """A ConfigError unless the times the runs fit or average on at each spec's
+    rate (the volume window's at ``specs[:2]``, the base pair, its one use) are
+    positive and strictly increase in tau and in rate * tau (the exponent run's
+    after its start at 0), the first Simpson step is positive and the tail slope,
+    about (n + 3) / tau, is in range; a DomainError: too few exponent samples."""
+    rates = np.array([spec.rate for spec in specs])
+    # one column per rate, each the run's own grid bit for bit, unless the step
+    # of some column underflows to 0: that column repeats its times in any case
+    grids = {"slope_window": (rates, ige.slope_times(rates, cfg.slope_window)),
+             "exponent_window": (rates, jacobi.exponent_times(rates, cfg.exponent_window)[1:]),
+             "volume_window": (rates[:2], ige.volume_times(rates[:2], cfg.volume_window))}
+    for name, (r, taus) in grids.items():
+        for ts in (taus, r * taus):
+            bad = ~((ts[0] > 0.0) & (ts[1:] > ts[:-1]).all(axis=0))
+            if bad.any():
+                raise ConfigError(f"{name} = {getattr(cfg, name)} at rate {r[bad][0]:g} puts "
+                                  f"fit times at 0 or repeats them")
+    first = grids["volume_window"][1][0].min()   # the earliest time has the smallest step
+    if not ige.simpson_nodes(first)[1] > 0.0:
+        raise ConfigError(f"volume_window = {cfg.volume_window} puts the first Simpson "
+                          f"step, {first:g} / {ige.SIMPSON_NODES - 1}, at 0")
+    window = grids["slope_window"][1][ige.LEAD_POINTS:]
+    n = np.array([len(spec.flat_factors) for spec in specs])
+    with np.errstate(over="ignore"):   # the secant of (n + 3) log tau over the window
+        bad = ~((n + 3) * (np.log(window[-1]) - np.log(window[0])) / (window[-1] - window[0])
+                < math.inf)
+    if bad.any():
+        raise ConfigError(f"slope_window = {cfg.slope_window} at rate {rates[bad][0]:g} puts "
+                          f"the tail slope beyond the largest float")
+
+
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.model not in ("3d", "2d", "pair"):
         raise ConfigError(f"model must be 3d, 2d or pair, got {cfg.model!r}")
@@ -167,17 +200,19 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         spec = cfg.spec_3d()
         # the latest fit time, in rate * tau, at the smaller rate of the pair, the 2D one
         horizon = max(cfg.volume_window[1], cfg.slope_window[1], cfg.exponent_window[1])
-        for s0 in (cfg.sigma0, *cfg.sweep_sigma0):
+        fit_specs = []
+        for s0 in dict.fromkeys((cfg.sigma0, *cfg.sweep_sigma0)):
             spec_s0 = replace(spec, sigma0=s0)
-            rate = GeodesicSpec2D.from_3d(spec_s0).rate
+            spec_2d = GeodesicSpec2D.from_3d(spec_s0)
+            rate = spec_2d.rate
             if not (rate > 0.0 and horizon / rate < math.inf):
                 raise ConfigError(f"sigma0 = {s0!r} puts the fit horizon {horizon:g} / rate "
                                   f"beyond the largest float")
             if not spec.lambda_f / spec_s0.rate < math.inf:   # the 3D flat slot's decay
                 raise ConfigError(f"sigma0 = {s0!r} puts lambda_f / rate = {spec.lambda_f:g} / "
                                   f"{spec_s0.rate:g} beyond the largest float")
-        # in rate * tau the exponent run's samples are the same at every rate
-        jacobi.exponent_times(1.0, cfg.exponent_window)   # DomainError: too few to fit
+            fit_specs += [spec_s0, spec_2d]
+        _check_fit_times(cfg, fit_specs)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
     return replace(cfg, lambda_f=spec.lambda_f)
@@ -348,8 +383,7 @@ def run_ige(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
                    abs(result.fit.slope - spec.rate) / spec.rate, 0.02)
         # on the volume window: the exact time average against Simpson
         # quadrature, then against the paper's closed-form volume
-        taus = np.linspace(cfg.volume_window[0] / spec.rate,
-                           cfg.volume_window[1] / spec.rate, 16)
+        taus = ige.volume_times(spec.rate, cfg.volume_window)
         log_avg = ige.log_averaged_volume(spec, taus)
         log_simpson = ige.log_time_average(lambda ts: ige.log_box_volume(spec, ts), taus)
         report.add(f"ige_{label}_time_average_quadrature_error",

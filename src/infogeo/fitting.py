@@ -21,25 +21,24 @@ class LineFit:
 def fit_line(x, y) -> LineFit:
     """Ordinary least squares y ~ slope * x + intercept: the slope, with R^2.
 
-    Fitted to x / 2^ex and y / 2^ey, 2^ex and 2^ey the binary orders of
-    max |x| and max |y|, and scaled back: ``np.polyfit`` squares x, which
-    overflows past about 1e154 and underflows below 1e-154.  Division by a
-    power of two is exact, so elsewhere the fit is the same bit for bit.
+    From the centred sums on u = x / 2^ex and v = y / 2^ey, 2^ex and 2^ey
+    the binary orders of max |x| and max |y|: slope = sum du dv / sum du^2,
+    scaled back, and R^2 = (sum du dv)^2 / (sum du^2 sum dv^2), 1 for a
+    constant y.  Division by a power of two is exact, so the fit maps
+    exactly under such scalings, and the squares stay in range at any scale.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.size < 2:
-        raise ValueError("need at least two points for a line fit")
+    if x.size < 2 or x.min() == x.max():
+        raise ValueError("need at least two distinct abscissae for a line fit")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("non-finite values in the fit window")
     ex, ey = (math.frexp(float(np.abs(v).max()))[1] for v in (x, y))
     u, v = np.ldexp(x, -ex), np.ldexp(y, -ey)
-    slope, intercept = np.polyfit(u, v, 1)
-    resid = v - (slope * u + intercept)
-    ss_res = float(resid @ resid)
-    ss_tot = float(((v - v.mean()) ** 2).sum())
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return LineFit(float(np.ldexp(slope, ey - ex)), r2)
+    du, dv = u - u.mean(), v - v.mean()
+    sxy, sxx, syy = float(du @ dv), float(du @ du), float(dv @ dv)
+    r2 = 1.0 if syy == 0.0 else sxy * sxy / (sxx * syy)
+    return LineFit(float(np.ldexp(sxy / sxx, ey - ex)), r2)
 
 
 def fit_basis(x, y, basis_functions):

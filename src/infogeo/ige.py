@@ -172,6 +172,11 @@ SIMPSON_NODES = 2049   # nodes of the Simpson time average
 _SIMPSON_LOG_W = np.log(_simpson_weights(SIMPSON_NODES))
 
 
+def simpson_nodes(t) -> np.ndarray:
+    """The ``SIMPSON_NODES`` even nodes of the time average to t."""
+    return np.linspace(0.0, t, SIMPSON_NODES)
+
+
 def log_time_average(log_fn, tau):
     """log of (1/tau) * integral_0^tau exp(log_fn(tau')) dtau', by quadrature.
 
@@ -189,7 +194,7 @@ def log_time_average(log_fn, tau):
     # since the elementwise logs dominate, and its temporaries take megabytes
     out = []
     for t in taus.ravel().tolist():
-        ts = np.linspace(0.0, t, SIMPSON_NODES)
+        ts = simpson_nodes(t)
         logv = np.asarray(log_fn(ts), dtype=float)
         out.append(_logsumexp(logv + _SIMPSON_LOG_W) + math.log(ts[1] - ts[0]) - math.log(t))
     return out[0] if taus.ndim == 0 else np.array(out).reshape(taus.shape)
@@ -337,6 +342,21 @@ class IGEResult:
     fit: LineFit
 
 
+def slope_times(rate: float, window: tuple) -> np.ndarray:
+    """The entropy curve's times: ``LEAD_POINTS`` before ``window`` (in
+    rate * tau), then the ``WINDOW_POINTS`` of the fit on it; a column per
+    rate for an array of rates."""
+    w0, w1 = window[0] / rate, window[1] / rate
+    lead = np.linspace(w0 / LEAD_POINTS, w0, LEAD_POINTS, endpoint=False)
+    return np.concatenate([lead, np.linspace(w0, w1, WINDOW_POINTS)])
+
+
+def volume_times(rate: float, window: tuple) -> np.ndarray:
+    """The 16 even times of the volume checks on ``window``, in rate * tau (a
+    column per rate for an array of rates)."""
+    return np.linspace(window[0] / rate, window[1] / rate, 16)
+
+
 def ige_curve(spec, slope_window: tuple = SLOPE_WINDOW) -> IGEResult:
     """Entropy curve and fitted tail slope for one model.
 
@@ -354,16 +374,12 @@ def ige_curve(spec, slope_window: tuple = SLOPE_WINDOW) -> IGEResult:
     if not 0.0 < w0 < w1 < math.inf:   # NaN too
         raise DomainError(f"slope_window must be an increasing pair of positive finite "
                           f"reals, got {slope_window}")
-    rate = spec.rate
-    w0, w1 = w0 / rate, w1 / rate
-    lead = np.linspace(w0 / LEAD_POINTS, w0, LEAD_POINTS, endpoint=False)
-    window = np.linspace(w0, w1, WINDOW_POINTS)
-    taus = np.concatenate([lead, window])
+    taus = slope_times(spec.rate, slope_window)
     log_avg = log_averaged_volume(spec, taus)
     logv = log_box_volume(spec, taus)
     s_closed = log_closed_form_volume(spec, taus)
     return IGEResult(taus=taus, log_vol=logv, log_avg_vol=log_avg, entropy_closed_form=s_closed,
-                     fit=fit_line(window, log_avg[LEAD_POINTS:]))
+                     fit=fit_line(taus[LEAD_POINTS:], log_avg[LEAD_POINTS:]))
 
 
 @dataclass(frozen=True)

@@ -93,10 +93,11 @@ class JacobiTrajectory:
 
 def window_mask(taus: np.ndarray, rate: float, window: tuple) -> np.ndarray:
     """The samples of ``taus`` on ``window``, in rate * tau with a slack of
-    1e-12 there; a DomainError when fewer than 4, too few to fit."""
+    1e-12 there; a DomainError when fewer than 4, too few to fit (in some
+    column, for a column of times per rate in an array of rates)."""
     s = np.asarray(taus) * rate
     mask = (s >= window[0] - 1e-12) & (s <= window[1] + 1e-12)
-    if mask.sum() < 4:
+    if mask.sum(axis=0).min() < 4:
         raise DomainError("exponent window contains too few samples")
     return mask
 
@@ -377,8 +378,9 @@ class JacobiSoftening:
 
 
 def exponent_times(rate: float, window: tuple) -> np.ndarray:
-    """The 401 even sample times of an exponent run, to rate * tau = window[1];
-    a DomainError when too few of them fall on ``window`` to fit."""
+    """The 401 even sample times of an exponent run, to rate * tau = window[1]
+    (a column per rate for an array of rates); a DomainError when too few of
+    them fall on ``window`` to fit."""
     taus = np.linspace(0.0, window[1] / rate, 401)
     window_mask(taus, rate, window)
     return taus

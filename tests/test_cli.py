@@ -8,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from infogeo import GeodesicSpec2D, cli, jacobi, rk
+from infogeo import GeodesicSpec2D, cli, ige, jacobi, rk
 from infogeo.models import MODEL_2D, MODEL_3D
 
 
@@ -73,9 +74,26 @@ def test_invalid_parameters_are_exit_2(tmp_path, capsys):
     # with the window's end: at 1e301 it ran for minutes
     cases += [(f"[fit]\nexponent_window = {w}\n", command)
               for w in ("20, 10000.5", "1e300, 1e301") for command in ("jacobi", "softening")]
-    # a slope window one ulp wide: np.polyfit warned RankWarning and fitted a wrong slope
+    # a slope window one ulp wide: its entropy values differ in their last
+    # bits, so any line fit of them is wrong
     cases += [("[fit]\nslope_window = 1, 1.0000000000000002\n", command)
               for command in ("ige", "softening", "all")]
+    # fit times that cannot be fitted at a rate the run uses: a tail slope
+    # about (n + 3) / tau past the double range, a time of 0 or a repeated
+    # time, in tau or in rate * tau, and a Simpson step of 0
+    far = "[model]\nsigma0 = 1e100\nsigma0_prime = 1e100\n"
+    cases += [("[model]\nsigma0 = 1e10\n[fit]\nslope_window = 1e-300, 1e-299\n", "ige"),
+              ("[model]\nsigma0 = 1e100\n[fit]\nslope_window = 1e-300, 1e-299\n", "ige"),
+              (far + "[fit]\nvolume_window = 1e-300, 1e-299\n", "ige"),
+              (far + "[fit]\nexponent_window = 1e-300, 1e-299\n", "jacobi"),
+              ("[model]\nsigma0 = 1e-300\n[fit]\nslope_window = 5e-324, 1e-323\n", "ige")]
+    cases += [(f"[fit]\n{key} = 5e-324, {end}\n", command)
+              for key, end, commands in [("slope_window", "1e-323", ("ige", "softening")),
+                                         ("volume_window", "1e-323", ("ige",)),
+                                         ("exponent_window", "1e-323", ("jacobi", "softening")),
+                                         ("slope_window", "50", ("ige",)),
+                                         ("volume_window", "50", ("ige",))]
+              for command in commands]
     # half of the (tau_f, epsilon) pair, an unknown section or key (the
     # removed capital_sigma_sq among them) and a file without a section
     # header: none may run the defaults
@@ -92,6 +110,16 @@ def test_invalid_parameters_are_exit_2(tmp_path, capsys):
         assert not caught
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("window", [(20.0, 50.0), (200.0, 400.0), (1e-300, 1e-299)])
+def test_fit_grids_of_an_array_of_rates_are_the_runs_grids(window):
+    # the configuration check builds each grid once, a column per rate
+    rates = np.array([1e-300, 0.5, 2**-0.5, 1.0, 3.0, 1e10])
+    for build in (ige.slope_times, ige.volume_times, jacobi.exponent_times):
+        grid = build(rates, window)
+        for j, rate in enumerate(rates):
+            assert np.array_equal(grid[:, j], build(rate, window))
 
 
 def test_sweep_points_that_share_a_check_name_are_exit_2(tmp_path, capsys):
@@ -651,8 +679,8 @@ _FUZZ_KEYS = [
     ("sweep", "sigma0_values", ("softening",), ""),
     ("output", "directory", ("ige",), ""), ("output", "format", ("ige",), ""),
 ]
-_FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e-320", "1e-300", "1e307", "1e308", "text",
-                "", None]   # None: the key twice
+_FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "5e-324", "1e-320", "1e-300", "1e307", "1e308",
+                "text", "", None]   # None: the key twice
 # the exits some (key, value, command) cases must end in: lambda_f / rate
 # past the double range at the sweep point sigma0 = 0.5 and an empty output
 # directory are configuration errors; at lambda_f = 1e307 the overflows of
@@ -702,3 +730,38 @@ def test_config_fuzz_ends_in_a_documented_exit(tmp_path, monkeypatch, capsys,
                     or code != _FUZZ_EXITS.get((key, value, command), code)):
                 faults.append(f"{command} at {value!r}: exit {code}, stderr {err!r}")
     assert not faults
+
+
+# the pair fuzz: a model, solver or sweep key beside a fit window, each at an
+# edge value, on a subcommand that reads the window; fit windows are pairs of
+# edge values, one-ulp windows and one-decade windows
+_PAIR_EDGES = ["1e300", "-1e300", "1e-300", "-1e-300", "5e-324", "inf", "nan"]
+_PAIR_KEYS = [("model", key) for key in ("mu0", "sigma0", "sigma0_prime", "lambda_plus_prime",
+                                         "lambda_f")]
+_PAIR_KEYS += [("solver", "tol"), ("solver", "tau_max"), ("sweep", "sigma0_values")]
+_PAIR_WINDOWS = [f"{a}, {b}" for a in _PAIR_EDGES + ["50"] for b in _PAIR_EDGES + ["50"]]
+_PAIR_WINDOWS += [f"{x!r}, {y!r}" for x in (5e-324, 1e-300, 1.0, 1e300)
+                  for y in (math.nextafter(x, math.inf), 10.0 * x)]
+_WINDOW_READERS = {"volume_window": ("ige",), "slope_window": ("ige", "softening"),
+                   "exponent_window": ("jacobi", "softening")}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(_PAIR_KEYS), value=st.sampled_from(_PAIR_EDGES),
+       window=st.sampled_from(sorted(_WINDOW_READERS)), bounds=st.sampled_from(_PAIR_WINDOWS),
+       pick=st.integers(0, 1))
+def test_config_fuzz_over_key_pairs_ends_in_a_documented_exit(tmp_path, capsys, key, value,
+                                                              window, bounds, pick):
+    # with warnings as errors: exit 0 or 1 leaves stderr empty, 2 and 3 one
+    # line, and nothing escapes main
+    (section, name), commands = key, _WINDOW_READERS[window]
+    path = tmp_path / "pair.ini"
+    path.write_text(f"[{section}]\n{name} = {value}\n[fit]\n{window} = {bounds}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["--config", str(path), "--out", str(tmp_path / "o"),
+                    commands[pick % len(commands)]])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3)
+    assert (err.count("\n") == 1 and err.endswith("\n")) if code >= 2 else err == ""

@@ -54,3 +54,13 @@ def test_non_finite_values_are_refused_in_silence(bad, axis, capfd):
     with pytest.raises(ValueError, match="non-finite values in the fit window"):
         fit_line(points["x"], points["y"])
     assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x,y", [([1.0], [2.0]), ([3.0, 3.0, 3.0], [1.0, 2.0, 4.0])],
+                         ids=["one-point", "equal-abscissae"])
+def test_a_line_needs_two_distinct_abscissae(x, y, capfd):
+    # the closed form divides by the spread of the abscissae
+    with pytest.raises(ValueError, match="need at least two"):
+        fit_line(x, y)
+    assert capfd.readouterr() == ("", "")
