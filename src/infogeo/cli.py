@@ -33,11 +33,11 @@ from pathlib import Path
 import numpy as np
 
 from . import ige, jacobi, numgeo, tensors
+from .csvtext import series_to_csv
 from .errors import DomainError, NumericalAbort
 from .fisher import fisher_numeric_2d, fisher_numeric_3d
 from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, check_tol, closed_form,
-                        integrate_geodesic, residual_check, series_to_csv,
-                        trajectory_to_csv)
+                        integrate_geodesic, residual_check, trajectory_to_csv)
 from .jacobi import (critically_damped, exponent_fit, exponent_run, field_relative_error,
                      jacobi_to_csv, softening_gap)
 from .models import MODEL_2D, MODEL_3D, Model2DConfig
@@ -137,17 +137,31 @@ def _sweep_tag(sigma0: float) -> str:
     return f"sigma0={sigma0:g}"
 
 
-def _check_fit_times(cfg: ExperimentConfig, specs: list):
-    """A ConfigError unless the times the runs fit or average on at each spec's
-    rate (the volume window's at ``specs[:2]``, the base pair, its one use) are
+def _sweep_specs(cfg: ExperimentConfig):
+    """(sigma0, 3D spec, 2D spec) at the base sigma0, then at each distinct sweep sigma0."""
+    spec = cfg.spec_3d()
+    for s0 in dict.fromkeys((cfg.sigma0, *cfg.sweep_sigma0)):
+        spec_s0 = replace(spec, sigma0=s0)
+        yield s0, spec_s0, GeodesicSpec2D.from_3d(spec_s0)
+
+
+def _check_fit_times(cfg: ExperimentConfig):
+    """The fitting runs' ConfigError, raised before any subcommand starts: unless
+    the times the runs fit or average on at the rate of each of the
+    :func:`_sweep_specs` (the volume window's at the base pair, its one use) are
     positive and strictly increase in tau and in rate * tau (the exponent run's
     after its start at 0), the first Simpson step is positive and the tail slope,
-    about (n + 3) / tau, is in range; a DomainError: too few exponent samples."""
+    about (n + 3) / tau, is in range, and the exponent window holds enough samples."""
+    specs = [spec for _, *pair in _sweep_specs(cfg) for spec in pair]
     rates = np.array([spec.rate for spec in specs])
     # one column per rate, each the run's own grid bit for bit, unless the step
     # of some column underflows to 0: that column repeats its times in any case
+    try:
+        exponent_times = jacobi.exponent_times(rates, cfg.exponent_window)[1:]
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
     grids = {"slope_window": (rates, ige.slope_times(rates, cfg.slope_window)),
-             "exponent_window": (rates, jacobi.exponent_times(rates, cfg.exponent_window)[1:]),
+             "exponent_window": (rates, exponent_times),
              "volume_window": (rates[:2], ige.volume_times(rates[:2], cfg.volume_window))}
     for name, (r, taus) in grids.items():
         for ts in (taus, r * taus):
@@ -200,10 +214,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         spec = cfg.spec_3d()
         # the latest fit time, in rate * tau, at the smaller rate of the pair, the 2D one
         horizon = max(cfg.volume_window[1], cfg.slope_window[1], cfg.exponent_window[1])
-        fit_specs = []
-        for s0 in dict.fromkeys((cfg.sigma0, *cfg.sweep_sigma0)):
-            spec_s0 = replace(spec, sigma0=s0)
-            spec_2d = GeodesicSpec2D.from_3d(spec_s0)
+        for s0, spec_s0, spec_2d in _sweep_specs(cfg):
             rate = spec_2d.rate
             if not (rate > 0.0 and horizon / rate < math.inf):
                 raise ConfigError(f"sigma0 = {s0!r} puts the fit horizon {horizon:g} / rate "
@@ -211,8 +222,6 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
             if not spec.lambda_f / spec_s0.rate < math.inf:   # the 3D flat slot's decay
                 raise ConfigError(f"sigma0 = {s0!r} puts lambda_f / rate = {spec.lambda_f:g} / "
                                   f"{spec_s0.rate:g} beyond the largest float")
-            fit_specs += [spec_s0, spec_2d]
-        _check_fit_times(cfg, fit_specs)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
     return replace(cfg, lambda_f=spec.lambda_f)
@@ -515,6 +524,8 @@ def main(argv=None) -> int:
         cfg = _resolve_config(args)
         if "geodesics" in names:
             _check_horizon(cfg)
+        if not {"ige", "jacobi", "softening"}.isdisjoint(names):
+            _check_fit_times(cfg)
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         for name in names:

@@ -49,6 +49,7 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
+from .csvtext import series_to_csv
 from .errors import DomainError
 from . import rk
 from .models import MODEL_2D, MODEL_3D, DiagonalScaleModel, model_of
@@ -346,17 +347,6 @@ def residual_check(spec, tau_grid) -> float:
     rhs = _ratio_rhs(spec.model)
     f = np.array([rhs(0.0, row) for row in y.tolist()]).reshape(dy.shape)
     return float(np.abs(dy - f).max(initial=0.0))
-
-
-def series_to_csv(kind: str, names, cols) -> str:
-    """A ``# infogeo <kind> csv schema=1`` file: the header ``names``, then
-    one row per sample of the columns ``cols`` (1-D, or 2-D blocks of
-    columns), each value as %.17g, which parses back to the exact double."""
-    table = np.column_stack(cols)
-    template = ",".join(["%.17g"] * table.shape[1])   # one format per row
-    lines = [f"# infogeo {kind} csv schema=1", ",".join(names)]
-    lines += [template % tuple(row) for row in table.tolist()]
-    return "\n".join(lines) + "\n"
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

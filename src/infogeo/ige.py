@@ -48,11 +48,12 @@ from typing import Optional
 
 import numpy as np
 
+from .csvtext import series_to_csv
 from .errors import DomainError
 from .fisher import _simpson_weights
 from .fitting import LineFit, fit_line
 from .geodesics import (MU_SPAN_WIDE, GeodesicSpec2D, GeodesicSpec3D,
-                        _closed_form, series_to_csv)
+                        _closed_form)
 from .models import MODEL_2D, MODEL_3D
 
 # default fit windows, in units of rate * tau (rate = sigma0 * lambda)

@@ -40,10 +40,11 @@ from typing import Optional
 
 import numpy as np
 
+from .csvtext import series_to_csv
 from .errors import DomainError, NumericalAbort
 from .fitting import LineFit, fit_line
 from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, _generate_rhs, _sampled_run, _sech,
-                        check_sample_times, check_tol, series_to_csv)
+                        check_sample_times, check_tol)
 from .models import model_of
 
 EXPONENT_WINDOW = (20.0, 50.0)  # in units of rate * tau

@@ -308,6 +308,23 @@ def test_a_geodesic_horizon_error_ends_all_before_its_first_subcommand(tmp_path,
     assert not out_dir.exists()
 
 
+def test_fit_times_are_checked_only_for_subcommands_that_fit(tmp_path, capsys):
+    # a slope window from 5e-324 repeats its fit times: ige and all refuse it
+    # before their first subcommand runs, while geodesics, which fits
+    # nothing, runs and passes
+    path = tmp_path / "tiny.ini"
+    path.write_text("[fit]\nslope_window = 5e-324, 1e-323\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["--config", str(path), "--out", str(tmp_path / "g"), "geodesics"]) == 0
+        for command in ("ige", "all"):
+            assert run(["--config", str(path), "--out", str(tmp_path / command), command]) == 2
+            assert not (tmp_path / command).exists()
+    out, err = capsys.readouterr()
+    assert out == "geodesics: pass (6 checks)\n"
+    assert err.count("config error: slope_window = ") == 2 and err.count("\n") == 2
+
+
 def test_readme_synopsis_lists_every_option():
     # the CLI synopsis block in README names exactly the parser's options
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
