@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import sys
@@ -38,8 +39,8 @@ from .errors import DomainError, NumericalAbort
 from .fisher import fisher_numeric_2d, fisher_numeric_3d
 from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, check_tol, closed_form,
                         integrate_geodesic, residual_check, trajectory_to_csv)
-from .jacobi import (critically_damped, exponent_fit, exponent_run, field_relative_error,
-                     jacobi_to_csv, softening_gap)
+from .jacobi import (GAP_PER_RATE, critically_damped, exponent_fit, exponent_fits, exponent_run,
+                     field_relative_error, jacobi_to_csv)
 from .models import MODEL_2D, MODEL_3D, Model2DConfig
 
 SCHEMA_VERSION = 1
@@ -147,11 +148,20 @@ def _sweep_specs(cfg: ExperimentConfig):
 
 def _check_fit_times(cfg: ExperimentConfig):
     """The fitting runs' ConfigError, raised before any subcommand starts: unless
-    the times the runs fit or average on at the rate of each of the
-    :func:`_sweep_specs` (the volume window's at the base pair, its one use) are
-    positive and strictly increase in tau and in rate * tau (the exponent run's
-    after its start at 0), the first Simpson step is positive and the tail slope,
-    about (n + 3) / tau, is in range, and the exponent window holds enough samples."""
+    the slope window is at least ``_SLOPE_WIDTH_MIN`` of its start wide, the
+    exponent window ends by rate * tau = ``_RATE_TAU_END``, the times the runs
+    fit or average on at the rate of each of the :func:`_sweep_specs` (the
+    volume window's at the base pair, its one use) are positive and strictly
+    increase in tau and in rate * tau (the exponent run's after its start at 0),
+    the first Simpson step is positive and the tail slope, about (n + 3) / tau,
+    is in range, and the exponent window holds enough samples."""
+    w = cfg.slope_window
+    if w[1] - w[0] < _SLOPE_WIDTH_MIN * w[0]:
+        raise ConfigError(f"slope_window must be at least {_SLOPE_WIDTH_MIN:g} of its start "
+                          f"wide, got {w}")
+    if cfg.exponent_window[1] > _RATE_TAU_END:
+        raise ConfigError(f"exponent_window must end by rate * tau = {_RATE_TAU_END:g}, where "
+                          f"the rk Jacobi run takes about 6,000 steps, got {cfg.exponent_window}")
     specs = [spec for _, *pair in _sweep_specs(cfg) for spec in pair]
     rates = np.array([spec.rate for spec in specs])
     # one column per rate, each the run's own grid bit for bit, unless the step
@@ -190,13 +200,6 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         w = getattr(cfg, name)
         if len(w) != 2 or not 0 < w[0] < w[1] < math.inf:
             raise ConfigError(f"{name} must be an increasing pair of positive reals, got {w}")
-    w = cfg.slope_window
-    if w[1] - w[0] < _SLOPE_WIDTH_MIN * w[0]:
-        raise ConfigError(f"slope_window must be at least {_SLOPE_WIDTH_MIN:g} of its start "
-                          f"wide, got {w}")
-    if cfg.exponent_window[1] > _RATE_TAU_END:
-        raise ConfigError(f"exponent_window must end by rate * tau = {_RATE_TAU_END:g}, where "
-                          f"the rk Jacobi run takes about 6,000 steps, got {cfg.exponent_window}")
     if any(f not in ("csv", "json") for f in cfg.formats):
         raise ConfigError(f"format entries must be csv or json, got {cfg.formats}")
     if not cfg.out_dir:
@@ -427,30 +430,31 @@ def run_jacobi(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     return report, series
 
 
-def _softening_point(cfg: ExperimentConfig, sigma0: float) -> dict:
-    """The table row at one sigma0: the IGE slopes and the exact-field Jacobi exponents."""
-    spec = replace(cfg.spec_3d(), sigma0=sigma0)
-    s_ige = ige.softening_ratio_ige(spec, slope_window=cfg.slope_window)
-    s_jac = softening_gap(spec, window=cfg.exponent_window)
-    return {
-        "sigma0": sigma0,
-        "ige_slope_3d": s_ige.result_3d.fit.slope,
-        "ige_slope_2d": s_ige.result_2d.fit.slope,
-        "ratio": s_ige.ratio,
-        "jacobi_exponent_3d": s_jac.fit_3d.slope,
-        "jacobi_exponent_2d": s_jac.fit_2d.slope,
-        "gap": s_jac.gap,
-        "expected_gap": s_jac.expected_gap,
-    }
-
-
 def run_softening(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     """Headline table: entropy-slope ratio and Jacobi exponent gap per sigma0.
 
-    Each sweep point is fitted from the exact IGE curves and Jacobi fields;
-    the base-point series and their rk cross-checks belong to ige and jacobi."""
+    Each sweep point is one row of each model's fits, from the exact IGE
+    curves and Jacobi fields, bit for bit those of ``softening_ratio_ige``
+    and ``softening_gap`` at that sigma0; the base-point series and their rk
+    cross-checks belong to ige and jacobi."""
     report = RunReport("softening", asdict(cfg))
-    rows = [_softening_point(cfg, s0) for s0 in sorted(cfg.sweep_sigma0)]
+    sigma0s = sorted(cfg.sweep_sigma0)
+    specs_3d = [replace(cfg.spec_3d(), sigma0=s0) for s0 in sigma0s]
+    pair = (specs_3d, [GeodesicSpec2D.from_3d(spec) for spec in specs_3d])
+    slope_3d, slope_2d = (ige.tail_slopes(specs, cfg.slope_window).slope for specs in pair)
+    exponent_3d, exponent_2d = (exponent_fits(specs, cfg.exponent_window).slope
+                                for specs in pair)
+    columns = {
+        "sigma0": sigma0s,
+        "ige_slope_3d": slope_3d,
+        "ige_slope_2d": slope_2d,
+        "ratio": slope_2d / slope_3d,
+        "jacobi_exponent_3d": exponent_3d,
+        "jacobi_exponent_2d": exponent_2d,
+        "gap": exponent_3d - exponent_2d,
+        "expected_gap": np.array([spec.rate for spec in specs_3d]) * GAP_PER_RATE,
+    }
+    rows = [dict(zip(columns, map(float, values))) for values in zip(*columns.values())]
 
     expected_ratio = 1.0 / math.sqrt(2.0)
     for row in rows:
@@ -462,16 +466,15 @@ def run_softening(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
         report.add(f"softening_gap_positive[{tag}]", row["gap"], 0.0,
                    passed=row["gap"] > 0.0)
     report.tables["softening"] = rows
-
-    names = list(rows[0])
-    return report, {"softening.csv": series_to_csv("softening", names,
-                                                   [[row[k] for row in rows] for k in names])}
+    return report, {"softening.csv": series_to_csv("softening", list(columns),
+                                                   list(columns.values()))}
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache   # one parser per process: parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="infogeo",

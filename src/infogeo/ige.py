@@ -263,6 +263,12 @@ def _log_moment(n: int, U):
     return out
 
 
+def _log_volume_constant(spec, rate: float) -> float:
+    """log(span * w * prod(lambda_f / rate)) of :func:`log_averaged_volume`."""
+    return math.log(MU_SPAN_WIDE * spec.model.volume_weight) + sum(
+        math.log(decay) - math.log(rate) for _, decay in spec.flat_factors)
+
+
 def log_averaged_volume(spec, tau):
     """log of the time-averaged swept volume at tau (a float, or an array of times).
 
@@ -270,16 +276,23 @@ def log_averaged_volume(spec, tau):
     U = rate * tau, which involves sigma0 only through U and the rate.  Every
     tau must be positive finite.  A float or 0-d tau returns a float, and from
     U = ``EXACT_SWITCH`` on it is computed on numpy scalars, with the bits of
-    a 1-element array; an array returns an array of its shape.
+    a 1-element array; an array returns an array of its shape.  ``spec`` may
+    also be a list of specs of one model, with one row of ``tau`` each: a row
+    has the bits of its spec's own call wherever all of its U reach
+    ``EXACT_SWITCH`` (below it the Gauss rule groups its sums by batch).
     """
     taus = np.asarray(tau, dtype=float)
     if not ((taus > 0.0) & (taus < math.inf)).all():
         raise DomainError("tau must be positive finite")
-    rate = spec.rate
+    if isinstance(spec, list):
+        rate = np.array([s.rate for s in spec])[:, None]
+        log_const = np.array([_log_volume_constant(s, s.rate) for s in spec])[:, None]
+        n = len(spec[0].flat_factors)
+    else:
+        rate = spec.rate
+        log_const, n = _log_volume_constant(spec, rate), len(spec.flat_factors)
     U = rate * taus
-    log_const = math.log(MU_SPAN_WIDE * spec.model.volume_weight) + sum(
-        math.log(decay) - math.log(rate) for _, decay in spec.flat_factors)
-    out = log_const + _log_moment(len(spec.flat_factors), U) - np.log(U)
+    out = log_const + _log_moment(n, U) - np.log(U)
     return float(out) if taus.ndim == 0 else out
 
 
@@ -404,6 +417,15 @@ def softening_ratio_ige(spec3d: GeodesicSpec3D,
     r3 = ige_curve(spec3d, slope_window)
     r2 = ige_curve(spec2d, slope_window)
     return IgeSoftening(result_3d=r3, result_2d=r2, ratio=r2.fit.slope / r3.fit.slope)
+
+
+def tail_slopes(specs: list, slope_window: tuple = SLOPE_WINDOW) -> LineFit:
+    """The fits of :func:`ige_curve` for a list of specs of one model, one
+    row each, bit for bit: one time average on each rate's
+    ``WINDOW_POINTS`` slope times and one fit of every row."""
+    rates = np.array([spec.rate for spec in specs])
+    taus = np.ascontiguousarray(slope_times(rates, slope_window)[LEAD_POINTS:].T)
+    return fit_line(taus, log_averaged_volume(specs, taus))
 
 
 # ---------------------------------------------------------------------------

@@ -148,12 +148,15 @@ def _log_norms(model, s, K, units) -> np.ndarray:
     """log sqrt(g(J, J)) per row of the slots K in ``units`` at rate * tau =
     s: g(J, J) = sum_i c_i t_i^2 for t = (J^mu / sigma_x, K_1, ...), summed
     in logs, with log |J^mu / sigma_x| = log |K_0| - log sech s.  A zero row
-    gives -inf."""
-    logs = np.log(np.abs(K)) + (np.log(units) - np.log(units.max()))
-    logs[:, 0] -= math.log(2.0) - s - np.log1p(np.exp(-2.0 * s))
-    top = logs.max(axis=1, keepdims=True)
+    gives -inf.  With a leading axis of one spec each in s, K and ``units``,
+    each spec's norms are its own call's, bit for bit."""
+    top_unit = units.max(axis=-1, keepdims=True)
+    logs = np.log(np.abs(K)) + (np.log(units) - np.log(top_unit))[..., None, :]
+    logs[..., 0] -= math.log(2.0) - s - np.log1p(np.exp(-2.0 * s))
+    top = logs.max(axis=-1, keepdims=True)
     top[~np.isfinite(top)] = 0.0
-    return (math.log(units.max()) + top[:, 0]
+    log_top_unit = np.reshape([math.log(u) for u in top_unit.ravel()], top_unit.shape)
+    return (log_top_unit + top[..., 0]
             + 0.5 * np.log(np.exp(2.0 * (logs - top)) @ np.array(model.weights)))
 
 
@@ -237,25 +240,34 @@ def exact_jacobi(spec, taus, initial_J=None, initial_J_dot=None) -> JacobiTrajec
     start past the double range gives a run stopped at its start, as in
     :func:`integrate_jlc`.
     """
-    w0, units, b, m0, K0, m_rate0, A, B, C = _integration_constants(spec, initial_J,
-                                                                    initial_J_dot)
-    dim = spec.model.dimension
+    constants = _integration_constants(spec, initial_J, initial_J_dot)
+    w0, units = constants[:2]
     taus = check_sample_times(taus)
     if not np.all(np.isfinite(w0)):
         # where the slot system's right-hand side is not finite at s = 0
         return _from_slots(spec, taus[:1], w0[None, :], units, n_steps=0,
                            complete=False,
                            abort_reason="right-hand side is not finite at the initial state")
-    s = taus * spec.rate
+    return _from_slots(spec, taus, _closed_form_slots(constants, taus * spec.rate), units,
+                       n_steps=0)
+
+
+def _closed_form_slots(constants, s) -> np.ndarray:
+    """The slots w of :func:`exact_jacobi` at rate * tau = s, from the
+    constants of :func:`_integration_constants`; with a leading axis of one
+    spec each in s and the constants, each spec's slots are its own call's."""
+    w0, _, b, m0, K0, m_rate0, A, B, C = constants
+    dim = w0.shape[-1] // 2
     sech2 = _sech(s) ** 2
     tanh = np.tanh(s)
     grown = (A + B * s) * tanh
     m = m0 + 0.5 * b * (A * tanh**2 + K0 * (s * sech2 + tanh)) + C * s * sech2
-    flat = w0[2:dim] + np.outer(s, w0[dim + 2:])
-    w = np.column_stack([m, K0 + grown, flat, sech2 * (m_rate0 + b * grown),
-                         A * sech2 + B * (tanh + s * sech2),
-                         np.broadcast_to(w0[dim + 2:], flat.shape)])
-    return _from_slots(spec, taus, w, units, n_steps=0)
+    flat_rates = w0[..., None, dim + 2:]
+    flat = w0[..., None, 2:dim] + s[..., None] * flat_rates
+    plane = np.stack([m, K0 + grown, sech2 * (m_rate0 + b * grown),
+                      A * sech2 + B * (tanh + s * sech2)], axis=-1)   # (m, K, m', K')
+    return np.concatenate([plane[..., :2], flat, plane[..., 2:],
+                           np.broadcast_to(flat_rates, flat.shape)], axis=-1)
 
 
 def field_relative_error(traj: JacobiTrajectory, ref: JacobiTrajectory) -> float:
@@ -400,13 +412,48 @@ def exponent_run(spec, window: tuple, tol: Optional[float] = None) -> JacobiTraj
     return traj
 
 
+def exponent_fits(specs: list, window: tuple = EXPONENT_WINDOW) -> LineFit:
+    """The fits of :func:`softening_gap`'s exponents for a list of specs of
+    one model, one row each, bit for bit: the exact field of the default
+    start on each rate's :func:`exponent_times` on ``window`` only, and one
+    fit of the rows of each count of such samples.  A start past the double
+    range is the NumericalAbort of its :func:`exponent_run`."""
+    rates = np.array([spec.rate for spec in specs])
+    taus = exponent_times(rates, window)
+    taus, mask = taus.T, window_mask(taus, rates, window).T
+    # a row per spec of each constant: the start slots, the units, then the scalars
+    constants = [np.array(c) for c in zip(*(_integration_constants(spec, None, None)
+                                            for spec in specs))]
+    for spec, finite in zip(specs, np.isfinite(constants[0]).all(axis=1)):
+        if not finite:
+            exponent_run(spec, window)   # raises its NumericalAbort
+    counts = mask.sum(axis=1)
+    slopes, r_squared = np.empty(len(specs)), np.empty(len(specs))
+    for count in sorted(set(counts.tolist())):   # np.unique would import numpy.ma
+        rows = counts == count
+        t = taus[rows][mask[rows]].reshape(-1, count)
+        s = t * rates[rows, None]
+        w = _closed_form_slots([c[rows] if c.ndim == 2 else c[rows, None] for c in constants], s)
+        log_inten = _log_norms(specs[0].model, s, w[..., :specs[0].model.dimension],
+                               constants[1][rows])
+        if not np.all(log_inten > -math.inf):
+            raise DomainError("intensity must be positive on the fit window")
+        fit = fit_line(t, log_inten)
+        slopes[rows], r_squared[rows] = fit.slope, fit.r_squared
+    return LineFit(slopes, r_squared)
+
+
+# the exponent gap of a coupled pair over the rate of its 3D model
+GAP_PER_RATE = 1.0 - 1.0 / math.sqrt(2.0)
+
+
 def softening_gap(spec3d: GeodesicSpec3D, window: tuple = EXPONENT_WINDOW) -> JacobiSoftening:
     """Fitted intensity-growth exponents of the coupled pair and their gap,
     from the exact field of the default Jacobi initial data."""
     pair = (spec3d, GeodesicSpec2D.from_3d(spec3d))
     t3, t2 = (exponent_run(spec, window) for spec in pair)
     f3, f2 = exponent_fit(t3, window), exponent_fit(t2, window)
-    expected = spec3d.rate * (1.0 - 1.0 / math.sqrt(2.0))
+    expected = spec3d.rate * GAP_PER_RATE
     return JacobiSoftening(trajectory_3d=t3, trajectory_2d=t2,
                            fit_3d=f3, fit_2d=f2,
                            gap=f3.slope - f2.slope, expected_gap=expected)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from infogeo import GeodesicSpec2D, cli, ige, jacobi, rk
+from infogeo import GeodesicSpec2D, GeodesicSpec3D, cli, ige, jacobi, rk
 from infogeo.models import MODEL_2D, MODEL_3D
 
 
@@ -325,6 +325,38 @@ def test_fit_times_are_checked_only_for_subcommands_that_fit(tmp_path, capsys):
     assert err.count("config error: slope_window = ") == 2 and err.count("\n") == 2
 
 
+@pytest.mark.parametrize("text,command", [
+    ("[fit]\nexponent_window = 20, 2e4\n", "geodesics"),
+    ("[fit]\nslope_window = 1, 1.0000000000000002\n", "verify-geometry")])
+def test_fit_window_rules_apply_only_where_windows_are_read(tmp_path, capsys, text, command):
+    # an exponent window past rate * tau = 1e4 and a slope window one ulp
+    # wide are refused only by the subcommands that fit (see
+    # test_invalid_parameters_are_exit_2); these two read no fit window
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["--config", str(path), "--out", str(tmp_path / "o"), command]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_the_parser_is_built_once_and_each_call_reads_only_its_own_options(tmp_path):
+    # the cached parser leaves no option of one call in the next: the first
+    # run sets tau_max and writes JSON only, the second takes the defaults
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(["--tau-max", "2.5", "--format", "json", "--out", str(first),
+                "verify-geometry"]) == 0
+    assert run(["--out", str(second), "verify-geometry"]) == 0
+    assert cli._build_parser() is cli._build_parser()
+    assert {p.name for p in first.iterdir()} == {"verify_geometry_report.json"}
+    assert {p.name for p in second.iterdir()} == {"verify_geometry_report.json",
+                                                 "verify_geometry_checks.csv"}
+    params = [json.loads((d / "verify_geometry_report.json").read_text())["parameters"]
+              for d in (first, second)]
+    assert (params[0]["tau_max"], params[0]["formats"]) == (2.5, ["json"])
+    assert (params[1]["tau_max"], params[1]["formats"]) == (10.0, ["csv", "json"])
+
+
 def test_readme_synopsis_lists_every_option():
     # the CLI synopsis block in README names exactly the parser's options
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -445,20 +477,73 @@ def test_non_finite_fit_windows_are_exit_2(tmp_path, capsys, text, command):
 
 
 def test_softening_runs_each_sigma0_once(tmp_path, monkeypatch):
-    # one exact-field pair per point of the default sweep (0.5, 1, 2), and
-    # only the table and its report are written
-    calls = []
-    original = cli.softening_gap
+    # each point of the default sweep (0.5, 1, 2) is one row of one IGE fit
+    # and one exact-field fit per model, each spec's field starts once, the
+    # base sigma0 (here 3) is not evaluated, and only the table and its
+    # report are written
+    calls, starts = [], []
 
-    def counted(spec, *args, **kwargs):
-        calls.append(spec.sigma0)
-        return original(spec, *args, **kwargs)
-    monkeypatch.setattr(cli, "softening_gap", counted)
+    def counted(name, original):
+        def wrapper(specs, *args, **kwargs):
+            calls.append((name, specs[0].model.label, [spec.sigma0 for spec in specs]))
+            return original(specs, *args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(ige, "tail_slopes", counted("ige", ige.tail_slopes))
+    monkeypatch.setattr(cli, "exponent_fits", counted("jacobi", cli.exponent_fits))
+    start_slots = jacobi._start_slots
+    monkeypatch.setattr(jacobi, "_start_slots",
+                        lambda spec, *args: starts.append(spec.sigma0) or start_slots(spec, *args))
+    path = tmp_path / "base.ini"
+    path.write_text("[model]\nsigma0 = 3.0\n")
     out = tmp_path / "out"
-    assert run(["--out", str(out), "softening"]) == 0
-    assert calls == [0.5, 1.0, 2.0]
+    assert run(["--config", str(path), "--out", str(out), "softening"]) == 0
+    sweep = [0.5, 1.0, 2.0]
+    assert calls == [("ige", "3d", sweep), ("ige", "2d", sweep),
+                     ("jacobi", "3d", sweep), ("jacobi", "2d", sweep)]
+    assert starts == sweep + sweep
     assert {p.name for p in out.iterdir()} == {"softening.csv", "softening_report.json",
                                               "softening_checks.csv"}
+
+
+_log_uniform = lambda lo, hi: st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(mu0=st.floats(-2.0, 2.0), sigma0_prime=_log_uniform(-1.0, 1.0),
+       lambda_plus_prime=_log_uniform(-1.0, 1.0), lambda_f=_log_uniform(-1.0, 1.0),
+       sweep=st.lists(_log_uniform(-6.0, 6.0), min_size=1, max_size=4,
+                      unique_by=cli._sweep_tag))
+def test_each_softening_row_is_its_own_sigma0s_fits_bit_for_bit(mu0, sigma0_prime,
+                                                               lambda_plus_prime, lambda_f,
+                                                               sweep):
+    # a row of the one-pass table equals the one-sigma0 calls at its sigma0,
+    # whatever its neighbours: slopes, ratio, exponents, gap and expected
+    # gap, and the R^2 of each row-wise fit
+    cfg = cli._validate(cli.ExperimentConfig(mu0=mu0, sigma0_prime=sigma0_prime,
+                                             lambda_plus_prime=lambda_plus_prime,
+                                             lambda_f=lambda_f, sweep_sigma0=tuple(sweep)))
+    specs = [GeodesicSpec3D(mu0, s0, sigma0_prime, lambda_plus_prime, lambda_f)
+             for s0 in sorted(sweep)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report, _ = cli.run_softening(cfg)
+        rows = {model[0].model.label: (ige.tail_slopes(model), jacobi.exponent_fits(model))
+                for model in (specs, [GeodesicSpec2D.from_3d(spec) for spec in specs])}
+        alone = [(ige.softening_ratio_ige(spec), jacobi.softening_gap(spec)) for spec in specs]
+    for i, (row, spec, (s_ige, s_jac)) in enumerate(zip(report.tables["softening"], specs, alone)):
+        assert row == {"sigma0": spec.sigma0,
+                       "ige_slope_3d": s_ige.result_3d.fit.slope,
+                       "ige_slope_2d": s_ige.result_2d.fit.slope,
+                       "ratio": s_ige.ratio,
+                       "jacobi_exponent_3d": s_jac.fit_3d.slope,
+                       "jacobi_exponent_2d": s_jac.fit_2d.slope,
+                       "gap": s_jac.gap,
+                       "expected_gap": s_jac.expected_gap}
+        for label, curve, fit in (("3d", s_ige.result_3d, s_jac.fit_3d),
+                                  ("2d", s_ige.result_2d, s_jac.fit_2d)):
+            slopes, exponents = rows[label]
+            assert slopes.r_squared[i] == curve.fit.r_squared
+            assert exponents.r_squared[i] == fit.r_squared
 
 
 def test_each_artefact_has_one_writer(tmp_path):

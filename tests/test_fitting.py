@@ -64,3 +64,72 @@ def test_a_line_needs_two_distinct_abscissae(x, y, capfd):
     with pytest.raises(ValueError, match="need at least two"):
         fit_line(x, y)
     assert capfd.readouterr() == ("", "")
+
+
+def _reference_fit(x, y) -> tuple:
+    """One fit of 1-D x and y as the closed form was first written, on
+    Python floats and 1-D numpy sums: the reference each row must match."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    ex, ey = (math.frexp(float(np.abs(v).max()))[1] for v in (x, y))
+    u, v = np.ldexp(x, -ex), np.ldexp(y, -ey)
+    du, dv = u - u.mean(), v - v.mean()
+    sxy, sxx, syy = float(du @ dv), float(du @ du), float(dv @ dv)
+    r2 = 1.0 if syy == 0.0 else sxy * sxy / (sxx * syy)
+    return float(np.ldexp(sxy / sxx, ey - ex)), r2
+
+
+def _assert_rows_match_the_reference(x, y):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_line(x, y)
+    assert fit.slope.shape == fit.r_squared.shape == (x.shape[0],)
+    for i in range(x.shape[0]):
+        assert (fit.slope[i], fit.r_squared[i]) == _reference_fit(x[i], y[i])
+        one = fit_line(x[i], y[i])
+        assert type(one.slope) is type(one.r_squared) is float
+        assert (one.slope, one.r_squared) == _reference_fit(x[i], y[i])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rows=st.integers(1, 5), n=st.integers(2, 400), seed=st.integers(0, 2**32 - 1),
+       x_exp=st.integers(-300, 300), y_exp=st.integers(-300, 300),
+       layout=st.sampled_from(["C", "F", "transposed"]))
+def test_each_row_fits_bit_for_bit_as_its_own_points(rows, n, seed, x_exp, y_exp, layout):
+    # rows at scales from 1e-300 to 1e300, in any memory layout (a
+    # transposed view among them), fit as the 1-D reference fits each row;
+    # the slope, about 10^(y_exp - x_exp), stays in range
+    assume(abs(y_exp - x_exp) <= 300)
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.normal(size=(rows, n)), axis=1) * 10.0 ** x_exp
+    y = (rng.normal(size=(rows, n)) + rng.normal() * x / 10.0 ** x_exp) * 10.0 ** y_exp
+    if layout == "F":
+        x, y = np.asfortranarray(x), np.asfortranarray(y)
+    elif layout == "transposed":
+        x, y = np.ascontiguousarray(x.T).T, np.ascontiguousarray(y.T).T
+    _assert_rows_match_the_reference(x, y)
+
+
+@pytest.mark.filterwarnings("error")
+def test_two_point_and_constant_rows_fit_as_their_own_points():
+    # a two-point row, a constant-y row (R^2 = 1, slope 0), a row at 1e300
+    # and one at 1e-300 fitted together, and through a transposed view
+    x = np.array([[1.0, 3.0, 0.0], [1.0, 2.0, 3.0], [1e300, 2e300, 4e300],
+                  [1e-300, 3e-300, 4e-300]])[:, :2]
+    y = np.array([[2.0, -5.0], [7.0, 7.0], [1e300, -1e300], [-3e-300, 5e-300]])
+    _assert_rows_match_the_reference(x, y)
+    _assert_rows_match_the_reference(np.ascontiguousarray(x.T).T, np.ascontiguousarray(y.T).T)
+    fit = fit_line(x, y)
+    assert (fit.slope[1], fit.r_squared[1]) == (0.0, 1.0)
+    assert fit.r_squared[0] == 1.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_row_that_cannot_be_fitted_refuses_the_whole_fit(capfd):
+    # one row of equal abscissae or one non-finite value refuses every row
+    x = np.array([[1.0, 2.0, 3.0], [4.0, 4.0, 4.0]])
+    with pytest.raises(ValueError, match="need at least two"):
+        fit_line(x, np.ones_like(x))
+    x[1] = [4.0, 5.0, math.nan]
+    with pytest.raises(ValueError, match="non-finite values in the fit window"):
+        fit_line(x, np.ones_like(x))
+    assert capfd.readouterr() == ("", "")

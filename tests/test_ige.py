@@ -422,3 +422,22 @@ def test_csv_export():
                                         res.log_avg_vol, res.entropy_closed_form])
         assert parsed.shape == expected.shape and (parsed == expected).all()
     assert (parsed[-1, 1:3] == np.inf).all()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_list_of_specs_averages_each_row_as_its_own_spec():
+    # one call over rows of one model's specs equals each spec's own call
+    # on its row, bit for bit, from rate * tau = EXACT_SWITCH on
+    base = ig.GeodesicSpec3D(0.4, 1.3, 0.7, 0.8, 1.9)
+    for specs in ([replace(base, sigma0=s0) for s0 in (1e-6, 0.5, 3.0, 1e6)],
+                  [ig.GeodesicSpec2D.from_3d(replace(base, sigma0=s0)) for s0 in (0.5, 3.0)]):
+        rates = np.array([spec.rate for spec in specs])
+        taus = np.ascontiguousarray(ig.ige.slope_times(rates, (2.0, 400.0)).T)
+        rows = ig.log_averaged_volume(specs, taus)
+        assert rows.shape == taus.shape
+        for spec, t, row in zip(specs, taus, rows):
+            assert np.array_equal(row, ig.log_averaged_volume(spec, t))
+        slopes = ig.ige.tail_slopes(specs, (2.0, 400.0))
+        for i, spec in enumerate(specs):
+            fit = ig.ige_curve(spec, (2.0, 400.0)).fit
+            assert (slopes.slope[i], slopes.r_squared[i]) == (fit.slope, fit.r_squared)

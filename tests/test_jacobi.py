@@ -912,3 +912,30 @@ def test_csv_export():
         expected = np.column_stack([run.taus, run.J, run.intensities(), run.log_intensities])
         assert parsed.shape == expected.shape and (parsed == expected).all()
     assert (parsed[:, -1] == -np.inf).all()
+
+
+@pytest.mark.filterwarnings("error")
+def test_exponent_rows_of_two_sample_counts_fit_as_their_own_runs():
+    # on [20 + 1e-12, 50] the 2D rates of sigma0 = 2.5 and 5 put 240 samples
+    # on the window and that of sigma0 = 1 puts 241: the rows fit in two
+    # groups, each row bit for bit its own exponent run's fit
+    window = (20.000000000001, 50.0)
+    specs = [ig.GeodesicSpec2D(0.0, s0, 1.0 / SQRT2) for s0 in (1.0, 2.5, 5.0)]
+    rates = np.array([spec.rate for spec in specs])
+    counts = jacobi.window_mask(jacobi.exponent_times(rates, window), rates, window).sum(axis=0)
+    assert counts.tolist() == [241, 240, 240]
+    fits = jacobi.exponent_fits(specs, window)
+    for i, spec in enumerate(specs):
+        fit = jacobi.exponent_fit(jacobi.exponent_run(spec, window), window)
+        assert (fits.slope[i], fits.r_squared[i]) == (fit.slope, fit.r_squared)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_row_whose_start_leaves_the_double_range_aborts_as_its_own_run():
+    # sigma0 = sigma0' = 1e-200 among ordinary rows: the exponent fits raise
+    # that spec's own run's abort, which carries the run stopped at its start
+    specs = [ig.GeodesicSpec3D(0.0, s0, 1e-200, 1.0, 1.0) for s0 in (1.0, 1e-200)]
+    message = "^jacobi run 3d: right-hand side is not finite at the initial state$"
+    with pytest.raises(ig.NumericalAbort, match=message) as abort:
+        jacobi.exponent_fits(specs)
+    assert not abort.value.partial.complete
