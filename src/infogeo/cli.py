@@ -265,12 +265,23 @@ class RunReport:
             "command": self.command,
             "parameters": self.parameters,
             "passed": self.passed,
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [vars(c) for c in self.checks],
             "tables": self.tables,
         }
-        # strict JSON: each non-finite number (a check measuring nan) is null
-        plain = json.loads(json.dumps(payload), parse_constant=lambda _: None)
-        return json.dumps(plain, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
+
+
+def _finite_or_null(value):
+    """A copy of a report payload for strict JSON: each non-finite float (a
+    check measuring nan) becomes None, and each tuple a list."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
 
 
 def _checks_csv(report: RunReport) -> str:

@@ -206,6 +206,9 @@ EXACT_SWITCH = 2.0     # U below which F_n comes from the Gauss rule
 # Li2(-q) = sum_k (-q)^k / k^2; 20 terms reach rounding for q <= e^-2 (U >= 1)
 _LI2_K = np.arange(1, 21)
 _LI2_NEG = (-1.0) ** _LI2_K / _LI2_K ** 2
+# below this q (U > 19.1), |Li2(-q) / 2| < q / 2 is under half an ulp of
+# pi^2 / 24, and pi^2 / 24 - Li2(-q) / 2 rounds to pi^2 / 24 itself
+_LI2_NEGLIGIBLE = 2.0 ** -55
 
 
 def _log_moment_gauss(n: int, U: np.ndarray) -> np.ndarray:
@@ -225,34 +228,45 @@ def _log_moment_gauss(n: int, U: np.ndarray) -> np.ndarray:
     return (n + 4) * np.log(U) + np.log(g @ (0.5 * w * t ** (n + 3)))
 
 
+def _bracket(n: int, U, q, e, log1p_q):
+    """F_n(U) * 2 e^-U from U, q = e^(-2U), e = e^-U and log1p(q).
+
+    Written once for Python floats and for arrays alike, so a single time
+    and an array of times run the same IEEE operations in the same order.
+    """
+    if n == 0:
+        return 1.0 + q - 2.0 * e * (1.0 + U - LOG2 + log1p_q)
+    # -Li2(-q) / 2: every q against every power
+    if isinstance(q, np.ndarray):
+        half_li2 = (0.5 * q[..., None] ** _LI2_K) @ _LI2_NEG
+    elif q < _LI2_NEGLIGIBLE:
+        half_li2 = 0.0   # the same sum below, bit for bit
+    else:
+        half_li2 = float((0.5 * q ** _LI2_K) @ _LI2_NEG)
+    eu = e * U
+    e_t = 0.5 * eu * U - e * (math.pi ** 2 / 24.0 + half_li2) + eu * log1p_q
+    return U - 1.0 + (U + 1.0) * q - 2.0 * e_t
+
+
 def _log_moment_closed(n: int, U: np.ndarray) -> np.ndarray:
     """log F_n(U) in closed form with e^U / 2 factored out; for U >= 1.
 
     F_0 = cosh U - 1 - log cosh U and F_1 = U cosh U - sinh U - T(U), where
     T(U) = integral_0^U u tanh u du
          = U^2/2 - pi^2/24 - Li2(-q)/2 + U log(1 + q),  q = e^(-2U).
-    Products with e^-U are taken first, so no term overflows at any U.  ``U``
-    is a numpy scalar or an array of any shape, and the result has its shape.
+    Products with e^-U are taken first (``_bracket``), so no term overflows
+    at any U.  The result has the shape of ``U``.
     """
     q, e = np.exp(-2.0 * U), np.exp(-U)
-    log1p_q = np.log1p(q)
-    if n == 0:
-        bracket = 1.0 + q - 2.0 * e * (1.0 + U - LOG2 + log1p_q)
-    else:
-        eu = e * U
-        e_t = (0.5 * eu * U - e * (math.pi ** 2 / 24.0
-                                  + 0.5 * (q[..., None] ** _LI2_K) @ _LI2_NEG)
-               + eu * log1p_q)
-        bracket = U - 1.0 + (U + 1.0) * q - 2.0 * e_t
-    return U - LOG2 + np.log(bracket)
+    return U - LOG2 + np.log(_bracket(n, U, q, e, np.log1p(q)))
 
 
-def _log_moment(n: int, U):
-    """log F_n(U) for n = 0 or 1 flat factors and U > 0 of any shape.
+def _log_moment(n: int, U: np.ndarray) -> np.ndarray:
+    """log F_n(U) for n = 0 or 1 flat factors and an array of U > 0.
 
-    With no U below ``EXACT_SWITCH`` the closed form takes U as it is, so a
-    numpy scalar stays one; otherwise the U below go to the Gauss rule as one
-    1-D batch, whose ``g @ w`` groups its sum by batch size (a few ulps).
+    With no U below ``EXACT_SWITCH`` the closed form takes U as it is;
+    otherwise the U below go to the Gauss rule as one 1-D batch, whose
+    ``g @ w`` groups its sum by batch size (a few ulps).
     """
     small = U < EXACT_SWITCH
     if not small.any():
@@ -269,18 +283,41 @@ def _log_volume_constant(spec, rate: float) -> float:
         math.log(decay) - math.log(rate) for _, decay in spec.flat_factors)
 
 
+def _log_averaged_volume_at(spec, tau: float) -> float:
+    """:func:`log_averaged_volume` at one time, on Python floats.
+
+    The arithmetic is that of a 1-element array, operation for operation.
+    numpy takes only the transcendental functions, on one float at a time,
+    and the Li2 series (``math.exp`` and ``math.log`` differ from numpy's in
+    the last bit); a U below ``EXACT_SWITCH`` goes to the Gauss rule as a
+    1-element batch.
+    """
+    if not 0.0 < tau < math.inf:   # NaN too
+        raise DomainError("tau must be positive finite")
+    rate, n = spec.rate, len(spec.flat_factors)
+    U = rate * tau
+    if U < EXACT_SWITCH:
+        log_f = float(_log_moment_gauss(n, np.array([U]))[0])
+    else:
+        q, e = float(np.exp(-2.0 * U)), float(np.exp(-U))
+        log_f = U - LOG2 + float(np.log(_bracket(n, U, q, e, float(np.log1p(q)))))
+    return _log_volume_constant(spec, rate) + log_f - float(np.log(U))
+
+
 def log_averaged_volume(spec, tau):
     """log of the time-averaged swept volume at tau (a float, or an array of times).
 
     Exact: log(span * w * prod(lambda_f / rate) * F_n(U) / U) with
     U = rate * tau, which involves sigma0 only through U and the rate.  Every
-    tau must be positive finite.  A float or 0-d tau returns a float, and from
-    U = ``EXACT_SWITCH`` on it is computed on numpy scalars, with the bits of
-    a 1-element array; an array returns an array of its shape.  ``spec`` may
-    also be a list of specs of one model, with one row of ``tau`` each: a row
-    has the bits of its spec's own call wherever all of its U reach
+    tau must be positive finite.  A single time (a float, an ``np.float64``
+    or a 0-d array) returns a float, computed on Python floats with the bits
+    of a 1-element array; an array returns an array of its shape.  ``spec``
+    may also be a list of specs of one model, with one row of ``tau`` each: a
+    row has the bits of its spec's own call wherever all of its U reach
     ``EXACT_SWITCH`` (below it the Gauss rule groups its sums by batch).
     """
+    if not isinstance(spec, list) and (isinstance(tau, float) or np.ndim(tau) == 0):
+        return _log_averaged_volume_at(spec, float(tau))
     taus = np.asarray(tau, dtype=float)
     if not ((taus > 0.0) & (taus < math.inf)).all():
         raise DomainError("tau must be positive finite")
@@ -292,8 +329,7 @@ def log_averaged_volume(spec, tau):
         rate = spec.rate
         log_const, n = _log_volume_constant(spec, rate), len(spec.flat_factors)
     U = rate * taus
-    out = log_const + _log_moment(n, U) - np.log(U)
-    return float(out) if taus.ndim == 0 else out
+    return log_const + _log_moment(n, U) - np.log(U)
 
 
 # ---------------------------------------------------------------------------

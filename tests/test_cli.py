@@ -766,6 +766,29 @@ def test_extreme_mu0_warns_nothing(tmp_path, capsys, mu0, command, code):
         assert checks["ige_3d_closed_form_volume_relative_error"] is None
 
 
+def test_a_report_encodes_non_finite_numbers_as_null_in_one_pass():
+    # checks measuring nan, inf and -inf, and non-finite numbers nested in the
+    # parameters and tables, are written as null: the text is that of the
+    # earlier encoding, which dumped the payload, parsed it back with each
+    # non-finite constant as None and dumped it again
+    report = cli.RunReport("probe", {"b": (1.0, math.inf), "a": [{"z": -math.inf, "y": "x"}]},
+                           tables={"t": [[0.5, math.nan], (None, 3)]})
+    for name, measured in (("nan", math.nan), ("inf", math.inf), ("minus_inf", -math.inf),
+                           ("zero", 0.0)):
+        report.add(f"check_{name}", measured, 1.0)
+    payload = {"schema_version": cli.SCHEMA_VERSION, "command": report.command,
+               "parameters": report.parameters, "passed": report.passed,
+               "checks": [vars(c) for c in report.checks], "tables": report.tables}
+    old = json.dumps(json.loads(json.dumps(payload), parse_constant=lambda _: None),
+                     indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = report.to_json()
+    assert text == old
+    checks = {c["name"]: c["measured"] for c in json.loads(text)["checks"]}
+    assert checks == {"check_nan": None, "check_inf": None, "check_minus_inf": None,
+                      "check_zero": 0.0}
+    assert report.checks[0].measured != report.checks[0].measured   # the report keeps its nan
+
+
 # the config fuzz: every INI key at each edge value, on each subcommand that
 # reads the key, with a companion line where a key is read only with another
 _MODEL_READERS = ("geodesics", "ige", "jacobi", "softening")

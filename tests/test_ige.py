@@ -8,13 +8,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import infogeo as ig
 from infogeo.errors import DomainError
 from infogeo.geodesics import _closed_form
-from infogeo.ige import (EXACT_SWITCH, _log_moment, _log_moment_closed, _log_moment_gauss,
-                         _panelled_gauss, log_time_average)
+from infogeo.ige import (_LI2_K, _LI2_NEG, _LI2_NEGLIGIBLE, EXACT_SWITCH, _log_moment,
+                         _log_moment_closed, _log_moment_gauss, _panelled_gauss,
+                         log_time_average)
 from infogeo.models import MODEL_3D
 
 SPEC3 = ig.GeodesicSpec3D(0.0, 1.0, 1.0, 1.0, 1.0)
@@ -236,6 +237,19 @@ def test_average_validation():
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("form", [float, np.float64, np.array], ids=["float", "float64", "0-d"])
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_a_single_time_is_refused_where_an_array_is(tau, form):
+    # the single-time path checks tau on a Python float: each bad time, in
+    # each single-time form, ends in the array path's one DomainError, and
+    # neither warns
+    for spec in (SPEC3, SPEC2):
+        for bad in (form(tau), np.array([1.0, tau])):
+            with pytest.raises(DomainError, match="^tau must be positive finite$"):
+                ig.log_averaged_volume(spec, bad)
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("tau", [math.nan, math.inf, np.array([1.0, math.nan]),
                                  np.array([[math.inf]])],
                          ids=["nan", "inf", "array-nan", "array-inf"])
@@ -275,29 +289,52 @@ def test_gauss_and_closed_form_branches_agree_across_the_switch(U, n):
     assert abs(math.expm1(gauss[0] - closed[0])) <= 1e-13
 
 
+# rate * tau from 1e-3 to 1e300, where e^-U underflows to 0; the examples
+# put U = 2 and the float below it on each model (rate 1 in 3D, and in 2D,
+# whose lambda_plus = sqrt(2) / sqrt(2) = 1), U either side of the Li2
+# cutoff, and a U per model (2.129 in 3D, 2.134 in 2D) whose average
+# changes in the last bit if math.exp stands in for np.exp
+_SWITCH_TIMES = [2.0, math.nextafter(2.0, 0.0), 2.129, 2.134, 19.0, 19.06, 19.1, 20.0]
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(spec3=_sweep_specs,
-       rate_taus=st.lists(st.floats(-3.0, 3.0).map(lambda e: 10.0**e), min_size=2, max_size=12))
+       rate_taus=st.lists((st.floats(-3.0, 3.0) | st.floats(3.0, 300.0)).map(lambda e: 10.0**e),
+                          min_size=2, max_size=12))
+@example(spec3=ig.GeodesicSpec3D(0.0, 1.0, 1.0, 1.0, 1.0), rate_taus=_SWITCH_TIMES)
+@example(spec3=ig.GeodesicSpec3D(0.0, 1.0, 1.0, math.sqrt(2.0), 1.0), rate_taus=_SWITCH_TIMES)
 def test_a_float_time_runs_the_array_arithmetic(spec3, rate_taus):
-    # a float, a 0-d and a 1-element tau give the same bits; so does element
-    # i of an array wherever rate * tau is on the closed form.  Below
-    # EXACT_SWITCH the Gauss rule's g @ w sums a batch of several U by a
-    # matrix-vector product and one U by a dot product, which group the sum
-    # differently: on 803 log-spaced U in [1e-3, 1e3], 20 (3D) and 21 (2D)
-    # batch elements differ, all below the switch, by at most 7.1e-15
-    # relative in the averaged volume
+    # a float, an np.float64, a 0-d and a 1-element tau give the same bits;
+    # so does element i of an array wherever rate * tau is on the closed
+    # form.  Below EXACT_SWITCH the Gauss rule's g @ w sums a batch of
+    # several U by a matrix-vector product and one U by a dot product, which
+    # group the sum differently: on 803 log-spaced U in [1e-3, 1e3], 20 (3D)
+    # and 21 (2D) batch elements differ, all below the switch, by at most
+    # 7.1e-15 relative in the averaged volume
     for spec in (spec3, ig.GeodesicSpec2D.from_3d(spec3)):
         taus = np.array(rate_taus) / spec.rate
         batch = ig.log_averaged_volume(spec, taus)
-        for t, b in zip(taus.tolist(), batch.tolist()):
+        for t, t64, b in zip(taus.tolist(), taus, batch.tolist()):
             one = ig.log_averaged_volume(spec, t)
-            assert type(one) is float
+            assert type(one) is float and type(ig.log_averaged_volume(spec, t64)) is float
+            assert one.hex() == ig.log_averaged_volume(spec, t64).hex()
             assert one.hex() == ig.log_averaged_volume(spec, np.array(t)).hex()
             assert one.hex() == float(ig.log_averaged_volume(spec, np.array([t]))[0]).hex()
             if spec.rate * t >= EXACT_SWITCH:
                 assert b.hex() == one.hex()
             else:
                 assert abs(math.expm1(b - one)) <= 1e-13
+
+
+def test_the_li2_series_below_its_cutoff_leaves_its_sum_alone():
+    # a single time skips the series where q = e^-2U < 2^-55: there the
+    # series is under half an ulp of pi^2 / 24 and their sum is pi^2 / 24
+    # bit for bit (|Li2(-q)| grows with q, so the largest q below decides)
+    head = math.pi ** 2 / 24.0
+    for q in (math.nextafter(_LI2_NEGLIGIBLE, 0.0), 2.0 ** -60, 2.0 ** -600, 5e-324, 0.0):
+        assert head + float((0.5 * q ** _LI2_K) @ _LI2_NEG) == head
+    q = 2.0 ** -54   # at twice the cutoff the series moves the sum
+    assert head + float((0.5 * q ** _LI2_K) @ _LI2_NEG) != head
 
 
 def test_exact_average_leading_terms():

@@ -7,8 +7,9 @@ range plus one point per model with sigma_x << |mu_x| (past 1e-154 the squared
 scores leave the double range in the Gram product).  For the volume layer it
 holds, per model, the exact time average on a float time, on a 0-d array and
 on a 2-D array whose rate * tau runs across ``EXACT_SWITCH`` (Gauss rule
-below, closed form above), the box volume, and the box quadrature on a
-one-panel and a two-panel box.  For the Jacobi layer it holds, per model,
+below, closed form above), on float and ``np.float64`` times far out on the
+tail (rate * tau = 1e3, 1e8 and 1e200), the box volume, and the box
+quadrature on a one-panel and a two-panel box.  For the Jacobi layer it holds, per model,
 the J, log intensities and slots of the exact field on a short grid in rate
 * tau, at the volume spec and at a far spec (sigma0 = 1e-100, sigma0' = 1)
 where J^3 underflows to 0.  A change that reorders the floating-point
@@ -36,7 +37,11 @@ FISHER_POINTS = {"3d": [(-3e-150, 1e-150, 2.5), (-1.7, 0.8, 1e150), (4e149, 3e14
 SCHEMES = (fisher.QuadratureSpec(), fisher.QuadratureSpec("truncated-grid"))
 VOLUME_SPEC_3D = GeodesicSpec3D(0.0, 1.3, 1.1, 0.8, 0.9)
 VOLUME_SPECS = {"3d": VOLUME_SPEC_3D, "2d": GeodesicSpec2D.from_3d(VOLUME_SPEC_3D)}
-AVERAGE_TAUS = (0.4, 2.5, 30.0)          # rate * tau below, just above and far above the switch
+# times, not rate * tau: U = 0.42, 2.6 and 31 (3D) below, just above and far
+# above the switch, and 0.29, 1.84 and 22 (2D), the middle one below it too
+AVERAGE_TAUS = (0.4, 2.5, 30.0)
+# rate * tau on the far tail: e^-U underflows to 0 at the last two
+FAR_RATE_TAUS = (1e3, 1e8, 1e200)
 MIXED_TAUS = np.linspace(0.1, 8.0, 40).reshape(5, 8)
 BOX_TAUS = np.array([0.0, 0.3, 1.0, 5.0, 50.0])
 # one panel per scale axis at the first time, two on the last axis at the second
@@ -74,6 +79,10 @@ def oracle_bits() -> dict:
             "log_averaged_volume 0-d": _hex([ige.log_averaged_volume(spec, np.array(t))
                                              for t in AVERAGE_TAUS]),
             "log_averaged_volume mixed": _hex(ige.log_averaged_volume(spec, MIXED_TAUS)),
+            "log_averaged_volume far float": _hex([ige.log_averaged_volume(spec, u / spec.rate)
+                                                   for u in FAR_RATE_TAUS]),
+            "log_averaged_volume far float64": _hex(
+                [ige.log_averaged_volume(spec, t) for t in np.array(FAR_RATE_TAUS) / spec.rate]),
             "box_volume": _hex(ige.box_volume(spec, BOX_TAUS)),
             "box_volume_quadrature": _hex([ige.box_volume_quadrature(spec, t)
                                            for t in QUADRATURE_TAUS[label]]),
