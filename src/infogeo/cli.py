@@ -28,6 +28,7 @@ import functools
 import json
 import math
 import sys
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -82,15 +83,35 @@ class ExperimentConfig:
     formats: tuple = ("csv", "json")
 
     def spec_3d(self) -> GeodesicSpec3D:
+        start = (self.mu0, self.sigma0, self.sigma0_prime, self.lambda_plus_prime)
         if self.tau_f is not None and self.epsilon is not None:
-            return GeodesicSpec3D.from_final_spread(
-                self.mu0, self.sigma0, self.sigma0_prime,
-                self.lambda_plus_prime, self.tau_f, self.epsilon,
-                lambda_f=self.lambda_f)
-        return GeodesicSpec3D(self.mu0, self.sigma0, self.sigma0_prime,
-                              self.lambda_plus_prime,
-                              1.0 if self.lambda_f is None else self.lambda_f)
+            return GeodesicSpec3D.from_final_spread(*start, self.tau_f, self.epsilon,
+                                                    lambda_f=self.lambda_f)
+        return GeodesicSpec3D(*start, 1.0 if self.lambda_f is None else self.lambda_f)
 
+    @functools.cached_property
+    def sweep_pairs(self) -> dict:
+        """{sigma0: (3D spec, 2D spec)} at the base sigma0, then at each other
+        sweep sigma0: every spec the runs take, each built once."""
+        base = self.spec_3d()
+        specs = {s0: base if s0 == self.sigma0 else replace(base, sigma0=s0)
+                 for s0 in (self.sigma0, *self.sweep_sigma0)}
+        return {s0: (spec, GeodesicSpec2D.from_3d(spec)) for s0, spec in specs.items()}
+
+    @functools.cached_property
+    def fit_grids(self) -> FitGrids:
+        """The slope, exponent and volume times (at the base pair only) and the
+        exponent samples on its window, built once, each a column per rate, 3D
+        then 2D for each of :attr:`sweep_pairs`, bit for bit the grid of its
+        run; a DomainError when too few samples fall on the exponent window."""
+        rates = np.array([spec.rate for pair in self.sweep_pairs.values() for spec in pair])
+        exponent = jacobi.exponent_times(rates, self.exponent_window)
+        return FitGrids(rates, ige.slope_times(rates, self.slope_window), exponent,
+                        jacobi.window_mask(exponent, rates, self.exponent_window),
+                        ige.volume_times(rates[:2], self.volume_window))
+
+
+FitGrids = namedtuple("FitGrids", "rates slope exponent on_window volume")
 
 _floats = lambda s: tuple(float(v) for v in s.split(","))
 _strs = lambda s: tuple(v.strip() for v in s.split(","))
@@ -138,23 +159,13 @@ def _sweep_tag(sigma0: float) -> str:
     return f"sigma0={sigma0:g}"
 
 
-def _sweep_specs(cfg: ExperimentConfig):
-    """(sigma0, 3D spec, 2D spec) at the base sigma0, then at each distinct sweep sigma0."""
-    spec = cfg.spec_3d()
-    for s0 in dict.fromkeys((cfg.sigma0, *cfg.sweep_sigma0)):
-        spec_s0 = replace(spec, sigma0=s0)
-        yield s0, spec_s0, GeodesicSpec2D.from_3d(spec_s0)
-
-
 def _check_fit_times(cfg: ExperimentConfig):
     """The fitting runs' ConfigError, raised before any subcommand starts: unless
     the slope window is at least ``_SLOPE_WIDTH_MIN`` of its start wide, the
-    exponent window ends by rate * tau = ``_RATE_TAU_END``, the times the runs
-    fit or average on at the rate of each of the :func:`_sweep_specs` (the
-    volume window's at the base pair, its one use) are positive and strictly
-    increase in tau and in rate * tau (the exponent run's after its start at 0),
-    the first Simpson step is positive and the tail slope, about (n + 3) / tau,
-    is in range, and the exponent window holds enough samples."""
+    exponent window ends by rate * tau = ``_RATE_TAU_END``, ``cfg.fit_grids``
+    (the times the runs fit on) are positive and increase in tau and rate * tau
+    (the exponent run's past 0), the first Simpson step is positive, the tail
+    slope, about (n + 3) / tau, is in range and the exponent window holds enough samples."""
     w = cfg.slope_window
     if w[1] - w[0] < _SLOPE_WIDTH_MIN * w[0]:
         raise ConfigError(f"slope_window must be at least {_SLOPE_WIDTH_MIN:g} of its start "
@@ -162,35 +173,31 @@ def _check_fit_times(cfg: ExperimentConfig):
     if cfg.exponent_window[1] > _RATE_TAU_END:
         raise ConfigError(f"exponent_window must end by rate * tau = {_RATE_TAU_END:g}, where "
                           f"the rk Jacobi run takes about 6,000 steps, got {cfg.exponent_window}")
-    specs = [spec for _, *pair in _sweep_specs(cfg) for spec in pair]
-    rates = np.array([spec.rate for spec in specs])
-    # one column per rate, each the run's own grid bit for bit, unless the step
-    # of some column underflows to 0: that column repeats its times in any case
     try:
-        exponent_times = jacobi.exponent_times(rates, cfg.exponent_window)[1:]
+        grids = cfg.fit_grids
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    grids = {"slope_window": (rates, ige.slope_times(rates, cfg.slope_window)),
-             "exponent_window": (rates, exponent_times),
-             "volume_window": (rates[:2], ige.volume_times(rates[:2], cfg.volume_window))}
-    for name, (r, taus) in grids.items():
+    # unless the step of some column underflows to 0: that column repeats its times
+    for name, r, taus in (("slope_window", grids.rates, grids.slope),
+                          ("exponent_window", grids.rates, grids.exponent[1:]),
+                          ("volume_window", grids.rates[:2], grids.volume)):
         for ts in (taus, r * taus):
             bad = ~((ts[0] > 0.0) & (ts[1:] > ts[:-1]).all(axis=0))
             if bad.any():
                 raise ConfigError(f"{name} = {getattr(cfg, name)} at rate {r[bad][0]:g} puts "
                                   f"fit times at 0 or repeats them")
-    first = grids["volume_window"][1][0].min()   # the earliest time has the smallest step
+    first = grids.volume[0].min()   # the earliest time has the smallest step
     if not ige.simpson_nodes(first)[1] > 0.0:
         raise ConfigError(f"volume_window = {cfg.volume_window} puts the first Simpson "
                           f"step, {first:g} / {ige.SIMPSON_NODES - 1}, at 0")
-    window = grids["slope_window"][1][ige.LEAD_POINTS:]
-    n = np.array([len(spec.flat_factors) for spec in specs])
+    window = grids.slope[ige.LEAD_POINTS:]
+    n = np.array([len(spec.flat_factors) for pair in cfg.sweep_pairs.values() for spec in pair])
     with np.errstate(over="ignore"):   # the secant of (n + 3) log tau over the window
         bad = ~((n + 3) * (np.log(window[-1]) - np.log(window[0])) / (window[-1] - window[0])
                 < math.inf)
     if bad.any():
-        raise ConfigError(f"slope_window = {cfg.slope_window} at rate {rates[bad][0]:g} puts "
-                          f"the tail slope beyond the largest float")
+        raise ConfigError(f"slope_window = {cfg.slope_window} at rate {grids.rates[bad][0]:g} "
+                          f"puts the tail slope beyond the largest float")
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -214,20 +221,21 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"sigma0_values must name distinct checks, got {', '.join(clash)}")
     try:
         check_tol(cfg.tol)
-        spec = cfg.spec_3d()
+        if cfg.lambda_f is None:   # 1.0, or derived from (tau_f, epsilon)
+            cfg = replace(cfg, lambda_f=1.0 if cfg.tau_f is None else cfg.spec_3d().lambda_f)
         # the latest fit time, in rate * tau, at the smaller rate of the pair, the 2D one
         horizon = max(cfg.volume_window[1], cfg.slope_window[1], cfg.exponent_window[1])
-        for s0, spec_s0, spec_2d in _sweep_specs(cfg):
+        for s0, (spec_s0, spec_2d) in cfg.sweep_pairs.items():
             rate = spec_2d.rate
             if not (rate > 0.0 and horizon / rate < math.inf):
                 raise ConfigError(f"sigma0 = {s0!r} puts the fit horizon {horizon:g} / rate "
                                   f"beyond the largest float")
-            if not spec.lambda_f / spec_s0.rate < math.inf:   # the 3D flat slot's decay
-                raise ConfigError(f"sigma0 = {s0!r} puts lambda_f / rate = {spec.lambda_f:g} / "
+            if not cfg.lambda_f / spec_s0.rate < math.inf:   # the 3D flat slot's decay
+                raise ConfigError(f"sigma0 = {s0!r} puts lambda_f / rate = {cfg.lambda_f:g} / "
                                   f"{spec_s0.rate:g} beyond the largest float")
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    return replace(cfg, lambda_f=spec.lambda_f)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +313,7 @@ def _emit(cfg: ExperimentConfig, out_dir: Path, stem: str, report: RunReport,
 
 def _specs(cfg: ExperimentConfig) -> list:
     """(label, spec) for each model the configuration selects."""
-    spec3 = cfg.spec_3d()
-    return [(spec.model.label, spec) for spec in (spec3, GeodesicSpec2D.from_3d(spec3))
+    return [(spec.model.label, spec) for spec in cfg.sweep_pairs[cfg.sigma0]
             if cfg.model in (spec.model.label, "pair")]
 
 
@@ -449,12 +456,12 @@ def run_softening(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     and ``softening_gap`` at that sigma0; the base-point series and their rk
     cross-checks belong to ige and jacobi."""
     report = RunReport("softening", asdict(cfg))
-    sigma0s = sorted(cfg.sweep_sigma0)
-    specs_3d = [replace(cfg.spec_3d(), sigma0=s0) for s0 in sigma0s]
-    pair = (specs_3d, [GeodesicSpec2D.from_3d(spec) for spec in specs_3d])
-    slope_3d, slope_2d = (ige.tail_slopes(specs, cfg.slope_window).slope for specs in pair)
-    exponent_3d, exponent_2d = (exponent_fits(specs, cfg.exponent_window).slope
-                                for specs in pair)
+    sigma0s, grids, keys = sorted(cfg.sweep_sigma0), cfg.fit_grids, list(cfg.sweep_pairs)
+    cols = [[2 * keys.index(s0) + m for s0 in sigma0s] for m in (0, 1)]   # 3D, 2D columns
+    pair = [([cfg.sweep_pairs[s0][m] for s0 in sigma0s], c) for m, c in enumerate(cols)]
+    slope_3d, slope_2d = (ige.tail_slopes(specs, grids.slope[:, c]).slope for specs, c in pair)
+    exponent_3d, exponent_2d = (exponent_fits(specs, grids.exponent[:, c], grids.on_window[:, c])
+                                .slope for specs, c in pair)
     columns = {
         "sigma0": sigma0s,
         "ige_slope_3d": slope_3d,
@@ -463,7 +470,7 @@ def run_softening(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
         "jacobi_exponent_3d": exponent_3d,
         "jacobi_exponent_2d": exponent_2d,
         "gap": exponent_3d - exponent_2d,
-        "expected_gap": np.array([spec.rate for spec in specs_3d]) * GAP_PER_RATE,
+        "expected_gap": grids.rates[cols[0]] * GAP_PER_RATE,
     }
     rows = [dict(zip(columns, map(float, values))) for values in zip(*columns.values())]
 

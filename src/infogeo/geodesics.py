@@ -44,7 +44,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -88,6 +88,12 @@ class _GeodesicSpec:
     def rate(self) -> float:
         """sigma0 * lam: decay rate of sigma, growth rate of volumes."""
         return self.sigma0 * self.lam
+
+    @cached_property   # at the first time average, never for specs that only fit
+    def log_volume_constant(self) -> float:
+        """log(span * w * prod(lambda_f / rate)) of ``ige.log_averaged_volume``."""
+        return math.log(MU_SPAN_WIDE * self.model.volume_weight) + sum(
+            math.log(decay) - math.log(self.rate) for _, decay in self.flat_factors)
 
 
 @dataclass(frozen=True)

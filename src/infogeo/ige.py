@@ -65,18 +65,6 @@ WINDOW_POINTS = 33             # samples inside it
 LOG2 = math.log(2.0)
 
 
-def _log_tanh(u):
-    with np.errstate(divide="ignore"):
-        return np.log(np.tanh(u))
-
-
-def _log_cosh_minus_one(u):
-    # cosh u - 1 = e^u (1 - e^-u)^2 / 2, with 1 - e^-u = -expm1(-u) exact to an
-    # ulp for every u in [0, inf)
-    with np.errstate(divide="ignore"):
-        return u - LOG2 + 2.0 * np.log(-np.expm1(-u))
-
-
 def log_box_volume(spec, tau_prime):
     """log of the box volume at tau'; broadcasts over tau' arrays.
 
@@ -91,11 +79,13 @@ def log_box_volume(spec, tau_prime):
         raise DomainError("tau_prime must be nonnegative")
     u = spec.rate * tau_prime
     s0 = spec.sigma0
-    log_dmu = math.log(MU_SPAN_WIDE * s0) + _log_tanh(u)
-    log_sx_factor = math.log(spec.model.volume_weight / s0) + _log_cosh_minus_one(u)
-    total = log_dmu + log_sx_factor
-    for _, decay in spec.flat_factors:
-        with np.errstate(divide="ignore", over="ignore"):   # log 0 = -inf, log inf = inf
+    with np.errstate(divide="ignore", over="ignore"):   # log 0 = -inf, log inf = inf
+        # cosh u - 1 = e^u (1 - e^-u)^2 / 2, with 1 - e^-u = -expm1(-u) exact to
+        # an ulp for every u in [0, inf)
+        total = ((math.log(MU_SPAN_WIDE * s0) + np.log(np.tanh(u)))
+                 + (math.log(spec.model.volume_weight / s0)
+                    + (u - LOG2 + 2.0 * np.log(-np.expm1(-u)))))
+        for _, decay in spec.flat_factors:
             total = total + np.log(decay * tau_prime)
     return total
 
@@ -162,13 +152,6 @@ def box_volume_quadrature(spec, tau_prime: float, nodes=(8, 32, 32),
     return total
 
 
-def _logsumexp(values: np.ndarray) -> float:
-    m = float(np.max(values))
-    if not math.isfinite(m):
-        return m
-    return m + math.log(float(np.sum(np.exp(values - m))))
-
-
 SIMPSON_NODES = 2049   # nodes of the Simpson time average
 _SIMPSON_LOG_W = np.log(_simpson_weights(SIMPSON_NODES))
 
@@ -196,8 +179,11 @@ def log_time_average(log_fn, tau):
     out = []
     for t in taus.ravel().tolist():
         ts = simpson_nodes(t)
-        logv = np.asarray(log_fn(ts), dtype=float)
-        out.append(_logsumexp(logv + _SIMPSON_LOG_W) + math.log(ts[1] - ts[0]) - math.log(t))
+        logv = np.asarray(log_fn(ts), dtype=float) + _SIMPSON_LOG_W
+        top = float(np.max(logv))   # log-sum-exp, unless the top is not finite
+        if math.isfinite(top):
+            top += math.log(float(np.sum(np.exp(logv - top))))
+        out.append(top + math.log(ts[1] - ts[0]) - math.log(t))
     return out[0] if taus.ndim == 0 else np.array(out).reshape(taus.shape)
 
 
@@ -206,8 +192,8 @@ EXACT_SWITCH = 2.0     # U below which F_n comes from the Gauss rule
 # Li2(-q) = sum_k (-q)^k / k^2; 20 terms reach rounding for q <= e^-2 (U >= 1)
 _LI2_K = np.arange(1, 21)
 _LI2_NEG = (-1.0) ** _LI2_K / _LI2_K ** 2
-# below this q (U > 19.1), |Li2(-q) / 2| < q / 2 is under half an ulp of
-# pi^2 / 24, and pi^2 / 24 - Li2(-q) / 2 rounds to pi^2 / 24 itself
+# below this q (U > 19.1), |Li2(-q) / 2| < q / 2 is under half an ulp of pi^2 / 24 and
+# pi^2 / 24 - Li2(-q) / 2 rounds to pi^2 / 24: a float and an array sum it from q up
 _LI2_NEGLIGIBLE = 2.0 ** -55
 
 
@@ -236,11 +222,14 @@ def _bracket(n: int, U, q, e, log1p_q):
     """
     if n == 0:
         return 1.0 + q - 2.0 * e * (1.0 + U - LOG2 + log1p_q)
-    # -Li2(-q) / 2: every q against every power
+    # -Li2(-q) / 2: each q from _LI2_NEGLIGIBLE up against every power, 0 below
     if isinstance(q, np.ndarray):
-        half_li2 = (0.5 * q[..., None] ** _LI2_K) @ _LI2_NEG
+        half_li2 = np.zeros_like(q)
+        near = q >= _LI2_NEGLIGIBLE
+        if near.any():
+            half_li2[near] = (0.5 * q[near][:, None] ** _LI2_K) @ _LI2_NEG
     elif q < _LI2_NEGLIGIBLE:
-        half_li2 = 0.0   # the same sum below, bit for bit
+        half_li2 = 0.0
     else:
         half_li2 = float((0.5 * q ** _LI2_K) @ _LI2_NEG)
     eu = e * U
@@ -277,12 +266,6 @@ def _log_moment(n: int, U: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_volume_constant(spec, rate: float) -> float:
-    """log(span * w * prod(lambda_f / rate)) of :func:`log_averaged_volume`."""
-    return math.log(MU_SPAN_WIDE * spec.model.volume_weight) + sum(
-        math.log(decay) - math.log(rate) for _, decay in spec.flat_factors)
-
-
 def _log_averaged_volume_at(spec, tau: float) -> float:
     """:func:`log_averaged_volume` at one time, on Python floats.
 
@@ -301,7 +284,7 @@ def _log_averaged_volume_at(spec, tau: float) -> float:
     else:
         q, e = float(np.exp(-2.0 * U)), float(np.exp(-U))
         log_f = U - LOG2 + float(np.log(_bracket(n, U, q, e, float(np.log1p(q)))))
-    return _log_volume_constant(spec, rate) + log_f - float(np.log(U))
+    return spec.log_volume_constant + log_f - float(np.log(U))
 
 
 def log_averaged_volume(spec, tau):
@@ -323,11 +306,10 @@ def log_averaged_volume(spec, tau):
         raise DomainError("tau must be positive finite")
     if isinstance(spec, list):
         rate = np.array([s.rate for s in spec])[:, None]
-        log_const = np.array([_log_volume_constant(s, s.rate) for s in spec])[:, None]
+        log_const = np.array([s.log_volume_constant for s in spec])[:, None]
         n = len(spec[0].flat_factors)
     else:
-        rate = spec.rate
-        log_const, n = _log_volume_constant(spec, rate), len(spec.flat_factors)
+        rate, log_const, n = spec.rate, spec.log_volume_constant, len(spec.flat_factors)
     U = rate * taus
     return log_const + _log_moment(n, U) - np.log(U)
 
@@ -455,12 +437,12 @@ def softening_ratio_ige(spec3d: GeodesicSpec3D,
     return IgeSoftening(result_3d=r3, result_2d=r2, ratio=r2.fit.slope / r3.fit.slope)
 
 
-def tail_slopes(specs: list, slope_window: tuple = SLOPE_WINDOW) -> LineFit:
-    """The fits of :func:`ige_curve` for a list of specs of one model, one
-    row each, bit for bit: one time average on each rate's
-    ``WINDOW_POINTS`` slope times and one fit of every row."""
-    rates = np.array([spec.rate for spec in specs])
-    taus = np.ascontiguousarray(slope_times(rates, slope_window)[LEAD_POINTS:].T)
+def tail_slopes(specs: list, taus: np.ndarray) -> LineFit:
+    """The fits of :func:`ige_curve` for a list of specs of one model, one row
+    each, bit for bit: one time average on the ``WINDOW_POINTS`` last of each
+    spec's :func:`slope_times`, a column of ``taus`` (``cli`` builds them once
+    per configuration), and one fit of every row."""
+    taus = np.ascontiguousarray(taus[LEAD_POINTS:].T)
     return fit_line(taus, log_averaged_volume(specs, taus))
 
 

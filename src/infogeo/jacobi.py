@@ -117,31 +117,37 @@ def _jlc_rhs(model):
                          [f"z{i}" for i in range(1, 2 * model.dimension + 1)], head)
 
 
+def _nan_max(values) -> float:   # max(values) as numpy takes it: nan if any value is nan
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
 def _start_slots(spec, initial_J, initial_J_dot) -> tuple:
     """The field slots w(0) of a start (J, J'), (J^mu / sigma0, K_1, ...) and
     their s-rates with K_i = J^i / sigma_i, each factor's divided by its
     max-norm, and those ``units`` per slot.  The factors do not couple, so
     each keeps its own relative accuracy under an absolute tolerance.  A
-    start past the double range gives nan slots."""
-    model, rate = spec.model, spec.rate
-    dim = model.dimension
+    start past the double range gives nan slots.  On Python floats, in the
+    IEEE operations and order of an elementwise numpy pass."""
+    rate, dim = spec.rate, spec.model.dimension
     J0, Jd0 = default_initial(dim)
     J0 = J0 if initial_J is None else np.asarray(initial_J, dtype=float)
     Jd0 = Jd0 if initial_J_dot is None else np.asarray(initial_J_dot, dtype=float)
     if J0.shape != (dim,) or Jd0.shape != (dim,):
         raise DomainError(f"Jacobi initial data must have shape ({dim},)")
-    if not (np.all(np.isfinite(J0)) and np.all(np.isfinite(Jd0))):
+    J0, Jd0 = J0.tolist(), Jd0.tolist()
+    if not all(map(math.isfinite, J0 + Jd0)):
         raise DomainError("Jacobi initial data must be finite")
-    flat = [-decay / rate for _, decay in spec.flat_factors]
-    # the slot scales (sigma0, sigma_1, ...) and their log-rates (0, -tanh s, flat) at s = 0
-    scales0 = np.array([spec.sigma0, spec.sigma0, *(start for start, _ in spec.flat_factors)])
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        field0 = np.concatenate([J0, Jd0 / rate - np.array([0.0, 0.0, *flat]) * J0])
-        field0 /= np.tile(scales0, 2)
-        units = np.abs(field0).reshape(2, dim).max(axis=0)
-        units[:2] = units[:2].max()          # the (mu, sigma) plane: m and K_1 couple
-        units[units == 0.0] = units.max() or 1.0
-        return field0 / np.tile(units, 2), units
+    # the slot scales (sigma0, sigma_1, ...) and their log-rates (0, -tanh s, flat) at s = 0;
+    # J' / rate is inf or nan, as in numpy, where the rate underflows to 0
+    scales0 = [spec.sigma0, spec.sigma0, *(start for start, _ in spec.flat_factors)]
+    log_rates0 = [0.0, 0.0, *(-decay / rate for _, decay in spec.flat_factors)]
+    Jd0 = [v / rate if rate else (math.copysign(math.inf, v) if v else math.nan) for v in Jd0]
+    field0 = [v / c for v, c in zip(J0 + [d - r * j for d, r, j in zip(Jd0, log_rates0, J0)],
+                                    scales0 * 2)]
+    units = [_nan_max((abs(v), abs(d))) for v, d in zip(field0, field0[dim:])]
+    units[:2] = [_nan_max(units[:2])] * 2   # the (mu, sigma) plane: m and K_1 couple
+    units = [_nan_max(units) or 1.0 if u == 0.0 else u for u in units]
+    return np.array([v / u for v, u in zip(field0, units * 2)]), np.array(units)
 
 
 def _log_norms(model, s, K, units) -> np.ndarray:
@@ -392,19 +398,16 @@ class JacobiSoftening:
 
 def exponent_times(rate: float, window: tuple) -> np.ndarray:
     """The 401 even sample times of an exponent run, to rate * tau = window[1]
-    (a column per rate for an array of rates); a DomainError when too few of
-    them fall on ``window`` to fit."""
-    taus = np.linspace(0.0, window[1] / rate, 401)
-    window_mask(taus, rate, window)
-    return taus
+    (a column per rate for an array of rates)."""
+    return np.linspace(0.0, window[1] / rate, 401)
 
 
 def exponent_run(spec, window: tuple, tol: Optional[float] = None) -> JacobiTrajectory:
-    """The default-initial Jacobi field to fit on ``window``, at the
-    :func:`exponent_times`: the closed form of :func:`exact_jacobi`, or with
-    a ``tol`` the :func:`integrate_jlc` run; a NumericalAbort when it stops
-    short."""
+    """The default-initial field at the :func:`exponent_times` of ``window``, by
+    :func:`exact_jacobi`, or with a ``tol`` by :func:`integrate_jlc`; a DomainError
+    when too few fall on ``window``, a NumericalAbort when the run stops short."""
     taus = exponent_times(spec.rate, window)
+    window_mask(taus, spec.rate, window)
     traj = (exact_jacobi(spec, taus) if tol is None
             else integrate_jlc(spec, tau_max=taus[-1], tol=tol, sample_taus=taus))
     if not traj.complete:
@@ -412,21 +415,23 @@ def exponent_run(spec, window: tuple, tol: Optional[float] = None) -> JacobiTraj
     return traj
 
 
-def exponent_fits(specs: list, window: tuple = EXPONENT_WINDOW) -> LineFit:
-    """The fits of :func:`softening_gap`'s exponents for a list of specs of
-    one model, one row each, bit for bit: the exact field of the default
-    start on each rate's :func:`exponent_times` on ``window`` only, and one
-    fit of the rows of each count of such samples.  A start past the double
-    range is the NumericalAbort of its :func:`exponent_run`."""
+def exponent_fits(specs: list, taus: np.ndarray, on_window: np.ndarray) -> LineFit:
+    """The fits of :func:`softening_gap`'s exponents for a list of specs of one
+    model, one row each, bit for bit: the default start's exact field at each
+    spec's :func:`exponent_times` on its :func:`window_mask`, columns of
+    ``taus`` and ``on_window`` (``cli`` builds both once per configuration),
+    one fit of the rows of each count of such samples.  A start past the
+    double range is the NumericalAbort of its :func:`exponent_run`."""
     rates = np.array([spec.rate for spec in specs])
-    taus = exponent_times(rates, window)
-    taus, mask = taus.T, window_mask(taus, rates, window).T
+    taus, mask = taus.T, on_window.T
     # a row per spec of each constant: the start slots, the units, then the scalars
     constants = [np.array(c) for c in zip(*(_integration_constants(spec, None, None)
                                             for spec in specs))]
-    for spec, finite in zip(specs, np.isfinite(constants[0]).all(axis=1)):
-        if not finite:
-            exponent_run(spec, window)   # raises its NumericalAbort
+    for spec, t, finite in zip(specs, taus, np.isfinite(constants[0]).all(axis=1)):
+        if not finite:   # its exponent run's abort, with the run stopped at its start
+            traj = exact_jacobi(spec, t)
+            raise NumericalAbort(f"jacobi run {spec.model.label}: {traj.abort_reason}",
+                                 partial=traj)
     counts = mask.sum(axis=1)
     slopes, r_squared = np.empty(len(specs)), np.empty(len(specs))
     for count in sorted(set(counts.tolist())):   # np.unique would import numpy.ma

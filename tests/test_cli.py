@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from infogeo import GeodesicSpec2D, GeodesicSpec3D, cli, ige, jacobi, rk
+from infogeo import GeodesicSpec2D, GeodesicSpec3D, cli, geodesics, ige, jacobi, rk
 from infogeo.models import MODEL_2D, MODEL_3D
 
 
@@ -477,11 +477,12 @@ def test_non_finite_fit_windows_are_exit_2(tmp_path, capsys, text, command):
 
 
 def test_softening_runs_each_sigma0_once(tmp_path, monkeypatch):
-    # each point of the default sweep (0.5, 1, 2) is one row of one IGE fit
+    # each point of the sweep, in or out of order, is one row of one IGE fit
     # and one exact-field fit per model, each spec's field starts once, the
-    # base sigma0 (here 3) is not evaluated, and only the table and its
-    # report are written
-    calls, starts = [], []
+    # base sigma0 (here 3, not a sweep point) is not evaluated, and only the
+    # table and its report are written; each sigma0's spec pair, the base's
+    # among them, and each fit grid, a column per rate, is built once a run
+    calls, starts, specs, grids = [], [], [], []
 
     def counted(name, original):
         def wrapper(specs, *args, **kwargs):
@@ -493,16 +494,35 @@ def test_softening_runs_each_sigma0_once(tmp_path, monkeypatch):
     start_slots = jacobi._start_slots
     monkeypatch.setattr(jacobi, "_start_slots",
                         lambda spec, *args: starts.append(spec.sigma0) or start_slots(spec, *args))
-    path = tmp_path / "base.ini"
-    path.write_text("[model]\nsigma0 = 3.0\n")
-    out = tmp_path / "out"
-    assert run(["--config", str(path), "--out", str(out), "softening"]) == 0
-    sweep = [0.5, 1.0, 2.0]
-    assert calls == [("ige", "3d", sweep), ("ige", "2d", sweep),
-                     ("jacobi", "3d", sweep), ("jacobi", "2d", sweep)]
-    assert starts == sweep + sweep
-    assert {p.name for p in out.iterdir()} == {"softening.csv", "softening_report.json",
-                                              "softening_checks.csv"}
+    post_init = geodesics._GeodesicSpec.__post_init__
+    monkeypatch.setattr(geodesics._GeodesicSpec, "__post_init__",
+                        lambda spec: specs.append((spec.model.label, spec.sigma0)) or post_init(spec))
+    for module, name in ((ige, "slope_times"), (ige, "volume_times"), (jacobi, "exponent_times"),
+                         (jacobi, "window_mask")):
+        build = getattr(module, name)
+        def built(*args, name=name, build=build):
+            grid = build(*args)
+            grids.append((name, grid.shape))
+            return grid
+        monkeypatch.setattr(module, name, built)
+    for n, sweep in enumerate(["0.5, 1, 2", "2, 0.5, 1"]):
+        for made in (calls, starts, specs, grids):
+            made.clear()
+        path = tmp_path / "base.ini"
+        path.write_text(f"[model]\nsigma0 = 3.0\n[sweep]\nsigma0_values = {sweep}\n")
+        out = tmp_path / f"out_{n}"
+        assert run(["--config", str(path), "--out", str(out), "softening"]) == 0
+        points = [0.5, 1.0, 2.0]
+        assert calls == [("ige", "3d", points), ("ige", "2d", points),
+                         ("jacobi", "3d", points), ("jacobi", "2d", points)]
+        assert starts == points + points
+        given = [3.0, *map(float, sweep.split(","))]
+        assert sorted(specs) == sorted((label, s0) for s0 in given for label in ("3d", "2d"))
+        # 8 columns: the 3D and 2D rates of sigma0 = 3 and of the three sweep points
+        assert sorted(grids) == [("exponent_times", (401, 8)), ("slope_times", (57, 8)),
+                                 ("volume_times", (16, 2)), ("window_mask", (401, 8))]
+        assert {p.name for p in out.iterdir()} == {"softening.csv", "softening_report.json",
+                                                  "softening_checks.csv"}
 
 
 _log_uniform = lambda lo, hi: st.floats(lo, hi).map(lambda e: 10.0 ** e)
@@ -527,8 +547,14 @@ def test_each_softening_row_is_its_own_sigma0s_fits_bit_for_bit(mu0, sigma0_prim
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report, _ = cli.run_softening(cfg)
-        rows = {model[0].model.label: (ige.tail_slopes(model), jacobi.exponent_fits(model))
-                for model in (specs, [GeodesicSpec2D.from_3d(spec) for spec in specs])}
+        rows = {}
+        for model in (specs, [GeodesicSpec2D.from_3d(spec) for spec in specs]):
+            rates = np.array([spec.rate for spec in model])
+            taus = jacobi.exponent_times(rates, jacobi.EXPONENT_WINDOW)
+            rows[model[0].model.label] = (
+                ige.tail_slopes(model, ige.slope_times(rates, ige.SLOPE_WINDOW)),
+                jacobi.exponent_fits(model, taus,
+                                     jacobi.window_mask(taus, rates, jacobi.EXPONENT_WINDOW)))
         alone = [(ige.softening_ratio_ige(spec), jacobi.softening_gap(spec)) for spec in specs]
     for i, (row, spec, (s_ige, s_jac)) in enumerate(zip(report.tables["softening"], specs, alone)):
         assert row == {"sigma0": spec.sigma0,

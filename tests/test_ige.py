@@ -13,9 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 import infogeo as ig
 from infogeo.errors import DomainError
 from infogeo.geodesics import _closed_form
-from infogeo.ige import (_LI2_K, _LI2_NEG, _LI2_NEGLIGIBLE, EXACT_SWITCH, _log_moment,
-                         _log_moment_closed, _log_moment_gauss, _panelled_gauss,
-                         log_time_average)
+from infogeo.ige import (_LI2_K, _LI2_NEG, _LI2_NEGLIGIBLE, EXACT_SWITCH, _bracket,
+                         _log_moment, _log_moment_closed, _log_moment_gauss,
+                         _panelled_gauss, log_time_average)
 from infogeo.models import MODEL_3D
 
 SPEC3 = ig.GeodesicSpec3D(0.0, 1.0, 1.0, 1.0, 1.0)
@@ -337,6 +337,53 @@ def test_the_li2_series_below_its_cutoff_leaves_its_sum_alone():
     assert head + float((0.5 * q ** _LI2_K) @ _LI2_NEG) != head
 
 
+# U where q = e^-2U is _LI2_NEGLIGIBLE exactly (exp(-2 U) of 19.061... rounds
+# to 2^-55), and the floats either side of it
+_U_CUTOFF = 55.0 * math.log(2.0) / 2.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(U=st.lists(st.floats(EXACT_SWITCH, 60.0), min_size=1, max_size=16),
+       n=st.sampled_from([0, 1]))
+@example(U=[_U_CUTOFF, math.nextafter(_U_CUTOFF, 0.0), math.nextafter(_U_CUTOFF, 60.0),
+            EXACT_SWITCH, 60.0], n=1)
+def test_the_bracket_of_an_array_is_its_float_path_element_by_element(U, n):
+    # the array path sums the Li2 series only where q >= _LI2_NEGLIGIBLE, as
+    # the float path does: each element of an array bracket is the float
+    # bracket of its own U, bit for bit, either side of the cutoff
+    U = np.array(U)
+    q, e = np.exp(-2.0 * U), np.exp(-U)
+    batch = _bracket(n, U, q, e, np.log1p(q))
+    for u, qi, ei, b in zip(U.tolist(), q.tolist(), e.tolist(), batch.tolist()):
+        assert b.hex() == _bracket(n, u, qi, ei, float(np.log1p(qi))).hex()
+
+
+def test_the_bracket_at_the_li2_cutoff_is_its_float_path():
+    # q exactly at _LI2_NEGLIGIBLE (the series summed) and the floats either
+    # side of it, at U of that q; the U either side of _U_CUTOFF put q
+    # either side of the cutoff too
+    qs = np.exp(-2.0 * np.array([math.nextafter(_U_CUTOFF, 0.0), math.nextafter(_U_CUTOFF, 60.0)]))
+    assert qs[0] >= _LI2_NEGLIGIBLE > qs[1]
+    q = np.array([_LI2_NEGLIGIBLE, math.nextafter(_LI2_NEGLIGIBLE, 1.0),
+                  math.nextafter(_LI2_NEGLIGIBLE, 0.0)])
+    U = -0.5 * np.log(q)
+    e = np.exp(-U)
+    for n in (0, 1):
+        batch = _bracket(n, U, q, e, np.log1p(q))
+        for u, qi, ei, b in zip(U.tolist(), q.tolist(), e.tolist(), batch.tolist()):
+            assert b.hex() == _bracket(n, u, qi, ei, float(np.log1p(qi))).hex()
+
+
+def test_the_volume_constant_is_formed_once_at_the_first_average():
+    # a spec that never averages never forms it: softening builds such specs
+    for spec in (ig.GeodesicSpec3D(0.3, 1.3, 1.1, 0.8, 0.9), ig.GeodesicSpec2D(0.3, 1.3, 0.8)):
+        assert "log_volume_constant" not in vars(spec)
+        first = ig.log_averaged_volume(spec, 23.0)
+        assert vars(spec)["log_volume_constant"] == math.log(2.0 * spec.model.volume_weight) + sum(
+            math.log(decay) - math.log(spec.rate) for _, decay in spec.flat_factors)
+        assert ig.log_averaged_volume(spec, 23.0) == first
+
+
 def test_exact_average_leading_terms():
     # F_n(U) ~ U^4 / 8 (2D) and U^5 / 10 (3D) for small U, with no underflow
     U = np.array([1e-300, 1e-100, 1e-8])
@@ -474,7 +521,7 @@ def test_a_list_of_specs_averages_each_row_as_its_own_spec():
         assert rows.shape == taus.shape
         for spec, t, row in zip(specs, taus, rows):
             assert np.array_equal(row, ig.log_averaged_volume(spec, t))
-        slopes = ig.ige.tail_slopes(specs, (2.0, 400.0))
+        slopes = ig.ige.tail_slopes(specs, ig.ige.slope_times(rates, (2.0, 400.0)))
         for i, spec in enumerate(specs):
             fit = ig.ige_curve(spec, (2.0, 400.0)).fit
             assert (slopes.slope[i], slopes.r_squared[i]) == (fit.slope, fit.r_squared)

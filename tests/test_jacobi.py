@@ -1,6 +1,7 @@
 """Jacobi field dynamics: assembled coefficients, integration, exponents."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -460,6 +461,58 @@ def test_initial_data_validation():
         ig.integrate_jlc(SPEC3, initial_J=(math.nan, 0.0, 0.0))
     with pytest.raises(DomainError):
         ig.integrate_jlc(SPEC3, tol=1e-3)
+
+
+def _numpy_start_slots(spec, initial_J, initial_J_dot):
+    # the elementwise numpy pass the Python-float _start_slots reproduces,
+    # kept as its reference
+    model, rate = spec.model, spec.rate
+    dim = model.dimension
+    J0, Jd0 = ig.default_initial(dim)
+    J0 = J0 if initial_J is None else np.asarray(initial_J, dtype=float)
+    Jd0 = Jd0 if initial_J_dot is None else np.asarray(initial_J_dot, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        flat = np.array([0.0, 0.0, *(-decay / np.float64(rate) for _, decay in spec.flat_factors)])
+        scales0 = np.array([spec.sigma0, spec.sigma0, *(start for start, _ in spec.flat_factors)])
+        field0 = np.concatenate([J0, Jd0 / rate - flat * J0])
+        field0 /= np.tile(scales0, 2)
+        units = np.abs(field0).reshape(2, dim).max(axis=0)
+        units[:2] = units[:2].max()
+        units[units == 0.0] = units.max() or 1.0
+        return field0 / np.tile(units, 2), units
+
+
+_start_value = (st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1e250, -1e300, 5e-324])
+                | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sigma0=st.sampled_from([1e-200, 1e-100, 1e-6, 1.0, 3.0, 1e6, 1e150]),
+       sigma0_prime=st.sampled_from([1e-200, 1e-6, 1.0, 1e100]),
+       lambda_f=st.sampled_from([1e-300, 1e-3, 1.0, 1e10, 1e300]),
+       start=st.none() | st.lists(_start_value, min_size=6, max_size=6),
+       three=st.booleans())
+@example(sigma0=1e-200, sigma0_prime=1.0, lambda_f=1.0, start=None, three=False)
+@example(sigma0=1e-200, sigma0_prime=1.0, lambda_f=1.0, start=[0.0, 1.0, 0.0, -0.0, 2.0, 0.0],
+         three=False)
+def test_start_slots_on_floats_are_the_numpy_pass(sigma0, sigma0_prime, lambda_f, start, three):
+    # every start, default or given, and every spec, inf and nan slots of a
+    # start past the double range and a 2D rate that underflows to 0 (sigma0
+    # = lambda_plus = 1e-200) among them, gives the slots and units of the
+    # elementwise numpy pass, bit for bit
+    if three:
+        spec = ig.GeodesicSpec3D(0.0, sigma0, sigma0_prime, 1.0, lambda_f)
+        J, Jd = (None, None) if start is None else (start[:3], np.array(start[3:]))
+    else:
+        spec = ig.GeodesicSpec2D(0.0, sigma0, sigma0 if sigma0 == 1e-200 else 1.0)
+        J, Jd = (None, None) if start is None else (np.array(start[:2]), start[3:5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = jacobi._start_slots(spec, J, Jd)
+    reference = _numpy_start_slots(spec, J, Jd)
+    for a, b in zip(ours, reference):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert [v.hex() for v in a.tolist()] == [v.hex() for v in b.tolist()]
 
 
 def test_jlc_runs_to_rate_tau_800_complete():
@@ -922,9 +975,10 @@ def test_exponent_rows_of_two_sample_counts_fit_as_their_own_runs():
     window = (20.000000000001, 50.0)
     specs = [ig.GeodesicSpec2D(0.0, s0, 1.0 / SQRT2) for s0 in (1.0, 2.5, 5.0)]
     rates = np.array([spec.rate for spec in specs])
-    counts = jacobi.window_mask(jacobi.exponent_times(rates, window), rates, window).sum(axis=0)
-    assert counts.tolist() == [241, 240, 240]
-    fits = jacobi.exponent_fits(specs, window)
+    taus = jacobi.exponent_times(rates, window)
+    mask = jacobi.window_mask(taus, rates, window)
+    assert mask.sum(axis=0).tolist() == [241, 240, 240]
+    fits = jacobi.exponent_fits(specs, taus, mask)
     for i, spec in enumerate(specs):
         fit = jacobi.exponent_fit(jacobi.exponent_run(spec, window), window)
         assert (fits.slope[i], fits.r_squared[i]) == (fit.slope, fit.r_squared)
@@ -936,6 +990,8 @@ def test_a_row_whose_start_leaves_the_double_range_aborts_as_its_own_run():
     # that spec's own run's abort, which carries the run stopped at its start
     specs = [ig.GeodesicSpec3D(0.0, s0, 1e-200, 1.0, 1.0) for s0 in (1.0, 1e-200)]
     message = "^jacobi run 3d: right-hand side is not finite at the initial state$"
+    rates = np.array([spec.rate for spec in specs])
+    taus = jacobi.exponent_times(rates, ig.EXPONENT_WINDOW)
     with pytest.raises(ig.NumericalAbort, match=message) as abort:
-        jacobi.exponent_fits(specs)
+        jacobi.exponent_fits(specs, taus, jacobi.window_mask(taus, rates, ig.EXPONENT_WINDOW))
     assert not abort.value.partial.complete

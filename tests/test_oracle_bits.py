@@ -12,7 +12,12 @@ tail (rate * tau = 1e3, 1e8 and 1e200), the box volume, and the box
 quadrature on a one-panel and a two-panel box.  For the Jacobi layer it holds, per model,
 the J, log intensities and slots of the exact field on a short grid in rate
 * tau, at the volume spec and at a far spec (sigma0 = 1e-100, sigma0' = 1)
-where J^3 underflows to 0.  A change that reorders the floating-point
+where J^3 underflows to 0, and the exact field from a start other than
+the default at both specs (at the far spec one past the double range,
+whose slots are inf and nan).  For the softening table it holds, per model,
+the rows of ``tail_slopes`` and ``exponent_fits`` at the default sweep and
+at (1e-6, 1, 1e6), and the 3D time average on times whose rate * tau
+straddles 19.06, where q = e^-2U passes ``_LI2_NEGLIGIBLE``.  A change that reorders the floating-point
 operations of any oracle fails here; regenerate the file only with such a
 change, and give the size of the difference it makes:
 
@@ -49,6 +54,13 @@ QUADRATURE_TAUS = {"3d": (0.5, 1.0), "2d": (0.5, 2.0)}
 FAR_SPEC_3D = GeodesicSpec3D(0.0, 1e-100, 1.0, 0.8, 0.9)
 FAR_SPECS = {"3d": FAR_SPEC_3D, "2d": GeodesicSpec2D.from_3d(FAR_SPEC_3D)}
 JACOBI_S = np.array([0.0, 0.5, 3.0, 20.0, 50.0])   # rate * tau
+# (J, J') away from the default, signed zeros among them; at the far spec the
+# sigma slot's J' / rate / sigma0 = 1e250 / 8e-101 / 1e-100 leaves the double range
+JACOBI_STARTS = {"3d": ((0.3, -1.7, 0.0), (-0.0, 0.9, -2.5)), "2d": ((0.0, -0.0), (1.5, -0.0))}
+FAR_STARTS = {"3d": ((0.3, -1.7, 0.0), (0.0, 1e250, -2.5)), "2d": ((0.0, 1.0), (1.0, 1e250))}
+SWEEPS = ((0.5, 1.0, 2.0), (1e-6, 1.0, 1e6))
+# rate * tau across U = 55 log(2) / 2 = 19.06, where e^-2U = _LI2_NEGLIGIBLE
+LI2_CUTOFF_RATE_TAUS = np.linspace(18.5, 19.5, 41)
 
 
 def _hex(a) -> list:
@@ -94,6 +106,26 @@ def oracle_bits() -> dict:
             out[f"jacobi {label}"].update({f"{name}J": _hex(traj.J),
                                            f"{name}log_intensities": _hex(traj.log_intensities),
                                            f"{name}slots": _hex(traj.slots)})
+        for name, at, start in (("start ", spec, JACOBI_STARTS[label]),
+                                ("far start ", FAR_SPECS[label], FAR_STARTS[label])):
+            traj = jacobi.exact_jacobi(at, JACOBI_S / at.rate, *start)
+            out[f"jacobi {label}"].update({f"{name}J": _hex(traj.J),
+                                           f"{name}log_intensities": _hex(traj.log_intensities),
+                                           f"{name}slots": _hex(traj.slots)})
+    for sweep in SWEEPS:
+        specs_3d = [GeodesicSpec3D(0.0, s0, 1.0, 1.0, 1.0) for s0 in sweep]
+        for specs in (specs_3d, [GeodesicSpec2D.from_3d(spec) for spec in specs_3d]):
+            rates = np.array([spec.rate for spec in specs])
+            taus = jacobi.exponent_times(rates, jacobi.EXPONENT_WINDOW)
+            slopes = ige.tail_slopes(specs, ige.slope_times(rates, ige.SLOPE_WINDOW))
+            exponents = jacobi.exponent_fits(
+                specs, taus, jacobi.window_mask(taus, rates, jacobi.EXPONENT_WINDOW))
+            out[f"softening {specs[0].model.label} {sweep!r}"] = {
+                "tail_slopes": _hex([slopes.slope, slopes.r_squared]),
+                "exponent_fits": _hex([exponents.slope, exponents.r_squared])}
+    spec = VOLUME_SPECS["3d"]
+    out["volume 3d li2 cutoff"] = _hex(ige.log_averaged_volume(spec, LI2_CUTOFF_RATE_TAUS
+                                                               / spec.rate))
     return out
 
 
