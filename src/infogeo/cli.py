@@ -177,7 +177,7 @@ def _check_fit_times(cfg: ExperimentConfig):
         grids = cfg.fit_grids
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    # unless the step of some column underflows to 0: that column repeats its times
+    # a column whose step underflows to 0 repeats its times, here as in its run
     for name, r, taus in (("slope_window", grids.rates, grids.slope),
                           ("exponent_window", grids.rates, grids.exponent[1:]),
                           ("volume_window", grids.rates[:2], grids.volume)):
