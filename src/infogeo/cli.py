@@ -460,8 +460,8 @@ def run_softening(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     cols = [[2 * keys.index(s0) + m for s0 in sigma0s] for m in (0, 1)]   # 3D, 2D columns
     pair = [([cfg.sweep_pairs[s0][m] for s0 in sigma0s], c) for m, c in enumerate(cols)]
     slope_3d, slope_2d = (ige.tail_slopes(specs, grids.slope[:, c]).slope for specs, c in pair)
-    exponent_3d, exponent_2d = (exponent_fits(specs, grids.exponent[:, c], grids.on_window[:, c])
-                                .slope for specs, c in pair)
+    exponent_3d, exponent_2d = (
+        exponent_fits(specs, grids.exponent[:, c], grids.on_window[:, c]).slope for specs, c in pair)
     columns = {
         "sigma0": sigma0s,
         "ige_slope_3d": slope_3d,
