@@ -193,7 +193,7 @@ EXACT_SWITCH = 2.0     # U below which F_n comes from the Gauss rule
 _LI2_K = np.arange(1, 21)
 _LI2_NEG = (-1.0) ** _LI2_K / _LI2_K ** 2
 # below this q (U > 19.1), |Li2(-q) / 2| < q / 2 is under half an ulp of pi^2 / 24 and
-# pi^2 / 24 - Li2(-q) / 2 rounds to pi^2 / 24: a float and an array sum it from q up
+# pi^2 / 24 - Li2(-q) / 2 rounds to pi^2 / 24: floats and array elements sum it from here up
 _LI2_NEGLIGIBLE = 2.0 ** -55
 
 
