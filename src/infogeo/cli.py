@@ -29,7 +29,7 @@ import json
 import math
 import sys
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +40,8 @@ from .errors import DomainError, NumericalAbort
 from .fisher import fisher_numeric_2d, fisher_numeric_3d
 from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, check_tol, closed_form,
                         integrate_geodesic, residual_check, trajectory_to_csv)
-from .jacobi import (GAP_PER_RATE, critically_damped, exponent_fit, exponent_fits, exponent_run,
-                     field_relative_error, jacobi_to_csv)
+from .jacobi import (critically_damped, exponent_fit, exponent_run, field_relative_error,
+                     jacobi_to_csv)
 from .models import MODEL_2D, MODEL_3D, Model2DConfig
 
 SCHEMA_VERSION = 1
@@ -292,6 +292,11 @@ def _finite_or_null(value):
     return value
 
 
+def _parameters(cfg: ExperimentConfig) -> dict:
+    """A report's parameters: the JSON of ``asdict(cfg)``, without its deep copy."""
+    return {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+
+
 def _checks_csv(report: RunReport) -> str:
     lines = ["# infogeo checks csv schema=1", "name,tolerance,measured,passed"]
     lines += ["%s,%.17g,%.17g,%d" % (c.name, c.tolerance, c.measured, c.passed)
@@ -332,7 +337,7 @@ def _sample_points(n: int) -> dict:
 
 def run_verify(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     """Closed-form geometry vs the finite-difference engine and quadrature."""
-    report = RunReport("verify-geometry", asdict(cfg))
+    report = RunReport("verify-geometry", _parameters(cfg))
     # per model: the paper's scalar curvature, the metric field of the finite
     # differences, the Fisher quadrature and the extra arguments of each
     # Fisher case (the 2D matrix must not depend on Sigma^2)
@@ -383,7 +388,7 @@ def _check_horizon(cfg: ExperimentConfig):
 
 
 def run_geodesics(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
-    report = RunReport("geodesics", asdict(cfg))
+    report = RunReport("geodesics", _parameters(cfg))
     series = {}
     for label, spec in _specs(cfg):
         grid = np.linspace(0.0, cfg.tau_max, _TRAJECTORY_SAMPLES)
@@ -405,7 +410,7 @@ def run_geodesics(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
 
 
 def run_ige(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
-    report = RunReport("ige", asdict(cfg))
+    report = RunReport("ige", _parameters(cfg))
     series = {}
     for label, spec in _specs(cfg):
         result = ige.ige_curve(spec, slope_window=cfg.slope_window)
@@ -426,7 +431,7 @@ def run_ige(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
 
 
 def run_jacobi(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
-    report = RunReport("jacobi", asdict(cfg))
+    report = RunReport("jacobi", _parameters(cfg))
     series = {}
     for label, spec in _specs(cfg):
         traj = exponent_run(spec, cfg.exponent_window, cfg.tol)
@@ -451,26 +456,25 @@ def run_jacobi(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
 def run_softening(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     """Headline table: entropy-slope ratio and Jacobi exponent gap per sigma0.
 
-    Each sweep point is one row of each model's fits, from the exact IGE
-    curves and Jacobi fields, bit for bit those of ``softening_ratio_ige``
-    and ``softening_gap`` at that sigma0; the base-point series and their rk
-    cross-checks belong to ige and jacobi."""
-    report = RunReport("softening", asdict(cfg))
+    The sweep's pairs, in increasing sigma0, and their ``cfg.fit_grids`` columns
+    go to ``ige.softening_ratio_ige`` and ``jacobi.softening_gap``, a row per
+    sweep point; the base-point series and their rk cross-checks belong to ige
+    and jacobi."""
+    report = RunReport("softening", _parameters(cfg))
     sigma0s, grids, keys = sorted(cfg.sweep_sigma0), cfg.fit_grids, list(cfg.sweep_pairs)
-    cols = [[2 * keys.index(s0) + m for s0 in sigma0s] for m in (0, 1)]   # 3D, 2D columns
-    pair = [([cfg.sweep_pairs[s0][m] for s0 in sigma0s], c) for m, c in enumerate(cols)]
-    slope_3d, slope_2d = (ige.tail_slopes(specs, grids.slope[:, c]).slope for specs, c in pair)
-    exponent_3d, exponent_2d = (
-        exponent_fits(specs, grids.exponent[:, c], grids.on_window[:, c]).slope for specs, c in pair)
+    pairs = [cfg.sweep_pairs[s0] for s0 in sigma0s]
+    cols = [2 * keys.index(s0) + m for s0 in sigma0s for m in (0, 1)]   # 3D, 2D per pair
+    slopes = ige.softening_ratio_ige(pairs, grids.slope[:, cols])
+    exponents = jacobi.softening_gap(pairs, grids.exponent[:, cols], grids.on_window[:, cols])
     columns = {
         "sigma0": sigma0s,
-        "ige_slope_3d": slope_3d,
-        "ige_slope_2d": slope_2d,
-        "ratio": slope_2d / slope_3d,
-        "jacobi_exponent_3d": exponent_3d,
-        "jacobi_exponent_2d": exponent_2d,
-        "gap": exponent_3d - exponent_2d,
-        "expected_gap": grids.rates[cols[0]] * GAP_PER_RATE,
+        "ige_slope_3d": slopes.fit_3d.slope,
+        "ige_slope_2d": slopes.fit_2d.slope,
+        "ratio": slopes.ratio,
+        "jacobi_exponent_3d": exponents.fit_3d.slope,
+        "jacobi_exponent_2d": exponents.fit_2d.slope,
+        "gap": exponents.gap,
+        "expected_gap": exponents.expected_gap,
     }
     rows = [dict(zip(columns, map(float, values))) for values in zip(*columns.values())]
 

@@ -15,7 +15,8 @@ cross-check is provided.  S grows linearly in tau with slope
 sigma0 * lambda (the sigma-decay rate of the model), and the slope ratio of
 a constrained/unconstrained pair built from one spec is
 lambda_plus / lambda_plus' = 1/sqrt(2): the constraint softens the entropy
-growth.
+growth.  ``softening_ratio_ige`` fits that ratio for a list of such pairs in
+one pass, a row per pair, each row bit for bit its specs' ``ige_curve`` fits.
 
 The time average is exact (``log_averaged_volume``): with U = rate * tau it
 is span * w * prod(lambda_f / rate) * F_n(U) / U, where F_n(U) is the
@@ -416,34 +417,29 @@ def ige_curve(spec, slope_window: tuple = SLOPE_WINDOW) -> IGEResult:
 
 @dataclass(frozen=True)
 class IgeSoftening:
-    """Tail-slope comparison of a coupled pair built from one 3D spec."""
+    """Tail-slope fits of coupled pairs, a row per pair, and their ratios."""
 
-    result_3d: IGEResult
-    result_2d: IGEResult
-    ratio: float                   # 2D over 3D fitted slope, approaches 1/sqrt(2)
+    fit_3d: LineFit
+    fit_2d: LineFit
+    ratio: np.ndarray              # 2D over 3D fitted slope, approaches 1/sqrt(2)
 
 
-def softening_ratio_ige(spec3d: GeodesicSpec3D,
-                        slope_window: tuple = SLOPE_WINDOW) -> IgeSoftening:
-    """Fitted S-slope ratio of the constrained vs unconstrained model.
-
-    The 2D companion shares (mu0, sigma0) and uses lambda_plus =
+def softening_ratio_ige(pairs: list, taus: np.ndarray) -> IgeSoftening:
+    """Fitted S-slope ratio of the constrained vs unconstrained model, for each
+    coupled pair (3D spec, its ``GeodesicSpec2D.from_3d``) of ``pairs``, at
+    each spec's column of ``taus`` (:func:`slope_times`), 3D then 2D per pair
+    (``cli`` builds them once per configuration): one time average and one
+    fit of each model's rows, each row bit for bit its spec's :func:`ige_curve`
+    fit.  The 2D companion shares (mu0, sigma0) and uses lambda_plus =
     lambda_plus' / sqrt(2), so the slopes are rate_2d = sigma0 lambda_plus
     and rate_3d = sigma0 lambda_plus' and the ratio cancels sigma0.
     """
-    spec2d = GeodesicSpec2D.from_3d(spec3d)
-    r3 = ige_curve(spec3d, slope_window)
-    r2 = ige_curve(spec2d, slope_window)
-    return IgeSoftening(result_3d=r3, result_2d=r2, ratio=r2.fit.slope / r3.fit.slope)
-
-
-def tail_slopes(specs: list, taus: np.ndarray) -> LineFit:
-    """The fits of :func:`ige_curve` for a list of specs of one model, one row
-    each, bit for bit: one time average on the ``WINDOW_POINTS`` last of each
-    spec's :func:`slope_times`, a column of ``taus`` (``cli`` builds them once
-    per configuration), and one fit of every row."""
-    taus = np.ascontiguousarray(taus[LEAD_POINTS:].T)
-    return fit_line(taus, log_averaged_volume(specs, taus))
+    fits = []
+    for m, specs in enumerate(zip(*pairs)):   # the 3D specs, then the 2D
+        t = taus[LEAD_POINTS:, m::2].T
+        fits.append(fit_line(t, log_averaged_volume(list(specs), t)))
+    fit_3d, fit_2d = fits
+    return IgeSoftening(fit_3d=fit_3d, fit_2d=fit_2d, ratio=fit_2d.slope / fit_3d.slope)
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,7 @@ import numpy as np
 from .csvtext import series_to_csv
 from .errors import DomainError, NumericalAbort
 from .fitting import LineFit, fit_line
-from .geodesics import (GeodesicSpec2D, GeodesicSpec3D, _generate_rhs, _sampled_run, _sech,
-                        check_sample_times, check_tol)
+from .geodesics import _generate_rhs, _sampled_run, _sech, check_sample_times, check_tol
 from .models import model_of
 
 EXPONENT_WINDOW = (20.0, 50.0)  # in units of rate * tau
@@ -247,33 +246,35 @@ def exact_jacobi(spec, taus, initial_J=None, initial_J_dot=None) -> JacobiTrajec
     :func:`integrate_jlc`.
     """
     constants = _integration_constants(spec, initial_J, initial_J_dot)
-    w0, units = constants[:2]
+    w0, units, b, _, _, m_rate0, A, B, _ = constants
     taus = check_sample_times(taus)
     if not np.all(np.isfinite(w0)):
         # where the slot system's right-hand side is not finite at s = 0
         return _from_slots(spec, taus[:1], w0[None, :], units, n_steps=0,
                            complete=False,
                            abort_reason="right-hand side is not finite at the initial state")
-    return _from_slots(spec, taus, _closed_form_slots(constants, taus * spec.rate), units,
+    s = taus * spec.rate
+    values, sech2, tanh, grown = _closed_form_values(constants, s)
+    rates = (sech2 * (m_rate0 + b * grown), A * sech2 + B * (tanh + s * sech2))   # m', K'
+    flat_rates = np.broadcast_to(w0[values.shape[1] + 2:], values[:, 2:].shape)
+    return _from_slots(spec, taus, np.column_stack([values, *rates, flat_rates]), units,
                        n_steps=0)
 
 
-def _closed_form_slots(constants, s) -> np.ndarray:
-    """The slots w of :func:`exact_jacobi` at rate * tau = s, from the
-    constants of :func:`_integration_constants`; with a leading axis of one
-    spec each in s and the constants, each spec's slots are its own call's."""
-    w0, _, b, m0, K0, m_rate0, A, B, C = constants
+def _closed_form_values(constants, s) -> tuple:
+    """The value slots (m, K, K_f) of :func:`exact_jacobi` at rate * tau = s,
+    from the constants of :func:`_integration_constants`, then sech^2 s,
+    tanh s and (A + B s) tanh s, which its rate slots reuse; with a leading
+    axis of one spec each in s and the constants, each spec's values are its
+    own call's."""
+    w0, _, b, m0, K0, _, A, B, C = constants
     dim = w0.shape[-1] // 2
     sech2 = _sech(s) ** 2
     tanh = np.tanh(s)
     grown = (A + B * s) * tanh
     m = m0 + 0.5 * b * (A * tanh**2 + K0 * (s * sech2 + tanh)) + C * s * sech2
-    flat_rates = w0[..., None, dim + 2:]
-    flat = w0[..., None, 2:dim] + s[..., None] * flat_rates
-    plane = np.stack([m, K0 + grown, sech2 * (m_rate0 + b * grown),
-                      A * sech2 + B * (tanh + s * sech2)], axis=-1)   # (m, K, m', K')
-    return np.concatenate([plane[..., :2], flat, plane[..., 2:],
-                           np.broadcast_to(flat_rates, flat.shape)], axis=-1)
+    flat = w0[..., None, 2:dim] + s[..., None] * w0[..., None, dim + 2:]
+    return np.concatenate([np.stack([m, K0 + grown], axis=-1), flat], axis=-1), sech2, tanh, grown
 
 
 def field_relative_error(traj: JacobiTrajectory, ref: JacobiTrajectory) -> float:
@@ -386,16 +387,6 @@ def exponent_fit(traj: JacobiTrajectory, window: tuple = EXPONENT_WINDOW) -> Lin
     return fit_line(traj.taus[mask], log_inten)
 
 
-@dataclass(frozen=True)
-class JacobiSoftening:
-    trajectory_3d: JacobiTrajectory
-    trajectory_2d: JacobiTrajectory
-    fit_3d: LineFit
-    fit_2d: LineFit
-    gap: float                 # fit_3d.slope - fit_2d.slope > 0
-    expected_gap: float        # sigma0 * lambda_plus' * (1 - 1/sqrt(2))
-
-
 def exponent_times(rate: float, window: tuple) -> np.ndarray:
     """The 401 even sample times of an exponent run, to rate * tau = window[1]
     (a column per rate for an array of rates)."""
@@ -415,53 +406,59 @@ def exponent_run(spec, window: tuple, tol: Optional[float] = None) -> JacobiTraj
     return traj
 
 
-def exponent_fits(specs: list, taus: np.ndarray, on_window: np.ndarray) -> LineFit:
-    """The fits of :func:`softening_gap`'s exponents for a list of specs of one
-    model, one row each, bit for bit: the default start's exact field at each
-    spec's :func:`exponent_times` on its :func:`window_mask`, columns of
-    ``taus`` and ``on_window`` (``cli`` builds both once per configuration),
-    one fit of the rows of each count of such samples.  A start past the
-    double range is the NumericalAbort of its :func:`exponent_run`."""
-    rates = np.array([spec.rate for spec in specs])
-    taus, mask = taus.T, on_window.T
-    # a row per spec of each constant: the start slots, the units, then the scalars
-    constants = [np.array(c) for c in zip(*(_integration_constants(spec, None, None)
-                                            for spec in specs))]
-    for spec, t, finite in zip(specs, taus, np.isfinite(constants[0]).all(axis=1)):
-        if not finite:   # its exponent run's abort, with the run stopped at its start
-            traj = exact_jacobi(spec, t)
-            raise NumericalAbort(f"jacobi run {spec.model.label}: {traj.abort_reason}",
-                                 partial=traj)
-    counts = mask.sum(axis=1)
-    slopes, r_squared = np.empty(len(specs)), np.empty(len(specs))
-    for count in sorted(set(counts.tolist())):   # np.unique would import numpy.ma
-        rows = counts == count
-        t = taus[rows][mask[rows]].reshape(-1, count)
-        s = t * rates[rows, None]
-        w = _closed_form_slots([c[rows] if c.ndim == 2 else c[rows, None] for c in constants], s)
-        log_inten = _log_norms(specs[0].model, s, w[..., :specs[0].model.dimension],
-                               constants[1][rows])
-        if not np.all(log_inten > -math.inf):
-            raise DomainError("intensity must be positive on the fit window")
-        fit = fit_line(t, log_inten)
-        slopes[rows], r_squared[rows] = fit.slope, fit.r_squared
-    return LineFit(slopes, r_squared)
-
-
 # the exponent gap of a coupled pair over the rate of its 3D model
 GAP_PER_RATE = 1.0 - 1.0 / math.sqrt(2.0)
 
 
-def softening_gap(spec3d: GeodesicSpec3D, window: tuple = EXPONENT_WINDOW) -> JacobiSoftening:
-    """Fitted intensity-growth exponents of the coupled pair and their gap,
-    from the exact field of the default Jacobi initial data."""
-    pair = (spec3d, GeodesicSpec2D.from_3d(spec3d))
-    t3, t2 = (exponent_run(spec, window) for spec in pair)
-    f3, f2 = exponent_fit(t3, window), exponent_fit(t2, window)
-    expected = spec3d.rate * GAP_PER_RATE
-    return JacobiSoftening(trajectory_3d=t3, trajectory_2d=t2,
-                           fit_3d=f3, fit_2d=f2,
-                           gap=f3.slope - f2.slope, expected_gap=expected)
+@dataclass(frozen=True)
+class JacobiSoftening:
+    """Growth-exponent fits of coupled pairs, a row per pair, and their gaps."""
+
+    fit_3d: LineFit
+    fit_2d: LineFit
+    gap: np.ndarray            # fit_3d.slope - fit_2d.slope > 0
+    expected_gap: np.ndarray   # sigma0 * lambda_plus' * (1 - 1/sqrt(2))
+
+
+def softening_gap(pairs: list, taus: np.ndarray, on_window: np.ndarray) -> JacobiSoftening:
+    """Fitted intensity-growth exponents of each coupled pair (3D spec, its
+    ``GeodesicSpec2D.from_3d``) of ``pairs`` and their gaps, from the exact
+    field of the default Jacobi initial data at each spec's column of ``taus``
+    (:func:`exponent_times`) and ``on_window`` (their :func:`window_mask`), 3D
+    then 2D per pair (``cli`` builds both once per configuration).  Each model
+    fits the value slots of its rows of each count of samples on the window at
+    once, each row bit for bit its spec's :func:`exponent_fit` of its
+    :func:`exponent_run`; a start past the double range is that run's
+    NumericalAbort, the 3D specs' first."""
+    fits = []
+    for m, specs in enumerate(zip(*pairs)):   # the 3D specs, then the 2D
+        model, rates = specs[0].model, np.array([spec.rate for spec in specs])
+        t_all, mask = taus[:, m::2].T, on_window[:, m::2].T
+        # a row per spec of each constant: the start slots, the units, then the scalars
+        constants = [np.array(c) for c in zip(*(_integration_constants(spec, None, None)
+                                                for spec in specs))]
+        for spec, t, finite in zip(specs, t_all, np.isfinite(constants[0]).all(axis=1)):
+            if not finite:   # its exponent run's abort, with the run stopped at its start
+                traj = exact_jacobi(spec, t)
+                raise NumericalAbort(f"jacobi run {model.label}: {traj.abort_reason}",
+                                     partial=traj)
+        counts = mask.sum(axis=1)
+        slopes, r_squared = np.empty(len(specs)), np.empty(len(specs))
+        for count in sorted(set(counts.tolist())):   # np.unique would import numpy.ma
+            rows = counts == count
+            t = t_all[rows][mask[rows]].reshape(-1, count)
+            s = t * rates[rows, None]
+            values, *_ = _closed_form_values(
+                [c[rows] if c.ndim == 2 else c[rows, None] for c in constants], s)
+            log_inten = _log_norms(model, s, values, constants[1][rows])
+            if not np.all(log_inten > -math.inf):
+                raise DomainError("intensity must be positive on the fit window")
+            fit = fit_line(t, log_inten)
+            slopes[rows], r_squared[rows] = fit.slope, fit.r_squared
+        fits.append(LineFit(slopes, r_squared))
+    fit_3d, fit_2d = fits
+    return JacobiSoftening(fit_3d=fit_3d, fit_2d=fit_2d, gap=fit_3d.slope - fit_2d.slope,
+                           expected_gap=np.array([spec.rate for spec, _ in pairs]) * GAP_PER_RATE)
 
 
 # ---------------------------------------------------------------------------

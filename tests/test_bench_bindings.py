@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 import infogeo
-from infogeo import fisher, geodesics, ige, jacobi, models, numgeo, rk
+from infogeo import cli, fisher, geodesics, ige, jacobi, models, numgeo, rk
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -144,3 +144,16 @@ def test_a_counted_field_keeps_its_results_and_counts_every_evaluation(monkeypat
     # the centre read, then the centre and its 2n stencil points
     assert evaluated == [1, 7] and tr.counts["numgeo.metric_evals"] == 2
     assert np.array_equal(gam, numgeo.christoffel_numeric(plain, theta).components)
+
+
+def test_a_softening_run_opens_one_span_of_each_softening_fit(tmp_path, capsys):
+    # run_softening fits the whole sweep in one call of ige.softening_ratio_ige
+    # and one of jacobi.softening_gap, the names tracing.py wraps: a traced
+    # softening run opens exactly one span of each
+    tracing = _load("tracing")
+    tr = tracing.Tracer()
+    with tracing.Instrumentation(tr):
+        assert cli.main(["--out", str(tmp_path), "softening"]) == 0
+    assert capsys.readouterr().out == "softening: pass (9 checks)\n"
+    spans = [tr.names[nid] for nid in tr.name]
+    assert spans.count("ige.softening_ratio") == spans.count("jacobi.softening_gap") == 1

@@ -477,20 +477,22 @@ def test_non_finite_fit_windows_are_exit_2(tmp_path, capsys, text, command):
 
 
 def test_softening_runs_each_sigma0_once(tmp_path, monkeypatch):
-    # each point of the sweep, in or out of order, is one row of one IGE fit
-    # and one exact-field fit per model, each spec's field starts once, the
-    # base sigma0 (here 3, not a sweep point) is not evaluated, and only the
-    # table and its report are written; each sigma0's spec pair, the base's
-    # among them, and each fit grid, a column per rate, is built once a run
+    # each point of the sweep, in or out of order, is one row of one call of
+    # the IGE fits and one of the exact-field fits, each on the coupled pairs
+    # in increasing sigma0, each spec's field starts once, the base sigma0
+    # (here 3, not a sweep point) is not evaluated, and only the table and
+    # its report are written; each sigma0's spec pair, the base's among them,
+    # and each fit grid, a column per rate, is built once a run
     calls, starts, specs, grids = [], [], [], []
 
     def counted(name, original):
-        def wrapper(specs, *args, **kwargs):
-            calls.append((name, specs[0].model.label, [spec.sigma0 for spec in specs]))
-            return original(specs, *args, **kwargs)
+        def wrapper(pairs, *args, **kwargs):
+            calls.append((name, [tuple((spec.model.label, spec.sigma0) for spec in pair)
+                                 for pair in pairs]))
+            return original(pairs, *args, **kwargs)
         return wrapper
-    monkeypatch.setattr(ige, "tail_slopes", counted("ige", ige.tail_slopes))
-    monkeypatch.setattr(cli, "exponent_fits", counted("jacobi", cli.exponent_fits))
+    monkeypatch.setattr(ige, "softening_ratio_ige", counted("ige", ige.softening_ratio_ige))
+    monkeypatch.setattr(jacobi, "softening_gap", counted("jacobi", jacobi.softening_gap))
     start_slots = jacobi._start_slots
     monkeypatch.setattr(jacobi, "_start_slots",
                         lambda spec, *args: starts.append(spec.sigma0) or start_slots(spec, *args))
@@ -513,8 +515,8 @@ def test_softening_runs_each_sigma0_once(tmp_path, monkeypatch):
         out = tmp_path / f"out_{n}"
         assert run(["--config", str(path), "--out", str(out), "softening"]) == 0
         points = [0.5, 1.0, 2.0]
-        assert calls == [("ige", "3d", points), ("ige", "2d", points),
-                         ("jacobi", "3d", points), ("jacobi", "2d", points)]
+        pairs = [(("3d", s0), ("2d", s0)) for s0 in points]
+        assert calls == [("ige", pairs), ("jacobi", pairs)]
         assert starts == points + points
         given = [3.0, *map(float, sweep.split(","))]
         assert sorted(specs) == sorted((label, s0) for s0 in given for label in ("3d", "2d"))
@@ -536,40 +538,39 @@ _log_uniform = lambda lo, hi: st.floats(lo, hi).map(lambda e: 10.0 ** e)
 def test_each_softening_row_is_its_own_sigma0s_fits_bit_for_bit(mu0, sigma0_prime,
                                                                lambda_plus_prime, lambda_f,
                                                                sweep):
-    # a row of the one-pass table equals the one-sigma0 calls at its sigma0,
-    # whatever its neighbours: slopes, ratio, exponents, gap and expected
-    # gap, and the R^2 of each row-wise fit
+    # a row of the one-pass table equals the per-spec primitives at its
+    # sigma0, whatever its neighbours: slopes, ratio, exponents, gap and
+    # expected gap, and the R^2 of each row-wise fit
     cfg = cli._validate(cli.ExperimentConfig(mu0=mu0, sigma0_prime=sigma0_prime,
                                              lambda_plus_prime=lambda_plus_prime,
                                              lambda_f=lambda_f, sweep_sigma0=tuple(sweep)))
-    specs = [GeodesicSpec3D(mu0, s0, sigma0_prime, lambda_plus_prime, lambda_f)
-             for s0 in sorted(sweep)]
+    pairs = [(spec, GeodesicSpec2D.from_3d(spec))
+             for spec in (GeodesicSpec3D(mu0, s0, sigma0_prime, lambda_plus_prime, lambda_f)
+                          for s0 in sorted(sweep))]
+    window = jacobi.EXPONENT_WINDOW
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report, _ = cli.run_softening(cfg)
-        rows = {}
-        for model in (specs, [GeodesicSpec2D.from_3d(spec) for spec in specs]):
-            rates = np.array([spec.rate for spec in model])
-            taus = jacobi.exponent_times(rates, jacobi.EXPONENT_WINDOW)
-            rows[model[0].model.label] = (
-                ige.tail_slopes(model, ige.slope_times(rates, ige.SLOPE_WINDOW)),
-                jacobi.exponent_fits(model, taus,
-                                     jacobi.window_mask(taus, rates, jacobi.EXPONENT_WINDOW)))
-        alone = [(ige.softening_ratio_ige(spec), jacobi.softening_gap(spec)) for spec in specs]
-    for i, (row, spec, (s_ige, s_jac)) in enumerate(zip(report.tables["softening"], specs, alone)):
-        assert row == {"sigma0": spec.sigma0,
-                       "ige_slope_3d": s_ige.result_3d.fit.slope,
-                       "ige_slope_2d": s_ige.result_2d.fit.slope,
-                       "ratio": s_ige.ratio,
-                       "jacobi_exponent_3d": s_jac.fit_3d.slope,
-                       "jacobi_exponent_2d": s_jac.fit_2d.slope,
-                       "gap": s_jac.gap,
-                       "expected_gap": s_jac.expected_gap}
-        for label, curve, fit in (("3d", s_ige.result_3d, s_jac.fit_3d),
-                                  ("2d", s_ige.result_2d, s_jac.fit_2d)):
-            slopes, exponents = rows[label]
-            assert slopes.r_squared[i] == curve.fit.r_squared
-            assert exponents.r_squared[i] == fit.r_squared
+        rates = np.array([spec.rate for pair in pairs for spec in pair])
+        taus = jacobi.exponent_times(rates, window)
+        slopes = ige.softening_ratio_ige(pairs, ige.slope_times(rates, ige.SLOPE_WINDOW))
+        exponents = jacobi.softening_gap(pairs, taus, jacobi.window_mask(taus, rates, window))
+        alone = [[(ige.ige_curve(spec).fit,
+                   jacobi.exponent_fit(jacobi.exponent_run(spec, window), window))
+                  for spec in pair] for pair in pairs]
+    for i, (row, pair, ((ige_3d, jac_3d), (ige_2d, jac_2d))) in enumerate(
+            zip(report.tables["softening"], pairs, alone)):
+        assert row == {"sigma0": pair[0].sigma0,
+                       "ige_slope_3d": ige_3d.slope,
+                       "ige_slope_2d": ige_2d.slope,
+                       "ratio": ige_2d.slope / ige_3d.slope,
+                       "jacobi_exponent_3d": jac_3d.slope,
+                       "jacobi_exponent_2d": jac_2d.slope,
+                       "gap": jac_3d.slope - jac_2d.slope,
+                       "expected_gap": pair[0].rate * jacobi.GAP_PER_RATE}
+        for fits, fit in ((slopes.fit_3d, ige_3d), (slopes.fit_2d, ige_2d),
+                          (exponents.fit_3d, jac_3d), (exponents.fit_2d, jac_2d)):
+            assert fits.r_squared[i] == fit.r_squared
 
 
 def test_each_artefact_has_one_writer(tmp_path):

@@ -472,18 +472,27 @@ def test_ige_curve_refuses_a_window_that_is_not_an_increasing_positive_pair(wind
             ig.ige_curve(SPEC3, window)
 
 
+def _softening(specs_3d, window=ig.SLOPE_WINDOW):
+    """The softening fits of the coupled pairs of ``specs_3d``, on their
+    :func:`slope_times` columns, 3D then 2D per pair."""
+    pairs = [(spec, ig.GeodesicSpec2D.from_3d(spec)) for spec in specs_3d]
+    rates = np.array([spec.rate for pair in pairs for spec in pair])
+    return ig.softening_ratio_ige(pairs, ig.ige.slope_times(rates, window))
+
+
 def test_softening_ratio():
-    soft = ig.softening_ratio_ige(SPEC3)
-    assert soft.ratio == pytest.approx(1.0 / math.sqrt(2.0), rel=0.01)
-    assert soft.ratio < 1.0
+    soft = _softening([SPEC3])
+    assert soft.ratio.shape == (1,)
+    assert soft.ratio[0] == pytest.approx(1.0 / math.sqrt(2.0), rel=0.01)
+    assert soft.ratio[0] < 1.0
 
 
 @pytest.mark.parametrize("sigma0", [0.5, 2.0])
 @pytest.mark.parametrize("mu0", [0.0, 5.0])
 def test_softening_ratio_parameter_invariance(sigma0, mu0):
     spec = ig.GeodesicSpec3D(mu0, sigma0, 1.0, 1.0, 1.0)
-    soft = ig.softening_ratio_ige(spec)
-    assert soft.ratio == pytest.approx(1.0 / math.sqrt(2.0), rel=0.01)
+    soft = _softening([spec])
+    assert soft.ratio[0] == pytest.approx(1.0 / math.sqrt(2.0), rel=0.01)
 
 
 def test_csv_export():
@@ -511,7 +520,8 @@ def test_csv_export():
 @pytest.mark.filterwarnings("error")
 def test_a_list_of_specs_averages_each_row_as_its_own_spec():
     # one call over rows of one model's specs equals each spec's own call
-    # on its row, bit for bit, from rate * tau = EXACT_SWITCH on
+    # on its row, bit for bit, from rate * tau = EXACT_SWITCH on; so does
+    # each row of the softening fits of each model
     base = ig.GeodesicSpec3D(0.4, 1.3, 0.7, 0.8, 1.9)
     for specs in ([replace(base, sigma0=s0) for s0 in (1e-6, 0.5, 3.0, 1e6)],
                   [ig.GeodesicSpec2D.from_3d(replace(base, sigma0=s0)) for s0 in (0.5, 3.0)]):
@@ -521,7 +531,10 @@ def test_a_list_of_specs_averages_each_row_as_its_own_spec():
         assert rows.shape == taus.shape
         for spec, t, row in zip(specs, taus, rows):
             assert np.array_equal(row, ig.log_averaged_volume(spec, t))
-        slopes = ig.ige.tail_slopes(specs, ig.ige.slope_times(rates, (2.0, 400.0)))
-        for i, spec in enumerate(specs):
-            fit = ig.ige_curve(spec, (2.0, 400.0)).fit
-            assert (slopes.slope[i], slopes.r_squared[i]) == (fit.slope, fit.r_squared)
+    specs = [replace(base, sigma0=s0) for s0 in (1e-6, 0.5, 3.0, 1e6)]
+    soft = _softening(specs, (2.0, 400.0))
+    for i, spec in enumerate(specs):
+        for fits, one in ((soft.fit_3d, spec), (soft.fit_2d, ig.GeodesicSpec2D.from_3d(spec))):
+            fit = ig.ige_curve(one, (2.0, 400.0)).fit
+            assert (fits.slope[i], fits.r_squared[i]) == (fit.slope, fit.r_squared)
+        assert soft.ratio[i] == soft.fit_2d.slope[i] / soft.fit_3d.slope[i]

@@ -17,6 +17,26 @@ SPEC2 = ig.GeodesicSpec2D.from_3d(SPEC3)
 SQRT2 = math.sqrt(2.0)
 
 
+def _pairs(specs_3d):
+    """The coupled pair (3D spec, its 2D companion) of each 3D spec."""
+    return [(spec, ig.GeodesicSpec2D.from_3d(spec)) for spec in specs_3d]
+
+
+def _rates(pairs):
+    """The rates of the pairs' specs, 3D then 2D per pair: the column order of
+    the fit grids the softening fits take."""
+    return np.array([spec.rate for pair in pairs for spec in pair])
+
+
+def _softening(specs_3d, window=ig.EXPONENT_WINDOW):
+    """The softening fits of the coupled pairs of ``specs_3d``, on their
+    :func:`exponent_times` columns and window masks, 3D then 2D per pair."""
+    pairs = _pairs(specs_3d)
+    rates = _rates(pairs)
+    taus = jacobi.exponent_times(rates, window)
+    return jacobi.softening_gap(pairs, taus, jacobi.window_mask(taus, rates, window))
+
+
 # ---------------------------------------------------------------------------
 # assembled coefficient structure
 # ---------------------------------------------------------------------------
@@ -696,15 +716,16 @@ def test_sweep_exponents_are_invariant_under_scaling_and_translation(
     shifted = ig.GeodesicSpec3D(mu0 + shift, spec.sigma0, sigma0_prime, lam, lam_f)
     scaled = ig.GeodesicSpec3D(mu0 + shift, c * spec.sigma0, c * sigma0_prime, lam, c * lam_f)
 
-    def per_rate(jac):
-        return np.array([jac.fit_3d.slope / jac.trajectory_3d.rate,
-                         jac.fit_2d.slope / jac.trajectory_2d.rate])
-    base, moved, grown = (ig.softening_gap(s) for s in (spec, shifted, scaled))
-    assert np.array_equal(per_rate(base), per_rate(moved))
-    np.testing.assert_allclose(per_rate(grown), per_rate(base), rtol=4e-15, atol=0.0)
-    for label in ("3d", "2d"):
-        one, other = (getattr(j, f"trajectory_{label}") for j in (base, grown))
-        assert np.array_equal(one.slots, other.slots)
+    def per_rate(spec3d):
+        pair = _pairs([spec3d])[0]
+        jac = _softening([spec3d])
+        return np.array([jac.fit_3d.slope[0] / pair[0].rate, jac.fit_2d.slope[0] / pair[1].rate])
+    base, moved, grown = (per_rate(s) for s in (spec, shifted, scaled))
+    assert np.array_equal(base, moved)
+    np.testing.assert_allclose(grown, base, rtol=4e-15, atol=0.0)
+    for one, other in zip(_pairs([spec])[0], _pairs([scaled])[0]):   # the 3D specs, then the 2D
+        runs = [jacobi.exponent_run(s, ig.EXPONENT_WINDOW) for s in (one, other)]
+        assert np.array_equal(runs[0].slots, runs[1].slots)
 
 
 # ---------------------------------------------------------------------------
@@ -832,11 +853,12 @@ def test_window_mask_compares_in_rate_units():
 
 
 def test_exponent_fits():
-    jac = ig.softening_gap(SPEC3)
-    assert jac.fit_3d.slope == pytest.approx(SPEC3.rate, rel=0.02)
-    assert jac.fit_2d.slope == pytest.approx(SPEC2.rate, rel=0.02)
-    assert jac.fit_3d.r_squared > 0.999
-    assert jac.fit_2d.r_squared > 0.999
+    jac = _softening([SPEC3])
+    assert jac.fit_3d.slope.shape == jac.fit_2d.slope.shape == (1,)
+    assert jac.fit_3d.slope[0] == pytest.approx(SPEC3.rate, rel=0.02)
+    assert jac.fit_2d.slope[0] == pytest.approx(SPEC2.rate, rel=0.02)
+    assert jac.fit_3d.r_squared[0] > 0.999
+    assert jac.fit_2d.r_squared[0] > 0.999
 
 
 @pytest.mark.parametrize("spec", [SPEC3, SPEC2], ids=["3d", "2d"])
@@ -889,17 +911,19 @@ def test_stopped_runs_are_not_fitted():
     # the 3D run of this spec (lambda_f / rate = 14.6) once stopped on a
     # 1e-150 sigma_y floor at rate * tau = 23.6 and was fitted on the samples
     # it reached; with no floor it runs to the end of the window
-    jac = ig.softening_gap(ig.GeodesicSpec3D(0.8, 0.1368, 0.6, 0.6, 1.2))
-    traj = jac.trajectory_3d
+    spec = ig.GeodesicSpec3D(0.8, 0.1368, 0.6, 0.6, 1.2)
+    traj = jacobi.exponent_run(spec, ig.EXPONENT_WINDOW)
     assert traj.complete
     assert np.array_equal(traj.taus, np.linspace(0.0, ig.EXPONENT_WINDOW[1] / traj.rate, 401))
-    assert jac.gap == pytest.approx(jac.expected_gap, rel=1e-6)
+    jac = _softening([spec])
+    assert jac.fit_3d.slope[0] == ig.exponent_fit(traj).slope
+    assert jac.gap[0] == pytest.approx(jac.expected_gap[0], rel=1e-6)
     # at sigma0 = sigma0' = 1e-200 the 3D run's start vector lies past the
     # double range (J^3' / sigma0' over the rate): the fit raises, and the
     # abort carries the run stopped at its start
     message = "^jacobi run 3d: right-hand side is not finite at the initial state$"
     with pytest.raises(ig.NumericalAbort, match=message) as abort:
-        ig.softening_gap(ig.GeodesicSpec3D(0.0, 1e-200, 1e-200, 1.0, 1.0))
+        _softening([ig.GeodesicSpec3D(0.0, 1e-200, 1e-200, 1.0, 1.0)])
     assert not abort.value.partial.complete
 
 
@@ -915,24 +939,25 @@ def test_exponent_runs_complete_at_any_flat_rate(e):
 
 
 def test_softening_gap_value():
-    jac = ig.softening_gap(SPEC3)
+    jac = _softening([SPEC3])
     expected = 1.0 - 1.0 / SQRT2
-    assert jac.gap == pytest.approx(expected, rel=0.03)
-    assert jac.gap > 0.0
-    assert jac.expected_gap == pytest.approx(expected, rel=1e-12)
+    assert jac.gap.shape == jac.expected_gap.shape == (1,)
+    assert jac.gap[0] == pytest.approx(expected, rel=0.03)
+    assert jac.gap[0] > 0.0
+    assert jac.expected_gap[0] == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("sigma0,lam", [(0.5, 1.0), (2.0, 1.0), (1.0, 0.7)])
 def test_gap_positive_across_parameters(sigma0, lam):
     spec = ig.GeodesicSpec3D(0.0, sigma0, 1.0, lam, 1.0)
-    jac = ig.softening_gap(spec)
-    assert jac.gap > 0.0
-    assert jac.gap == pytest.approx(sigma0 * lam * (1.0 - 1.0 / SQRT2), rel=0.03)
+    jac = _softening([spec])
+    assert jac.gap[0] > 0.0
+    assert jac.gap[0] == pytest.approx(sigma0 * lam * (1.0 - 1.0 / SQRT2), rel=0.03)
 
 
 def test_gap_scales_linearly_with_sigma0():
-    g1 = ig.softening_gap(ig.GeodesicSpec3D(0.0, 1.0, 1.0, 1.0, 1.0)).gap
-    g2 = ig.softening_gap(ig.GeodesicSpec3D(0.0, 2.0, 1.0, 1.0, 1.0)).gap
+    g1 = _softening([ig.GeodesicSpec3D(0.0, 1.0, 1.0, 1.0, 1.0)]).gap[0]
+    g2 = _softening([ig.GeodesicSpec3D(0.0, 2.0, 1.0, 1.0, 1.0)]).gap[0]
     assert g2 == pytest.approx(2.0 * g1, rel=1e-6)
 
 
@@ -973,15 +998,18 @@ def test_exponent_rows_of_two_sample_counts_fit_as_their_own_runs():
     # on the window and that of sigma0 = 1 puts 241: the rows fit in two
     # groups, each row bit for bit its own exponent run's fit
     window = (20.000000000001, 50.0)
-    specs = [ig.GeodesicSpec2D(0.0, s0, 1.0 / SQRT2) for s0 in (1.0, 2.5, 5.0)]
-    rates = np.array([spec.rate for spec in specs])
+    pairs = _pairs([ig.GeodesicSpec3D(0.0, s0, 1.0, 1.0, 1.0) for s0 in (1.0, 2.5, 5.0)])
+    assert [pair[1] for pair in pairs] == [ig.GeodesicSpec2D(0.0, s0, 1.0 / SQRT2)
+                                           for s0 in (1.0, 2.5, 5.0)]
+    rates = _rates(pairs)
     taus = jacobi.exponent_times(rates, window)
     mask = jacobi.window_mask(taus, rates, window)
-    assert mask.sum(axis=0).tolist() == [241, 240, 240]
-    fits = jacobi.exponent_fits(specs, taus, mask)
-    for i, spec in enumerate(specs):
-        fit = jacobi.exponent_fit(jacobi.exponent_run(spec, window), window)
-        assert (fits.slope[i], fits.r_squared[i]) == (fit.slope, fit.r_squared)
+    assert mask[:, 1::2].sum(axis=0).tolist() == [241, 240, 240]
+    jac = jacobi.softening_gap(pairs, taus, mask)
+    for i, pair in enumerate(pairs):
+        for fits, spec in zip((jac.fit_3d, jac.fit_2d), pair):
+            fit = jacobi.exponent_fit(jacobi.exponent_run(spec, window), window)
+            assert (fits.slope[i], fits.r_squared[i]) == (fit.slope, fit.r_squared)
 
 
 @pytest.mark.filterwarnings("error")
@@ -990,8 +1018,6 @@ def test_a_row_whose_start_leaves_the_double_range_aborts_as_its_own_run():
     # that spec's own run's abort, which carries the run stopped at its start
     specs = [ig.GeodesicSpec3D(0.0, s0, 1e-200, 1.0, 1.0) for s0 in (1.0, 1e-200)]
     message = "^jacobi run 3d: right-hand side is not finite at the initial state$"
-    rates = np.array([spec.rate for spec in specs])
-    taus = jacobi.exponent_times(rates, ig.EXPONENT_WINDOW)
     with pytest.raises(ig.NumericalAbort, match=message) as abort:
-        jacobi.exponent_fits(specs, taus, jacobi.window_mask(taus, rates, ig.EXPONENT_WINDOW))
+        _softening(specs)
     assert not abort.value.partial.complete

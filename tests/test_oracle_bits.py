@@ -15,8 +15,9 @@ the J, log intensities and slots of the exact field on a short grid in rate
 where J^3 underflows to 0, and the exact field from a start other than
 the default at both specs (at the far spec one past the double range,
 whose slots are inf and nan).  For the softening table it holds, per model,
-the rows of ``tail_slopes`` and ``exponent_fits`` at the default sweep and
-at (1e-6, 1, 1e6), and the 3D time average on times whose rate * tau
+the rows of the fits of ``softening_ratio_ige`` and ``softening_gap`` (keyed
+``tail_slopes`` and ``exponent_fits``) at the default sweep and at (1e-6, 1,
+1e6), and the 3D time average on times whose rate * tau
 straddles 19.06, where q = e^-2U passes ``_LI2_NEGLIGIBLE``.  A change that reorders the floating-point
 operations of any oracle fails here; regenerate the file only with such a
 change, and give the size of the difference it makes:
@@ -114,15 +115,17 @@ def oracle_bits() -> dict:
                                            f"{name}slots": _hex(traj.slots)})
     for sweep in SWEEPS:
         specs_3d = [GeodesicSpec3D(0.0, s0, 1.0, 1.0, 1.0) for s0 in sweep]
-        for specs in (specs_3d, [GeodesicSpec2D.from_3d(spec) for spec in specs_3d]):
-            rates = np.array([spec.rate for spec in specs])
-            taus = jacobi.exponent_times(rates, jacobi.EXPONENT_WINDOW)
-            slopes = ige.tail_slopes(specs, ige.slope_times(rates, ige.SLOPE_WINDOW))
-            exponents = jacobi.exponent_fits(
-                specs, taus, jacobi.window_mask(taus, rates, jacobi.EXPONENT_WINDOW))
-            out[f"softening {specs[0].model.label} {sweep!r}"] = {
-                "tail_slopes": _hex([slopes.slope, slopes.r_squared]),
-                "exponent_fits": _hex([exponents.slope, exponents.r_squared])}
+        pairs = [(spec, GeodesicSpec2D.from_3d(spec)) for spec in specs_3d]
+        rates = np.array([spec.rate for pair in pairs for spec in pair])
+        taus = jacobi.exponent_times(rates, jacobi.EXPONENT_WINDOW)
+        slopes = ige.softening_ratio_ige(pairs, ige.slope_times(rates, ige.SLOPE_WINDOW))
+        exponents = jacobi.softening_gap(
+            pairs, taus, jacobi.window_mask(taus, rates, jacobi.EXPONENT_WINDOW))
+        for label in ("3d", "2d"):
+            ige_fit, exponent_fit = (getattr(fits, f"fit_{label}") for fits in (slopes, exponents))
+            out[f"softening {label} {sweep!r}"] = {
+                "tail_slopes": _hex([ige_fit.slope, ige_fit.r_squared]),
+                "exponent_fits": _hex([exponent_fit.slope, exponent_fit.r_squared])}
     spec = VOLUME_SPECS["3d"]
     out["volume 3d li2 cutoff"] = _hex(ige.log_averaged_volume(spec, LI2_CUTOFF_RATE_TAUS
                                                                / spec.rate))
