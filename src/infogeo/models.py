@@ -239,16 +239,22 @@ class DiagonalScaleModel:
     @cached_property
     def ratio_system(self) -> np.ndarray:
         """T with y' = T @ g_hat @ g_hat for the geodesic in s = rate * tau on
-        y = (m, l_1, ..., l_n-1, r_0, ..., r_n-1), m = (mu - mu0) / sigma0,
-        l_j = log(sigma_j / sigma_j(0)), r = rho / rate, and g_hat = (1, e, r_0,
-        ..., r_n-1), e = sigma_k(0) / sigma0.  T is indexed [row of y', g_hat,
-        g_hat]: m' = e r_0, l_j' = r_j and r' = q : r r (the ratio tensor); no
-        scale enters, so y stays O(1) however far the scales decay."""
-        n = self.dimension
+        y = (m, l_1, ..., l_n-1, h, r_1, ..., r_n-1), m = (mu - mu0) / sigma0,
+        l_j = log(sigma_j / sigma_j(0)), r = rho / rate, h = log r_0, and g_hat
+        = (1, e, r_0, ..., r_n-1), e = sigma_k(0) / sigma0.  T is indexed [row
+        of y', g_hat, g_hat]: m' = e r_0, l_j' = r_j, h' = r_0' / r_0 and r_a'
+        = q_a : r r (the ratio tensor).  mu-translation is an isometry, so
+        mu' = A sigma_k(0)^2 and r_0 = A e: each term of q_0 carries r_0 once,
+        and h' is linear in r.  No scale enters, so y stays O(1) however far
+        the scales decay, and r_0 keeps its relative accuracy as it does."""
+        n, q = self.dimension, self._ratio_tensor
+        if q[0, 1:, 1:].any() or q[0, 0, 0]:
+            raise ValueError(f"the mean's ratio of c={self.weights} is not linear in r_0")
         t = np.zeros((2 * n, n + 2, n + 2))
         t[0, 1, 2] = 1.0
         t[range(1, n), range(3, n + 2), 0] = 1.0
-        t[n:, 2:, 2:] = self._ratio_tensor
+        t[n, 2:, 0] = q[0, 0] + q[0, :, 0]
+        t[n + 1:, 2:, 2:] = q[1:]
         t.flags.writeable = False   # shared by every geodesic run of the model
         return t
 

@@ -286,8 +286,8 @@ def test_a_flat_velocity_past_the_double_range_ends_on_the_checks(tmp_path, caps
 
 
 def test_a_geodesic_horizon_past_rate_tau_1e4_is_a_configuration_error(tmp_path, capsys):
-    # past s ~ 20 stability holds the rk step near 3.3, so the run's cost
-    # grows with rate * tau_max: 1e4 is the end, at each model's rate
+    # 1e4 is the end, at each model's rate: the bound the run kept from when
+    # stability held its step near 3.3 and its cost grew with rate * tau_max
     out = ["--out", str(tmp_path / "o"), "geodesics"]
     assert run(["--tau-max", "1.0001e4", *out]) == 2
     path = tmp_path / "far.ini"

@@ -185,22 +185,26 @@ def test_acceleration_rows_match_points():
 
 def _ratio_rows_error(model, system, theta, vel):
     """|T g_hat g_hat - y'| per row of the scale-free state at theta, with
-    start scales 1 and rate 1 (so m' = mu', e = sigma_k(0), l_j = log sigma_j
-    and r = rho), and each row's allowed error: 1e-14 of its largest term,
-    plus, on the ratio rows, the underflow of the n^2 products Gamma v_b v_c
-    (one subnormal step each) divided by sigma_k.  y' is assembled in
-    sigma-space from the model's Christoffel symbols: r_a' = theta''_a /
-    sigma_k(a) - rho_a rho_k(a)."""
+    start scales 1 and rate 1 (so m' = mu', e = sigma_k(0), l_j = log sigma_j,
+    h = log rho_0 and r = rho), and each row's allowed error: 1e-14 of its
+    largest term, plus, on the ratio rows, the underflow of the n^2 products
+    Gamma v_b v_c (one subnormal step each) divided by sigma_k.  y' is
+    assembled in sigma-space from the model's Christoffel symbols: r_a' =
+    theta''_a / sigma_k(a) - rho_a rho_k(a), and h' = rho_0' / rho_0 =
+    d theta''_0 / d v_0 - rho_k(0), as theta''_0 is linear in v_0."""
     scales = model.scales(theta)
     rho = vel / scales
     g_hat = np.concatenate([[1.0, scales[0]], rho])
     dy = system @ g_hat @ g_hat
-    terms = -model.tensors(theta)[0] * vel[:, None] * vel[None, :]
+    gam = model.tensors(theta)[0]
+    terms = -gam * vel[:, None] * vel[None, :]
+    log_terms = -(gam[0, 0] + gam[0, :, 0]) * vel
     rho_k = rho[list(model.scale_map)]
-    ref = np.concatenate([vel[:1], rho[1:], terms.sum(axis=(1, 2)) / scales - rho * rho_k])
-    largest = np.concatenate([np.abs(vel[:1]), np.abs(rho[1:]),
-                              np.maximum(np.abs(terms).max(axis=(1, 2)) / scales,
-                                         np.abs(rho * rho_k))])
+    rates = terms.sum(axis=(1, 2)) / scales - rho * rho_k
+    biggest = np.maximum(np.abs(terms).max(axis=(1, 2)) / scales, np.abs(rho * rho_k))
+    rates[0], biggest[0] = log_terms.sum() - rho_k[0], max(np.abs(log_terms).max(), abs(rho_k[0]))
+    ref = np.concatenate([vel[:1], rho[1:], rates])
+    largest = np.concatenate([np.abs(vel[:1]), np.abs(rho[1:]), biggest])
     underflow = model.dimension**2 * np.finfo(float).smallest_subnormal / scales
     return np.abs(dy - ref), 1e-14 * largest + np.concatenate([np.zeros(model.dimension),
                                                                underflow])
@@ -247,15 +251,17 @@ def _dot_ratio_rhs(model):
     system = model.ratio_system.reshape(-1, n + 2)
 
     def rhs(t, y):
-        g_hat = np.array([1.0, math.exp(y[model.scale_map[0]]), *y[n:]])
+        g_hat = np.array([1.0, math.exp(y[model.scale_map[0]]), math.exp(y[n]), *y[n + 1:]])
         return system.dot(g_hat).reshape(2 * n, -1).dot(g_hat)
     return rhs
 
 
 def _scale_free_state(model, mu, log_scales, rho):
-    # (m, l, r) at start scales 1 and rate 1, from a hypothesis draw
+    # (m, l, h, r) at start scales 1 and rate 1, from a hypothesis draw: h =
+    # log |rho_0|
     n = model.dimension
-    return [mu, *(math.log(10.0) * np.array(log_scales[:n - 1])), *rho[:n]]
+    h = math.log(abs(rho[0])) if rho[0] else -math.inf
+    return [mu, *(math.log(10.0) * np.array(log_scales[:n - 1])), h, *rho[1:n]]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -267,7 +273,7 @@ def test_geodesic_rhs_matches_the_dot_contraction(mu, log_scales, rho, three):
     model = MODEL_3D if three else MODEL_2D
     n = model.dimension
     y = _scale_free_state(model, mu, log_scales, rho)
-    g_hat = np.abs([1.0, math.exp(y[model.scale_map[0]]), *y[n:]])
+    g_hat = np.abs([1.0, math.exp(y[model.scale_map[0]]), math.exp(y[n]), *y[n + 1:]])
     scale = np.abs(model.ratio_system) @ g_hat @ g_hat
     err = np.abs(np.asarray(_ratio_rhs(model)(0.0, y)) - _dot_ratio_rhs(model)(0.0, y))
     assert np.all(err <= 1e-15 * scale)
@@ -309,11 +315,11 @@ def _term_loop(tensor, vectors):
 
 
 def _loop_ratio_rhs(model):
-    # the term loop at g_hat = (1, exp(l_k(0)), r)
+    # the term loop at g_hat = (1, exp(l_k(0)), exp(h), r_1, ...)
     n = model.dimension
 
     def rhs(t, y):
-        g_hat = [1.0, math.exp(y[model.scale_map[0]]), *y[n:]]
+        g_hat = [1.0, math.exp(y[model.scale_map[0]]), math.exp(y[n]), *y[n + 1:]]
         return _term_loop(model.ratio_system, [g_hat, g_hat])
     return rhs
 
@@ -337,9 +343,11 @@ _RHS_VALUES = st.one_of(st.floats(allow_nan=False, width=64),
 @example(values=[0.5, 0.0, 0.0, 1.0, -2.0, 3.0, 0.25], s=746.0, three=True)
 @example(values=[0.5, -math.inf, 1.0, -2.0, 0.0, 0.0, 0.25], s=1e6, three=False)
 @example(values=[0.5, 710.0, 0.0, 1.0, -2.0, 3.0, 0.25], s=0.0, three=True)
+@example(values=[0.5, 0.0, 0.0, 710.0, -2.0, 3.0, 0.25], s=0.0, three=True)
+@example(values=[0.5, 0.0, -math.inf, 1.0, 0.0, 0.0, 0.25], s=0.0, three=False)
 def test_generated_rhs_equals_the_term_loop_bit_for_bit(values, s, three):
-    # overflow, inf - inf, signed zeros, a sigma of 0 (l = -inf), exp(l)
-    # past the double range (both raise OverflowError) and sech s underflowed
+    # overflow, inf - inf, signed zeros, a sigma or r_0 of 0 (l or h = -inf),
+    # exp(l) or exp(h) past the double range (both raise OverflowError) and sech s underflowed
     # to 0 (s > 745) included; the flat rate has no term in the Jacobi system
     model = MODEL_3D if three else MODEL_2D
     n = model.dimension
@@ -356,8 +364,8 @@ def test_generated_rhs_equals_the_term_loop_bit_for_bit(values, s, three):
             == np.array(_loop_jlc_rhs(model, flat)(s, y)).tobytes())
 
 
-def _run_pair(rhs, ref, t_end, y0):
-    return [rk.integrate(f, (0.0, t_end), y0, rtol=1e-10, atol=1e-10) for f in (rhs, ref)]
+def _run_pair(rhs, ref, t_end, y0, tol=1e-10):
+    return [rk.integrate(f, (0.0, t_end), y0, rtol=tol, atol=tol) for f in (rhs, ref)]
 
 
 def _assert_same_run(a, b):
@@ -369,10 +377,11 @@ def _assert_same_run(a, b):
 
 @pytest.mark.parametrize("spec", [SPEC3, SPEC2], ids=["3d", "2d"])
 def test_geodesic_runs_of_the_generated_rhs_equal_the_term_loop_runs(spec):
-    # to rate * tau = 50, from the start of integrate_geodesic
+    # to rate * tau = 50, from the start and at the tolerance of integrate_geodesic
     model = spec.model
     y0 = _ratio_closed_form(spec, 0.0)[0].tolist()
-    runs = _run_pair(_ratio_rhs(model), _loop_ratio_rhs(model), 50.0, y0)
+    runs = _run_pair(_ratio_rhs(model), _loop_ratio_rhs(model), 50.0, y0,
+                     1e-10 / ig.geodesics._TOL_DIVISOR)
     _assert_same_run(*runs)
     assert runs[0].complete
 
@@ -435,25 +444,27 @@ def test_ratio_closed_form_derivative_is_the_derivative_of_the_chart(spec):
 
 
 def test_ratio_closed_form_starts_where_the_run_did():
-    # (0, ..., 0, span, 0, -lambda_f / rate) bit for bit, with +0: a -0.0
+    # (0, ..., 0, log span, 0, -lambda_f / rate) bit for bit, with +0: a -0.0
     # would print as -0 in a step-sampled trajectory CSV
     for spec in (SPEC3, SPEC2, ig.GeodesicSpec3D(0.0, 2.0, 1.0, 0.5, 7.0)):
         n = spec.model.dimension
-        start = [0.0] * n + [spec.model.mean_span, 0.0,
+        start = [0.0] * n + [math.log(spec.model.mean_span), 0.0,
                              *(-decay / spec.rate for _, decay in spec.flat_factors)]
         assert _ratio_closed_form(spec, 0.0)[0].tobytes() == np.array(start).tobytes()
 
 
 def test_residual_separates_the_two_spans(monkeypatch):
     # the span-2 mean path does not solve the 3D system (residual sech^2 s in
-    # r_1'): m and r_0, and their derivatives, scaled from span sqrt(2) to 2
+    # r_1'): m and m' scaled from span sqrt(2) to 2, h = log r_0 shifted by
+    # the log of that factor (h' = -tanh s is span-free)
     scale = ig.MU_SPAN_WIDE / MODEL_3D.mean_span
     exact = _ratio_closed_form
 
     def wide(spec, s):
         y, dy = exact(spec, s)
-        for v in (y, dy):
-            v[..., [0, spec.model.dimension]] *= scale
+        y[..., 0] *= scale
+        dy[..., 0] *= scale
+        y[..., spec.model.dimension] += math.log(scale)
         return y, dy
     monkeypatch.setattr(ig.geodesics, "_ratio_closed_form", wide)
     grid = np.linspace(0.0, 3.0, 30)
@@ -529,7 +540,7 @@ def test_tolerance_domain():
         ig.integrate_geodesic(SPEC3, 1.0, tol=1e-3)
     with pytest.raises(DomainError):
         ig.integrate_geodesic(SPEC3, 1.0, tol=1e-15)
-    # the user's tol is checked before rk gets tol / 3, so the ends both run
+    # the user's tol is checked before rk gets tol / 8, so the ends both run
     for tol in (1e-13, 1e-6):
         assert ig.integrate_geodesic(SPEC3, 1.0, tol=tol).complete
 
@@ -557,7 +568,7 @@ def test_sigma_y_keeps_its_relative_accuracy_far_below_tol():
 
 def test_step_count_does_not_grow_with_lambda_f():
     # the flat ratio is constant and its log-scale linear, so the steps are
-    # set by the (mu, sigma) plane: 190 to tau = 40 at lambda_f = 0.5, and
+    # set by the (mu, sigma) plane: 126 to tau = 40 at lambda_f = 0.5, and
     # within a few of that where sigma_y underflows to 0; the speed, from
     # the ratios, stays a number there
     def run(lambda_f):
@@ -567,6 +578,27 @@ def test_step_count_does_not_grow_with_lambda_f():
         traj = run(lambda_f)
         assert traj.complete and abs(traj.n_steps - base) <= 5
         assert np.all(np.isfinite(traj.speeds()))
+
+
+def test_a_run_to_rate_tau_1e4_takes_at_most_150_steps():
+    # r_0 = span sech s is carried as its log, so it does not sit at the
+    # absolute tolerance past s ~ 24, where DP5's stability on r_0' ~ -r_0
+    # held the step near 3.3 (3,202 and 3,219 steps to 1e4)
+    for spec in (SPEC3, SPEC2):
+        traj = ig.integrate_geodesic(spec, 1e4 / spec.rate)
+        assert traj.complete and traj.n_steps <= 150
+
+
+def test_mean_velocity_keeps_its_relative_accuracy():
+    # mu' = span lam sigma^2 falls to e^-100 of its start by rate * tau = 50;
+    # it is the product of two ratios the run carries in logs, so it stays
+    # within 1e-8 of the closed form's (12x off at rate * tau = 30 when the
+    # run carried r_0 itself)
+    for spec in (SPEC3, SPEC2):
+        grid = np.linspace(0.0, 50.0, 501) / spec.rate
+        traj = ig.integrate_geodesic(spec, grid[-1], sample_taus=grid)
+        _, ref = ig.closed_form(spec, grid)
+        np.testing.assert_allclose(traj.velocities[:, 0], ref[:, 0], rtol=1e-8, atol=0)
 
 
 _ENTRY_POINTS = {

@@ -342,6 +342,18 @@ def test_model_descriptions():
             DiagonalScaleModel("bad", weights, scale_map, ig.ParameterPoint2D)
 
 
+@pytest.mark.parametrize("entry", [(1, 1), (1, 2), (0, 0)])
+def test_ratio_system_refuses_a_mean_ratio_not_linear_in_r_0(entry):
+    # the log row h' = r_0' / r_0 is read off q_0, which holds it only if
+    # each term of q_0 carries r_0 exactly once
+    model = DiagonalScaleModel("3d", MODEL_3D.weights, MODEL_3D.scale_map, ig.ParameterPoint3D)
+    q = MODEL_3D._ratio_tensor.copy()
+    q[(0, *entry)] = 0.5
+    model.__dict__["_ratio_tensor"] = q
+    with pytest.raises(ValueError, match="not linear in r_0"):
+        model.ratio_system
+
+
 _finite = st.floats(-5.0, 5.0)
 _scale = st.floats(0.1, 10.0)
 
