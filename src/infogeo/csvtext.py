@@ -9,12 +9,16 @@
   integer D is certain unless the fraction lies within 1e-9 of 1/2.
   D must also lie in [10**16, 10**17), with D = 10**16 refused when the
   fraction is near 0 (|x| may then lie just below 10**X, and X is wrong).
-* **Text.**  D is cut into four-digit chunks read from a table of their
-  ASCII bytes and laid into four 64-bit words per cell; the digits before
-  the point move down one byte for the '.', the sign and the "0.000"
-  prefix go in front and the ``e+XX`` suffix and separator after, all
-  placed from X as ``%g`` places them.  Zero bytes, the dropped trailing
-  zeros among them, are removed once from the whole table.
+* **Text.**  Each cell is four 64-bit words of a zeroed buffer, each word
+  written whole: the sign and "0.000" prefix with the lead digit, two
+  words of four-digit chunks read from a table of their ASCII bytes, and
+  the ``e+XX`` suffix with the separator, all from X as ``%g`` places them.
+  Three masks, one row per (digits before the point, significant digits),
+  then keep the bytes that stay, move the digits before the point down
+  one byte (read from the cell one byte on) and put in the '.'.  Every
+  pass runs over the whole contiguous table.  Zero bytes, the dropped
+  trailing zeros and the gap before the suffix among them, are removed
+  once from the whole table.
 * **Fallback.**  Every cell not certified, that is ±0, inf, nan, |x| below
   2e-292, a near-tie (exact 18-digit ties such as odd / 2**17 in [1, 10)
   among them) or a wrong X, is formatted by ``"%.17g" % x`` itself.
@@ -57,10 +61,10 @@ def _scales():
 
 
 def _chunk_tables():
-    """For each chunk 0 .. 9999: its four ASCII digits as a little-endian 32-bit
-    word, and by the chunk's place j among the four after the lead digit, the
-    cell's significant digits up to the chunk's last nonzero one (1, the lead
-    digit, for the chunk 0)."""
+    """For each chunk 0 .. 9999: its four ASCII digits as the low half of a
+    little-endian 64-bit word, and by the chunk's place j among the four
+    after the lead digit, the cell's significant digits up to the chunk's
+    last nonzero one (1, the lead digit, for the chunk 0)."""
     digits = np.empty((10, 10, 10, 10, 4), np.uint8)
     for k in range(4):
         digits[..., k] = np.arange(48, 58, dtype=np.uint8).reshape(-1, *[1] * (3 - k))
@@ -69,16 +73,15 @@ def _chunk_tables():
     for k in range(4):
         last[digits[:, k] != 48] = k + 1
     nsig = [np.where(last > 0, last + np.int8(1 + 4 * j), np.int8(1)) for j in range(4)]
-    return digits.view("<u4").ravel(), nsig
+    return digits.view("<u4").ravel().astype(_U64), nsig
 
 
-def _byte_masks(spans, value=255):
+def _byte_masks(start, end, value=255):
     """Rows of a cell's four little-endian words, ``value`` in the bytes
-    [start, end) of each span."""
-    rows = np.zeros((len(spans), 32), np.uint8)
-    for row, (start, end) in zip(rows, spans):
-        row[start:end] = value
-    return rows.view("<u8")
+    [start, end) of each row (a scalar bound serves every row)."""
+    byte = np.arange(32)
+    inside = (byte >= np.reshape(start, (-1, 1))) & (byte < np.reshape(end, (-1, 1)))
+    return np.where(inside, value, 0).astype(np.uint8).view("<u8")
 
 
 def _word(text: str, end: int) -> int:
@@ -87,9 +90,10 @@ def _word(text: str, end: int) -> int:
 
 
 def _exponent_tables():
-    """Per X + 292: the digits before the point (0 where the "0.000" prefix holds
-    it), the text before the digits per sign (+, -) in the cell's first word,
-    and the text after them per separator (",", "\\n") from byte 0 of a word."""
+    """Per X + 292: 18 times the digits before the point (0 where the "0.000"
+    prefix holds them), X's first row of the masks below; the text before the
+    digits per sign (+, -) in the cell's first word; and the text after them
+    per separator (",", "\\n") from byte 0 of a word."""
     x = np.arange(_X_MIN, 309)
     fixed = (x >= -4) & (x < 17)                    # %g's fixed notation at precision 17
     before_point = np.where(fixed, np.maximum(x + 1, 0), 1)
@@ -101,19 +105,27 @@ def _exponent_tables():
                     for e, f in zip(x.tolist(), fixed.tolist())], "S8")
     length = np.where(fixed, 0, np.where(np.abs(x) < 100, 4, 5)).astype(_U64)
     tail = exp.view("<u8")[:, None] | np.array([ord(","), ord("\n")], _U64) << (8 * length[:, None])
-    return before_point, head, tail
+    return 18 * before_point, head, tail
+
+
+def _mask_tables():
+    """Per row 18 q + nsig, for q digits before the point and nsig significant
+    ones, a cell's digits built at bytes 7 .. 23 and its tail at 24 .. 31:
+    the bytes that stay, those the q digits move to (6 .. 5 + q, each taking
+    the byte after it) and the '.' at 6 + q where a fraction is left (none
+    for q = 0: the "0." prefix holds it); the digits end before byte `end`."""
+    q, nsig = np.divmod(np.arange(18 * 18), 18)
+    end = np.where(nsig > q, 7 + nsig, 6 + q)
+    stay = _byte_masks(0, 7) | _byte_masks(7 + q, end) | _byte_masks(24, 32)
+    dot = _byte_masks(6 + q, np.where((q > 0) & (end > 6 + q), 7 + q, 0), ord("."))
+    return stay, _byte_masks(6, 6 + q), dot
 
 
 _HI, _LO = _scales()
 _HH, _HL = _split(_HI)
 _ASCII4, _NSIG = _chunk_tables()
-_Q, _HEAD, _TAIL = _exponent_tables()
-# the 17 digits sit at bytes 7 .. 23 of a cell; the q before the point move to
-# 6 .. 5 + q, the point goes to 6 + q (none for q = 0: the "0." prefix holds
-# it), and the text ends before byte `end`
-_INT = _byte_masks([(7, 7 + q) for q in range(18)])
-_DOT = _byte_masks([(6 + q, 7 + q) if q else (0, 0) for q in range(18)], ord("."))
-_KEEP = _byte_masks([(0, end) for end in range(25)])
+_Q18, _HEAD, _TAIL = _exponent_tables()
+_STAY, _MOVE, _DOT = _mask_tables()
 
 
 def series_to_csv(kind: str, names, cols) -> str:
@@ -169,40 +181,37 @@ def series_to_csv(kind: str, names, cols) -> str:
     c4 -= c3 * 10000
     header = f"# infogeo {kind} csv schema=1\n{','.join(names)}\n".encode()
     start = len(header) + -len(header) % 8      # the cells start on a word boundary
-    text = np.empty(start + 32 * n, np.uint8)
+    # zeroed, so no pass clears a byte; the word to spare is read by the view
+    # one byte on below, from the last cell
+    text = np.zeros(start + 32 * n + 8, np.uint8)
     text[:len(header)] = np.frombuffer(header, np.uint8)
-    text[len(header):start] = 0
-    W = text[start:].view("<u8").reshape(n, 4)         # a cell's bytes in text order
-    halves = W.view("<u4")
-    halves[:, 0] = 0
-    halves[:, 1] = (lead + 48) << 24
-    for k, c in enumerate((c1, c2, c3, c4)):
-        halves[:, 2 + k] = _ASCII4.take(c)
-    halves[:, 6:] = 0
+    W = text[start:start + 32 * n].view("<u8").reshape(n, 4)   # a cell's bytes in text order
+    # each word written whole: the sign and "0.000" prefix (bytes 0 .. 6) with
+    # the lead digit (7), two chunks a word (8 .. 23), and the tail (24 ..)
+    ix2 = 2 * ix
+    lead += 48
+    lead <<= 56
+    W[:, 0] = _HEAD.take(ix2 + np.signbit(x)) | lead.view(_U64)
+    W[:, 1] = _ASCII4.take(c2) << _U64(32) | _ASCII4.take(c1)
+    W[:, 2] = _ASCII4.take(c4) << _U64(32) | _ASCII4.take(c3)
+    ix2.reshape(rows, ncol)[:, -1] += 1
+    W[:, 3] = _TAIL.take(ix2)
     nsig = np.maximum(np.maximum(_NSIG[0].take(c1), _NSIG[1].take(c2)),
                       np.maximum(_NSIG[2].take(c3), _NSIG[3].take(c4)))
     del c1, c2, c3, c4, lead
-    q = _Q.take(ix)
-    end = np.where(nsig > q, 7 + nsig, 6 + q)           # no fraction left: no point
-    M = np.take(_INT, q, axis=0)
-    M &= W
-    W ^= M
-    W[:, :2] |= M[:, 1:3] << _U64(56)                  # bytes 8 and 16 move to 7 and 15
-    M >>= _U64(8)
-    W |= M
-    W |= np.take(_DOT, q, axis=0, out=M)
-    W &= np.take(_KEEP, end, axis=0, out=M)
-    del M
-    ix2 = 2 * ix
-    W[:, 0] |= _HEAD.take(ix2 + np.signbit(x))
-    ix2.reshape(rows, ncol)[:, -1] += 1
-    # the tail as a little-endian word from byte `end` of each cell, through a
-    # view whose words start a byte apart: the cell's bytes from `end` are zero
-    at_byte = np.ndarray((max(32 * n - 7, 0),), "<u8", text, start, (1,))
-    at_byte[np.arange(0, 32 * n, 32) + end] = _TAIL.take(ix2)
+    mask_row = _Q18.take(ix) + nsig
+    # the cells read one byte on, so word k is (W[k] >> 8) | (W[k + 1] << 56)
+    # over the flat words: _MOVE keeps its bytes 6 .. 5 + q <= 22, the cell's
+    # digits 7 .. 6 + q, and never the byte it reads past the cell
+    moved = np.take(_MOVE, mask_row, axis=0)
+    moved &= np.ndarray((n, 4), "<u8", text, start + 1, (32, 8))
+    W &= np.take(_STAY, mask_row, axis=0)
+    W |= moved
+    W |= np.take(_DOT, mask_row, axis=0, out=moved, mode="clip")   # "raise" buffers out
+    del moved
     fallback = np.flatnonzero(~ok)
     if fallback.size:
         cells = ["%.17g%s" % (v, "\n" if i % ncol == ncol - 1 else ",")
                  for i, v in zip(fallback.tolist(), x[fallback].tolist())]
         W.view(np.uint8)[fallback] = np.array(cells, "S32").view(np.uint8).reshape(-1, 32)
-    return text[text != 0].tobytes().decode()
+    return str(text[text != 0].data, "utf-8")

@@ -267,17 +267,18 @@ def nonzero_terms(tensor: np.ndarray) -> list:
     return [(*map(int, index), float(tensor[tuple(index)])) for index in np.argwhere(tensor)]
 
 
-def _generate_rhs(tensor: np.ndarray, axes: tuple, state: list, head: tuple):
+def _generate_rhs(tensor: np.ndarray, axes: tuple, state: list, head: tuple, exp):
     """The contraction of a system tensor as one straight-line ``rhs(t, y)``,
     from a list y to a list: ``axes`` names the vector of each index after
     the row; slot 0 of each vector is the constant 1, and slot i of vector
     "v" is the name ``vi``.  y is unpacked into the names ``state``, then
-    the ``head`` lines define the other names (``exp`` and ``tanh`` are in
-    scope).  Row r is the sum, in index order, of its terms c * x[last
-    index] * ... * x[first index], multiplied left to right and added to
-    0.0, so it equals a loop over :func:`nonzero_terms` bit for bit;
-    factors of 1.0 (the constant slots, unit coefficients) are left out,
-    as they are exact."""
+    the ``head`` lines define the other names (the ``exp`` given and
+    ``tanh`` are in scope).  Row r is the sum, in index order, of its terms
+    c * x[last index] * ... * x[first index], multiplied left to right and
+    added to 0.0, so it equals a loop over :func:`nonzero_terms` bit for
+    bit; factors of 1.0 (the constant slots, unit coefficients) are left
+    out, as they are exact.  It also runs on columns, y arrays and ``exp``
+    mapping them: each row is then its values per sample, bit for bit."""
     rows = [["0.0"] for _ in range(tensor.shape[0])]
     for row, *index, c in nonzero_terms(tensor):
         factors = [f"{axes[j]}{i}" for j, i in reversed(list(enumerate(index))) if i]
@@ -285,7 +286,7 @@ def _generate_rhs(tensor: np.ndarray, axes: tuple, state: list, head: tuple):
     sums = [" + ".join(terms) for terms in rows]
     source = "\n    ".join(["def rhs(t, y):", f"{', '.join(state)}, = y", *head,
                              f"return [{', '.join(sums)}]"])
-    namespace = {"exp": math.exp, "tanh": math.tanh}
+    namespace = {"exp": exp, "tanh": math.tanh}
     exec(compile(source, "<generate_rhs>", "exec"), namespace)
     return namespace["rhs"]
 
@@ -299,22 +300,29 @@ _TOL_DIVISOR = 8.0
 
 
 @cache
-def _ratio_rhs(model):
+def _ratio_rhs(model, exp):
     """y' = ``model.ratio_system`` g_hat g_hat, g_hat = (1, exp(l_k(0)), exp(h),
     r_1, ...), for y = (m, l_1, ..., h, r_1, ...): one generated function, from
-    a list to a list."""
+    a list to a list, that calls ``exp`` (``math.exp`` for a state, or
+    :func:`_exp_each` for columns)."""
     n = model.dimension
     state = ["m", *(f"l{j}" for j in range(1, n)), "h2", *(f"g{i}" for i in range(3, n + 2))]
     head = (f"g1 = exp(l{model.scale_map[0]})", "g2 = exp(h2)")
-    return _generate_rhs(model.ratio_system, ("g", "g"), state, head)
+    return _generate_rhs(model.ratio_system, ("g", "g"), state, head, exp)
 
 
-def _ratio_closed_form(spec, s) -> tuple:
+def _exp_each(v: np.ndarray) -> np.ndarray:
+    """``math.exp`` of each element: numpy's exp may differ in the last bit."""
+    return np.fromiter(map(math.exp, v.tolist()), float, v.size)
+
+
+def _ratio_columns(spec, s) -> tuple:
     """The closed form in the chart of ``model.ratio_system`` at s = rate * tau:
     ``(y, dy)``, y = (m, l_1, ..., h, r_1, ...) and its exact s-derivative,
-    each over the last axis.  m = span tanh s, l_1 = log sech s, l_j = r_j s
-    for each flat scale, h = log span + log sech s, r_1 = -tanh s and r_j =
-    -lambda_f / rate; no entry underflows where sigma does."""
+    each a list of arrays over s, or floats where constant.  m = span tanh s,
+    l_1 = log sech s, l_j = r_j s for each flat scale, h = log span + log
+    sech s, r_1 = -tanh s and r_j = -lambda_f / rate; no entry underflows
+    where sigma does."""
     s = np.asarray(s, dtype=float)
     span = spec.model.mean_span
     sech, tanh, a = _sech(s), np.tanh(s), np.abs(s)
@@ -324,8 +332,14 @@ def _ratio_closed_form(spec, s) -> tuple:
         y = [span * tanh, log_sech, *(r * s for r in flat),
              math.log(span) + log_sech, -tanh, *flat]
     dy = [span * sech * sech, -tanh, *flat, -tanh, -sech * sech, *[0.0] * len(flat)]
+    return y, dy
+
+
+def _ratio_closed_form(spec, s) -> tuple:
+    """:func:`_ratio_columns` stacked: ``(y, dy)``, each over the last axis."""
     # + 0.0: the start is +0, not the -0.0 of -tanh 0 and r_j 0
-    return tuple(np.stack(np.broadcast_arrays(*v), axis=-1) + 0.0 for v in (y, dy))
+    columns = _ratio_columns(spec, s)
+    return tuple(np.stack(np.broadcast_arrays(*v), axis=-1) + 0.0 for v in columns)
 
 
 def integrate_geodesic(spec, tau_max: float, tol: float = 1e-10,
@@ -342,7 +356,7 @@ def integrate_geodesic(spec, tau_max: float, tol: float = 1e-10,
     rate, n = spec.rate, spec.model.dimension
     y0, _ = _ratio_closed_form(spec, 0.0)
     with np.errstate(over="ignore"):   # dense output: log sigma past the double range is -inf
-        taus, ys, fields = _sampled_run(_ratio_rhs(spec.model), y0.tolist(), tau_max,
+        taus, ys, fields = _sampled_run(_ratio_rhs(spec.model, math.exp), y0.tolist(), tau_max,
                                         tol / _TOL_DIVISOR, sample_taus, rate)
     theta0, _ = closed_form(spec, 0.0)
     exp_slots = np.exp(ys[:, 1:n + 1])   # sigma_j / sigma_j(0), then r_0
@@ -353,13 +367,15 @@ def integrate_geodesic(spec, tau_max: float, tol: float = 1e-10,
 
 def residual_check(spec, tau_grid) -> float:
     """Max absolute residual |y'(s) - f(y(s))| of the closed form on a grid, in
-    the chart the integrator runs in: y and y' from :func:`_ratio_closed_form`,
+    the chart the integrator runs in: y and y' from :func:`_ratio_columns`,
     f the right-hand side rk integrates.  Both are exact, so an exact solution
-    leaves rounding alone, at every scale of sigma and lambda_f."""
-    y, dy = _ratio_closed_form(spec, spec.rate * np.ravel(tau_grid).astype(float))
-    rhs = _ratio_rhs(spec.model)
-    f = np.array([rhs(0.0, row) for row in y.tolist()]).reshape(dy.shape)
-    return float(np.abs(dy - f).max(initial=0.0))
+    leaves rounding alone, at every scale of sigma and lambda_f.  f runs once
+    on the grid's columns, bit for bit a call per sample, with overflow and
+    inf - inf as silent as on floats."""
+    y, dy = _ratio_columns(spec, spec.rate * np.ravel(tau_grid).astype(float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = _ratio_rhs(spec.model, _exp_each)(0.0, y)
+    return float(np.max([np.abs(d - v).max(initial=0.0) for d, v in zip(dy, f)]))
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

@@ -113,7 +113,7 @@ def _jlc_rhs(model):
     head = ("x = exp(-t)",   # sech s = 2 x / (1 + x^2) underflows to 0, cosh would overflow
             "g1 = 2.0 * x / (1.0 + x * x)", "g2 = -tanh(t)")
     return _generate_rhs(model.jacobi_system, ("z", "g", "g"),
-                         [f"z{i}" for i in range(1, 2 * model.dimension + 1)], head)
+                         [f"z{i}" for i in range(1, 2 * model.dimension + 1)], head, math.exp)
 
 
 def _nan_max(values) -> float:   # max(values) as numpy takes it: nan if any value is nan

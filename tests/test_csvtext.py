@@ -90,3 +90,36 @@ def test_specials_in_a_row_and_in_a_column(capfd):
     assert_writes_like_the_reference(np.reshape(specials, (1, -1)), capfd)
     assert_writes_like_the_reference(np.reshape(specials, (-1, 1)), capfd)
     assert_writes_like_the_reference(np.empty((0, 3)), capfd)
+
+
+# one value per digit count before the point, q = 0 .. 17, in fixed notation
+# (X = -4 .. 16) and in exponent notation (q = 1), with nsig below, at and
+# above q, and the negatives of all of them
+_DIGITS = [1.2345678901234567, 1.0, 1.25, 9.99]
+_BY_BEFORE_POINT = [sign * d * 10.0 ** e for e in (*range(-4, 17), -5, -300, 17, 300)
+                    for d in _DIGITS for sign in (1.0, -1.0)]
+_FALLBACK = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310]
+
+
+def test_cell_texts_at_the_ends_of_the_table(capfd):
+    # the cells' words are read one byte on from each cell, so the first and
+    # the last cell of a table are where that view meets the buffer's ends:
+    # every q at both, in a 1 x 1 table, a single column, a single row and
+    # a 3 x 4 table
+    middle = [0.5, -3.75e-7]
+    for v in _BY_BEFORE_POINT:
+        assert_writes_like_the_reference([[v]], capfd)
+        line = [v, *middle, v]
+        assert_writes_like_the_reference(np.reshape(line, (-1, 1)), capfd)
+        assert_writes_like_the_reference(np.reshape(line, (1, -1)), capfd)
+        assert_writes_like_the_reference(np.reshape([v, *[1e20] * 10, v], (3, 4)), capfd)
+
+
+def test_fallback_cells_beside_certified_ones(capfd):
+    # each fallback value (formatted by %.17g itself) next to each certified
+    # one, before and after it, and at both ends of the table
+    for f in _FALLBACK:
+        line = [f, *np.ravel([[v, f] for v in _BY_BEFORE_POINT])]
+        assert_writes_like_the_reference(np.reshape(line, (-1, 1)), capfd)
+        assert_writes_like_the_reference(np.reshape(line, (1, -1)), capfd)
+        assert_writes_like_the_reference(np.reshape(line[:-1], (-1, 4)), capfd)

@@ -275,7 +275,7 @@ def test_geodesic_rhs_matches_the_dot_contraction(mu, log_scales, rho, three):
     y = _scale_free_state(model, mu, log_scales, rho)
     g_hat = np.abs([1.0, math.exp(y[model.scale_map[0]]), math.exp(y[n]), *y[n + 1:]])
     scale = np.abs(model.ratio_system) @ g_hat @ g_hat
-    err = np.abs(np.asarray(_ratio_rhs(model)(0.0, y)) - _dot_ratio_rhs(model)(0.0, y))
+    err = np.abs(np.asarray(_ratio_rhs(model, math.exp)(0.0, y)) - _dot_ratio_rhs(model)(0.0, y))
     assert np.all(err <= 1e-15 * scale)
 
 
@@ -295,7 +295,7 @@ def test_geodesic_rhs_at_a_zero_sigma_is_finite(model):
     # gets a finite derivative; past l = 709.78 exp raises OverflowError,
     # which rk rejects like a non-finite stage
     n = model.dimension
-    rhs, rates = _ratio_rhs(model), [0.5] * n
+    rhs, rates = _ratio_rhs(model, math.exp), [0.5] * n
     dy = rhs(0.0, [0.0, *[-math.inf] * (n - 1), *rates])
     assert np.all(np.isfinite(dy)) and dy[0] == 0.0
     with pytest.raises(OverflowError):
@@ -353,7 +353,7 @@ def test_generated_rhs_equals_the_term_loop_bit_for_bit(values, s, three):
     n = model.dimension
     y = values[:2 * n]
     outcomes = []
-    for rhs in (_ratio_rhs(model), _loop_ratio_rhs(model)):
+    for rhs in (_ratio_rhs(model, math.exp), _loop_ratio_rhs(model)):
         try:
             outcomes.append(np.array(rhs(0.0, y)).tobytes())
         except OverflowError:
@@ -380,7 +380,7 @@ def test_geodesic_runs_of_the_generated_rhs_equal_the_term_loop_runs(spec):
     # to rate * tau = 50, from the start and at the tolerance of integrate_geodesic
     model = spec.model
     y0 = _ratio_closed_form(spec, 0.0)[0].tolist()
-    runs = _run_pair(_ratio_rhs(model), _loop_ratio_rhs(model), 50.0, y0,
+    runs = _run_pair(_ratio_rhs(model, math.exp), _loop_ratio_rhs(model), 50.0, y0,
                      1e-10 / ig.geodesics._TOL_DIVISOR)
     _assert_same_run(*runs)
     assert runs[0].complete
@@ -429,6 +429,39 @@ def test_residual_is_rounding_at_every_scale(log_sigma0, log_sigma0_prime, log_l
             assert ig.residual_check(spec, _residual_grid(spec)) <= 1e-15
 
 
+def _residual_by_rows(spec, s):
+    """residual_check's value as a call of the rk right-hand side per sample."""
+    y, dy = _ratio_closed_form(spec, s)
+    rhs = _ratio_rhs(spec.model, math.exp)
+    f = np.array([rhs(0.0, row) for row in y.tolist()]).reshape(dy.shape)
+    return f, float(np.abs(dy - f).max(initial=0.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(log_sigma0=st.floats(-6.0, 10.0), log_lambda_f=st.floats(-2.0, 150.0),
+       log_sigma0_prime=st.floats(-3.0, 3.0), rate_tau=st.floats(1.0, 2000.0),
+       samples=st.integers(1, 120))
+@example(log_sigma0=0.0, log_lambda_f=150.0, log_sigma0_prime=0.0, rate_tau=1500.0, samples=100)
+@example(log_sigma0=-6.0, log_lambda_f=-2.0, log_sigma0_prime=3.0, rate_tau=800.0, samples=7)
+def test_residual_on_columns_is_the_row_loop_bit_for_bit(log_sigma0, log_lambda_f,
+                                                         log_sigma0_prime, rate_tau, samples):
+    # sigma0 in [1e-6, 1e10] and lambda_f in [1e-2, 1e150], on grids from s = 0
+    # to rate * tau up to 2000, past 745 where exp(l_1) = sech s underflows:
+    # every value of the right-hand side run on columns, and the residual,
+    # equal those of one call per sample, bit for bit
+    spec3 = ig.GeodesicSpec3D(0.0, 10.0**log_sigma0, 10.0**log_sigma0_prime, 1.0,
+                              10.0**log_lambda_f)
+    for spec in (spec3, ig.GeodesicSpec2D.from_3d(spec3)):
+        taus = np.linspace(0.0, rate_tau / spec.rate, samples)
+        s = spec.rate * taus
+        rows, residual = _residual_by_rows(spec, s)
+        y, _ = ig.geodesics._ratio_columns(spec, s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cols = _ratio_rhs(spec.model, ig.geodesics._exp_each)(0.0, y)
+        assert np.stack(np.broadcast_arrays(*cols), axis=-1).tobytes() == rows.tobytes()
+        assert ig.residual_check(spec, taus).hex() == residual.hex()
+
+
 @pytest.mark.parametrize("spec", [SPEC3, SPEC2, ig.GeodesicSpec3D(0.3, 0.7, 2.0, 1.3, 4.0)],
                          ids=["3d", "2d", "3d-off-unit"])
 def test_ratio_closed_form_derivative_is_the_derivative_of_the_chart(spec):
@@ -458,15 +491,15 @@ def test_residual_separates_the_two_spans(monkeypatch):
     # r_1'): m and m' scaled from span sqrt(2) to 2, h = log r_0 shifted by
     # the log of that factor (h' = -tanh s is span-free)
     scale = ig.MU_SPAN_WIDE / MODEL_3D.mean_span
-    exact = _ratio_closed_form
+    exact = ig.geodesics._ratio_columns
 
     def wide(spec, s):
         y, dy = exact(spec, s)
-        y[..., 0] *= scale
-        dy[..., 0] *= scale
-        y[..., spec.model.dimension] += math.log(scale)
+        y[0] = y[0] * scale
+        dy[0] = dy[0] * scale
+        y[spec.model.dimension] = y[spec.model.dimension] + math.log(scale)
         return y, dy
-    monkeypatch.setattr(ig.geodesics, "_ratio_closed_form", wide)
+    monkeypatch.setattr(ig.geodesics, "_ratio_columns", wide)
     grid = np.linspace(0.0, 3.0, 30)
     assert ig.residual_check(SPEC3, grid) > 0.1
 

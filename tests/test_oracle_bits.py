@@ -15,10 +15,14 @@ the J, log intensities and slots of the exact field on a short grid in rate
 where J^3 underflows to 0, and the exact field from a start other than
 the default at both specs (at the far spec one past the double range,
 whose slots are inf and nan).  For the softening table it holds, per model,
-the rows of the fits of ``softening_ratio_ige`` and ``softening_gap`` (keyed
-``tail_slopes`` and ``exponent_fits``) at the default sweep and at (1e-6, 1,
-1e6), and the 3D time average on times whose rate * tau
-straddles 19.06, where q = e^-2U passes ``_LI2_NEGLIGIBLE``.  A change that reorders the floating-point
+the rows of the fits of ``softening_ratio_ige`` and ``softening_gap``, each
+keyed by its function, at the default sweep and at (1e-6, 1, 1e6), and the
+3D time average on times whose rate * tau straddles 19.06, where q = e^-2U
+passes ``_LI2_NEGLIGIBLE``.  For the geodesic layer it holds, per model, the
+closed form's ``residual_check`` on the CLI's grid at the default spec, at
+lambda_f = 1e6 and 1e150 (sigma_y underflows to 0), at sigma0 = 1e-6 and
+1e10, and at the default spec on a grid past rate * tau = 745, where
+exp(l_1) = sech s underflows.  A change that reorders the floating-point
 operations of any oracle fails here; regenerate the file only with such a
 change, and give the size of the difference it makes:
 
@@ -32,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from infogeo import fisher, ige, jacobi, numgeo
-from infogeo.geodesics import GeodesicSpec2D, GeodesicSpec3D
+from infogeo.geodesics import GeodesicSpec2D, GeodesicSpec3D, residual_check
 from infogeo.models import Model2DConfig, ParameterPoint2D, ParameterPoint3D
 
 FD_POINTS = {"3d": [(0.3, 1e-150, 2.5), (-1.7, 0.8, 1e150), (4.0, 3e149, 7e-149)],
@@ -62,6 +66,15 @@ FAR_STARTS = {"3d": ((0.3, -1.7, 0.0), (0.0, 1e250, -2.5)), "2d": ((0.0, 1.0), (
 SWEEPS = ((0.5, 1.0, 2.0), (1e-6, 1.0, 1e6))
 # rate * tau across U = 55 log(2) / 2 = 19.06, where e^-2U = _LI2_NEGLIGIBLE
 LI2_CUTOFF_RATE_TAUS = np.linspace(18.5, 19.5, 41)
+# (mu0, sigma0, sigma0', lambda', lambda_f) of each residual spec, on the CLI's
+# grid; "far" runs the default spec to rate * tau = 1500 (3D) and 1061 (2D)
+RESIDUAL_SPECS = {"default": (0.0, 1.0, 1.0, 1.0, 1.0),
+                  "lambda_f 1e6": (0.0, 1.0, 1.0, 1.0, 1e6),
+                  "lambda_f 1e150": (0.0, 1.0, 1.0, 1.0, 1e150),
+                  "sigma0 1e-6": (0.0, 1e-6, 1.0, 1.0, 1.0),
+                  "sigma0 1e10": (0.0, 1e10, 1.0, 1.0, 1.0)}
+RESIDUAL_GRID = np.linspace(0.01, 10.0, 100)
+FAR_RESIDUAL_GRID = np.linspace(0.01, 1500.0, 100)
 
 
 def _hex(a) -> list:
@@ -124,11 +137,18 @@ def oracle_bits() -> dict:
         for label in ("3d", "2d"):
             ige_fit, exponent_fit = (getattr(fits, f"fit_{label}") for fits in (slopes, exponents))
             out[f"softening {label} {sweep!r}"] = {
-                "tail_slopes": _hex([ige_fit.slope, ige_fit.r_squared]),
-                "exponent_fits": _hex([exponent_fit.slope, exponent_fit.r_squared])}
+                "softening_ratio_ige": _hex([ige_fit.slope, ige_fit.r_squared]),
+                "softening_gap": _hex([exponent_fit.slope, exponent_fit.r_squared])}
     spec = VOLUME_SPECS["3d"]
     out["volume 3d li2 cutoff"] = _hex(ige.log_averaged_volume(spec, LI2_CUTOFF_RATE_TAUS
                                                                / spec.rate))
+    for label in ("3d", "2d"):
+        out[f"residual {label}"] = {}
+        for name, start in (*RESIDUAL_SPECS.items(), ("far", RESIDUAL_SPECS["default"])):
+            spec = GeodesicSpec3D(*start)
+            spec = spec if label == "3d" else GeodesicSpec2D.from_3d(spec)
+            grid = FAR_RESIDUAL_GRID if name == "far" else RESIDUAL_GRID
+            out[f"residual {label}"][name] = _hex([residual_check(spec, grid)])
     return out
 
 
