@@ -51,7 +51,6 @@ import numpy as np
 
 from .csvtext import series_to_csv
 from .errors import DomainError
-from .fisher import _simpson_weights
 from .fitting import LineFit, fit_line
 from .geodesics import (MU_SPAN_WIDE, GeodesicSpec2D, GeodesicSpec3D,
                         _closed_form)
@@ -153,8 +152,10 @@ def box_volume_quadrature(spec, tau_prime: float, nodes=(8, 32, 32),
     return total
 
 
-SIMPSON_NODES = 2049   # nodes of the Simpson time average
-_SIMPSON_LOG_W = np.log(_simpson_weights(SIMPSON_NODES))
+SIMPSON_NODES = 2049   # nodes of the Simpson time average, an odd count
+# the log of the composite Simpson weights (1, 4, 2, 4, ..., 2, 4, 1) / 3
+_SIMPSON_LOG_W = np.log(np.concatenate([[1.0], np.tile([4.0, 2.0], SIMPSON_NODES // 2)[:-1],
+                                        [1.0]]) / 3.0)
 
 
 def simpson_nodes(t) -> np.ndarray:

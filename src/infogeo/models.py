@@ -32,8 +32,6 @@ import numpy as np
 from .errors import DomainError
 from .tensors import ChristoffelSymbols, MetricTensor, RiemannTensor
 
-_TWO_PI = 2.0 * math.pi
-
 
 def _require_finite(name, value):
     if not math.isfinite(value):
@@ -44,23 +42,6 @@ def _require_positive(name, value):
     _require_finite(name, value)
     if value <= 0.0:
         raise DomainError(f"{name} must be > 0, got {value!r}")
-
-
-@dataclass(frozen=True)
-class MicroSample:
-    """A point (x, y) of the microspace, or a grid of them (broadcasting arrays).
-
-    For the constrained model x plays the role of a position and y of its
-    conjugate momentum.
-    """
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        for name in ("x", "y"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -107,31 +88,6 @@ class Model2DConfig:
     def sigma_y(self, sigma: float) -> float:
         """The sigma_y value the constraint assigns to a given sigma."""
         return self.capital_sigma_sq / sigma
-
-
-# ---------------------------------------------------------------------------
-# densities
-# ---------------------------------------------------------------------------
-
-def pdf_3d(theta: ParameterPoint3D, sample: MicroSample):
-    """Density (1 / (2 pi sx sy)) exp(-(x-mu)^2 / (2 sx^2) - y^2 / (2 sy^2)),
-    at one sample or on a grid."""
-    dx = sample.x - theta.mu_x
-    expo = -0.5 * (dx / theta.sigma_x) ** 2 - 0.5 * (sample.y / theta.sigma_y) ** 2
-    return np.exp(expo) / (_TWO_PI * theta.sigma_x * theta.sigma_y)
-
-
-def pdf_2d(theta: ParameterPoint2D, cfg: Model2DConfig, sample: MicroSample):
-    """Density of the constrained family.
-
-    Equals ``pdf_3d`` evaluated at (mu_x, sigma, Sigma^2 / sigma): the
-    normalization 1 / (2 pi Sigma^2) absorbs the constraint.
-    """
-    s2 = cfg.capital_sigma_sq
-    dx = sample.x - theta.mu_x
-    expo = (-0.5 * (dx / theta.sigma) ** 2
-            - 0.5 * (theta.sigma * sample.y) ** 2 / s2**2)
-    return np.exp(expo) / (_TWO_PI * s2)
 
 
 # ---------------------------------------------------------------------------

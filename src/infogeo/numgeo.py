@@ -61,11 +61,6 @@ def field_2d() -> MetricField:
     return MetricField(2, MODEL_2D.metric_rows)
 
 
-def euclidean_field(dimension: int) -> MetricField:
-    return MetricField(dimension, lambda rows: np.broadcast_to(
-        np.eye(dimension), (len(rows), dimension, dimension)))
-
-
 def _chart(field: MetricField, theta) -> tuple:
     """theta, g there and the scales S of its unit chart; a non-finite theta
     is refused, with the field's own error if it rejects it."""
@@ -98,10 +93,10 @@ def _christoffel_rows(field: MetricField, rows: np.ndarray, s: np.ndarray, h: fl
     return 0.5 * (np.linalg.inv(g[:m] * ss)[..., None, None] * bracket[:, None]).sum(axis=2)
 
 
-def christoffel_numeric(field: MetricField, theta, h: float = METRIC_STEP) -> ChristoffelSymbols:
+def christoffel_numeric(field: MetricField, theta) -> ChristoffelSymbols:
     """Gamma^k_ij = (1/2) g^km (d_i g_mj + d_j g_im - d_m g_ij) with numeric d g."""
     theta, _, s = _chart(field, theta)
-    gam = _christoffel_rows(field, theta[None], s[None], h)[0]
+    gam = _christoffel_rows(field, theta[None], s[None], METRIC_STEP)[0]
     return ChristoffelSymbols(gam * s[:, None, None] / np.multiply.outer(s, s))
 
 

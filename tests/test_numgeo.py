@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import infogeo as ig
+import reference
 from infogeo import numgeo, tensors
 from infogeo.errors import DomainError
 from infogeo.models import MODEL_2D, MODEL_3D
@@ -25,7 +26,7 @@ def sample_2d(n):
 
 
 def test_flat_metric_has_no_connection():
-    field = ig.euclidean_field(3)
+    field = reference.euclidean_field(3)
     gam = ig.christoffel_numeric(field, np.array([0.3, -1.2, 2.0]))
     assert np.abs(gam.components).max() < 1e-10
 
@@ -33,14 +34,14 @@ def test_flat_metric_has_no_connection():
 def test_christoffel_matches_analytic_at_unit_sigma():
     field = ig.field_3d()
     theta = np.array([0.0, 1.0, 1.0])
-    num = ig.christoffel_numeric(field, theta, h=1e-5).components
+    num = ig.christoffel_numeric(field, theta).components
     ref = ig.christoffel_3d(ig.ParameterPoint3D(0.0, 1.0, 1.0)).components
     assert np.abs(num - ref).max() < 1e-6
 
 
 def test_christoffel_2d_value():
     field = ig.field_2d()
-    num = ig.christoffel_numeric(field, np.array([0.0, 2.0]), h=1e-5).components
+    num = ig.christoffel_numeric(field, np.array([0.0, 2.0])).components
     assert num[1, 0, 0] == pytest.approx(1 / 8, abs=1e-6)
 
 
@@ -48,22 +49,26 @@ def test_christoffel_second_order_convergence():
     field = ig.field_3d()
     theta = np.array([0.4, 1.3, 0.9])
     ref = ig.christoffel_3d(ig.ParameterPoint3D(*theta)).components
-    coarse = np.abs(ig.christoffel_numeric(field, theta, h=2e-3).components - ref).max()
-    fine = np.abs(ig.christoffel_numeric(field, theta, h=1e-3).components - ref).max()
-    assert 3.2 < coarse / fine < 4.8
+    _, _, s = numgeo._chart(field, theta)
+
+    def error(h):
+        # Gamma^k_ij = Gamma-hat^k_ij S_k / (S_i S_j), by central steps h in u
+        gam = numgeo._christoffel_rows(field, theta[None], s[None], h)[0]
+        return np.abs(gam * s[:, None, None] / np.multiply.outer(s, s) - ref).max()
+    assert 3.2 < error(2e-3) / error(1e-3) < 4.8
 
 
 def test_step_next_to_domain_boundary_stays_inside():
-    # an explicit step of 1e-5 at sigma_x = 1e-6 is 1e-5 sigma_x wide, so the
+    # a step of 1e-5 (METRIC_STEP) at sigma_x = 1e-6 is 1e-5 sigma_x wide, so the
     # stencil keeps sigma_x > 0 and Gamma matches the closed form within 1e-6
     # of its largest entry
     field = ig.field_3d()
     theta = np.array([0.0, 1e-6, 1.0])
     _, _, scales = numgeo._chart(field, theta)       # S_i = g_ii^(-1/2)
     assert np.allclose(scales, [1e-6, 1e-6 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)], rtol=1e-15)
-    assert (theta - 1e-5 * scales)[1:].min() > 0.0
+    assert (theta - numgeo.METRIC_STEP * scales)[1:].min() > 0.0
     ref, _ = MODEL_3D.tensors(theta)
-    num = ig.christoffel_numeric(field, theta, h=1e-5).components
+    num = ig.christoffel_numeric(field, theta).components
     assert np.abs(num - ref).max() <= 1e-6 * np.abs(ref).max()
 
 
@@ -138,7 +143,7 @@ def test_field_evaluate_shape_checked():
         ig.christoffel_numeric(bad, np.zeros(3))
 
 
-@pytest.mark.parametrize("field", [ig.field_3d(), ig.field_2d(), ig.euclidean_field(3)])
+@pytest.mark.parametrize("field", [ig.field_3d(), ig.field_2d(), reference.euclidean_field(3)])
 def test_batched_christoffel_matches_each_point_bit_for_bit(field):
     rng = np.random.default_rng(5)
     rows = np.column_stack([rng.uniform(-2, 2, 7),
@@ -255,7 +260,7 @@ def test_points_near_sigma_zero_match_closed_forms(fn, theta):
 
 def test_christoffel_at_non_finite_theta_raises():
     with pytest.raises(DomainError, match="not finite") as exc:
-        ig.christoffel_numeric(ig.euclidean_field(2), np.array([np.nan, 1.0]))
+        ig.christoffel_numeric(reference.euclidean_field(2), np.array([np.nan, 1.0]))
     assert "\n" not in str(exc.value)
 
 
@@ -263,7 +268,7 @@ def test_riemann_at_non_finite_theta_raises_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="not finite") as exc:
-            ig.riemann_numeric(ig.euclidean_field(2), np.array([np.inf, 1.0]))
+            ig.riemann_numeric(reference.euclidean_field(2), np.array([np.inf, 1.0]))
     assert "\n" not in str(exc.value)
 
 

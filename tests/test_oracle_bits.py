@@ -2,8 +2,9 @@
 
 ``oracle_bits.json`` holds the ``float.hex`` of every output for sigma from
 1e-150 to 1e150: Gamma, every component of R and the scalar curvature at 3
-points per model, and both quadrature schemes' Fisher matrices at the same
-range plus one point per model with sigma_x << |mu_x| (past 1e-154 the squared
+points per model, and the Fisher matrices of the package's Gauss-Hermite rule
+and of the truncated grid of ``reference.py`` at the same range plus one point
+per model with sigma_x << |mu_x| (past 1e-154 the squared
 scores leave the double range in the Gram product).  For the volume layer it
 holds, per model, the exact time average on a float time, on a 0-d array and
 on a 2-D array whose rate * tau runs across ``EXACT_SWITCH`` (Gauss rule
@@ -35,16 +36,20 @@ from pathlib import Path
 
 import numpy as np
 
+import reference
 from infogeo import fisher, ige, jacobi, numgeo
 from infogeo.geodesics import GeodesicSpec2D, GeodesicSpec3D, residual_check
-from infogeo.models import Model2DConfig, ParameterPoint2D, ParameterPoint3D
+from infogeo.models import ParameterPoint2D, ParameterPoint3D
 
 FD_POINTS = {"3d": [(0.3, 1e-150, 2.5), (-1.7, 0.8, 1e150), (4.0, 3e149, 7e-149)],
              "2d": [(0.3, 1e-150), (-1.7, 0.8), (4.0, 1e150)]}
 FISHER_POINTS = {"3d": [(-3e-150, 1e-150, 2.5), (-1.7, 0.8, 1e150), (4e149, 3e149, 7e-149),
                         (0.3, 1e-20, 1.0)],
                  "2d": [(2e-150, 1e-150), (-1.7, 0.8), (4.0, 1e150), (1e6, 1e-3)]}
-SCHEMES = (fisher.QuadratureSpec(), fisher.QuadratureSpec("truncated-grid"))
+SCHEMES = {"3d": {"gauss-hermite-product": fisher.fisher_numeric_3d,
+                   "truncated-grid": reference.fisher_grid_3d},
+           "2d": {"gauss-hermite-product": fisher.fisher_numeric_2d,
+                  "truncated-grid": reference.fisher_grid_2d}}
 VOLUME_SPEC_3D = GeodesicSpec3D(0.0, 1.3, 1.1, 0.8, 0.9)
 VOLUME_SPECS = {"3d": VOLUME_SPEC_3D, "2d": GeodesicSpec2D.from_3d(VOLUME_SPEC_3D)}
 # times, not rate * tau: U = 0.42, 2.6 and 31 (3D) below, just above and far
@@ -91,13 +96,10 @@ def oracle_bits() -> dict:
                 "riemann": _hex(numgeo.riemann_numeric(field, theta).components),
                 "scalar": _hex(numgeo.scalar_numeric(field, theta)),
             }
-    for p in FISHER_POINTS["3d"]:
-        out[f"fisher 3d {p!r}"] = {q.scheme: _hex(fisher.fisher_numeric_3d(ParameterPoint3D(*p), q))
-                                   for q in SCHEMES}
-    for p in FISHER_POINTS["2d"]:
-        out[f"fisher 2d {p!r}"] = {
-            q.scheme: _hex(fisher.fisher_numeric_2d(ParameterPoint2D(*p), Model2DConfig(), q))
-            for q in SCHEMES}
+    for label, point in (("3d", ParameterPoint3D), ("2d", ParameterPoint2D)):
+        for p in FISHER_POINTS[label]:
+            out[f"fisher {label} {p!r}"] = {scheme: _hex(fn(point(*p)))
+                                            for scheme, fn in SCHEMES[label].items()}
     for label, spec in VOLUME_SPECS.items():
         out[f"volume {label}"] = {
             "log_averaged_volume float": _hex([ige.log_averaged_volume(spec, t)
