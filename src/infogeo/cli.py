@@ -479,7 +479,7 @@ def run_softening(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     }
     rows = [dict(zip(columns, map(float, values))) for values in zip(*columns.values())]
 
-    expected_ratio = 1.0 / math.sqrt(2.0)
+    expected_ratio = 1.0 / math.sqrt(2.0)   # the paper's; the companions come from the weights
     for row in rows:
         tag = _sweep_tag(row["sigma0"])
         report.add(f"softening_ratio_error[{tag}]",

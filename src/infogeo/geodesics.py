@@ -142,11 +142,12 @@ class GeodesicSpec2D(_GeodesicSpec):
     model: ClassVar[DiagonalScaleModel] = MODEL_2D
     flat_factors: ClassVar[tuple] = ()
 
-    @staticmethod
-    def from_3d(spec: GeodesicSpec3D) -> "GeodesicSpec2D":
-        """Coupled companion: lambda_plus = lambda_plus' / sqrt(2)."""
-        return GeodesicSpec2D(spec.mu0, spec.sigma0,
-                              spec.lambda_plus_prime / math.sqrt(2.0))
+    @classmethod
+    def from_3d(cls, spec: GeodesicSpec3D) -> "GeodesicSpec2D":
+        """Coupled companion: the ``cls.model`` geodesic from the same (mu0, sigma0)
+        and mu'(0) = sqrt(c_1 / c_0) lam sigma0^2, so lam scales as sqrt(c_0 / c_1)."""
+        (a0, a1), (b0, b1) = cls.model.weights, spec.model.weights[:2]
+        return cls(spec.mu0, spec.sigma0, spec.lambda_plus_prime / math.sqrt((a1 / a0) / (b1 / b0)))
 
     @property
     def lam(self) -> float:

@@ -14,9 +14,10 @@ integral factorizes into elementary 1D pieces; a product-quadrature
 cross-check is provided.  S grows linearly in tau with slope
 sigma0 * lambda (the sigma-decay rate of the model), and the slope ratio of
 a constrained/unconstrained pair built from one spec is
-lambda_plus / lambda_plus' = 1/sqrt(2): the constraint softens the entropy
-growth.  ``softening_ratio_ige`` fits that ratio for a list of such pairs in
-one pass, a row per pair, each row bit for bit its specs' ``ige_curve`` fits.
+lambda_plus / lambda_plus', 1/sqrt(2) by the weights the constraint gives
+(``GeodesicSpec2D.from_3d``): the constraint softens the entropy growth.
+``softening_ratio_ige`` fits that ratio for a list of such pairs in one
+pass, a row per pair, each row bit for bit its specs' ``ige_curve`` fits.
 
 The time average is exact (``log_averaged_volume``): with U = rate * tau it
 is span * w * prod(lambda_f / rate) * F_n(U) / U, where F_n(U) is the
@@ -431,9 +432,9 @@ def softening_ratio_ige(pairs: list, taus: np.ndarray) -> IgeSoftening:
     each spec's column of ``taus`` (:func:`slope_times`), 3D then 2D per pair
     (``cli`` builds them once per configuration): one time average and one
     fit of each model's rows, each row bit for bit its spec's :func:`ige_curve`
-    fit.  The 2D companion shares (mu0, sigma0) and uses lambda_plus =
-    lambda_plus' / sqrt(2), so the slopes are rate_2d = sigma0 lambda_plus
-    and rate_3d = sigma0 lambda_plus' and the ratio cancels sigma0.
+    fit.  The 2D companion shares (mu0, sigma0) and mu'(0), so its lambda_plus
+    follows from the models' weights; the slopes are rate_2d = sigma0
+    lambda_plus and rate_3d = sigma0 lambda_plus', and the ratio cancels sigma0.
     """
     fits = []
     for m, specs in enumerate(zip(*pairs)):   # the 3D specs, then the 2D

@@ -406,7 +406,7 @@ def exponent_run(spec, window: tuple, tol: Optional[float] = None) -> JacobiTraj
     return traj
 
 
-# the exponent gap of a coupled pair over the rate of its 3D model
+# the paper's exponent gap per 3D rate: softening checks the weight-built companions against it
 GAP_PER_RATE = 1.0 - 1.0 / math.sqrt(2.0)
 
 

@@ -7,15 +7,15 @@ constant scalar curvature -1.
 
 Model B ("2D"): the same family restricted by the product constraint
 sigma_x * sigma_y = Sigma^2 (a minimum-uncertainty-like relation), leaving
-macro-coordinates theta = (mu_x, sigma) with sigma = sigma_x.  The metric
-becomes (1/sigma^2) diag(1, 4), independent of Sigma^2, and the scalar
-curvature is -1/2.  The constrained manifold is therefore less negatively
-curved than the unconstrained one.
+theta = (mu_x, sigma) with sigma = sigma_x.  The constraint pulls d log sigma_y
+back to -d log sigma, so sigma_y's weight joins sigma's: the metric becomes
+(1/sigma^2) diag(1, 2 + 2), independent of Sigma^2, and the scalar curvature
+is -1/2, less negative than the unconstrained model's.
 
 Both metrics have the diagonal-scale form g_ii = c_i / sigma_{k(i)}^2, so
-one :class:`DiagonalScaleModel` value per model (``MODEL_3D``, ``MODEL_2D``)
-holds the weights c and the scale map k, and the connection, curvature and
-geodesic equations of both models are derived from it.
+one :class:`DiagonalScaleModel` value per model (``MODEL_3D``, and
+``MODEL_2D`` built from its weights) holds the weights c and the scale map k,
+and the connection, curvature and geodesic equations are derived from it.
 
 The dimensionality labels count macro-variables; the microspace is always
 two dimensional.  Everything here is a pure function of immutable values.
@@ -308,7 +308,8 @@ class DiagonalScaleModel:
 
 
 MODEL_3D = DiagonalScaleModel("3d", (1.0, 2.0, 2.0), (1, 1, 2), ParameterPoint3D)
-MODEL_2D = DiagonalScaleModel("2d", (1.0, 4.0), (1, 1), ParameterPoint2D)
+_C0, _C1, _C2 = MODEL_3D.weights   # sigma_y's weight joins sigma's: d log sigma_y = -d log sigma
+MODEL_2D = DiagonalScaleModel("2d", (_C0, _C1 + _C2), (1, 1), ParameterPoint2D)
 _MODELS = {m.dimension: m for m in (MODEL_3D, MODEL_2D)}
 
 
