@@ -33,11 +33,11 @@ span-independent.
 ((mu - mu0) / sigma0, log(sigma / sigma(0)), rho / rate), rho_i = theta'_i /
 sigma_k(i), with the mean's ratio as its log (``DiagonalScaleModel.ratio_system``):
 sigma and mu' keep their relative accuracy as they decay, and the step
-depends neither on lambda_f nor on the horizon.  The closed
-form in that chart gives the run its start, and ``residual_check`` compares
-its exact s-derivative with the right-hand side the run integrates: one
-form of the geodesic equations serves both, and an exact solution leaves
-rounding alone at every scale of sigma and lambda_f.
+depends neither on lambda_f nor on the horizon.  The run starts from its
+spec, bit for bit the closed form in that chart at s = 0, and
+``residual_check`` compares its exact s-derivative with the right-hand side
+the run integrates: one form of the geodesic equations serves both, and an
+exact solution leaves rounding alone at every scale of sigma and lambda_f.
 """
 
 from __future__ import annotations
@@ -81,9 +81,18 @@ class _GeodesicSpec:
             raise DomainError("mu0 must be finite")
         for f in dataclasses.fields(self)[1:]:
             _positive(f.name, getattr(self, f.name))
-        # mu'(0) grouped as ``_closed_form`` forms it; a float ** raises OverflowError
-        if not math.isfinite(self.model.mean_span * self.lam * (self.sigma0 * self.sigma0)):
-            raise DomainError(f"sigma0 = {self.sigma0!r} overflows the initial mean velocity")
+        if not math.isfinite(self._mean_velocity(self.model.mean_span)):
+            raise DomainError(f"{self.lam_field} = {self.lam!r} with sigma0 = {self.sigma0!r} "
+                              "overflows the initial mean velocity")
+
+    def _mean_velocity(self, span: float) -> float:
+        """mu'(0) = (rate * span) * sigma0 on a mean path of ``span``: the mean's
+        velocity ratio times its scale, grouped as ``Trajectory.velocities`` forms it."""
+        return self.rate * span * self.sigma0
+
+    @property
+    def lam(self) -> float:
+        return getattr(self, self.lam_field)
 
     @property
     def rate(self) -> float:
@@ -109,6 +118,7 @@ class GeodesicSpec3D(_GeodesicSpec):
     lambda_plus_prime: float
     lambda_f: float
     model: ClassVar[DiagonalScaleModel] = MODEL_3D
+    lam_field: ClassVar[str] = "lambda_plus_prime"
 
     @staticmethod
     def from_final_spread(mu0, sigma0, sigma0_prime, lambda_plus_prime,
@@ -128,10 +138,6 @@ class GeodesicSpec3D(_GeodesicSpec):
         return GeodesicSpec3D(mu0, sigma0, sigma0_prime, lambda_plus_prime, lf)
 
     @property
-    def lam(self) -> float:
-        return self.lambda_plus_prime
-
-    @property
     def flat_factors(self) -> tuple:
         return ((self.sigma0_prime, self.lambda_f),)
 
@@ -140,6 +146,7 @@ class GeodesicSpec3D(_GeodesicSpec):
 class GeodesicSpec2D(_GeodesicSpec):
     lambda_plus: float
     model: ClassVar[DiagonalScaleModel] = MODEL_2D
+    lam_field: ClassVar[str] = "lambda_plus"
     flat_factors: ClassVar[tuple] = ()
 
     @classmethod
@@ -148,10 +155,6 @@ class GeodesicSpec2D(_GeodesicSpec):
         and mu'(0) = sqrt(c_1 / c_0) lam sigma0^2, so lam scales as sqrt(c_0 / c_1)."""
         (a0, a1), (b0, b1) = cls.model.weights, spec.model.weights[:2]
         return cls(spec.mu0, spec.sigma0, spec.lambda_plus_prime / math.sqrt((a1 / a0) / (b1 / b0)))
-
-    @property
-    def lam(self) -> float:
-        return self.lambda_plus
 
 
 def _sech(u):
@@ -174,7 +177,7 @@ def _closed_form(spec, tau, mu_span: Optional[float]):
     tanh = np.tanh(u)
     s = spec.sigma0 * sech
     coords = [spec.mu0 + span * spec.sigma0 * tanh, s]
-    rates = [span * spec.lam * s**2, -k * spec.sigma0 * sech * tanh]
+    rates = [spec._mean_velocity(span) * sech**2, -k * spec.sigma0 * sech * tanh]
     for start, decay in spec.flat_factors:
         # decay * tau past the double range: the scale is 0; decay * start past it: the rate is -inf
         with np.errstate(over="ignore"):
@@ -230,6 +233,15 @@ class Trajectory:
         from the ratios, so it stays a number where sigma and v underflow."""
         with np.errstate(over="ignore"):
             return np.multiply(model_of(self.states).weights, np.square(self.ratios)).sum(-1)
+
+    def speed_drift(self) -> float:
+        """max |speed - speed(0)| / speed(0), from :meth:`speeds` of the ratios over
+        2^e, e the binary order of their largest |rho|: exact, so it is the unscaled
+        drift where that loses nothing to the double range, and a number past it."""
+        _, e = np.frexp(np.abs(self.ratios).max())
+        speeds = dataclasses.replace(self, ratios=np.ldexp(self.ratios, -e)).speeds()
+        with np.errstate(divide="ignore", invalid="ignore"):   # a start speed of 0 fails by name
+            return float(np.abs(speeds - speeds[0]).max() / speeds[0])
 
 
 def check_sample_times(taus, tau_max: float = math.inf) -> np.ndarray:
@@ -336,30 +348,24 @@ def _ratio_columns(spec, s) -> tuple:
     return y, dy
 
 
-def _ratio_closed_form(spec, s) -> tuple:
-    """:func:`_ratio_columns` stacked: ``(y, dy)``, each over the last axis."""
-    # + 0.0: the start is +0, not the -0.0 of -tanh 0 and r_j 0
-    columns = _ratio_columns(spec, s)
-    return tuple(np.stack(np.broadcast_arrays(*v), axis=-1) + 0.0 for v in columns)
-
-
 def integrate_geodesic(spec, tau_max: float, tol: float = 1e-10,
                        sample_taus=None) -> Trajectory:
     """Integrate the geodesic initial value problem up to ``tau_max``.
 
-    The run is made in s = rate * tau on the state of ``model.ratio_system``
-    from its closed form at s = 0 (:func:`_ratio_closed_form`), then mapped
-    back to (theta, rho); sigma underflows to 0 past the double range.
-    Samples are the solver steps, or ``sample_taus`` by dense output.  A run
-    that stops short returns the partial trajectory, ``complete=False``.
+    The run is made in s = rate * tau from y0 = (0, ..., 0, log span, 0,
+    -lambda_f / rate, ...) on the state of ``model.ratio_system`` and mapped
+    back to (theta, rho) from theta0 = (mu0, sigma0, sigma0', ...): the spec's
+    floats, bit for bit the closed forms at s = 0.  sigma underflows to 0 past
+    the double range.  Samples are the solver steps, or ``sample_taus`` by dense
+    output.  A run that stops short returns the partial trajectory, ``complete=False``.
     """
     check_tol(tol)
-    rate, n = spec.rate, spec.model.dimension
-    y0, _ = _ratio_closed_form(spec, 0.0)
+    rate, n, flat = spec.rate, spec.model.dimension, spec.flat_factors
+    y0 = [0.0] * n + [math.log(spec.model.mean_span), 0.0, *(-decay / rate for _, decay in flat)]
     with np.errstate(over="ignore"):   # dense output: log sigma past the double range is -inf
-        taus, ys, fields = _sampled_run(_ratio_rhs(spec.model, math.exp), y0.tolist(), tau_max,
+        taus, ys, fields = _sampled_run(_ratio_rhs(spec.model, math.exp), y0, tau_max,
                                         tol / _TOL_DIVISOR, sample_taus, rate)
-    theta0, _ = closed_form(spec, 0.0)
+    theta0 = [spec.mu0, spec.sigma0, *(start for start, _ in flat)]
     exp_slots = np.exp(ys[:, 1:n + 1])   # sigma_j / sigma_j(0), then r_0
     states = np.column_stack([theta0[0] + spec.sigma0 * ys[:, 0], theta0[1:] * exp_slots[:, :-1]])
     ratios = rate * np.column_stack([exp_slots[:, -1], ys[:, n + 1:]])

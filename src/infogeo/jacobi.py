@@ -406,18 +406,13 @@ def exponent_run(spec, window: tuple, tol: Optional[float] = None) -> JacobiTraj
     return traj
 
 
-# the paper's exponent gap per 3D rate: softening checks the weight-built companions against it
-GAP_PER_RATE = 1.0 - 1.0 / math.sqrt(2.0)
-
-
 @dataclass(frozen=True)
 class JacobiSoftening:
     """Growth-exponent fits of coupled pairs, a row per pair, and their gaps."""
 
     fit_3d: LineFit
     fit_2d: LineFit
-    gap: np.ndarray            # fit_3d.slope - fit_2d.slope > 0
-    expected_gap: np.ndarray   # sigma0 * lambda_plus' * (1 - 1/sqrt(2))
+    gap: np.ndarray   # fit_3d.slope - fit_2d.slope > 0
 
 
 def softening_gap(pairs: list, taus: np.ndarray, on_window: np.ndarray) -> JacobiSoftening:
@@ -457,8 +452,7 @@ def softening_gap(pairs: list, taus: np.ndarray, on_window: np.ndarray) -> Jacob
             slopes[rows], r_squared[rows] = fit.slope, fit.r_squared
         fits.append(LineFit(slopes, r_squared))
     fit_3d, fit_2d = fits
-    return JacobiSoftening(fit_3d=fit_3d, fit_2d=fit_2d, gap=fit_3d.slope - fit_2d.slope,
-                           expected_gap=np.array([spec.rate for spec, _ in pairs]) * GAP_PER_RATE)
+    return JacobiSoftening(fit_3d=fit_3d, fit_2d=fit_2d, gap=fit_3d.slope - fit_2d.slope)
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,8 @@ def test_criterion_6_jacobi_exponents():
     jac = ig.softening_gap(pairs, taus, ig.window_mask(taus, rates, ig.EXPONENT_WINDOW))
     (slope3, r2_3), (slope2, r2_2) = ((float(fit.slope[0]), float(fit.r_squared[0]))
                                       for fit in (jac.fit_3d, jac.fit_2d))
-    gap, expected_gap = float(jac.gap[0]), float(jac.expected_gap[0])
+    gap = float(jac.gap[0])
+    expected_gap = BASE.rate * (1.0 - 1.0 / SQRT2)   # the paper's gap, sigma0 lambda_plus' (1 - 1/sqrt 2)
     rate3, rate2 = BASE.rate, BASE.rate / SQRT2
     err3 = abs(slope3 - rate3) / rate3
     err2 = abs(slope2 - rate2) / rate2

@@ -246,34 +246,42 @@ def test_numerical_abort_is_exit_3(tmp_path, capsys):
         assert err.startswith("numerical abort: ") and err.count("\n") == 1
 
 
+def _speed_drifts(out):
+    """The geodesics report's speed drifts, each a number under its 1e-6 bound."""
+    checks = json.loads((out / "geodesics_report.json").read_text())["checks"]
+    drifts = {c["name"]: c["measured"] for c in checks if c["name"].endswith("_speed_drift")}
+    assert len(drifts) == 2 and all(0.0 <= d < 1e-6 for d in drifts.values())
+    return drifts
+
+
 def test_long_geodesic_runs_end_on_their_checks(tmp_path, capsys):
     # to tau = 40 sigma falls to 8.5e-18 and the scale-free runs pass every
     # check; at lambda_f = 1e307 log sigma_y leaves the double range past
-    # tau ~ 18 and the run still ends on its checks, silently: the speed
-    # lies past the double range (drift nan), while the closed form's
-    # residual, in the chart of the run, passes
+    # tau ~ 18 and the run still passes its checks, silently: the speed
+    # 2 lambda_f^2 lies past the double range, but the drift is formed from
+    # the ratios scaled by a power of two (3D 0, 2D 7.1e-11), and the closed
+    # form's residual, in the chart of the run, passes
     out = ["--out", str(tmp_path / "o"), "--tau-max", "40"]
     assert run([*out, "geodesics"]) == 0
     path = tmp_path / "far.ini"
     path.write_text("[model]\nlambda_f = 1e307\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run(["--config", str(path), *out, "geodesics"]) == 1
-    failed = {c["name"] for c in json.loads((tmp_path / "o" / "geodesics_report.json")
-                                            .read_text())["checks"] if not c["passed"]}
-    assert failed == {"geodesic_3d_speed_drift"}
+        assert run(["--config", str(path), *out, "geodesics"]) == 0
+    assert _speed_drifts(tmp_path / "o")["geodesic_3d_speed_drift"] == 0.0
     assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("text, failed", [
-    ("[model]\nlambda_f = 1e307\nsigma0_prime = 100\n", {"geodesic_3d_speed_drift"}),
+    ("[model]\nlambda_f = 1e307\nsigma0_prime = 100\n", set()),
     ("[model]\nsigma0_prime = 1e300\nlambda_f = 1e10\n", set()),
 ], ids=["lambda_f-1e307", "sigma0_prime-1e300"])
 def test_a_flat_velocity_past_the_double_range_ends_on_the_checks(tmp_path, capsys, text, failed):
     # lambda_f * sigma0' overflows: sigma_y' is -inf at tau = 0 in the closed
-    # form and in the trajectory, silently.  The residual and the speed are
-    # formed from the velocity ratios, which stay finite, so only the speed
-    # 2 lambda_f^2 past the double range fails (at 1e307)
+    # form and in the trajectory, silently.  The residual and the speed drift
+    # are formed from the velocity ratios, which stay finite, so every check
+    # passes; the drift, from ratios scaled by a power of two, is a number
+    # also where the speed 2 lambda_f^2 passes the double range (at 1e307)
     path = tmp_path / "far.ini"
     path.write_text(text)
     with warnings.catch_warnings():
@@ -282,6 +290,7 @@ def test_a_flat_velocity_past_the_double_range_ends_on_the_checks(tmp_path, caps
     assert code == int(bool(failed))
     report = json.loads((tmp_path / "o" / "geodesics_report.json").read_text())
     assert {c["name"] for c in report["checks"] if not c["passed"]} == failed
+    _speed_drifts(tmp_path / "o")
     assert capsys.readouterr().err == ""
 
 
@@ -567,7 +576,7 @@ def test_each_softening_row_is_its_own_sigma0s_fits_bit_for_bit(mu0, sigma0_prim
                        "jacobi_exponent_3d": jac_3d.slope,
                        "jacobi_exponent_2d": jac_2d.slope,
                        "gap": jac_3d.slope - jac_2d.slope,
-                       "expected_gap": pair[0].rate * jacobi.GAP_PER_RATE}
+                       "expected_gap": pair[0].rate * (1.0 - 1.0 / math.sqrt(2.0))}
         for fits, fit in ((slopes.fit_3d, ige_3d), (slopes.fit_2d, ige_2d),
                           (exponents.fit_3d, jac_3d), (exponents.fit_2d, jac_2d)):
             assert fits.r_squared[i] == fit.r_squared
@@ -683,23 +692,24 @@ def test_one_point_sweep_table(tmp_path):
 
 
 @pytest.mark.parametrize("command,sigma0,code", [
-    (command, sigma0, int(command == "geodesics" and sigma0 == "1e-200"))
-    for command in ("geodesics", "jacobi", "ige")
+    (command, sigma0, 0) for command in ("geodesics", "jacobi", "ige")
     for sigma0 in ("1e-90", "1e-120", "1e-160", "1e-200")])
 def test_vanishing_sigma0_warns_nothing(tmp_path, command, sigma0, code):
-    # at sigma0 = 1e-200 the 2D Fisher speed 4 rate^2 underflows to 0, so
-    # the drift check fails by name (exit 1); above it the speed, formed
-    # from the run's velocity ratios, is finite, and so is the drift.  The Jacobi runs, made in rate units, pass
-    # their checks (exit 0), and so does every IGE check: the 3D closed-form
-    # volume forms no sigma0^2 product.  The inf/nan of the rejected trial
-    # stages stay silent, and the IGE slopes are fitted at rate * tau ~ 300,
-    # not tau ~ 1e202
+    # at sigma0 = 1e-200 the 2D Fisher speed 4 rate^2 underflows to 0, but
+    # the drift is formed from the run's velocity ratios scaled by a power of
+    # two, so it is a number (0) and the geodesic checks pass.  The Jacobi
+    # runs, made in rate units, pass their checks (exit 0), and so does every
+    # IGE check: the 3D closed-form volume forms no sigma0^2 product.  The
+    # inf/nan of the rejected trial stages stay silent, and the IGE slopes
+    # are fitted at rate * tau ~ 300, not tau ~ 1e202
     path = tmp_path / "tiny.ini"
     path.write_text(f"[model]\nsigma0 = {sigma0}\n")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run(["--config", str(path), "--out", str(tmp_path / "o"), command]) == code
     assert not caught
+    if command == "geodesics":
+        _speed_drifts(tmp_path / "o")
 
 
 def test_truncated_jacobi_run_ends_softening_with_one_line(tmp_path, capsys):
@@ -836,10 +846,11 @@ _FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "5e-324", "1e-320", "1e-300", "
 # the exits some (key, value, command) cases must end in: lambda_f / rate
 # past the double range at the sweep point sigma0 = 0.5 and an empty output
 # directory are configuration errors; at lambda_f = 1e307 the overflows of
-# lambda_f * tau end every command on its checks
+# lambda_f * tau fail checks of every command but geodesics, whose drift is
+# formed from scaled ratios
 _FUZZ_EXITS = {**{("lambda_f", "1e308", command): 2 for command in _MODEL_READERS},
                **{("lambda_f", "1e307", command): 1 for command in _MODEL_READERS},
-               ("directory", "", "ige"): 2}
+               ("lambda_f", "1e307", "geodesics"): 0, ("directory", "", "ige"): 2}
 
 
 def _refuse_constant(name):

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import infogeo as ig
 from infogeo.errors import DomainError
 from infogeo import rk
-from infogeo.geodesics import _closed_form, _ratio_closed_form, _ratio_rhs, nonzero_terms
+from infogeo.geodesics import _closed_form, _ratio_columns, _ratio_rhs, nonzero_terms
 from infogeo.jacobi import _jlc_rhs, _start_slots
 from infogeo.models import MODEL_2D, MODEL_3D, model_of
 
@@ -26,6 +27,12 @@ MU_EXACT_1 = math.sqrt(2.0) * math.tanh(1.0)   # exact family mean span
 MU_WIDE_1 = 2.0 * math.tanh(1.0)               # span-2 family
 
 
+def _stacked_chart(spec, s):
+    """:func:`_ratio_columns` stacked: ``(y, dy)``, each over the last axis, with
+    +0 for the -0.0 of -tanh 0 and r_j 0."""
+    return tuple(np.stack(np.broadcast_arrays(*v), axis=-1) + 0.0 for v in _ratio_columns(spec, s))
+
+
 # ---------------------------------------------------------------------------
 # specs
 # ---------------------------------------------------------------------------
@@ -37,7 +44,7 @@ def test_spec_validation():
         ig.GeodesicSpec3D(0.0, 1.0, 1.0, 0.0, 1.0)
     with pytest.raises(DomainError):
         ig.GeodesicSpec2D(0.0, 1.0, -2.0)
-    # the closed form starts at mu' = span * lam * sigma0^2, which must be finite
+    # the closed form starts at mu' = (rate * span) * sigma0, which must be finite
     for make in (lambda s0: ig.GeodesicSpec3D(0.0, s0, 1.0, 1.0, 1.0),
                  lambda s0: ig.GeodesicSpec2D(0.0, s0, 1.0)):
         assert np.all(np.isfinite(ig.closed_form(make(9e153), 0.0)))
@@ -379,7 +386,7 @@ def _assert_same_run(a, b):
 def test_geodesic_runs_of_the_generated_rhs_equal_the_term_loop_runs(spec):
     # to rate * tau = 50, from the start and at the tolerance of integrate_geodesic
     model = spec.model
-    y0 = _ratio_closed_form(spec, 0.0)[0].tolist()
+    y0 = _stacked_chart(spec, 0.0)[0].tolist()
     runs = _run_pair(_ratio_rhs(model, math.exp), _loop_ratio_rhs(model), 50.0, y0,
                      1e-10 / ig.geodesics._TOL_DIVISOR)
     _assert_same_run(*runs)
@@ -431,7 +438,7 @@ def test_residual_is_rounding_at_every_scale(log_sigma0, log_sigma0_prime, log_l
 
 def _residual_by_rows(spec, s):
     """residual_check's value as a call of the rk right-hand side per sample."""
-    y, dy = _ratio_closed_form(spec, s)
+    y, dy = _stacked_chart(spec, s)
     rhs = _ratio_rhs(spec.model, math.exp)
     f = np.array([rhs(0.0, row) for row in y.tolist()]).reshape(dy.shape)
     return f, float(np.abs(dy - f).max(initial=0.0))
@@ -470,20 +477,118 @@ def test_ratio_closed_form_derivative_is_the_derivative_of_the_chart(spec):
     # l_1 = log sech s is still log 2 - s
     s = np.linspace(-3.0, 6.0, 91)
     h = 1e-5
-    _, dy = _ratio_closed_form(spec, s)
-    diff = (_ratio_closed_form(spec, s + h)[0] - _ratio_closed_form(spec, s - h)[0]) / (2.0 * h)
+    _, dy = _stacked_chart(spec, s)
+    diff = (_stacked_chart(spec, s + h)[0] - _stacked_chart(spec, s - h)[0]) / (2.0 * h)
     assert np.abs(diff - dy).max() < 1e-9
-    assert _ratio_closed_form(spec, 1e3)[0][1] == math.log(2.0) - 1e3
+    assert _stacked_chart(spec, 1e3)[0][1] == math.log(2.0) - 1e3
 
 
-def test_ratio_closed_form_starts_where_the_run_did():
-    # (0, ..., 0, log span, 0, -lambda_f / rate) bit for bit, with +0: a -0.0
-    # would print as -0 in a step-sampled trajectory CSV
-    for spec in (SPEC3, SPEC2, ig.GeodesicSpec3D(0.0, 2.0, 1.0, 0.5, 7.0)):
-        n = spec.model.dimension
-        start = [0.0] * n + [math.log(spec.model.mean_span), 0.0,
-                             *(-decay / spec.rate for _, decay in spec.flat_factors)]
-        assert _ratio_closed_form(spec, 0.0)[0].tobytes() == np.array(start).tobytes()
+_LOG_SCALE = st.floats(-230.0, 230.0)   # e^-230 to e^230, about 1e-100 to 1e100
+
+
+def _pair(mu0, log_sigma0, log_sigma0_prime, log_lam, log_lambda_f):
+    spec = ig.GeodesicSpec3D(mu0, math.exp(log_sigma0), math.exp(log_sigma0_prime),
+                             math.exp(log_lam), math.exp(log_lambda_f))
+    return spec, ig.GeodesicSpec2D.from_3d(spec)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mu0=st.one_of(st.sampled_from([0.0, -0.0, 1e308, -1e308]), st.floats(-1e6, 1e6)),
+       log_sigma0=_LOG_SCALE, log_sigma0_prime=_LOG_SCALE, log_lam=_LOG_SCALE,
+       log_lambda_f=_LOG_SCALE)
+@example(mu0=-0.0, log_sigma0=0.0, log_sigma0_prime=0.0, log_lam=0.0, log_lambda_f=0.0)
+@example(mu0=1e308, log_sigma0=-230.0, log_sigma0_prime=230.0, log_lam=230.0, log_lambda_f=230.0)
+def test_a_run_starts_where_the_closed_forms_do_bit_for_bit(mu0, log_sigma0, log_sigma0_prime,
+                                                            log_lam, log_lambda_f):
+    # the run reads its start off the spec: y0 = (0, ..., 0, log span, 0,
+    # -lambda_f / rate, ...) is the chart's closed form at s = 0 with +0 (a
+    # -0.0 would print as -0 in a step-sampled trajectory CSV), and the state
+    # it maps y0 back to is closed_form's at tau = 0, mu0 = -0.0 and +-1e308
+    # included; rk is replaced by a run that stops at its start
+    started = []
+
+    def start_only(rhs, y0, tau_max, tol, sample_taus, rate):
+        started.append(y0)
+        return np.zeros(1), np.array([y0]), dict(n_steps=0, complete=False, abort_reason="start")
+    for spec in _pair(mu0, log_sigma0, log_sigma0_prime, log_lam, log_lambda_f):
+        with mock.patch.object(ig.geodesics, "_sampled_run", start_only), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = ig.integrate_geodesic(spec, 1.0)
+        y0, _ = _stacked_chart(spec, 0.0)
+        assert np.array(started.pop()).tobytes() == y0.tobytes()
+        assert traj.states[0].tobytes() == ig.closed_form(spec, 0.0)[0].tobytes()
+
+
+_LOG2_SCALE = st.floats(-1074.0, 1023.99)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(log2_sigma0=_LOG2_SCALE, log2_lam=_LOG2_SCALE, three=st.booleans())
+@example(log2_sigma0=math.log2(1e-100), log2_lam=math.log2(1.5e308), three=True)
+@example(log2_sigma0=math.log2(0.7), log2_lam=math.log2(1.79e308), three=True)
+@example(log2_sigma0=math.log2(0.75), log2_lam=math.log2(1.79e308), three=True)
+@example(log2_sigma0=math.log2(1e200), log2_lam=0.0, three=False)
+def test_a_spec_is_refused_exactly_where_the_initial_mean_velocity_overflows(log2_sigma0,
+                                                                             log2_lam, three):
+    # mu'(0) = (rate * span) * sigma0, the mean's velocity ratio times its
+    # scale: a spec is a DomainError naming its lambda field and sigma0
+    # exactly where that product leaves the double range, and the closed
+    # form's mean velocity of every other spec is finite at tau = 0 and a
+    # number where sech^2 underflows, without a warning
+    sigma0, lam = 2.0**log2_sigma0, 2.0**log2_lam
+    assume(sigma0 > 0.0 and lam > 0.0)
+    cls, key, span = ((ig.GeodesicSpec3D, "lambda_plus_prime", math.sqrt(2.0)) if three
+                      else (ig.GeodesicSpec2D, "lambda_plus", 2.0))
+    args = (0.0, sigma0, 1.0, lam, 1.0) if three else (0.0, sigma0, lam)
+    if not math.isfinite(sigma0 * lam * span * sigma0):
+        message = f"{key} = {lam!r} with sigma0 = {sigma0!r} overflows the initial mean velocity"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            cls(*args)
+        return
+    spec = cls(*args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, vel = ig.closed_form(spec, 0.0)
+        assert math.isfinite(vel[0]) and vel[0] == sigma0 * lam * span * sigma0
+        if spec.rate > 0.0 and 800.0 / spec.rate < math.inf:
+            _, vel = ig.closed_form(spec, 800.0 / spec.rate)
+            assert vel[0] == 0.0
+
+
+def _drift(speeds):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.abs(speeds - speeds[0]).max() / speeds[0])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(log_sigma0=_LOG_SCALE, log_sigma0_prime=_LOG_SCALE, log_lam=_LOG_SCALE,
+       log_lambda_f=_LOG_SCALE, rate_tau=st.floats(0.5, 50.0))
+@example(log_sigma0=0.0, log_sigma0_prime=0.0, log_lam=0.0, log_lambda_f=math.log(1e154),
+         rate_tau=10.0)
+@example(log_sigma0=math.log(1e-200), log_sigma0_prime=0.0, log_lam=0.0, log_lambda_f=0.0,
+         rate_tau=10.0)
+@example(log_sigma0=math.log(1e-160), log_sigma0_prime=0.0, log_lam=0.0, log_lambda_f=0.0,
+         rate_tau=20.0)
+def test_the_scaled_speed_drift_is_the_drift_of_the_speeds(log_sigma0, log_sigma0_prime,
+                                                          log_lam, log_lambda_f, rate_tau):
+    # the ratios divided by a power of two before squaring: wherever speeds()
+    # loses nothing to the double range (each c_i rho_i^2 finite, and normal
+    # unless rho_i is 0) the drift is its drift bit for bit; elsewhere, past
+    # the double range (lambda_f = 1e154) or among the subnormals (the 2D
+    # squares at sigma0 = 1e-160 and 1e-200), it is still a number, and a
+    # geodesic's drift passes the 1e-6 bound
+    for spec in _pair(0.0, log_sigma0, log_sigma0_prime, log_lam, log_lambda_f):
+        tau_max = rate_tau / spec.rate
+        traj = ig.integrate_geodesic(spec, tau_max, sample_taus=np.linspace(0.0, tau_max, 101))
+        with np.errstate(over="ignore", under="ignore"):
+            squares = np.multiply(spec.model.weights, np.square(traj.ratios))
+        lossless = np.all(np.isfinite(squares)
+                          & ((squares >= np.finfo(float).tiny) | (traj.ratios == 0.0)))
+        drift = traj.speed_drift()
+        if lossless:
+            assert drift.hex() == _drift(traj.speeds()).hex()
+        assert 0.0 <= drift < 1e-6
 
 
 def test_residual_separates_the_two_spans(monkeypatch):

@@ -688,7 +688,7 @@ def test_jacobi_records_form_no_closed_form_geodesic(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("closed-form geodesic evaluated")
     for module in (geodesics, jacobi):
-        for name in ("closed_form", "_ratio_closed_form"):
+        for name in ("closed_form", "_ratio_columns"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     for spec in (SPEC3, SPEC2):
         taus = np.linspace(0.0, 25.0 / spec.rate, 51)
@@ -917,7 +917,7 @@ def test_stopped_runs_are_not_fitted():
     assert np.array_equal(traj.taus, np.linspace(0.0, ig.EXPONENT_WINDOW[1] / traj.rate, 401))
     jac = _softening([spec])
     assert jac.fit_3d.slope[0] == ig.exponent_fit(traj).slope
-    assert jac.gap[0] == pytest.approx(jac.expected_gap[0], rel=1e-6)
+    assert jac.gap[0] == pytest.approx(spec.rate * (1.0 - 1.0 / SQRT2), rel=1e-6)
     # at sigma0 = sigma0' = 1e-200 the 3D run's start vector lies past the
     # double range (J^3' / sigma0' over the rate): the fit raises, and the
     # abort carries the run stopped at its start
@@ -940,11 +940,10 @@ def test_exponent_runs_complete_at_any_flat_rate(e):
 
 def test_softening_gap_value():
     jac = _softening([SPEC3])
-    expected = 1.0 - 1.0 / SQRT2
-    assert jac.gap.shape == jac.expected_gap.shape == (1,)
+    expected = 1.0 - 1.0 / SQRT2   # the paper's gap at rate 1
+    assert jac.gap.shape == (1,)
     assert jac.gap[0] == pytest.approx(expected, rel=0.03)
     assert jac.gap[0] > 0.0
-    assert jac.expected_gap[0] == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("sigma0,lam", [(0.5, 1.0), (2.0, 1.0), (1.0, 0.7)])
